@@ -25,6 +25,8 @@ from typing import NamedTuple, Sequence
 from .errors import SimulationFault
 from .geometry import Twist6, Vec3, Wrench6
 
+_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
+
 # Damping values used in the drilling study, indexed by task phase.
 FREE_MOTION_TRANS = (50.0, 100.0)   # mass [kg], damping [N s/m]
 FREE_MOTION_ROT = (10.0, 5.0)       # mass [kg m^2], damping [N m s]
@@ -183,23 +185,21 @@ def step_admittance(state: AdmittanceState, f_int: Wrench6, dt: float) -> Twist6
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    if not f_int.is_finite():
-        raise SimulationFault("non-finite interaction force fed to admittance filter")
-    fx, fy, fz = f_int.force
-    tx, ty, tz = f_int.torque
-    forces = (fx, fy, fz, tx, ty, tz)
-    vx, vy, vz = state.v.linear
-    wx, wy, wz = state.v.angular
-    vel = [vx, vy, vz, wx, wy, wz]
-    g = state.params.gains
-    en = state.enabled
-    for i in range(6):
-        if en[i]:
-            m, b = g[i]
-            vel[i] = _step_channel(vel[i], forces[i], m, b, dt)
+    forces = (*f_int.force, *f_int.torque)
+    isfinite = math.isfinite
+    for f in forces:
+        if not isfinite(f):
+            raise SimulationFault("non-finite interaction force fed to admittance filter")
+    vel = [*state.v.linear, *state.v.angular]
+    exp = math.exp
+    for i, (enabled, (m, b), f) in enumerate(zip(state.enabled, state.params.gains, forces)):
+        if enabled:
+            v = vel[i]
+            # _step_channel, inlined: this runs six times per control period
+            vel[i] = v + (1.0 - exp(-b * dt / m)) * (f / b - v)
         else:
             vel[i] = 0.0
-    out = Twist6(Vec3(vel[0], vel[1], vel[2]), Vec3(vel[3], vel[4], vel[5]))
+    out = _new(Twist6, (_new(Vec3, vel[:3]), _new(Vec3, vel[3:])))
     state.v = out
     return out
 

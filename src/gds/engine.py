@@ -29,6 +29,7 @@ import json
 import math
 import struct
 from array import array
+from collections import deque
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -61,6 +62,8 @@ from .operator_env import (
     update_hole,
 )
 from .workpiece import DrillTarget, Surface
+
+_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
 
 @dataclass(frozen=True)
@@ -199,10 +202,6 @@ class Trace:
             hole_depth=d["hole_depth"][i],
         )
 
-    def samples(self):
-        for i in range(len(self)):
-            yield self.sample(i)
-
     def checksum(self) -> str:
         h = hashlib.sha256()
         cols = [self.data[name] for name in _FLOAT_FIELDS + _B_FIELDS + ["hole_depth"]]
@@ -281,10 +280,10 @@ class World:
             config_digest=scenario.config_digest(),
         )
         self._in_collision = False
+        self._b_params = None  # the gains behind the cached damping row _b6
+        self._b6 = ()
         d = self.trace.data
-        self._col_append = tuple(
-            d[name].append for name in _FLOAT_FIELDS + _B_FIELDS + ["hole_depth"]
-        )
+        self._columns = tuple(d[name] for name in _FLOAT_FIELDS + _B_FIELDS + ["hole_depth"])
         self._phase_append = self.trace.phase_codes.append
         self._tgt_append = self.trace.target_idx.append
         self.operator.notify_grab(0.0)
@@ -294,22 +293,16 @@ class World:
 
     def _record(self, t, pose, twist, v_ref, f_h, f_env, f_int, phase, b6, hole_depth):
         vals = (
-            t,
-            pose.position.x, pose.position.y, pose.position.z,
-            pose.orientation.w, pose.orientation.x, pose.orientation.y, pose.orientation.z,
-            twist.linear.x, twist.linear.y, twist.linear.z,
-            twist.angular.x, twist.angular.y, twist.angular.z,
-            v_ref.linear.x, v_ref.linear.y, v_ref.linear.z,
-            v_ref.angular.x, v_ref.angular.y, v_ref.angular.z,
-            f_h.force.x, f_h.force.y, f_h.force.z,
-            f_h.torque.x, f_h.torque.y, f_h.torque.z,
-            f_env.force.x, f_env.force.y, f_env.force.z,
-            f_env.torque.x, f_env.torque.y, f_env.torque.z,
-            f_int.force.x, f_int.force.y, f_int.force.z,
-            f_int.torque.x, f_int.torque.y, f_int.torque.z,
-        ) + b6 + (hole_depth,)
-        for fn, v in zip(self._col_append, vals):
-            fn(v)
+            t, *pose.position, *pose.orientation,
+            *twist.linear, *twist.angular,
+            *v_ref.linear, *v_ref.angular,
+            *f_h.force, *f_h.torque,
+            *f_env.force, *f_env.torque,
+            *f_int.force, *f_int.torque,
+            *b6, hole_depth,
+        )
+        # append each value to its column; deque(..., 0) drains the map
+        deque(map(array.append, self._columns, vals), 0)
         self._phase_append(_PHASE_CODE[phase])
         self._tgt_append(self.target_idx)
 
@@ -317,12 +310,12 @@ class World:
         dt = self.dt
         p = pose.position
         v = twist.linear
-        pos = Vec3(p.x + v.x * dt, p.y + v.y * dt, p.z + v.z * dt)
+        pos = _new(Vec3, (p.x + v.x * dt, p.y + v.y * dt, p.z + v.z * dt))
         w = twist.angular
         if w.x == 0.0 and w.y == 0.0 and w.z == 0.0:
-            return Pose(pos, pose.orientation)
-        dq = UnitQuat.from_rotvec(Vec3(w.x * dt, w.y * dt, w.z * dt))
-        return Pose(pos, dq.multiply(pose.orientation))
+            return _new(Pose, (pos, pose.orientation))
+        dq = UnitQuat.from_rotvec(_new(Vec3, (w.x * dt, w.y * dt, w.z * dt)))
+        return _new(Pose, (pos, dq.multiply(pose.orientation)))
 
     def _start_ramp(self, t: float, new_phase: GuidancePhase) -> None:
         current = gains_at(self.schedule, t)
@@ -354,8 +347,9 @@ class World:
             pose0, twist0, sc.surface, target, self.hole, sc.environment
         )
         f_int = f_h + f_env
-        if not (f_int.is_finite() and pose0.position.is_finite()):
-            raise SimulationFault(f"non-finite state at sample {k}")
+        for v in (*f_int.force, *f_int.torque, *pose0.position):
+            if not math.isfinite(v):
+                raise SimulationFault(f"non-finite state at sample {k}")
 
         params_now = gains_at(self.schedule, t)
         constrained = self.guided and phase in (
@@ -374,13 +368,13 @@ class World:
             f_ax = f_int.force.dot(axis)
             self.s_ref = step_axial(self.s_ref, f_ax, params_now.translational, dt)
             self.s_act = self.s_act + self.plant_alpha * (self.s_ref - self.s_act)
+            s = self.s_ref
             v_ref = constrain_twist(
-                Twist6(Vec3(self.s_ref * axis.x, self.s_ref * axis.y, self.s_ref * axis.z),
-                       Vec3.zero()),
+                _new(Twist6, (_new(Vec3, (s * axis.x, s * axis.y, s * axis.z)), Vec3.zero())),
                 axis,
             )
             s = self.s_act
-            new_twist = Twist6(Vec3(s * axis.x, s * axis.y, s * axis.z), Vec3.zero())
+            new_twist = _new(Twist6, (_new(Vec3, (s * axis.x, s * axis.y, s * axis.z)), Vec3.zero()))
             v_used = new_twist
             new_pose = self._integrate(pose0, new_twist)
         else:
@@ -392,33 +386,35 @@ class World:
                 a = self.plant_alpha
                 lin0, ang0 = twist0.linear, twist0.angular
                 lin1, ang1 = v_ref.linear, v_ref.angular
-                new_twist = Twist6(
-                    Vec3(
+                new_twist = _new(Twist6, (
+                    _new(Vec3, (
                         lin0.x + a * (lin1.x - lin0.x),
                         lin0.y + a * (lin1.y - lin0.y),
                         lin0.z + a * (lin1.z - lin0.z),
-                    ),
-                    Vec3(
+                    )),
+                    _new(Vec3, (
                         ang0.x + a * (ang1.x - ang0.x),
                         ang0.y + a * (ang1.y - ang0.y),
                         ang0.z + a * (ang1.z - ang0.z),
-                    ),
-                )
+                    )),
+                ))
             v_used = new_twist
             new_pose = self._integrate(pose0, new_twist)
 
         self.pose = new_pose
         self.twist = new_twist
 
-        # hole bookkeeping on the post-step state
-        rel = new_pose.position - target.point
-        ax_pos = rel.dot(target.axis)
-        lateral = rel - target.axis.scale(ax_pos)
-        on_target = lateral.norm() <= sc.environment.hole_radius
+        # hole bookkeeping on the post-step state, over plain floats
+        p, tp, axis = new_pose.position, target.point, target.axis
+        ux, uy, uz = axis
+        rx, ry, rz = p.x - tp.x, p.y - tp.y, p.z - tp.z
+        ax_pos = rx * ux + ry * uy + rz * uz
+        lx, ly, lz = rx - ax_pos * ux, ry - ax_pos * uy, rz - ax_pos * uz
+        on_target = math.sqrt(lx * lx + ly * ly + lz * lz) <= sc.environment.hole_radius
         was_cut = self.hole.depth > 0.0
         if on_target and ax_pos > 0.0:
-            feed = v_used.linear.dot(target.axis)
-            axial_push = f_h.force.dot(target.axis)
+            feed = v_used.linear.dot(axis)
+            axial_push = f_h.force.dot(axis)
             self.hole = update_hole(
                 self.hole,
                 feed,
@@ -428,7 +424,7 @@ class World:
                 at_bottom=ax_pos >= self.hole.depth - 1e-4,
                 tip_in_hole=True,
             )
-        else:
+        elif self.hole.engaged:
             self.hole = HoleState(self.hole.depth, engaged=False)
         t_next = (k + 1) * dt
         if not was_cut and self.hole.depth > 0.0:
@@ -438,7 +434,7 @@ class World:
         self._in_collision = collision
 
         # state machine on the post-step state
-        distance = rel.norm()
+        distance = math.sqrt(rx * rx + ry * ry + rz * rz)
         align_progress = 0.0
         if phase is GuidancePhase.AUTO_ALIGN:
             align_progress = (k + 1 - self.align_start_step) / self.align_steps
@@ -454,8 +450,10 @@ class World:
             retracted=retracted,
         )
 
-        b6 = tuple(g.b for g in params_now.gains)
-        self._record(t, pose0, v_used, v_ref, f_h, f_env, f_int, phase, b6, self.hole.depth)
+        if params_now is not self._b_params:
+            self._b_params = params_now
+            self._b6 = tuple([g.b for g in params_now.gains])
+        self._record(t, pose0, v_used, v_ref, f_h, f_env, f_int, phase, self._b6, self.hole.depth)
         self.k += 1
 
         if new_phase is not phase:

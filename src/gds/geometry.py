@@ -21,6 +21,11 @@ from .errors import GeometryError
 
 _UNIT_TOL = 1e-9
 
+# A NamedTuple's generated __new__ is a Python-level function; calling
+# tuple.__new__ directly builds the same value without that frame. The
+# per-step arithmetic below constructs dozens of these per control period.
+_new = tuple.__new__
+
 
 class Vec3(NamedTuple):
     x: float
@@ -28,26 +33,26 @@ class Vec3(NamedTuple):
     z: float
 
     def __add__(self, o: "Vec3") -> "Vec3":
-        return Vec3(self.x + o.x, self.y + o.y, self.z + o.z)
+        return _new(Vec3, (self.x + o.x, self.y + o.y, self.z + o.z))
 
     def __sub__(self, o: "Vec3") -> "Vec3":
-        return Vec3(self.x - o.x, self.y - o.y, self.z - o.z)
+        return _new(Vec3, (self.x - o.x, self.y - o.y, self.z - o.z))
 
     def __neg__(self) -> "Vec3":
-        return Vec3(-self.x, -self.y, -self.z)
+        return _new(Vec3, (-self.x, -self.y, -self.z))
 
     def scale(self, s: float) -> "Vec3":
-        return Vec3(s * self.x, s * self.y, s * self.z)
+        return _new(Vec3, (s * self.x, s * self.y, s * self.z))
 
     def dot(self, o: "Vec3") -> float:
         return self.x * o.x + self.y * o.y + self.z * o.z
 
     def cross(self, o: "Vec3") -> "Vec3":
-        return Vec3(
+        return _new(Vec3, (
             self.y * o.z - self.z * o.y,
             self.z * o.x - self.x * o.z,
             self.x * o.y - self.y * o.x,
-        )
+        ))
 
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
@@ -56,7 +61,7 @@ class Vec3(NamedTuple):
         n = self.norm()
         if n == 0.0:
             raise GeometryError("cannot normalize a zero vector")
-        return Vec3(self.x / n, self.y / n, self.z / n)
+        return _new(Vec3, (self.x / n, self.y / n, self.z / n))
 
     def is_finite(self) -> bool:
         return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
@@ -131,7 +136,7 @@ def _canonical(w: float, x: float, y: float, z: float) -> UnitQuat:
     w, x, y, z = w / n, x / n, y / n, z / n
     if w < 0.0 or (w == 0.0 and (x < 0.0 or (x == 0.0 and (y < 0.0 or (y == 0.0 and z < 0.0))))):
         w, x, y, z = -w, -x, -y, -z
-    return UnitQuat(w, x, y, z)
+    return _new(UnitQuat, (w, x, y, z))
 
 
 _IDENTITY_QUAT = UnitQuat(1.0, 0.0, 0.0, 0.0)
@@ -144,11 +149,11 @@ def rotate(q: UnitQuat, v: Vec3) -> Vec3:
     tx = 2.0 * (qy * v.z - qz * v.y)
     ty = 2.0 * (qz * v.x - qx * v.z)
     tz = 2.0 * (qx * v.y - qy * v.x)
-    return Vec3(
+    return _new(Vec3, (
         v.x + w * tx + qy * tz - qz * ty,
         v.y + w * ty + qz * tx - qx * tz,
         v.z + w * tz + qx * ty - qy * tx,
-    )
+    ))
 
 
 def slerp(q0: UnitQuat, q1: UnitQuat, t: float) -> UnitQuat:
@@ -240,7 +245,7 @@ class Wrench6(NamedTuple):
         return _ZERO_WRENCH
 
     def __add__(self, o: "Wrench6") -> "Wrench6":
-        return Wrench6(self.force + o.force, self.torque + o.torque)
+        return _new(Wrench6, (self.force + o.force, self.torque + o.torque))
 
     def is_finite(self) -> bool:
         return self.force.is_finite() and self.torque.is_finite()

@@ -30,9 +30,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .geometry import Pose, Twist6, Vec3, Wrench6, rotate, rotation_between
+from .geometry import Pose, Twist6, Vec3, Wrench6, angle_between, rotate, rotation_between
 from .guidance import GuidancePhase
 from .workpiece import DrillTarget, Surface, drilling_axis
+
+_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
 
 @dataclass(frozen=True)
@@ -247,12 +249,12 @@ class VirtualOperator:
         if self._mode in (_MODE_AIM, _MODE_DWELL):
             f = (standoff_point - pose.position).scale(m.k_p) - twist.linear.scale(m.k_d)
             tau = self._orientation_torque(pose, twist, aim_axis)
-            return Wrench6(_cap(f, m.force_cap).scale(g), _cap(tau, m.torque_cap).scale(g))
+            return _new(Wrench6, (_cap(f, m.force_cap).scale(g), _cap(tau, m.torque_cap).scale(g)))
         if self._mode == _MODE_PUSH:
             axis = self._push_axis
             f = axis.scale(min(m.push_force, m.force_cap))
             tau = self._orientation_torque(pose, twist, axis)
-            return Wrench6(f.scale(g), _cap(tau, m.torque_cap).scale(g))
+            return _new(Wrench6, (f.scale(g), _cap(tau, m.torque_cap).scale(g)))
         # pull back out along the same axis
         axis = self._push_axis if self._push_axis is not None else aim_axis
         f = axis.scale(-min(m.push_force, m.force_cap))
@@ -278,8 +280,6 @@ class VirtualOperator:
         if (standoff_point - pose.position).norm() > 0.008:
             return False
         tool = rotate(pose.orientation, self.tool_axis_local)
-        from .geometry import angle_between
-
         return angle_between(tool, aim_axis) <= math.radians(1.0)
 
     def _orientation_torque(self, pose: Pose, twist: Twist6, desired_axis: Vec3) -> Vec3:
@@ -292,20 +292,9 @@ class VirtualOperator:
             rv = Vec3.zero()
         else:
             ang = 2.0 * math.atan2(vn, q_err.w)
-            rv = Vec3(q_err.x, q_err.y, q_err.z).scale(ang / vn)
+            s = ang / vn
+            rv = _new(Vec3, (s * q_err.x, s * q_err.y, s * q_err.z))
         return rv.scale(m.torque_k_p) - twist.angular.scale(m.torque_k_d)
-
-
-def operator_wrench(
-    operator: VirtualOperator,
-    pose: Pose,
-    twist: Twist6,
-    phase: GuidancePhase,
-    target: DrillTarget,
-    t: float,
-) -> Wrench6:
-    """Functional entry point over the stateful operator."""
-    return operator.wrench(pose, twist, phase, target, t)
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +323,19 @@ def environment_wrench(
     outward normal. Neither branch can inject net energy over a cycle.
     """
     p = tip.position
-    rel = p - target.point
-    ax_pos = rel.dot(target.axis)
-    lateral = rel - target.axis.scale(ax_pos)
-    on_target = lateral.norm() <= model.hole_radius
+    tp = target.point
+    axis = target.axis
+    ux, uy, uz = axis
+    rx, ry, rz = p.x - tp.x, p.y - tp.y, p.z - tp.z
+    ax_pos = rx * ux + ry * uy + rz * uz
+    lx, ly, lz = rx - ax_pos * ux, ry - ax_pos * uy, rz - ax_pos * uz
+    on_target = math.sqrt(lx * lx + ly * ly + lz * lz) <= model.hole_radius
 
     if on_target:
         if ax_pos <= 0.0:
             return Wrench6.zero(), False, ax_pos
-        feed = twist.linear.dot(target.axis)
+        v = twist.linear
+        feed = v.x * ux + v.y * uy + v.z * uz
         f_mag = 0.0
         # at the cutting face (within one step of the uncut bottom): the
         # material resists the feed; strictly beyond it: bearing spring
@@ -351,8 +344,8 @@ def environment_wrench(
         bottom_pen = ax_pos - hole.depth
         if bottom_pen > 0.0:
             f_mag += model.contact_stiffness * bottom_pen
-        force = target.axis.scale(-f_mag)
-        return Wrench6(force, Vec3.zero()), False, ax_pos
+        force = axis.scale(-f_mag)
+        return _new(Wrench6, (force, Vec3.zero())), False, ax_pos
 
     sd = surface.signed_distance(p)
     if sd >= 0.0:
@@ -362,4 +355,4 @@ def environment_wrench(
     pen_rate = -twist.linear.dot(n_out)
     f_mag = model.contact_stiffness * pen + model.contact_damping * pen_rate
     f_mag = max(0.0, f_mag)  # the surface can only push
-    return Wrench6(n_out.scale(f_mag), Vec3.zero()), pen > 0.005, ax_pos
+    return _new(Wrench6, (n_out.scale(f_mag), Vec3.zero())), pen > 0.005, ax_pos

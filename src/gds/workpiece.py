@@ -92,25 +92,58 @@ class CylinderPatch:
         return foot + n.scale(self.radius), n
 
     def signed_distance(self, p: Vec3) -> float:
-        rel = p - self.axis_point
-        h = rel.dot(self.axis_dir)
-        radial = rel - self.axis_dir.scale(h)
-        return radial.norm() - self.radius
+        # closest_point's radial offset, over plain floats
+        a, d = self.axis_point, self.axis_dir
+        rx, ry, rz = p.x - a.x, p.y - a.y, p.z - a.z
+        h = rx * d.x + ry * d.y + rz * d.z
+        qx, qy, qz = rx - h * d.x, ry - h * d.y, rz - h * d.z
+        return math.sqrt(qx * qx + qy * qy + qz * qz) - self.radius
+
+
+# Triangles per leaf of the bounding-box tree.
+_LEAF_SIZE = 4
+# Each triangle's box is padded by this fraction of its largest coordinate
+# or edge component. Ericson's test can place a point outside its
+# triangle only by rounding, and the pad is far wider than that rounding
+# for any triangle that is not a near-zero-area sliver. With every
+# computed closest point inside its boxes, a box's computed squared
+# distance never exceeds the point's (rounding is monotone and both sums
+# run over x, y, z in order), so culling never drops the scan's winner.
+_BOX_PAD = 1e-7
+# A closest point within this distance of a vertex or an edge takes that
+# feature's pseudonormal.
+_FEATURE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class TriangleMesh:
-    """Indexed triangle mesh, consistently oriented with outward normals."""
+    """Indexed triangle mesh, consistently oriented with outward normals.
+
+    Closest-point queries walk a bounding-box tree built at load and
+    return exactly the point and normal of an exhaustive scan over all
+    triangles, ties going to the lowest triangle index. Normals are the
+    angle-weighted pseudonormals (Baerentzen & Aanaes 2005), precomputed
+    at load.
+    """
 
     vertices: tuple  # of Vec3
     triangles: tuple  # of (i, j, k)
     _face_normals: tuple = field(default=(), compare=False)
+    # per triangle: a, b, c, b - a, c - a, c - b as 18 floats
+    _corners: tuple = field(init=False, compare=False, repr=False)
+    # per triangle: face, vertex a/b/c and edge ab/bc/ca normals; None
+    # where the incident normals sum to zero
+    _normals: tuple = field(init=False, compare=False, repr=False)
+    # root node (lo xyz, hi xyz, left, right); a leaf has left None and
+    # its triangle indices as right
+    _tree: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         nv = len(self.vertices)
         if nv < 3 or not self.triangles:
             raise GeometryError("mesh needs at least one triangle")
         normals = []
+        corners = []
         for tri in self.triangles:
             if len(tri) != 3 or any(not (0 <= i < nv) for i in tri):
                 raise GeometryError(f"triangle {tri} references invalid vertices")
@@ -119,68 +152,117 @@ class TriangleMesh:
             if n.norm() == 0.0:
                 raise GeometryError(f"degenerate triangle {tri}")
             normals.append(n.normalized())
+            corners.append(tuple(map(float, (*a, *b, *c, *(b - a), *(c - a), *(c - b)))))
         object.__setattr__(self, "_face_normals", tuple(normals))
+        object.__setattr__(self, "_corners", tuple(corners))
+        object.__setattr__(self, "_normals", self._pseudo_normals())
+        object.__setattr__(self, "_tree", _build_tree(corners))
 
     def closest_point(self, p: Vec3) -> Tuple[Vec3, Vec3]:
-        best = None
+        px, py, pz = p
+        corners = self._corners
         best_d2 = math.inf
-        for idx, tri in enumerate(self.triangles):
-            a, b, c = (self.vertices[i] for i in tri)
-            q = _closest_on_triangle(p, a, b, c)
-            d2 = (p - q).dot(p - q)
-            if d2 < best_d2:
-                best_d2 = d2
-                best = (q, idx)
-        q, idx = best
-        return q, self._pseudo_normal(q, idx)
+        best_idx = -1
+        best_q = None
+        stack = [(0.0, self._tree)]
+        while stack:
+            box_d2, node = stack.pop()
+            if box_d2 > best_d2:
+                continue
+            left, right = node[6], node[7]
+            if left is None:
+                for idx in right:
+                    q = _closest_on_triangle(px, py, pz, corners[idx])
+                    dx, dy, dz = px - q[0], py - q[1], pz - q[2]
+                    d2 = dx * dx + dy * dy + dz * dz
+                    if d2 < best_d2 or (d2 == best_d2 and idx < best_idx):
+                        best_d2, best_idx, best_q = d2, idx, q
+                continue
+            dl = _box_d2(left, px, py, pz)
+            dr = _box_d2(right, px, py, pz)
+            # pushed last, popped first: the nearer child
+            if dl <= dr:
+                stack.append((dr, right))
+                stack.append((dl, left))
+            else:
+                stack.append((dl, left))
+                stack.append((dr, right))
+        return Vec3(*best_q), self._pseudo_normal(best_q, best_idx)
 
     def signed_distance(self, p: Vec3) -> float:
         q, n = self.closest_point(p)
         return (p - q).dot(n)
 
-    def _pseudo_normal(self, q: Vec3, face_idx: int) -> Vec3:
+    def _pseudo_normal(self, q: tuple, face_idx: int) -> Vec3:
         """Angle-weighted normal at the closest point: face normal in the
         interior, incident-face average at vertices/edges."""
-        tol = 1e-9
+        qx, qy, qz = q
+        ax, ay, az, bx, by, bz, cx, cy, cz, abx, aby, abz, acx, acy, acz, bcx, bcy, bcz = (
+            self._corners[face_idx]
+        )
+        face, na, nb, nc, n_ab, n_bc, n_ca = self._normals[face_idx]
         tri = self.triangles[face_idx]
-        verts = [self.vertices[i] for i in tri]
-        # at a vertex?
-        for local, v in enumerate(verts):
-            if (q - v).norm() <= tol:
-                return self._vertex_normal(tri[local])
-        # on an edge?
-        for e0, e1 in ((0, 1), (1, 2), (2, 0)):
-            a, b = verts[e0], verts[e1]
-            ab = b - a
-            t = (q - a).dot(ab) / ab.dot(ab)
-            foot = a + ab.scale(t)
-            if 0.0 <= t <= 1.0 and (q - foot).norm() <= tol:
-                shared = [
-                    i
-                    for i, t2 in enumerate(self.triangles)
-                    if tri[e0] in t2 and tri[e1] in t2
-                ]
-                n = Vec3.zero()
-                for i in shared:
-                    n = n + self._face_normals[i]
-                return n.normalized()
-        return self._face_normals[face_idx]
+        at_vertex = ((ax, ay, az, na), (bx, by, bz, nb), (cx, cy, cz, nc))
+        for local, (vx, vy, vz, n) in enumerate(at_vertex):
+            dx, dy, dz = qx - vx, qy - vy, qz - vz
+            if math.sqrt(dx * dx + dy * dy + dz * dz) <= _FEATURE_TOL:
+                if n is None:
+                    raise GeometryError(f"vertex {tri[local]} has no incident area")
+                return n
+        for e0, e1, edge in (
+            (0, 1, (ax, ay, az, abx, aby, abz, n_ab)),
+            (1, 2, (bx, by, bz, bcx, bcy, bcz, n_bc)),
+            (2, 0, (cx, cy, cz, -acx, -acy, -acz, n_ca)),
+        ):
+            ox, oy, oz, ex, ey, ez, n = edge
+            t = ((qx - ox) * ex + (qy - oy) * ey + (qz - oz) * ez) / (ex * ex + ey * ey + ez * ez)
+            dx, dy, dz = qx - (ox + t * ex), qy - (oy + t * ey), qz - (oz + t * ez)
+            if 0.0 <= t <= 1.0 and math.sqrt(dx * dx + dy * dy + dz * dz) <= _FEATURE_TOL:
+                if n is None:
+                    raise GeometryError(f"edge {(tri[e0], tri[e1])} has no incident area")
+                return n
+        return face
 
-    def _vertex_normal(self, vidx: int) -> Vec3:
-        total = Vec3.zero()
+    def _pseudo_normals(self) -> tuple:
+        """Per-triangle normal table, in one pass over incidence lists.
+        Sums run in ascending triangle index from zero, so each normal has
+        the bits a rescan of all triangles would give."""
+        faces = self._face_normals
+        incident: dict = {}
         for i, tri in enumerate(self.triangles):
-            if vidx not in tri:
-                continue
-            j = tri.index(vidx)
-            a = self.vertices[tri[j]]
-            b = self.vertices[tri[(j + 1) % 3]]
-            c = self.vertices[tri[(j + 2) % 3]]
-            e1, e2 = (b - a), (c - a)
-            wedge = math.atan2(e1.cross(e2).norm(), e1.dot(e2))
-            total = total + self._face_normals[i].scale(wedge)
-        if total.norm() == 0.0:
-            raise GeometryError(f"vertex {vidx} has no incident area")
-        return total.normalized()
+            for v in tri:
+                incident.setdefault(v, []).append(i)
+
+        vertex_normals = {}
+        for v, around in incident.items():
+            total = Vec3.zero()
+            for i in around:
+                tri = self.triangles[i]
+                j = tri.index(v)
+                a = self.vertices[tri[j]]
+                e1 = self.vertices[tri[(j + 1) % 3]] - a
+                e2 = self.vertices[tri[(j + 2) % 3]] - a
+                wedge = math.atan2(e1.cross(e2).norm(), e1.dot(e2))
+                total = total + faces[i].scale(wedge)
+            vertex_normals[v] = None if total.norm() == 0.0 else total.normalized()
+
+        edge_normals: dict = {}
+
+        def edge_normal(u, v):
+            key = (min(u, v), max(u, v))
+            if key not in edge_normals:
+                shared = sorted(set(incident[u]).intersection(incident[v]))
+                total = Vec3.zero()
+                for i in shared:
+                    total = total + faces[i]
+                edge_normals[key] = None if total.norm() == 0.0 else total.normalized()
+            return edge_normals[key]
+
+        return tuple(
+            (faces[i], vertex_normals[a], vertex_normals[b], vertex_normals[c],
+             edge_normal(a, b), edge_normal(b, c), edge_normal(c, a))
+            for i, (a, b, c) in enumerate(self.triangles)
+        )
 
 
 Surface = Union[SpherePatch, CylinderPatch, TriangleMesh]
@@ -192,31 +274,74 @@ def _any_perpendicular(v: Vec3) -> Vec3:
     return (pick - v.scale(pick.dot(v))).normalized()
 
 
-def _closest_on_triangle(p: Vec3, a: Vec3, b: Vec3, c: Vec3) -> Vec3:
-    # Ericson, Real-Time Collision Detection, 5.1.5
-    ab, ac, ap = b - a, c - a, p - a
-    d1, d2 = ab.dot(ap), ac.dot(ap)
+def _closest_on_triangle(px: float, py: float, pz: float, corners: tuple) -> tuple:
+    # Ericson, Real-Time Collision Detection, 5.1.5; corners holds
+    # a, b, c, ab = b - a, ac = c - a, bc = c - b as 18 floats
+    ax, ay, az, bx, by, bz, cx, cy, cz, abx, aby, abz, acx, acy, acz, bcx, bcy, bcz = corners
+    apx, apy, apz = px - ax, py - ay, pz - az
+    d1 = abx * apx + aby * apy + abz * apz
+    d2 = acx * apx + acy * apy + acz * apz
     if d1 <= 0.0 and d2 <= 0.0:
-        return a
-    bp = p - b
-    d3, d4 = ab.dot(bp), ac.dot(bp)
+        return ax, ay, az
+    bpx, bpy, bpz = px - bx, py - by, pz - bz
+    d3 = abx * bpx + aby * bpy + abz * bpz
+    d4 = acx * bpx + acy * bpy + acz * bpz
     if d3 >= 0.0 and d4 <= d3:
-        return b
+        return bx, by, bz
     vc = d1 * d4 - d3 * d2
     if vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0:
-        return a + ab.scale(d1 / (d1 - d3))
-    cp = p - c
-    d5, d6 = ab.dot(cp), ac.dot(cp)
+        v = d1 / (d1 - d3)
+        return ax + v * abx, ay + v * aby, az + v * abz
+    cpx, cpy, cpz = px - cx, py - cy, pz - cz
+    d5 = abx * cpx + aby * cpy + abz * cpz
+    d6 = acx * cpx + acy * cpy + acz * cpz
     if d6 >= 0.0 and d5 <= d6:
-        return c
+        return cx, cy, cz
     vb = d5 * d2 - d1 * d6
     if vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0:
-        return a + ac.scale(d2 / (d2 - d6))
+        w = d2 / (d2 - d6)
+        return ax + w * acx, ay + w * acy, az + w * acz
     va = d3 * d6 - d5 * d4
     if va <= 0.0 and (d4 - d3) >= 0.0 and (d5 - d6) >= 0.0:
-        return b + (c - b).scale((d4 - d3) / ((d4 - d3) + (d5 - d6)))
+        w = (d4 - d3) / ((d4 - d3) + (d5 - d6))
+        return bx + w * bcx, by + w * bcy, bz + w * bcz
     denom = 1.0 / (va + vb + vc)
-    return a + ab.scale(vb * denom) + ac.scale(vc * denom)
+    v, w = vb * denom, vc * denom
+    return ax + v * abx + w * acx, ay + v * aby + w * acy, az + v * abz + w * acz
+
+
+def _box_d2(node: tuple, px: float, py: float, pz: float) -> float:
+    """Squared distance from p to a tree node's box, summed over x, y, z in
+    the order a closest point's squared distance is."""
+    lox, loy, loz, hix, hiy, hiz, _, _ = node
+    gx = lox - px if px < lox else (px - hix if px > hix else 0.0)
+    gy = loy - py if py < loy else (py - hiy if py > hiy else 0.0)
+    gz = loz - pz if pz < loz else (pz - hiz if pz > hiz else 0.0)
+    return gx * gx + gy * gy + gz * gz
+
+
+def _build_tree(corners: tuple) -> tuple:
+    """Bounding-box tree over the triangles: each node splits at the median
+    triangle centroid along the longest axis of its box."""
+    boxes = []
+    centroids = []  # three times each centroid
+    for c in corners:
+        pad = _BOX_PAD * max(map(abs, c))
+        boxes.append(tuple(min(c[k], c[k + 3], c[k + 6]) - pad for k in range(3))
+                     + tuple(max(c[k], c[k + 3], c[k + 6]) + pad for k in range(3)))
+        centroids.append(tuple(c[k] + c[k + 3] + c[k + 6] for k in range(3)))
+
+    def build(indices):
+        lo = tuple(min(boxes[i][k] for i in indices) for k in range(3))
+        hi = tuple(max(boxes[i][k] for i in indices) for k in range(3, 6))
+        if len(indices) <= _LEAF_SIZE:
+            return (*lo, *hi, None, tuple(sorted(indices)))
+        axis = max(range(3), key=lambda k: hi[k] - lo[k])
+        indices = sorted(indices, key=lambda i: (centroids[i][axis], i))
+        mid = len(indices) // 2
+        return (*lo, *hi, build(indices[:mid]), build(indices[mid:]))
+
+    return build(list(range(len(corners))))
 
 
 def surface_normal(surface: Surface, point: Vec3, tolerance: float = 0.005) -> Vec3:
@@ -323,12 +448,16 @@ def drilling_axis(frame: Frame3, phi_deg: float, theta_deg: float) -> Vec3:
     theta = math.radians(theta_deg)
     sp, cp = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)
-    ax = (
-        frame.n.scale(cp)
-        + frame.u.scale(sp * ct)
-        + frame.w.scale(sp * st)
-    )
-    return ax.normalized()
+    su, sw = sp * ct, sp * st
+    n, u, w = frame.n, frame.u, frame.w
+    # n cp + u sp ct + w sp st, summed left to right, then normalized
+    x = cp * n.x + su * u.x + sw * w.x
+    y = cp * n.y + su * u.y + sw * w.y
+    z = cp * n.z + su * u.z + sw * w.z
+    norm = math.sqrt(x * x + y * y + z * z)
+    if norm == 0.0:
+        raise GeometryError("cannot normalize a zero vector")
+    return tuple.__new__(Vec3, (x / norm, y / norm, z / norm))
 
 
 def recover_angles(axis: Vec3, frame: Frame3) -> Tuple[float, float]:
@@ -422,12 +551,16 @@ def load_stl(path: str) -> TriangleMesh:
                     idx = len(vertices)
                     vmap[v] = idx
                     vertices.append(Vec3(*v))
+                if not current:
+                    facet_line = lineno
                 current.append(idx)
             elif tok[0] == "endfacet":
                 if len(current) != 3:
                     raise GeometryError(f"{path}:{lineno}: facet without 3 vertices")
                 triangles.append(tuple(current))
                 current = []
+    if current:
+        raise GeometryError(f"{path}:{facet_line}: facet without endfacet")
     if not triangles:
         raise GeometryError(f"{path}: no facets found")
     return TriangleMesh(tuple(vertices), tuple(triangles))
@@ -441,9 +574,14 @@ def load_off(path: str) -> TriangleMesh:
             for ln in fh
             if ln.strip() and not ln.strip().startswith("#")
         ]
-    if not lines or lines[0] != "OFF":
+    if len(lines) < 2 or lines[0] != "OFF":
         raise GeometryError(f"{path}: missing OFF header")
     nv, nf, _ = (int(x) for x in lines[1].split()[:3])
+    if len(lines) < 2 + nv + nf:
+        raise GeometryError(
+            f"{path}: header declares {nv} vertices and {nf} faces, "
+            f"file has {len(lines) - 2} lines after it"
+        )
     verts = []
     for ln in lines[2 : 2 + nv]:
         x, y, z = (float(t) for t in ln.split()[:3])

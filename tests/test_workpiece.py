@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gds.errors import GeometryError
 from gds.geometry import UnitQuat, Vec3, angle_between, rotate
@@ -121,6 +123,221 @@ class TestSurfaceNormal:
                 worst = max(worst, angle_between(n, d))
             errs.append(worst)
         assert errs[1] < errs[0] / 2  # refinement tightens the normal
+
+
+# ---------------------------------------------------------------------------
+# exhaustive-scan oracle: the culled mesh query must return exactly its bits
+# ---------------------------------------------------------------------------
+
+
+def _scan_closest_on_triangle(p, a, b, c):
+    # Ericson, Real-Time Collision Detection, 5.1.5, over Vec3
+    ab, ac, ap = b - a, c - a, p - a
+    d1, d2 = ab.dot(ap), ac.dot(ap)
+    if d1 <= 0.0 and d2 <= 0.0:
+        return a
+    bp = p - b
+    d3, d4 = ab.dot(bp), ac.dot(bp)
+    if d3 >= 0.0 and d4 <= d3:
+        return b
+    vc = d1 * d4 - d3 * d2
+    if vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0:
+        return a + ab.scale(d1 / (d1 - d3))
+    cp = p - c
+    d5, d6 = ab.dot(cp), ac.dot(cp)
+    if d6 >= 0.0 and d5 <= d6:
+        return c
+    vb = d5 * d2 - d1 * d6
+    if vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0:
+        return a + ac.scale(d2 / (d2 - d6))
+    va = d3 * d6 - d5 * d4
+    if va <= 0.0 and (d4 - d3) >= 0.0 and (d5 - d6) >= 0.0:
+        return b + (c - b).scale((d4 - d3) / ((d4 - d3) + (d5 - d6)))
+    denom = 1.0 / (va + vb + vc)
+    return a + ab.scale(vb * denom) + ac.scale(vc * denom)
+
+
+def _scan_vertex_normal(mesh, vidx):
+    total = Vec3.zero()
+    for i, tri in enumerate(mesh.triangles):
+        if vidx not in tri:
+            continue
+        j = tri.index(vidx)
+        a = mesh.vertices[tri[j]]
+        b = mesh.vertices[tri[(j + 1) % 3]]
+        c = mesh.vertices[tri[(j + 2) % 3]]
+        e1, e2 = (b - a), (c - a)
+        wedge = math.atan2(e1.cross(e2).norm(), e1.dot(e2))
+        total = total + mesh._face_normals[i].scale(wedge)
+    if total.norm() == 0.0:
+        raise GeometryError(f"vertex {vidx} has no incident area")
+    return total.normalized()
+
+
+def _scan_pseudo_normal(mesh, q, face_idx):
+    tol = 1e-9
+    tri = mesh.triangles[face_idx]
+    verts = [mesh.vertices[i] for i in tri]
+    for local, v in enumerate(verts):
+        if (q - v).norm() <= tol:
+            return _scan_vertex_normal(mesh, tri[local])
+    for e0, e1 in ((0, 1), (1, 2), (2, 0)):
+        a, b = verts[e0], verts[e1]
+        ab = b - a
+        t = (q - a).dot(ab) / ab.dot(ab)
+        foot = a + ab.scale(t)
+        if 0.0 <= t <= 1.0 and (q - foot).norm() <= tol:
+            shared = [
+                i for i, t2 in enumerate(mesh.triangles) if tri[e0] in t2 and tri[e1] in t2
+            ]
+            n = Vec3.zero()
+            for i in shared:
+                n = n + mesh._face_normals[i]
+            return n.normalized()
+    return mesh._face_normals[face_idx]
+
+
+def scan_closest_point(mesh, p):
+    """Every triangle in index order; the first strictly smaller squared
+    distance wins."""
+    best = None
+    best_d2 = math.inf
+    for idx, tri in enumerate(mesh.triangles):
+        a, b, c = (mesh.vertices[i] for i in tri)
+        q = _scan_closest_on_triangle(p, a, b, c)
+        d2 = (p - q).dot(p - q)
+        if d2 < best_d2:
+            best_d2 = d2
+            best = (q, idx)
+    q, idx = best
+    return q, _scan_pseudo_normal(mesh, q, idx)
+
+
+def crest_mesh(xs, ys, radius=0.5):
+    """Grid over the crest of a cylinder of ``radius`` along y, top line at
+    z = 0, two triangles per cell, outward normals up."""
+    verts = [
+        Vec3(x, y, math.sqrt(radius * radius - x * x) - radius) for x in xs for y in ys
+    ]
+    ny = len(ys)
+    tris = []
+    for i in range(len(xs) - 1):
+        for j in range(ny - 1):
+            a, b, c, d = i * ny + j, (i + 1) * ny + j, (i + 1) * ny + j + 1, i * ny + j + 1
+            tris += [(a, b, c), (a, c, d)]
+    return TriangleMesh(tuple(verts), tuple(tris))
+
+
+@st.composite
+def crest_grids(draw):
+    """Crest meshes whose interior grid lines are jittered by up to 0.4 of
+    a cell."""
+    lines = []
+    for half in (0.15, 0.25):
+        n = draw(st.integers(1, 6))
+        step = 2.0 * half / n
+        jitter = draw(st.lists(st.floats(-0.4, 0.4), min_size=n + 1, max_size=n + 1))
+        lines.append([
+            -half + i * step + (jitter[i] * step if 0 < i < n else 0.0) for i in range(n + 1)
+        ])
+    return crest_mesh(*lines)
+
+
+_SPHERES = {r: tessellated_sphere(Vec3(0.1, -0.2, 0.3), 0.2, r) for r in range(3)}
+
+
+@st.composite
+def mesh_probes(draw, mesh, count=12):
+    """Points around ``mesh``: drawn in its padded bounding box, on its
+    vertices, on its edges, and off its edges along drawn directions."""
+    lo = [min(v[k] for v in mesh.vertices) - 0.05 for k in range(3)]
+    hi = [max(v[k] for v in mesh.vertices) + 0.05 for k in range(3)]
+    unit = st.floats(0.0, 1.0)
+    points = []
+    for _ in range(count):
+        kind = draw(st.sampled_from(("free", "vertex", "edge", "near_edge")))
+        if kind == "free":
+            points.append(Vec3(*(lo[k] + draw(unit) * (hi[k] - lo[k]) for k in range(3))))
+            continue
+        tri = mesh.triangles[draw(st.integers(0, len(mesh.triangles) - 1))]
+        a = mesh.vertices[tri[draw(st.integers(0, 2))]]
+        if kind == "vertex":
+            points.append(a)
+            continue
+        b = mesh.vertices[tri[draw(st.integers(0, 2))]]
+        on = a + (b - a).scale(draw(st.sampled_from((0.0, 0.5, 1.0)) | unit))
+        if kind == "edge":
+            points.append(on)
+        else:
+            off = Vec3(*(draw(st.floats(-1.0, 1.0)) for _ in range(3)))
+            points.append(on + off.scale(draw(st.sampled_from((1e-12, 1e-9, 1e-6, 1e-3)))))
+    return points
+
+
+class TestMeshQuery:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_crest_matches_exhaustive_scan(self, data):
+        mesh = data.draw(crest_grids())
+        for p in data.draw(mesh_probes(mesh)):
+            q, n = mesh.closest_point(p)
+            q_ref, n_ref = scan_closest_point(mesh, p)
+            assert q == q_ref
+            assert n == n_ref
+
+    @given(st.integers(0, 2), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_sphere_matches_exhaustive_scan(self, refinement, data):
+        mesh = _SPHERES[refinement]
+        for p in data.draw(mesh_probes(mesh, count=8)):
+            q, n = mesh.closest_point(p)
+            q_ref, n_ref = scan_closest_point(mesh, p)
+            assert q == q_ref
+            assert n == n_ref
+
+    def test_square_diagonal_tie_goes_to_lower_index(self):
+        mesh = TriangleMesh(
+            (Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), Vec3(1.0, 1.0, 0.0), Vec3(0.0, 1.0, 0.0)),
+            ((0, 1, 2), (0, 2, 3)),
+        )
+        for s in (0.0, 0.25, 0.3, 0.5, 0.7, 1.0):
+            for h in (0.0, 1e-9, 0.1, -0.2):
+                p = Vec3(s, s, h)
+                assert mesh.closest_point(p) == scan_closest_point(mesh, p)
+
+    @pytest.mark.parametrize("left_first", (True, False))
+    def test_tie_between_leaves_goes_to_lower_index(self, left_first):
+        # Two facing triangles in the planes x = 0 and x = 2; the point at
+        # x = 1 is exactly as far from both. Filler triangles behind each
+        # put them in different leaves of the tree.
+        def facing(x0, toward_plus_x):
+            o, y, z = Vec3(x0, 0.0, 0.0), Vec3(x0, 1.0, 0.0), Vec3(x0, 0.0, 1.0)
+            return (o, y, z) if toward_plus_x else (o, z, y)
+
+        def filler(xs):
+            return [(Vec3(x, 0.0, 0.0), Vec3(x, 0.1, 0.0), Vec3(x, 0.0, 0.1)) for x in xs]
+
+        left, right = facing(0.0, True), facing(2.0, False)
+        first, second = (left, right) if left_first else (right, left)
+        faces = [first, second] + filler((-5.0, -4.0, -3.0)) + filler((5.0, 6.0, 7.0))
+        verts = tuple(v for f in faces for v in f)
+        mesh = TriangleMesh(verts, tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(len(faces))))
+        p = Vec3(1.0, 0.25, 0.25)
+        q, n = mesh.closest_point(p)
+        assert (q, n) == scan_closest_point(mesh, p)
+        assert q == Vec3(first[0].x, 0.25, 0.25)
+        assert n == mesh._face_normals[0]
+
+    def test_zero_vertex_normal_raises_only_when_reached(self):
+        # a sheet folded back on itself: vertex 0 has opposite, equal wedges
+        mesh = TriangleMesh(
+            (Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0)),
+            ((0, 1, 2), (0, 2, 1)),
+        )
+        with pytest.raises(GeometryError, match="vertex 0"):
+            mesh.closest_point(Vec3(-0.5, -0.5, 0.2))
+        with pytest.raises(GeometryError, match="vertex 0"):
+            scan_closest_point(mesh, Vec3(-0.5, -0.5, 0.2))
 
 
 class TestTargetFrame:
@@ -272,6 +489,31 @@ class TestIngestion:
         p.write_text("4 2 0\n")
         with pytest.raises(GeometryError, match="OFF"):
             load_off(str(p))
+
+    def test_off_rejects_truncated_file(self, tmp_path):
+        off = tmp_path / "short.off"
+        off.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n")
+        with pytest.raises(GeometryError, match="short.off.*2 faces"):
+            load_off(str(off))
+        off.write_text("OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n")
+        with pytest.raises(GeometryError, match="short.off.*4 vertices"):
+            load_off(str(off))
+
+    def test_stl_rejects_unterminated_facet(self, tmp_path):
+        stl = tmp_path / "cut.stl"
+        stl.write_text(
+            "solid cut\n"
+            " facet normal 0 0 1\n"
+            "  outer loop\n"
+            "   vertex 0 0 0\n   vertex 1 0 0\n   vertex 1 1 0\n"
+            "  endloop\n"
+            " endfacet\n"
+            " facet normal 0 0 1\n"
+            "  outer loop\n"
+            "   vertex 0 0 0\n   vertex 1 1 0\n   vertex 0 1 0\n"
+        )
+        with pytest.raises(GeometryError, match=r"cut\.stl:11: facet without endfacet"):
+            load_stl(str(stl))
 
     def test_patch_csv(self, tmp_path):
         csv = tmp_path / "patch.csv"
