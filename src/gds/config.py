@@ -14,7 +14,7 @@ import os
 from typing import Optional
 
 from .engine import PlantModel, Scenario
-from .errors import ConfigError
+from .errors import ConfigError, GeometryError
 from .geometry import Pose, UnitQuat, Vec3
 from .guidance import GuidanceThresholds
 from .operator_env import EnvironmentModel, OperatorModel
@@ -259,7 +259,10 @@ def _build_surface(section: dict, base_dir: str):
         path = os.path.join(base_dir, path)
     if not os.path.exists(path):
         raise ConfigError(f"surface file not found: {path}", "surface.path")
-    mesh = load_stl(path) if stype == "stl" else load_off(path)
+    try:
+        mesh = load_stl(path) if stype == "stl" else load_off(path)
+    except GeometryError as exc:
+        raise ConfigError(str(exc), "surface.path") from exc
     q = UnitQuat(*section["rotate_wxyz"])
     t = Vec3(*section["translate"])
     if q != UnitQuat.identity() or t != Vec3.zero():

@@ -27,11 +27,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import struct
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from .admittance import (
     AdmittanceState,
@@ -142,6 +143,21 @@ CSV_HEADER = (
     + _B_FIELDS
     + ["target_index", "hole_depth"]
 )
+# every float column, in checksum order
+_COLUMNS = tuple(_FLOAT_FIELDS + _B_FIELDS + ["hole_depth"])
+
+# one CSV row: the state floats, the phase name, the damping row, the target
+# index and the hole depth, in CSV_HEADER order
+_ROW_FMT = ",".join(
+    ["%.9g"] * len(_FLOAT_FIELDS) + ["%s"] + ["%.9g"] * len(_B_FIELDS) + ["%d", "%.9g"]
+) + "\n"
+
+# one checksum record per sample: 45 <f8 then 2 <i4, 368 bytes, no padding
+_CHECKSUM_DTYPE = np.dtype(
+    [(name, "<f8") for name in _COLUMNS] + [("phase", "<i4"), ("target_index", "<i4")]
+)
+# rows staged per hash update; bounds the staging buffer at 1.5 MB
+_CHECKSUM_CHUNK = 4096
 
 
 @dataclass
@@ -163,7 +179,7 @@ class Trace:
 
     def __post_init__(self):
         if not self.data:
-            self.data = {name: array("d") for name in _FLOAT_FIELDS + _B_FIELDS + ["hole_depth"]}
+            self.data = {name: array("d") for name in _COLUMNS}
 
     def __len__(self) -> int:
         return len(self.phase_codes)
@@ -203,13 +219,23 @@ class Trace:
         )
 
     def checksum(self) -> str:
+        """SHA-256 over one 368-byte little-endian record per sample, in
+        sample order: the 45 float columns as ``<f8`` (the 38 state columns
+        in CSV order, the six damping gains ``b_*``, then ``hole_depth``),
+        then the phase code and the target index as ``<i4``. An empty trace
+        hashes no bytes."""
         h = hashlib.sha256()
-        cols = [self.data[name] for name in _FLOAT_FIELDS + _B_FIELDS + ["hole_depth"]]
-        pack = struct.pack
-        for i in range(len(self)):
-            row = [c[i] for c in cols]
-            h.update(pack(f"<{len(row)}d", *row))
-            h.update(pack("<2i", self.phase_codes[i], self.target_idx[i]))
+        n = len(self)
+        cols = [(name, np.frombuffer(self.data[name], dtype=np.float64)) for name in _COLUMNS]
+        cols.append(("phase", np.frombuffer(self.phase_codes, dtype=np.intc)))
+        cols.append(("target_index", np.frombuffer(self.target_idx, dtype=np.intc)))
+        buf = np.empty(min(n, _CHECKSUM_CHUNK), dtype=_CHECKSUM_DTYPE)
+        for start in range(0, n, _CHECKSUM_CHUNK):
+            stop = min(start + _CHECKSUM_CHUNK, n)
+            rows = buf[: stop - start]
+            for name, col in cols:
+                rows[name] = col[start:stop]
+            h.update(rows)
         return h.hexdigest()
 
     def phase_of(self, i: int) -> GuidancePhase:
@@ -221,19 +247,14 @@ class Trace:
     def to_csv(self, path: str) -> None:
         """One row per sample, SI units, 9 significant digits."""
         d = self.data
+        names = [p.value for p in _PHASE_ORDER]
+        cols = [d[name] for name in _FLOAT_FIELDS]
+        cols.append(list(map(names.__getitem__, self.phase_codes)))
+        cols += [d[name] for name in _B_FIELDS]
+        cols += [self.target_idx, d["hole_depth"]]
         with open(path, "w") as fh:
             fh.write(",".join(CSV_HEADER) + "\n")
-            n = len(self)
-            float_cols = [d[name] for name in _FLOAT_FIELDS]
-            b_cols = [d[name] for name in _B_FIELDS]
-            hole = d["hole_depth"]
-            for i in range(n):
-                parts = [f"{c[i]:.9g}" for c in float_cols]
-                parts.append(_PHASE_ORDER[self.phase_codes[i]].value)
-                parts += [f"{c[i]:.9g}" for c in b_cols]
-                parts.append(str(self.target_idx[i]))
-                parts.append(f"{hole[i]:.9g}")
-                fh.write(",".join(parts) + "\n")
+            fh.writelines(map(_ROW_FMT.__mod__, zip(*cols)))
 
     def summary(self) -> dict:
         return {
@@ -283,7 +304,7 @@ class World:
         self._b_params = None  # the gains behind the cached damping row _b6
         self._b6 = ()
         d = self.trace.data
-        self._columns = tuple(d[name] for name in _FLOAT_FIELDS + _B_FIELDS + ["hole_depth"])
+        self._columns = tuple(d[name] for name in _COLUMNS)
         self._phase_append = self.trace.phase_codes.append
         self._tgt_append = self.trace.target_idx.append
         self.operator.notify_grab(0.0)

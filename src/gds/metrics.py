@@ -22,7 +22,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from .engine import Trace
+import numpy as np
+
+from .engine import _PHASE_CODE, Trace
 from .geometry import Vec3, rotate
 from .guidance import GuidancePhase
 from .workpiece import DrillTarget, recover_angles
@@ -75,6 +77,20 @@ def _trapezoid(series, dt: float) -> float:
     return dt * (math.fsum(series) - 0.5 * (series[0] + series[-1]))
 
 
+def _speed(data: dict, names: Tuple[str, str, str]) -> list:
+    """Per-sample norm of three columns."""
+    x, y, z = (data[name] for name in names)
+    # Python's a ** 2 (libm pow) is not always a * a, so this stays scalar
+    return [math.sqrt(a ** 2 + b ** 2 + c ** 2) for a, b, c in zip(x, y, z)]
+
+
+def _power(data: dict, forces: Tuple[str, str, str], rates: Tuple[str, str, str]) -> list:
+    """Per-sample sum_i |F_i v_i| over three column pairs, added left to right."""
+    f1, f2, f3 = (np.frombuffer(data[name], dtype=np.float64) for name in forces)
+    v1, v2, v3 = (np.frombuffer(data[name], dtype=np.float64) for name in rates)
+    return (np.abs(f1 * v1) + np.abs(f2 * v2) + np.abs(f3 * v3)).tolist()
+
+
 def wrap180(angle_deg: float) -> float:
     """Fold an angle difference into [0, 180] degrees."""
     a = abs(angle_deg) % 360.0
@@ -84,15 +100,14 @@ def wrap180(angle_deg: float) -> float:
 def _drill_entry_indices(trace: Trace, n_targets: int) -> Dict[int, int]:
     """Sample index 'just before drilling starts' per target: entry into
     ConstrainedDrill under guidance, the first-cut sample without it."""
-    out: Dict[int, int] = {}
     if trace.condition == "with":
-        for i in range(len(trace)):
-            phase = trace.phase_of(i)
-            tgt = trace.target_idx[i]
-            if phase is GuidancePhase.CONSTRAINED_DRILL and tgt not in out:
-                out[tgt] = i
-        return out
+        codes = np.frombuffer(trace.phase_codes, dtype=np.intc)
+        drilling = np.flatnonzero(codes == _PHASE_CODE[GuidancePhase.CONSTRAINED_DRILL])
+        tgts = np.frombuffer(trace.target_idx, dtype=np.intc)[drilling]
+        firsts, at = np.unique(tgts, return_index=True)
+        return dict(zip(firsts.tolist(), drilling[at].tolist()))
     # manual: first_cut events carry the target index
+    out: Dict[int, int] = {}
     t_col = trace.data["t"]
     for t_evt, kind in trace.events:
         if kind.startswith("first_cut:"):
@@ -130,19 +145,10 @@ def compute_metrics(
     else:
         t_tot = d["t"][n - 1] + dt
 
-    vx, vy, vz = d["vx"], d["vy"], d["vz"]
-    wx, wy, wz = d["wx"], d["wy"], d["wz"]
-    fx, fy, fz = d["fh_x"], d["fh_y"], d["fh_z"]
-    tx, ty, tz = d["fh_tx"], d["fh_ty"], d["fh_tz"]
-
-    lin_speed = [math.sqrt(vx[i] ** 2 + vy[i] ** 2 + vz[i] ** 2) for i in range(n)]
-    ang_speed = [math.sqrt(wx[i] ** 2 + wy[i] ** 2 + wz[i] ** 2) for i in range(n)]
-    p_force = [
-        abs(fx[i] * vx[i]) + abs(fy[i] * vy[i]) + abs(fz[i] * vz[i]) for i in range(n)
-    ]
-    p_torque = [
-        abs(tx[i] * wx[i]) + abs(ty[i] * wy[i]) + abs(tz[i] * wz[i]) for i in range(n)
-    ]
+    lin_speed = _speed(d, ("vx", "vy", "vz"))
+    ang_speed = _speed(d, ("wx", "wy", "wz"))
+    p_force = _power(d, ("fh_x", "fh_y", "fh_z"), ("vx", "vy", "vz"))
+    p_torque = _power(d, ("fh_tx", "fh_ty", "fh_tz"), ("wx", "wy", "wz"))
 
     e_force = _trapezoid(p_force, dt)
     e_torque = _trapezoid(p_torque, dt)

@@ -570,28 +570,38 @@ def load_off(path: str) -> TriangleMesh:
     """OFF mesh reader (triangles only)."""
     with open(path, "r") as fh:
         lines = [
-            ln.strip()
-            for ln in fh
+            (lineno, ln.split())
+            for lineno, ln in enumerate(fh, start=1)
             if ln.strip() and not ln.strip().startswith("#")
         ]
-    if len(lines) < 2 or lines[0] != "OFF":
+    if len(lines) < 2 or lines[0][1] != ["OFF"]:
         raise GeometryError(f"{path}: missing OFF header")
-    nv, nf, _ = (int(x) for x in lines[1].split()[:3])
+
+    def fields(line, kind, count, what):
+        lineno, tok = line
+        try:
+            if len(tok) < count:
+                raise ValueError
+            return [kind(t) for t in tok[:count]]
+        except ValueError:
+            raise GeometryError(f"{path}:{lineno}: expected {what}") from None
+
+    nv, nf, _ = fields(lines[1], int, 3, "integer vertex, face and edge counts")
     if len(lines) < 2 + nv + nf:
         raise GeometryError(
             f"{path}: header declares {nv} vertices and {nf} faces, "
             f"file has {len(lines) - 2} lines after it"
         )
-    verts = []
-    for ln in lines[2 : 2 + nv]:
-        x, y, z = (float(t) for t in ln.split()[:3])
-        verts.append(Vec3(x, y, z))
+    verts = [
+        Vec3(*fields(line, float, 3, "3 vertex coordinates"))
+        for line in lines[2 : 2 + nv]
+    ]
     tris = []
-    for ln in lines[2 + nv : 2 + nv + nf]:
-        tok = ln.split()
-        if int(tok[0]) != 3:
-            raise GeometryError(f"{path}: only triangle faces supported")
-        tris.append((int(tok[1]), int(tok[2]), int(tok[3])))
+    for line in lines[2 + nv : 2 + nv + nf]:
+        n, i, j, k = fields(line, int, 4, "a face '3 i j k'")
+        if n != 3:
+            raise GeometryError(f"{path}:{line[0]}: only triangle faces supported")
+        tris.append((i, j, k))
     return TriangleMesh(tuple(verts), tuple(tris))
 
 

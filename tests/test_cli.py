@@ -51,6 +51,17 @@ class TestValidate:
         assert main(["validate", "--scenario", str(path)]) == 2
         assert "missing_mesh.stl" in capsys.readouterr().err
 
+    def test_malformed_surface_mesh_exit_two(self, tmp_path, capsys):
+        (tmp_path / "short.off").write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n")
+        raw = experiment_one_raw("with", 0)
+        raw["surface"] = {"type": "off", "path": "short.off"}
+        path = tmp_path / "mesh.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: surface.path: ")
+        assert "short.off" in err and "Traceback" not in err
+
     def test_mesh_surface_with_registration_validates(self, tmp_path):
         mesh = tmp_path / "plate.off"
         mesh.write_text("OFF\n4 2 0\n-1 -1 0\n1 -1 0\n1 1 0\n-1 1 0\n3 0 1 2\n3 0 2 3\n")

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from gds import engine
 from gds.engine import CSV_HEADER, PlantModel, Scenario, Trace, World, run
 from gds.errors import SimulationFault
 from gds.geometry import Pose, Twist6, UnitQuat, Vec3, Wrench6
@@ -11,6 +14,79 @@ from gds.guidance import GuidancePhase
 from gds.operator_env import EnvironmentModel, OperatorModel, VirtualOperator
 from gds.presets import experiment_one_scenario
 from gds.workpiece import CylinderPatch, make_drill_target
+
+
+_PHASE_ORDER = tuple(GuidancePhase)
+_FLOAT_FIELDS = engine._FLOAT_FIELDS
+_B_FIELDS = engine._B_FIELDS
+
+
+def reference_checksum(trace):
+    """Row-at-a-time struct packing: the oracle for Trace.checksum."""
+    h = hashlib.sha256()
+    cols = [trace.data[name] for name in _FLOAT_FIELDS + _B_FIELDS + ["hole_depth"]]
+    pack = struct.pack
+    for i in range(len(trace)):
+        row = [c[i] for c in cols]
+        h.update(pack(f"<{len(row)}d", *row))
+        h.update(pack("<2i", trace.phase_codes[i], trace.target_idx[i]))
+    return h.hexdigest()
+
+
+def reference_to_csv(trace, path):
+    """Row-at-a-time f-string writer: the oracle for Trace.to_csv."""
+    d = trace.data
+    with open(path, "w") as fh:
+        fh.write(",".join(CSV_HEADER) + "\n")
+        float_cols = [d[name] for name in _FLOAT_FIELDS]
+        b_cols = [d[name] for name in _B_FIELDS]
+        hole = d["hole_depth"]
+        for i in range(len(trace)):
+            parts = [f"{c[i]:.9g}" for c in float_cols]
+            parts.append(_PHASE_ORDER[trace.phase_codes[i]].value)
+            parts += [f"{c[i]:.9g}" for c in b_cols]
+            parts.append(str(trace.target_idx[i]))
+            parts.append(f"{hole[i]:.9g}")
+            fh.write(",".join(parts) + "\n")
+
+
+def assert_matches_oracles(trace, tmp_path):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    trace.to_csv(str(got))
+    reference_to_csv(trace, str(want))
+    assert got.read_bytes() == want.read_bytes()
+    assert trace.checksum() == reference_checksum(trace)
+
+
+def _bits(pattern):
+    return struct.unpack("<d", struct.pack("<Q", pattern))[0]
+
+
+# values whose formatting or bytes are easy to get wrong
+SPECIAL_VALUES = (
+    0.0, -0.0, math.nan, -math.nan, _bits(0x7FF0000000000001), _bits(0xFFF8000000000123),
+    math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+    1.7976931348623157e308, 0.1234567895, 1.0000000005, 9.9999999995, 99999999.95,
+    123456789.5, -0.00012345678949999, 1e-5, 1e16, 0.1, 1.0 / 3.0,
+)
+TARGET_INDICES = (0, 1, 2, 9, 10, -1, 2**31 - 1, -(2**31))
+
+
+def special_value_trace(n, seed=0):
+    """Hand-built trace: odd rows cycle through SPECIAL_VALUES (each column at
+    its own offset), even rows hold random values of magnitude 1e-12 to 1e12;
+    every phase code and every one of TARGET_INDICES appears."""
+    rng = np.random.default_rng(seed)
+    tr = Trace(dt=1e-3, condition="with", config_digest="synthetic")
+    for j, name in enumerate(engine._COLUMNS):
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+        specials = [SPECIAL_VALUES[(i + j) % len(SPECIAL_VALUES)] for i in range(n)]
+        tr.data[name].extend(
+            s if i % 2 else float(v) for i, (v, s) in enumerate(zip(values, specials))
+        )
+    tr.phase_codes.extend(i % len(_PHASE_ORDER) for i in range(n))
+    tr.target_idx.extend(TARGET_INDICES[i % len(TARGET_INDICES)] for i in range(n))
+    return tr
 
 
 class ConstantForceOperator(VirtualOperator):
@@ -246,6 +322,31 @@ class TestTraceExport:
         # 9 significant digits survive
         t_idx = CSV_HEADER.index("t")
         assert float(lines[2].split(",")[t_idx]) == pytest.approx(0.001, abs=1e-12)
+
+    @pytest.mark.parametrize("condition", ["with", "without"])
+    def test_preset_trace_matches_row_oracles(self, condition, tmp_path):
+        sc = experiment_one_scenario(condition, seed=3, max_sim_time=12.0)
+        trace = run(sc)
+        assert len(trace) == 12000
+        assert len({trace.phase_of(i) for i in range(len(trace))}) > 1
+        assert_matches_oracles(trace, tmp_path)
+
+    def test_special_values_match_row_oracles(self, tmp_path):
+        n = 3 * len(SPECIAL_VALUES) * len(_PHASE_ORDER)
+        assert_matches_oracles(special_value_trace(n), tmp_path)
+
+    def test_empty_trace(self, tmp_path):
+        trace = Trace(dt=1e-3, condition="with", config_digest="empty")
+        assert trace.checksum() == hashlib.sha256(b"").hexdigest()
+        path = tmp_path / "trace.csv"
+        trace.to_csv(str(path))
+        assert path.read_text() == ",".join(CSV_HEADER) + "\n"
+        assert_matches_oracles(trace, tmp_path)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunk_boundaries_match_row_oracles(self, offset, tmp_path):
+        n = engine._CHECKSUM_CHUNK + offset
+        assert_matches_oracles(special_value_trace(n, seed=n), tmp_path)
 
     def test_summary_json_serializable(self):
         sc = far_target_scenario()

@@ -5,9 +5,19 @@ import pytest
 from gds.engine import Trace, _FLOAT_FIELDS, _B_FIELDS, _PHASE_CODE
 from gds.geometry import UnitQuat, Vec3, rotate
 from gds.guidance import GuidancePhase
-from gds.metrics import Metrics, compare, compute_metrics, mean_metrics, wrap180
+from gds.metrics import (
+    Metrics,
+    _drill_entry_indices,
+    _power,
+    _speed,
+    _trapezoid,
+    compare,
+    compute_metrics,
+    mean_metrics,
+    wrap180,
+)
 from gds.presets import experiment_one_scenario
-from gds.workpiece import DrillTarget, build_target_frame, drilling_axis
+from gds.workpiece import DrillTarget, build_target_frame, drilling_axis, recover_angles
 from gds import engine as engine_mod
 from gds.engine import run
 
@@ -25,6 +35,85 @@ def synthetic_trace(n, dt, fill):
         tr.phase_codes.append(_PHASE_CODE[row.get("phase", GuidancePhase.FREE_MOTION)])
         tr.target_idx.append(0)
     return tr
+
+
+def reference_drill_entry_indices(trace):
+    """Per-index scan: the oracle for the guided branch of _drill_entry_indices."""
+    out = {}
+    for i in range(len(trace)):
+        tgt = trace.target_idx[i]
+        if trace.phase_of(i) is GuidancePhase.CONSTRAINED_DRILL and tgt not in out:
+            out[tgt] = i
+    return out
+
+
+def reference_series(trace):
+    """Per-index loops: linear and angular speed, force and torque power."""
+    d, n = trace.data, len(trace)
+    vx, vy, vz = d["vx"], d["vy"], d["vz"]
+    wx, wy, wz = d["wx"], d["wy"], d["wz"]
+    fx, fy, fz = d["fh_x"], d["fh_y"], d["fh_z"]
+    tx, ty, tz = d["fh_tx"], d["fh_ty"], d["fh_tz"]
+    lin_speed = [math.sqrt(vx[i] ** 2 + vy[i] ** 2 + vz[i] ** 2) for i in range(n)]
+    ang_speed = [math.sqrt(wx[i] ** 2 + wy[i] ** 2 + wz[i] ** 2) for i in range(n)]
+    p_force = [
+        abs(fx[i] * vx[i]) + abs(fy[i] * vy[i]) + abs(fz[i] * vz[i]) for i in range(n)
+    ]
+    p_torque = [
+        abs(tx[i] * wx[i]) + abs(ty[i] * wy[i]) + abs(tz[i] * wz[i]) for i in range(n)
+    ]
+    return lin_speed, ang_speed, p_force, p_torque
+
+
+def reference_compute_metrics(trace, targets, tool_axis_local=Vec3(0.0, 0.0, 1.0)):
+    """Per-index loops over the trace: the oracle for compute_metrics."""
+    n = len(trace)
+    d = trace.data
+    dt = trace.dt
+    done_events = trace.events_of_kind("target_done:")
+    complete = trace.complete and len(done_events) == len(targets)
+    t_tot = done_events[-1][0] if done_events else d["t"][n - 1] + dt
+
+    lin_speed, ang_speed, p_force, p_torque = reference_series(trace)
+    e_force = _trapezoid(p_force, dt)
+    e_torque = _trapezoid(p_torque, dt)
+    span = t_tot if t_tot > 0.0 else 1.0
+
+    if trace.condition == "with":
+        entries = reference_drill_entry_indices(trace)
+    else:
+        entries = _drill_entry_indices(trace, len(targets))
+    per_target = []
+    for idx, target in enumerate(targets):
+        if idx not in entries:
+            per_target.append((float("nan"), float("nan")))
+            complete = False
+            continue
+        s = trace.sample(entries[idx])
+        phi_cur, theta_cur = recover_angles(
+            rotate(s.pose.orientation, tool_axis_local), target.frame
+        )
+        if (
+            math.sin(math.radians(phi_cur)) < 1e-6
+            or math.sin(math.radians(target.phi_deg)) < 1e-6
+        ):
+            eps_theta = 0.0
+        else:
+            eps_theta = wrap180(theta_cur - target.theta_deg)
+        per_target.append((abs(phi_cur - target.phi_deg), eps_theta))
+    valid = [p for p in per_target if not math.isnan(p[0])]
+    return Metrics(
+        t_tot=t_tot,
+        s_lin_avg=_trapezoid(lin_speed, dt) / span,
+        s_ang_avg=_trapezoid(ang_speed, dt) / span,
+        e_force=e_force,
+        e_torque=e_torque,
+        e_total=e_force + e_torque,
+        eps_phi_avg=sum(p[0] for p in valid) / len(valid) if valid else float("nan"),
+        eps_theta_avg=sum(p[1] for p in valid) / len(valid) if valid else float("nan"),
+        per_target=tuple(per_target),
+        complete=complete,
+    )
 
 
 def flat_target(phi=0.0, theta=0.0):
@@ -122,6 +211,36 @@ class TestComputeMetrics:
             a = getattr(vals[1e-3], name)
             b = getattr(vals[5e-4], name)
             assert abs(a - b) <= 0.005 * max(abs(a), abs(b)), name
+
+    @pytest.mark.parametrize("condition", ["with", "without"])
+    def test_preset_trace_matches_loop_oracle(self, condition):
+        sc = experiment_one_scenario(condition, seed=5)
+        trace = run(sc)
+        assert trace.complete
+        got = compute_metrics(trace, sc.targets, sc.tool_axis_local)
+        want = reference_compute_metrics(trace, sc.targets, sc.tool_axis_local)
+        assert got == want
+        assert repr(got) == repr(want)  # same types, same -0.0
+        d = trace.data
+        series = (
+            _speed(d, ("vx", "vy", "vz")),
+            _speed(d, ("wx", "wy", "wz")),
+            _power(d, ("fh_x", "fh_y", "fh_z"), ("vx", "vy", "vz")),
+            _power(d, ("fh_tx", "fh_ty", "fh_tz"), ("wx", "wy", "wz")),
+        )
+        assert series == reference_series(trace)
+
+    def test_guided_entry_scan_matches_loop_oracle(self):
+        # every phase, with targets revisited out of order
+        phases = tuple(GuidancePhase)
+        tr = synthetic_trace(600, 0.01, lambda i: {"phase": phases[(i * 7) % len(phases)]})
+        for i in range(len(tr)):
+            tr.target_idx[i] = (i * 5) % 4 if i % 11 else 9
+        want = reference_drill_entry_indices(tr)
+        assert len(want) > 1
+        assert _drill_entry_indices(tr, 4) == want
+        empty = synthetic_trace(0, 0.01, lambda i: {})
+        assert _drill_entry_indices(empty, 1) == {}
 
 
 class TestWrap180:

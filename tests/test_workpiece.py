@@ -499,6 +499,27 @@ class TestIngestion:
         with pytest.raises(GeometryError, match="short.off.*4 vertices"):
             load_off(str(off))
 
+    def test_off_rejects_malformed_vertex_line(self, tmp_path):
+        off = tmp_path / "bad.off"
+        off.write_text("OFF\n3 1 0\n0 0 0\n# comment\n\n0 0\n1 1 0\n3 0 1 2\n")
+        with pytest.raises(GeometryError, match=r"bad\.off:6: expected 3 vertex coordinates"):
+            load_off(str(off))
+        off.write_text("OFF\n3 1 0\n0 0 0\n1 x 0\n1 1 0\n3 0 1 2\n")
+        with pytest.raises(GeometryError, match=r"bad\.off:4: expected 3 vertex coordinates"):
+            load_off(str(off))
+
+    def test_off_rejects_short_face_line(self, tmp_path):
+        off = tmp_path / "bad.off"
+        off.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n1 1 0\n3 0 1\n")
+        with pytest.raises(GeometryError, match=r"bad\.off:6: expected a face"):
+            load_off(str(off))
+
+    def test_off_rejects_non_integer_header_count(self, tmp_path):
+        off = tmp_path / "bad.off"
+        off.write_text("OFF\n3 x 0\n0 0 0\n1 0 0\n1 1 0\n3 0 1 2\n")
+        with pytest.raises(GeometryError, match=r"bad\.off:2: expected integer"):
+            load_off(str(off))
+
     def test_stl_rejects_unterminated_facet(self, tmp_path):
         stl = tmp_path / "cut.stl"
         stl.write_text(
