@@ -143,10 +143,16 @@ def gains_at(schedule: GainSchedule, t: float) -> AdmittanceParams:
     if t >= schedule.ramp_start + schedule.ramp_duration:
         return schedule.end_params
     s = (t - schedule.ramp_start) / schedule.ramp_duration
+    # channels share DofGains objects (uniform() repeats them), so each
+    # distinct pair of endpoints is interpolated once
     out = []
-    for g0, g1 in zip(schedule.start_params.gains, schedule.end_params.gains):
-        out.append(DofGains(g0.m + s * (g1.m - g0.m), g0.b + s * (g1.b - g0.b)))
-    return AdmittanceParams(tuple(out))
+    g0 = g1 = g = None
+    for h0, h1 in zip(schedule.start_params.gains, schedule.end_params.gains):
+        if h0 is not g0 or h1 is not g1:
+            g0, g1 = h0, h1
+            g = _new(DofGains, (g0.m + s * (g1.m - g0.m), g0.b + s * (g1.b - g0.b)))
+        out.append(g)
+    return _new(AdmittanceParams, (tuple(out),))
 
 
 @dataclass
@@ -160,6 +166,11 @@ class AdmittanceState:
     params: AdmittanceParams
     v: Twist6 = field(default_factory=Twist6.zero)
     enabled: tuple = FULL_MASK
+    # the rows (1 - exp(-b dt / m), b) per channel, and the gain-set object
+    # and dt they were computed for: gains change only during ramps, where
+    # gains_at builds a new gain set every step
+    _rows_key: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _rows: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def set_enabled(self, mask: Sequence[bool]) -> None:
         """Update the DoF mask, zeroing the memory of any re-enabled or
@@ -177,6 +188,19 @@ def _step_channel(v: float, f: float, m: float, b: float, dt: float) -> float:
     return v + (1.0 - math.exp(-b * dt / m)) * (f / b - v)
 
 
+def _channel_rows(gains: tuple, dt: float) -> tuple:
+    """(coefficients, dampings): ``1 - exp(-b dt / m)`` and ``b`` per channel,
+    the exponential taken once per distinct DofGains object."""
+    coef = []
+    g = c = None
+    for h in gains:
+        if h is not g:
+            g = h
+            c = 1.0 - math.exp(-g.b * dt / g.m)
+        coef.append(c)
+    return tuple(coef), tuple([h.b for h in gains])
+
+
 def step_admittance(state: AdmittanceState, f_int: Wrench6, dt: float) -> Twist6:
     """Advance the six filters one step and return the new reference twist.
 
@@ -185,21 +209,36 @@ def step_admittance(state: AdmittanceState, f_int: Wrench6, dt: float) -> Twist6
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    forces = (*f_int.force, *f_int.torque)
+    fx, fy, fz = f_int.force
+    tx, ty, tz = f_int.torque
     isfinite = math.isfinite
-    for f in forces:
-        if not isfinite(f):
-            raise SimulationFault("non-finite interaction force fed to admittance filter")
-    vel = [*state.v.linear, *state.v.angular]
-    exp = math.exp
-    for i, (enabled, (m, b), f) in enumerate(zip(state.enabled, state.params.gains, forces)):
-        if enabled:
-            v = vel[i]
-            # _step_channel, inlined: this runs six times per control period
-            vel[i] = v + (1.0 - exp(-b * dt / m)) * (f / b - v)
-        else:
-            vel[i] = 0.0
-    out = _new(Twist6, (_new(Vec3, vel[:3]), _new(Vec3, vel[3:])))
+    if not (
+        isfinite(fx) and isfinite(fy) and isfinite(fz)
+        and isfinite(tx) and isfinite(ty) and isfinite(tz)
+    ):
+        raise SimulationFault("non-finite interaction force fed to admittance filter")
+    params = state.params
+    key_params, key_dt = state._rows_key
+    if key_params is not params or key_dt != dt:
+        state._rows_key = (params, dt)
+        state._rows = _channel_rows(params.gains, dt)
+    c0, c1, c2, c3, c4, c5 = state._rows[0]
+    b0, b1, b2, b3, b4, b5 = state._rows[1]
+    e0, e1, e2, e3, e4, e5 = state.enabled
+    (vx, vy, vz), (wx, wy, wz) = state.v
+    # each enabled channel is _step_channel with its coefficient precomputed
+    out = _new(Twist6, (
+        _new(Vec3, (
+            vx + c0 * (fx / b0 - vx) if e0 else 0.0,
+            vy + c1 * (fy / b1 - vy) if e1 else 0.0,
+            vz + c2 * (fz / b2 - vz) if e2 else 0.0,
+        )),
+        _new(Vec3, (
+            wx + c3 * (tx / b3 - wx) if e3 else 0.0,
+            wy + c4 * (ty / b4 - wy) if e4 else 0.0,
+            wz + c5 * (tz / b5 - wz) if e5 else 0.0,
+        )),
+    ))
     state.v = out
     return out
 

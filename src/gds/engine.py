@@ -43,7 +43,7 @@ from .admittance import (
     step_axial,
 )
 from .errors import SimulationFault
-from .geometry import Pose, Twist6, UnitQuat, Vec3, Wrench6, rotate
+from .geometry import Pose, Twist6, UnitQuat, Vec3, Wrench6, _canonical
 from .guidance import (
     GuidancePhase,
     GuidanceThresholds,
@@ -332,11 +332,24 @@ class World:
         p = pose.position
         v = twist.linear
         pos = _new(Vec3, (p.x + v.x * dt, p.y + v.y * dt, p.z + v.z * dt))
-        w = twist.angular
-        if w.x == 0.0 and w.y == 0.0 and w.z == 0.0:
+        wx, wy, wz = twist.angular
+        if wx == 0.0 and wy == 0.0 and wz == 0.0:
             return _new(Pose, (pos, pose.orientation))
-        dq = UnitQuat.from_rotvec(_new(Vec3, (w.x * dt, w.y * dt, w.z * dt)))
-        return _new(Pose, (pos, dq.multiply(pose.orientation)))
+        # UnitQuat.from_rotvec(w dt).multiply(pose.orientation) over floats
+        rx, ry, rz = wx * dt, wy * dt, wz * dt
+        angle = math.sqrt(rx * rx + ry * ry + rz * rz)
+        if angle < 1e-12:
+            w1, x1, y1, z1 = _canonical(1.0, 0.5 * rx, 0.5 * ry, 0.5 * rz)
+        else:
+            s = math.sin(0.5 * angle) / angle
+            w1, x1, y1, z1 = _canonical(math.cos(0.5 * angle), s * rx, s * ry, s * rz)
+        w2, x2, y2, z2 = pose.orientation
+        return _new(Pose, (pos, _canonical(
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        )))
 
     def _start_ramp(self, t: float, new_phase: GuidancePhase) -> None:
         current = gains_at(self.schedule, t)
@@ -367,10 +380,14 @@ class World:
         f_env, collision, _ = environment_wrench(
             pose0, twist0, sc.surface, target, self.hole, sc.environment
         )
-        f_int = f_h + f_env
-        for v in (*f_int.force, *f_int.torque, *pose0.position):
-            if not math.isfinite(v):
-                raise SimulationFault(f"non-finite state at sample {k}")
+        (hx, hy, hz), (htx, hty, htz) = f_h
+        (ex, ey, ez), (etx, ety, etz) = f_env
+        f_int = _new(Wrench6, (
+            _new(Vec3, (hx + ex, hy + ey, hz + ez)),
+            _new(Vec3, (htx + etx, hty + ety, htz + etz)),
+        ))
+        if not all(map(math.isfinite, (*f_int.force, *f_int.torque, *pose0.position))):
+            raise SimulationFault(f"non-finite state at sample {k}")
 
         params_now = gains_at(self.schedule, t)
         constrained = self.guided and phase in (
@@ -382,7 +399,10 @@ class World:
             local_end = (k - self.align_start_step + 1) * dt
             new_pose = sample_alignment(self.align_plan, local_end)
             new_twist = alignment_twist(self.align_plan, local_end)
-            v_used = alignment_twist(self.align_plan, (k - self.align_start_step) * dt)
+            # the twist at the start of the step: the previous locked step's
+            # new_twist, alignment_twist(plan, (k - align_start_step) * dt),
+            # or the zero twist _transition sets on the first locked step
+            v_used = twist0
             v_ref = Twist6.zero()
         elif constrained:
             axis = target.axis

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import GeometryError, SimulationFault
 from .geometry import (
@@ -31,6 +31,8 @@ from .geometry import (
     rotation_between,
     slerp,
 )
+
+_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
 
 class GuidancePhase(enum.Enum):
@@ -152,6 +154,15 @@ class AlignmentPlan:
     goal_pose: Pose
     duration: float
     rotation_angle: float  # rad, total orientation change
+    # start-to-goal position delta and rotation vector, fixed at plan time
+    delta_position: Vec3 = field(init=False, repr=False, compare=False)
+    rotation_vector: Vec3 = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        start, goal = self.start_pose, self.goal_pose
+        object.__setattr__(self, "delta_position", goal.position - start.position)
+        q_delta = goal.orientation.multiply(start.orientation.conjugate())
+        object.__setattr__(self, "rotation_vector", _quat_log(q_delta))
 
 
 def plan_alignment(
@@ -199,27 +210,18 @@ def sample_alignment(plan: AlignmentPlan, t: float) -> Pose:
     if t >= plan.duration:
         return plan.goal_pose
     s = smoothstep(t / plan.duration)
-    p0, p1 = plan.start_pose.position, plan.goal_pose.position
-    pos = Vec3(
-        p0.x + s * (p1.x - p0.x),
-        p0.y + s * (p1.y - p0.y),
-        p0.z + s * (p1.z - p0.z),
-    )
+    p0, d = plan.start_pose.position, plan.delta_position
+    pos = _new(Vec3, (p0.x + s * d.x, p0.y + s * d.y, p0.z + s * d.z))
     ori = slerp(plan.start_pose.orientation, plan.goal_pose.orientation, s)
-    return Pose(pos, ori)
+    return _new(Pose, (pos, ori))
 
 
 def alignment_twist(plan: AlignmentPlan, t: float) -> Twist6:
     """Instantaneous twist of the locked trajectory (zero at both ends)."""
     if t <= 0.0 or t >= plan.duration:
         return Twist6.zero()
-    tau = t / plan.duration
-    rate = _smoothstep_rate(tau) / plan.duration
-    p0, p1 = plan.start_pose.position, plan.goal_pose.position
-    lin = (p1 - p0).scale(rate)
-    q_delta = plan.goal_pose.orientation.multiply(plan.start_pose.orientation.conjugate())
-    ang_vec = _quat_log(q_delta)
-    return Twist6(lin, ang_vec.scale(rate))
+    rate = _smoothstep_rate(t / plan.duration) / plan.duration
+    return _new(Twist6, (plan.delta_position.scale(rate), plan.rotation_vector.scale(rate)))
 
 
 def _quat_log(q: UnitQuat) -> Vec3:

@@ -30,7 +30,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .geometry import Pose, Twist6, Vec3, Wrench6, angle_between, rotate, rotation_between
+from .errors import GeometryError
+from .geometry import Pose, Twist6, Vec3, Wrench6, rotation_between
 from .guidance import GuidancePhase
 from .workpiece import DrillTarget, Surface, drilling_axis
 
@@ -107,11 +108,13 @@ def update_hole(
     return HoleState(depth=depth, engaged=depth > 0.0 and tip_in_hole)
 
 
-def _cap(v: Vec3, cap: float) -> Vec3:
-    n = v.norm()
+def _cap(x: float, y: float, z: float, cap: float) -> Tuple[float, float, float]:
+    """(x, y, z) scaled down to norm ``cap`` if it is longer."""
+    n = math.sqrt(x * x + y * y + z * z)
     if n <= cap:
-        return v
-    return v.scale(cap / n)
+        return x, y, z
+    s = cap / n
+    return s * x, s * y, s * z
 
 
 _MODE_AIM = "aim"
@@ -121,6 +124,10 @@ _MODE_PULL = "pull"
 
 # distance short of the target a manual operator holds while fine-aligning
 _PREDRILL_STANDOFF = 0.05
+# the manual operator starts its dwell within this distance of the standoff
+# point (m) and this angle of its aim axis (rad)
+_AIM_RADIUS = 0.008
+_AIM_ANGLE = math.radians(1.0)
 
 
 @dataclass
@@ -222,7 +229,7 @@ class VirtualOperator:
         if phase in (GuidancePhase.FREE_MOTION, GuidancePhase.APPROACH):
             err = target.point - pose.position
             f = err.scale(m.k_p) - twist.linear.scale(m.k_d)
-            return Wrench6(_cap(f, m.force_cap).scale(g), Vec3.zero())
+            return Wrench6(_new(Vec3, _cap(*f, m.force_cap)).scale(g), Vec3.zero())
         if phase is GuidancePhase.CONSTRAINED_DRILL:
             return Wrench6(target.axis.scale(g * min(m.push_force, m.force_cap)), Vec3.zero())
         if phase is GuidancePhase.RETRACT:
@@ -230,13 +237,35 @@ class VirtualOperator:
         return Wrench6.zero()
 
     def _manual_wrench(self, pose, twist, phase, target, t):
+        # over plain floats, each operation in the order of the Vec3 method
+        # chain it replaces (rotate, rotation_between, _canonical, the
+        # rotation vector, _cap), so the wrench stream keeps its bits
         m = self.model
         g = self._ramp(t)
-        aim_axis = self._aim_axis(target, t)
-        standoff_point = target.point - aim_axis.scale(_PREDRILL_STANDOFF)
-
-        if self._mode == _MODE_AIM:
-            if self._aligned_enough(pose, standoff_point, aim_axis):
+        if self._mode != _MODE_PULL:
+            # tool axis in the world: rotate(pose.orientation, tool_axis_local)
+            ow, ox, oy, oz = pose.orientation
+            vx, vy, vz = self.tool_axis_local
+            sx = 2.0 * (oy * vz - oz * vy)
+            sy = 2.0 * (oz * vx - ox * vz)
+            sz = 2.0 * (ox * vy - oy * vx)
+            ux = vx + ow * sx + oy * sz - oz * sy
+            uy = vy + ow * sy + oz * sx - ox * sz
+            uz = vz + ow * sz + ox * sy - oy * sx
+        if self._mode == _MODE_AIM or self._mode == _MODE_DWELL:
+            ax, ay, az = self._aim_axis(target, t)
+            tp, p = target.point, pose.position
+            # standoff point minus the tip
+            ex = (tp.x - _PREDRILL_STANDOFF * ax) - p.x
+            ey = (tp.y - _PREDRILL_STANDOFF * ay) - p.y
+            ez = (tp.z - _PREDRILL_STANDOFF * az) - p.z
+            cx, cy, cz = uy * az - uz * ay, uz * ax - ux * az, ux * ay - uy * ax
+            d = ux * ax + uy * ay + uz * az
+            if (
+                self._mode == _MODE_AIM
+                and not math.sqrt(ex * ex + ey * ey + ez * ez) > _AIM_RADIUS
+                and math.atan2(math.sqrt(cx * cx + cy * cy + cz * cz), d) <= _AIM_ANGLE
+            ):
                 self._mode = _MODE_DWELL
                 self._mode_t0 = t
         if self._mode == _MODE_DWELL and (t - self._mode_t0) >= self._draws.dwell:
@@ -246,19 +275,51 @@ class VirtualOperator:
         if self._mode == _MODE_PUSH and phase is GuidancePhase.RETRACT:
             self._mode = _MODE_PULL
             self._mode_t0 = t
-        if self._mode in (_MODE_AIM, _MODE_DWELL):
-            f = (standoff_point - pose.position).scale(m.k_p) - twist.linear.scale(m.k_d)
-            tau = self._orientation_torque(pose, twist, aim_axis)
-            return _new(Wrench6, (_cap(f, m.force_cap).scale(g), _cap(tau, m.torque_cap).scale(g)))
-        if self._mode == _MODE_PUSH:
-            axis = self._push_axis
-            f = axis.scale(min(m.push_force, m.force_cap))
-            tau = self._orientation_torque(pose, twist, axis)
-            return _new(Wrench6, (f.scale(g), _cap(tau, m.torque_cap).scale(g)))
-        # pull back out along the same axis
-        axis = self._push_axis if self._push_axis is not None else aim_axis
-        f = axis.scale(-min(m.push_force, m.force_cap))
-        return Wrench6(f.scale(g), Vec3.zero())
+        mode = self._mode
+        if mode == _MODE_PULL:
+            # pull back out along the same axis
+            axis = self._push_axis if self._push_axis is not None else self._aim_axis(target, t)
+            f = axis.scale(-min(m.push_force, m.force_cap))
+            return Wrench6(f.scale(g), Vec3.zero())
+        if mode == _MODE_PUSH:
+            ax, ay, az = self._push_axis
+            cx, cy, cz = uy * az - uz * ay, uz * ax - ux * az, ux * ay - uy * ax
+            d = ux * ax + uy * ay + uz * az
+
+        # correcting rotation from the tool axis onto the desired axis
+        if d < -1.0 + 1e-12:
+            qw, qx, qy, qz = rotation_between(_new(Vec3, (ux, uy, uz)), _new(Vec3, (ax, ay, az)))
+        else:
+            # rotation_between's half-angle construction, normalised as in
+            # _canonical; 1 + d > 0 here, so its sign rule never flips it
+            c0 = 1.0 + d
+            n = math.sqrt(c0 * c0 + cx * cx + cy * cy + cz * cz)
+            if n == 0.0 or not math.isfinite(n):
+                raise GeometryError("quaternion norm is zero or non-finite")
+            qw, qx, qy, qz = c0 / n, cx / n, cy / n, cz / n
+        # its rotation vector, then the PD torque
+        vn = math.sqrt(qx**2 + qy**2 + qz**2)
+        if vn < 1e-12:
+            rx = ry = rz = 0.0
+        else:
+            s = 2.0 * math.atan2(vn, qw) / vn
+            rx, ry, rz = s * qx, s * qy, s * qz
+        w = twist.angular
+        kp, kd = m.torque_k_p, m.torque_k_d
+        tx, ty, tz = _cap(kp * rx - kd * w.x, kp * ry - kd * w.y, kp * rz - kd * w.z, m.torque_cap)
+        torque = _new(Vec3, (g * tx, g * ty, g * tz))
+
+        if mode == _MODE_PUSH:
+            s = min(m.push_force, m.force_cap)
+            force = _new(Vec3, (g * (s * ax), g * (s * ay), g * (s * az)))
+        else:
+            v = twist.linear
+            fx, fy, fz = _cap(
+                m.k_p * ex - m.k_d * v.x, m.k_p * ey - m.k_d * v.y, m.k_p * ez - m.k_d * v.z,
+                m.force_cap,
+            )
+            force = _new(Vec3, (g * fx, g * fy, g * fz))
+        return _new(Wrench6, (force, torque))
 
     def _final_axis(self, target: DrillTarget) -> Vec3:
         d = self._draws
@@ -275,26 +336,6 @@ class VirtualOperator:
         wob_theta = amp * math.sin(2.0 * math.pi * d.freq_theta * tau + d.phase_theta)
         phi = min(89.0, max(1.0, target.phi_deg + d.dphi + wob_phi))
         return drilling_axis(target.frame, phi, target.theta_deg + d.dtheta + wob_theta)
-
-    def _aligned_enough(self, pose: Pose, standoff_point: Vec3, aim_axis: Vec3) -> bool:
-        if (standoff_point - pose.position).norm() > 0.008:
-            return False
-        tool = rotate(pose.orientation, self.tool_axis_local)
-        return angle_between(tool, aim_axis) <= math.radians(1.0)
-
-    def _orientation_torque(self, pose: Pose, twist: Twist6, desired_axis: Vec3) -> Vec3:
-        m = self.model
-        tool = rotate(pose.orientation, self.tool_axis_local)
-        q_err = rotation_between(tool, desired_axis)
-        # rotation vector of the correcting rotation
-        vn = math.sqrt(q_err.x**2 + q_err.y**2 + q_err.z**2)
-        if vn < 1e-12:
-            rv = Vec3.zero()
-        else:
-            ang = 2.0 * math.atan2(vn, q_err.w)
-            s = ang / vn
-            rv = _new(Vec3, (s * q_err.x, s * q_err.y, s * q_err.z))
-        return rv.scale(m.torque_k_p) - twist.angular.scale(m.torque_k_d)
 
 
 # ---------------------------------------------------------------------------

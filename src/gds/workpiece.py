@@ -534,31 +534,38 @@ def load_stl(path: str) -> TriangleMesh:
     vmap: dict = {}
     triangles = []
     current: list = []
-    with open(path, "r") as fh:
-        first = fh.readline()
-        if not first.lstrip().lower().startswith("solid"):
-            raise GeometryError(f"{path}: not an ASCII STL file")
-        for lineno, line in enumerate(fh, start=2):
-            tok = line.split()
-            if not tok:
-                continue
-            if tok[0] == "vertex":
+    try:
+        with open(path, "r") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        # a binary STL; its 80-byte header may well begin with "solid"
+        raise GeometryError(f"{path}: not an ASCII STL file (not text)") from None
+    if not (lines and lines[0].lstrip().lower().startswith("solid")):
+        raise GeometryError(f"{path}: not an ASCII STL file")
+    for lineno, line in enumerate(lines[1:], start=2):
+        tok = line.split()
+        if not tok:
+            continue
+        if tok[0] == "vertex":
+            try:
                 if len(tok) != 4:
-                    raise GeometryError(f"{path}:{lineno}: malformed vertex line")
+                    raise ValueError
                 v = (float(tok[1]), float(tok[2]), float(tok[3]))
-                idx = vmap.get(v)
-                if idx is None:
-                    idx = len(vertices)
-                    vmap[v] = idx
-                    vertices.append(Vec3(*v))
-                if not current:
-                    facet_line = lineno
-                current.append(idx)
-            elif tok[0] == "endfacet":
-                if len(current) != 3:
-                    raise GeometryError(f"{path}:{lineno}: facet without 3 vertices")
-                triangles.append(tuple(current))
-                current = []
+            except ValueError:
+                raise GeometryError(f"{path}:{lineno}: malformed vertex line") from None
+            idx = vmap.get(v)
+            if idx is None:
+                idx = len(vertices)
+                vmap[v] = idx
+                vertices.append(Vec3(*v))
+            if not current:
+                facet_line = lineno
+            current.append(idx)
+        elif tok[0] == "endfacet":
+            if len(current) != 3:
+                raise GeometryError(f"{path}:{lineno}: facet without 3 vertices")
+            triangles.append(tuple(current))
+            current = []
     if current:
         raise GeometryError(f"{path}:{facet_line}: facet without endfacet")
     if not triangles:
@@ -568,12 +575,15 @@ def load_stl(path: str) -> TriangleMesh:
 
 def load_off(path: str) -> TriangleMesh:
     """OFF mesh reader (triangles only)."""
-    with open(path, "r") as fh:
-        lines = [
-            (lineno, ln.split())
-            for lineno, ln in enumerate(fh, start=1)
-            if ln.strip() and not ln.strip().startswith("#")
-        ]
+    try:
+        with open(path, "r") as fh:
+            lines = [
+                (lineno, ln.split())
+                for lineno, ln in enumerate(fh, start=1)
+                if ln.strip() and not ln.strip().startswith("#")
+            ]
+    except UnicodeDecodeError:
+        raise GeometryError(f"{path}: not an OFF file (not text)") from None
     if len(lines) < 2 or lines[0][1] != ["OFF"]:
         raise GeometryError(f"{path}: missing OFF header")
 

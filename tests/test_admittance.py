@@ -38,6 +38,60 @@ def force_x(f):
     return Wrench6(Vec3(f, 0.0, 0.0), Vec3.zero())
 
 
+def reference_step_admittance(state, f_int, dt):
+    """The six-channel loop taking exp(-b dt / m) on every channel every
+    step: the oracle for step_admittance."""
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    forces = (*f_int.force, *f_int.torque)
+    for f in forces:
+        if not math.isfinite(f):
+            raise SimulationFault("non-finite interaction force fed to admittance filter")
+    vel = [*state.v.linear, *state.v.angular]
+    for i, (enabled, (m, b), f) in enumerate(zip(state.enabled, state.params.gains, forces)):
+        if enabled:
+            v = vel[i]
+            vel[i] = v + (1.0 - math.exp(-b * dt / m)) * (f / b - v)
+        else:
+            vel[i] = 0.0
+    out = Twist6(Vec3(*vel[:3]), Vec3(*vel[3:]))
+    state.v = out
+    return out
+
+
+def reference_gains_at(schedule, t):
+    """Six DofGains interpolated one by one: the oracle for gains_at."""
+    if t <= schedule.ramp_start:
+        return schedule.start_params
+    if t >= schedule.ramp_start + schedule.ramp_duration:
+        return schedule.end_params
+    s = (t - schedule.ramp_start) / schedule.ramp_duration
+    out = []
+    for g0, g1 in zip(schedule.start_params.gains, schedule.end_params.gains):
+        out.append(DofGains(g0.m + s * (g1.m - g0.m), g0.b + s * (g1.b - g0.b)))
+    return AdmittanceParams(tuple(out))
+
+
+dof_gains = st.builds(DofGains, st.floats(0.5, 200.0), st.floats(0.5, 5000.0))
+masks = st.sampled_from([FULL_MASK, AXIAL_MASK]) | st.tuples(*[st.booleans()] * 6)
+forces = st.tuples(*[st.floats(-80.0, 80.0)] * 6).map(
+    lambda f: Wrench6(Vec3(*f[:3]), Vec3(*f[3:]))
+)
+
+
+@st.composite
+def gain_sets(draw):
+    """Either uniform (channels share DofGains objects) or six distinct."""
+    if draw(st.booleans()):
+        return AdmittanceParams.uniform(draw(dof_gains), draw(dof_gains))
+    return AdmittanceParams(tuple(draw(dof_gains) for _ in range(6)))
+
+
+def assert_same_bits(got, want):
+    assert got == want
+    assert repr(got) == repr(want)
+
+
 class TestStepAdmittance:
     def test_first_step_matches_continuous_oracle(self):
         # oracle: v(dt) = (F/b)(1 - exp(-b dt / m)) for F constant over the step
@@ -114,6 +168,66 @@ class TestStepAdmittance:
             err = abs(out.linear.x - target)
             assert err <= prev + 1e-15
             prev = err
+
+
+class TestKernelOracles:
+    """step_admittance and gains_at against their loop oracles, bit for bit,
+    across gain-set swaps, ramps, dt changes and mask changes."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_steps_and_ramps_match_loop_oracles(self, data):
+        draw = data.draw
+        a, b = draw(gain_sets()), draw(gain_sets())
+        twin = AdmittanceParams(tuple(DofGains(g.m, g.b) for g in b.gains))  # b's values, new objects
+        sched = GainSchedule(a, b, ramp_start=0.0, ramp_duration=draw(st.floats(0.01, 1.0)))
+        mask = draw(masks)
+        new, old = AdmittanceState(a, enabled=mask), AdmittanceState(a, enabled=mask)
+        dt = 1e-3
+        for _ in range(draw(st.integers(1, 30))):
+            action = draw(st.sampled_from(["ramp", "a", "b", "twin", "dt", "mask"]))
+            if action == "ramp":
+                t = draw(st.floats(-0.1, 1.1)) * sched.ramp_duration
+                got = gains_at(sched, t)
+                want = reference_gains_at(sched, t)
+                assert_same_bits(got, want)
+                new.params, old.params = got, want
+            elif action == "dt":
+                dt = draw(st.sampled_from([1e-3, 2e-3]) | st.floats(1e-5, 0.5))
+            elif action == "mask":
+                mask = draw(masks)
+                new.set_enabled(mask)
+                old.set_enabled(mask)
+            else:
+                new.params = old.params = {"a": a, "b": b, "twin": twin}[action]
+            f = draw(forces)
+            assert_same_bits(step_admittance(new, f, dt), reference_step_admittance(old, f, dt))
+            assert_same_bits(new.v, old.v)
+
+    def test_coefficient_rows_follow_gain_set_and_dt(self):
+        params = AdmittanceParams.uniform(DofGains(50.0, 100.0), DofGains(10.0, 5.0))
+        new, old = AdmittanceState(params), AdmittanceState(params)
+        f = Wrench6(Vec3(3.0, -2.0, 1.0), Vec3(0.5, 0.25, -0.125))
+        # a new dt with the same gain set
+        for dt in (1e-3, 1e-3, 0.02, 1e-3):
+            assert_same_bits(step_admittance(new, f, dt), reference_step_admittance(old, f, dt))
+        # a new gain set of new values every step, as in a ramp
+        for k in range(50):
+            new.params = old.params = AdmittanceParams.uniform(
+                DofGains(50.0, 100.0 + 10.0 * k), DofGains(10.0, 5.0 + k)
+            )
+            assert_same_bits(step_admittance(new, f, 1e-3), reference_step_admittance(old, f, 1e-3))
+
+    def test_ramp_shares_one_gain_per_distinct_pair(self):
+        trans0, rot0 = DofGains(50.0, 100.0), DofGains(10.0, 5.0)
+        end = (DofGains(50.0, 1000.0),) * 2 + (DofGains(50.0, 600.0),) + (DofGains(10.0, 20.0),) * 3
+        sched = GainSchedule(
+            AdmittanceParams.uniform(trans0, rot0), AdmittanceParams(end), ramp_start=0.0
+        )
+        mid = gains_at(sched, 0.3)
+        assert_same_bits(mid, reference_gains_at(sched, 0.3))
+        g = mid.gains
+        assert g[0] is g[1] and g[1] is not g[2] and g[3] is g[4] is g[5]
 
 
 class TestGainSchedule:

@@ -6,6 +6,11 @@ import pytest
 from gds.cli import main
 from gds.presets import experiment_one_raw
 
+# a binary STL whose header begins with "solid": undecodable as text
+BINARY_STL = (
+    b"solid exported".ljust(80, b"\0") + (1).to_bytes(4, "little")
+    + bytes(12) + b"\x00\x00\x80\x3f" * 9 + bytes(2)
+)
 
 @pytest.fixture()
 def mini_config(tmp_path):
@@ -61,6 +66,22 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("config error: surface.path: ")
         assert "short.off" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"solid bad\n facet normal 0 0 1\n  outer loop\n   vertex 0 x 0\n", BINARY_STL],
+        ids=["non_number_vertex", "binary"],
+    )
+    def test_malformed_stl_exit_two(self, content, tmp_path, capsys):
+        (tmp_path / "bad.stl").write_bytes(content)
+        raw = experiment_one_raw("with", 0)
+        raw["surface"] = {"type": "stl", "path": "bad.stl"}
+        path = tmp_path / "mesh.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: surface.path: ")
+        assert "bad.stl" in err and "Traceback" not in err
 
     def test_mesh_surface_with_registration_validates(self, tmp_path):
         mesh = tmp_path / "plate.off"

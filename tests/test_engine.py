@@ -2,15 +2,18 @@ import hashlib
 import json
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gds import engine
 from gds.engine import CSV_HEADER, PlantModel, Scenario, Trace, World, run
 from gds.errors import SimulationFault
 from gds.geometry import Pose, Twist6, UnitQuat, Vec3, Wrench6
-from gds.guidance import GuidancePhase
+from gds.guidance import GuidancePhase, alignment_twist
 from gds.operator_env import EnvironmentModel, OperatorModel, VirtualOperator
 from gds.presets import experiment_one_scenario
 from gds.workpiece import CylinderPatch, make_drill_target
@@ -87,6 +90,18 @@ def special_value_trace(n, seed=0):
     tr.phase_codes.extend(i % len(_PHASE_ORDER) for i in range(n))
     tr.target_idx.extend(TARGET_INDICES[i % len(TARGET_INDICES)] for i in range(n))
     return tr
+
+
+def reference_integrate(pose, twist, dt):
+    """Pose update through UnitQuat.from_rotvec and UnitQuat.multiply: the
+    oracle for World._integrate."""
+    p, v = pose.position, twist.linear
+    pos = Vec3(p.x + v.x * dt, p.y + v.y * dt, p.z + v.z * dt)
+    w = twist.angular
+    if w.x == 0.0 and w.y == 0.0 and w.z == 0.0:
+        return Pose(pos, pose.orientation)
+    dq = UnitQuat.from_rotvec(Vec3(w.x * dt, w.y * dt, w.z * dt))
+    return Pose(pos, dq.multiply(pose.orientation))
 
 
 class ConstantForceOperator(VirtualOperator):
@@ -181,12 +196,56 @@ class TestStepDynamics:
         for k in (0, 1, 10, 999):
             assert t_col[k] == k * sc.dt  # bitwise: integer multiple, no drift
 
+    def test_auto_align_twist_is_the_locked_trajectory(self):
+        # every AutoAlign sample records the twist at the start of its step:
+        # alignment_twist at the step's own time, zero on the first one
+        world = World(experiment_one_scenario("with", seed=0))
+        d = world.trace.data
+        locked = firsts = 0
+        while not world.done:
+            k, phase = world.k, world.phase
+            world.step()
+            if phase is not GuidancePhase.AUTO_ALIGN:
+                continue
+            want = alignment_twist(world.align_plan, (k - world.align_start_step) * world.dt)
+            got = tuple(d[name][k] for name in ("vx", "vy", "vz", "wx", "wy", "wz"))
+            assert repr(got) == repr((*want.linear, *want.angular))
+            locked += 1
+            if k == world.align_start_step:
+                assert want == Twist6.zero()
+                firsts += 1
+        assert firsts == 3
+        assert locked == 3 * world.align_steps
+
     def test_non_finite_force_aborts_with_fault(self):
         sc = far_target_scenario()
         w = World(sc, ConstantForceOperator(Wrench6(Vec3(float("inf"), 0, 0), Vec3.zero())))
         with pytest.raises(SimulationFault):
             for _ in range(5):
                 w.step()
+
+
+class TestIntegrate:
+    # angular speeds whose step angle is zero, below the 1e-12 series cut,
+    # ordinary, or beyond pi (a negative scalar part that _canonical flips)
+    speeds = st.sampled_from([0.0, 1e-13, 1e-9]) | st.floats(-5.0, 5.0) | st.floats(-5000.0, 5000.0)
+
+    @given(
+        position=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+        axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: sum(x * x for x in v) > 1e-4),
+        angle=st.floats(-3.2, 3.2),
+        linear=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+        angular=st.tuples(speeds, speeds, speeds),
+        dt=st.sampled_from([1e-3, 2e-3]) | st.floats(1e-5, 0.05),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_quaternion_oracle(self, position, axis, angle, linear, angular, dt):
+        pose = Pose(Vec3(*position), UnitQuat.from_axis_angle(Vec3(*axis), angle))
+        twist = Twist6(Vec3(*linear), Vec3(*angular))
+        got = World._integrate(SimpleNamespace(dt=dt), pose, twist)
+        want = reference_integrate(pose, twist, dt)
+        assert got == want
+        assert repr(got) == repr(want)
 
 
 @pytest.fixture(scope="module")

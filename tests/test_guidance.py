@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gds.errors import SimulationFault
 from gds.geometry import (
@@ -12,6 +14,8 @@ from gds.geometry import (
     angle_between,
     project_onto_axis,
     rotate,
+    rotation_between,
+    slerp,
 )
 from gds.guidance import (
     AlignmentPlan,
@@ -22,12 +26,46 @@ from gds.guidance import (
     constrain_twist,
     plan_alignment,
     sample_alignment,
+    _quat_log,
+    _smoothstep_rate,
     smoothstep,
     update_phase,
 )
 
 TH = GuidanceThresholds()
 TOOL = Vec3(0.0, 0.0, 1.0)
+
+
+def reference_sample_alignment(plan, t):
+    """Position from the start and goal poses at every call: the oracle for
+    sample_alignment."""
+    if t <= 0.0:
+        return plan.start_pose
+    if t >= plan.duration:
+        return plan.goal_pose
+    s = smoothstep(t / plan.duration)
+    p0, p1 = plan.start_pose.position, plan.goal_pose.position
+    pos = Vec3(p0.x + s * (p1.x - p0.x), p0.y + s * (p1.y - p0.y), p0.z + s * (p1.z - p0.z))
+    return Pose(pos, slerp(plan.start_pose.orientation, plan.goal_pose.orientation, s))
+
+
+def reference_alignment_twist(plan, t):
+    """Position delta and rotation vector recomputed at every call: the
+    oracle for alignment_twist."""
+    if t <= 0.0 or t >= plan.duration:
+        return Twist6.zero()
+    tau = t / plan.duration
+    rate = _smoothstep_rate(tau) / plan.duration
+    p0, p1 = plan.start_pose.position, plan.goal_pose.position
+    lin = (p1 - p0).scale(rate)
+    q_delta = plan.goal_pose.orientation.multiply(plan.start_pose.orientation.conjugate())
+    return Twist6(lin, _quat_log(q_delta).scale(rate))
+
+
+unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: v[0] * v[0] + v[1] * v[1] + v[2] * v[2] > 1e-4
+).map(lambda v: Vec3(*v).normalized())
+points = st.tuples(*[st.floats(-0.5, 0.5)] * 3).map(lambda v: Vec3(*v))
 
 
 class TestUpdatePhase:
@@ -174,6 +212,36 @@ class TestSampleAlignment:
         assert smoothstep(0.0) == 0.0
         assert smoothstep(1.0) == 1.0
         assert smoothstep(0.5) == 0.5
+
+
+class TestAlignmentOracles:
+    @given(
+        start=st.tuples(points, unit_vectors, st.floats(-3.2, 3.2)),
+        target=points,
+        axis=unit_vectors,
+        tool=st.sampled_from([TOOL, Vec3(0.6, 0.0, 0.8)]) | unit_vectors,
+        against=st.booleans(),
+        duration=st.sampled_from([4.0, 0.5]) | st.floats(0.01, 10.0),
+        fractions=st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=20),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_twist_and_pose_match_oracles(self, start, target, axis, tool, against, duration, fractions):
+        position, rot_axis, angle = start
+        orientation = UnitQuat.from_axis_angle(rot_axis, angle)
+        if against:
+            # the tool starts opposite the drilling axis: a half-turn plan
+            orientation = rotation_between(tool, axis.scale(-1.0))
+        plan = plan_alignment(Pose(position, orientation), target, axis, tool, duration=duration)
+        # 1 kHz grid points at both ends, as World.step asks for them
+        times = [f * duration for f in fractions] + [k * 1e-3 for k in range(3)]
+        times += [duration - k * 1e-3 for k in range(3)]
+        for t in times:
+            for got, want in (
+                (alignment_twist(plan, t), reference_alignment_twist(plan, t)),
+                (sample_alignment(plan, t), reference_sample_alignment(plan, t)),
+            ):
+                assert got == want
+                assert repr(got) == repr(want)
 
 
 class TestConstrainTwist:

@@ -2,8 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gds.geometry import Pose, Twist6, UnitQuat, Vec3, Wrench6, angle_between, rotate
+from gds.geometry import (
+    Pose,
+    Twist6,
+    UnitQuat,
+    Vec3,
+    Wrench6,
+    angle_between,
+    rotate,
+    rotation_between,
+)
 from gds.guidance import GuidancePhase
 from gds.operator_env import (
     EnvironmentModel,
@@ -16,6 +27,69 @@ from gds.operator_env import (
 from gds.workpiece import CylinderPatch, build_target_frame, DrillTarget
 
 ENV = EnvironmentModel()
+
+
+def reference_cap(v, cap):
+    n = v.norm()
+    if n <= cap:
+        return v
+    return v.scale(cap / n)
+
+
+class ReferenceOperator(VirtualOperator):
+    """The manual wrench as a chain of Vec3 methods: the oracle for the
+    float kernel in VirtualOperator._manual_wrench."""
+
+    def _manual_wrench(self, pose, twist, phase, target, t):
+        m = self.model
+        g = self._ramp(t)
+        aim_axis = self._aim_axis(target, t)
+        standoff_point = target.point - aim_axis.scale(0.05)
+
+        if self._mode == "aim":
+            if self._aligned_enough(pose, standoff_point, aim_axis):
+                self._mode = "dwell"
+                self._mode_t0 = t
+        if self._mode == "dwell" and (t - self._mode_t0) >= self._draws.dwell:
+            self._mode = "push"
+            self._mode_t0 = t
+            self._push_axis = self._final_axis(target)
+        if self._mode == "push" and phase is GuidancePhase.RETRACT:
+            self._mode = "pull"
+            self._mode_t0 = t
+        if self._mode in ("aim", "dwell"):
+            f = (standoff_point - pose.position).scale(m.k_p) - twist.linear.scale(m.k_d)
+            tau = self._orientation_torque(pose, twist, aim_axis)
+            return Wrench6(
+                reference_cap(f, m.force_cap).scale(g), reference_cap(tau, m.torque_cap).scale(g)
+            )
+        if self._mode == "push":
+            axis = self._push_axis
+            f = axis.scale(min(m.push_force, m.force_cap))
+            tau = self._orientation_torque(pose, twist, axis)
+            return Wrench6(f.scale(g), reference_cap(tau, m.torque_cap).scale(g))
+        axis = self._push_axis if self._push_axis is not None else aim_axis
+        f = axis.scale(-min(m.push_force, m.force_cap))
+        return Wrench6(f.scale(g), Vec3.zero())
+
+    def _aligned_enough(self, pose, standoff_point, aim_axis):
+        if (standoff_point - pose.position).norm() > 0.008:
+            return False
+        tool = rotate(pose.orientation, self.tool_axis_local)
+        return angle_between(tool, aim_axis) <= math.radians(1.0)
+
+    def _orientation_torque(self, pose, twist, desired_axis):
+        m = self.model
+        tool = rotate(pose.orientation, self.tool_axis_local)
+        q_err = rotation_between(tool, desired_axis)
+        vn = math.sqrt(q_err.x**2 + q_err.y**2 + q_err.z**2)
+        if vn < 1e-12:
+            rv = Vec3.zero()
+        else:
+            ang = 2.0 * math.atan2(vn, q_err.w)
+            s = ang / vn
+            rv = Vec3(s * q_err.x, s * q_err.y, s * q_err.z)
+        return rv.scale(m.torque_k_p) - twist.angular.scale(m.torque_k_d)
 
 
 def flat_target(phi=0.0, theta=0.0):
@@ -148,6 +222,141 @@ class TestOperator:
             OperatorModel(force_cap=0.0)
         with pytest.raises(ValueError):
             OperatorModel(k_p=-1.0)
+
+
+
+def unit_vectors():
+    return st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+        lambda v: v[0] * v[0] + v[1] * v[1] + v[2] * v[2] > 1e-4
+    ).map(lambda v: Vec3(*v).normalized())
+
+
+class TestManualKernel:
+    """VirtualOperator._manual_wrench against ReferenceOperator, compared
+    bit for bit (``repr`` tells -0.0 from 0.0), with the mode machine's
+    state after every call."""
+
+    @staticmethod
+    def _pair(model, tool_local, target):
+        ops = VirtualOperator(model, tool_local), ReferenceOperator(model, tool_local)
+        for op in ops:
+            op.begin_target(0, target, 0.0)
+            op.notify_grab(0.0)
+        return ops
+
+    @staticmethod
+    def _step(new, old, pose, twist, phase, target, t):
+        want = old.wrench(pose, twist, phase, target, t)
+        got = new.wrench(pose, twist, phase, target, t)
+        assert got == want
+        assert repr(got) == repr(want)
+        assert (new._mode, new._mode_t0, new._push_axis) == (old._mode, old._mode_t0, old._push_axis)
+        return got
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_vec3_oracle(self, data):
+        draw = data.draw
+        model = OperatorModel(
+            variant="manual",
+            seed=draw(st.integers(0, 2**32 - 1)),
+            angular_noise=draw(st.sampled_from([0.0, 6.0, 20.0])),
+            reaction_delay=draw(st.sampled_from([0.0, 0.25])),
+            align_dwell=draw(st.floats(0.5, 3.0)),
+            align_dwell_jitter=draw(st.sampled_from([0.0, 0.5])),
+            force_cap=draw(st.sampled_from([5.0, 40.0])),
+            torque_cap=draw(st.sampled_from([0.5, 5.0])),
+        )
+        tool = draw(st.sampled_from([Vec3(0.0, 0.0, 1.0), Vec3(0.6, 0.0, 0.8)]))
+        point = Vec3(*[draw(st.floats(-0.3, 0.3)) for _ in range(3)])
+        frame = build_target_frame(point, Vec3(0, 0, -1), Vec3(1, 0, 0))
+        target = DrillTarget(point, frame, draw(st.floats(0.0, 60.0)), draw(st.floats(0.0, 360.0)))
+        new, old = self._pair(model, tool, target)
+        t = 0.0
+        for _ in range(draw(st.integers(1, 25))):
+            t += draw(st.floats(0.0, 1.5))
+            if old._push_axis is not None:
+                desired = old._push_axis
+            else:
+                desired = old._aim_axis(target, t)
+            kind = draw(st.sampled_from(["random", "standoff", "along", "against"]))
+            offset = Vec3(*[draw(st.floats(-0.4, 0.4)) for _ in range(3)])
+            if kind == "random":
+                pose = Pose(
+                    target.point + offset,
+                    UnitQuat.from_axis_angle(draw(unit_vectors()), draw(st.floats(-3.2, 3.2))),
+                )
+            elif kind == "standoff":
+                # near the standoff point and the desired axis, on either side
+                # of the dwell's 8 mm and 1 degree
+                tilt = UnitQuat.from_axis_angle(draw(unit_vectors()), draw(st.floats(0.0, 0.02)))
+                pose = Pose(
+                    target.point - desired.scale(0.05) + offset.scale(draw(st.sampled_from([0.0, 0.01, 0.02]))),
+                    tilt.multiply(rotation_between(tool, desired)),
+                )
+            else:
+                axis = desired if kind == "along" else desired.scale(-1.0)
+                pose = Pose(target.point + offset, rotation_between(tool, axis))
+            lin, ang = draw(st.sampled_from([0.0, 0.05, 1.0])), draw(st.sampled_from([0.0, 0.3, 10.0]))
+            twist = Twist6(
+                Vec3(*[lin * draw(st.floats(-1.0, 1.0)) for _ in range(3)]),
+                Vec3(*[ang * draw(st.floats(-1.0, 1.0)) for _ in range(3)]),
+            )
+            phase = draw(st.sampled_from([
+                GuidancePhase.APPROACH, GuidancePhase.APPROACH,
+                GuidancePhase.FREE_MOTION, GuidancePhase.RETRACT,
+            ]))
+            self._step(new, old, pose, twist, phase, target, t)
+
+    def test_scripted_session_reaches_every_branch(self):
+        tool = Vec3(0.0, 0.0, 1.0)
+        model = OperatorModel(variant="manual", seed=4, align_dwell=1.0, align_dwell_jitter=0.0)
+        target = flat_target(30.0, 10.0)
+        new, old = self._pair(model, tool, target)
+        approach, rest = GuidancePhase.APPROACH, Twist6.zero()
+
+        def error_vector_norm(pose, axis):
+            q = rotation_between(rotate(pose.orientation, tool), axis)
+            return math.sqrt(q.x**2 + q.y**2 + q.z**2)
+
+        # aim, far off, the tool opposite the aim axis: the antipodal branch,
+        # both caps active
+        aim = old._aim_axis(target, 1.0)
+        pose = Pose(target.point + Vec3(0.3, 0.0, 0.3), rotation_between(tool, aim.scale(-1.0)))
+        assert rotate(pose.orientation, tool).dot(aim) < -1.0 + 1e-12
+        w = self._step(new, old, pose, rest, approach, target, 1.0)
+        assert new._mode == "aim"
+        assert w.force.norm() == pytest.approx(40.0, abs=1e-9)
+        assert w.torque.norm() == pytest.approx(5.0, abs=1e-9)
+
+        # at the standoff point, the tool on the aim axis: vn < 1e-12, both
+        # caps inactive, and the dwell begins
+        aim = old._aim_axis(target, 2.0)
+        pose = Pose(target.point - aim.scale(0.05), rotation_between(tool, aim))
+        assert error_vector_norm(pose, aim) < 1e-12
+        spin = Twist6(Vec3(0.01, 0.0, 0.0), Vec3(0.0, 0.0, 0.5))
+        w = self._step(new, old, pose, spin, approach, target, 2.0)
+        assert new._mode == "dwell"
+        assert 0.0 < w.force.norm() < 40.0 and 0.0 < w.torque.norm() < 5.0
+
+        # the dwell has run out: push along the final axis, the tool opposite it
+        final = old._final_axis(target)
+        pose = Pose(pose.position, rotation_between(tool, final.scale(-1.0)))
+        w = self._step(new, old, pose, rest, approach, target, 3.5)
+        assert new._mode == "push"
+        assert w.torque.norm() == pytest.approx(5.0, abs=1e-9)
+
+        # pushing with the tool on the push axis: no torque at all
+        pose = Pose(pose.position, rotation_between(tool, final))
+        assert error_vector_norm(pose, final) < 1e-12
+        w = self._step(new, old, pose, rest, approach, target, 4.0)
+        assert w.torque == Vec3.zero()
+        assert w.force == final.scale(25.0)
+
+        # retract: pull back along the push axis
+        w = self._step(new, old, pose, rest, GuidancePhase.RETRACT, target, 5.0)
+        assert new._mode == "pull"
+        assert w == Wrench6(final.scale(-25.0), Vec3.zero())
 
 
 class TestEnvironment:

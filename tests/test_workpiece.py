@@ -447,6 +447,15 @@ class TestDrillTarget:
         assert abs(t.axis.norm() - 1.0) <= 1e-12
 
 
+# a binary STL: an 80-byte header that begins with "solid", a facet count of
+# one, then the facet's normal and corners as little-endian floats (1.0 is
+# 00 00 80 3f, not UTF-8) and its attribute bytes
+BINARY_STL = (
+    b"solid exported".ljust(80, b"\0") + (1).to_bytes(4, "little")
+    + bytes(12) + b"\x00\x00\x80\x3f" * 9 + bytes(2)
+)
+
+
 class TestIngestion:
     def test_stl_round_trip(self, tmp_path):
         stl = tmp_path / "plate.stl"
@@ -535,6 +544,21 @@ class TestIngestion:
         )
         with pytest.raises(GeometryError, match=r"cut\.stl:11: facet without endfacet"):
             load_stl(str(stl))
+
+    def test_stl_rejects_non_number_vertex(self, tmp_path):
+        stl = tmp_path / "bad.stl"
+        stl.write_text("solid bad\n facet normal 0 0 1\n  outer loop\n   vertex 0 x 0\n")
+        with pytest.raises(GeometryError, match=r"bad\.stl:4: malformed vertex line"):
+            load_stl(str(stl))
+
+    def test_binary_file_is_not_a_text_mesh(self, tmp_path):
+        # a binary STL whose 80-byte header begins with "solid", one facet
+        binary = tmp_path / "binary.stl"
+        binary.write_bytes(BINARY_STL)
+        with pytest.raises(GeometryError, match=r"binary\.stl: not an ASCII STL"):
+            load_stl(str(binary))
+        with pytest.raises(GeometryError, match=r"binary\.stl: not an OFF file"):
+            load_off(str(binary))
 
     def test_patch_csv(self, tmp_path):
         csv = tmp_path / "patch.csv"
