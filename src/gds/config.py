@@ -257,12 +257,14 @@ def _build_surface(section: dict, base_dir: str):
     path = section["path"]
     if not os.path.isabs(path):
         path = os.path.join(base_dir, path)
-    if not os.path.exists(path):
-        raise ConfigError(f"surface file not found: {path}", "surface.path")
     try:
         mesh = load_stl(path) if stype == "stl" else load_off(path)
     except GeometryError as exc:
         raise ConfigError(str(exc), "surface.path") from exc
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(
+            f"cannot read surface file {path}: {exc.strerror}", "surface.path"
+        ) from exc
     q = UnitQuat(*section["rotate_wxyz"])
     t = Vec3(*section["translate"])
     if q != UnitQuat.identity() or t != Vec3.zero():

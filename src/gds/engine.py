@@ -27,8 +27,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import struct
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -152,34 +152,77 @@ _ROW_FMT = ",".join(
     ["%.9g"] * len(_FLOAT_FIELDS) + ["%s"] + ["%.9g"] * len(_B_FIELDS) + ["%d", "%.9g"]
 ) + "\n"
 
-# one checksum record per sample: 45 <f8 then 2 <i4, 368 bytes, no padding
-_CHECKSUM_DTYPE = np.dtype(
+# one record per sample: 45 <f8 then 2 <i4, 368 bytes, no padding; World
+# packs each step into one, and the checksum hashes them
+_RECORD_DTYPE = np.dtype(
     [(name, "<f8") for name in _COLUMNS] + [("phase", "<i4"), ("target_index", "<i4")]
 )
+_pack_record = struct.Struct(
+    "<" + "".join(dtype.char for dtype, _ in _RECORD_DTYPE.fields.values())
+).pack
 # rows staged per hash update; bounds the staging buffer at 1.5 MB
 _CHECKSUM_CHUNK = 4096
+# packed rows held before they move into the columns; 1.5 MB at most
+_PENDING_BYTES = 4096 * _RECORD_DTYPE.itemsize
 
 
-@dataclass
+class _Columns(dict):
+    """The float columns by name, plus the samples packed but not yet moved
+    into them. ``World`` appends one record per step to ``pending``; reading
+    a column through the dict moves every pending record in first, so no
+    reader sees a sample missing."""
+
+    __slots__ = ("pending", "_ints")
+
+    def __init__(self, phase_codes: array, target_idx: array):
+        super().__init__((name, array("d")) for name in _COLUMNS)
+        self.pending = bytearray()
+        self._ints = (("phase", phase_codes), ("target_index", target_idx))
+
+    def __getitem__(self, name: str) -> array:
+        if self.pending:
+            self.flush()
+        return dict.__getitem__(self, name)
+
+    def flush(self) -> None:
+        """Move the pending records into the columns, bit for bit."""
+        if not self.pending:
+            return
+        rows = np.frombuffer(self.pending, _RECORD_DTYPE)
+        for name, col in (*dict.items(self), *self._ints):
+            col.frombytes(rows[name].astype(col.typecode).tobytes())
+        del rows  # release the view so the buffer can shrink
+        self.pending.clear()
+
+
 class Trace:
     """Struct-of-arrays sample log plus the event stream.
 
     ``data`` holds one ``array('d')`` per float column; phase and target
     index are integer columns. Samples are exposed as TraceSample views.
+    ``World`` writes each sample as one packed record and the columns take
+    the records in blocks, before any of them is read.
     """
 
-    dt: float
-    condition: str
-    config_digest: str
-    data: dict = field(default_factory=dict)
-    phase_codes: array = field(default_factory=lambda: array("i"))
-    target_idx: array = field(default_factory=lambda: array("i"))
-    events: List[Tuple[float, str]] = field(default_factory=list)
-    complete: bool = False
+    def __init__(self, dt: float, condition: str, config_digest: str):
+        self.dt = dt
+        self.condition = condition
+        self.config_digest = config_digest
+        self.events: List[Tuple[float, str]] = []
+        self.complete = False
+        self._phase_codes = array("i")
+        self._target_idx = array("i")
+        self.data = _Columns(self._phase_codes, self._target_idx)
 
-    def __post_init__(self):
-        if not self.data:
-            self.data = {name: array("d") for name in _COLUMNS}
+    @property
+    def phase_codes(self) -> array:
+        self.data.flush()
+        return self._phase_codes
+
+    @property
+    def target_idx(self) -> array:
+        self.data.flush()
+        return self._target_idx
 
     def __len__(self) -> int:
         return len(self.phase_codes)
@@ -229,7 +272,7 @@ class Trace:
         cols = [(name, np.frombuffer(self.data[name], dtype=np.float64)) for name in _COLUMNS]
         cols.append(("phase", np.frombuffer(self.phase_codes, dtype=np.intc)))
         cols.append(("target_index", np.frombuffer(self.target_idx, dtype=np.intc)))
-        buf = np.empty(min(n, _CHECKSUM_CHUNK), dtype=_CHECKSUM_DTYPE)
+        buf = np.empty(min(n, _CHECKSUM_CHUNK), dtype=_RECORD_DTYPE)
         for start in range(0, n, _CHECKSUM_CHUNK):
             stop = min(start + _CHECKSUM_CHUNK, n)
             rows = buf[: stop - start]
@@ -303,17 +346,16 @@ class World:
         self._in_collision = False
         self._b_params = None  # the gains behind the cached damping row _b6
         self._b6 = ()
-        d = self.trace.data
-        self._columns = tuple(d[name] for name in _COLUMNS)
-        self._phase_append = self.trace.phase_codes.append
-        self._tgt_append = self.trace.target_idx.append
+        self._phase_code = _PHASE_CODE[self.phase]
+        self._pending = self.trace.data.pending
         self.operator.notify_grab(0.0)
         self.operator.begin_target(0, scenario.targets[0], 0.0)
 
     # -- helpers -------------------------------------------------------------
 
-    def _record(self, t, pose, twist, v_ref, f_h, f_env, f_int, phase, b6, hole_depth):
-        vals = (
+    def _record(self, t, pose, twist, v_ref, f_h, f_env, f_int, b6, hole_depth):
+        pending = self._pending
+        pending += _pack_record(
             t, *pose.position, *pose.orientation,
             *twist.linear, *twist.angular,
             *v_ref.linear, *v_ref.angular,
@@ -321,11 +363,10 @@ class World:
             *f_env.force, *f_env.torque,
             *f_int.force, *f_int.torque,
             *b6, hole_depth,
+            self._phase_code, self.target_idx,
         )
-        # append each value to its column; deque(..., 0) drains the map
-        deque(map(array.append, self._columns, vals), 0)
-        self._phase_append(_PHASE_CODE[phase])
-        self._tgt_append(self.target_idx)
+        if len(pending) >= _PENDING_BYTES:
+            self.trace.data.flush()
 
     def _integrate(self, pose: Pose, twist: Twist6) -> Pose:
         dt = self.dt
@@ -494,7 +535,7 @@ class World:
         if params_now is not self._b_params:
             self._b_params = params_now
             self._b6 = tuple([g.b for g in params_now.gains])
-        self._record(t, pose0, v_used, v_ref, f_h, f_env, f_int, phase, self._b6, self.hole.depth)
+        self._record(t, pose0, v_used, v_ref, f_h, f_env, f_int, self._b6, self.hole.depth)
         self.k += 1
 
         if new_phase is not phase:
@@ -538,6 +579,7 @@ class World:
             else:
                 self.done = True
                 self.trace.complete = True
+        self._phase_code = _PHASE_CODE[self.phase]
 
     def run(self) -> Trace:
         max_steps = int(self.sc.max_sim_time / self.dt)
@@ -547,6 +589,7 @@ class World:
                 self.trace.complete = False
                 break
             self.step()
+        self.trace.data.flush()
         return self.trace
 
 

@@ -56,6 +56,18 @@ class TestValidate:
         assert main(["validate", "--scenario", str(path)]) == 2
         assert "missing_mesh.stl" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mesh_type", ["stl", "off"])
+    def test_surface_path_is_a_directory_exit_two(self, mesh_type, tmp_path, capsys):
+        (tmp_path / f"mesh.{mesh_type}").mkdir()
+        raw = experiment_one_raw("with", 0)
+        raw["surface"] = {"type": mesh_type, "path": f"mesh.{mesh_type}"}
+        path = tmp_path / "mesh.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: surface.path: ")
+        assert f"mesh.{mesh_type}" in err and "Traceback" not in err
+
     def test_malformed_surface_mesh_exit_two(self, tmp_path, capsys):
         (tmp_path / "short.off").write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n")
         raw = experiment_one_raw("with", 0)

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import struct
+from array import array
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -102,6 +104,42 @@ def reference_integrate(pose, twist, dt):
         return Pose(pos, pose.orientation)
     dq = UnitQuat.from_rotvec(Vec3(w.x * dt, w.y * dt, w.z * dt))
     return Pose(pos, dq.multiply(pose.orientation))
+
+
+class ColumnAppendWorld(World):
+    """World whose recorder appends each value to its column as the step
+    ends: the oracle for the packed records of World._record."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        d = self.trace.data
+        self._columns = tuple(d[name] for name in engine._COLUMNS)
+        self._phase_append = self.trace.phase_codes.append
+        self._tgt_append = self.trace.target_idx.append
+
+    def _record(self, t, pose, twist, v_ref, f_h, f_env, f_int, b6, hole_depth):
+        vals = (
+            t, *pose.position, *pose.orientation,
+            *twist.linear, *twist.angular,
+            *v_ref.linear, *v_ref.angular,
+            *f_h.force, *f_h.torque,
+            *f_env.force, *f_env.torque,
+            *f_int.force, *f_int.torque,
+            *b6, hole_depth,
+        )
+        # append each value to its column; deque(..., 0) drains the map
+        deque(map(array.append, self._columns, vals), 0)
+        self._phase_append(engine._PHASE_CODE[self.phase])
+        self._tgt_append(self.target_idx)
+
+
+def assert_same_recording(got, want):
+    assert len(got) == len(want)
+    for name in engine._COLUMNS:
+        assert got.data[name] == want.data[name], name
+    assert got.phase_codes == want.phase_codes
+    assert got.target_idx == want.target_idx
+    assert got.checksum() == want.checksum()
 
 
 class ConstantForceOperator(VirtualOperator):
@@ -416,3 +454,84 @@ class TestTraceExport:
         assert back["complete"] is False
         assert back["n_samples"] == len(trace)
         assert back["checksum"] == trace.checksum()
+
+
+class FaultingOperator(ConstantForceOperator):
+    """Test double: a fixed finite wrench for ``n_ok`` calls, then an
+    infinite one, which ends the run in a SimulationFault."""
+
+    def __init__(self, wrench, n_ok):
+        super().__init__(wrench)
+        self._left = n_ok
+
+    def wrench(self, pose, twist, phase, target, t):
+        self._left -= 1
+        if self._left < 0:
+            return Wrench6(Vec3(math.inf, 0.0, 0.0), Vec3.zero())
+        return super().wrench(pose, twist, phase, target, t)
+
+
+class TestPackedRecorder:
+    # a pending block holds 4,096 rows: cut one short of a block, at it, one
+    # past it, and one past two blocks; None runs the session to the end
+    @pytest.mark.parametrize("steps", [4095, 4096, 4097, 8193, None])
+    @pytest.mark.parametrize("condition", ["with", "without"])
+    def test_matches_column_append_oracle(self, condition, steps):
+        kwargs = {} if steps is None else {"max_sim_time": (steps + 0.5) * 1e-3}
+        sc = experiment_one_scenario(condition, seed=0, **kwargs)
+        got = World(sc).run()
+        assert not got.data.pending  # run moves the last block into the columns
+        want = ColumnAppendWorld(sc).run()
+        assert got.complete == want.complete == (steps is None)
+        if steps is not None:
+            assert len(want) == steps
+        assert_same_recording(got, want)
+
+    def test_rows_before_a_fault_are_readable(self):
+        sc = far_target_scenario()
+        sc.max_sim_time = 10.0
+        wrench = Wrench6(Vec3(3.0, -2.0, 1.0), Vec3(0.5, 0.0, 0.0))
+        worlds = [cls(sc, FaultingOperator(wrench, 5000)) for cls in (World, ColumnAppendWorld)]
+        for world in worlds:
+            with pytest.raises(SimulationFault):
+                world.run()
+        got, want = (world.trace for world in worlds)
+        assert len(got.data.pending) == (5000 - 4096) * engine._RECORD_DTYPE.itemsize
+        assert len(want) == 5000
+        assert_same_recording(got, want)
+
+    @pytest.mark.parametrize("condition", ["with", "without"])
+    def test_every_reader_sees_each_step(self, condition):
+        # 1.5 s by hand: past the first phase change of either condition
+        sc = experiment_one_scenario(condition, seed=0, max_sim_time=2.0)
+        world, oracle = World(sc), ColumnAppendWorld(sc)
+        trace, want = world.trace, oracle.trace
+        d = trace.data
+        before = {}  # the phase and target index that govern step k
+        readers = (
+            ("data", lambda k: [d[n][-1] for n in engine._COLUMNS]
+                == [want.data[n][-1] for n in engine._COLUMNS]),
+            ("len", lambda k: len(trace) == k + 1),
+            ("sample", lambda k: trace.sample(k) == want.sample(k)),
+            ("phase_codes", lambda k: trace.phase_codes[-1] == engine._PHASE_CODE[before["phase"]]
+                and len(trace.phase_codes) == k + 1),
+            ("target_idx", lambda k: trace.target_idx[-1] == before["target"]
+                and len(trace.target_idx) == k + 1),
+            ("phase_of", lambda k: trace.phase_of(k) is before["phase"]),
+        )
+        phases = set()
+        for k in range(1500):
+            before.update(phase=world.phase, target=world.target_idx)
+            world.step()
+            oracle.step()
+            assert trace.data.pending  # the step is packed, not yet in the columns
+            # any reader moves the step into the columns: each goes first in turn
+            first = k % len(readers)
+            for name, shows_step in readers[first:] + readers[:first]:
+                assert shows_step(k), name
+            phases.add(before["phase"])
+        assert len(phases) > 1
+        world.run()
+        assert not trace.data.pending
+        oracle.run()
+        assert_same_recording(trace, want)

@@ -4,13 +4,17 @@ The traced benchmark times each layer by wrapping these attributes; a
 refactor that inlines one of them, or calls it through another name, drops
 that layer's metric without an error. Here each name is wrapped in a
 counter through the same attribute, and a short manual and a short guided
-preset run must reach every one of them.
+preset run must reach every one of them. The tracer rebinds
+``owner.__dict__[attr]``, so the names the command line reaches must also be
+the owner's own attributes.
 """
+
+import json
 
 import pytest
 
-from gds import engine, operator_env
-from gds.presets import experiment_one_scenario
+from gds import cli, engine, operator_env
+from gds.presets import experiment_one_raw, experiment_one_scenario
 
 # (owner, attribute) -> the conditions whose first 12 s reach it
 TRACED = {
@@ -28,6 +32,16 @@ TRACED = {
     (engine, "alignment_twist"): ("with",),
     (operator_env, "drilling_axis"): ("without",),
 }
+
+# (owner, attribute) reached by one ``gds compare`` run
+CLI_TRACED = (
+    (engine.Trace, "to_csv"),
+    (engine.Trace, "checksum"),
+    (cli, "run_scenario"),
+    (cli, "compute_metrics"),
+    (cli, "load_scenario"),
+    (cli, "main"),
+)
 
 
 @pytest.mark.parametrize("condition", ["without", "with"])
@@ -54,3 +68,27 @@ def test_every_traced_name_is_reached(condition, monkeypatch):
         if condition in conditions and calls[(owner, attr)] == 0
     ]
     assert missed == []
+
+
+def test_cli_traced_names_are_own_and_reached(tmp_path, monkeypatch):
+    assert [attr for owner, attr in CLI_TRACED if attr not in vars(owner)] == []
+    calls = dict.fromkeys(CLI_TRACED, 0)
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for key in CLI_TRACED:
+        owner, attr = key
+        monkeypatch.setattr(owner, attr, counting(key, vars(owner)[attr]))
+    raw = experiment_one_raw("with", 0)
+    raw["max_sim_time"] = 0.5
+    scenario = tmp_path / "short.json"
+    scenario.write_text(json.dumps(raw))
+    argv = ["compare", "--scenario", str(scenario), "--seeds", "0", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_SIM_FAULT  # cut short: both runs incomplete
+    assert (tmp_path / "out" / "without" / "seed_0" / "trace.csv").exists()
+    assert [f"{owner.__name__}.{attr}" for (owner, attr), n in calls.items() if n == 0] == []
