@@ -34,6 +34,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from . import _csvtext
 from .admittance import (
     AdmittanceState,
     GainSchedule,
@@ -45,6 +46,11 @@ from .admittance import (
 from .errors import SimulationFault
 from .geometry import Pose, Twist6, UnitQuat, Vec3, Wrench6, _canonical
 from .guidance import (
+    _AUTO_ALIGN,
+    _CONSTRAINED_DRILL,
+    _FREE_MOTION,
+    _RETRACT,
+    _TARGET_DONE,
     GuidancePhase,
     GuidanceThresholds,
     alignment_twist,
@@ -65,6 +71,10 @@ from .operator_env import (
 from .workpiece import DrillTarget, Surface
 
 _new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
+
+# a run ends as a runaway once the tip is this much farther (m) from the
+# active target than when the target became active (the iiwa 7 reaches 0.8 m)
+_RUNAWAY_DISTANCE = 1.0
 
 
 @dataclass(frozen=True)
@@ -146,11 +156,14 @@ CSV_HEADER = (
 # every float column, in checksum order
 _COLUMNS = tuple(_FLOAT_FIELDS + _B_FIELDS + ["hole_depth"])
 
-# one CSV row: the state floats, the phase name, the damping row, the target
-# index and the hole depth, in CSV_HEADER order
-_ROW_FMT = ",".join(
-    ["%.9g"] * len(_FLOAT_FIELDS) + ["%s"] + ["%.9g"] * len(_B_FIELDS) + ["%d", "%.9g"]
-) + "\n"
+# rows encoded per CSV block; bounds the encoder's temporaries at about 3 MB
+_CSV_BLOCK = 512
+_CSV_HEAD = (",".join(CSV_HEADER) + "\n").encode()
+# the CSV cells of the _COLUMNS floats, of the phase name and of the index
+_FLOAT_CELLS = [i for i, name in enumerate(CSV_HEADER) if name in _COLUMNS]
+_PHASE_CELL = CSV_HEADER.index("phase")
+_TARGET_CELL = CSV_HEADER.index("target_index")
+_PHASE_TEXT = _csvtext.pack_texts([p.value.encode() for p in _PHASE_ORDER])
 
 # one record per sample: 45 <f8 then 2 <i4, 368 bytes, no padding; World
 # packs each step into one, and the checksum hashes them
@@ -288,16 +301,32 @@ class Trace:
         return [(t, kind) for t, kind in self.events if kind.startswith(prefix)]
 
     def to_csv(self, path: str) -> None:
-        """One row per sample, SI units, 9 significant digits."""
-        d = self.data
-        names = [p.value for p in _PHASE_ORDER]
-        cols = [d[name] for name in _FLOAT_FIELDS]
-        cols.append(list(map(names.__getitem__, self.phase_codes)))
-        cols += [d[name] for name in _B_FIELDS]
-        cols += [self.target_idx, d["hole_depth"]]
-        with open(path, "w") as fh:
-            fh.write(",".join(CSV_HEADER) + "\n")
-            fh.writelines(map(_ROW_FMT.__mod__, zip(*cols)))
+        """One row per sample, SI units: every float as ``'%.9g' % v``, the
+        phase name, the target index as ``'%d'``. Rows are encoded
+        ``_CSV_BLOCK`` at a time into the text slots of ``_csvtext``."""
+        cols = [np.frombuffer(self.data[name]) for name in _COLUMNS]
+        phases = np.frombuffer(self.phase_codes, np.intc)
+        targets, target_code = np.unique(
+            np.frombuffer(self.target_idx, np.intc), return_inverse=True
+        )
+        target_text = _csvtext.pack_texts([b"%d" % i for i in targets.tolist()])
+        n = len(phases)
+        x = np.empty((min(n, _CSV_BLOCK), len(cols)))
+        slots = _csvtext.row_slots(len(x), len(CSV_HEADER))
+        with open(path, "wb") as fh:
+            fh.write(_CSV_HEAD)
+            for start in range(0, n, _CSV_BLOCK):
+                k = min(_CSV_BLOCK, n - start)
+                rows = slice(start, start + k)
+                for j, col in enumerate(cols):
+                    x[:k, j] = col[rows]
+                for cells, text in (
+                    (_FLOAT_CELLS, _csvtext.format_g9(x[:k])),
+                    (_PHASE_CELL, [t[phases[rows]] for t in _PHASE_TEXT]),
+                    (_TARGET_CELL, [t[target_code[rows]] for t in target_text]),
+                ):
+                    slots[:k, cells, 0], slots[:k, cells, 1] = text
+                fh.write(_csvtext.join_rows(slots[:k]))
 
     def summary(self) -> dict:
         return {
@@ -323,7 +352,7 @@ class World:
         )
         self.pose = scenario.start_pose
         self.twist = Twist6.zero()
-        self.phase = GuidancePhase.FREE_MOTION
+        self.phase = _FREE_MOTION
         self.target_idx = 0
         self.hole = HoleState()
         self.k = 0
@@ -348,6 +377,7 @@ class World:
         self._b6 = ()
         self._phase_code = _PHASE_CODE[self.phase]
         self._pending = self.trace.data.pending
+        self._runaway_at = self._runaway_bound()
         self.operator.notify_grab(0.0)
         self.operator.begin_target(0, scenario.targets[0], 0.0)
 
@@ -392,6 +422,12 @@ class World:
             w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
         )))
 
+    def _runaway_bound(self) -> float:
+        """Tip-to-target distance past which the run ends: the current
+        distance to the active target plus ``_RUNAWAY_DISTANCE``."""
+        p, tp = self.pose.position, self.sc.targets[self.target_idx].point
+        return math.dist(p, tp) + _RUNAWAY_DISTANCE
+
     def _start_ramp(self, t: float, new_phase: GuidancePhase) -> None:
         current = gains_at(self.schedule, t)
         pp = phase_params(new_phase, self.sc.condition)
@@ -414,7 +450,7 @@ class World:
         twist0 = self.twist
 
         f_h = self.operator.wrench(pose0, twist0, phase, target, t)
-        if phase is GuidancePhase.AUTO_ALIGN and f_h != Wrench6.zero():
+        if phase is _AUTO_ALIGN and f_h != Wrench6.zero():
             raise SimulationFault(
                 f"operator wrench must be zero during locked alignment (step {k})"
             )
@@ -431,12 +467,9 @@ class World:
             raise SimulationFault(f"non-finite state at sample {k}")
 
         params_now = gains_at(self.schedule, t)
-        constrained = self.guided and phase in (
-            GuidancePhase.CONSTRAINED_DRILL,
-            GuidancePhase.RETRACT,
-        )
+        constrained = self.guided and (phase is _CONSTRAINED_DRILL or phase is _RETRACT)
 
-        if phase is GuidancePhase.AUTO_ALIGN:
+        if phase is _AUTO_ALIGN:
             local_end = (k - self.align_start_step + 1) * dt
             new_pose = sample_alignment(self.align_plan, local_end)
             new_twist = alignment_twist(self.align_plan, local_end)
@@ -518,7 +551,7 @@ class World:
         # state machine on the post-step state
         distance = math.sqrt(rx * rx + ry * ry + rz * rz)
         align_progress = 0.0
-        if phase is GuidancePhase.AUTO_ALIGN:
+        if phase is _AUTO_ALIGN:
             align_progress = (k + 1 - self.align_start_step) / self.align_steps
         depth_reached = self.hole.depth >= sc.environment.hole_depth_goal
         retracted = ax_pos <= -(sc.thresholds.standoff - 1e-9)
@@ -538,6 +571,11 @@ class World:
         self._record(t, pose0, v_used, v_ref, f_h, f_env, f_int, self._b6, self.hole.depth)
         self.k += 1
 
+        if distance > self._runaway_at:
+            self.trace.events.append((t_next, f"runaway:{self.target_idx}"))
+            self.trace.complete = False
+            self.done = True
+            return
         if new_phase is not phase:
             self._transition(phase, new_phase, t_next)
 
@@ -546,7 +584,7 @@ class World:
         self.trace.events.append((t, f"phase:{new.value}"))
         self.phase = new
         self._start_ramp(t, new)
-        if new is GuidancePhase.AUTO_ALIGN:
+        if new is _AUTO_ALIGN:
             target = self.sc.targets[self.target_idx]
             self.align_plan = plan_alignment(
                 self.pose,
@@ -560,17 +598,18 @@ class World:
             self.adm.reset()
             self.twist = Twist6.zero()
             self.trace.events.append((t, f"align_start:{self.target_idx}"))
-        elif new is GuidancePhase.CONSTRAINED_DRILL:
+        elif new is _CONSTRAINED_DRILL:
             self.trace.events.append((t, f"align_end:{self.target_idx}"))
             self.s_ref = 0.0
             self.s_act = 0.0
             self.operator.notify_grab(t)
-        elif new is GuidancePhase.TARGET_DONE:
+        elif new is _TARGET_DONE:
             self.trace.events.append((t, f"target_done:{self.target_idx}"))
             if self.target_idx + 1 < len(self.sc.targets):
                 self.target_idx += 1
                 self.hole = HoleState()
-                self.phase = GuidancePhase.FREE_MOTION
+                self._runaway_at = self._runaway_bound()
+                self.phase = _FREE_MOTION
                 self._start_ramp(t, self.phase)
                 self.operator.begin_target(
                     self.target_idx, self.sc.targets[self.target_idx], t

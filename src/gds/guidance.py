@@ -44,6 +44,16 @@ class GuidancePhase(enum.Enum):
     TARGET_DONE = "TargetDone"
 
 
+# the phases as module globals, for the code that runs every control period
+# (here, the engine and the operator): a global load is an order of
+# magnitude cheaper than a member lookup on the Enum class
+_FREE_MOTION = GuidancePhase.FREE_MOTION
+_APPROACH = GuidancePhase.APPROACH
+_AUTO_ALIGN = GuidancePhase.AUTO_ALIGN
+_CONSTRAINED_DRILL = GuidancePhase.CONSTRAINED_DRILL
+_RETRACT = GuidancePhase.RETRACT
+_TARGET_DONE = GuidancePhase.TARGET_DONE
+
 # Legal successor sets; AutoAlign only exists under guidance.
 _LEGAL = {
     GuidancePhase.FREE_MOTION: {GuidancePhase.FREE_MOTION, GuidancePhase.APPROACH},
@@ -101,33 +111,33 @@ def update_phase(
     if not (math.isfinite(d) and d >= 0.0):
         raise SimulationFault(f"invalid tip-to-target distance {d!r}")
 
-    if phase is GuidancePhase.FREE_MOTION:
+    if phase is _FREE_MOTION:
         if d <= thresholds.adapt_radius:
-            return GuidancePhase.APPROACH
+            return _APPROACH
         return phase
-    if phase is GuidancePhase.APPROACH:
+    if phase is _APPROACH:
         if guided and d <= thresholds.lock_radius:
-            return GuidancePhase.AUTO_ALIGN
+            return _AUTO_ALIGN
         if not guided and depth_reached:
-            return GuidancePhase.RETRACT
+            return _RETRACT
         if d > thresholds.release_radius:
-            return GuidancePhase.FREE_MOTION
+            return _FREE_MOTION
         return phase
-    if phase is GuidancePhase.AUTO_ALIGN:
+    if phase is _AUTO_ALIGN:
         if not guided:
             raise SimulationFault("AutoAlign phase reached without guidance")
         if align_progress >= 1.0:
-            return GuidancePhase.CONSTRAINED_DRILL
+            return _CONSTRAINED_DRILL
         return phase
-    if phase is GuidancePhase.CONSTRAINED_DRILL:
+    if phase is _CONSTRAINED_DRILL:
         if depth_reached:
-            return GuidancePhase.RETRACT
+            return _RETRACT
         return phase
-    if phase is GuidancePhase.RETRACT:
+    if phase is _RETRACT:
         if retracted:
-            return GuidancePhase.TARGET_DONE
+            return _TARGET_DONE
         return phase
-    if phase is GuidancePhase.TARGET_DONE:
+    if phase is _TARGET_DONE:
         return phase
     raise SimulationFault(f"unknown guidance phase {phase!r}")
 

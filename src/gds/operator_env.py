@@ -32,7 +32,15 @@ import numpy as np
 
 from .errors import GeometryError
 from .geometry import Pose, Twist6, Vec3, Wrench6, rotation_between
-from .guidance import GuidancePhase
+from .guidance import (
+    _APPROACH,
+    _AUTO_ALIGN,
+    _CONSTRAINED_DRILL,
+    _FREE_MOTION,
+    _RETRACT,
+    _TARGET_DONE,
+    GuidancePhase,
+)
 from .workpiece import DrillTarget, Surface, drilling_axis
 
 _new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
@@ -209,9 +217,9 @@ class VirtualOperator:
         target: DrillTarget,
         t: float,
     ) -> Wrench6:
-        if phase is GuidancePhase.AUTO_ALIGN:
+        if phase is _AUTO_ALIGN:
             return Wrench6.zero()  # "Please do not touch the robot"
-        if phase is GuidancePhase.TARGET_DONE:
+        if phase is _TARGET_DONE:
             return Wrench6.zero()
         if self.model.variant == "guided":
             return self._guided_wrench(pose, twist, phase, target, t)
@@ -226,13 +234,13 @@ class VirtualOperator:
     def _guided_wrench(self, pose, twist, phase, target, t):
         m = self.model
         g = self._ramp(t)
-        if phase in (GuidancePhase.FREE_MOTION, GuidancePhase.APPROACH):
+        if phase is _FREE_MOTION or phase is _APPROACH:
             err = target.point - pose.position
             f = err.scale(m.k_p) - twist.linear.scale(m.k_d)
             return Wrench6(_new(Vec3, _cap(*f, m.force_cap)).scale(g), Vec3.zero())
-        if phase is GuidancePhase.CONSTRAINED_DRILL:
+        if phase is _CONSTRAINED_DRILL:
             return Wrench6(target.axis.scale(g * min(m.push_force, m.force_cap)), Vec3.zero())
-        if phase is GuidancePhase.RETRACT:
+        if phase is _RETRACT:
             return Wrench6(target.axis.scale(-g * min(m.push_force, m.force_cap)), Vec3.zero())
         return Wrench6.zero()
 
@@ -272,7 +280,7 @@ class VirtualOperator:
             self._mode = _MODE_PUSH
             self._mode_t0 = t
             self._push_axis = self._final_axis(target)  # wrist locked for the push
-        if self._mode == _MODE_PUSH and phase is GuidancePhase.RETRACT:
+        if self._mode == _MODE_PUSH and phase is _RETRACT:
             self._mode = _MODE_PULL
             self._mode_t0 = t
         mode = self._mode

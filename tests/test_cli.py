@@ -137,6 +137,25 @@ class TestRun:
         assert events["checksum"]
         assert any(e["kind"] == "target_done:0" for e in events["events"])
 
+    def test_runaway_seed_ends_early_and_exits_one(self, tmp_path, capsys):
+        # manual operator seed 131234100 loses target 2's hole and the tool
+        # flies off; the run ends on the runaway bound, not at the 600 s
+        # timeout
+        path = tmp_path / "exp1.json"
+        path.write_text(json.dumps(experiment_one_raw("without", 131234100)))
+        out = tmp_path / "out"
+        args = ["run", "--scenario", str(path), "--condition", "without",
+                "--seeds", "131234100", "--out", str(out), "--no-trace"]
+        assert main(args) == 1
+        assert "INCOMPLETE" in capsys.readouterr().out
+        run_dir = out / "without" / "seed_131234100"
+        events = json.loads((run_dir / "events.json").read_text())
+        assert events["complete"] is False
+        last = events["events"][-1]
+        assert last["kind"] == "runaway:2"
+        assert last["t"] < 70.0
+        assert not any(e["kind"] == "timeout" for e in events["events"])
+
     def test_no_trace_flag(self, mini_config, tmp_path):
         out = tmp_path / "out"
         assert (

@@ -396,6 +396,22 @@ class TestFullRun:
         t2 = run(experiment_one_scenario("without", seed=2))
         assert t1.checksum() != t2.checksum()
 
+    def test_runaway_is_measured_from_the_target_start(self):
+        # the far target starts 10.3 m away; 50 N straight up at b = 100
+        # N s/m drives the tip away at 0.5 m/s, so it ends 1 m farther out
+        sc = far_target_scenario()
+        sc.max_sim_time = 4.0
+        start = math.dist(sc.start_pose.position, sc.targets[0].point)
+        trace = run(sc, ConstantForceOperator(Wrench6(Vec3(0, 0, 50), Vec3.zero())))
+        assert not trace.complete
+        (t, kind), = trace.events
+        assert kind == "runaway:0"
+        assert t == len(trace) * sc.dt
+        d = trace.data
+        tip = (d["px"][-1], d["py"][-1], d["pz"][-1] + d["vz"][-1] * sc.dt)
+        assert math.dist(tip, sc.targets[0].point) > start + engine._RUNAWAY_DISTANCE
+        assert 2.0 < t < 4.0
+
     def test_timeout_flags_incomplete(self):
         sc = far_target_scenario()  # target 10 m away, 3 s budget
         trace = run(sc)
@@ -443,6 +459,11 @@ class TestTraceExport:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunk_boundaries_match_row_oracles(self, offset, tmp_path):
         n = engine._CHECKSUM_CHUNK + offset
+        assert_matches_oracles(special_value_trace(n, seed=n), tmp_path)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_csv_block_boundaries_match_row_oracles(self, offset, tmp_path):
+        n = engine._CSV_BLOCK + offset
         assert_matches_oracles(special_value_trace(n, seed=n), tmp_path)
 
     def test_summary_json_serializable(self):
