@@ -131,58 +131,111 @@ def pack_texts(texts: Sequence[bytes]) -> Tuple[np.ndarray, np.ndarray]:
     return words[0::2], words[1::2]
 
 
-def format_g9(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+class G9Work:
+    """Work arrays for ``format_g9`` over float64 arrays of one shape.
+
+    A writer that encodes block after block of one shape reuses their
+    pages. Fresh temporaries above malloc's mmap threshold (128 KiB) would
+    be mapped, faulted in and unmapped on every block; with the work
+    arrays a block allocates only its ``log10`` estimate and the rare
+    slow-path texts."""
+
+    def __init__(self, shape):
+        def empty(dtype):
+            return np.empty(shape, dtype)
+
+        self.mag, self.scaled, self.tmp = (empty(np.float64) for _ in range(3))
+        self.fast, self.slow, self.flag = (empty(np.bool_) for _ in range(3))
+        self.e, self.m, self.first, self.rest, self.mid4, self.low4, self.kept = (
+            empty(np.intp) for _ in range(7)
+        )
+        self.d_lo, self.d_hi, self.head_lo, self.head_hi, self.tail_lo, self.tail_hi = (
+            empty(_U64) for _ in range(6)
+        )
+        self.shift1, self.shift2, self.word, self.lo, self.hi = (empty(_U64) for _ in range(5))
+
+
+def format_g9(x: np.ndarray, work: G9Work = None) -> Tuple[np.ndarray, np.ndarray]:
     """``'%.9g' % v`` of every value of the float64 array ``x``, as two
     uint64 arrays of ``x``'s shape (lo, hi) that hold each text's 16-byte
-    slot, NUL-padded."""
-    mag = np.abs(x)
-    fast = (mag >= _SMALLEST) & (mag < _LARGEST)
-    scaled = np.where(fast, mag, 1.0)  # log10 sees no 0, NaN or inf
-    e = np.floor(np.log10(scaled)).astype(np.intp)
-    scaled *= np.take(_SCALE, e - _EMIN)
-    m = np.rint(scaled)
-    slow = (
-        ~(fast | (mag == 0.0))
-        | (np.abs(scaled - m) > 0.5 - _TIE_GAP)
-        | (scaled < 99999999.99)
-        | (scaled >= 1e9)
-    )
-    m = m.astype(np.intp)
+    slot, NUL-padded. With ``work`` (of ``x``'s shape) the result is two of
+    its arrays, overwritten by the next call that uses it."""
+    # np.take copies through a buffer when given out= in its default
+    # "raise" mode, so the lookups clip. Every index is in range: only a
+    # wrong log10 could put an exponent outside the tables, and its scaled
+    # mantissa then falls outside [99999999.99, 1e9), so the value takes
+    # the slow path and its slot is rewritten.
+    w = G9Work(x.shape) if work is None else work
+    mag = np.abs(x, out=w.mag)
+    fast = np.greater_equal(mag, _SMALLEST, out=w.fast)
+    fast &= np.less(mag, _LARGEST, out=w.flag)
+    scaled = w.scaled
+    scaled.fill(1.0)
+    np.copyto(scaled, mag, where=fast)  # log10 sees no 0, NaN or inf
+    e = w.e
+    log = np.log10(scaled)
+    np.copyto(e, np.floor(log, out=log), casting="unsafe")
+    scaled *= np.take(_SCALE, np.subtract(e, _EMIN, out=w.m), out=w.tmp, mode="clip")
+    m_float = np.rint(scaled, out=w.tmp)
+    slow = np.equal(mag, 0.0, out=w.slow)
+    slow |= fast
+    np.logical_not(slow, out=slow)
+    diff = np.abs(np.subtract(scaled, m_float, out=w.mag), out=w.mag)
+    slow |= np.greater(diff, 0.5 - _TIE_GAP, out=w.flag)
+    slow |= np.less(scaled, 99999999.99, out=w.flag)
+    slow |= np.greater_equal(scaled, 1e9, out=w.flag)
+    m = w.m
+    np.copyto(m, m_float, casting="unsafe")
     m *= fast  # zero renders as the digits of m = 0 at e = 0
-    carry = m == 1_000_000_000
+    carry = np.equal(m, 1_000_000_000, out=w.flag)
     e += carry
-    m[carry] = 100_000_000
+    np.copyto(m, 100_000_000, where=carry)
 
-    first = m // 100_000_000
-    rest = m - first * 100_000_000
-    mid4 = rest // 10000
-    low4 = rest - mid4 * 10000
-    low_ascii = np.take(_ASCII4, low4)
+    first = np.floor_divide(m, 100_000_000, out=w.first)
+    rest = np.subtract(m, np.multiply(first, 100_000_000, out=w.rest), out=w.rest)
+    mid4 = np.floor_divide(rest, 10000, out=w.mid4)
+    low4 = np.subtract(rest, np.multiply(mid4, 10000, out=w.low4), out=w.low4)
+    word = w.word
+    low_ascii = np.take(_ASCII4, low4, out=w.d_hi, mode="clip")
     # the nine digits as bytes 0-8 of (d_lo, d_hi)
-    d_lo = (
-        (first.astype(_U64) + _U64(48))
-        | np.take(_ASCII4, mid4) << _U64(8)
-        | low_ascii << _U64(40)
-    )
-    d_hi = low_ascii >> _U64(24)
-    kept = 9 - np.take(_TRAILING4, low4) - (low4 == 0) * np.take(_TRAILING4, mid4)
+    d_lo = w.d_lo
+    np.copyto(d_lo, first, casting="unsafe")
+    d_lo += _U64(48)
+    d_lo |= np.left_shift(np.take(_ASCII4, mid4, out=word, mode="clip"), _U64(8), out=word)
+    d_lo |= np.left_shift(low_ascii, _U64(40), out=word)
+    d_hi = np.right_shift(low_ascii, _U64(24), out=w.d_hi)
+    # 9 - trailing zeros: of low4, and of mid4 too when low4 is 0000
+    kept = np.take(_TRAILING4, mid4, out=w.kept, mode="clip")
+    kept *= np.equal(low4, 0, out=w.flag)
+    kept += np.take(_TRAILING4, low4, out=w.rest, mode="clip")
+    np.subtract(9, kept, out=kept)
 
     # the digits before the point (head) move past the prefix, those after
     # it (tail) one byte further, past the '.'; bytes shifted out of lo
     # carry into hi
-    key = (e - _EMIN) * 20 + kept * 2 + np.signbit(x)
-    head_lo = d_lo & np.take(_HEAD_LO, key)
-    head_hi = d_hi & np.take(_HEAD_HI, key)
-    tail_lo = d_lo & np.take(_TAIL_LO, key)
-    tail_hi = d_hi & np.take(_TAIL_HI, key)
-    s1 = np.take(_HEAD_SHIFT, key)
-    s2 = np.take(_TAIL_SHIFT, key)
-    lo = head_lo << s1 | tail_lo << s2 | np.take(_CONST_LO, key)
-    hi = (
-        head_hi << s1 | head_lo >> np.take(_HEAD_CARRY, key)
-        | tail_hi << s2 | tail_lo >> np.take(_TAIL_CARRY, key)
-        | np.take(_CONST_HI, key)
-    )
+    key = np.subtract(e, _EMIN, out=w.first)
+    key *= 20
+    kept *= 2
+    key += kept
+    key += np.signbit(x, out=w.flag)
+    head_lo = np.take(_HEAD_LO, key, out=w.head_lo, mode="clip")
+    head_lo &= d_lo
+    head_hi = np.take(_HEAD_HI, key, out=w.head_hi, mode="clip")
+    head_hi &= d_hi
+    tail_lo = np.take(_TAIL_LO, key, out=w.tail_lo, mode="clip")
+    tail_lo &= d_lo
+    tail_hi = np.take(_TAIL_HI, key, out=w.tail_hi, mode="clip")
+    tail_hi &= d_hi
+    s1 = np.take(_HEAD_SHIFT, key, out=w.shift1, mode="clip")
+    s2 = np.take(_TAIL_SHIFT, key, out=w.shift2, mode="clip")
+    lo = np.left_shift(head_lo, s1, out=w.lo)
+    lo |= np.left_shift(tail_lo, s2, out=word)
+    lo |= np.take(_CONST_LO, key, out=word, mode="clip")
+    hi = np.left_shift(head_hi, s1, out=w.hi)
+    hi |= np.right_shift(head_lo, np.take(_HEAD_CARRY, key, out=word, mode="clip"), out=word)
+    hi |= np.left_shift(tail_hi, s2, out=word)
+    hi |= np.right_shift(tail_lo, np.take(_TAIL_CARRY, key, out=word, mode="clip"), out=word)
+    hi |= np.take(_CONST_HI, key, out=word, mode="clip")
 
     where = np.nonzero(slow)
     if where[0].size:

@@ -124,7 +124,12 @@ def phase_params(phase, condition: str) -> PhaseParams:
 
 @dataclass
 class GainSchedule:
-    """Linear componentwise ramp between two gain sets over a fixed duration."""
+    """Linear componentwise ramp between two gain sets over a fixed duration.
+
+    Endpoints equal by value are held as one object, which ``gains_at``
+    returns over the whole ramp: ``g0 + s * (g1 - g0)`` is ``g0`` bit for bit
+    when ``g1 == g0`` (gains are positive and finite), so the interpolation
+    is skipped, and with it the caches keyed on the gain-set object."""
 
     start_params: AdmittanceParams
     end_params: AdmittanceParams
@@ -134,11 +139,13 @@ class GainSchedule:
     def __post_init__(self):
         if not self.ramp_duration > 0.0:
             raise ValueError("ramp_duration must be positive")
+        if self.end_params == self.start_params:
+            self.end_params = self.start_params
 
 
 def gains_at(schedule: GainSchedule, t: float) -> AdmittanceParams:
     """Gains at time t: clamped linear interpolation between the endpoints."""
-    if t <= schedule.ramp_start:
+    if t <= schedule.ramp_start or schedule.end_params is schedule.start_params:
         return schedule.start_params
     if t >= schedule.ramp_start + schedule.ramp_duration:
         return schedule.end_params
@@ -167,8 +174,8 @@ class AdmittanceState:
     v: Twist6 = field(default_factory=Twist6.zero)
     enabled: tuple = FULL_MASK
     # the rows (1 - exp(-b dt / m), b) per channel, and the gain-set object
-    # and dt they were computed for: gains change only during ramps, where
-    # gains_at builds a new gain set every step
+    # and dt they were computed for: gains change only during ramps between
+    # distinct gain sets, where gains_at builds a new gain set every step
     _rows_key: tuple = field(default=(None, None), init=False, repr=False, compare=False)
     _rows: tuple = field(default=(), init=False, repr=False, compare=False)
 

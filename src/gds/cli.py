@@ -171,7 +171,12 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     seeds = _parse_seeds(args.seeds)
-    values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+    except ValueError:
+        raise ConfigError(
+            f"values must be a comma-separated number list, got {args.values!r}", "values"
+        )
     if not values:
         raise ConfigError("sweep needs at least one value", "values")
     if args.param not in sweepable_fields():

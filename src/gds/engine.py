@@ -7,14 +7,23 @@ Step order (one control period):
 1. operator wrench at the current state
 2. environment wrench at the current state
 3. interaction force F_int = F_h + F_env (exact bookkeeping identity)
-4. reference twist: bypassed while auto-aligning (the pose follows the
-   locked trajectory); the single axial admittance channel while motion is
-   constrained to the drilling axis; the six decoupled channels otherwise
-5. plant: first-order lag of the actual twist toward the reference
-   (exact one-step discretization; an ideal follower when the lag is 0)
-6. pose integration (semi-implicit; orientation via the quaternion
-   exponential of omega*dt)
-7. state machine update, hole update, trace sample
+4. reference twist, plant and pose, in one body per phase kind:
+   - locked AutoAlign: no admittance; the pose and twist follow the
+     locked trajectory, and a nonzero operator wrench is a fault;
+   - ConstrainedDrill/Retract under guidance: the single axial admittance
+     channel and its plant lag along the drilling axis; the angular twist
+     is exactly zero, so the orientation carries over;
+   - six-channel (FreeMotion, Approach, and the whole manual condition):
+     the six decoupled channels, then the plant, a first-order lag of the
+     actual twist toward the reference (exact one-step discretization; an
+     ideal follower when the lag is 0), then the pose integration
+     (semi-implicit; orientation via the quaternion exponential of
+     omega*dt)
+5. hole update, events, state machine update, trace sample
+
+The step runs over plain floats and packs the trace record straight from
+them; it builds a ``Pose``, ``Twist6`` or ``Wrench6`` only for a callee
+that takes one and for ``World.pose`` and ``World.twist``.
 
 Time is accumulated as step_index * dt (integer multiplication), never by
 summation, so sample stamps carry no floating drift. Runs are deterministic:
@@ -44,7 +53,7 @@ from .admittance import (
     step_axial,
 )
 from .errors import SimulationFault
-from .geometry import Pose, Twist6, UnitQuat, Vec3, Wrench6, _canonical
+from .geometry import _ZERO3, _ZERO_WRENCH, Pose, Twist6, UnitQuat, Vec3, Wrench6, _canonical
 from .guidance import (
     _AUTO_ALIGN,
     _CONSTRAINED_DRILL,
@@ -55,7 +64,6 @@ from .guidance import (
     GuidanceThresholds,
     alignment_twist,
     check_transition,
-    constrain_twist,
     plan_alignment,
     sample_alignment,
     update_phase,
@@ -75,6 +83,24 @@ _new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 # a run ends as a runaway once the tip is this much farther (m) from the
 # active target than when the target became active (the iiwa 7 reaches 0.8 m)
 _RUNAWAY_DISTANCE = 1.0
+
+
+def _turned(q: UnitQuat, rx: float, ry: float, rz: float) -> UnitQuat:
+    """``UnitQuat.from_rotvec((rx, ry, rz)).multiply(q)`` over floats: the
+    orientation after one step of a nonzero angular twist, ``r = w dt``."""
+    angle = math.sqrt(rx * rx + ry * ry + rz * rz)
+    if angle < 1e-12:
+        w1, x1, y1, z1 = _canonical(1.0, 0.5 * rx, 0.5 * ry, 0.5 * rz)
+    else:
+        s = math.sin(0.5 * angle) / angle
+        w1, x1, y1, z1 = _canonical(math.cos(0.5 * angle), s * rx, s * ry, s * rz)
+    w2, x2, y2, z2 = q
+    return _canonical(
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
 
 
 @dataclass(frozen=True)
@@ -312,6 +338,7 @@ class Trace:
         target_text = _csvtext.pack_texts([b"%d" % i for i in targets.tolist()])
         n = len(phases)
         x = np.empty((min(n, _CSV_BLOCK), len(cols)))
+        work = _csvtext.G9Work(x.shape)
         slots = _csvtext.row_slots(len(x), len(CSV_HEADER))
         with open(path, "wb") as fh:
             fh.write(_CSV_HEAD)
@@ -321,7 +348,7 @@ class Trace:
                 for j, col in enumerate(cols):
                     x[:k, j] = col[rows]
                 for cells, text in (
-                    (_FLOAT_CELLS, _csvtext.format_g9(x[:k])),
+                    (_FLOAT_CELLS, _csvtext.format_g9(x[:k], work if k == len(x) else None)),
                     (_PHASE_CELL, [t[phases[rows]] for t in _PHASE_TEXT]),
                     (_TARGET_CELL, [t[target_code[rows]] for t in target_text]),
                 ):
@@ -383,45 +410,6 @@ class World:
 
     # -- helpers -------------------------------------------------------------
 
-    def _record(self, t, pose, twist, v_ref, f_h, f_env, f_int, b6, hole_depth):
-        pending = self._pending
-        pending += _pack_record(
-            t, *pose.position, *pose.orientation,
-            *twist.linear, *twist.angular,
-            *v_ref.linear, *v_ref.angular,
-            *f_h.force, *f_h.torque,
-            *f_env.force, *f_env.torque,
-            *f_int.force, *f_int.torque,
-            *b6, hole_depth,
-            self._phase_code, self.target_idx,
-        )
-        if len(pending) >= _PENDING_BYTES:
-            self.trace.data.flush()
-
-    def _integrate(self, pose: Pose, twist: Twist6) -> Pose:
-        dt = self.dt
-        p = pose.position
-        v = twist.linear
-        pos = _new(Vec3, (p.x + v.x * dt, p.y + v.y * dt, p.z + v.z * dt))
-        wx, wy, wz = twist.angular
-        if wx == 0.0 and wy == 0.0 and wz == 0.0:
-            return _new(Pose, (pos, pose.orientation))
-        # UnitQuat.from_rotvec(w dt).multiply(pose.orientation) over floats
-        rx, ry, rz = wx * dt, wy * dt, wz * dt
-        angle = math.sqrt(rx * rx + ry * ry + rz * rz)
-        if angle < 1e-12:
-            w1, x1, y1, z1 = _canonical(1.0, 0.5 * rx, 0.5 * ry, 0.5 * rz)
-        else:
-            s = math.sin(0.5 * angle) / angle
-            w1, x1, y1, z1 = _canonical(math.cos(0.5 * angle), s * rx, s * ry, s * rz)
-        w2, x2, y2, z2 = pose.orientation
-        return _new(Pose, (pos, _canonical(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )))
-
     def _runaway_bound(self) -> float:
         """Tip-to-target distance past which the run ends: the current
         distance to the active target plus ``_RUNAWAY_DISTANCE``."""
@@ -438,6 +426,11 @@ class World:
     # -- the control period ----------------------------------------------------
 
     def step(self) -> None:
+        """One control period over plain floats: a shared head (operator and
+        environment wrenches, F_int, the finiteness check, the gains), one
+        body per phase kind, then a shared tail (hole, events, state machine,
+        trace record). Each float operation is the one, in the order, of the
+        NamedTuple method chain it replaces, so the trace keeps its bits."""
         if self.done:
             return
         sc = self.sc
@@ -450,7 +443,7 @@ class World:
         twist0 = self.twist
 
         f_h = self.operator.wrench(pose0, twist0, phase, target, t)
-        if phase is _AUTO_ALIGN and f_h != Wrench6.zero():
+        if phase is _AUTO_ALIGN and f_h != _ZERO_WRENCH:
             raise SimulationFault(
                 f"operator wrench must be zero during locked alignment (step {k})"
             )
@@ -459,93 +452,101 @@ class World:
         )
         (hx, hy, hz), (htx, hty, htz) = f_h
         (ex, ey, ez), (etx, ety, etz) = f_env
-        f_int = _new(Wrench6, (
-            _new(Vec3, (hx + ex, hy + ey, hz + ez)),
-            _new(Vec3, (htx + etx, hty + ety, htz + etz)),
-        ))
-        if not all(map(math.isfinite, (*f_int.force, *f_int.torque, *pose0.position))):
+        ix, iy, iz = hx + ex, hy + ey, hz + ez
+        itx, ity, itz = htx + etx, hty + ety, htz + etz
+        (px, py, pz), ori0 = pose0
+        isfinite = math.isfinite
+        if not (
+            isfinite(ix) and isfinite(iy) and isfinite(iz)
+            and isfinite(itx) and isfinite(ity) and isfinite(itz)
+            and isfinite(px) and isfinite(py) and isfinite(pz)
+        ):
             raise SimulationFault(f"non-finite state at sample {k}")
 
         params_now = gains_at(self.schedule, t)
-        constrained = self.guided and (phase is _CONSTRAINED_DRILL or phase is _RETRACT)
+        ux, uy, uz = target.axis
 
+        # (vx..wz) is the twist the step used, (rvx..rwz) the reference twist
         if phase is _AUTO_ALIGN:
+            # locked: the pose follows the planned trajectory, no admittance
+            plan = self.align_plan
             local_end = (k - self.align_start_step + 1) * dt
-            new_pose = sample_alignment(self.align_plan, local_end)
-            new_twist = alignment_twist(self.align_plan, local_end)
+            new_pose = sample_alignment(plan, local_end)
+            new_twist = alignment_twist(plan, local_end)
             # the twist at the start of the step: the previous locked step's
             # new_twist, alignment_twist(plan, (k - align_start_step) * dt),
             # or the zero twist _transition sets on the first locked step
-            v_used = twist0
-            v_ref = Twist6.zero()
-        elif constrained:
-            axis = target.axis
-            f_ax = f_int.force.dot(axis)
-            self.s_ref = step_axial(self.s_ref, f_ax, params_now.translational, dt)
-            self.s_act = self.s_act + self.plant_alpha * (self.s_ref - self.s_act)
-            s = self.s_ref
-            v_ref = constrain_twist(
-                _new(Twist6, (_new(Vec3, (s * axis.x, s * axis.y, s * axis.z)), Vec3.zero())),
-                axis,
+            (vx, vy, vz), (wx, wy, wz) = twist0
+            rvx = rvy = rvz = rwx = rwy = rwz = 0.0
+            nx, ny, nz = new_pose.position
+        elif self.guided and (phase is _CONSTRAINED_DRILL or phase is _RETRACT):
+            # 1-DoF along the drilling axis; the angular twist is exactly
+            # zero, so the orientation carries over
+            s_ref = self.s_ref = step_axial(
+                self.s_ref, ix * ux + iy * uy + iz * uz, params_now.translational, dt
             )
-            s = self.s_act
-            new_twist = _new(Twist6, (_new(Vec3, (s * axis.x, s * axis.y, s * axis.z)), Vec3.zero()))
-            v_used = new_twist
-            new_pose = self._integrate(pose0, new_twist)
+            s = self.s_act = self.s_act + self.plant_alpha * (s_ref - self.s_act)
+            # constrain_twist of s_ref * axis: its projection onto the axis
+            r = s_ref * ux * ux + s_ref * uy * uy + s_ref * uz * uz
+            rvx, rvy, rvz = r * ux, r * uy, r * uz
+            rwx = rwy = rwz = 0.0
+            vx, vy, vz = s * ux, s * uy, s * uz
+            wx = wy = wz = 0.0
+            nx, ny, nz = px + vx * dt, py + vy * dt, pz + vz * dt
+            new_twist = _new(Twist6, (_new(Vec3, (vx, vy, vz)), _ZERO3))
+            new_pose = _new(Pose, (_new(Vec3, (nx, ny, nz)), ori0))
         else:
-            self.adm.params = params_now
-            v_ref = step_admittance(self.adm, f_int, dt)
-            if self.plant_alpha == 1.0:
-                new_twist = v_ref
+            # six decoupled channels, then the plant lag
+            adm = self.adm
+            adm.params = params_now
+            f_int = _new(Wrench6, (_new(Vec3, (ix, iy, iz)), _new(Vec3, (itx, ity, itz))))
+            new_twist = step_admittance(adm, f_int, dt)
+            (rvx, rvy, rvz), (rwx, rwy, rwz) = new_twist
+            a = self.plant_alpha
+            if a == 1.0:
+                vx, vy, vz, wx, wy, wz = rvx, rvy, rvz, rwx, rwy, rwz
             else:
-                a = self.plant_alpha
-                lin0, ang0 = twist0.linear, twist0.angular
-                lin1, ang1 = v_ref.linear, v_ref.angular
-                new_twist = _new(Twist6, (
-                    _new(Vec3, (
-                        lin0.x + a * (lin1.x - lin0.x),
-                        lin0.y + a * (lin1.y - lin0.y),
-                        lin0.z + a * (lin1.z - lin0.z),
-                    )),
-                    _new(Vec3, (
-                        ang0.x + a * (ang1.x - ang0.x),
-                        ang0.y + a * (ang1.y - ang0.y),
-                        ang0.z + a * (ang1.z - ang0.z),
-                    )),
-                ))
-            v_used = new_twist
-            new_pose = self._integrate(pose0, new_twist)
+                (vx, vy, vz), (wx, wy, wz) = twist0
+                vx, vy, vz = vx + a * (rvx - vx), vy + a * (rvy - vy), vz + a * (rvz - vz)
+                wx, wy, wz = wx + a * (rwx - wx), wy + a * (rwy - wy), wz + a * (rwz - wz)
+                new_twist = _new(Twist6, (_new(Vec3, (vx, vy, vz)), _new(Vec3, (wx, wy, wz))))
+            nx, ny, nz = px + vx * dt, py + vy * dt, pz + vz * dt
+            if wx == 0.0 and wy == 0.0 and wz == 0.0:
+                ori = ori0
+            else:
+                ori = _turned(ori0, wx * dt, wy * dt, wz * dt)
+            new_pose = _new(Pose, (_new(Vec3, (nx, ny, nz)), ori))
 
         self.pose = new_pose
         self.twist = new_twist
 
-        # hole bookkeeping on the post-step state, over plain floats
-        p, tp, axis = new_pose.position, target.point, target.axis
-        ux, uy, uz = axis
-        rx, ry, rz = p.x - tp.x, p.y - tp.y, p.z - tp.z
+        # hole bookkeeping on the post-step state
+        tx, ty, tz = target.point
+        rx, ry, rz = nx - tx, ny - ty, nz - tz
         ax_pos = rx * ux + ry * uy + rz * uz
         lx, ly, lz = rx - ax_pos * ux, ry - ax_pos * uy, rz - ax_pos * uz
         on_target = math.sqrt(lx * lx + ly * ly + lz * lz) <= sc.environment.hole_radius
-        was_cut = self.hole.depth > 0.0
+        hole = self.hole
+        was_cut = hole.depth > 0.0
         if on_target and ax_pos > 0.0:
-            feed = v_used.linear.dot(axis)
-            axial_push = f_h.force.dot(axis)
-            self.hole = update_hole(
-                self.hole,
-                feed,
-                axial_push,
+            hole = self.hole = update_hole(
+                hole,
+                vx * ux + vy * uy + vz * uz,
+                hx * ux + hy * uy + hz * uz,
                 dt,
                 sc.environment,
-                at_bottom=ax_pos >= self.hole.depth - 1e-4,
+                at_bottom=ax_pos >= hole.depth - 1e-4,
                 tip_in_hole=True,
             )
-        elif self.hole.engaged:
-            self.hole = HoleState(self.hole.depth, engaged=False)
+        elif hole.engaged:
+            hole = self.hole = HoleState(hole.depth, engaged=False)
+        depth = hole.depth
         t_next = (k + 1) * dt
-        if not was_cut and self.hole.depth > 0.0:
-            self.trace.events.append((t_next, f"first_cut:{self.target_idx}"))
+        events = self.trace.events
+        if not was_cut and depth > 0.0:
+            events.append((t_next, f"first_cut:{self.target_idx}"))
         if collision and not self._in_collision:
-            self.trace.events.append((t, "collision"))
+            events.append((t, "collision"))
         self._in_collision = collision
 
         # state machine on the post-step state
@@ -553,26 +554,39 @@ class World:
         align_progress = 0.0
         if phase is _AUTO_ALIGN:
             align_progress = (k + 1 - self.align_start_step) / self.align_steps
-        depth_reached = self.hole.depth >= sc.environment.hole_depth_goal
-        retracted = ax_pos <= -(sc.thresholds.standoff - 1e-9)
         new_phase = update_phase(
             phase,
             distance,
             sc.thresholds,
             guided=self.guided,
             align_progress=align_progress,
-            depth_reached=depth_reached,
-            retracted=retracted,
+            depth_reached=depth >= sc.environment.hole_depth_goal,
+            retracted=ax_pos <= -(sc.thresholds.standoff - 1e-9),
         )
 
+        # the trace record, packed straight from the floats
         if params_now is not self._b_params:
             self._b_params = params_now
             self._b6 = tuple([g.b for g in params_now.gains])
-        self._record(t, pose0, v_used, v_ref, f_h, f_env, f_int, self._b6, self.hole.depth)
-        self.k += 1
+        b0, b1, b2, b3, b4, b5 = self._b6
+        qw, qx, qy, qz = ori0
+        pending = self._pending
+        pending += _pack_record(
+            t, px, py, pz, qw, qx, qy, qz,
+            vx, vy, vz, wx, wy, wz,
+            rvx, rvy, rvz, rwx, rwy, rwz,
+            hx, hy, hz, htx, hty, htz,
+            ex, ey, ez, etx, ety, etz,
+            ix, iy, iz, itx, ity, itz,
+            b0, b1, b2, b3, b4, b5, depth,
+            self._phase_code, self.target_idx,
+        )
+        if len(pending) >= _PENDING_BYTES:
+            self.trace.data.flush()
+        self.k = k + 1
 
         if distance > self._runaway_at:
-            self.trace.events.append((t_next, f"runaway:{self.target_idx}"))
+            events.append((t_next, f"runaway:{self.target_idx}"))
             self.trace.complete = False
             self.done = True
             return

@@ -31,7 +31,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import GeometryError
-from .geometry import Pose, Twist6, Vec3, Wrench6, rotation_between
+from .geometry import _ZERO3, _ZERO_WRENCH, Pose, Twist6, Vec3, Wrench6, rotation_between
 from .guidance import (
     _APPROACH,
     _AUTO_ALIGN,
@@ -218,31 +218,45 @@ class VirtualOperator:
         t: float,
     ) -> Wrench6:
         if phase is _AUTO_ALIGN:
-            return Wrench6.zero()  # "Please do not touch the robot"
+            return _ZERO_WRENCH  # "Please do not touch the robot"
         if phase is _TARGET_DONE:
-            return Wrench6.zero()
+            return _ZERO_WRENCH
         if self.model.variant == "guided":
             return self._guided_wrench(pose, twist, phase, target, t)
         return self._manual_wrench(pose, twist, phase, target, t)
 
     def _ramp(self, t: float) -> float:
+        """max(0.0, min(1.0, (t - grab) / delay)), NaN included."""
         d = self.model.reaction_delay
         if d <= 0.0:
             return 1.0
-        return max(0.0, min(1.0, (t - self._grab_t) / d))
+        r = (t - self._grab_t) / d
+        if not r < 1.0:
+            return 1.0
+        return r if r > 0.0 else 0.0
 
     def _guided_wrench(self, pose, twist, phase, target, t):
+        # over plain floats, each operation in the order of the Vec3 method
+        # chain it replaces (scale, subtract, _cap, scale)
         m = self.model
         g = self._ramp(t)
         if phase is _FREE_MOTION or phase is _APPROACH:
-            err = target.point - pose.position
-            f = err.scale(m.k_p) - twist.linear.scale(m.k_d)
-            return Wrench6(_new(Vec3, _cap(*f, m.force_cap)).scale(g), Vec3.zero())
+            (tx, ty, tz), (px, py, pz) = target.point, pose.position
+            vx, vy, vz = twist.linear
+            kp, kd = m.k_p, m.k_d
+            fx, fy, fz = _cap(
+                kp * (tx - px) - kd * vx, kp * (ty - py) - kd * vy, kp * (tz - pz) - kd * vz,
+                m.force_cap,
+            )
+            return _new(Wrench6, (_new(Vec3, (g * fx, g * fy, g * fz)), _ZERO3))
         if phase is _CONSTRAINED_DRILL:
-            return Wrench6(target.axis.scale(g * min(m.push_force, m.force_cap)), Vec3.zero())
-        if phase is _RETRACT:
-            return Wrench6(target.axis.scale(-g * min(m.push_force, m.force_cap)), Vec3.zero())
-        return Wrench6.zero()
+            s = g * min(m.push_force, m.force_cap)
+        elif phase is _RETRACT:
+            s = -g * min(m.push_force, m.force_cap)
+        else:
+            return _ZERO_WRENCH
+        ux, uy, uz = target.axis
+        return _new(Wrench6, (_new(Vec3, (s * ux, s * uy, s * uz)), _ZERO3))
 
     def _manual_wrench(self, pose, twist, phase, target, t):
         # over plain floats, each operation in the order of the Vec3 method
@@ -382,7 +396,7 @@ def environment_wrench(
 
     if on_target:
         if ax_pos <= 0.0:
-            return Wrench6.zero(), False, ax_pos
+            return _ZERO_WRENCH, False, ax_pos
         v = twist.linear
         feed = v.x * ux + v.y * uy + v.z * uz
         f_mag = 0.0
@@ -394,14 +408,14 @@ def environment_wrench(
         if bottom_pen > 0.0:
             f_mag += model.contact_stiffness * bottom_pen
         force = axis.scale(-f_mag)
-        return _new(Wrench6, (force, Vec3.zero())), False, ax_pos
+        return _new(Wrench6, (force, _ZERO3)), False, ax_pos
 
     sd = surface.signed_distance(p)
     if sd >= 0.0:
-        return Wrench6.zero(), False, ax_pos
+        return _ZERO_WRENCH, False, ax_pos
     pen = -sd
     _, n_out = surface.closest_point(p)
     pen_rate = -twist.linear.dot(n_out)
     f_mag = model.contact_stiffness * pen + model.contact_damping * pen_rate
     f_mag = max(0.0, f_mag)  # the surface can only push
-    return _new(Wrench6, (n_out.scale(f_mag), Vec3.zero())), pen > 0.005, ax_pos
+    return _new(Wrench6, (n_out.scale(f_mag), _ZERO3)), pen > 0.005, ax_pos

@@ -278,6 +278,19 @@ class TestGainSchedule:
             assert p.translational.m == 50.0
             assert p.rotational.m == 10.0
 
+    def test_equal_endpoints_hold_one_gain_set(self):
+        # equal by value, distinct objects: AutoAlign -> ConstrainedDrill
+        start = phase_params(GuidancePhase.AUTO_ALIGN, "with").params
+        end = phase_params(GuidancePhase.CONSTRAINED_DRILL, "with").params
+        assert start == end and start is not end
+        sched = GainSchedule(start, end, ramp_start=2.0)
+        for t in (1.0, 2.0, 2.001, 2.5, 2.999, 3.0, 10.0):
+            assert gains_at(sched, t) is start
+            assert_same_bits(gains_at(sched, t), reference_gains_at(sched, t))
+        # distinct values still interpolate
+        other = phase_params(GuidancePhase.FREE_MOTION, "with").params
+        assert gains_at(GainSchedule(other, end, ramp_start=2.0), 2.5) not in (other, end)
+
     def test_bad_duration_rejected(self):
         p = AdmittanceParams.uniform(DofGains(50, 100), DofGains(10, 5))
         with pytest.raises(ValueError):

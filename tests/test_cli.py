@@ -249,6 +249,18 @@ class TestSweep:
         )
         assert code == 2
 
+    def test_non_numeric_value_is_a_config_error(self, mini_config, capsys):
+        code = main(
+            [
+                "sweep", "--scenario", mini_config,
+                "--param", "operator.angular_noise", "--values", "1,abc",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: values: ")
+        assert "'1,abc'" in err
+
     def test_sweep_writes_table(self, mini_config, tmp_path):
         out = tmp_path / "sweep"
         code = main(

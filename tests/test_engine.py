@@ -12,13 +12,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gds import engine
-from gds.engine import CSV_HEADER, PlantModel, Scenario, Trace, World, run
+from gds.admittance import gains_at, step_admittance, step_axial
+from gds.config import canonical_config, scenario_from_config
+from gds.engine import _PENDING_BYTES, CSV_HEADER, PlantModel, Scenario, Trace, World, run
 from gds.errors import SimulationFault
-from gds.geometry import Pose, Twist6, UnitQuat, Vec3, Wrench6
-from gds.guidance import GuidancePhase, alignment_twist
-from gds.operator_env import EnvironmentModel, OperatorModel, VirtualOperator
-from gds.presets import experiment_one_scenario
+from gds.geometry import Pose, Twist6, UnitQuat, Vec3, Wrench6, _canonical
+from gds.guidance import (
+    _AUTO_ALIGN,
+    _CONSTRAINED_DRILL,
+    _RETRACT,
+    GuidancePhase,
+    alignment_twist,
+    constrain_twist,
+    sample_alignment,
+    update_phase,
+)
+from gds.operator_env import (
+    EnvironmentModel,
+    HoleState,
+    OperatorModel,
+    VirtualOperator,
+    environment_wrench,
+    update_hole,
+)
+from gds.presets import experiment_one_raw, experiment_one_scenario
 from gds.workpiece import CylinderPatch, make_drill_target
+
+_new = tuple.__new__
+_pack_record = engine._pack_record
 
 
 _PHASE_ORDER = tuple(GuidancePhase)
@@ -96,7 +117,8 @@ def special_value_trace(n, seed=0):
 
 def reference_integrate(pose, twist, dt):
     """Pose update through UnitQuat.from_rotvec and UnitQuat.multiply: the
-    oracle for World._integrate."""
+    oracle for ReferenceWorld._integrate and for the orientation update of
+    World.step (engine._turned)."""
     p, v = pose.position, twist.linear
     pos = Vec3(p.x + v.x * dt, p.y + v.y * dt, p.z + v.z * dt)
     w = twist.angular
@@ -106,9 +128,197 @@ def reference_integrate(pose, twist, dt):
     return Pose(pos, dq.multiply(pose.orientation))
 
 
-class ColumnAppendWorld(World):
-    """World whose recorder appends each value to its column as the step
-    ends: the oracle for the packed records of World._record."""
+class ReferenceWorld(World):
+    """World advanced by the general step body that served every phase
+    before the per-phase bodies: NamedTuples between the layers, a
+    ``Wrench6`` interaction force and a recorder that star-unpacks them.
+    The oracle for World.step, bit for bit."""
+
+    def _record(self, t, pose, twist, v_ref, f_h, f_env, f_int, b6, hole_depth):
+        pending = self._pending
+        pending += _pack_record(
+            t, *pose.position, *pose.orientation,
+            *twist.linear, *twist.angular,
+            *v_ref.linear, *v_ref.angular,
+            *f_h.force, *f_h.torque,
+            *f_env.force, *f_env.torque,
+            *f_int.force, *f_int.torque,
+            *b6, hole_depth,
+            self._phase_code, self.target_idx,
+        )
+        if len(pending) >= _PENDING_BYTES:
+            self.trace.data.flush()
+
+    def _integrate(self, pose: Pose, twist: Twist6) -> Pose:
+        dt = self.dt
+        p = pose.position
+        v = twist.linear
+        pos = _new(Vec3, (p.x + v.x * dt, p.y + v.y * dt, p.z + v.z * dt))
+        wx, wy, wz = twist.angular
+        if wx == 0.0 and wy == 0.0 and wz == 0.0:
+            return _new(Pose, (pos, pose.orientation))
+        # UnitQuat.from_rotvec(w dt).multiply(pose.orientation) over floats
+        rx, ry, rz = wx * dt, wy * dt, wz * dt
+        angle = math.sqrt(rx * rx + ry * ry + rz * rz)
+        if angle < 1e-12:
+            w1, x1, y1, z1 = _canonical(1.0, 0.5 * rx, 0.5 * ry, 0.5 * rz)
+        else:
+            s = math.sin(0.5 * angle) / angle
+            w1, x1, y1, z1 = _canonical(math.cos(0.5 * angle), s * rx, s * ry, s * rz)
+        w2, x2, y2, z2 = pose.orientation
+        return _new(Pose, (pos, _canonical(
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        )))
+
+    def step(self) -> None:
+        if self.done:
+            return
+        sc = self.sc
+        dt = self.dt
+        k = self.k
+        t = k * dt
+        phase = self.phase
+        target = sc.targets[self.target_idx]
+        pose0 = self.pose
+        twist0 = self.twist
+
+        f_h = self.operator.wrench(pose0, twist0, phase, target, t)
+        if phase is _AUTO_ALIGN and f_h != Wrench6.zero():
+            raise SimulationFault(
+                f"operator wrench must be zero during locked alignment (step {k})"
+            )
+        f_env, collision, _ = environment_wrench(
+            pose0, twist0, sc.surface, target, self.hole, sc.environment
+        )
+        (hx, hy, hz), (htx, hty, htz) = f_h
+        (ex, ey, ez), (etx, ety, etz) = f_env
+        f_int = _new(Wrench6, (
+            _new(Vec3, (hx + ex, hy + ey, hz + ez)),
+            _new(Vec3, (htx + etx, hty + ety, htz + etz)),
+        ))
+        if not all(map(math.isfinite, (*f_int.force, *f_int.torque, *pose0.position))):
+            raise SimulationFault(f"non-finite state at sample {k}")
+
+        params_now = gains_at(self.schedule, t)
+        constrained = self.guided and (phase is _CONSTRAINED_DRILL or phase is _RETRACT)
+
+        if phase is _AUTO_ALIGN:
+            local_end = (k - self.align_start_step + 1) * dt
+            new_pose = sample_alignment(self.align_plan, local_end)
+            new_twist = alignment_twist(self.align_plan, local_end)
+            # the twist at the start of the step: the previous locked step's
+            # new_twist, alignment_twist(plan, (k - align_start_step) * dt),
+            # or the zero twist _transition sets on the first locked step
+            v_used = twist0
+            v_ref = Twist6.zero()
+        elif constrained:
+            axis = target.axis
+            f_ax = f_int.force.dot(axis)
+            self.s_ref = step_axial(self.s_ref, f_ax, params_now.translational, dt)
+            self.s_act = self.s_act + self.plant_alpha * (self.s_ref - self.s_act)
+            s = self.s_ref
+            v_ref = constrain_twist(
+                _new(Twist6, (_new(Vec3, (s * axis.x, s * axis.y, s * axis.z)), Vec3.zero())),
+                axis,
+            )
+            s = self.s_act
+            new_twist = _new(Twist6, (_new(Vec3, (s * axis.x, s * axis.y, s * axis.z)), Vec3.zero()))
+            v_used = new_twist
+            new_pose = self._integrate(pose0, new_twist)
+        else:
+            self.adm.params = params_now
+            v_ref = step_admittance(self.adm, f_int, dt)
+            if self.plant_alpha == 1.0:
+                new_twist = v_ref
+            else:
+                a = self.plant_alpha
+                lin0, ang0 = twist0.linear, twist0.angular
+                lin1, ang1 = v_ref.linear, v_ref.angular
+                new_twist = _new(Twist6, (
+                    _new(Vec3, (
+                        lin0.x + a * (lin1.x - lin0.x),
+                        lin0.y + a * (lin1.y - lin0.y),
+                        lin0.z + a * (lin1.z - lin0.z),
+                    )),
+                    _new(Vec3, (
+                        ang0.x + a * (ang1.x - ang0.x),
+                        ang0.y + a * (ang1.y - ang0.y),
+                        ang0.z + a * (ang1.z - ang0.z),
+                    )),
+                ))
+            v_used = new_twist
+            new_pose = self._integrate(pose0, new_twist)
+
+        self.pose = new_pose
+        self.twist = new_twist
+
+        # hole bookkeeping on the post-step state, over plain floats
+        p, tp, axis = new_pose.position, target.point, target.axis
+        ux, uy, uz = axis
+        rx, ry, rz = p.x - tp.x, p.y - tp.y, p.z - tp.z
+        ax_pos = rx * ux + ry * uy + rz * uz
+        lx, ly, lz = rx - ax_pos * ux, ry - ax_pos * uy, rz - ax_pos * uz
+        on_target = math.sqrt(lx * lx + ly * ly + lz * lz) <= sc.environment.hole_radius
+        was_cut = self.hole.depth > 0.0
+        if on_target and ax_pos > 0.0:
+            feed = v_used.linear.dot(axis)
+            axial_push = f_h.force.dot(axis)
+            self.hole = update_hole(
+                self.hole,
+                feed,
+                axial_push,
+                dt,
+                sc.environment,
+                at_bottom=ax_pos >= self.hole.depth - 1e-4,
+                tip_in_hole=True,
+            )
+        elif self.hole.engaged:
+            self.hole = HoleState(self.hole.depth, engaged=False)
+        t_next = (k + 1) * dt
+        if not was_cut and self.hole.depth > 0.0:
+            self.trace.events.append((t_next, f"first_cut:{self.target_idx}"))
+        if collision and not self._in_collision:
+            self.trace.events.append((t, "collision"))
+        self._in_collision = collision
+
+        # state machine on the post-step state
+        distance = math.sqrt(rx * rx + ry * ry + rz * rz)
+        align_progress = 0.0
+        if phase is _AUTO_ALIGN:
+            align_progress = (k + 1 - self.align_start_step) / self.align_steps
+        depth_reached = self.hole.depth >= sc.environment.hole_depth_goal
+        retracted = ax_pos <= -(sc.thresholds.standoff - 1e-9)
+        new_phase = update_phase(
+            phase,
+            distance,
+            sc.thresholds,
+            guided=self.guided,
+            align_progress=align_progress,
+            depth_reached=depth_reached,
+            retracted=retracted,
+        )
+
+        if params_now is not self._b_params:
+            self._b_params = params_now
+            self._b6 = tuple([g.b for g in params_now.gains])
+        self._record(t, pose0, v_used, v_ref, f_h, f_env, f_int, self._b6, self.hole.depth)
+        self.k += 1
+
+        if distance > self._runaway_at:
+            self.trace.events.append((t_next, f"runaway:{self.target_idx}"))
+            self.trace.complete = False
+            self.done = True
+            return
+        if new_phase is not phase:
+            self._transition(phase, new_phase, t_next)
+
+
+class ColumnAppendWorld(ReferenceWorld):
+    """ReferenceWorld whose recorder appends each value to its column as the
+    step ends: the oracle for the packed records."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -280,10 +490,15 @@ class TestIntegrate:
     def test_matches_quaternion_oracle(self, position, axis, angle, linear, angular, dt):
         pose = Pose(Vec3(*position), UnitQuat.from_axis_angle(Vec3(*axis), angle))
         twist = Twist6(Vec3(*linear), Vec3(*angular))
-        got = World._integrate(SimpleNamespace(dt=dt), pose, twist)
+        got = ReferenceWorld._integrate(SimpleNamespace(dt=dt), pose, twist)
         want = reference_integrate(pose, twist, dt)
         assert got == want
         assert repr(got) == repr(want)
+        # the six-channel body turns the orientation only for a nonzero twist
+        w = twist.angular
+        if not (w.x == 0.0 and w.y == 0.0 and w.z == 0.0):
+            turned = engine._turned(pose.orientation, w.x * dt, w.y * dt, w.z * dt)
+            assert repr(turned) == repr(want.orientation)
 
 
 @pytest.fixture(scope="module")
@@ -490,6 +705,53 @@ class FaultingOperator(ConstantForceOperator):
         if self._left < 0:
             return Wrench6(Vec3(math.inf, 0.0, 0.0), Vec3.zero())
         return super().wrench(pose, twist, phase, target, t)
+
+
+def drawn_session(condition, seed, angles, lag, max_sim_time):
+    """The preset three-hole session with drawn target angles, operator
+    seed and plant lag, cut at ``max_sim_time``."""
+    raw = experiment_one_raw(condition, seed)
+    for target, (phi, theta) in zip(raw["targets"], angles):
+        target["phi_deg"], target["theta_deg"] = phi, theta
+    raw["plant"] = {"lag_time_constant": lag}
+    raw["max_sim_time"] = max_sim_time
+    return scenario_from_config(canonical_config(raw))
+
+
+class TestPhaseBodies:
+    @given(
+        condition=st.sampled_from(["with", "without"]),
+        seed=st.integers(0, 2**32 - 1),
+        angles=st.lists(
+            st.tuples(st.floats(0.0, 45.0), st.floats(0.0, 360.0, exclude_max=True)),
+            min_size=3,
+            max_size=3,
+        ),
+        lag=st.sampled_from([0.0, 0.05]),
+        # past the first target's drilling and retract in either condition
+        max_sim_time=st.floats(2.0, 14.0),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_matches_reference_step(self, condition, seed, angles, lag, max_sim_time):
+        sc = drawn_session(condition, seed, angles, lag, max_sim_time)
+        got, want = World(sc).run(), ReferenceWorld(sc).run()
+        assert_same_recording(got, want)
+        assert got.events == want.events
+        assert got.complete == want.complete
+
+    def test_every_phase_body_runs(self):
+        # seed-0 guided preset, ideal follower: the locked, the 1-DoF and the
+        # six-channel bodies all run, and match the reference step
+        sc = drawn_session("with", 0, [(5.0, 0.0), (30.0, 10.0), (45.0, 10.0)], 0.0, 13.0)
+        world, oracle = World(sc), ReferenceWorld(sc)
+        phases = set()
+        while not world.done and world.k < 13000:
+            phases.add(world.phase)
+            world.step()
+            oracle.step()
+            assert world.pose == oracle.pose and world.twist == oracle.twist
+        assert phases == set(GuidancePhase) - {GuidancePhase.TARGET_DONE}
+        assert_same_recording(world.trace, oracle.trace)
 
 
 class TestPackedRecorder:

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from gds import cli, engine, operator_env
+from gds.guidance import GuidancePhase
 from gds.presets import experiment_one_raw, experiment_one_scenario
 
 # (owner, attribute) -> the conditions whose first 12 s reach it
@@ -44,9 +45,9 @@ CLI_TRACED = (
 )
 
 
-@pytest.mark.parametrize("condition", ["without", "with"])
-def test_every_traced_name_is_reached(condition, monkeypatch):
-    calls = {}
+def count_calls(monkeypatch, keys, get=getattr):
+    """Wrap each (owner, attribute) in a counter; return the counts."""
+    calls = dict.fromkeys(keys, 0)
 
     def counting(key, fn):
         def counted(*args, **kwargs):
@@ -55,10 +56,15 @@ def test_every_traced_name_is_reached(condition, monkeypatch):
 
         return counted
 
-    for key in TRACED:
+    for key in keys:
         owner, attr = key
-        calls[key] = 0
-        monkeypatch.setattr(owner, attr, counting(key, getattr(owner, attr)))
+        monkeypatch.setattr(owner, attr, counting(key, get(owner, attr)))
+    return calls
+
+
+@pytest.mark.parametrize("condition", ["without", "with"])
+def test_every_traced_name_is_reached(condition, monkeypatch):
+    calls = count_calls(monkeypatch, TRACED)
     # 12 s of simulated time: past the first cut of either condition
     trace = engine.run(experiment_one_scenario(condition, seed=0, max_sim_time=12.0))
     assert not trace.complete
@@ -72,18 +78,7 @@ def test_every_traced_name_is_reached(condition, monkeypatch):
 
 def test_cli_traced_names_are_own_and_reached(tmp_path, monkeypatch):
     assert [attr for owner, attr in CLI_TRACED if attr not in vars(owner)] == []
-    calls = dict.fromkeys(CLI_TRACED, 0)
-
-    def counting(key, fn):
-        def counted(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-
-        return counted
-
-    for key in CLI_TRACED:
-        owner, attr = key
-        monkeypatch.setattr(owner, attr, counting(key, vars(owner)[attr]))
+    calls = count_calls(monkeypatch, CLI_TRACED, lambda owner, attr: vars(owner)[attr])
     raw = experiment_one_raw("with", 0)
     raw["max_sim_time"] = 0.5
     scenario = tmp_path / "short.json"
@@ -92,3 +87,35 @@ def test_cli_traced_names_are_own_and_reached(tmp_path, monkeypatch):
     assert cli.main(argv) == cli.EXIT_SIM_FAULT  # cut short: both runs incomplete
     assert (tmp_path / "out" / "without" / "seed_0" / "trace.csv").exists()
     assert [f"{owner.__name__}.{attr}" for (owner, attr), n in calls.items() if n == 0] == []
+
+
+@pytest.mark.parametrize("condition", ["without", "with"])
+def test_per_step_call_counts(condition, monkeypatch):
+    # the traced per-layer counts (engine.steps, operator_env.wrench_calls,
+    # admittance.*_calls, guidance.align_steps) follow from the samples
+    calls = count_calls(monkeypatch, TRACED)
+    sc = experiment_one_scenario(condition, seed=0)
+    world = engine.World(sc)
+    trace = world.run()
+    assert trace.complete
+    n = len(trace)
+    phases = [engine._PHASE_ORDER[code] for code in trace.phase_codes]
+    axial = 0
+    if condition == "with":
+        axial = sum(p in (GuidancePhase.CONSTRAINED_DRILL, GuidancePhase.RETRACT) for p in phases)
+    locked = phases.count(GuidancePhase.AUTO_ALIGN)
+    ramps = len(trace.events_of_kind("phase:")) + len(trace.events_of_kind("new_target:"))
+    assert locked == (world.align_steps * len(sc.targets) if condition == "with" else 0)
+    for key in (
+        (engine.World, "step"),
+        (operator_env.VirtualOperator, "wrench"),
+        (engine, "environment_wrench"),
+        (engine, "update_phase"),
+    ):
+        assert calls[key] == n, key
+    assert calls[(engine, "gains_at")] == n + ramps
+    assert calls[(engine, "step_axial")] == axial
+    assert calls[(engine, "sample_alignment")] == calls[(engine, "alignment_twist")] == locked
+    assert calls[(engine, "step_admittance")] == n - axial - locked
+    if condition == "with":
+        assert (n, ramps, locked) == (33954, 17, 12000)
