@@ -28,8 +28,8 @@ from .config import (
     apply_override,
     canonical_config,
     load_scenario,
+    read_scenario_file,
     scenario_from_config,
-    sweepable_fields,
 )
 from .engine import run as run_scenario
 from .errors import ConfigError, SimulationFault
@@ -68,13 +68,15 @@ def _conditions(selector: str) -> List[str]:
     return [selector]
 
 
-def _run_one(path: str, condition: str, seed: int, out_dir: Optional[str], emit_trace: bool):
-    scenario = load_scenario(path, condition=condition, seed=seed)
-    log.debug("scenario %s digest %s", path, scenario.config_digest())
+def _run_session(scenario, out_dir: Optional[str], emit_trace: bool):
+    """Run one resolved scenario and compute its metrics: the only place a
+    session runs. Given ``out_dir``, write its trace.csv (if ``emit_trace``),
+    metrics.json and events.json under ``<out_dir>/<condition>/seed_<n>/``."""
+    condition, seed = scenario.condition, scenario.operator.seed
     trace = run_scenario(scenario)
     log.info(
-        "%s/seed %d: %d samples, %d events, complete=%s",
-        condition, seed, len(trace), len(trace.events), trace.complete,
+        "%s/seed %d: %d samples, %d events, complete=%s, config digest %s",
+        condition, seed, len(trace), len(trace.events), trace.complete, trace.config_digest,
     )
     metrics = compute_metrics(trace, scenario.targets, scenario.tool_axis_local)
     if out_dir is not None:
@@ -82,13 +84,15 @@ def _run_one(path: str, condition: str, seed: int, out_dir: Optional[str], emit_
         os.makedirs(run_dir, exist_ok=True)
         if emit_trace:
             trace.to_csv(os.path.join(run_dir, "trace.csv"))
-        with open(os.path.join(run_dir, "metrics.json"), "w") as fh:
-            json.dump(metrics.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        with open(os.path.join(run_dir, "events.json"), "w") as fh:
-            json.dump(trace.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return trace, metrics
+        _write_json(os.path.join(run_dir, "metrics.json"), metrics.to_dict())
+        _write_json(os.path.join(run_dir, "events.json"), trace.summary())
+    return metrics
+
+
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _summary_line(condition: str, seed: int, metrics) -> str:
@@ -100,6 +104,23 @@ def _summary_line(condition: str, seed: int, metrics) -> str:
     )
 
 
+def _run_seeds(args, conditions, seeds) -> dict:
+    """Resolve ``args.scenario`` per condition and seed, run each session and
+    print its summary line; return the metrics per condition in seed order."""
+    per_condition = {}
+    for condition in conditions:
+        runs = per_condition[condition] = []
+        for seed in seeds:
+            scenario = load_scenario(args.scenario, condition=condition, seed=seed)
+            runs.append(_run_session(scenario, args.out, not args.no_trace))
+            print(_summary_line(condition, seed, runs[-1]))
+    return per_condition
+
+
+def _all_complete(per_condition: dict) -> bool:
+    return all(m.complete for runs in per_condition.values() for m in runs)
+
+
 def cmd_run(args) -> int:
     seeds = _parse_seeds(args.seeds)
     if args.dry_run:
@@ -107,33 +128,14 @@ def cmd_run(args) -> int:
             load_scenario(args.scenario, condition=condition, seed=seeds[0])
         print("config ok (dry run, nothing executed)")
         return EXIT_OK
-    status = EXIT_OK
-    for condition in _conditions(args.condition):
-        for seed in seeds:
-            trace, metrics = _run_one(
-                args.scenario, condition, seed, args.out, not args.no_trace
-            )
-            print(_summary_line(condition, seed, metrics))
-            if not metrics.complete:
-                status = EXIT_SIM_FAULT
-    return status
+    per_condition = _run_seeds(args, _conditions(args.condition), seeds)
+    return EXIT_OK if _all_complete(per_condition) else EXIT_SIM_FAULT
 
 
 def cmd_compare(args) -> int:
     seeds = _parse_seeds(args.seeds)
-    per_condition = {}
-    status = EXIT_OK
-    for condition in ("with", "without"):
-        runs = []
-        for seed in seeds:
-            _, metrics = _run_one(args.scenario, condition, seed, args.out, not args.no_trace)
-            print(_summary_line(condition, seed, metrics))
-            if not metrics.complete:
-                status = EXIT_SIM_FAULT
-            runs.append(metrics)
-        per_condition[condition] = runs
-
-    complete = all(m.complete for runs in per_condition.values() for m in runs)
+    per_condition = _run_seeds(args, ("with", "without"), seeds)
+    complete = _all_complete(per_condition)
     payload = {"seeds": seeds, "partial": not complete}
     if complete:
         avg_with = mean_metrics(per_condition["with"])
@@ -153,9 +155,7 @@ def cmd_compare(args) -> int:
             print(f"compare {name}: {'undefined' if diff is None else f'{diff:+.2f}%'}")
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "comparison.json"), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(args.out, "comparison.json"), payload)
         if complete:
             with open(os.path.join(args.out, "comparison.csv"), "w") as fh:
                 fh.write("metric,with,without,percent_diff\n")
@@ -166,7 +166,7 @@ def cmd_compare(args) -> int:
                     fh.write(
                         f"{name},{w:.9g},{wo:.9g},{'' if d is None else f'{d:.9g}'}\n"
                     )
-    return status
+    return EXIT_OK if complete else EXIT_SIM_FAULT
 
 
 def cmd_sweep(args) -> int:
@@ -179,26 +179,15 @@ def cmd_sweep(args) -> int:
         )
     if not values:
         raise ConfigError("sweep needs at least one value", "values")
-    if args.param not in sweepable_fields():
-        raise ConfigError(
-            f"unknown sweep parameter; sweepable fields: {', '.join(sweepable_fields())}",
-            args.param,
-        )
-    with open(args.scenario, "r") as fh:
-        raw = json.load(fh)
+    raw = read_scenario_file(args.scenario)
     base_dir = os.path.dirname(os.path.abspath(args.scenario))
     rows = []
-    status = EXIT_OK
     for value in values:
         overridden = apply_override(raw, args.param, value)
         for condition in _conditions(args.condition):
             for seed in seeds:
                 cfg = canonical_config(overridden, condition=condition, seed=seed)
-                scenario = scenario_from_config(cfg, base_dir)
-                trace = run_scenario(scenario)
-                metrics = compute_metrics(trace, scenario.targets, scenario.tool_axis_local)
-                if not metrics.complete:
-                    status = EXIT_SIM_FAULT
+                metrics = _run_session(scenario_from_config(cfg, base_dir), None, False)
                 rows.append((value, condition, seed, metrics))
                 print(f"sweep {args.param}={value:g} " + _summary_line(condition, seed, metrics))
     if args.out is not None:
@@ -210,7 +199,7 @@ def cmd_sweep(args) -> int:
                 fh.write(
                     f"{args.param},{value:.9g},{condition},{seed},{vals},{int(m.complete)}\n"
                 )
-    return status
+    return EXIT_OK if all(m.complete for *_, m in rows) else EXIT_SIM_FAULT
 
 
 def cmd_validate(args) -> int:
@@ -226,29 +215,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p, condition_default="with"):
+    def add_common(p):
         p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seeds", default="0", help="comma-separated seed list")
+
+    def add_condition(p):
         p.add_argument(
             "--condition",
-            default=condition_default,
+            default="with",
             choices=["with", "without", "both"],
             help="guidance condition selector",
         )
+
+    def add_no_trace(p):
         p.add_argument("--no-trace", action="store_true", help="skip trace.csv output")
 
     p_run = sub.add_parser("run", help="execute runs and persist outputs")
     add_common(p_run)
+    add_condition(p_run)
+    add_no_trace(p_run)
     p_run.add_argument("--dry-run", action="store_true", help="validate config, run nothing")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="paired with/without comparison")
-    add_common(p_cmp, condition_default="both")
+    add_common(p_cmp)
+    add_no_trace(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_sweep = sub.add_parser("sweep", help="vary one config field over values")
     add_common(p_sweep)
+    add_condition(p_sweep)
     p_sweep.add_argument("--param", required=True, help="dotted config field")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -111,7 +111,11 @@ def _vec3(value, path: str) -> Vec3:
 
 
 def _number(value, path: str, minimum: Optional[float] = None) -> float:
-    _require(isinstance(value, (int, float)) and math.isfinite(value), "expected a finite number", path)
+    _require(
+        isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value),
+        "expected a finite number",
+        path,
+    )
     v = float(value)
     if minimum is not None:
         _require(v >= minimum, f"must be >= {minimum}", path)
@@ -122,6 +126,9 @@ def _fill_section(raw, defaults: dict, path: str) -> dict:
     raw = raw if raw is not None else {}
     _require(isinstance(raw, dict), "expected an object", path)
     _check_keys(raw, defaults, path)
+    for key, value in raw.items():
+        if key != "variant":  # operator.variant, checked by the caller
+            _number(value, f"{path}.{key}")  # stored as given: the digest keeps ints
     out = dict(defaults)
     out.update(raw)
     return out
@@ -237,9 +244,6 @@ def canonical_config(
         raw.get("environment"), _ENVIRONMENT_DEFAULTS, "environment"
     )
     out["plant"] = _fill_section(raw.get("plant"), _PLANT_DEFAULTS, "plant")
-    _require(
-        out["plant"]["lag_time_constant"] >= 0.0, "must be >= 0", "plant.lag_time_constant"
-    )
     return out
 
 
@@ -274,6 +278,14 @@ def _build_surface(section: dict, base_dir: str):
     return mesh
 
 
+def _model(cls, cfg: dict, section: str, **extra):
+    """Build one model section; its range checks become config errors."""
+    try:
+        return cls(**extra, **cfg[section])
+    except ValueError as exc:
+        raise ConfigError(str(exc), section) from exc
+
+
 def scenario_from_config(cfg: dict, base_dir: str = ".") -> Scenario:
     """Instantiate a Scenario from a canonical config document."""
     surface = _build_surface(cfg["surface"], base_dir)
@@ -300,24 +312,31 @@ def scenario_from_config(cfg: dict, base_dir: str = ".") -> Scenario:
             raise ConfigError(str(exc), f"targets[{i}]")
         targets.append(target)
 
-    op = OperatorModel(seed=cfg["seed"], **cfg["operator"])
-    env = EnvironmentModel(**cfg["environment"])
-    thresholds = GuidanceThresholds(**cfg["thresholds"])
-    plant = PlantModel(**cfg["plant"])
     return Scenario(
         surface=surface,
         targets=tuple(targets),
         condition=cfg["condition"],
-        operator=op,
-        environment=env,
-        plant=plant,
-        thresholds=thresholds,
+        operator=_model(OperatorModel, cfg, "operator", seed=cfg["seed"]),
+        environment=_model(EnvironmentModel, cfg, "environment"),
+        plant=_model(PlantModel, cfg, "plant"),
+        thresholds=_model(GuidanceThresholds, cfg, "thresholds"),
         dt=cfg["dt"],
         start_pose=Pose(start_pos, start_quat),
         max_sim_time=cfg["max_sim_time"],
         tool_axis_local=Vec3(*cfg["tool_axis"]),
         config=cfg,
     )
+
+
+def read_scenario_file(path: str) -> dict:
+    """Read a scenario file's raw JSON document, unvalidated."""
+    if not os.path.exists(path):
+        raise ConfigError(f"scenario file not found: {path}", "")
+    try:
+        with open(path, "r") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON (line {exc.lineno}, col {exc.colno}): {exc.msg}", "")
 
 
 def load_scenario(
@@ -327,14 +346,7 @@ def load_scenario(
     seed: Optional[int] = None,
 ) -> Scenario:
     """Read, validate, and resolve a scenario file."""
-    if not os.path.exists(path):
-        raise ConfigError(f"scenario file not found: {path}", "")
-    try:
-        with open(path, "r") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON (line {exc.lineno}, col {exc.colno}): {exc.msg}", "")
-    cfg = canonical_config(raw, condition=condition, seed=seed)
+    cfg = canonical_config(read_scenario_file(path), condition=condition, seed=seed)
     return scenario_from_config(cfg, base_dir=os.path.dirname(os.path.abspath(path)))
 
 

@@ -12,8 +12,8 @@ Conventions
 - theta is measured from u_d toward w_d; u_d is the projection of a
   configurable global reference direction (default +x) into the tangent
   plane, which keeps theta reproducible across runs.
-- Meshes and sampled patches are ingested in robot-base coordinates and
-  meters (ASCII STL / OFF, CSV with an ``x,y,z`` header).
+- Meshes are ingested in robot-base coordinates and meters (ASCII STL /
+  OFF).
 
 Surfaces are immutable after load and safe to share across parallel runs.
 """
@@ -613,23 +613,6 @@ def load_off(path: str) -> TriangleMesh:
             raise GeometryError(f"{path}:{line[0]}: only triangle faces supported")
         tris.append((i, j, k))
     return TriangleMesh(tuple(verts), tuple(tris))
-
-
-def load_patch_csv(path: str) -> SampledPatch:
-    """Sampled-patch reader: CSV with an ``x,y,z`` header, meters."""
-    points = []
-    with open(path, "r") as fh:
-        header = fh.readline().strip().lower().replace(" ", "")
-        if header != "x,y,z":
-            raise GeometryError(f"{path}: expected header 'x,y,z', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise GeometryError(f"{path}:{lineno}: expected 3 columns")
-            points.append(Vec3(float(parts[0]), float(parts[1]), float(parts[2])))
-    return SampledPatch(tuple(points))
 
 
 def tessellated_sphere(center: Vec3, radius: float, refinement: int) -> TriangleMesh:

@@ -95,6 +95,26 @@ class TestValidate:
         assert err.startswith("config error: surface.path: ")
         assert "bad.stl" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "section, value, where",
+        [
+            ("operator", {"angular_noise": -1.0}, "operator: angular_noise"),
+            ("thresholds", {"lock_radius": 0.2}, "thresholds: lock_radius"),
+            ("environment", {"hole_radius": "x"}, "environment.hole_radius: "),
+            ("plant", {"lag_time_constant": True}, "plant.lag_time_constant: "),
+        ],
+        ids=["negative_noise", "lock_outside_adapt", "string", "bool"],
+    )
+    def test_bad_model_value_exit_two(self, section, value, where, tmp_path, capsys):
+        raw = experiment_one_raw("with", 0)
+        raw[section] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {where}")
+        assert "Traceback" not in err
+
     def test_mesh_surface_with_registration_validates(self, tmp_path):
         mesh = tmp_path / "plate.off"
         mesh.write_text("OFF\n4 2 0\n-1 -1 0\n1 -1 0\n1 1 0\n-1 1 0\n3 0 1 2\n3 0 2 3\n")
@@ -181,6 +201,17 @@ class TestRun:
         assert outs[0] == outs[1]
 
 
+def test_run_and_compare_share_one_path(mini_config, tmp_path):
+    a, b = tmp_path / "A", tmp_path / "B"
+    common = ["--scenario", mini_config, "--seeds", "3"]
+    assert main(["run", *common, "--condition", "both", "--out", str(a)]) == 0
+    assert main(["compare", *common, "--out", str(b)]) == 0
+    for condition in ("with", "without"):
+        for name in ("trace.csv", "metrics.json", "events.json"):
+            rel = os.path.join(condition, "seed_3", name)
+            assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
 class TestCompare:
     def test_compare_single_seed(self, mini_config, tmp_path, capsys):
         out = tmp_path / "cmp"
@@ -260,6 +291,33 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("config error: values: ")
         assert "'1,abc'" in err
+
+    def test_missing_scenario_file_is_a_config_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.json")
+        code = main(
+            ["sweep", "--scenario", missing, "--param", "operator.push_force", "--values", "20"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: scenario file not found: {missing}\n"
+
+    def test_invalid_json_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text("{ not json")
+        code = main(
+            ["sweep", "--scenario", str(path), "--param", "operator.push_force", "--values", "20"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: invalid JSON (line 1, col 3): ")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_is_a_config_error(self, value, mini_config, capsys):
+        code = main(
+            ["sweep", "--scenario", mini_config, "--param", "operator.angular_noise",
+             "--values", value]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: operator.angular_noise: expected a finite number")
 
     def test_sweep_writes_table(self, mini_config, tmp_path):
         out = tmp_path / "sweep"

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from gds import engine
@@ -731,7 +731,11 @@ class TestPhaseBodies:
         # past the first target's drilling and retract in either condition
         max_sim_time=st.floats(2.0, 14.0),
     )
-    @settings(max_examples=12, deadline=None)
+    # no shrinking: each example is a whole simulated session, so shrinking a
+    # failure costs minutes; the failing example is still printed
+    @settings(
+        max_examples=12, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate)
+    )
     def test_matches_reference_step(self, condition, seed, angles, lag, max_sim_time):
         sc = drawn_session(condition, seed, angles, lag, max_sim_time)
         got, want = World(sc).run(), ReferenceWorld(sc).run()

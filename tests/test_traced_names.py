@@ -34,7 +34,8 @@ TRACED = {
     (operator_env, "drilling_axis"): ("without",),
 }
 
-# (owner, attribute) reached by one ``gds compare`` run
+# (owner, attribute) reached by one ``gds compare`` or ``gds run`` call; a
+# sweep resolves its documents without ``load_scenario``
 CLI_TRACED = (
     (engine.Trace, "to_csv"),
     (engine.Trace, "checksum"),
@@ -43,6 +44,7 @@ CLI_TRACED = (
     (cli, "load_scenario"),
     (cli, "main"),
 )
+SWEEP_TRACED = ((cli, "run_scenario"), (cli, "compute_metrics"), (cli, "main"))
 
 
 def count_calls(monkeypatch, keys, get=getattr):
@@ -76,16 +78,27 @@ def test_every_traced_name_is_reached(condition, monkeypatch):
     assert missed == []
 
 
-def test_cli_traced_names_are_own_and_reached(tmp_path, monkeypatch):
-    assert [attr for owner, attr in CLI_TRACED if attr not in vars(owner)] == []
-    calls = count_calls(monkeypatch, CLI_TRACED, lambda owner, attr: vars(owner)[attr])
+@pytest.mark.parametrize(
+    "verb, extra, traced",
+    [
+        ("compare", [], CLI_TRACED),
+        ("run", ["--condition", "both"], CLI_TRACED),
+        ("sweep", ["--param", "operator.push_force", "--values", "25"], SWEEP_TRACED),
+    ],
+    ids=["compare", "run", "sweep"],
+)
+def test_cli_traced_names_are_own_and_reached(verb, extra, traced, tmp_path, monkeypatch):
+    assert [attr for owner, attr in traced if attr not in vars(owner)] == []
+    calls = count_calls(monkeypatch, traced, lambda owner, attr: vars(owner)[attr])
     raw = experiment_one_raw("with", 0)
     raw["max_sim_time"] = 0.5
     scenario = tmp_path / "short.json"
     scenario.write_text(json.dumps(raw))
-    argv = ["compare", "--scenario", str(scenario), "--seeds", "0", "--out", str(tmp_path / "out")]
-    assert cli.main(argv) == cli.EXIT_SIM_FAULT  # cut short: both runs incomplete
-    assert (tmp_path / "out" / "without" / "seed_0" / "trace.csv").exists()
+    out = tmp_path / "out"
+    argv = [verb, "--scenario", str(scenario), "--seeds", "0", "--out", str(out), *extra]
+    assert cli.main(argv) == cli.EXIT_SIM_FAULT  # cut short: every run incomplete
+    if verb != "sweep":
+        assert (out / "without" / "seed_0" / "trace.csv").exists()
     assert [f"{owner.__name__}.{attr}" for (owner, attr), n in calls.items() if n == 0] == []
 
 

@@ -17,7 +17,6 @@ from gds.workpiece import (
     drilling_axis,
     fit_plane,
     load_off,
-    load_patch_csv,
     load_stl,
     make_drill_target,
     recover_angles,
@@ -560,19 +559,12 @@ class TestIngestion:
         with pytest.raises(GeometryError, match=r"binary\.stl: not an OFF file"):
             load_off(str(binary))
 
-    def test_patch_csv(self, tmp_path):
-        csv = tmp_path / "patch.csv"
-        csv.write_text("x,y,z\n0,0,0\n0.01,0,0\n0,0.01,0\n0.01,0.01,0.0001\n")
-        patch = load_patch_csv(str(csv))
-        assert len(patch.points) == 4
+    def test_patch_csv(self):
+        patch = SampledPatch(
+            (Vec3(0, 0, 0), Vec3(0.01, 0, 0), Vec3(0, 0.01, 0), Vec3(0.01, 0.01, 0.0001))
+        )
         fit = fit_plane(patch, orient_along=Vec3(0, 0, 1))
         assert angle_between(fit.normal, Vec3(0, 0, 1)) < 0.02
-
-    def test_patch_csv_requires_header(self, tmp_path):
-        csv = tmp_path / "bad.csv"
-        csv.write_text("a,b,c\n0,0,0\n")
-        with pytest.raises(GeometryError, match="header"):
-            load_patch_csv(str(csv))
 
     def test_mesh_rigid_registration(self):
         from gds.workpiece import transform_mesh
