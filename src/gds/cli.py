@@ -108,10 +108,13 @@ def _run_seeds(args, conditions, seeds) -> dict:
     """Resolve ``args.scenario`` per condition and seed, run each session and
     print its summary line; return the metrics per condition in seed order."""
     per_condition = {}
+    surfaces = {}
     for condition in conditions:
         runs = per_condition[condition] = []
         for seed in seeds:
-            scenario = load_scenario(args.scenario, condition=condition, seed=seed)
+            scenario = load_scenario(
+                args.scenario, condition=condition, seed=seed, surfaces=surfaces
+            )
             runs.append(_run_session(scenario, args.out, not args.no_trace))
             print(_summary_line(condition, seed, runs[-1]))
     return per_condition
@@ -181,13 +184,15 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs at least one value", "values")
     raw = read_scenario_file(args.scenario)
     base_dir = os.path.dirname(os.path.abspath(args.scenario))
+    surfaces = {}
     rows = []
     for value in values:
         overridden = apply_override(raw, args.param, value)
         for condition in _conditions(args.condition):
             for seed in seeds:
                 cfg = canonical_config(overridden, condition=condition, seed=seed)
-                metrics = _run_session(scenario_from_config(cfg, base_dir), None, False)
+                scenario = scenario_from_config(cfg, base_dir, surfaces)
+                metrics = _run_session(scenario, None, False)
                 rows.append((value, condition, seed, metrics))
                 print(f"sweep {args.param}={value:g} " + _summary_line(condition, seed, metrics))
     if args.out is not None:

@@ -247,7 +247,10 @@ def canonical_config(
     return out
 
 
-def _build_surface(section: dict, base_dir: str):
+def _build_surface(section: dict, base_dir: str, surfaces: Optional[dict] = None):
+    """The surface a canonical ``surface`` section describes. A mesh is
+    looked up in, and stored into, ``surfaces`` when given, keyed by its
+    resolved path and section, so one invocation parses each file once."""
     stype = section["type"]
     if stype == "cylinder":
         return CylinderPatch(
@@ -258,9 +261,10 @@ def _build_surface(section: dict, base_dir: str):
         )
     if stype == "sphere":
         return SpherePatch(Vec3(*section["center"]), section["radius"])
-    path = section["path"]
-    if not os.path.isabs(path):
-        path = os.path.join(base_dir, path)
+    path = os.path.abspath(os.path.join(base_dir, section["path"]))
+    key = (path, json.dumps(section, sort_keys=True))
+    if surfaces is not None and key in surfaces:
+        return surfaces[key]
     try:
         mesh = load_stl(path) if stype == "stl" else load_off(path)
     except GeometryError as exc:
@@ -275,6 +279,8 @@ def _build_surface(section: dict, base_dir: str):
         if abs(q.norm() - 1.0) > 1e-6:
             raise ConfigError("rotation quaternion must be unit length", "surface.rotate_wxyz")
         mesh = transform_mesh(mesh, q, t)
+    if surfaces is not None:
+        surfaces[key] = mesh
     return mesh
 
 
@@ -286,9 +292,12 @@ def _model(cls, cfg: dict, section: str, **extra):
         raise ConfigError(str(exc), section) from exc
 
 
-def scenario_from_config(cfg: dict, base_dir: str = ".") -> Scenario:
-    """Instantiate a Scenario from a canonical config document."""
-    surface = _build_surface(cfg["surface"], base_dir)
+def scenario_from_config(
+    cfg: dict, base_dir: str = ".", surfaces: Optional[dict] = None
+) -> Scenario:
+    """Instantiate a Scenario from a canonical config document; ``surfaces``
+    caches meshes across calls (see ``_build_surface``)."""
+    surface = _build_surface(cfg["surface"], base_dir, surfaces)
     start_pos = Vec3(*cfg["start"]["position"])
     start_quat = UnitQuat(*cfg["start"]["orientation_wxyz"])
     if abs(start_quat.norm() - 1.0) > 1e-6:
@@ -337,6 +346,10 @@ def read_scenario_file(path: str) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON (line {exc.lineno}, col {exc.colno}): {exc.msg}", "")
+    except UnicodeDecodeError:
+        raise ConfigError(f"scenario file is not UTF-8 text: {path}", "") from None
+    except OSError as exc:  # a directory, unreadable
+        raise ConfigError(f"cannot read scenario file {path}: {exc.strerror}", "") from None
 
 
 def load_scenario(
@@ -344,10 +357,12 @@ def load_scenario(
     *,
     condition: Optional[str] = None,
     seed: Optional[int] = None,
+    surfaces: Optional[dict] = None,
 ) -> Scenario:
-    """Read, validate, and resolve a scenario file."""
+    """Read, validate, and resolve a scenario file; ``surfaces`` as in
+    ``scenario_from_config``."""
     cfg = canonical_config(read_scenario_file(path), condition=condition, seed=seed)
-    return scenario_from_config(cfg, base_dir=os.path.dirname(os.path.abspath(path)))
+    return scenario_from_config(cfg, os.path.dirname(os.path.abspath(path)), surfaces)
 
 
 def sweepable_fields() -> list:

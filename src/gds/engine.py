@@ -52,7 +52,7 @@ from .admittance import (
     step_admittance,
     step_axial,
 )
-from .errors import SimulationFault
+from .errors import GeometryError, SimulationFault
 from .geometry import _ZERO3, _ZERO_WRENCH, Pose, Twist6, UnitQuat, Vec3, Wrench6, _canonical
 from .guidance import (
     _AUTO_ALIGN,
@@ -636,12 +636,15 @@ class World:
 
     def run(self) -> Trace:
         max_steps = int(self.sc.max_sim_time / self.dt)
-        while not self.done:
-            if self.k >= max_steps:
-                self.trace.events.append((self.k * self.dt, "timeout"))
-                self.trace.complete = False
-                break
-            self.step()
+        try:
+            while not self.done:
+                if self.k >= max_steps:
+                    self.trace.events.append((self.k * self.dt, "timeout"))
+                    self.trace.complete = False
+                    break
+                self.step()
+        except GeometryError as exc:  # e.g. a mesh feature with no normal
+            raise SimulationFault(f"geometry fault at sample {self.k}: {exc}") from exc
         self.trace.data.flush()
         return self.trace
 

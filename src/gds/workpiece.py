@@ -16,6 +16,8 @@ Conventions
   OFF).
 
 Surfaces are immutable after load and safe to share across parallel runs.
+The one exception is a mesh's closest-point hint, which is result-neutral:
+every query returns the same bits whatever the hint holds.
 """
 
 from __future__ import annotations
@@ -115,13 +117,39 @@ _BOX_PAD = 1e-7
 _FEATURE_TOL = 1e-9
 
 
+def _largest_square_within(tol: float) -> float:
+    """The largest double x with sqrt(x) <= tol. A correctly rounded sqrt
+    is monotone, so ``d2 <= x`` holds exactly when ``sqrt(d2) <= tol``."""
+    x = tol * tol
+    while math.sqrt(x) > tol:
+        x = math.nextafter(x, 0.0)
+    while math.sqrt(math.nextafter(x, math.inf)) <= tol:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+_FEATURE_TOL2 = _largest_square_within(_FEATURE_TOL)
+# The closest-point hint: after a tree walk, the triangles within the
+# winner's distance plus _HINT_REACH (m) of the query point are kept if they
+# are at most _HINT_SIZE, and answer the following queries that stay near.
+# Chosen by replaying recorded mesh_guided queries (the tip moves about
+# 2e-5 m between queries); six covers the triangles around a grid vertex.
+_HINT_REACH = 1e-3
+_HINT_SIZE = 6
+
+
 @dataclass(frozen=True)
 class TriangleMesh:
     """Indexed triangle mesh, consistently oriented with outward normals.
 
-    Closest-point queries walk a bounding-box tree built at load and
-    return exactly the point and normal of an exhaustive scan over all
-    triangles, ties going to the lowest triangle index. Normals are the
+    Closest-point queries return exactly the point and normal of an
+    exhaustive scan over all triangles, ties going to the lowest triangle
+    index. A query first tries the hint: the few triangles near the last
+    walked query, accepted only when their winner is provably nearer than
+    every other triangle. Otherwise it walks a bounding-box tree built at
+    load and stores a new hint. The hint is the mesh's only mutable state;
+    it is read once and replaced whole, and any hint, stale or written by
+    another session or thread, yields the scan's answer. Normals are the
     angle-weighted pseudonormals (Baerentzen & Aanaes 2005), precomputed
     at load.
     """
@@ -137,6 +165,8 @@ class TriangleMesh:
     # root node (lo xyz, hi xyz, left, right); a leaf has left None and
     # its triangle indices as right
     _tree: tuple = field(init=False, compare=False, repr=False)
+    # (p0 xyz, nearby triangle indices ascending, bound) or None
+    _hint: Optional[tuple] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         nv = len(self.vertices)
@@ -157,10 +187,30 @@ class TriangleMesh:
         object.__setattr__(self, "_corners", tuple(corners))
         object.__setattr__(self, "_normals", self._pseudo_normals())
         object.__setattr__(self, "_tree", _build_tree(corners))
+        object.__setattr__(self, "_hint", None)
 
     def closest_point(self, p: Vec3) -> Tuple[Vec3, Vec3]:
         px, py, pz = p
         corners = self._corners
+        hint = self._hint
+        if hint is not None:
+            # Every triangle outside ``near`` is farther than ``bound``, with
+            # a rounding margin, from p0, so farther than ``bound - moved``
+            # from p. A winner in ``near`` nearer than that beats them all:
+            # it is the exhaustive scan's winner.
+            (hx, hy, hz), near, bound = hint
+            dx, dy, dz = px - hx, py - hy, pz - hz
+            moved = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if moved < bound:
+                best_d2 = math.inf
+                for idx in near:  # ascending: the first of equal d2 wins
+                    q = _closest_on_triangle(px, py, pz, corners[idx])
+                    dx, dy, dz = px - q[0], py - q[1], pz - q[2]
+                    d2 = dx * dx + dy * dy + dz * dz
+                    if d2 < best_d2:
+                        best_d2, best_idx, best_q = d2, idx, q
+                if math.sqrt(best_d2) + moved < bound:
+                    return tuple.__new__(Vec3, best_q), self._pseudo_normal(best_q, best_idx)
         best_d2 = math.inf
         best_idx = -1
         best_q = None
@@ -187,41 +237,94 @@ class TriangleMesh:
             else:
                 stack.append((dl, left))
                 stack.append((dr, right))
-        return Vec3(*best_q), self._pseudo_normal(best_q, best_idx)
+        n = self._pseudo_normal(best_q, best_idx)
+        self._remember(px, py, pz, math.sqrt(best_d2))
+        return tuple.__new__(Vec3, best_q), n
+
+    def _remember(self, px: float, py: float, pz: float, d0: float) -> None:
+        """Replace the hint with the triangles within ``d0 + _HINT_REACH``
+        (plus a rounding margin) of p, or clear it if they are more than
+        ``_HINT_SIZE``."""
+        tree = self._tree
+        # dominates the rounding of any distance computed near the mesh
+        tol = 1e-9 * (1.0 + abs(px) + abs(py) + abs(pz) + max(map(abs, tree[:6])))
+        reach = d0 + _HINT_REACH
+        limit = reach + tol
+        corners = self._corners
+        near = []
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if math.sqrt(_box_d2(node, px, py, pz)) > limit:
+                continue
+            left, right = node[6], node[7]
+            if left is not None:
+                stack.append(left)
+                stack.append(right)
+                continue
+            for idx in right:
+                q = _closest_on_triangle(px, py, pz, corners[idx])
+                dx, dy, dz = px - q[0], py - q[1], pz - q[2]
+                if math.sqrt(dx * dx + dy * dy + dz * dz) <= limit:
+                    near.append(idx)
+            if len(near) > _HINT_SIZE:
+                object.__setattr__(self, "_hint", None)
+                return
+        near.sort()
+        object.__setattr__(self, "_hint", ((px, py, pz), tuple(near), reach - 3.0 * tol))
 
     def signed_distance(self, p: Vec3) -> float:
-        q, n = self.closest_point(p)
-        return (p - q).dot(n)
+        (qx, qy, qz), (nx, ny, nz) = self.closest_point(p)
+        # (p - q).dot(n), over plain floats
+        return (p[0] - qx) * nx + (p[1] - qy) * ny + (p[2] - qz) * nz
 
     def _pseudo_normal(self, q: tuple, face_idx: int) -> Vec3:
         """Angle-weighted normal at the closest point: face normal in the
-        interior, incident-face average at vertices/edges."""
+        interior, incident-face average at vertices/edges. A vertex or an
+        edge is reached when ``sqrt(d2) <= _FEATURE_TOL``, tested exactly as
+        ``d2 <= _FEATURE_TOL2``; ``_no_area`` raises where the incident
+        normals cancel."""
         qx, qy, qz = q
         ax, ay, az, bx, by, bz, cx, cy, cz, abx, aby, abz, acx, acy, acz, bcx, bcy, bcz = (
             self._corners[face_idx]
         )
         face, na, nb, nc, n_ab, n_bc, n_ca = self._normals[face_idx]
-        tri = self.triangles[face_idx]
-        at_vertex = ((ax, ay, az, na), (bx, by, bz, nb), (cx, cy, cz, nc))
-        for local, (vx, vy, vz, n) in enumerate(at_vertex):
-            dx, dy, dz = qx - vx, qy - vy, qz - vz
-            if math.sqrt(dx * dx + dy * dy + dz * dz) <= _FEATURE_TOL:
-                if n is None:
-                    raise GeometryError(f"vertex {tri[local]} has no incident area")
-                return n
-        for e0, e1, edge in (
-            (0, 1, (ax, ay, az, abx, aby, abz, n_ab)),
-            (1, 2, (bx, by, bz, bcx, bcy, bcz, n_bc)),
-            (2, 0, (cx, cy, cz, -acx, -acy, -acz, n_ca)),
-        ):
-            ox, oy, oz, ex, ey, ez, n = edge
-            t = ((qx - ox) * ex + (qy - oy) * ey + (qz - oz) * ez) / (ex * ex + ey * ey + ez * ez)
-            dx, dy, dz = qx - (ox + t * ex), qy - (oy + t * ey), qz - (oz + t * ez)
-            if 0.0 <= t <= 1.0 and math.sqrt(dx * dx + dy * dy + dz * dz) <= _FEATURE_TOL:
-                if n is None:
-                    raise GeometryError(f"edge {(tri[e0], tri[e1])} has no incident area")
-                return n
+        dx, dy, dz = qx - ax, qy - ay, qz - az
+        if dx * dx + dy * dy + dz * dz <= _FEATURE_TOL2:
+            return na or self._no_area(face_idx, 0)
+        dx, dy, dz = qx - bx, qy - by, qz - bz
+        if dx * dx + dy * dy + dz * dz <= _FEATURE_TOL2:
+            return nb or self._no_area(face_idx, 1)
+        dx, dy, dz = qx - cx, qy - cy, qz - cz
+        if dx * dx + dy * dy + dz * dz <= _FEATURE_TOL2:
+            return nc or self._no_area(face_idx, 2)
+        # edges ab, bc, ca: foot of q at parameter t along origin + t * edge
+        t = ((qx - ax) * abx + (qy - ay) * aby + (qz - az) * abz) / (
+            abx * abx + aby * aby + abz * abz
+        )
+        dx, dy, dz = qx - (ax + t * abx), qy - (ay + t * aby), qz - (az + t * abz)
+        if 0.0 <= t <= 1.0 and dx * dx + dy * dy + dz * dz <= _FEATURE_TOL2:
+            return n_ab or self._no_area(face_idx, 0, 1)
+        t = ((qx - bx) * bcx + (qy - by) * bcy + (qz - bz) * bcz) / (
+            bcx * bcx + bcy * bcy + bcz * bcz
+        )
+        dx, dy, dz = qx - (bx + t * bcx), qy - (by + t * bcy), qz - (bz + t * bcz)
+        if 0.0 <= t <= 1.0 and dx * dx + dy * dy + dz * dz <= _FEATURE_TOL2:
+            return n_bc or self._no_area(face_idx, 1, 2)
+        cax, cay, caz = -acx, -acy, -acz
+        t = ((qx - cx) * cax + (qy - cy) * cay + (qz - cz) * caz) / (
+            cax * cax + cay * cay + caz * caz
+        )
+        dx, dy, dz = qx - (cx + t * cax), qy - (cy + t * cay), qz - (cz + t * caz)
+        if 0.0 <= t <= 1.0 and dx * dx + dy * dy + dz * dz <= _FEATURE_TOL2:
+            return n_ca or self._no_area(face_idx, 2, 0)
         return face
+
+    def _no_area(self, face_idx: int, *local: int):
+        tri = self.triangles[face_idx]
+        if len(local) == 1:
+            raise GeometryError(f"vertex {tri[local[0]]} has no incident area")
+        raise GeometryError(f"edge {(tri[local[0]], tri[local[1]])} has no incident area")
 
     def _pseudo_normals(self) -> tuple:
         """Per-triangle normal table, in one pass over incidence lists.

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from gds import config
 from gds.cli import main
 from gds.presets import experiment_one_raw
 
@@ -11,6 +12,20 @@ BINARY_STL = (
     b"solid exported".ljust(80, b"\0") + (1).to_bytes(4, "little")
     + bytes(12) + b"\x00\x00\x80\x3f" * 9 + bytes(2)
 )
+
+def plate_config(tmp_path, max_sim_time):
+    """One target on a flat OFF plate; ``max_sim_time`` cuts the runs short."""
+    (tmp_path / "plate.off").write_text(
+        "OFF\n4 2 0\n-1 -1 0\n1 -1 0\n1 1 0\n-1 1 0\n3 0 1 2\n3 0 2 3\n"
+    )
+    raw = experiment_one_raw("with", 0)
+    raw["surface"] = {"type": "off", "path": "plate.off"}
+    raw["targets"] = [{"point": [0.0, 0.0, 0.0], "phi_deg": 10.0, "theta_deg": 0.0}]
+    raw["max_sim_time"] = max_sim_time
+    path = tmp_path / "plate.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
 
 @pytest.fixture()
 def mini_config(tmp_path):
@@ -41,6 +56,20 @@ class TestValidate:
         assert main(["validate", "--scenario", str(path)]) == 2
         err = capsys.readouterr().err
         assert "operator" in err and "angular_noize" in err
+
+    def test_scenario_path_is_a_directory_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.mkdir()
+        assert main(["validate", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot read scenario file {path}: Is a directory\n"
+
+    def test_scenario_not_utf8_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main(["validate", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: scenario file is not UTF-8 text: {path}\n"
 
     def test_bad_json_names_location(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -176,6 +205,23 @@ class TestRun:
         assert last["t"] < 70.0
         assert not any(e["kind"] == "timeout" for e in events["events"])
 
+    def test_mesh_fault_is_a_simulation_fault(self, tmp_path, capsys):
+        # a sheet folded back on itself: its edges' normals cancel, which
+        # validation cannot see and the first query near an edge reaches
+        (tmp_path / "fold.off").write_text("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 2 1\n")
+        raw = experiment_one_raw("with", 0)
+        raw["surface"] = {"type": "off", "path": "fold.off"}
+        raw["targets"] = [{"point": [0.2, 0.2, 0.0], "phi_deg": 0.0, "theta_deg": 0.0}]
+        path = tmp_path / "fold.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "--scenario", str(path)]) == 0
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "simulation fault: geometry fault at sample 0: "
+            "edge (0, 1) has no incident area\n"
+        )
+
     def test_no_trace_flag(self, mini_config, tmp_path):
         out = tmp_path / "out"
         assert (
@@ -210,6 +256,24 @@ def test_run_and_compare_share_one_path(mini_config, tmp_path):
         for name in ("trace.csv", "metrics.json", "events.json"):
             rel = os.path.join(condition, "seed_3", name)
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+def test_compare_parses_the_mesh_once_and_matches_separate_runs(tmp_path, monkeypatch):
+    scenario = plate_config(tmp_path, 0.2)
+    loads = []
+    load_off = config.load_off
+    monkeypatch.setattr(config, "load_off", lambda path: loads.append(path) or load_off(path))
+    a = tmp_path / "A"
+    assert main(["compare", "--scenario", scenario, "--seeds", "0,1", "--out", str(a)]) == 1
+    assert len(loads) == 1
+    for seed in ("0", "1"):
+        b = tmp_path / f"B{seed}"
+        assert main(["run", "--scenario", scenario, "--condition", "both",
+                     "--seeds", seed, "--out", str(b)]) == 1
+        for condition in ("with", "without"):
+            for name in ("trace.csv", "metrics.json", "events.json"):
+                rel = os.path.join(condition, f"seed_{seed}", name)
+                assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
 class TestCompare:
@@ -318,6 +382,16 @@ class TestSweep:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: operator.angular_noise: expected a finite number")
+
+    def test_sweep_parses_the_mesh_once(self, tmp_path, monkeypatch):
+        scenario = plate_config(tmp_path, 0.02)
+        loads = []
+        load_off = config.load_off
+        monkeypatch.setattr(config, "load_off", lambda path: loads.append(path) or load_off(path))
+        code = main(["sweep", "--scenario", scenario, "--param", "operator.push_force",
+                     "--values", "20,25,30", "--condition", "both", "--seeds", "0,1"])
+        assert code == 1  # every run is cut by max_sim_time
+        assert loads == [str(tmp_path / "plate.off")]
 
     def test_sweep_writes_table(self, mini_config, tmp_path):
         out = tmp_path / "sweep"

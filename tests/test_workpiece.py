@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gds import workpiece
 from gds.errors import GeometryError
 from gds.geometry import UnitQuat, Vec3, angle_between, rotate
 from gds.workpiece import (
@@ -273,6 +276,43 @@ def mesh_probes(draw, mesh, count=12):
     return points
 
 
+@st.composite
+def coherent_walks(draw, mesh, steps=40):
+    """A drawn start near ``mesh``, then ``steps`` moves of 1e-7 to 1e-3 m:
+    along drawn directions, or toward a vertex or an edge point of the
+    nearest triangle, landing exactly on it when the move reaches it."""
+    p = draw(mesh_probes(mesh, count=1))[0]
+    points = [p]
+    for _ in range(steps):
+        length = 10.0 ** draw(st.floats(-7.0, -3.0))
+        kind = draw(st.sampled_from(("free", "vertex", "edge")))
+        if kind == "free":
+            d = Vec3(*(draw(st.floats(-1.0, 1.0)) for _ in range(3)))
+            if d.norm() == 0.0:
+                continue
+            p = p + d.scale(length / d.norm())
+        else:
+            q, _ = scan_closest_point(mesh, p)
+            best = min(
+                range(len(mesh.triangles)),
+                key=lambda i: (q - _scan_closest_on_triangle(
+                    q, *(mesh.vertices[v] for v in mesh.triangles[i]))).norm(),
+            )
+            a, b = (mesh.vertices[v] for v in draw(st.permutations(mesh.triangles[best]))[:2])
+            f = a if kind == "vertex" else a + (b - a).scale(draw(st.floats(0.0, 1.0)))
+            gap = (f - p).norm()
+            p = f if gap <= length else p + (f - p).scale(length / gap)
+        points.append(p)
+    return points
+
+
+def assert_walk_matches_scan(mesh, points):
+    for p in points:
+        q_ref, n_ref = scan_closest_point(mesh, p)
+        assert mesh.closest_point(p) == (q_ref, n_ref)
+        assert mesh.signed_distance(p) == (p - q_ref).dot(n_ref)
+
+
 class TestMeshQuery:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -326,6 +366,100 @@ class TestMeshQuery:
         assert (q, n) == scan_closest_point(mesh, p)
         assert q == Vec3(first[0].x, 0.25, 0.25)
         assert n == mesh._face_normals[0]
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_coherent_crest_walk_matches_exhaustive_scan(self, data):
+        mesh = data.draw(crest_grids())
+        assert_walk_matches_scan(mesh, data.draw(coherent_walks(mesh)))
+
+    @given(st.integers(0, 2), st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_coherent_sphere_walk_matches_exhaustive_scan(self, refinement, data):
+        # the spheres are shared across examples: each walk starts from the
+        # hint the previous one left
+        mesh = _SPHERES[refinement]
+        assert_walk_matches_scan(mesh, data.draw(coherent_walks(mesh)))
+
+    def test_foreign_hint_gives_the_scan_answer(self):
+        mesh = crest_mesh([-0.15, -0.05, 0.05, 0.15], [-0.25, 0.0, 0.25])
+        far = Vec3(0.14, 0.24, 0.01)
+        near = [Vec3(-0.1 + 2e-5 * i, -0.2, 0.001) for i in range(20)]
+        for warm in ([far], near[::-1], [Vec3(-0.1, -0.2, 0.3)]):
+            for p in warm:
+                mesh.closest_point(p)
+            assert_walk_matches_scan(mesh, near)
+
+    @pytest.mark.parametrize("other, walk", [
+        # the facing plane x = 2: triangle 0 stops being the nearest past
+        # x = 1, while the query stays within the hint's reach of its start
+        ((Vec3(2.0, -5.0, -5.0), Vec3(2.0, 0.0, 5.0), Vec3(2.0, 5.0, -5.0)),
+         [(0.9, 0.0, 0.0), (0.9995, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0005, 0.0, 0.0)]),
+        # the plane y = 0.6: nearer than triangle 0 after a sideways move
+        # shorter than the hint's reach
+        ((Vec3(-5.0, 0.6, -5.0), Vec3(0.0, 0.6, 5.0), Vec3(5.0, 0.6, -5.0)),
+         [(0.5, 0.45, 0.0)]),
+    ], ids=["facing_plane", "side_plane"])
+    def test_hint_rejects_a_winner_it_cannot_certify(self, other, walk):
+        # each query follows a hint taken at (0.5, 0, 0), 0.5 from the plane
+        # x = 0 (triangle 0), which holds only triangle 0
+        plane = (Vec3(0.0, -5.0, -5.0), Vec3(0.0, 5.0, -5.0), Vec3(0.0, 0.0, 5.0))
+        mesh = TriangleMesh(plane + other, ((0, 1, 2), (3, 4, 5)))
+        for p in map(Vec3._make, walk):
+            object.__setattr__(mesh, "_hint", None)
+            mesh.closest_point(Vec3(0.5, 0.0, 0.0))
+            assert mesh._hint[1] == (0,)
+            assert mesh.closest_point(p) == scan_closest_point(mesh, p)
+
+    def test_threads_sharing_a_mesh_get_the_scan_answer(self):
+        # each thread walks its own line, 1 mm from the next, across the
+        # same triangles, so the hint it reads is often another thread's
+        mesh = crest_mesh([-0.15, -0.05, 0.05, 0.15], [-0.25, -0.1, 0.1, 0.25])
+        walks = [
+            [Vec3(-0.06 + 1e-3 * k + 2e-4 * i, -0.12 + 3e-4 * i, 0.002) for i in range(150)]
+            for k in range(5)
+        ]
+        expected = [[scan_closest_point(mesh, p) for p in walk] for walk in walks]
+        answers = [[] for _ in walks]
+
+        def walk_mesh(k):
+            for p in walks[k]:
+                answers[k].append(mesh.closest_point(p))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=walk_mesh, args=(k,)) for k in range(len(walks))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == expected
+
+    def test_coherent_queries_take_the_hint(self, monkeypatch):
+        mesh = crest_mesh([-0.15, -0.075, 0.0, 0.075, 0.15], [-0.25, -0.125, 0.0, 0.125, 0.25])
+        calls = [0]
+        closest_on_triangle = workpiece._closest_on_triangle
+
+        def counted(*args):
+            calls[0] += 1
+            return closest_on_triangle(*args)
+
+        monkeypatch.setattr(workpiece, "_closest_on_triangle", counted)
+        step = Vec3(2.0, 1.0, -0.1).scale(2e-5 / Vec3(2.0, 1.0, -0.1).norm())
+        p = Vec3(-0.01, -0.01, 0.002)
+        for _ in range(1000):
+            mesh.signed_distance(p)
+            p = p + step
+        assert calls[0] / 1000 <= 2.0
+
+    def test_feature_tolerance_square_is_exact(self):
+        tol2 = workpiece._FEATURE_TOL2
+        assert math.sqrt(tol2) <= workpiece._FEATURE_TOL
+        assert math.sqrt(math.nextafter(tol2, math.inf)) > workpiece._FEATURE_TOL
 
     def test_zero_vertex_normal_raises_only_when_reached(self):
         # a sheet folded back on itself: vertex 0 has opposite, equal wedges
