@@ -38,7 +38,6 @@ from .guidance import (
 from .metrics import ComparisonReport, Metrics, compare, compute_metrics
 from .operator_env import (
     EnvironmentModel,
-    HoleState,
     OperatorModel,
     VirtualOperator,
     environment_wrench,

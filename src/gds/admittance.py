@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import SimulationFault
 from .geometry import Twist6, Vec3, Wrench6
@@ -67,59 +67,33 @@ class AdmittanceParams(NamedTuple):
         return self.gains[3]
 
 
-FULL_MASK = (True,) * 6
-AXIAL_MASK = (True, False, False, False, False, False)
-
-
-class PhaseParams(NamedTuple):
-    """Gains plus the per-DoF enable mask realizing the loop's switches.
-
-    During constrained drilling only one translational channel (along the
-    drilling axis) is active; the mask entries for the other five DoFs are
-    False and their filters output exactly zero.
-    """
-
-    params: AdmittanceParams
-    enabled: tuple  # 6 x bool
-
-
-def phase_params(phase, condition: str) -> PhaseParams:
-    """Gain set and DoF mask for a task phase under a guidance condition.
+def phase_params(phase, condition: str) -> AdmittanceParams:
+    """Gain set for a task phase under a guidance condition.
 
     ``condition`` is "with" (haptic guidance) or "without" (manual
-    alignment). Without guidance all six DoFs stay enabled throughout and
-    damping jumps to its high value once the drill is near the target.
+    alignment). Without guidance damping jumps to its high value once the
+    drill is near the target. Which DoFs move is the step's business: under
+    guidance, ``World.step`` runs AutoAlign locked and ConstrainedDrill and
+    Retract on the single axial channel.
     """
     from .guidance import GuidancePhase  # local import to avoid a cycle
 
     if condition == "without":
         if phase is GuidancePhase.FREE_MOTION:
-            return PhaseParams(
-                AdmittanceParams.uniform(DofGains(*FREE_MOTION_TRANS), DofGains(*FREE_MOTION_ROT)),
-                FULL_MASK,
-            )
-        return PhaseParams(
-            AdmittanceParams.uniform(DofGains(*MANUAL_NEAR_TRANS), DofGains(*MANUAL_NEAR_ROT)),
-            FULL_MASK,
-        )
-
-    if phase is GuidancePhase.FREE_MOTION or phase is GuidancePhase.TARGET_DONE:
-        return PhaseParams(
-            AdmittanceParams.uniform(DofGains(*FREE_MOTION_TRANS), DofGains(*FREE_MOTION_ROT)),
-            FULL_MASK,
-        )
-    if phase is GuidancePhase.APPROACH:
-        return PhaseParams(
-            AdmittanceParams.uniform(DofGains(*CLOSE_TRANS), DofGains(*CLOSE_ROT)),
-            FULL_MASK,
-        )
-    # AutoAlign (admittance bypassed, gains pre-ramp toward drilling values),
-    # ConstrainedDrill, and Retract all use the single-DoF drilling row.
-    # Rotational entries are placeholders for disabled channels ("--").
-    return PhaseParams(
-        AdmittanceParams.uniform(DofGains(*DRILL_TRANS), DofGains(*CLOSE_ROT)),
-        AXIAL_MASK,
-    )
+            trans, rot = FREE_MOTION_TRANS, FREE_MOTION_ROT
+        else:
+            trans, rot = MANUAL_NEAR_TRANS, MANUAL_NEAR_ROT
+    elif phase is GuidancePhase.FREE_MOTION or phase is GuidancePhase.TARGET_DONE:
+        trans, rot = FREE_MOTION_TRANS, FREE_MOTION_ROT
+    elif phase is GuidancePhase.APPROACH:
+        trans, rot = CLOSE_TRANS, CLOSE_ROT
+    else:
+        # AutoAlign (admittance bypassed, gains pre-ramp toward drilling
+        # values), ConstrainedDrill, and Retract all use the single-DoF
+        # drilling row; the rotational entries are placeholders, as no
+        # rotational channel runs in these phases
+        trans, rot = DRILL_TRANS, CLOSE_ROT
+    return AdmittanceParams.uniform(DofGains(*trans), DofGains(*rot))
 
 
 @dataclass
@@ -166,26 +140,17 @@ def gains_at(schedule: GainSchedule, t: float) -> AdmittanceParams:
 class AdmittanceState:
     """Filter memory for the six decoupled channels.
 
-    ``v`` holds the last reference twist; disabled DoFs are pinned to zero.
-    Single-owner mutable state: advanced by exactly one stepper.
+    ``v`` holds the last reference twist. Single-owner mutable state:
+    advanced by exactly one stepper.
     """
 
     params: AdmittanceParams
     v: Twist6 = field(default_factory=Twist6.zero)
-    enabled: tuple = FULL_MASK
     # the rows (1 - exp(-b dt / m), b) per channel, and the gain-set object
     # and dt they were computed for: gains change only during ramps between
     # distinct gain sets, where gains_at builds a new gain set every step
     _rows_key: tuple = field(default=(None, None), init=False, repr=False, compare=False)
     _rows: tuple = field(default=(), init=False, repr=False, compare=False)
-
-    def set_enabled(self, mask: Sequence[bool]) -> None:
-        """Update the DoF mask, zeroing the memory of any re-enabled or
-        newly disabled channel so no stale velocity leaks across a switch."""
-        mask = tuple(mask)
-        if mask != self.enabled:
-            self.enabled = mask
-            self.v = Twist6.zero()
 
     def reset(self) -> None:
         self.v = Twist6.zero()
@@ -211,8 +176,8 @@ def _channel_rows(gains: tuple, dt: float) -> tuple:
 def step_admittance(state: AdmittanceState, f_int: Wrench6, dt: float) -> Twist6:
     """Advance the six filters one step and return the new reference twist.
 
-    Disabled DoFs output exactly 0.0 regardless of input. Non-finite force
-    input is rejected (a real deployment would flag the force sensor).
+    Non-finite force input is rejected (a real deployment would flag the
+    force sensor).
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
@@ -231,20 +196,11 @@ def step_admittance(state: AdmittanceState, f_int: Wrench6, dt: float) -> Twist6
         state._rows = _channel_rows(params.gains, dt)
     c0, c1, c2, c3, c4, c5 = state._rows[0]
     b0, b1, b2, b3, b4, b5 = state._rows[1]
-    e0, e1, e2, e3, e4, e5 = state.enabled
     (vx, vy, vz), (wx, wy, wz) = state.v
-    # each enabled channel is _step_channel with its coefficient precomputed
+    # each channel is _step_channel with its coefficient precomputed
     out = _new(Twist6, (
-        _new(Vec3, (
-            vx + c0 * (fx / b0 - vx) if e0 else 0.0,
-            vy + c1 * (fy / b1 - vy) if e1 else 0.0,
-            vz + c2 * (fz / b2 - vz) if e2 else 0.0,
-        )),
-        _new(Vec3, (
-            wx + c3 * (tx / b3 - wx) if e3 else 0.0,
-            wy + c4 * (ty / b4 - wy) if e4 else 0.0,
-            wz + c5 * (tz / b5 - wz) if e5 else 0.0,
-        )),
+        _new(Vec3, (vx + c0 * (fx / b0 - vx), vy + c1 * (fy / b1 - vy), vz + c2 * (fz / b2 - vz))),
+        _new(Vec3, (wx + c3 * (tx / b3 - wx), wy + c4 * (ty / b4 - wy), wz + c5 * (tz / b5 - wz))),
     ))
     state.v = out
     return out

@@ -125,13 +125,7 @@ def _all_complete(per_condition: dict) -> bool:
 
 
 def cmd_run(args) -> int:
-    seeds = _parse_seeds(args.seeds)
-    if args.dry_run:
-        for condition in _conditions(args.condition):
-            load_scenario(args.scenario, condition=condition, seed=seeds[0])
-        print("config ok (dry run, nothing executed)")
-        return EXIT_OK
-    per_condition = _run_seeds(args, _conditions(args.condition), seeds)
+    per_condition = _run_seeds(args, _conditions(args.condition), _parse_seeds(args.seeds))
     return EXIT_OK if _all_complete(per_condition) else EXIT_SIM_FAULT
 
 
@@ -240,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_run)
     add_condition(p_run)
     add_no_trace(p_run)
-    p_run.add_argument("--dry-run", action="store_true", help="validate config, run nothing")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="paired with/without comparison")

@@ -8,6 +8,7 @@ config digest; two runs with the same digest are bit-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -29,36 +30,24 @@ from .workpiece import (
 
 SCHEMA_VERSION = 1
 
-_THRESHOLD_DEFAULTS = {
-    "adapt_radius": 0.10,
-    "lock_radius": 0.05,
-    "align_duration": 4.0,
-    "standoff": 0.05,
-    "release_radius": 0.11,
+# the numeric sections and the model each one builds; a section's keys and
+# defaults are its model's fields (the operator's seed is the top-level
+# ``seed``, and its variant is filled per condition)
+_SECTION_MODELS = {
+    "thresholds": GuidanceThresholds,
+    "operator": OperatorModel,
+    "environment": EnvironmentModel,
+    "plant": PlantModel,
 }
-_OPERATOR_DEFAULTS = {
-    "variant": None,  # filled per condition
-    "k_p": 200.0,
-    "k_d": 40.0,
-    "torque_k_p": 8.0,
-    "torque_k_d": 1.0,
-    "reaction_delay": 0.25,
-    "angular_noise": 6.0,
-    "force_cap": 40.0,
-    "torque_cap": 5.0,
-    "push_force": 25.0,
-    "align_dwell": 6.0,
-    "align_dwell_jitter": 2.0,
-}
-_ENVIRONMENT_DEFAULTS = {
-    "contact_stiffness": 5e4,
-    "contact_damping": 200.0,
-    "cut_resistance": 800.0,
-    "thrust_threshold": 5.0,
-    "hole_depth_goal": 0.010,
-    "hole_radius": 0.006,
-}
-_PLANT_DEFAULTS = {"lag_time_constant": 0.05}
+
+
+def _section_defaults(section: str) -> dict:
+    return {
+        f.name: f.default
+        for f in dataclasses.fields(_SECTION_MODELS[section])
+        if f.name != "seed"
+    }
+
 
 _SURFACE_KEYS = {
     "cylinder": {"type", "axis_point", "axis_dir", "radius", "half_length"},
@@ -150,10 +139,16 @@ def canonical_config(
     cond = condition if condition is not None else raw.get("condition", "with")
     _require(cond in ("with", "without"), "must be 'with' or 'without'", "condition")
 
+    seed = seed if seed is not None else raw.get("seed", 0)
+    _require(
+        isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
+        "expected a non-negative integer",
+        "seed",
+    )
     out = {
         "version": SCHEMA_VERSION,
         "condition": cond,
-        "seed": int(seed if seed is not None else raw.get("seed", 0)),
+        "seed": seed,
         "dt": _number(raw.get("dt", 1e-3), "dt"),
         "max_sim_time": _number(raw.get("max_sim_time", 600.0), "max_sim_time"),
     }
@@ -231,19 +226,16 @@ def canonical_config(
         tlist.append({"point": list(point), "phi_deg": phi, "theta_deg": theta})
     out["targets"] = tlist
 
-    out["thresholds"] = _fill_section(raw.get("thresholds"), _THRESHOLD_DEFAULTS, "thresholds")
-    op_defaults = dict(_OPERATOR_DEFAULTS)
-    op_defaults["variant"] = "guided" if cond == "with" else "manual"
-    out["operator"] = _fill_section(raw.get("operator"), op_defaults, "operator")
+    for section in _SECTION_MODELS:
+        defaults = _section_defaults(section)
+        if section == "operator":
+            defaults["variant"] = "guided" if cond == "with" else "manual"
+        out[section] = _fill_section(raw.get(section), defaults, section)
     _require(
         out["operator"]["variant"] in ("guided", "manual"),
         "must be 'guided' or 'manual'",
         "operator.variant",
     )
-    out["environment"] = _fill_section(
-        raw.get("environment"), _ENVIRONMENT_DEFAULTS, "environment"
-    )
-    out["plant"] = _fill_section(raw.get("plant"), _PLANT_DEFAULTS, "plant")
     return out
 
 
@@ -368,10 +360,8 @@ def load_scenario(
 def sweepable_fields() -> list:
     """Dotted paths a parameter sweep may vary."""
     out = ["dt", "max_sim_time"]
-    out += [f"thresholds.{k}" for k in _THRESHOLD_DEFAULTS]
-    out += [f"operator.{k}" for k in _OPERATOR_DEFAULTS if k != "variant"]
-    out += [f"environment.{k}" for k in _ENVIRONMENT_DEFAULTS]
-    out += [f"plant.{k}" for k in _PLANT_DEFAULTS]
+    for section in _SECTION_MODELS:
+        out += [f"{section}.{k}" for k in _section_defaults(section) if k != "variant"]
     return sorted(out)
 
 

@@ -7,7 +7,8 @@ Step order (one control period):
 1. operator wrench at the current state
 2. environment wrench at the current state
 3. interaction force F_int = F_h + F_env (exact bookkeeping identity)
-4. reference twist, plant and pose, in one body per phase kind:
+4. reference twist, plant and pose, in one body per phase kind (these
+   bodies are the only switch of which DoFs move):
    - locked AutoAlign: no admittance; the pose and twist follow the
      locked trajectory, and a nonzero operator wrench is a fault;
    - ConstrainedDrill/Retract under guidance: the single axial admittance
@@ -69,8 +70,8 @@ from .guidance import (
     update_phase,
 )
 from .operator_env import (
+    CUT_FACE_TOLERANCE,
     EnvironmentModel,
-    HoleState,
     OperatorModel,
     VirtualOperator,
     environment_wrench,
@@ -381,7 +382,7 @@ class World:
         self.twist = Twist6.zero()
         self.phase = _FREE_MOTION
         self.target_idx = 0
-        self.hole = HoleState()
+        self.hole_depth = 0.0
         self.k = 0
         self.done = False
         self.align_plan = None
@@ -391,9 +392,9 @@ class World:
         self.s_act = 0.0  # axial plant state while constrained
         tau = scenario.plant.lag_time_constant
         self.plant_alpha = 1.0 if tau == 0.0 else 1.0 - math.exp(-self.dt / tau)
-        pp = phase_params(self.phase, scenario.condition)
-        self.adm = AdmittanceState(pp.params, enabled=pp.enabled)
-        self.schedule = GainSchedule(pp.params, pp.params, ramp_start=0.0)
+        params = phase_params(self.phase, scenario.condition)
+        self.adm = AdmittanceState(params)
+        self.schedule = GainSchedule(params, params, ramp_start=0.0)
         self.trace = Trace(
             dt=self.dt,
             condition=scenario.condition,
@@ -418,10 +419,9 @@ class World:
 
     def _start_ramp(self, t: float, new_phase: GuidancePhase) -> None:
         current = gains_at(self.schedule, t)
-        pp = phase_params(new_phase, self.sc.condition)
-        self.schedule = GainSchedule(current, pp.params, ramp_start=t)
+        end = phase_params(new_phase, self.sc.condition)
+        self.schedule = GainSchedule(current, end, ramp_start=t)
         self.adm.params = current
-        self.adm.set_enabled(pp.enabled)
 
     # -- the control period ----------------------------------------------------
 
@@ -448,7 +448,7 @@ class World:
                 f"operator wrench must be zero during locked alignment (step {k})"
             )
         f_env, collision, _ = environment_wrench(
-            pose0, twist0, sc.surface, target, self.hole, sc.environment
+            pose0, twist0, sc.surface, target, self.hole_depth, sc.environment
         )
         (hx, hy, hz), (htx, hty, htz) = f_h
         (ex, ey, ez), (etx, ety, etz) = f_env
@@ -526,21 +526,17 @@ class World:
         ax_pos = rx * ux + ry * uy + rz * uz
         lx, ly, lz = rx - ax_pos * ux, ry - ax_pos * uy, rz - ax_pos * uz
         on_target = math.sqrt(lx * lx + ly * ly + lz * lz) <= sc.environment.hole_radius
-        hole = self.hole
-        was_cut = hole.depth > 0.0
+        depth = self.hole_depth
+        was_cut = depth > 0.0
         if on_target and ax_pos > 0.0:
-            hole = self.hole = update_hole(
-                hole,
+            depth = self.hole_depth = update_hole(
+                depth,
                 vx * ux + vy * uy + vz * uz,
                 hx * ux + hy * uy + hz * uz,
                 dt,
                 sc.environment,
-                at_bottom=ax_pos >= hole.depth - 1e-4,
-                tip_in_hole=True,
+                at_bottom=ax_pos >= depth - CUT_FACE_TOLERANCE,
             )
-        elif hole.engaged:
-            hole = self.hole = HoleState(hole.depth, engaged=False)
-        depth = hole.depth
         t_next = (k + 1) * dt
         events = self.trace.events
         if not was_cut and depth > 0.0:
@@ -621,7 +617,7 @@ class World:
             self.trace.events.append((t, f"target_done:{self.target_idx}"))
             if self.target_idx + 1 < len(self.sc.targets):
                 self.target_idx += 1
-                self.hole = HoleState()
+                self.hole_depth = 0.0
                 self._runaway_at = self._runaway_bound()
                 self.phase = _FREE_MOTION
                 self._start_ramp(t, self.phase)

@@ -63,9 +63,6 @@ class Vec3(NamedTuple):
             raise GeometryError("cannot normalize a zero vector")
         return _new(Vec3, (self.x / n, self.y / n, self.z / n))
 
-    def is_finite(self) -> bool:
-        return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
-
     @staticmethod
     def zero() -> "Vec3":
         return _ZERO3
@@ -229,9 +226,6 @@ class Twist6(NamedTuple):
     def zero() -> "Twist6":
         return _ZERO_TWIST
 
-    def is_finite(self) -> bool:
-        return self.linear.is_finite() and self.angular.is_finite()
-
 
 _ZERO_TWIST = Twist6(_ZERO3, _ZERO3)
 
@@ -246,9 +240,6 @@ class Wrench6(NamedTuple):
 
     def __add__(self, o: "Wrench6") -> "Wrench6":
         return _new(Wrench6, (self.force + o.force, self.torque + o.torque))
-
-    def is_finite(self) -> bool:
-        return self.force.is_finite() and self.torque.is_finite()
 
 
 _ZERO_WRENCH = Wrench6(_ZERO3, _ZERO3)

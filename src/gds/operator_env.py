@@ -90,30 +90,27 @@ class EnvironmentModel:
                 raise ValueError(f"{name} must be non-negative")
 
 
-@dataclass(frozen=True)
-class HoleState:
-    depth: float = 0.0
-    engaged: bool = False
+# the tip is at the cutting face when it is at most this far (m) short of
+# the hole's bottom: within one step of the uncut material
+CUT_FACE_TOLERANCE = 1e-4
 
 
 def update_hole(
-    hole: HoleState,
+    depth: float,
     axial_feed: float,
     axial_force: float,
     dt: float,
     model: EnvironmentModel,
     at_bottom: bool = True,
-    tip_in_hole: bool = True,
-) -> HoleState:
-    """Advance the cut: depth grows by feed*dt only while pushing hard
-    enough (>= thrust threshold), feeding forward, and bearing on uncut
-    material. Depth never decreases."""
+) -> float:
+    """Advance the cut and return the new hole depth: it grows by feed*dt
+    only while pushing hard enough (>= thrust threshold), feeding forward,
+    and bearing on uncut material. Depth never decreases."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    depth = hole.depth
     if axial_force >= model.thrust_threshold and axial_feed > 0.0 and at_bottom:
         depth += axial_feed * dt
-    return HoleState(depth=depth, engaged=depth > 0.0 and tip_in_hole)
+    return depth
 
 
 def _cap(x: float, y: float, z: float, cap: float) -> Tuple[float, float, float]:
@@ -370,7 +367,7 @@ def environment_wrench(
     twist: Twist6,
     surface: Surface,
     target: DrillTarget,
-    hole: HoleState,
+    hole_depth: float,
     model: EnvironmentModel,
 ) -> Tuple[Wrench6, bool, float]:
     """Workpiece reaction at the drill tip.
@@ -400,11 +397,11 @@ def environment_wrench(
         v = twist.linear
         feed = v.x * ux + v.y * uy + v.z * uz
         f_mag = 0.0
-        # at the cutting face (within one step of the uncut bottom): the
-        # material resists the feed; strictly beyond it: bearing spring
-        if feed > 0.0 and ax_pos >= hole.depth - 1e-4:
+        # at the cutting face: the material resists the feed; strictly
+        # beyond it: bearing spring
+        if feed > 0.0 and ax_pos >= hole_depth - CUT_FACE_TOLERANCE:
             f_mag += model.cut_resistance * feed
-        bottom_pen = ax_pos - hole.depth
+        bottom_pen = ax_pos - hole_depth
         if bottom_pen > 0.0:
             f_mag += model.contact_stiffness * bottom_pen
         force = axis.scale(-f_mag)

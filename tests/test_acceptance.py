@@ -32,7 +32,6 @@ from gds.guidance import GuidancePhase
 from gds.metrics import compute_metrics, mean_metrics
 from gds.operator_env import (
     EnvironmentModel,
-    HoleState,
     OperatorModel,
     VirtualOperator,
     environment_wrench,
@@ -392,7 +391,7 @@ def test_c9_contact_passivity():
             vz = -speed if k <= n_half else speed
             pose = Pose(Vec3(0.05, 0.0, z), UnitQuat.identity())
             tw = Twist6(Vec3(0.0, 0.0, vz), Vec3.zero())
-            w, _, _ = environment_wrench(pose, tw, surface, target, HoleState(), env)
+            w, _, _ = environment_wrench(pose, tw, surface, target, 0.0, env)
             powers.append(w.force.dot(tw.linear))
             z += vz * dt
         net = dt * (math.fsum(powers) - 0.5 * (powers[0] + powers[-1]))

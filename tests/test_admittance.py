@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gds.admittance import (
-    AXIAL_MASK,
-    FULL_MASK,
     AdmittanceParams,
     AdmittanceState,
     DofGains,
@@ -29,9 +27,8 @@ TABLE_GAIN_SETS = [
 ]
 
 
-def make_state(m=50.0, b=100.0, mask=FULL_MASK):
-    params = AdmittanceParams.uniform(DofGains(m, b), DofGains(m, b))
-    return AdmittanceState(params, enabled=mask)
+def make_state(m=50.0, b=100.0):
+    return AdmittanceState(AdmittanceParams.uniform(DofGains(m, b), DofGains(m, b)))
 
 
 def force_x(f):
@@ -48,12 +45,9 @@ def reference_step_admittance(state, f_int, dt):
         if not math.isfinite(f):
             raise SimulationFault("non-finite interaction force fed to admittance filter")
     vel = [*state.v.linear, *state.v.angular]
-    for i, (enabled, (m, b), f) in enumerate(zip(state.enabled, state.params.gains, forces)):
-        if enabled:
-            v = vel[i]
-            vel[i] = v + (1.0 - math.exp(-b * dt / m)) * (f / b - v)
-        else:
-            vel[i] = 0.0
+    for i, ((m, b), f) in enumerate(zip(state.params.gains, forces)):
+        v = vel[i]
+        vel[i] = v + (1.0 - math.exp(-b * dt / m)) * (f / b - v)
     out = Twist6(Vec3(*vel[:3]), Vec3(*vel[3:]))
     state.v = out
     return out
@@ -73,7 +67,6 @@ def reference_gains_at(schedule, t):
 
 
 dof_gains = st.builds(DofGains, st.floats(0.5, 200.0), st.floats(0.5, 5000.0))
-masks = st.sampled_from([FULL_MASK, AXIAL_MASK]) | st.tuples(*[st.booleans()] * 6)
 forces = st.tuples(*[st.floats(-80.0, 80.0)] * 6).map(
     lambda f: Wrench6(Vec3(*f[:3]), Vec3(*f[3:]))
 )
@@ -126,17 +119,6 @@ class TestStepAdmittance:
             worst = max(worst, abs(out.linear.x - analytic_step_response(f, m, b, k * dt)))
         assert worst <= 1e-3 * (f / b)
 
-    def test_disabled_dofs_output_zero_and_reset(self):
-        state = make_state(mask=FULL_MASK)
-        step_admittance(state, force_x(30.0), 0.01)
-        assert state.v.linear.x != 0.0
-        state.set_enabled((False,) * 6)
-        out = step_admittance(state, force_x(30.0), 0.01)
-        assert out == Twist6.zero()
-        # re-enable: memory must restart from rest, not the stale value
-        state.set_enabled(FULL_MASK)
-        assert state.v == Twist6.zero()
-
     def test_decoupling(self):
         base = force_x(5.0)
         pert = Wrench6(Vec3(5.0, 0.0, 0.0), Vec3(0.0, 0.0, 2.0))
@@ -172,7 +154,7 @@ class TestStepAdmittance:
 
 class TestKernelOracles:
     """step_admittance and gains_at against their loop oracles, bit for bit,
-    across gain-set swaps, ramps, dt changes and mask changes."""
+    across gain-set swaps, ramps and dt changes."""
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -181,11 +163,10 @@ class TestKernelOracles:
         a, b = draw(gain_sets()), draw(gain_sets())
         twin = AdmittanceParams(tuple(DofGains(g.m, g.b) for g in b.gains))  # b's values, new objects
         sched = GainSchedule(a, b, ramp_start=0.0, ramp_duration=draw(st.floats(0.01, 1.0)))
-        mask = draw(masks)
-        new, old = AdmittanceState(a, enabled=mask), AdmittanceState(a, enabled=mask)
+        new, old = AdmittanceState(a), AdmittanceState(a)
         dt = 1e-3
         for _ in range(draw(st.integers(1, 30))):
-            action = draw(st.sampled_from(["ramp", "a", "b", "twin", "dt", "mask"]))
+            action = draw(st.sampled_from(["ramp", "a", "b", "twin", "dt"]))
             if action == "ramp":
                 t = draw(st.floats(-0.1, 1.1)) * sched.ramp_duration
                 got = gains_at(sched, t)
@@ -194,10 +175,6 @@ class TestKernelOracles:
                 new.params, old.params = got, want
             elif action == "dt":
                 dt = draw(st.sampled_from([1e-3, 2e-3]) | st.floats(1e-5, 0.5))
-            elif action == "mask":
-                mask = draw(masks)
-                new.set_enabled(mask)
-                old.set_enabled(mask)
             else:
                 new.params = old.params = {"a": a, "b": b, "twin": twin}[action]
             f = draw(forces)
@@ -280,15 +257,15 @@ class TestGainSchedule:
 
     def test_equal_endpoints_hold_one_gain_set(self):
         # equal by value, distinct objects: AutoAlign -> ConstrainedDrill
-        start = phase_params(GuidancePhase.AUTO_ALIGN, "with").params
-        end = phase_params(GuidancePhase.CONSTRAINED_DRILL, "with").params
+        start = phase_params(GuidancePhase.AUTO_ALIGN, "with")
+        end = phase_params(GuidancePhase.CONSTRAINED_DRILL, "with")
         assert start == end and start is not end
         sched = GainSchedule(start, end, ramp_start=2.0)
         for t in (1.0, 2.0, 2.001, 2.5, 2.999, 3.0, 10.0):
             assert gains_at(sched, t) is start
             assert_same_bits(gains_at(sched, t), reference_gains_at(sched, t))
         # distinct values still interpolate
-        other = phase_params(GuidancePhase.FREE_MOTION, "with").params
+        other = phase_params(GuidancePhase.FREE_MOTION, "with")
         assert gains_at(GainSchedule(other, end, ramp_start=2.0), 2.5) not in (other, end)
 
     def test_bad_duration_rejected(self):
@@ -299,28 +276,23 @@ class TestGainSchedule:
 
 class TestPhaseParams:
     def test_free_motion_with_guidance(self):
-        pp = phase_params(GuidancePhase.FREE_MOTION, "with")
-        assert pp.params.translational == DofGains(50.0, 100.0)
-        assert pp.params.rotational == DofGains(10.0, 5.0)
-        assert pp.enabled == FULL_MASK
+        params = phase_params(GuidancePhase.FREE_MOTION, "with")
+        assert params.translational == DofGains(50.0, 100.0)
+        assert params.rotational == DofGains(10.0, 5.0)
 
     def test_approach_with_guidance(self):
-        pp = phase_params(GuidancePhase.APPROACH, "with")
-        assert pp.params.translational.b == 600.0
-        assert pp.params.rotational.b == 20.0
+        params = phase_params(GuidancePhase.APPROACH, "with")
+        assert params.translational.b == 600.0
+        assert params.rotational.b == 20.0
 
     def test_drilling_single_dof(self):
-        pp = phase_params(GuidancePhase.CONSTRAINED_DRILL, "with")
-        assert pp.params.translational == DofGains(50.0, 1000.0)
-        assert pp.enabled == AXIAL_MASK
-        assert sum(pp.enabled) == 1
+        params = phase_params(GuidancePhase.CONSTRAINED_DRILL, "with")
+        assert params.translational == DofGains(50.0, 1000.0)
 
     def test_without_guidance_near_target(self):
-        pp = phase_params(GuidancePhase.APPROACH, "without")
-        assert all(g.b == 1000.0 for g in pp.params.gains[:3])
-        assert pp.enabled == FULL_MASK
+        params = phase_params(GuidancePhase.APPROACH, "without")
+        assert all(g.b == 1000.0 for g in params.gains[:3])
 
     def test_without_guidance_far(self):
-        pp = phase_params(GuidancePhase.FREE_MOTION, "without")
-        assert pp.params.translational.b == 100.0
-        assert pp.enabled == FULL_MASK
+        params = phase_params(GuidancePhase.FREE_MOTION, "without")
+        assert params.translational.b == 100.0

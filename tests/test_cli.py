@@ -144,6 +144,29 @@ class TestValidate:
         assert err.startswith(f"config error: {where}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "seed", ["abc", 1.5, True, -1], ids=["string", "float", "bool", "negative"]
+    )
+    def test_bad_seed_exit_two(self, seed, tmp_path, capsys):
+        raw = experiment_one_raw("with", 0)
+        raw["seed"] = seed
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == "config error: seed: expected a non-negative integer\n"
+
+    def test_valid_seeds_keep_their_digest(self):
+        # the canonical form is hashed into every trace; these digests are
+        # the ones recorded before seeds were validated
+        with_7 = config.canonical_config(experiment_one_raw("with", 7))
+        without_0 = config.canonical_config(experiment_one_raw("with", 0), condition="without")
+        assert with_7["seed"] == 7 and without_0["seed"] == 0
+        digests = [config.scenario_from_config(cfg).config_digest() for cfg in (with_7, without_0)]
+        assert digests == [
+            "ff2e2455736ca4179a210e7d5977c0e56fc40d34d084598f3c551f4da32cbc82",
+            "4a84513b22fe6bc16bc144540c78f94feb53351ffecb3a2c1f9f5627fa113de3",
+        ]
+
     def test_mesh_surface_with_registration_validates(self, tmp_path):
         mesh = tmp_path / "plate.off"
         mesh.write_text("OFF\n4 2 0\n-1 -1 0\n1 -1 0\n1 1 0\n-1 1 0\n3 0 1 2\n3 0 2 3\n")
@@ -161,15 +184,6 @@ class TestValidate:
 
 
 class TestRun:
-    def test_dry_run_executes_nothing(self, mini_config, tmp_path, capsys):
-        out = tmp_path / "out"
-        code = main(
-            ["run", "--scenario", mini_config, "--out", str(out), "--dry-run"]
-        )
-        assert code == 0
-        assert "dry run" in capsys.readouterr().out
-        assert not out.exists()
-
     def test_run_writes_outputs_and_summary(self, mini_config, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(
@@ -233,6 +247,20 @@ class TestRun:
         run_dir = out / "with" / "seed_0"
         assert not (run_dir / "trace.csv").exists()
         assert (run_dir / "metrics.json").exists()
+
+    @pytest.mark.parametrize(
+        "verb, extra",
+        [
+            ("run", []),
+            ("compare", []),
+            ("sweep", ["--param", "operator.push_force", "--values", "25"]),
+        ],
+        ids=["run", "compare", "sweep"],
+    )
+    def test_negative_seed_exit_two(self, verb, extra, mini_config, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main([verb, "--scenario", mini_config, "--seeds=-2", "--out", out, *extra]) == 2
+        assert capsys.readouterr().err == "config error: seed: expected a non-negative integer\n"
 
     def test_duplicate_seeds_rejected(self, mini_config, capsys):
         assert main(["run", "--scenario", mini_config, "--seeds", "1,1"]) == 2

@@ -28,8 +28,8 @@ from gds.guidance import (
     update_phase,
 )
 from gds.operator_env import (
+    CUT_FACE_TOLERANCE,
     EnvironmentModel,
-    HoleState,
     OperatorModel,
     VirtualOperator,
     environment_wrench,
@@ -191,7 +191,7 @@ class ReferenceWorld(World):
                 f"operator wrench must be zero during locked alignment (step {k})"
             )
         f_env, collision, _ = environment_wrench(
-            pose0, twist0, sc.surface, target, self.hole, sc.environment
+            pose0, twist0, sc.surface, target, self.hole_depth, sc.environment
         )
         (hx, hy, hz), (htx, hty, htz) = f_h
         (ex, ey, ez), (etx, ety, etz) = f_env
@@ -262,23 +262,20 @@ class ReferenceWorld(World):
         ax_pos = rx * ux + ry * uy + rz * uz
         lx, ly, lz = rx - ax_pos * ux, ry - ax_pos * uy, rz - ax_pos * uz
         on_target = math.sqrt(lx * lx + ly * ly + lz * lz) <= sc.environment.hole_radius
-        was_cut = self.hole.depth > 0.0
+        was_cut = self.hole_depth > 0.0
         if on_target and ax_pos > 0.0:
             feed = v_used.linear.dot(axis)
             axial_push = f_h.force.dot(axis)
-            self.hole = update_hole(
-                self.hole,
+            self.hole_depth = update_hole(
+                self.hole_depth,
                 feed,
                 axial_push,
                 dt,
                 sc.environment,
-                at_bottom=ax_pos >= self.hole.depth - 1e-4,
-                tip_in_hole=True,
+                at_bottom=ax_pos >= self.hole_depth - CUT_FACE_TOLERANCE,
             )
-        elif self.hole.engaged:
-            self.hole = HoleState(self.hole.depth, engaged=False)
         t_next = (k + 1) * dt
-        if not was_cut and self.hole.depth > 0.0:
+        if not was_cut and self.hole_depth > 0.0:
             self.trace.events.append((t_next, f"first_cut:{self.target_idx}"))
         if collision and not self._in_collision:
             self.trace.events.append((t, "collision"))
@@ -289,7 +286,7 @@ class ReferenceWorld(World):
         align_progress = 0.0
         if phase is _AUTO_ALIGN:
             align_progress = (k + 1 - self.align_start_step) / self.align_steps
-        depth_reached = self.hole.depth >= sc.environment.hole_depth_goal
+        depth_reached = self.hole_depth >= sc.environment.hole_depth_goal
         retracted = ax_pos <= -(sc.thresholds.standoff - 1e-9)
         new_phase = update_phase(
             phase,
@@ -304,7 +301,7 @@ class ReferenceWorld(World):
         if params_now is not self._b_params:
             self._b_params = params_now
             self._b6 = tuple([g.b for g in params_now.gains])
-        self._record(t, pose0, v_used, v_ref, f_h, f_env, f_int, self._b6, self.hole.depth)
+        self._record(t, pose0, v_used, v_ref, f_h, f_env, f_int, self._b6, self.hole_depth)
         self.k += 1
 
         if distance > self._runaway_at:

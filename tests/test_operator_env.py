@@ -18,7 +18,6 @@ from gds.geometry import (
 from gds.guidance import GuidancePhase
 from gds.operator_env import (
     EnvironmentModel,
-    HoleState,
     OperatorModel,
     VirtualOperator,
     environment_wrench,
@@ -367,7 +366,7 @@ class TestEnvironment:
             Twist6.zero(),
             crest_cylinder(),
             target,
-            HoleState(),
+            0.0,
             ENV,
         )
         assert w == Wrench6.zero()
@@ -380,7 +379,7 @@ class TestEnvironment:
         feed = target.axis.scale(0.002)
         w, _, ax_pos = environment_wrench(
             tip, Twist6(feed, Vec3.zero()), crest_cylinder(), target,
-            HoleState(depth=0.001, engaged=True), ENV,
+            0.001, ENV,
         )
         assert ax_pos == pytest.approx(0.001, abs=1e-12)
         along = w.force.dot(target.axis)
@@ -392,7 +391,7 @@ class TestEnvironment:
         pull = target.axis.scale(-0.01)
         w, _, _ = environment_wrench(
             tip, Twist6(pull, Vec3.zero()), crest_cylinder(), target,
-            HoleState(depth=0.002, engaged=True), ENV,
+            0.002, ENV,
         )
         assert w == Wrench6.zero()
 
@@ -401,7 +400,7 @@ class TestEnvironment:
         surf = crest_cylinder()
         tip = Pose(Vec3(0.05, 0.0, -0.0035), UnitQuat.identity())  # ~1 mm inside, 5 cm off target
         w, collision, _ = environment_wrench(
-            tip, Twist6.zero(), surf, target, HoleState(), ENV,
+            tip, Twist6.zero(), surf, target, 0.0, ENV,
         )
         assert w.force.norm() > 0.0
         _, n_out = surf.closest_point(tip.position)
@@ -412,7 +411,7 @@ class TestEnvironment:
         target = flat_target()
         tip = Pose(Vec3(0.05, 0.0, -0.0085), UnitQuat.identity())  # ~6 mm inside
         w, collision, _ = environment_wrench(
-            tip, Twist6.zero(), crest_cylinder(), target, HoleState(), ENV,
+            tip, Twist6.zero(), crest_cylinder(), target, 0.0, ENV,
         )
         assert collision
 
@@ -423,7 +422,7 @@ class TestEnvironment:
         tip = Pose(Vec3(0.05, 0.0, -0.0030), UnitQuat.identity())
         _, n_out = surf.closest_point(tip.position)
         retreat = Twist6(n_out.scale(1.0), Vec3.zero())
-        w, _, _ = environment_wrench(tip, retreat, surf, target, HoleState(), ENV)
+        w, _, _ = environment_wrench(tip, retreat, surf, target, 0.0, ENV)
         assert w.force.dot(n_out) >= 0.0
 
     def test_passive_over_contact_cycle(self):
@@ -444,7 +443,7 @@ class TestEnvironment:
                 vz = -speed if going_down else speed
                 pose = Pose(Vec3(0.05, 0.0, z), UnitQuat.identity())
                 tw = Twist6(Vec3(0.0, 0.0, vz), Vec3.zero())
-                w, _, _ = environment_wrench(pose, tw, surf, target, HoleState(), env)
+                w, _, _ = environment_wrench(pose, tw, surf, target, 0.0, env)
                 powers.append(w.force.dot(tw.linear))
                 z += vz * dt
             net = dt * (math.fsum(powers) - 0.5 * (powers[0] + powers[-1]))
@@ -453,36 +452,31 @@ class TestEnvironment:
 
 class TestUpdateHole:
     def test_feed_integrates(self):
-        h = update_hole(HoleState(), 0.001, 25.0, 1.0, ENV)
-        assert h.depth == pytest.approx(0.001, abs=1e-15)
-        assert h.engaged
+        depth = update_hole(0.0, 0.001, 25.0, 1.0, ENV)
+        assert depth == pytest.approx(0.001, abs=1e-15)
 
     def test_below_thrust_threshold_no_advance(self):
-        h = update_hole(HoleState(depth=0.002), 0.001, 2.0, 1.0, ENV)
-        assert h.depth == 0.002
+        assert update_hole(0.002, 0.001, 2.0, 1.0, ENV) == 0.002
 
     def test_negative_feed_never_undrills(self):
-        h = update_hole(HoleState(depth=0.004), -0.01, 25.0, 1.0, ENV)
-        assert h.depth == 0.004
+        assert update_hole(0.004, -0.01, 25.0, 1.0, ENV) == 0.004
 
     def test_not_at_bottom_no_advance(self):
-        h = update_hole(HoleState(depth=0.005), 0.001, 25.0, 1.0, ENV, at_bottom=False)
-        assert h.depth == 0.005
+        assert update_hole(0.005, 0.001, 25.0, 1.0, ENV, at_bottom=False) == 0.005
 
     def test_monotone_depth(self):
         rng = np.random.default_rng(2)
-        h = HoleState()
-        prev = 0.0
+        depth = prev = 0.0
         for _ in range(200):
-            h = update_hole(
-                h,
+            depth = update_hole(
+                depth,
                 float(rng.uniform(-0.005, 0.005)),
                 float(rng.uniform(0.0, 30.0)),
                 1e-3,
                 ENV,
             )
-            assert h.depth >= prev
-            prev = h.depth
+            assert depth >= prev
+            prev = depth
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
