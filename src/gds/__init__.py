@@ -30,7 +30,6 @@ from .guidance import (
     AlignmentPlan,
     GuidancePhase,
     GuidanceThresholds,
-    constrain_twist,
     plan_alignment,
     sample_alignment,
     update_phase,

@@ -105,18 +105,23 @@ def _summary_line(condition: str, seed: int, metrics) -> str:
 
 
 def _run_seeds(args, conditions, seeds) -> dict:
-    """Resolve ``args.scenario`` per condition and seed, run each session and
-    print its summary line; return the metrics per condition in seed order."""
-    per_condition = {}
+    """Resolve ``args.scenario`` for every condition and seed before the
+    first session runs, so a bad seed writes nothing; then run each session
+    and print its summary line. Return the metrics per condition in seed
+    order."""
     surfaces = {}
-    for condition in conditions:
-        runs = per_condition[condition] = []
-        for seed in seeds:
-            scenario = load_scenario(
-                args.scenario, condition=condition, seed=seed, surfaces=surfaces
-            )
-            runs.append(_run_session(scenario, args.out, not args.no_trace))
-            print(_summary_line(condition, seed, runs[-1]))
+    sessions = [
+        (condition, seed, load_scenario(
+            args.scenario, condition=condition, seed=seed, surfaces=surfaces
+        ))
+        for condition in conditions
+        for seed in seeds
+    ]
+    per_condition = {condition: [] for condition in conditions}
+    for condition, seed, scenario in sessions:
+        metrics = _run_session(scenario, args.out, not args.no_trace)
+        per_condition[condition].append(metrics)
+        print(_summary_line(condition, seed, metrics))
     return per_condition
 
 
@@ -179,16 +184,20 @@ def cmd_sweep(args) -> int:
     raw = read_scenario_file(args.scenario)
     base_dir = os.path.dirname(os.path.abspath(args.scenario))
     surfaces = {}
-    rows = []
+    # resolve every (value, condition, seed) before the first session runs
+    sessions = []
     for value in values:
         overridden = apply_override(raw, args.param, value)
         for condition in _conditions(args.condition):
             for seed in seeds:
                 cfg = canonical_config(overridden, condition=condition, seed=seed)
                 scenario = scenario_from_config(cfg, base_dir, surfaces)
-                metrics = _run_session(scenario, None, False)
-                rows.append((value, condition, seed, metrics))
-                print(f"sweep {args.param}={value:g} " + _summary_line(condition, seed, metrics))
+                sessions.append((value, condition, seed, scenario))
+    rows = []
+    for value, condition, seed, scenario in sessions:
+        metrics = _run_session(scenario, None, False)
+        rows.append((value, condition, seed, metrics))
+        print(f"sweep {args.param}={value:g} " + _summary_line(condition, seed, metrics))
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "sweep.csv"), "w") as fh:

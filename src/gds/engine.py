@@ -38,7 +38,7 @@ import hashlib
 import json
 import math
 import struct
-from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -193,55 +193,56 @@ _TARGET_CELL = CSV_HEADER.index("target_index")
 _PHASE_TEXT = _csvtext.pack_texts([p.value.encode() for p in _PHASE_ORDER])
 
 # one record per sample: 45 <f8 then 2 <i4, 368 bytes, no padding; World
-# packs each step into one, and the checksum hashes them
+# appends one per step, and these records are the trace's only storage
 _RECORD_DTYPE = np.dtype(
     [(name, "<f8") for name in _COLUMNS] + [("phase", "<i4"), ("target_index", "<i4")]
 )
-_pack_record = struct.Struct(
+_RECORD_SIZE = _RECORD_DTYPE.itemsize
+_RECORD_FORMAT = struct.Struct(
     "<" + "".join(dtype.char for dtype, _ in _RECORD_DTYPE.fields.values())
-).pack
-# rows staged per hash update; bounds the staging buffer at 1.5 MB
-_CHECKSUM_CHUNK = 4096
-# packed rows held before they move into the columns; 1.5 MB at most
-_PENDING_BYTES = 4096 * _RECORD_DTYPE.itemsize
+)
+_pack_record = _RECORD_FORMAT.pack
+_unpack_record = _RECORD_FORMAT.unpack_from
+_unpack_phase = struct.Struct("<i").unpack_from
+_PHASE_OFFSET = _RECORD_DTYPE.fields["phase"][1]
 
 
-class _Columns(dict):
-    """The float columns by name, plus the samples packed but not yet moved
-    into them. ``World`` appends one record per step to ``pending``; reading
-    a column through the dict moves every pending record in first, so no
-    reader sees a sample missing."""
+def _field(records: bytearray, name: str) -> np.ndarray:
+    """A fresh C-contiguous copy of one field of the records: it holds no
+    view of the buffer, which would stop the next append."""
+    return np.frombuffer(records, _RECORD_DTYPE)[name].copy()
 
-    __slots__ = ("pending", "_ints")
 
-    def __init__(self, phase_codes: array, target_idx: array):
-        super().__init__((name, array("d")) for name in _COLUMNS)
-        self.pending = bytearray()
-        self._ints = (("phase", phase_codes), ("target_index", target_idx))
+class _Fields(Mapping):
+    """The float columns of the records by name, each read through
+    ``_field``."""
 
-    def __getitem__(self, name: str) -> array:
-        if self.pending:
-            self.flush()
-        return dict.__getitem__(self, name)
+    __slots__ = ("_records",)
 
-    def flush(self) -> None:
-        """Move the pending records into the columns, bit for bit."""
-        if not self.pending:
-            return
-        rows = np.frombuffer(self.pending, _RECORD_DTYPE)
-        for name, col in (*dict.items(self), *self._ints):
-            col.frombytes(rows[name].astype(col.typecode).tobytes())
-        del rows  # release the view so the buffer can shrink
-        self.pending.clear()
+    def __init__(self, records: bytearray):
+        self._records = records
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name not in _COLUMNS:
+            raise KeyError(name)
+        return _field(self._records, name)
+
+    def __iter__(self):
+        return iter(_COLUMNS)
+
+    def __len__(self) -> int:
+        return len(_COLUMNS)
 
 
 class Trace:
-    """Struct-of-arrays sample log plus the event stream.
+    """Sample log plus the event stream.
 
-    ``data`` holds one ``array('d')`` per float column; phase and target
-    index are integer columns. Samples are exposed as TraceSample views.
-    ``World`` writes each sample as one packed record and the columns take
-    the records in blocks, before any of them is read.
+    ``records`` is the only storage: one 368-byte ``_RECORD_DTYPE`` record
+    per sample, which ``World`` appends as each step ends. Every reader
+    takes what it needs from them: ``data[name]``, ``phase_codes`` and
+    ``target_idx`` copy one field out as a numpy array, ``sample(i)`` and
+    ``phase_of(i)`` decode record ``i``, and the checksum hashes the
+    records as they are.
     """
 
     def __init__(self, dt: float, condition: str, config_digest: str):
@@ -250,79 +251,56 @@ class Trace:
         self.config_digest = config_digest
         self.events: List[Tuple[float, str]] = []
         self.complete = False
-        self._phase_codes = array("i")
-        self._target_idx = array("i")
-        self.data = _Columns(self._phase_codes, self._target_idx)
+        self.records = bytearray()
 
     @property
-    def phase_codes(self) -> array:
-        self.data.flush()
-        return self._phase_codes
+    def data(self) -> _Fields:
+        return _Fields(self.records)
 
     @property
-    def target_idx(self) -> array:
-        self.data.flush()
-        return self._target_idx
+    def phase_codes(self) -> np.ndarray:
+        return _field(self.records, "phase")
+
+    @property
+    def target_idx(self) -> np.ndarray:
+        return _field(self.records, "target_index")
 
     def __len__(self) -> int:
-        return len(self.phase_codes)
+        return len(self.records) // _RECORD_SIZE
+
+    def _offset(self, i: int) -> int:
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("trace sample index out of range")
+        return i * _RECORD_SIZE
 
     def sample(self, i: int) -> TraceSample:
-        d = self.data
+        v = _unpack_record(self.records, self._offset(i))
         return TraceSample(
-            t=d["t"][i],
-            pose=Pose(
-                Vec3(d["px"][i], d["py"][i], d["pz"][i]),
-                UnitQuat(d["qw"][i], d["qx"][i], d["qy"][i], d["qz"][i]),
-            ),
-            twist=Twist6(
-                Vec3(d["vx"][i], d["vy"][i], d["vz"][i]),
-                Vec3(d["wx"][i], d["wy"][i], d["wz"][i]),
-            ),
-            v_ref=Twist6(
-                Vec3(d["vref_x"][i], d["vref_y"][i], d["vref_z"][i]),
-                Vec3(d["wref_x"][i], d["wref_y"][i], d["wref_z"][i]),
-            ),
-            f_h=Wrench6(
-                Vec3(d["fh_x"][i], d["fh_y"][i], d["fh_z"][i]),
-                Vec3(d["fh_tx"][i], d["fh_ty"][i], d["fh_tz"][i]),
-            ),
-            f_env=Wrench6(
-                Vec3(d["fenv_x"][i], d["fenv_y"][i], d["fenv_z"][i]),
-                Vec3(d["fenv_tx"][i], d["fenv_ty"][i], d["fenv_tz"][i]),
-            ),
-            f_int=Wrench6(
-                Vec3(d["fint_x"][i], d["fint_y"][i], d["fint_z"][i]),
-                Vec3(d["fint_tx"][i], d["fint_ty"][i], d["fint_tz"][i]),
-            ),
-            phase=_PHASE_ORDER[self.phase_codes[i]],
-            active_b=tuple(d[name][i] for name in _B_FIELDS),
-            target_index=self.target_idx[i],
-            hole_depth=d["hole_depth"][i],
+            t=v[0],
+            pose=Pose(Vec3(*v[1:4]), UnitQuat(*v[4:8])),
+            twist=Twist6(Vec3(*v[8:11]), Vec3(*v[11:14])),
+            v_ref=Twist6(Vec3(*v[14:17]), Vec3(*v[17:20])),
+            f_h=Wrench6(Vec3(*v[20:23]), Vec3(*v[23:26])),
+            f_env=Wrench6(Vec3(*v[26:29]), Vec3(*v[29:32])),
+            f_int=Wrench6(Vec3(*v[32:35]), Vec3(*v[35:38])),
+            phase=_PHASE_ORDER[v[45]],
+            active_b=v[38:44],
+            target_index=v[46],
+            hole_depth=v[44],
         )
 
     def checksum(self) -> str:
-        """SHA-256 over one 368-byte little-endian record per sample, in
-        sample order: the 45 float columns as ``<f8`` (the 38 state columns
-        in CSV order, the six damping gains ``b_*``, then ``hole_depth``),
-        then the phase code and the target index as ``<i4``. An empty trace
-        hashes no bytes."""
-        h = hashlib.sha256()
-        n = len(self)
-        cols = [(name, np.frombuffer(self.data[name], dtype=np.float64)) for name in _COLUMNS]
-        cols.append(("phase", np.frombuffer(self.phase_codes, dtype=np.intc)))
-        cols.append(("target_index", np.frombuffer(self.target_idx, dtype=np.intc)))
-        buf = np.empty(min(n, _CHECKSUM_CHUNK), dtype=_RECORD_DTYPE)
-        for start in range(0, n, _CHECKSUM_CHUNK):
-            stop = min(start + _CHECKSUM_CHUNK, n)
-            rows = buf[: stop - start]
-            for name, col in cols:
-                rows[name] = col[start:stop]
-            h.update(rows)
-        return h.hexdigest()
+        """SHA-256 over the records, in sample order: per sample the 45
+        float columns as ``<f8`` (the 38 state columns in CSV order, the six
+        damping gains ``b_*``, then ``hole_depth``), then the phase code and
+        the target index as ``<i4``. An empty trace hashes no bytes."""
+        return hashlib.sha256(self.records).hexdigest()
 
     def phase_of(self, i: int) -> GuidancePhase:
-        return _PHASE_ORDER[self.phase_codes[i]]
+        return _PHASE_ORDER[_unpack_phase(self.records, self._offset(i) + _PHASE_OFFSET)[0]]
 
     def events_of_kind(self, prefix: str) -> List[Tuple[float, str]]:
         return [(t, kind) for t, kind in self.events if kind.startswith(prefix)]
@@ -330,26 +308,26 @@ class Trace:
     def to_csv(self, path: str) -> None:
         """One row per sample, SI units: every float as ``'%.9g' % v``, the
         phase name, the target index as ``'%d'``. Rows are encoded
-        ``_CSV_BLOCK`` at a time into the text slots of ``_csvtext``."""
-        cols = [np.frombuffer(self.data[name]) for name in _COLUMNS]
-        phases = np.frombuffer(self.phase_codes, np.intc)
-        targets, target_code = np.unique(
-            np.frombuffer(self.target_idx, np.intc), return_inverse=True
-        )
+        ``_CSV_BLOCK`` at a time, straight from a 2-D view of the records'
+        floats, into the text slots of ``_csvtext``."""
+        recs = np.frombuffer(self.records, _RECORD_DTYPE)
+        # the 45 floats are the first 360 bytes of each 368-byte record
+        floats = np.frombuffer(self.records, np.float64).reshape(-1, _RECORD_SIZE // 8)
+        floats = floats[:, : len(_COLUMNS)]
+        phases = recs["phase"]
+        targets, target_code = np.unique(recs["target_index"], return_inverse=True)
         target_text = _csvtext.pack_texts([b"%d" % i for i in targets.tolist()])
-        n = len(phases)
-        x = np.empty((min(n, _CSV_BLOCK), len(cols)))
-        work = _csvtext.G9Work(x.shape)
-        slots = _csvtext.row_slots(len(x), len(CSV_HEADER))
+        n = len(recs)
+        block = min(n, _CSV_BLOCK)
+        work = _csvtext.G9Work((block, len(_COLUMNS)))
+        slots = _csvtext.row_slots(block, len(CSV_HEADER))
         with open(path, "wb") as fh:
             fh.write(_CSV_HEAD)
             for start in range(0, n, _CSV_BLOCK):
                 k = min(_CSV_BLOCK, n - start)
                 rows = slice(start, start + k)
-                for j, col in enumerate(cols):
-                    x[:k, j] = col[rows]
                 for cells, text in (
-                    (_FLOAT_CELLS, _csvtext.format_g9(x[:k], work if k == len(x) else None)),
+                    (_FLOAT_CELLS, _csvtext.format_g9(floats[rows], work if k == block else None)),
                     (_PHASE_CELL, [t[phases[rows]] for t in _PHASE_TEXT]),
                     (_TARGET_CELL, [t[target_code[rows]] for t in target_text]),
                 ):
@@ -404,7 +382,7 @@ class World:
         self._b_params = None  # the gains behind the cached damping row _b6
         self._b6 = ()
         self._phase_code = _PHASE_CODE[self.phase]
-        self._pending = self.trace.data.pending
+        self._records = self.trace.records
         self._runaway_at = self._runaway_bound()
         self.operator.notify_grab(0.0)
         self.operator.begin_target(0, scenario.targets[0], 0.0)
@@ -447,7 +425,7 @@ class World:
             raise SimulationFault(
                 f"operator wrench must be zero during locked alignment (step {k})"
             )
-        f_env, collision, _ = environment_wrench(
+        f_env, collision = environment_wrench(
             pose0, twist0, sc.surface, target, self.hole_depth, sc.environment
         )
         (hx, hy, hz), (htx, hty, htz) = f_h
@@ -486,7 +464,7 @@ class World:
                 self.s_ref, ix * ux + iy * uy + iz * uz, params_now.translational, dt
             )
             s = self.s_act = self.s_act + self.plant_alpha * (s_ref - self.s_act)
-            # constrain_twist of s_ref * axis: its projection onto the axis
+            # s_ref * axis, projected onto the axis
             r = s_ref * ux * ux + s_ref * uy * uy + s_ref * uz * uz
             rvx, rvy, rvz = r * ux, r * uy, r * uz
             rwx = rwy = rwz = 0.0
@@ -566,8 +544,8 @@ class World:
             self._b6 = tuple([g.b for g in params_now.gains])
         b0, b1, b2, b3, b4, b5 = self._b6
         qw, qx, qy, qz = ori0
-        pending = self._pending
-        pending += _pack_record(
+        records = self._records
+        records += _pack_record(
             t, px, py, pz, qw, qx, qy, qz,
             vx, vy, vz, wx, wy, wz,
             rvx, rvy, rvz, rwx, rwy, rwz,
@@ -577,8 +555,6 @@ class World:
             b0, b1, b2, b3, b4, b5, depth,
             self._phase_code, self.target_idx,
         )
-        if len(pending) >= _PENDING_BYTES:
-            self.trace.data.flush()
         self.k = k + 1
 
         if distance > self._runaway_at:
@@ -641,7 +617,6 @@ class World:
                 self.step()
         except GeometryError as exc:  # e.g. a mesh feature with no normal
             raise SimulationFault(f"geometry fault at sample {self.k}: {exc}") from exc
-        self.trace.data.flush()
         return self.trace
 
 

@@ -1,5 +1,5 @@
-"""Haptic-guidance task state machine, locked auto-alignment, and the 1-DoF
-motion constraint.
+"""Haptic-guidance task state machine and locked auto-alignment (the 1-DoF
+motion constraint itself is the guided drilling body of ``World.step``).
 
 Per drill target the guided sequence is
 
@@ -26,7 +26,6 @@ from .geometry import (
     UnitQuat,
     Vec3,
     angle_between,
-    project_onto_axis,
     rotate,
     rotation_between,
     slerp,
@@ -245,11 +244,3 @@ def _quat_log(q: UnitQuat) -> Vec3:
         s = -s
     return Vec3(s * q.x, s * q.y, s * q.z)
 
-
-def constrain_twist(v_ref: Twist6, axis: Vec3) -> Twist6:
-    """Restrict a twist to translation along the drilling axis.
-
-    The angular part is zeroed outright and the linear part keeps only its
-    axial projection, so the constraint is algebraic rather than a penalty.
-    """
-    return Twist6(project_onto_axis(v_ref.linear, axis), Vec3.zero())

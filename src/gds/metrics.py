@@ -77,17 +77,18 @@ def _trapezoid(series, dt: float) -> float:
     return dt * (math.fsum(series) - 0.5 * (series[0] + series[-1]))
 
 
-def _speed(data: dict, names: Tuple[str, str, str]) -> list:
+def _speed(data, names: Tuple[str, str, str]) -> list:
     """Per-sample norm of three columns."""
-    x, y, z = (data[name] for name in names)
+    x, y, z = (memoryview(data[name]) for name in names)
     # Python's a ** 2 (libm pow) is not always a * a, so this stays scalar
+    # over Python floats, which a memoryview yields
     return [math.sqrt(a ** 2 + b ** 2 + c ** 2) for a, b, c in zip(x, y, z)]
 
 
-def _power(data: dict, forces: Tuple[str, str, str], rates: Tuple[str, str, str]) -> list:
+def _power(data, forces: Tuple[str, str, str], rates: Tuple[str, str, str]) -> list:
     """Per-sample sum_i |F_i v_i| over three column pairs, added left to right."""
-    f1, f2, f3 = (np.frombuffer(data[name], dtype=np.float64) for name in forces)
-    v1, v2, v3 = (np.frombuffer(data[name], dtype=np.float64) for name in rates)
+    f1, f2, f3 = (data[name] for name in forces)
+    v1, v2, v3 = (data[name] for name in rates)
     return (np.abs(f1 * v1) + np.abs(f2 * v2) + np.abs(f3 * v3)).tolist()
 
 
@@ -101,9 +102,10 @@ def _drill_entry_indices(trace: Trace, n_targets: int) -> Dict[int, int]:
     """Sample index 'just before drilling starts' per target: entry into
     ConstrainedDrill under guidance, the first-cut sample without it."""
     if trace.condition == "with":
-        codes = np.frombuffer(trace.phase_codes, dtype=np.intc)
-        drilling = np.flatnonzero(codes == _PHASE_CODE[GuidancePhase.CONSTRAINED_DRILL])
-        tgts = np.frombuffer(trace.target_idx, dtype=np.intc)[drilling]
+        drilling = np.flatnonzero(
+            trace.phase_codes == _PHASE_CODE[GuidancePhase.CONSTRAINED_DRILL]
+        )
+        tgts = trace.target_idx[drilling]
         firsts, at = np.unique(tgts, return_index=True)
         return dict(zip(firsts.tolist(), drilling[at].tolist()))
     # manual: first_cut events carry the target index
@@ -143,7 +145,7 @@ def compute_metrics(
     if done_events:
         t_tot = done_events[-1][0]
     else:
-        t_tot = d["t"][n - 1] + dt
+        t_tot = trace.sample(n - 1).t + dt
 
     lin_speed = _speed(d, ("vx", "vy", "vz"))
     ang_speed = _speed(d, ("wx", "wy", "wz"))

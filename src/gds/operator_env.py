@@ -152,14 +152,15 @@ class _TargetDraws:
 class VirtualOperator:
     """Stateful wrench source driving one simulated session.
 
-    Owns its RNG; identical (model, seed, input stream) produce bit-identical
-    wrench sequences.
+    The manual variant owns a seeded RNG; the guided variant draws nothing
+    and holds none. Identical (model, seed, input stream) produce
+    bit-identical wrench sequences.
     """
 
     def __init__(self, model: OperatorModel, tool_axis_local: Vec3 = Vec3(0.0, 0.0, 1.0)):
         self.model = model
         self.tool_axis_local = tool_axis_local
-        self._rng = np.random.default_rng(model.seed)
+        self._rng = np.random.default_rng(model.seed) if model.variant == "manual" else None
         self._target_idx: Optional[int] = None
         self._target_t0 = 0.0
         self._grab_t = 0.0
@@ -369,13 +370,11 @@ def environment_wrench(
     target: DrillTarget,
     hole_depth: float,
     model: EnvironmentModel,
-) -> Tuple[Wrench6, bool, float]:
+) -> Tuple[Wrench6, bool]:
     """Workpiece reaction at the drill tip.
 
-    Returns (wrench, collision, axial_position). ``collision`` flags
-    off-target penetration beyond 5 mm. ``axial_position`` is the tip's
-    coordinate along the drilling axis, measured from the target point
-    (negative on the operator's side).
+    Returns (wrench, collision). ``collision`` flags off-target penetration
+    beyond 5 mm.
 
     On-target the reaction is a cutting resistance proportional to the feed
     rate (only while advancing on uncut material) plus a spring at the
@@ -393,7 +392,7 @@ def environment_wrench(
 
     if on_target:
         if ax_pos <= 0.0:
-            return _ZERO_WRENCH, False, ax_pos
+            return _ZERO_WRENCH, False
         v = twist.linear
         feed = v.x * ux + v.y * uy + v.z * uz
         f_mag = 0.0
@@ -405,14 +404,14 @@ def environment_wrench(
         if bottom_pen > 0.0:
             f_mag += model.contact_stiffness * bottom_pen
         force = axis.scale(-f_mag)
-        return _new(Wrench6, (force, _ZERO3)), False, ax_pos
+        return _new(Wrench6, (force, _ZERO3)), False
 
     sd = surface.signed_distance(p)
     if sd >= 0.0:
-        return _ZERO_WRENCH, False, ax_pos
+        return _ZERO_WRENCH, False
     pen = -sd
     _, n_out = surface.closest_point(p)
     pen_rate = -twist.linear.dot(n_out)
     f_mag = model.contact_stiffness * pen + model.contact_damping * pen_rate
     f_mag = max(0.0, f_mag)  # the surface can only push
-    return _new(Wrench6, (n_out.scale(f_mag), _ZERO3)), pen > 0.005, ax_pos
+    return _new(Wrench6, (n_out.scale(f_mag), _ZERO3)), pen > 0.005

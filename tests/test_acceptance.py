@@ -147,16 +147,17 @@ def test_c2_gain_ramp():
 
 def test_c3_state_machine_thresholds(guided_run):
     sc, trace, _ = guided_run
-    d = trace.data
+    px, py, pz = (trace.data[name].tolist() for name in ("px", "py", "pz"))
+    targets = trace.target_idx.tolist()
     th = sc.thresholds
 
     def dist(i, tgt):
-        p = Vec3(d["px"][i], d["py"][i], d["pz"][i])
+        p = Vec3(px[i], py[i], pz[i])
         return (p - sc.targets[tgt].point).norm()
 
     # adapt/lock crossings promote the phase within one timestep
     for tgt in range(3):
-        idx = [i for i in range(len(trace)) if trace.target_idx[i] == tgt]
+        idx = [i for i in range(len(trace)) if targets[i] == tgt]
         first_adapt = next(i for i in idx if dist(i, tgt) <= th.adapt_radius)
         assert trace.phase_of(first_adapt) is GuidancePhase.APPROACH
         assert trace.phase_of(first_adapt - 1) is GuidancePhase.FREE_MOTION
@@ -173,7 +174,7 @@ def test_c3_state_machine_thresholds(guided_run):
         n_align = sum(
             1
             for i in range(len(trace))
-            if trace.target_idx[i] == tgt
+            if targets[i] == tgt
             and trace.phase_of(i) is GuidancePhase.AUTO_ALIGN
         )
         assert n_align == round(4.0 / sc.dt)
@@ -183,7 +184,7 @@ def test_c3_state_machine_thresholds(guided_run):
         entry = next(
             i
             for i in range(len(trace))
-            if trace.target_idx[i] == tgt
+            if targets[i] == tgt
             and trace.phase_of(i) is GuidancePhase.CONSTRAINED_DRILL
         )
         s = trace.sample(entry)
@@ -391,7 +392,7 @@ def test_c9_contact_passivity():
             vz = -speed if k <= n_half else speed
             pose = Pose(Vec3(0.05, 0.0, z), UnitQuat.identity())
             tw = Twist6(Vec3(0.0, 0.0, vz), Vec3.zero())
-            w, _, _ = environment_wrench(pose, tw, surface, target, 0.0, env)
+            w, _ = environment_wrench(pose, tw, surface, target, 0.0, env)
             powers.append(w.force.dot(tw.linear))
             z += vz * dt
         net = dt * (math.fsum(powers) - 0.5 * (powers[0] + powers[-1]))

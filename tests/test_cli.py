@@ -7,6 +7,8 @@ from gds import config
 from gds.cli import main
 from gds.presets import experiment_one_raw
 
+EXPERIMENT1 = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "experiment1.json")
+
 # a binary STL whose header begins with "solid": undecodable as text
 BINARY_STL = (
     b"solid exported".ljust(80, b"\0") + (1).to_bytes(4, "little")
@@ -261,6 +263,32 @@ class TestRun:
         out = str(tmp_path / "out")
         assert main([verb, "--scenario", mini_config, "--seeds=-2", "--out", out, *extra]) == 2
         assert capsys.readouterr().err == "config error: seed: expected a non-negative integer\n"
+
+    @pytest.mark.parametrize(
+        "verb, extra",
+        [
+            ("run", ["--condition", "both"]),
+            ("compare", []),
+            ("sweep", ["--param", "operator.push_force", "--values", "25,30"]),
+        ],
+        ids=["run", "compare", "sweep"],
+    )
+    def test_late_bad_seed_runs_and_writes_nothing(self, verb, extra, tmp_path, capsys):
+        # every session is resolved before the first one runs
+        out = tmp_path / "out"
+        argv = [verb, "--scenario", EXPERIMENT1, "--seeds", "0,1,-2", "--out", str(out), *extra]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "config error: seed: expected a non-negative integer\n")
+        assert not out.exists()
+
+    def test_late_bad_sweep_value_runs_nothing(self, mini_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["sweep", "--scenario", mini_config, "--param", "operator.push_force",
+                "--values", "25,inf", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("config error: ")
+        assert not out.exists()
 
     def test_duplicate_seeds_rejected(self, mini_config, capsys):
         assert main(["run", "--scenario", mini_config, "--seeds", "1,1"]) == 2

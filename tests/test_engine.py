@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import math
 import struct
+import weakref
 from array import array
 from collections import deque
 from types import SimpleNamespace
@@ -14,16 +16,15 @@ from hypothesis import strategies as st
 from gds import engine
 from gds.admittance import gains_at, step_admittance, step_axial
 from gds.config import canonical_config, scenario_from_config
-from gds.engine import _PENDING_BYTES, CSV_HEADER, PlantModel, Scenario, Trace, World, run
+from gds.engine import CSV_HEADER, PlantModel, Scenario, Trace, World, run
 from gds.errors import SimulationFault
-from gds.geometry import Pose, Twist6, UnitQuat, Vec3, Wrench6, _canonical
+from gds.geometry import Pose, Twist6, UnitQuat, Vec3, Wrench6, _canonical, project_onto_axis
 from gds.guidance import (
     _AUTO_ALIGN,
     _CONSTRAINED_DRILL,
     _RETRACT,
     GuidancePhase,
     alignment_twist,
-    constrain_twist,
     sample_alignment,
     update_phase,
 )
@@ -50,12 +51,13 @@ _B_FIELDS = engine._B_FIELDS
 def reference_checksum(trace):
     """Row-at-a-time struct packing: the oracle for Trace.checksum."""
     h = hashlib.sha256()
-    cols = [trace.data[name] for name in _FLOAT_FIELDS + _B_FIELDS + ["hole_depth"]]
+    cols = [trace.data[name].tolist() for name in _FLOAT_FIELDS + _B_FIELDS + ["hole_depth"]]
+    codes, targets = trace.phase_codes.tolist(), trace.target_idx.tolist()
     pack = struct.pack
     for i in range(len(trace)):
         row = [c[i] for c in cols]
         h.update(pack(f"<{len(row)}d", *row))
-        h.update(pack("<2i", trace.phase_codes[i], trace.target_idx[i]))
+        h.update(pack("<2i", codes[i], targets[i]))
     return h.hexdigest()
 
 
@@ -64,14 +66,15 @@ def reference_to_csv(trace, path):
     d = trace.data
     with open(path, "w") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
-        float_cols = [d[name] for name in _FLOAT_FIELDS]
-        b_cols = [d[name] for name in _B_FIELDS]
-        hole = d["hole_depth"]
+        float_cols = [d[name].tolist() for name in _FLOAT_FIELDS]
+        b_cols = [d[name].tolist() for name in _B_FIELDS]
+        hole = d["hole_depth"].tolist()
+        codes, targets = trace.phase_codes.tolist(), trace.target_idx.tolist()
         for i in range(len(trace)):
             parts = [f"{c[i]:.9g}" for c in float_cols]
-            parts.append(_PHASE_ORDER[trace.phase_codes[i]].value)
+            parts.append(_PHASE_ORDER[codes[i]].value)
             parts += [f"{c[i]:.9g}" for c in b_cols]
-            parts.append(str(trace.target_idx[i]))
+            parts.append(str(targets[i]))
             parts.append(f"{hole[i]:.9g}")
             fh.write(",".join(parts) + "\n")
 
@@ -103,15 +106,16 @@ def special_value_trace(n, seed=0):
     its own offset), even rows hold random values of magnitude 1e-12 to 1e12;
     every phase code and every one of TARGET_INDICES appears."""
     rng = np.random.default_rng(seed)
-    tr = Trace(dt=1e-3, condition="with", config_digest="synthetic")
-    for j, name in enumerate(engine._COLUMNS):
+    cols = []
+    for j in range(len(engine._COLUMNS)):
         values = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
         specials = [SPECIAL_VALUES[(i + j) % len(SPECIAL_VALUES)] for i in range(n)]
-        tr.data[name].extend(
-            s if i % 2 else float(v) for i, (v, s) in enumerate(zip(values, specials))
+        cols.append([s if i % 2 else float(v) for i, (v, s) in enumerate(zip(values, specials))])
+    tr = Trace(dt=1e-3, condition="with", config_digest="synthetic")
+    for i in range(n):
+        tr.records += _pack_record(
+            *(c[i] for c in cols), i % len(_PHASE_ORDER), TARGET_INDICES[i % len(TARGET_INDICES)]
         )
-    tr.phase_codes.extend(i % len(_PHASE_ORDER) for i in range(n))
-    tr.target_idx.extend(TARGET_INDICES[i % len(TARGET_INDICES)] for i in range(n))
     return tr
 
 
@@ -135,8 +139,7 @@ class ReferenceWorld(World):
     The oracle for World.step, bit for bit."""
 
     def _record(self, t, pose, twist, v_ref, f_h, f_env, f_int, b6, hole_depth):
-        pending = self._pending
-        pending += _pack_record(
+        self.trace.records += _pack_record(
             t, *pose.position, *pose.orientation,
             *twist.linear, *twist.angular,
             *v_ref.linear, *v_ref.angular,
@@ -146,8 +149,6 @@ class ReferenceWorld(World):
             *b6, hole_depth,
             self._phase_code, self.target_idx,
         )
-        if len(pending) >= _PENDING_BYTES:
-            self.trace.data.flush()
 
     def _integrate(self, pose: Pose, twist: Twist6) -> Pose:
         dt = self.dt
@@ -190,7 +191,7 @@ class ReferenceWorld(World):
             raise SimulationFault(
                 f"operator wrench must be zero during locked alignment (step {k})"
             )
-        f_env, collision, _ = environment_wrench(
+        f_env, collision = environment_wrench(
             pose0, twist0, sc.surface, target, self.hole_depth, sc.environment
         )
         (hx, hy, hz), (htx, hty, htz) = f_h
@@ -220,9 +221,10 @@ class ReferenceWorld(World):
             self.s_ref = step_axial(self.s_ref, f_ax, params_now.translational, dt)
             self.s_act = self.s_act + self.plant_alpha * (self.s_ref - self.s_act)
             s = self.s_ref
-            v_ref = constrain_twist(
-                _new(Twist6, (_new(Vec3, (s * axis.x, s * axis.y, s * axis.z)), Vec3.zero())),
-                axis,
+            # only translation along the axis: its projection onto the axis
+            v_ref = Twist6(
+                project_onto_axis(_new(Vec3, (s * axis.x, s * axis.y, s * axis.z)), axis),
+                Vec3.zero(),
             )
             s = self.s_act
             new_twist = _new(Twist6, (_new(Vec3, (s * axis.x, s * axis.y, s * axis.z)), Vec3.zero()))
@@ -314,15 +316,18 @@ class ReferenceWorld(World):
 
 
 class ColumnAppendWorld(ReferenceWorld):
-    """ReferenceWorld whose recorder appends each value to its column as the
-    step ends: the oracle for the packed records."""
+    """ReferenceWorld whose recorder appends each value to its own ``array``
+    column as the step ends, and packs no record: the oracle for the packed
+    records and for every reader of them."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        d = self.trace.data
-        self._columns = tuple(d[name] for name in engine._COLUMNS)
-        self._phase_append = self.trace.phase_codes.append
-        self._tgt_append = self.trace.target_idx.append
+        self.columns = {name: array("d") for name in engine._COLUMNS}
+        self.phase_column = array("i")
+        self.target_column = array("i")
+        self._columns = tuple(self.columns.values())
+        self._phase_append = self.phase_column.append
+        self._tgt_append = self.target_column.append
 
     def _record(self, t, pose, twist, v_ref, f_h, f_env, f_int, b6, hole_depth):
         vals = (
@@ -339,14 +344,31 @@ class ColumnAppendWorld(ReferenceWorld):
         self._phase_append(engine._PHASE_CODE[self.phase])
         self._tgt_append(self.target_idx)
 
+    def checksum(self) -> str:
+        """SHA-256 of the columns staged into one record array by numpy."""
+        rows = np.empty(len(self.phase_column), engine._RECORD_DTYPE)
+        for name, col in self.columns.items():
+            rows[name] = col
+        rows["phase"], rows["target_index"] = self.phase_column, self.target_column
+        return hashlib.sha256(rows).hexdigest()
+
 
 def assert_same_recording(got, want):
+    """Two traces hold the same records, bit for bit."""
     assert len(got) == len(want)
-    for name in engine._COLUMNS:
-        assert got.data[name] == want.data[name], name
-    assert got.phase_codes == want.phase_codes
-    assert got.target_idx == want.target_idx
+    assert got.records == want.records
     assert got.checksum() == want.checksum()
+
+
+def assert_matches_columns(trace, oracle):
+    """Every reader of ``trace`` agrees bit for bit with the independent
+    columns of a ColumnAppendWorld ``oracle``."""
+    assert len(trace) == len(oracle.phase_column)
+    for name in engine._COLUMNS:
+        assert trace.data[name].tobytes() == oracle.columns[name].tobytes(), name
+    assert trace.phase_codes.tobytes() == oracle.phase_column.tobytes()
+    assert trace.target_idx.tobytes() == oracle.target_column.tobytes()
+    assert trace.checksum() == oracle.checksum()
 
 
 class ConstantForceOperator(VirtualOperator):
@@ -422,7 +444,7 @@ class TestStepDynamics:
         for _ in range(n):
             w.step()
         worst = 0.0
-        vx = w.trace.data["vx"]
+        vx = w.trace.data["vx"].tolist()
         for k in range(1, n):
             t = (k + 1) * sc.dt  # sample twist spans (t_k, t_k+dt]
             exact = V * (
@@ -445,7 +467,6 @@ class TestStepDynamics:
         # every AutoAlign sample records the twist at the start of its step:
         # alignment_twist at the step's own time, zero on the first one
         world = World(experiment_one_scenario("with", seed=0))
-        d = world.trace.data
         locked = firsts = 0
         while not world.done:
             k, phase = world.k, world.phase
@@ -453,8 +474,8 @@ class TestStepDynamics:
             if phase is not GuidancePhase.AUTO_ALIGN:
                 continue
             want = alignment_twist(world.align_plan, (k - world.align_start_step) * world.dt)
-            got = tuple(d[name][k] for name in ("vx", "vy", "vz", "wx", "wy", "wz"))
-            assert repr(got) == repr((*want.linear, *want.angular))
+            got = world.trace.sample(k).twist
+            assert repr((*got.linear, *got.angular)) == repr((*want.linear, *want.angular))
             locked += 1
             if k == world.align_start_step:
                 assert want == Twist6.zero()
@@ -520,10 +541,11 @@ class TestFullRun:
             GuidancePhase.RETRACT,
             GuidancePhase.TARGET_DONE,
         ]
+        targets = trace.target_idx.tolist()
         for tgt in range(3):
             phases = []
             for i in range(len(trace)):
-                if trace.target_idx[i] != tgt:
+                if targets[i] != tgt:
                     continue
                 p = trace.phase_of(i)
                 if not phases or phases[-1] is not p:
@@ -562,7 +584,7 @@ class TestFullRun:
 
     def test_damping_ramp_continuous_in_trace(self, guided):
         _, trace = guided
-        b = trace.data["b_vx"]
+        b = trace.data["b_vx"].tolist()
         dt = trace.dt
         max_slope = (1000.0 - 100.0) / 1.0  # steepest scheduled ramp
         for i in range(1, len(trace)):
@@ -574,14 +596,15 @@ class TestFullRun:
 
     def test_hole_depth_monotone_within_each_target(self, guided):
         _, trace = guided
-        depth = trace.data["hole_depth"]
+        depth = trace.data["hole_depth"].tolist()
+        targets = trace.target_idx.tolist()
         for i in range(1, len(trace)):
-            if trace.target_idx[i] == trace.target_idx[i - 1]:
+            if targets[i] == targets[i - 1]:
                 assert depth[i] >= depth[i - 1]
 
     def test_interaction_force_identity(self, guided):
         _, trace = guided
-        d = trace.data
+        d = {name: trace.data[name].tolist() for name in engine._COLUMNS}
         for i in range(0, len(trace), 11):
             for ax in ("x", "y", "z"):
                 assert d[f"fint_{ax}"][i] == d[f"fh_{ax}"][i] + d[f"fenv_{ax}"][i]
@@ -595,7 +618,7 @@ class TestFullRun:
         assert t1.checksum() == t2.checksum()
         assert t1.events == t2.events
         # operator caps hold at every sample of the manual run
-        d = t1.data
+        d = {name: t1.data[name].tolist() for name in engine._COLUMNS}
         cap_f, cap_t = sc1.operator.force_cap, sc1.operator.torque_cap
         for i in range(len(t1)):
             f2 = d["fh_x"][i] ** 2 + d["fh_y"][i] ** 2 + d["fh_z"][i] ** 2
@@ -619,8 +642,9 @@ class TestFullRun:
         (t, kind), = trace.events
         assert kind == "runaway:0"
         assert t == len(trace) * sc.dt
-        d = trace.data
-        tip = (d["px"][-1], d["py"][-1], d["pz"][-1] + d["vz"][-1] * sc.dt)
+        last = trace.sample(-1)
+        (px, py, pz), vz = last.pose.position, last.twist.linear.z
+        tip = (px, py, pz + vz * sc.dt)
         assert math.dist(tip, sc.targets[0].point) > start + engine._RUNAWAY_DISTANCE
         assert 2.0 < t < 4.0
 
@@ -670,7 +694,8 @@ class TestTraceExport:
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunk_boundaries_match_row_oracles(self, offset, tmp_path):
-        n = engine._CHECKSUM_CHUNK + offset
+        # around 4,096 rows, a whole number of CSV blocks
+        n = 4096 + offset
         assert_matches_oracles(special_value_trace(n, seed=n), tmp_path)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -756,47 +781,45 @@ class TestPhaseBodies:
 
 
 class TestPackedRecorder:
-    # a pending block holds 4,096 rows: cut one short of a block, at it, one
-    # past it, and one past two blocks; None runs the session to the end
+    # runs cut at several lengths mid-session; None runs the session to the end
     @pytest.mark.parametrize("steps", [4095, 4096, 4097, 8193, None])
     @pytest.mark.parametrize("condition", ["with", "without"])
     def test_matches_column_append_oracle(self, condition, steps):
         kwargs = {} if steps is None else {"max_sim_time": (steps + 0.5) * 1e-3}
         sc = experiment_one_scenario(condition, seed=0, **kwargs)
         got = World(sc).run()
-        assert not got.data.pending  # run moves the last block into the columns
-        want = ColumnAppendWorld(sc).run()
-        assert got.complete == want.complete == (steps is None)
+        oracle = ColumnAppendWorld(sc)
+        oracle.run()
+        assert got.complete == oracle.trace.complete == (steps is None)
         if steps is not None:
-            assert len(want) == steps
-        assert_same_recording(got, want)
+            assert len(got) == steps
+        assert not oracle.trace.records  # the oracle keeps only its columns
+        assert_matches_columns(got, oracle)
 
     def test_rows_before_a_fault_are_readable(self):
         sc = far_target_scenario()
         sc.max_sim_time = 10.0
         wrench = Wrench6(Vec3(3.0, -2.0, 1.0), Vec3(0.5, 0.0, 0.0))
-        worlds = [cls(sc, FaultingOperator(wrench, 5000)) for cls in (World, ColumnAppendWorld)]
-        for world in worlds:
+        world, oracle = (cls(sc, FaultingOperator(wrench, 5000)) for cls in (World, ColumnAppendWorld))
+        for w in (world, oracle):
             with pytest.raises(SimulationFault):
-                world.run()
-        got, want = (world.trace for world in worlds)
-        assert len(got.data.pending) == (5000 - 4096) * engine._RECORD_DTYPE.itemsize
-        assert len(want) == 5000
-        assert_same_recording(got, want)
+                w.run()
+        assert len(world.trace) == 5000
+        assert_matches_columns(world.trace, oracle)
 
     @pytest.mark.parametrize("condition", ["with", "without"])
     def test_every_reader_sees_each_step(self, condition):
         # 1.5 s by hand: past the first phase change of either condition
         sc = experiment_one_scenario(condition, seed=0, max_sim_time=2.0)
         world, oracle = World(sc), ColumnAppendWorld(sc)
-        trace, want = world.trace, oracle.trace
+        trace = world.trace
         d = trace.data
         before = {}  # the phase and target index that govern step k
         readers = (
             ("data", lambda k: [d[n][-1] for n in engine._COLUMNS]
-                == [want.data[n][-1] for n in engine._COLUMNS]),
+                == [oracle.columns[n][-1] for n in engine._COLUMNS]),
             ("len", lambda k: len(trace) == k + 1),
-            ("sample", lambda k: trace.sample(k) == want.sample(k)),
+            ("sample", lambda k: trace.sample(k) == oracle_sample(oracle, k)),
             ("phase_codes", lambda k: trace.phase_codes[-1] == engine._PHASE_CODE[before["phase"]]
                 and len(trace.phase_codes) == k + 1),
             ("target_idx", lambda k: trace.target_idx[-1] == before["target"]
@@ -808,14 +831,107 @@ class TestPackedRecorder:
             before.update(phase=world.phase, target=world.target_idx)
             world.step()
             oracle.step()
-            assert trace.data.pending  # the step is packed, not yet in the columns
-            # any reader moves the step into the columns: each goes first in turn
+            # each reader goes first in turn
             first = k % len(readers)
             for name, shows_step in readers[first:] + readers[:first]:
                 assert shows_step(k), name
             phases.add(before["phase"])
         assert len(phases) > 1
         world.run()
-        assert not trace.data.pending
         oracle.run()
-        assert_same_recording(trace, want)
+        assert_matches_columns(trace, oracle)
+
+    def test_reads_between_steps_hold_no_view_of_the_records(self):
+        # a live numpy view of the growing bytearray would make the next
+        # append raise BufferError; every read is a copy, so stepping goes on
+        sc = experiment_one_scenario("with", seed=0, max_sim_time=1.0)
+        world = World(sc)
+        trace = world.trace
+        held = []
+        for k in range(300):
+            world.step()
+            t, codes = trace.data["t"], trace.phase_codes
+            assert len(trace) == len(t) == len(codes) == k + 1
+            assert t.tolist() == [i * sc.dt for i in range(k + 1)]
+            assert t.flags.c_contiguous and codes.flags.c_contiguous
+            # the benchmark's checks read columns this way
+            fx = np.frombuffer(trace.data["fh_x"], dtype=np.float64)
+            assert len(fx) == k + 1
+            held.append((t, codes, fx))
+        world.run()
+        assert len(trace) == 1000
+        t, codes, fx = held[0]
+        assert t.tolist() == [0.0] and len(codes) == len(fx) == 1
+        assert trace.data["t"].tolist() == [i * sc.dt for i in range(1000)]
+
+    def test_a_dropped_trace_is_freed_at_once(self):
+        # no reference cycle holds a trace: its records go with its last
+        # reference, not at some later cyclic collection, so back-to-back
+        # runs that drop their traces do not pile them up
+        sc = far_target_scenario()
+        sc.max_sim_time = 0.05
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            trace = run(sc)
+            assert len(trace.data["t"]) == len(trace.phase_codes) == 50
+            ref = weakref.ref(trace)
+            del trace
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_sample_index_bounds(self):
+        trace = special_value_trace(3)
+        assert trace.sample(-1) == trace.sample(2) and trace.phase_of(-3) is trace.phase_of(0)
+        for i in (3, -4):
+            with pytest.raises(IndexError):
+                trace.sample(i)
+            with pytest.raises(IndexError):
+                trace.phase_of(i)
+
+
+def oracle_sample(oracle, k):
+    """Sample ``k`` of a ColumnAppendWorld, built from its own columns."""
+    c = {name: col[k] for name, col in oracle.columns.items()}
+
+    def vec(*names):
+        return Vec3(*(c[n] for n in names))
+
+    return engine.TraceSample(
+        t=c["t"],
+        pose=Pose(vec("px", "py", "pz"), UnitQuat(c["qw"], c["qx"], c["qy"], c["qz"])),
+        twist=Twist6(vec("vx", "vy", "vz"), vec("wx", "wy", "wz")),
+        v_ref=Twist6(vec("vref_x", "vref_y", "vref_z"), vec("wref_x", "wref_y", "wref_z")),
+        f_h=Wrench6(vec("fh_x", "fh_y", "fh_z"), vec("fh_tx", "fh_ty", "fh_tz")),
+        f_env=Wrench6(vec("fenv_x", "fenv_y", "fenv_z"), vec("fenv_tx", "fenv_ty", "fenv_tz")),
+        f_int=Wrench6(vec("fint_x", "fint_y", "fint_z"), vec("fint_tx", "fint_ty", "fint_tz")),
+        phase=_PHASE_ORDER[oracle.phase_column[k]],
+        active_b=tuple(c[n] for n in _B_FIELDS),
+        target_index=oracle.target_column[k],
+        hole_depth=c["hole_depth"],
+    )
+
+
+class TestGuidedSeedIndependence:
+    def test_guided_operator_holds_no_rng(self):
+        assert VirtualOperator(OperatorModel(variant="guided", seed=3))._rng is None
+        assert VirtualOperator(OperatorModel(variant="manual", seed=3))._rng is not None
+
+    @given(
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2, unique=True),
+        angles=st.lists(
+            st.tuples(st.floats(0.0, 45.0), st.floats(0.0, 360.0, exclude_max=True)),
+            min_size=3,
+            max_size=3,
+        ),
+    )
+    # each example is two simulated sessions, so no shrinking
+    @settings(
+        max_examples=4, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate)
+    )
+    def test_guided_sessions_do_not_depend_on_the_seed(self, seeds, angles):
+        a, b = (run(drawn_session("with", seed, angles, 0.05, 10.0)) for seed in seeds)
+        assert len(a) > 0 and a.checksum() == b.checksum()
+        assert a.events == b.events

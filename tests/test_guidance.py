@@ -12,7 +12,6 @@ from gds.geometry import (
     UnitQuat,
     Vec3,
     angle_between,
-    project_onto_axis,
     rotate,
     rotation_between,
     slerp,
@@ -23,7 +22,6 @@ from gds.guidance import (
     GuidanceThresholds,
     alignment_twist,
     check_transition,
-    constrain_twist,
     plan_alignment,
     sample_alignment,
     _quat_log,
@@ -243,24 +241,3 @@ class TestAlignmentOracles:
                 assert got == want
                 assert repr(got) == repr(want)
 
-
-class TestConstrainTwist:
-    def test_coordinate_projection(self):
-        v = Twist6(Vec3(0.1, 0.2, 0.3), Vec3(1, 1, 1))
-        out = constrain_twist(v, Vec3(0, 0, 1))
-        assert out == Twist6(Vec3(0.0, 0.0, 0.3), Vec3(0.0, 0.0, 0.0))
-
-    def test_axial_twist_is_fixed_point(self):
-        v = Twist6(Vec3(0.0, -0.04, 0.0), Vec3.zero())
-        assert constrain_twist(v, Vec3(0, 1, 0)) == Twist6(Vec3(0.0, -0.04, 0.0), Vec3.zero())
-
-    def test_off_axis_residual_vanishes(self):
-        rng = np.random.default_rng(9)
-        for _ in range(200):
-            raw = rng.standard_normal(3)
-            axis = Vec3(*(raw / np.linalg.norm(raw)))
-            v = Twist6(Vec3(*rng.uniform(-1, 1, 3)), Vec3(*rng.uniform(-1, 1, 3)))
-            out = constrain_twist(v, axis)
-            assert out.angular == Vec3(0.0, 0.0, 0.0)
-            perp = out.linear - project_onto_axis(out.linear, axis)
-            assert perp.norm() <= 1e-12

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from gds.engine import Trace, _FLOAT_FIELDS, _B_FIELDS, _PHASE_CODE
+from gds.engine import Trace, _COLUMNS, _PHASE_CODE, _pack_record
 from gds.geometry import UnitQuat, Vec3, rotate
 from gds.guidance import GuidancePhase
 from gds.metrics import (
@@ -23,25 +23,28 @@ from gds.engine import run
 
 
 def synthetic_trace(n, dt, fill):
-    """Build a trace row by row; ``fill(i) -> dict`` of column overrides."""
+    """Build a trace record by record; ``fill(i) -> dict`` of column
+    overrides, plus ``phase`` and ``target_index``."""
     tr = Trace(dt=dt, condition="with", config_digest="synthetic")
     for i in range(n):
-        row = {name: 0.0 for name in _FLOAT_FIELDS + _B_FIELDS + ["hole_depth"]}
+        row = {name: 0.0 for name in _COLUMNS}
         row["t"] = i * dt
         row["qw"] = 1.0
         row.update(fill(i))
-        for name in _FLOAT_FIELDS + _B_FIELDS + ["hole_depth"]:
-            tr.data[name].append(row[name])
-        tr.phase_codes.append(_PHASE_CODE[row.get("phase", GuidancePhase.FREE_MOTION)])
-        tr.target_idx.append(0)
+        tr.records += _pack_record(
+            *(row[name] for name in _COLUMNS),
+            _PHASE_CODE[row.get("phase", GuidancePhase.FREE_MOTION)],
+            row.get("target_index", 0),
+        )
     return tr
 
 
 def reference_drill_entry_indices(trace):
     """Per-index scan: the oracle for the guided branch of _drill_entry_indices."""
     out = {}
+    targets = trace.target_idx.tolist()
     for i in range(len(trace)):
-        tgt = trace.target_idx[i]
+        tgt = targets[i]
         if trace.phase_of(i) is GuidancePhase.CONSTRAINED_DRILL and tgt not in out:
             out[tgt] = i
     return out
@@ -49,11 +52,12 @@ def reference_drill_entry_indices(trace):
 
 def reference_series(trace):
     """Per-index loops: linear and angular speed, force and torque power."""
-    d, n = trace.data, len(trace)
-    vx, vy, vz = d["vx"], d["vy"], d["vz"]
-    wx, wy, wz = d["wx"], d["wy"], d["wz"]
-    fx, fy, fz = d["fh_x"], d["fh_y"], d["fh_z"]
-    tx, ty, tz = d["fh_tx"], d["fh_ty"], d["fh_tz"]
+    n = len(trace)
+    vx, vy, vz, wx, wy, wz, fx, fy, fz, tx, ty, tz = (
+        trace.data[name].tolist()
+        for name in ("vx", "vy", "vz", "wx", "wy", "wz",
+                     "fh_x", "fh_y", "fh_z", "fh_tx", "fh_ty", "fh_tz")
+    )
     lin_speed = [math.sqrt(vx[i] ** 2 + vy[i] ** 2 + vz[i] ** 2) for i in range(n)]
     ang_speed = [math.sqrt(wx[i] ** 2 + wy[i] ** 2 + wz[i] ** 2) for i in range(n)]
     p_force = [
@@ -68,11 +72,10 @@ def reference_series(trace):
 def reference_compute_metrics(trace, targets, tool_axis_local=Vec3(0.0, 0.0, 1.0)):
     """Per-index loops over the trace: the oracle for compute_metrics."""
     n = len(trace)
-    d = trace.data
     dt = trace.dt
     done_events = trace.events_of_kind("target_done:")
     complete = trace.complete and len(done_events) == len(targets)
-    t_tot = done_events[-1][0] if done_events else d["t"][n - 1] + dt
+    t_tot = done_events[-1][0] if done_events else trace.data["t"].tolist()[n - 1] + dt
 
     lin_speed, ang_speed, p_force, p_torque = reference_series(trace)
     e_force = _trapezoid(p_force, dt)
@@ -233,9 +236,10 @@ class TestComputeMetrics:
     def test_guided_entry_scan_matches_loop_oracle(self):
         # every phase, with targets revisited out of order
         phases = tuple(GuidancePhase)
-        tr = synthetic_trace(600, 0.01, lambda i: {"phase": phases[(i * 7) % len(phases)]})
-        for i in range(len(tr)):
-            tr.target_idx[i] = (i * 5) % 4 if i % 11 else 9
+        tr = synthetic_trace(600, 0.01, lambda i: {
+            "phase": phases[(i * 7) % len(phases)],
+            "target_index": (i * 5) % 4 if i % 11 else 9,
+        })
         want = reference_drill_entry_indices(tr)
         assert len(want) > 1
         assert _drill_entry_indices(tr, 4) == want

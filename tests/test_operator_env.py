@@ -361,7 +361,7 @@ class TestManualKernel:
 class TestEnvironment:
     def test_no_contact_zero_wrench(self):
         target = flat_target()
-        w, collision, _ = environment_wrench(
+        w, collision = environment_wrench(
             Pose(Vec3(0.2, 0.0, 0.02), UnitQuat.identity()),
             Twist6.zero(),
             crest_cylinder(),
@@ -377,11 +377,10 @@ class TestEnvironment:
         target = flat_target()
         tip = Pose(Vec3(0, 0, -0.001), UnitQuat.identity())  # 1 mm into the cut
         feed = target.axis.scale(0.002)
-        w, _, ax_pos = environment_wrench(
+        w, _ = environment_wrench(
             tip, Twist6(feed, Vec3.zero()), crest_cylinder(), target,
             0.001, ENV,
         )
-        assert ax_pos == pytest.approx(0.001, abs=1e-12)
         along = w.force.dot(target.axis)
         assert along == pytest.approx(-1.6, abs=1e-9)
 
@@ -389,7 +388,7 @@ class TestEnvironment:
         target = flat_target()
         tip = Pose(Vec3(0, 0, -0.001), UnitQuat.identity())
         pull = target.axis.scale(-0.01)
-        w, _, _ = environment_wrench(
+        w, _ = environment_wrench(
             tip, Twist6(pull, Vec3.zero()), crest_cylinder(), target,
             0.002, ENV,
         )
@@ -399,7 +398,7 @@ class TestEnvironment:
         target = flat_target()
         surf = crest_cylinder()
         tip = Pose(Vec3(0.05, 0.0, -0.0035), UnitQuat.identity())  # ~1 mm inside, 5 cm off target
-        w, collision, _ = environment_wrench(
+        w, collision = environment_wrench(
             tip, Twist6.zero(), surf, target, 0.0, ENV,
         )
         assert w.force.norm() > 0.0
@@ -410,7 +409,7 @@ class TestEnvironment:
     def test_deep_off_target_penetration_is_collision(self):
         target = flat_target()
         tip = Pose(Vec3(0.05, 0.0, -0.0085), UnitQuat.identity())  # ~6 mm inside
-        w, collision, _ = environment_wrench(
+        w, collision = environment_wrench(
             tip, Twist6.zero(), crest_cylinder(), target, 0.0, ENV,
         )
         assert collision
@@ -422,7 +421,7 @@ class TestEnvironment:
         tip = Pose(Vec3(0.05, 0.0, -0.0030), UnitQuat.identity())
         _, n_out = surf.closest_point(tip.position)
         retreat = Twist6(n_out.scale(1.0), Vec3.zero())
-        w, _, _ = environment_wrench(tip, retreat, surf, target, 0.0, ENV)
+        w, _ = environment_wrench(tip, retreat, surf, target, 0.0, ENV)
         assert w.force.dot(n_out) >= 0.0
 
     def test_passive_over_contact_cycle(self):
@@ -443,7 +442,7 @@ class TestEnvironment:
                 vz = -speed if going_down else speed
                 pose = Pose(Vec3(0.05, 0.0, z), UnitQuat.identity())
                 tw = Twist6(Vec3(0.0, 0.0, vz), Vec3.zero())
-                w, _, _ = environment_wrench(pose, tw, surf, target, 0.0, env)
+                w, _ = environment_wrench(pose, tw, surf, target, 0.0, env)
                 powers.append(w.force.dot(tw.linear))
                 z += vz * dt
             net = dt * (math.fsum(powers) - 0.5 * (powers[0] + powers[-1]))
