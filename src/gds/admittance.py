@@ -12,8 +12,10 @@ unconditional stability (the error |v - F/b| shrinks by a factor in (0, 1)
 every step for any dt > 0) but carries no discretization error, which the
 stiff damping settings used while drilling would otherwise accumulate.
 
-Damping transitions between task phases follow a linear ramp (1 s long by
-default); virtual mass is constant across phases.
+Each task phase sets one gain pair for the three translational channels and
+one for the three rotational channels. Damping transitions between task
+phases follow a linear ramp (1 s long by default); virtual mass is constant
+across phases.
 """
 
 from __future__ import annotations
@@ -41,30 +43,13 @@ class DofGains(NamedTuple):
     m: float  # virtual mass, kg (translational) or kg m^2 (rotational)
     b: float  # virtual damping, N s/m or N m s
 
-    def validate(self) -> "DofGains":
-        if not (self.m > 0.0 and self.b > 0.0):
-            raise ValueError(f"admittance gains must be positive, got {self}")
-        return self
-
 
 class AdmittanceParams(NamedTuple):
-    """Per-DoF gains in the order vx, vy, vz, wx, wy, wz."""
+    """One gain pair per task phase: ``translational`` for vx, vy and vz,
+    ``rotational`` for wx, wy and wz."""
 
-    gains: tuple  # 6 x DofGains
-
-    @staticmethod
-    def uniform(trans: DofGains, rot: DofGains) -> "AdmittanceParams":
-        trans.validate()
-        rot.validate()
-        return AdmittanceParams((trans, trans, trans, rot, rot, rot))
-
-    @property
-    def translational(self) -> DofGains:
-        return self.gains[0]
-
-    @property
-    def rotational(self) -> DofGains:
-        return self.gains[3]
+    translational: DofGains
+    rotational: DofGains
 
 
 def phase_params(phase, condition: str) -> AdmittanceParams:
@@ -93,7 +78,7 @@ def phase_params(phase, condition: str) -> AdmittanceParams:
         # drilling row; the rotational entries are placeholders, as no
         # rotational channel runs in these phases
         trans, rot = DRILL_TRANS, CLOSE_ROT
-    return AdmittanceParams.uniform(DofGains(*trans), DofGains(*rot))
+    return AdmittanceParams(DofGains(*trans), DofGains(*rot))
 
 
 @dataclass
@@ -124,16 +109,11 @@ def gains_at(schedule: GainSchedule, t: float) -> AdmittanceParams:
     if t >= schedule.ramp_start + schedule.ramp_duration:
         return schedule.end_params
     s = (t - schedule.ramp_start) / schedule.ramp_duration
-    # channels share DofGains objects (uniform() repeats them), so each
-    # distinct pair of endpoints is interpolated once
-    out = []
-    g0 = g1 = g = None
-    for h0, h1 in zip(schedule.start_params.gains, schedule.end_params.gains):
-        if h0 is not g0 or h1 is not g1:
-            g0, g1 = h0, h1
-            g = _new(DofGains, (g0.m + s * (g1.m - g0.m), g0.b + s * (g1.b - g0.b)))
-        out.append(g)
-    return _new(AdmittanceParams, (tuple(out),))
+    (t0, r0), (t1, r1) = schedule.start_params, schedule.end_params
+    return _new(AdmittanceParams, (
+        _new(DofGains, (t0.m + s * (t1.m - t0.m), t0.b + s * (t1.b - t0.b))),
+        _new(DofGains, (r0.m + s * (r1.m - r0.m), r0.b + s * (r1.b - r0.b))),
+    ))
 
 
 @dataclass
@@ -146,11 +126,12 @@ class AdmittanceState:
 
     params: AdmittanceParams
     v: Twist6 = field(default_factory=Twist6.zero)
-    # the rows (1 - exp(-b dt / m), b) per channel, and the gain-set object
-    # and dt they were computed for: gains change only during ramps between
-    # distinct gain sets, where gains_at builds a new gain set every step
-    _rows_key: tuple = field(default=(None, None), init=False, repr=False, compare=False)
-    _rows: tuple = field(default=(), init=False, repr=False, compare=False)
+    # (1 - exp(-b dt / m), b) of the translational then the rotational pair,
+    # and the gain-set object and dt they were computed for: gains change
+    # only during ramps between distinct gain sets, where gains_at builds a
+    # new gain set every step
+    _coef_key: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _coef: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def reset(self) -> None:
         self.v = Twist6.zero()
@@ -158,19 +139,6 @@ class AdmittanceState:
 
 def _step_channel(v: float, f: float, m: float, b: float, dt: float) -> float:
     return v + (1.0 - math.exp(-b * dt / m)) * (f / b - v)
-
-
-def _channel_rows(gains: tuple, dt: float) -> tuple:
-    """(coefficients, dampings): ``1 - exp(-b dt / m)`` and ``b`` per channel,
-    the exponential taken once per distinct DofGains object."""
-    coef = []
-    g = c = None
-    for h in gains:
-        if h is not g:
-            g = h
-            c = 1.0 - math.exp(-g.b * dt / g.m)
-        coef.append(c)
-    return tuple(coef), tuple([h.b for h in gains])
 
 
 def step_admittance(state: AdmittanceState, f_int: Wrench6, dt: float) -> Twist6:
@@ -190,17 +158,17 @@ def step_admittance(state: AdmittanceState, f_int: Wrench6, dt: float) -> Twist6
     ):
         raise SimulationFault("non-finite interaction force fed to admittance filter")
     params = state.params
-    key_params, key_dt = state._rows_key
+    key_params, key_dt = state._coef_key
     if key_params is not params or key_dt != dt:
-        state._rows_key = (params, dt)
-        state._rows = _channel_rows(params.gains, dt)
-    c0, c1, c2, c3, c4, c5 = state._rows[0]
-    b0, b1, b2, b3, b4, b5 = state._rows[1]
+        (mt, bt), (mr, br) = params
+        state._coef_key = (params, dt)
+        state._coef = (1.0 - math.exp(-bt * dt / mt), bt, 1.0 - math.exp(-br * dt / mr), br)
+    ct, bt, cr, br = state._coef
     (vx, vy, vz), (wx, wy, wz) = state.v
     # each channel is _step_channel with its coefficient precomputed
     out = _new(Twist6, (
-        _new(Vec3, (vx + c0 * (fx / b0 - vx), vy + c1 * (fy / b1 - vy), vz + c2 * (fz / b2 - vz))),
-        _new(Vec3, (wx + c3 * (tx / b3 - wx), wy + c4 * (ty / b4 - wy), wz + c5 * (tz / b5 - wz))),
+        _new(Vec3, (vx + ct * (fx / bt - vx), vy + ct * (fy / bt - vy), vz + ct * (fz / bt - vz))),
+        _new(Vec3, (wx + cr * (tx / br - wx), wy + cr * (ty / br - wy), wz + cr * (tz / br - wz))),
     ))
     state.v = out
     return out

@@ -87,18 +87,6 @@ def _check_keys(section: dict, allowed, path: str) -> None:
         )
 
 
-def _vec3(value, path: str) -> Vec3:
-    _require(
-        isinstance(value, (list, tuple)) and len(value) == 3,
-        "expected a 3-element array",
-        path,
-    )
-    try:
-        return Vec3(float(value[0]), float(value[1]), float(value[2]))
-    except (TypeError, ValueError):
-        raise ConfigError("components must be numbers", path)
-
-
 def _number(value, path: str, minimum: Optional[float] = None) -> float:
     _require(
         isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value),
@@ -109,6 +97,20 @@ def _number(value, path: str, minimum: Optional[float] = None) -> float:
     if minimum is not None:
         _require(v >= minimum, f"must be >= {minimum}", path)
     return v
+
+
+def _components(value, size: int, shape: str, path: str) -> list:
+    """An array of ``size`` finite numbers, each checked by ``_number``."""
+    _require(isinstance(value, (list, tuple)) and len(value) == size, f"expected {shape}", path)
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
+def _vec3(value, path: str) -> Vec3:
+    return Vec3(*_components(value, 3, "a 3-element array", path))
+
+
+def _quat(value, path: str) -> list:
+    return _components(value, 4, "a 4-element array (w, x, y, z)", path)
 
 
 def _fill_section(raw, defaults: dict, path: str) -> dict:
@@ -160,18 +162,16 @@ def canonical_config(
     _check_keys(start, {"position", "orientation_wxyz"}, "start")
     _require("position" in start, "missing start position", "start.position")
     pos = _vec3(start["position"], "start.position")
-    quat = start.get("orientation_wxyz", [1.0, 0.0, 0.0, 0.0])
-    _require(
-        isinstance(quat, (list, tuple)) and len(quat) == 4,
-        "expected a 4-element array (w, x, y, z)",
-        "start.orientation_wxyz",
-    )
     out["start"] = {
         "position": list(pos),
-        "orientation_wxyz": [float(q) for q in quat],
+        "orientation_wxyz": _quat(
+            start.get("orientation_wxyz", [1.0, 0.0, 0.0, 0.0]), "start.orientation_wxyz"
+        ),
     }
 
-    out["tool_axis"] = list(_vec3(raw.get("tool_axis", [0.0, 0.0, 1.0]), "tool_axis"))
+    tool_axis = _vec3(raw.get("tool_axis", [0.0, 0.0, 1.0]), "tool_axis")
+    _require(abs(tool_axis.norm() - 1.0) <= 1e-6, "tool axis must be unit length", "tool_axis")
+    out["tool_axis"] = list(tool_axis)
     out["frame_reference"] = list(
         _vec3(raw.get("frame_reference", [1.0, 0.0, 0.0]), "frame_reference")
     )
@@ -184,7 +184,9 @@ def canonical_config(
     scopy = {"type": stype}
     if stype == "cylinder":
         scopy["axis_point"] = list(_vec3(surface.get("axis_point"), "surface.axis_point"))
-        scopy["axis_dir"] = list(_vec3(surface.get("axis_dir"), "surface.axis_dir"))
+        axis_dir = _vec3(surface.get("axis_dir"), "surface.axis_dir")
+        _require(axis_dir.norm() > 0.0, "must be non-zero", "surface.axis_dir")
+        scopy["axis_dir"] = list(axis_dir)
         scopy["radius"] = _number(surface.get("radius"), "surface.radius", minimum=1e-9)
         scopy["half_length"] = _number(surface.get("half_length", 1.0), "surface.half_length")
     elif stype == "sphere":
@@ -198,13 +200,9 @@ def canonical_config(
         scopy["translate"] = list(
             _vec3(surface.get("translate", [0.0, 0.0, 0.0]), "surface.translate")
         )
-        quat = surface.get("rotate_wxyz", [1.0, 0.0, 0.0, 0.0])
-        _require(
-            isinstance(quat, (list, tuple)) and len(quat) == 4,
-            "expected a 4-element array (w, x, y, z)",
-            "surface.rotate_wxyz",
+        scopy["rotate_wxyz"] = _quat(
+            surface.get("rotate_wxyz", [1.0, 0.0, 0.0, 0.0]), "surface.rotate_wxyz"
         )
-        scopy["rotate_wxyz"] = [float(q) for q in quat]
     out["surface"] = scopy
 
     targets = raw.get("targets")

@@ -183,7 +183,8 @@ CSV_HEADER = (
 # every float column, in checksum order
 _COLUMNS = tuple(_FLOAT_FIELDS + _B_FIELDS + ["hole_depth"])
 
-# rows encoded per CSV block; bounds the encoder's temporaries at about 3 MB
+# records per storage block, each written as one CSV block; bounds the
+# encoder's temporaries at about 3 MB and each block at 188,416 bytes
 _CSV_BLOCK = 512
 _CSV_HEAD = (",".join(CSV_HEADER) + "\n").encode()
 # the CSV cells of the _COLUMNS floats, of the phase name and of the index
@@ -198,6 +199,7 @@ _RECORD_DTYPE = np.dtype(
     [(name, "<f8") for name in _COLUMNS] + [("phase", "<i4"), ("target_index", "<i4")]
 )
 _RECORD_SIZE = _RECORD_DTYPE.itemsize
+_BLOCK_BYTES = _CSV_BLOCK * _RECORD_SIZE
 _RECORD_FORMAT = struct.Struct(
     "<" + "".join(dtype.char for dtype, _ in _RECORD_DTYPE.fields.values())
 )
@@ -207,25 +209,25 @@ _unpack_phase = struct.Struct("<i").unpack_from
 _PHASE_OFFSET = _RECORD_DTYPE.fields["phase"][1]
 
 
-def _field(records: bytearray, name: str) -> np.ndarray:
-    """A fresh C-contiguous copy of one field of the records: it holds no
-    view of the buffer, which would stop the next append."""
-    return np.frombuffer(records, _RECORD_DTYPE)[name].copy()
+def _field(blocks: List[bytearray], name: str) -> np.ndarray:
+    """One field of every record, in sample order, as a fresh C-contiguous
+    array: it holds no view of a block, which would stop the next append."""
+    return np.concatenate([np.frombuffer(block, _RECORD_DTYPE)[name] for block in blocks])
 
 
 class _Fields(Mapping):
     """The float columns of the records by name, each read through
     ``_field``."""
 
-    __slots__ = ("_records",)
+    __slots__ = ("_blocks",)
 
-    def __init__(self, records: bytearray):
-        self._records = records
+    def __init__(self, blocks: List[bytearray]):
+        self._blocks = blocks
 
     def __getitem__(self, name: str) -> np.ndarray:
         if name not in _COLUMNS:
             raise KeyError(name)
-        return _field(self._records, name)
+        return _field(self._blocks, name)
 
     def __iter__(self):
         return iter(_COLUMNS)
@@ -237,12 +239,16 @@ class _Fields(Mapping):
 class Trace:
     """Sample log plus the event stream.
 
-    ``records`` is the only storage: one 368-byte ``_RECORD_DTYPE`` record
-    per sample, which ``World`` appends as each step ends. Every reader
-    takes what it needs from them: ``data[name]``, ``phase_codes`` and
-    ``target_idx`` copy one field out as a numpy array, ``sample(i)`` and
-    ``phase_of(i)`` decode record ``i``, and the checksum hashes the
-    records as they are.
+    ``blocks`` is the only storage: one 368-byte ``_RECORD_DTYPE`` record
+    per sample, which ``World`` appends through ``append`` as each step
+    ends, in ``bytearray`` blocks of ``_CSV_BLOCK`` records; only the last
+    block grows. Every reader takes what it needs from them: ``data[name]``,
+    ``phase_codes`` and ``target_idx`` join one field of every block into
+    one fresh numpy array, ``sample(i)`` and ``phase_of(i)`` decode record
+    ``i % _CSV_BLOCK`` of block ``i // _CSV_BLOCK``, the checksum hashes the
+    blocks in order, and ``to_csv`` writes one CSV block per stored block.
+    Blocks of a fixed size keep the storage from ever copying a whole
+    trace to grow it.
     """
 
     def __init__(self, dt: float, condition: str, config_digest: str):
@@ -251,33 +257,44 @@ class Trace:
         self.config_digest = config_digest
         self.events: List[Tuple[float, str]] = []
         self.complete = False
-        self.records = bytearray()
+        self.blocks: List[bytearray] = [bytearray()]
+
+    def append(self, record: bytes) -> None:
+        """Append one packed record to the last block, or to a new block
+        once the last holds ``_CSV_BLOCK`` records."""
+        last = self.blocks[-1]
+        if len(last) == _BLOCK_BYTES:
+            last = bytearray()
+            self.blocks.append(last)
+        last += record
 
     @property
     def data(self) -> _Fields:
-        return _Fields(self.records)
+        return _Fields(self.blocks)
 
     @property
     def phase_codes(self) -> np.ndarray:
-        return _field(self.records, "phase")
+        return _field(self.blocks, "phase")
 
     @property
     def target_idx(self) -> np.ndarray:
-        return _field(self.records, "target_index")
+        return _field(self.blocks, "target_index")
 
     def __len__(self) -> int:
-        return len(self.records) // _RECORD_SIZE
+        return (len(self.blocks) - 1) * _CSV_BLOCK + len(self.blocks[-1]) // _RECORD_SIZE
 
-    def _offset(self, i: int) -> int:
+    def _locate(self, i: int) -> Tuple[bytearray, int]:
+        """The block holding record ``i`` and the record's offset in it."""
         n = len(self)
         if i < 0:
             i += n
         if not 0 <= i < n:
             raise IndexError("trace sample index out of range")
-        return i * _RECORD_SIZE
+        q, r = divmod(i, _CSV_BLOCK)
+        return self.blocks[q], r * _RECORD_SIZE
 
     def sample(self, i: int) -> TraceSample:
-        v = _unpack_record(self.records, self._offset(i))
+        v = _unpack_record(*self._locate(i))
         return TraceSample(
             t=v[0],
             pose=Pose(Vec3(*v[1:4]), UnitQuat(*v[4:8])),
@@ -297,39 +314,44 @@ class Trace:
         float columns as ``<f8`` (the 38 state columns in CSV order, the six
         damping gains ``b_*``, then ``hole_depth``), then the phase code and
         the target index as ``<i4``. An empty trace hashes no bytes."""
-        return hashlib.sha256(self.records).hexdigest()
+        h = hashlib.sha256()
+        for block in self.blocks:
+            h.update(block)
+        return h.hexdigest()
 
     def phase_of(self, i: int) -> GuidancePhase:
-        return _PHASE_ORDER[_unpack_phase(self.records, self._offset(i) + _PHASE_OFFSET)[0]]
+        block, offset = self._locate(i)
+        return _PHASE_ORDER[_unpack_phase(block, offset + _PHASE_OFFSET)[0]]
 
     def events_of_kind(self, prefix: str) -> List[Tuple[float, str]]:
         return [(t, kind) for t, kind in self.events if kind.startswith(prefix)]
 
     def to_csv(self, path: str) -> None:
         """One row per sample, SI units: every float as ``'%.9g' % v``, the
-        phase name, the target index as ``'%d'``. Rows are encoded
-        ``_CSV_BLOCK`` at a time, straight from a 2-D view of the records'
+        phase name, the target index as ``'%d'``. Each stored block is
+        encoded as one CSV block, straight from a 2-D view of its records'
         floats, into the text slots of ``_csvtext``."""
-        recs = np.frombuffer(self.records, _RECORD_DTYPE)
-        # the 45 floats are the first 360 bytes of each 368-byte record
-        floats = np.frombuffer(self.records, np.float64).reshape(-1, _RECORD_SIZE // 8)
-        floats = floats[:, : len(_COLUMNS)]
-        phases = recs["phase"]
-        targets, target_code = np.unique(recs["target_index"], return_inverse=True)
+        targets, target_code = np.unique(self.target_idx, return_inverse=True)
         target_text = _csvtext.pack_texts([b"%d" % i for i in targets.tolist()])
-        n = len(recs)
-        block = min(n, _CSV_BLOCK)
+        block = min(len(self), _CSV_BLOCK)
         work = _csvtext.G9Work((block, len(_COLUMNS)))
         slots = _csvtext.row_slots(block, len(CSV_HEADER))
+        start = 0
         with open(path, "wb") as fh:
             fh.write(_CSV_HEAD)
-            for start in range(0, n, _CSV_BLOCK):
-                k = min(_CSV_BLOCK, n - start)
-                rows = slice(start, start + k)
+            for records in self.blocks:
+                k = len(records) // _RECORD_SIZE
+                if not k:  # the one block of an empty trace
+                    continue
+                # the 45 floats are the first 360 bytes of each 368-byte record
+                floats = np.frombuffer(records, np.float64).reshape(k, -1)[:, : len(_COLUMNS)]
+                phases = np.frombuffer(records, _RECORD_DTYPE)["phase"]
+                codes = target_code[start : start + k]
+                start += k
                 for cells, text in (
-                    (_FLOAT_CELLS, _csvtext.format_g9(floats[rows], work if k == block else None)),
-                    (_PHASE_CELL, [t[phases[rows]] for t in _PHASE_TEXT]),
-                    (_TARGET_CELL, [t[target_code[rows]] for t in target_text]),
+                    (_FLOAT_CELLS, _csvtext.format_g9(floats, work if k == block else None)),
+                    (_PHASE_CELL, [t[phases] for t in _PHASE_TEXT]),
+                    (_TARGET_CELL, [t[codes] for t in target_text]),
                 ):
                     slots[:k, cells, 0], slots[:k, cells, 1] = text
                 fh.write(_csvtext.join_rows(slots[:k]))
@@ -379,10 +401,8 @@ class World:
             config_digest=scenario.config_digest(),
         )
         self._in_collision = False
-        self._b_params = None  # the gains behind the cached damping row _b6
-        self._b6 = ()
         self._phase_code = _PHASE_CODE[self.phase]
-        self._records = self.trace.records
+        self._append = self.trace.append
         self._runaway_at = self._runaway_bound()
         self.operator.notify_grab(0.0)
         self.operator.begin_target(0, scenario.targets[0], 0.0)
@@ -539,22 +559,18 @@ class World:
         )
 
         # the trace record, packed straight from the floats
-        if params_now is not self._b_params:
-            self._b_params = params_now
-            self._b6 = tuple([g.b for g in params_now.gains])
-        b0, b1, b2, b3, b4, b5 = self._b6
+        (_, bt), (_, br) = params_now
         qw, qx, qy, qz = ori0
-        records = self._records
-        records += _pack_record(
+        self._append(_pack_record(
             t, px, py, pz, qw, qx, qy, qz,
             vx, vy, vz, wx, wy, wz,
             rvx, rvy, rvz, rwx, rwy, rwz,
             hx, hy, hz, htx, hty, htz,
             ex, ey, ez, etx, ety, etz,
             ix, iy, iz, itx, ity, itz,
-            b0, b1, b2, b3, b4, b5, depth,
+            bt, bt, bt, br, br, br, depth,
             self._phase_code, self.target_idx,
-        )
+        ))
         self.k = k + 1
 
         if distance > self._runaway_at:

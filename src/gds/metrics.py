@@ -10,7 +10,7 @@ Metrics (one drilling session = all targets):
 - alignment errors: polar and azimuth deviation of the tool axis from the
   commanded drilling direction, evaluated just before material is cut on
   each target (entry into the constrained drilling phase under guidance,
-  the first-cut event without it), averaged over targets
+  the first sample after the first cut without it), averaged over targets
 
 Integrals use the trapezoidal rule over the uniformly-sampled trace.
 All functions are pure; traces are never mutated.
@@ -98,30 +98,22 @@ def wrap180(angle_deg: float) -> float:
     return 360.0 - a if a > 180.0 else a
 
 
-def _drill_entry_indices(trace: Trace, n_targets: int) -> Dict[int, int]:
-    """Sample index 'just before drilling starts' per target: entry into
-    ConstrainedDrill under guidance, the first-cut sample without it."""
+def _drill_entry_indices(trace: Trace) -> Dict[int, int]:
+    """Sample index 'just before drilling starts' per target: under guidance
+    the first ConstrainedDrill sample; without it the sample after the first
+    one with ``hole_depth > 0`` (a sample holds the pose before its step and
+    the depth after it, so the next sample holds the pose at the first
+    cut), clipped to the last sample."""
     if trace.condition == "with":
-        drilling = np.flatnonzero(
-            trace.phase_codes == _PHASE_CODE[GuidancePhase.CONSTRAINED_DRILL]
-        )
-        tgts = trace.target_idx[drilling]
-        firsts, at = np.unique(tgts, return_index=True)
-        return dict(zip(firsts.tolist(), drilling[at].tolist()))
-    # manual: first_cut events carry the target index
-    out: Dict[int, int] = {}
-    t_col = trace.data["t"]
-    for t_evt, kind in trace.events:
-        if kind.startswith("first_cut:"):
-            tgt = int(kind.split(":")[1])
-            if tgt in out:
-                continue
-            # last sample at or before the event time
-            i = min(int(round(t_evt / trace.dt)), len(trace) - 1)
-            while i > 0 and t_col[i] > t_evt:
-                i -= 1
-            out[tgt] = i
-    return out
+        mask = trace.phase_codes == _PHASE_CODE[GuidancePhase.CONSTRAINED_DRILL]
+        after = 0
+    else:
+        mask = trace.data["hole_depth"] > 0.0
+        after = 1
+    hits = np.flatnonzero(mask)
+    firsts, at = np.unique(trace.target_idx[hits], return_index=True)
+    entries = np.minimum(hits[at] + after, len(trace) - 1)
+    return dict(zip(firsts.tolist(), entries.tolist()))
 
 
 def compute_metrics(
@@ -158,7 +150,7 @@ def compute_metrics(
     s_lin = _trapezoid(lin_speed, dt) / span
     s_ang = _trapezoid(ang_speed, dt) / span
 
-    entries = _drill_entry_indices(trace, len(targets))
+    entries = _drill_entry_indices(trace)
     per_target = []
     for idx, target in enumerate(targets):
         if idx not in entries:

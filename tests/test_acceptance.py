@@ -87,7 +87,7 @@ def test_c1_admittance_fidelity():
     t0 = time.perf_counter()
     f, dt = 10.0, 1e-3
     for name, m, b in TABLE_GAIN_SETS:
-        params = AdmittanceParams.uniform(DofGains(m, b), DofGains(m, b))
+        params = AdmittanceParams(DofGains(m, b), DofGains(m, b))
         state = AdmittanceState(params)
         n = int(round(5.0 * (m / b) / dt))
         worst = 0.0
@@ -116,8 +116,8 @@ def test_c2_gain_ramp():
     t_start = 2.0
     for (m0, b0), (m1, b1) in pairs:
         sched = GainSchedule(
-            AdmittanceParams.uniform(DofGains(m0, b0), rot),
-            AdmittanceParams.uniform(DofGains(m1, b1), DofGains(10.0, 20.0)),
+            AdmittanceParams(DofGains(m0, b0), rot),
+            AdmittanceParams(DofGains(m1, b1), DofGains(10.0, 20.0)),
             ramp_start=t_start,
         )
         # completes in exactly 1.000 s, not before
@@ -137,8 +137,8 @@ def test_c2_gain_ramp():
             prev = cur
     # rotational midpoint from the Table-I rows
     sched = GainSchedule(
-        AdmittanceParams.uniform(DofGains(50, 100), DofGains(10, 5)),
-        AdmittanceParams.uniform(DofGains(50, 600), DofGains(10, 20)),
+        AdmittanceParams(DofGains(50, 100), DofGains(10, 5)),
+        AdmittanceParams(DofGains(50, 600), DofGains(10, 20)),
         ramp_start=0.0,
     )
     assert gains_at(sched, 0.5).rotational.b == (5.0 + 20.0) / 2.0

@@ -28,7 +28,7 @@ TABLE_GAIN_SETS = [
 
 
 def make_state(m=50.0, b=100.0):
-    return AdmittanceState(AdmittanceParams.uniform(DofGains(m, b), DofGains(m, b)))
+    return AdmittanceState(AdmittanceParams(DofGains(m, b), DofGains(m, b)))
 
 
 def force_x(f):
@@ -37,7 +37,8 @@ def force_x(f):
 
 def reference_step_admittance(state, f_int, dt):
     """The six-channel loop taking exp(-b dt / m) on every channel every
-    step: the oracle for step_admittance."""
+    step, the translational pair on the first three, the rotational pair on
+    the last three: the oracle for step_admittance."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     forces = (*f_int.force, *f_int.torque)
@@ -45,7 +46,8 @@ def reference_step_admittance(state, f_int, dt):
         if not math.isfinite(f):
             raise SimulationFault("non-finite interaction force fed to admittance filter")
     vel = [*state.v.linear, *state.v.angular]
-    for i, ((m, b), f) in enumerate(zip(state.params.gains, forces)):
+    trans, rot = state.params
+    for i, ((m, b), f) in enumerate(zip((trans,) * 3 + (rot,) * 3, forces)):
         v = vel[i]
         vel[i] = v + (1.0 - math.exp(-b * dt / m)) * (f / b - v)
     out = Twist6(Vec3(*vel[:3]), Vec3(*vel[3:]))
@@ -54,16 +56,16 @@ def reference_step_admittance(state, f_int, dt):
 
 
 def reference_gains_at(schedule, t):
-    """Six DofGains interpolated one by one: the oracle for gains_at."""
+    """Each gain pair interpolated in a loop: the oracle for gains_at."""
     if t <= schedule.ramp_start:
         return schedule.start_params
     if t >= schedule.ramp_start + schedule.ramp_duration:
         return schedule.end_params
     s = (t - schedule.ramp_start) / schedule.ramp_duration
     out = []
-    for g0, g1 in zip(schedule.start_params.gains, schedule.end_params.gains):
+    for g0, g1 in zip(schedule.start_params, schedule.end_params):
         out.append(DofGains(g0.m + s * (g1.m - g0.m), g0.b + s * (g1.b - g0.b)))
-    return AdmittanceParams(tuple(out))
+    return AdmittanceParams(*out)
 
 
 dof_gains = st.builds(DofGains, st.floats(0.5, 200.0), st.floats(0.5, 5000.0))
@@ -72,12 +74,7 @@ forces = st.tuples(*[st.floats(-80.0, 80.0)] * 6).map(
 )
 
 
-@st.composite
-def gain_sets(draw):
-    """Either uniform (channels share DofGains objects) or six distinct."""
-    if draw(st.booleans()):
-        return AdmittanceParams.uniform(draw(dof_gains), draw(dof_gains))
-    return AdmittanceParams(tuple(draw(dof_gains) for _ in range(6)))
+gain_sets = st.builds(AdmittanceParams, dof_gains, dof_gains)
 
 
 def assert_same_bits(got, want):
@@ -160,8 +157,8 @@ class TestKernelOracles:
     @settings(max_examples=80, deadline=None)
     def test_steps_and_ramps_match_loop_oracles(self, data):
         draw = data.draw
-        a, b = draw(gain_sets()), draw(gain_sets())
-        twin = AdmittanceParams(tuple(DofGains(g.m, g.b) for g in b.gains))  # b's values, new objects
+        a, b = draw(gain_sets), draw(gain_sets)
+        twin = AdmittanceParams(*(DofGains(g.m, g.b) for g in b))  # b's values, new objects
         sched = GainSchedule(a, b, ramp_start=0.0, ramp_duration=draw(st.floats(0.01, 1.0)))
         new, old = AdmittanceState(a), AdmittanceState(a)
         dt = 1e-3
@@ -182,7 +179,7 @@ class TestKernelOracles:
             assert_same_bits(new.v, old.v)
 
     def test_coefficient_rows_follow_gain_set_and_dt(self):
-        params = AdmittanceParams.uniform(DofGains(50.0, 100.0), DofGains(10.0, 5.0))
+        params = AdmittanceParams(DofGains(50.0, 100.0), DofGains(10.0, 5.0))
         new, old = AdmittanceState(params), AdmittanceState(params)
         f = Wrench6(Vec3(3.0, -2.0, 1.0), Vec3(0.5, 0.25, -0.125))
         # a new dt with the same gain set
@@ -190,28 +187,17 @@ class TestKernelOracles:
             assert_same_bits(step_admittance(new, f, dt), reference_step_admittance(old, f, dt))
         # a new gain set of new values every step, as in a ramp
         for k in range(50):
-            new.params = old.params = AdmittanceParams.uniform(
+            new.params = old.params = AdmittanceParams(
                 DofGains(50.0, 100.0 + 10.0 * k), DofGains(10.0, 5.0 + k)
             )
             assert_same_bits(step_admittance(new, f, 1e-3), reference_step_admittance(old, f, 1e-3))
-
-    def test_ramp_shares_one_gain_per_distinct_pair(self):
-        trans0, rot0 = DofGains(50.0, 100.0), DofGains(10.0, 5.0)
-        end = (DofGains(50.0, 1000.0),) * 2 + (DofGains(50.0, 600.0),) + (DofGains(10.0, 20.0),) * 3
-        sched = GainSchedule(
-            AdmittanceParams.uniform(trans0, rot0), AdmittanceParams(end), ramp_start=0.0
-        )
-        mid = gains_at(sched, 0.3)
-        assert_same_bits(mid, reference_gains_at(sched, 0.3))
-        g = mid.gains
-        assert g[0] is g[1] and g[1] is not g[2] and g[3] is g[4] is g[5]
 
 
 class TestGainSchedule:
     def test_endpoints_and_midpoint(self):
         sched = GainSchedule(
-            AdmittanceParams.uniform(DofGains(50, 100), DofGains(10, 5)),
-            AdmittanceParams.uniform(DofGains(50, 600), DofGains(10, 20)),
+            AdmittanceParams(DofGains(50, 100), DofGains(10, 5)),
+            AdmittanceParams(DofGains(50, 600), DofGains(10, 20)),
             ramp_start=2.0,
         )
         assert gains_at(sched, 2.0).translational.b == 100.0
@@ -223,16 +209,16 @@ class TestGainSchedule:
 
     def test_quarter_point_linear_oracle(self):
         sched = GainSchedule(
-            AdmittanceParams.uniform(DofGains(50, 600), DofGains(10, 20)),
-            AdmittanceParams.uniform(DofGains(50, 1000), DofGains(10, 20)),
+            AdmittanceParams(DofGains(50, 600), DofGains(10, 20)),
+            AdmittanceParams(DofGains(50, 1000), DofGains(10, 20)),
             ramp_start=0.0,
         )
         assert gains_at(sched, 0.25).translational.b == pytest.approx(700.0, abs=1e-12)
 
     def test_continuous_and_monotone(self):
         sched = GainSchedule(
-            AdmittanceParams.uniform(DofGains(50, 100), DofGains(10, 5)),
-            AdmittanceParams.uniform(DofGains(50, 1000), DofGains(10, 20)),
+            AdmittanceParams(DofGains(50, 100), DofGains(10, 5)),
+            AdmittanceParams(DofGains(50, 1000), DofGains(10, 20)),
             ramp_start=0.0,
         )
         prev_b = gains_at(sched, -1.0).translational.b
@@ -246,8 +232,8 @@ class TestGainSchedule:
 
     def test_mass_held_constant(self):
         sched = GainSchedule(
-            AdmittanceParams.uniform(DofGains(50, 100), DofGains(10, 5)),
-            AdmittanceParams.uniform(DofGains(50, 1000), DofGains(10, 20)),
+            AdmittanceParams(DofGains(50, 100), DofGains(10, 5)),
+            AdmittanceParams(DofGains(50, 1000), DofGains(10, 20)),
             ramp_start=0.0,
         )
         for t in (0.0, 0.3, 0.77, 1.0):
@@ -269,7 +255,7 @@ class TestGainSchedule:
         assert gains_at(GainSchedule(other, end, ramp_start=2.0), 2.5) not in (other, end)
 
     def test_bad_duration_rejected(self):
-        p = AdmittanceParams.uniform(DofGains(50, 100), DofGains(10, 5))
+        p = AdmittanceParams(DofGains(50, 100), DofGains(10, 5))
         with pytest.raises(ValueError):
             GainSchedule(p, p, 0.0, ramp_duration=0.0)
 
@@ -291,7 +277,7 @@ class TestPhaseParams:
 
     def test_without_guidance_near_target(self):
         params = phase_params(GuidancePhase.APPROACH, "without")
-        assert all(g.b == 1000.0 for g in params.gains[:3])
+        assert params.translational == DofGains(50.0, 1000.0)
 
     def test_without_guidance_far(self):
         params = phase_params(GuidancePhase.FREE_MOTION, "without")

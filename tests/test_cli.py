@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -156,6 +157,49 @@ class TestValidate:
         path.write_text(json.dumps(raw))
         assert main(["validate", "--scenario", str(path)]) == 2
         assert capsys.readouterr().err == "config error: seed: expected a non-negative integer\n"
+
+    @pytest.mark.parametrize(
+        "keys, value, where",
+        [
+            (("start", "orientation_wxyz"), ["a", 0, 0, 0], "start.orientation_wxyz[0]"),
+            (("surface",), {"type": "off", "path": "plate.off", "rotate_wxyz": ["a", 0, 0, 0]},
+             "surface.rotate_wxyz[0]"),
+            (("start", "position"), [0.05, math.nan, 0.25], "start.position[1]"),
+            (("targets", 0, "point"), [0.03, -0.12, math.inf], "targets[0].point[2]"),
+            (("start", "orientation_wxyz"), [0.0, math.nan, 0.0, 0.0], "start.orientation_wxyz[1]"),
+            (("surface",), {"type": "stl", "path": "crest.stl", "rotate_wxyz": [-math.inf, 0, 0, 0]},
+             "surface.rotate_wxyz[0]"),
+        ],
+        ids=["string_quat", "string_rotation", "nan_position", "inf_target",
+             "nan_quat", "inf_rotation"],
+    )
+    def test_non_finite_vector_component_exit_two(self, keys, value, where, tmp_path, capsys):
+        raw = experiment_one_raw("with", 0)
+        node = raw
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        path = tmp_path / "vector.json"
+        path.write_text(json.dumps(raw))  # NaN and Infinity as Python's json writes them
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {where}: expected a finite number\n"
+
+    @pytest.mark.parametrize(
+        "key, section, value, message",
+        [
+            ("axis_dir", "surface", [0, 0, 0], "surface.axis_dir: must be non-zero"),
+            ("tool_axis", None, [0, 0, 0], "tool_axis: tool axis must be unit length"),
+            ("tool_axis", None, [0, 0, 2], "tool_axis: tool axis must be unit length"),
+        ],
+        ids=["zero_cylinder_axis", "zero_tool_axis", "long_tool_axis"],
+    )
+    def test_degenerate_axis_exit_two(self, key, section, value, message, tmp_path, capsys):
+        raw = experiment_one_raw("with", 0)
+        (raw[section] if section else raw)[key] = value
+        path = tmp_path / "axis.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_valid_seeds_keep_their_digest(self):
         # the canonical form is hashed into every trace; these digests are

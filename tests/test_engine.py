@@ -101,22 +101,52 @@ SPECIAL_VALUES = (
 TARGET_INDICES = (0, 1, 2, 9, 10, -1, 2**31 - 1, -(2**31))
 
 
-def special_value_trace(n, seed=0):
-    """Hand-built trace: odd rows cycle through SPECIAL_VALUES (each column at
-    its own offset), even rows hold random values of magnitude 1e-12 to 1e12;
-    every phase code and every one of TARGET_INDICES appears."""
+def special_value_records(n, seed=0):
+    """Hand-built packed records: odd rows cycle through SPECIAL_VALUES (each
+    column at its own offset), even rows hold random values of magnitude
+    1e-12 to 1e12; every phase code and every one of TARGET_INDICES appears."""
     rng = np.random.default_rng(seed)
     cols = []
     for j in range(len(engine._COLUMNS)):
         values = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
         specials = [SPECIAL_VALUES[(i + j) % len(SPECIAL_VALUES)] for i in range(n)]
         cols.append([s if i % 2 else float(v) for i, (v, s) in enumerate(zip(values, specials))])
-    tr = Trace(dt=1e-3, condition="with", config_digest="synthetic")
-    for i in range(n):
-        tr.records += _pack_record(
+    return [
+        _pack_record(
             *(c[i] for c in cols), i % len(_PHASE_ORDER), TARGET_INDICES[i % len(TARGET_INDICES)]
         )
+        for i in range(n)
+    ]
+
+
+def special_value_trace(n, seed=0):
+    """A trace of ``special_value_records``, appended one by one."""
+    tr = Trace(dt=1e-3, condition="with", config_digest="synthetic")
+    for record in special_value_records(n, seed):
+        tr.append(record)
     return tr
+
+
+class ContiguousRecords:
+    """Packed records in one contiguous buffer, each field read whole by
+    numpy into an ``array`` column: the oracle for the block layout of
+    Trace. It has the attributes of a ColumnAppendWorld oracle and the
+    readers ``reference_to_csv`` uses."""
+
+    def __init__(self, records):
+        self.records = b"".join(records)
+        rows = np.frombuffer(self.records, engine._RECORD_DTYPE)
+        self.columns = self.data = {
+            name: array("d", rows[name].tolist()) for name in engine._COLUMNS
+        }
+        self.phase_column = self.phase_codes = array("i", rows["phase"].tolist())
+        self.target_column = self.target_idx = array("i", rows["target_index"].tolist())
+
+    def __len__(self):
+        return len(self.phase_column)
+
+    def checksum(self):
+        return hashlib.sha256(self.records).hexdigest()
 
 
 def reference_integrate(pose, twist, dt):
@@ -139,7 +169,7 @@ class ReferenceWorld(World):
     The oracle for World.step, bit for bit."""
 
     def _record(self, t, pose, twist, v_ref, f_h, f_env, f_int, b6, hole_depth):
-        self.trace.records += _pack_record(
+        self.trace.append(_pack_record(
             t, *pose.position, *pose.orientation,
             *twist.linear, *twist.angular,
             *v_ref.linear, *v_ref.angular,
@@ -148,7 +178,7 @@ class ReferenceWorld(World):
             *f_int.force, *f_int.torque,
             *b6, hole_depth,
             self._phase_code, self.target_idx,
-        )
+        ))
 
     def _integrate(self, pose: Pose, twist: Twist6) -> Pose:
         dt = self.dt
@@ -300,10 +330,9 @@ class ReferenceWorld(World):
             retracted=retracted,
         )
 
-        if params_now is not self._b_params:
-            self._b_params = params_now
-            self._b6 = tuple([g.b for g in params_now.gains])
-        self._record(t, pose0, v_used, v_ref, f_h, f_env, f_int, self._b6, self.hole_depth)
+        trans, rot = params_now
+        b6 = tuple(g.b for g in (trans, trans, trans, rot, rot, rot))
+        self._record(t, pose0, v_used, v_ref, f_h, f_env, f_int, b6, self.hole_depth)
         self.k += 1
 
         if distance > self._runaway_at:
@@ -356,7 +385,7 @@ class ColumnAppendWorld(ReferenceWorld):
 def assert_same_recording(got, want):
     """Two traces hold the same records, bit for bit."""
     assert len(got) == len(want)
-    assert got.records == want.records
+    assert got.blocks == want.blocks
     assert got.checksum() == want.checksum()
 
 
@@ -793,7 +822,7 @@ class TestPackedRecorder:
         assert got.complete == oracle.trace.complete == (steps is None)
         if steps is not None:
             assert len(got) == steps
-        assert not oracle.trace.records  # the oracle keeps only its columns
+        assert len(oracle.trace) == 0  # the oracle keeps only its columns
         assert_matches_columns(got, oracle)
 
     def test_rows_before_a_fault_are_readable(self):
@@ -842,13 +871,14 @@ class TestPackedRecorder:
         assert_matches_columns(trace, oracle)
 
     def test_reads_between_steps_hold_no_view_of_the_records(self):
-        # a live numpy view of the growing bytearray would make the next
-        # append raise BufferError; every read is a copy, so stepping goes on
-        sc = experiment_one_scenario("with", seed=0, max_sim_time=1.0)
+        # a live numpy view of the last block would make the next append
+        # raise BufferError; every read is a copy, so stepping goes on, also
+        # across the first two block boundaries
+        sc = experiment_one_scenario("with", seed=0, max_sim_time=1.5)
         world = World(sc)
         trace = world.trace
         held = []
-        for k in range(300):
+        for k in range(2 * engine._CSV_BLOCK + 1):
             world.step()
             t, codes = trace.data["t"], trace.phase_codes
             assert len(trace) == len(t) == len(codes) == k + 1
@@ -859,10 +889,10 @@ class TestPackedRecorder:
             assert len(fx) == k + 1
             held.append((t, codes, fx))
         world.run()
-        assert len(trace) == 1000
+        assert len(trace) == 1500
         t, codes, fx = held[0]
         assert t.tolist() == [0.0] and len(codes) == len(fx) == 1
-        assert trace.data["t"].tolist() == [i * sc.dt for i in range(1000)]
+        assert trace.data["t"].tolist() == [i * sc.dt for i in range(1500)]
 
     def test_a_dropped_trace_is_freed_at_once(self):
         # no reference cycle holds a trace: its records go with its last
@@ -881,6 +911,29 @@ class TestPackedRecorder:
         finally:
             if enabled:
                 gc.enable()
+
+    @pytest.mark.parametrize(
+        "n, layout",
+        [(0, [0]), (511, [511]), (512, [512]), (513, [512, 1]), (1025, [512, 512, 1])],
+    )
+    def test_blocks_match_a_contiguous_oracle(self, n, layout, tmp_path):
+        records = special_value_records(n, seed=n)
+        oracle = ContiguousRecords(records)
+        trace = Trace(dt=1e-3, condition="with", config_digest="blocks")
+        for record in records:
+            trace.append(record)
+        assert [len(block) // engine._RECORD_SIZE for block in trace.blocks] == layout
+        assert_matches_columns(trace, oracle)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        trace.to_csv(str(got))
+        reference_to_csv(oracle, str(want))
+        assert got.read_bytes() == want.read_bytes()
+        # every record next to a block boundary, and the last one
+        for i in {0, 510, 511, 512, 513, 1023, 1024, n - 1} & set(range(n)):
+            want_sample = oracle_sample(oracle, i)
+            assert repr(trace.sample(i)) == repr(want_sample)
+            assert trace.phase_of(i) is want_sample.phase
+            assert repr(trace.sample(i - n)) == repr(want_sample)
 
     def test_sample_index_bounds(self):
         trace = special_value_trace(3)

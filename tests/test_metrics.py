@@ -31,11 +31,11 @@ def synthetic_trace(n, dt, fill):
         row["t"] = i * dt
         row["qw"] = 1.0
         row.update(fill(i))
-        tr.records += _pack_record(
+        tr.append(_pack_record(
             *(row[name] for name in _COLUMNS),
             _PHASE_CODE[row.get("phase", GuidancePhase.FREE_MOTION)],
             row.get("target_index", 0),
-        )
+        ))
     return tr
 
 
@@ -46,6 +46,23 @@ def reference_drill_entry_indices(trace):
     for i in range(len(trace)):
         tgt = targets[i]
         if trace.phase_of(i) is GuidancePhase.CONSTRAINED_DRILL and tgt not in out:
+            out[tgt] = i
+    return out
+
+
+def reference_manual_entry_indices(trace):
+    """Scan of the ``first_cut:`` events for the last sample at or before
+    each: the oracle for the manual branch of _drill_entry_indices."""
+    out = {}
+    t_col = trace.data["t"]
+    for t_evt, kind in trace.events:
+        if kind.startswith("first_cut:"):
+            tgt = int(kind.split(":")[1])
+            if tgt in out:
+                continue
+            i = min(int(round(t_evt / trace.dt)), len(trace) - 1)
+            while i > 0 and t_col[i] > t_evt:
+                i -= 1
             out[tgt] = i
     return out
 
@@ -85,7 +102,7 @@ def reference_compute_metrics(trace, targets, tool_axis_local=Vec3(0.0, 0.0, 1.0
     if trace.condition == "with":
         entries = reference_drill_entry_indices(trace)
     else:
-        entries = _drill_entry_indices(trace, len(targets))
+        entries = reference_manual_entry_indices(trace)
     per_target = []
     for idx, target in enumerate(targets):
         if idx not in entries:
@@ -242,9 +259,31 @@ class TestComputeMetrics:
         })
         want = reference_drill_entry_indices(tr)
         assert len(want) > 1
-        assert _drill_entry_indices(tr, 4) == want
+        assert _drill_entry_indices(tr) == want
         empty = synthetic_trace(0, 0.01, lambda i: {})
-        assert _drill_entry_indices(empty, 1) == {}
+        assert _drill_entry_indices(empty) == {}
+
+    def test_manual_entry_rule_matches_event_scan(self):
+        # targets 0 to 3 in turn; target 2 is never cut, and target 3 is
+        # first cut on the last sample, which has no next sample
+        dt, n = 0.01, 200
+        starts, cuts = (0, 100, 140, 170), {0: 40, 1: 130, 3: n - 1}
+
+        def fill(i):
+            tgt = sum(i >= s for s in starts) - 1
+            cut = cuts.get(tgt, n)
+            return {"target_index": tgt, "hole_depth": 1e-4 * (i - cut + 1) if i >= cut else 0.0}
+
+        tr = synthetic_trace(n, dt, fill)
+        tr.condition = "without"
+        # as World.step stamps them: at the end of the step that cut
+        tr.events += [((k + 1) * dt, f"first_cut:{tgt}") for tgt, k in cuts.items()]
+        want = reference_manual_entry_indices(tr)
+        assert want == {0: 41, 1: 131, 3: n - 1}
+        assert _drill_entry_indices(tr) == want
+        empty = synthetic_trace(0, 0.01, lambda i: {})
+        empty.condition = "without"
+        assert _drill_entry_indices(empty) == {}
 
 
 class TestWrap180:
