@@ -87,9 +87,16 @@ def _check_keys(section: dict, allowed, path: str) -> None:
         )
 
 
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        return False
+
+
 def _number(value, path: str, minimum: Optional[float] = None) -> float:
     _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value),
+        isinstance(value, (int, float)) and not isinstance(value, bool) and _finite(value),
         "expected a finite number",
         path,
     )

@@ -75,6 +75,7 @@ from .operator_env import (
     OperatorModel,
     VirtualOperator,
     environment_wrench,
+    target_coordinates,
     update_hole,
 )
 from .workpiece import DrillTarget, Surface
@@ -395,6 +396,7 @@ class World:
         params = phase_params(self.phase, scenario.condition)
         self.adm = AdmittanceState(params)
         self.schedule = GainSchedule(params, params, ramp_start=0.0)
+        self._note_settling()
         self.trace = Trace(
             dt=self.dt,
             condition=scenario.condition,
@@ -404,6 +406,10 @@ class World:
         self._phase_code = _PHASE_CODE[self.phase]
         self._append = self.trace.append
         self._runaway_at = self._runaway_bound()
+        # the tip's target coordinates at the start of the next step
+        self._ax_pos, self._on_target = target_coordinates(
+            self.pose.position, scenario.targets[0], scenario.environment
+        )
         self.operator.notify_grab(0.0)
         self.operator.begin_target(0, scenario.targets[0], 0.0)
 
@@ -420,6 +426,18 @@ class World:
         end = phase_params(new_phase, self.sc.condition)
         self.schedule = GainSchedule(current, end, ramp_start=t)
         self.adm.params = current
+        self._note_settling()
+
+    def _note_settling(self) -> None:
+        """Keep the schedule's end gains and the time from which
+        ``gains_at`` returns them: the time it tests, or the start when
+        both endpoints are one object."""
+        s = self.schedule
+        self._gains_end = s.end_params
+        if s.end_params is s.start_params:
+            self._settles_at = s.ramp_start
+        else:
+            self._settles_at = s.ramp_start + s.ramp_duration
 
     # -- the control period ----------------------------------------------------
 
@@ -446,7 +464,8 @@ class World:
                 f"operator wrench must be zero during locked alignment (step {k})"
             )
         f_env, collision = environment_wrench(
-            pose0, twist0, sc.surface, target, self.hole_depth, sc.environment
+            pose0, twist0, sc.surface, target, self.hole_depth, sc.environment,
+            self._ax_pos, self._on_target,
         )
         (hx, hy, hz), (htx, hty, htz) = f_h
         (ex, ey, ez), (etx, ety, etz) = f_env
@@ -461,7 +480,7 @@ class World:
         ):
             raise SimulationFault(f"non-finite state at sample {k}")
 
-        params_now = gains_at(self.schedule, t)
+        params_now = gains_at(self.schedule, t) if t < self._settles_at else self._gains_end
         ux, uy, uz = target.axis
 
         # (vx..wz) is the twist the step used, (rvx..rwz) the reference twist
@@ -524,6 +543,9 @@ class World:
         ax_pos = rx * ux + ry * uy + rz * uz
         lx, ly, lz = rx - ax_pos * ux, ry - ax_pos * uy, rz - ax_pos * uz
         on_target = math.sqrt(lx * lx + ly * ly + lz * lz) <= sc.environment.hole_radius
+        # the end pose is the next step's start pose; _transition recomputes
+        # these if the target changes
+        self._ax_pos, self._on_target = ax_pos, on_target
         depth = self.hole_depth
         was_cut = depth > 0.0
         if on_target and ax_pos > 0.0:
@@ -611,6 +633,9 @@ class World:
                 self.target_idx += 1
                 self.hole_depth = 0.0
                 self._runaway_at = self._runaway_bound()
+                self._ax_pos, self._on_target = target_coordinates(
+                    self.pose.position, self.sc.targets[self.target_idx], self.sc.environment
+                )
                 self.phase = _FREE_MOTION
                 self._start_ramp(t, self.phase)
                 self.operator.begin_target(

@@ -77,18 +77,17 @@ def _trapezoid(series, dt: float) -> float:
     return dt * (math.fsum(series) - 0.5 * (series[0] + series[-1]))
 
 
-def _speed(data, names: Tuple[str, str, str]) -> list:
+def _speed(columns: Sequence[np.ndarray]) -> list:
     """Per-sample norm of three columns."""
-    x, y, z = (memoryview(data[name]) for name in names)
+    x, y, z = map(memoryview, columns)
     # Python's a ** 2 (libm pow) is not always a * a, so this stays scalar
     # over Python floats, which a memoryview yields
     return [math.sqrt(a ** 2 + b ** 2 + c ** 2) for a, b, c in zip(x, y, z)]
 
 
-def _power(data, forces: Tuple[str, str, str], rates: Tuple[str, str, str]) -> list:
+def _power(forces: Sequence[np.ndarray], rates: Sequence[np.ndarray]) -> list:
     """Per-sample sum_i |F_i v_i| over three column pairs, added left to right."""
-    f1, f2, f3 = (data[name] for name in forces)
-    v1, v2, v3 = (data[name] for name in rates)
+    (f1, f2, f3), (v1, v2, v3) = forces, rates
     return (np.abs(f1 * v1) + np.abs(f2 * v2) + np.abs(f3 * v3)).tolist()
 
 
@@ -139,10 +138,16 @@ def compute_metrics(
     else:
         t_tot = trace.sample(n - 1).t + dt
 
-    lin_speed = _speed(d, ("vx", "vy", "vz"))
-    ang_speed = _speed(d, ("wx", "wy", "wz"))
-    p_force = _power(d, ("fh_x", "fh_y", "fh_z"), ("vx", "vy", "vz"))
-    p_torque = _power(d, ("fh_tx", "fh_ty", "fh_tz"), ("wx", "wy", "wz"))
+    # each read joins every block of the trace, so each rate column is read
+    # once for its speed and its power, and one triple is held at a time
+    series = []
+    for rates, forces in (
+        (("vx", "vy", "vz"), ("fh_x", "fh_y", "fh_z")),
+        (("wx", "wy", "wz"), ("fh_tx", "fh_ty", "fh_tz")),
+    ):
+        v = [d[name] for name in rates]
+        series.append((_speed(v), _power([d[name] for name in forces], v)))
+    (lin_speed, p_force), (ang_speed, p_torque) = series
 
     e_force = _trapezoid(p_force, dt)
     e_torque = _trapezoid(p_torque, dt)

@@ -363,6 +363,21 @@ class VirtualOperator:
 # ---------------------------------------------------------------------------
 
 
+def target_coordinates(
+    position: Vec3, target: DrillTarget, model: EnvironmentModel
+) -> Tuple[float, bool]:
+    """The tip's coordinates in the target frame: ``ax_pos``, its position
+    along the drilling axis from the target point (positive into the
+    material), and ``on_target``, whether it is within ``hole_radius`` of
+    the axis. ``World.step`` computes the same floats inline."""
+    tx, ty, tz = target.point
+    ux, uy, uz = target.axis
+    rx, ry, rz = position[0] - tx, position[1] - ty, position[2] - tz
+    ax_pos = rx * ux + ry * uy + rz * uz
+    lx, ly, lz = rx - ax_pos * ux, ry - ax_pos * uy, rz - ax_pos * uz
+    return ax_pos, math.sqrt(lx * lx + ly * ly + lz * lz) <= model.hole_radius
+
+
 def environment_wrench(
     tip: Pose,
     twist: Twist6,
@@ -370,29 +385,27 @@ def environment_wrench(
     target: DrillTarget,
     hole_depth: float,
     model: EnvironmentModel,
+    ax_pos: float,
+    on_target: bool,
 ) -> Tuple[Wrench6, bool]:
     """Workpiece reaction at the drill tip.
 
-    Returns (wrench, collision). ``collision`` flags off-target penetration
-    beyond 5 mm.
+    ``ax_pos`` and ``on_target`` are the tip's target coordinates, as
+    ``target_coordinates(tip.position, target, model)`` gives them; the
+    caller passes them in because ``World`` already holds them from the
+    previous step. Returns (wrench, collision). ``collision`` flags
+    off-target penetration beyond 5 mm.
 
     On-target the reaction is a cutting resistance proportional to the feed
     rate (only while advancing on uncut material) plus a spring at the
     uncut bottom; off-target it is a rectified spring-damper along the
     outward normal. Neither branch can inject net energy over a cycle.
     """
-    p = tip.position
-    tp = target.point
-    axis = target.axis
-    ux, uy, uz = axis
-    rx, ry, rz = p.x - tp.x, p.y - tp.y, p.z - tp.z
-    ax_pos = rx * ux + ry * uy + rz * uz
-    lx, ly, lz = rx - ax_pos * ux, ry - ax_pos * uy, rz - ax_pos * uz
-    on_target = math.sqrt(lx * lx + ly * ly + lz * lz) <= model.hole_radius
-
     if on_target:
         if ax_pos <= 0.0:
             return _ZERO_WRENCH, False
+        axis = target.axis
+        ux, uy, uz = axis
         v = twist.linear
         feed = v.x * ux + v.y * uy + v.z * uz
         f_mag = 0.0
@@ -406,6 +419,7 @@ def environment_wrench(
         force = axis.scale(-f_mag)
         return _new(Wrench6, (force, _ZERO3)), False
 
+    p = tip.position
     sd = surface.signed_distance(p)
     if sd >= 0.0:
         return _ZERO_WRENCH, False

@@ -35,6 +35,7 @@ from gds.operator_env import (
     OperatorModel,
     VirtualOperator,
     environment_wrench,
+    target_coordinates,
 )
 from gds.presets import experiment_one_scenario
 from gds.workpiece import (
@@ -392,7 +393,10 @@ def test_c9_contact_passivity():
             vz = -speed if k <= n_half else speed
             pose = Pose(Vec3(0.05, 0.0, z), UnitQuat.identity())
             tw = Twist6(Vec3(0.0, 0.0, vz), Vec3.zero())
-            w, _ = environment_wrench(pose, tw, surface, target, 0.0, env)
+            w, _ = environment_wrench(
+                pose, tw, surface, target, 0.0, env,
+                *target_coordinates(pose.position, target, env),
+            )
             powers.append(w.force.dot(tw.linear))
             z += vz * dt
         net = dt * (math.fsum(powers) - 0.5 * (powers[0] + powers[-1]))

@@ -185,6 +185,26 @@ class TestValidate:
         assert capsys.readouterr().err == f"config error: {where}: expected a finite number\n"
 
     @pytest.mark.parametrize(
+        "keys, where",
+        [
+            (("dt",), "dt"),
+            (("start", "position", 2), "start.position[2]"),
+            (("start", "orientation_wxyz", 0), "start.orientation_wxyz[0]"),
+        ],
+        ids=["dt", "position", "quat"],
+    )
+    def test_integer_beyond_float_range_exit_two(self, keys, where, tmp_path, capsys):
+        raw = experiment_one_raw("with", 0)
+        node = raw
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = 10**400  # JSON "1" and 400 zeros: no float holds it
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {where}: expected a finite number\n"
+
+    @pytest.mark.parametrize(
         "key, section, value, message",
         [
             ("axis_dir", "surface", [0, 0, 0], "surface.axis_dir: must be non-zero"),

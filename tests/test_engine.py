@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from gds import engine
@@ -34,6 +34,7 @@ from gds.operator_env import (
     OperatorModel,
     VirtualOperator,
     environment_wrench,
+    target_coordinates,
     update_hole,
 )
 from gds.presets import experiment_one_raw, experiment_one_scenario
@@ -221,8 +222,16 @@ class ReferenceWorld(World):
             raise SimulationFault(
                 f"operator wrench must be zero during locked alignment (step {k})"
             )
+        # the start pose's target coordinates, computed here from the pose
+        # rather than carried over from the previous step as World does
+        p, tp, axis = pose0.position, target.point, target.axis
+        r = _new(Vec3, (p.x - tp.x, p.y - tp.y, p.z - tp.z))
+        ax_pos = r.dot(axis)
+        lateral = _new(Vec3, (r.x - ax_pos * axis.x, r.y - ax_pos * axis.y, r.z - ax_pos * axis.z))
+        on_target = lateral.norm() <= sc.environment.hole_radius
         f_env, collision = environment_wrench(
-            pose0, twist0, sc.surface, target, self.hole_depth, sc.environment
+            pose0, twist0, sc.surface, target, self.hole_depth, sc.environment,
+            ax_pos, on_target,
         )
         (hx, hy, hz), (htx, hty, htz) = f_h
         (ex, ey, ez), (etx, ety, etz) = f_env
@@ -769,6 +778,10 @@ def drawn_session(condition, seed, angles, lag, max_sim_time):
     return scenario_from_config(canonical_config(raw))
 
 
+# the preset's target angles
+PRESET_ANGLES = [(5.0, 0.0), (30.0, 10.0), (45.0, 10.0)]
+
+
 class TestPhaseBodies:
     @given(
         condition=st.sampled_from(["with", "without"]),
@@ -787,6 +800,11 @@ class TestPhaseBodies:
     @settings(
         max_examples=12, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate)
     )
+    # a target switch in either condition (at 10.7 s and 13.1 s), where World
+    # recomputes the tip's target coordinates, and AutoAlign starts on both
+    # guided targets
+    @example(condition="with", seed=0, angles=PRESET_ANGLES, lag=0.05, max_sim_time=14.0)
+    @example(condition="without", seed=0, angles=PRESET_ANGLES, lag=0.05, max_sim_time=14.0)
     def test_matches_reference_step(self, condition, seed, angles, lag, max_sim_time):
         sc = drawn_session(condition, seed, angles, lag, max_sim_time)
         got, want = World(sc).run(), ReferenceWorld(sc).run()
@@ -797,7 +815,7 @@ class TestPhaseBodies:
     def test_every_phase_body_runs(self):
         # seed-0 guided preset, ideal follower: the locked, the 1-DoF and the
         # six-channel bodies all run, and match the reference step
-        sc = drawn_session("with", 0, [(5.0, 0.0), (30.0, 10.0), (45.0, 10.0)], 0.0, 13.0)
+        sc = drawn_session("with", 0, PRESET_ANGLES, 0.0, 13.0)
         world, oracle = World(sc), ReferenceWorld(sc)
         phases = set()
         while not world.done and world.k < 13000:
@@ -805,7 +823,15 @@ class TestPhaseBodies:
             world.step()
             oracle.step()
             assert world.pose == oracle.pose and world.twist == oracle.twist
+            # the carried target coordinates are those of the pose the next
+            # step starts from, measured from the target it will serve
+            target = sc.targets[world.target_idx]
+            assert (world._ax_pos, world._on_target) == target_coordinates(
+                world.pose.position, target, sc.environment
+            )
         assert phases == set(GuidancePhase) - {GuidancePhase.TARGET_DONE}
+        kinds = [kind for _, kind in world.trace.events]
+        assert {"align_start:0", "new_target:1", "align_start:1"} <= set(kinds)
         assert_same_recording(world.trace, oracle.trace)
 
 

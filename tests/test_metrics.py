@@ -242,11 +242,15 @@ class TestComputeMetrics:
         assert got == want
         assert repr(got) == repr(want)  # same types, same -0.0
         d = trace.data
+
+        def cols(*names):
+            return [d[name] for name in names]
+
         series = (
-            _speed(d, ("vx", "vy", "vz")),
-            _speed(d, ("wx", "wy", "wz")),
-            _power(d, ("fh_x", "fh_y", "fh_z"), ("vx", "vy", "vz")),
-            _power(d, ("fh_tx", "fh_ty", "fh_tz"), ("wx", "wy", "wz")),
+            _speed(cols("vx", "vy", "vz")),
+            _speed(cols("wx", "wy", "wz")),
+            _power(cols("fh_x", "fh_y", "fh_z"), cols("vx", "vy", "vz")),
+            _power(cols("fh_tx", "fh_ty", "fh_tz"), cols("wx", "wy", "wz")),
         )
         assert series == reference_series(trace)
 

@@ -21,6 +21,7 @@ from gds.operator_env import (
     OperatorModel,
     VirtualOperator,
     environment_wrench,
+    target_coordinates,
     update_hole,
 )
 from gds.workpiece import CylinderPatch, build_target_frame, DrillTarget
@@ -361,13 +362,15 @@ class TestManualKernel:
 class TestEnvironment:
     def test_no_contact_zero_wrench(self):
         target = flat_target()
+        tip = Pose(Vec3(0.2, 0.0, 0.02), UnitQuat.identity())
         w, collision = environment_wrench(
-            Pose(Vec3(0.2, 0.0, 0.02), UnitQuat.identity()),
+            tip,
             Twist6.zero(),
             crest_cylinder(),
             target,
             0.0,
             ENV,
+            *target_coordinates(tip.position, target, ENV),
         )
         assert w == Wrench6.zero()
         assert not collision
@@ -379,7 +382,7 @@ class TestEnvironment:
         feed = target.axis.scale(0.002)
         w, _ = environment_wrench(
             tip, Twist6(feed, Vec3.zero()), crest_cylinder(), target,
-            0.001, ENV,
+            0.001, ENV, *target_coordinates(tip.position, target, ENV),
         )
         along = w.force.dot(target.axis)
         assert along == pytest.approx(-1.6, abs=1e-9)
@@ -390,7 +393,7 @@ class TestEnvironment:
         pull = target.axis.scale(-0.01)
         w, _ = environment_wrench(
             tip, Twist6(pull, Vec3.zero()), crest_cylinder(), target,
-            0.002, ENV,
+            0.002, ENV, *target_coordinates(tip.position, target, ENV),
         )
         assert w == Wrench6.zero()
 
@@ -400,6 +403,7 @@ class TestEnvironment:
         tip = Pose(Vec3(0.05, 0.0, -0.0035), UnitQuat.identity())  # ~1 mm inside, 5 cm off target
         w, collision = environment_wrench(
             tip, Twist6.zero(), surf, target, 0.0, ENV,
+            *target_coordinates(tip.position, target, ENV),
         )
         assert w.force.norm() > 0.0
         _, n_out = surf.closest_point(tip.position)
@@ -411,6 +415,7 @@ class TestEnvironment:
         tip = Pose(Vec3(0.05, 0.0, -0.0085), UnitQuat.identity())  # ~6 mm inside
         w, collision = environment_wrench(
             tip, Twist6.zero(), crest_cylinder(), target, 0.0, ENV,
+            *target_coordinates(tip.position, target, ENV),
         )
         assert collision
 
@@ -421,7 +426,9 @@ class TestEnvironment:
         tip = Pose(Vec3(0.05, 0.0, -0.0030), UnitQuat.identity())
         _, n_out = surf.closest_point(tip.position)
         retreat = Twist6(n_out.scale(1.0), Vec3.zero())
-        w, _ = environment_wrench(tip, retreat, surf, target, 0.0, ENV)
+        w, _ = environment_wrench(
+            tip, retreat, surf, target, 0.0, ENV, *target_coordinates(tip.position, target, ENV)
+        )
         assert w.force.dot(n_out) >= 0.0
 
     def test_passive_over_contact_cycle(self):
@@ -442,7 +449,10 @@ class TestEnvironment:
                 vz = -speed if going_down else speed
                 pose = Pose(Vec3(0.05, 0.0, z), UnitQuat.identity())
                 tw = Twist6(Vec3(0.0, 0.0, vz), Vec3.zero())
-                w, _ = environment_wrench(pose, tw, surf, target, 0.0, env)
+                w, _ = environment_wrench(
+                    pose, tw, surf, target, 0.0, env,
+                    *target_coordinates(pose.position, target, env),
+                )
                 powers.append(w.force.dot(tw.linear))
                 z += vz * dt
             net = dt * (math.fsum(powers) - 0.5 * (powers[0] + powers[-1]))

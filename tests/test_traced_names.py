@@ -11,9 +11,11 @@ the owner's own attributes.
 
 import json
 
+import numpy as np
 import pytest
 
 from gds import cli, engine, operator_env
+from gds.admittance import phase_params
 from gds.guidance import GuidancePhase
 from gds.presets import experiment_one_raw, experiment_one_scenario
 
@@ -102,6 +104,31 @@ def test_cli_traced_names_are_own_and_reached(verb, extra, traced, tmp_path, mon
     assert [f"{owner.__name__}.{attr}" for (owner, attr), n in calls.items() if n == 0] == []
 
 
+def settling_steps(trace, phases, condition):
+    """The steps that run while a gain ramp has not settled: a ramp starts
+    at each ``phase:`` or ``new_target:`` event, the last of equal times
+    governing, and settles 1 s later, or at once when its start gains (the
+    trace's at its first step) equal its end gains (the phase's)."""
+    # one mass per channel kind in every phase, so the damping decides
+    assert len({(g.translational.m, g.rotational.m)
+                for g in (phase_params(p, condition) for p in GuidancePhase)}) == 1
+    t = trace.data["t"]
+    b_t, b_r = trace.data["b_vx"], trace.data["b_wx"]
+    starts = [t_r for t_r, kind in trace.events if kind.startswith(("phase:", "new_target:"))]
+    settles = [0.0]  # the first gain set holds from the start
+    for t_r in starts:
+        i = int(np.searchsorted(t, t_r))  # the ramp's first step, if any
+        if i == len(t):
+            settles.append(t_r)
+            continue
+        assert t[i] == t_r
+        end = phase_params(phases[i], condition)
+        same = (b_t[i], b_r[i]) == (end.translational.b, end.rotational.b)
+        settles.append(t_r if same else t_r + 1.0)
+    governing = np.searchsorted(starts, t, side="right")
+    return int(np.count_nonzero(t < np.asarray(settles)[governing]))
+
+
 @pytest.mark.parametrize("condition", ["without", "with"])
 def test_per_step_call_counts(condition, monkeypatch):
     # the traced per-layer counts (engine.steps, operator_env.wrench_calls,
@@ -126,7 +153,7 @@ def test_per_step_call_counts(condition, monkeypatch):
         (engine, "update_phase"),
     ):
         assert calls[key] == n, key
-    assert calls[(engine, "gains_at")] == n + ramps
+    assert calls[(engine, "gains_at")] == settling_steps(trace, phases, condition) + ramps
     assert calls[(engine, "step_axial")] == axial
     assert calls[(engine, "sample_alignment")] == calls[(engine, "alignment_twist")] == locked
     assert calls[(engine, "step_admittance")] == n - axial - locked

@@ -306,11 +306,56 @@ def coherent_walks(draw, mesh, steps=40):
     return points
 
 
+@st.composite
+def feature_probes(draw, mesh, count=12):
+    """Points 1e-10 to 1e-6 m from a vertex or an edge of ``mesh`` along
+    drawn directions, and points over face interiors at drawn heights:
+    around a triangle's face margin from its edges, where the face normal
+    is taken without the vertex and edge tests or not."""
+    points = []
+    for _ in range(count):
+        tri = mesh.triangles[draw(st.integers(0, len(mesh.triangles) - 1))]
+        a, b, c = (mesh.vertices[i] for i in draw(st.permutations(tri)))
+        kind = draw(st.sampled_from(("vertex", "edge", "interior")))
+        if kind == "interior":
+            v, w = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+            if v + w > 1.0:
+                v, w = 1.0 - v, 1.0 - w
+            n = (b - a).cross(c - a).normalized()
+            height = draw(st.sampled_from((0.0, 1e-9, 1e-3)) | st.floats(-0.01, 0.01))
+            points.append(a + (b - a).scale(v) + (c - a).scale(w) + n.scale(height))
+            continue
+        on = a if kind == "vertex" else a + (b - a).scale(draw(st.floats(0.0, 1.0)))
+        d = Vec3(*(draw(st.floats(-1.0, 1.0)) for _ in range(3)))
+        if d.norm() == 0.0:
+            d = Vec3(0.0, 0.0, 1.0)
+        points.append(on + d.scale(10.0 ** draw(st.floats(-10.0, -6.0)) / d.norm()))
+    return points
+
+
 def assert_walk_matches_scan(mesh, points):
     for p in points:
         q_ref, n_ref = scan_closest_point(mesh, p)
         assert mesh.closest_point(p) == (q_ref, n_ref)
         assert mesh.signed_distance(p) == (p - q_ref).dot(n_ref)
+
+
+def count_pseudo_normals(monkeypatch):
+    """Record every (point, triangle) that ``_pseudo_normal`` is asked for."""
+    calls = []
+    pseudo_normal = TriangleMesh._pseudo_normal
+
+    def recorded(self, q, face_idx):
+        calls.append((q, face_idx))
+        return pseudo_normal(self, q, face_idx)
+
+    monkeypatch.setattr(TriangleMesh, "_pseudo_normal", recorded)
+    return calls
+
+
+def distance_to_line(p, a, b):
+    ab = b - a
+    return (p - a).cross(ab).norm() / ab.norm()
 
 
 class TestMeshQuery:
@@ -387,6 +432,42 @@ class TestMeshQuery:
         mesh = _SPHERES[refinement]
         assert_walk_matches_scan(mesh, data.draw(coherent_walks(mesh)))
 
+    @given(st.data())
+    # no shrinking, as for the walks
+    @settings(
+        max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate)
+    )
+    def test_crest_near_features_match_exhaustive_scan(self, data):
+        mesh = data.draw(crest_grids())
+        assert_walk_matches_scan(mesh, data.draw(feature_probes(mesh)))
+
+    @given(st.integers(0, 2), st.data())
+    # no shrinking, as for the walks
+    @settings(
+        max_examples=20, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate)
+    )
+    def test_sphere_near_features_match_exhaustive_scan(self, refinement, data):
+        mesh = _SPHERES[refinement]
+        assert_walk_matches_scan(mesh, data.draw(feature_probes(mesh, count=8)))
+
+    def test_sliver_never_takes_the_face_normal_shortcut(self, monkeypatch):
+        # a wide triangle and, below its base edge, a sliver 5e-9 m high
+        mesh = TriangleMesh(
+            (Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), Vec3(0.5, 1.0, 0.0),
+             Vec3(0.5, -5e-9, 0.0)),
+            ((0, 1, 2), (0, 3, 1)),
+        )
+        wide, sliver = (corners[18] for corners in mesh._corners)
+        assert wide < 1e-8 and sliver > 1.0 / 3.0
+        calls = count_pseudo_normals(monkeypatch)
+        probes = [Vec3(x, y, h) for x in (0.2, 0.5, 0.7) for y in (-4e-9, -2.5e-9, -1e-9)
+                  for h in (0.0, 1e-9, 1e-3)]
+        assert_walk_matches_scan(mesh, probes)
+        # every query ran the vertex and edge tests (closest_point and
+        # signed_distance each), the sliver winning some of them
+        assert len(calls) == 2 * len(probes)
+        assert 1 in {idx for _, idx in calls}
+
     def test_foreign_hint_gives_the_scan_answer(self):
         mesh = crest_mesh([-0.15, -0.05, 0.05, 0.15], [-0.25, 0.0, 0.25])
         far = Vec3(0.14, 0.24, 0.01)
@@ -455,12 +536,19 @@ class TestMeshQuery:
             return closest_on_triangle(*args)
 
         monkeypatch.setattr(workpiece, "_closest_on_triangle", counted)
+        normals = count_pseudo_normals(monkeypatch)
         step = Vec3(2.0, 1.0, -0.1).scale(2e-5 / Vec3(2.0, 1.0, -0.1).norm())
         p = Vec3(-0.01, -0.01, 0.002)
         for _ in range(1000):
             mesh.signed_distance(p)
             p = p + step
         assert calls[0] / 1000 <= 2.0
+        # only winners on or next to an edge run the vertex and edge tests:
+        # the walk crosses the ridge x = 0 and one cell diagonal
+        assert 0 < len(normals) <= 50
+        for q, idx in normals:
+            a, b, c = (mesh.vertices[i] for i in mesh.triangles[idx])
+            assert min(distance_to_line(q, o, e) for o, e in ((a, b), (b, c), (c, a))) < 1e-6
 
     def test_feature_tolerance_square_is_exact(self):
         tol2 = workpiece._FEATURE_TOL2
