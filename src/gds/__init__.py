@@ -6,7 +6,6 @@ harness comparing the with/without-guidance conditions."""
 from .admittance import (
     AdmittanceParams,
     AdmittanceState,
-    DofGains,
     GainSchedule,
     gains_at,
     phase_params,

@@ -12,10 +12,9 @@ unconditional stability (the error |v - F/b| shrinks by a factor in (0, 1)
 every step for any dt > 0) but carries no discretization error, which the
 stiff damping settings used while drilling would otherwise accumulate.
 
-Each task phase sets one gain pair for the three translational channels and
-one for the three rotational channels. Damping transitions between task
-phases follow a linear ramp (1 s long by default); virtual mass is constant
-across phases.
+Each task phase sets one damping for the three translational channels and
+one for the three rotational channels; the virtual masses are constants.
+Damping transitions between task phases follow a linear ramp 1 s long.
 """
 
 from __future__ import annotations
@@ -29,27 +28,25 @@ from .geometry import Twist6, Vec3, Wrench6
 
 _new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
-# Damping values used in the drilling study, indexed by task phase.
-FREE_MOTION_TRANS = (50.0, 100.0)   # mass [kg], damping [N s/m]
-FREE_MOTION_ROT = (10.0, 5.0)       # mass [kg m^2], damping [N m s]
-CLOSE_TRANS = (50.0, 600.0)
-CLOSE_ROT = (10.0, 20.0)
-DRILL_TRANS = (50.0, 1000.0)
-MANUAL_NEAR_TRANS = (50.0, 1000.0)  # no-guidance rule: high damping near target
-MANUAL_NEAR_ROT = (10.0, 20.0)
+# Virtual masses, constant across phases: only the damping adapts
+MASS_TRANS = 50.0  # kg, for vx, vy and vz
+MASS_ROT = 10.0    # kg m^2, for wx, wy and wz
+_RAMP_LENGTH = 1.0  # s, the length of every damping ramp
 
-
-class DofGains(NamedTuple):
-    m: float  # virtual mass, kg (translational) or kg m^2 (rotational)
-    b: float  # virtual damping, N s/m or N m s
+# Damping values used in the drilling study, indexed by task phase:
+# (translational [N s/m], rotational [N m s])
+FREE_MOTION = (100.0, 5.0)
+CLOSE = (600.0, 20.0)
+DRILL = (1000.0, 20.0)
+MANUAL_NEAR = (1000.0, 20.0)  # no-guidance rule: high damping near target
 
 
 class AdmittanceParams(NamedTuple):
-    """One gain pair per task phase: ``translational`` for vx, vy and vz,
-    ``rotational`` for wx, wy and wz."""
+    """One damping pair per task phase: ``translational`` for vx, vy and
+    vz, ``rotational`` for wx, wy and wz."""
 
-    translational: DofGains
-    rotational: DofGains
+    translational: float
+    rotational: float
 
 
 def phase_params(phase, condition: str) -> AdmittanceParams:
@@ -64,56 +61,52 @@ def phase_params(phase, condition: str) -> AdmittanceParams:
     from .guidance import GuidancePhase  # local import to avoid a cycle
 
     if condition == "without":
-        if phase is GuidancePhase.FREE_MOTION:
-            trans, rot = FREE_MOTION_TRANS, FREE_MOTION_ROT
-        else:
-            trans, rot = MANUAL_NEAR_TRANS, MANUAL_NEAR_ROT
+        row = FREE_MOTION if phase is GuidancePhase.FREE_MOTION else MANUAL_NEAR
     elif phase is GuidancePhase.FREE_MOTION or phase is GuidancePhase.TARGET_DONE:
-        trans, rot = FREE_MOTION_TRANS, FREE_MOTION_ROT
+        row = FREE_MOTION
     elif phase is GuidancePhase.APPROACH:
-        trans, rot = CLOSE_TRANS, CLOSE_ROT
+        row = CLOSE
     else:
         # AutoAlign (admittance bypassed, gains pre-ramp toward drilling
         # values), ConstrainedDrill, and Retract all use the single-DoF
-        # drilling row; the rotational entries are placeholders, as no
+        # drilling row; its rotational entry is a placeholder, as no
         # rotational channel runs in these phases
-        trans, rot = DRILL_TRANS, CLOSE_ROT
-    return AdmittanceParams(DofGains(*trans), DofGains(*rot))
+        row = DRILL
+    return AdmittanceParams(*row)
 
 
 @dataclass
 class GainSchedule:
-    """Linear componentwise ramp between two gain sets over a fixed duration.
+    """Linear componentwise ramp between two gain sets over ``_RAMP_LENGTH``.
 
-    Endpoints equal by value are held as one object, which ``gains_at``
-    returns over the whole ramp: ``g0 + s * (g1 - g0)`` is ``g0`` bit for bit
+    ``settles_at`` is the time from which ``gains_at`` returns
+    ``end_params``. Endpoints equal by value are held as one object, which
+    settles at ``ramp_start``: ``g0 + s * (g1 - g0)`` is ``g0`` bit for bit
     when ``g1 == g0`` (gains are positive and finite), so the interpolation
     is skipped, and with it the caches keyed on the gain-set object."""
 
     start_params: AdmittanceParams
     end_params: AdmittanceParams
     ramp_start: float
-    ramp_duration: float = 1.0
+    settles_at: float = field(init=False)
 
     def __post_init__(self):
-        if not self.ramp_duration > 0.0:
-            raise ValueError("ramp_duration must be positive")
         if self.end_params == self.start_params:
             self.end_params = self.start_params
+            self.settles_at = self.ramp_start
+        else:
+            self.settles_at = self.ramp_start + _RAMP_LENGTH
 
 
 def gains_at(schedule: GainSchedule, t: float) -> AdmittanceParams:
     """Gains at time t: clamped linear interpolation between the endpoints."""
-    if t <= schedule.ramp_start or schedule.end_params is schedule.start_params:
-        return schedule.start_params
-    if t >= schedule.ramp_start + schedule.ramp_duration:
+    if t >= schedule.settles_at:
         return schedule.end_params
-    s = (t - schedule.ramp_start) / schedule.ramp_duration
+    if t <= schedule.ramp_start:
+        return schedule.start_params
+    s = (t - schedule.ramp_start) / _RAMP_LENGTH
     (t0, r0), (t1, r1) = schedule.start_params, schedule.end_params
-    return _new(AdmittanceParams, (
-        _new(DofGains, (t0.m + s * (t1.m - t0.m), t0.b + s * (t1.b - t0.b))),
-        _new(DofGains, (r0.m + s * (r1.m - r0.m), r0.b + s * (r1.b - r0.b))),
-    ))
+    return _new(AdmittanceParams, (t0 + s * (t1 - t0), r0 + s * (r1 - r0)))
 
 
 @dataclass
@@ -126,19 +119,15 @@ class AdmittanceState:
 
     params: AdmittanceParams
     v: Twist6 = field(default_factory=Twist6.zero)
-    # (1 - exp(-b dt / m), b) of the translational then the rotational pair,
-    # and the gain-set object and dt they were computed for: gains change
-    # only during ramps between distinct gain sets, where gains_at builds a
-    # new gain set every step
+    # (1 - exp(-b dt / m), b) of the translational then the rotational
+    # channels, and the gain-set object and dt they were computed for: gains
+    # change only during ramps between distinct gain sets, where gains_at
+    # builds a new gain set every step
     _coef_key: tuple = field(default=(None, None), init=False, repr=False, compare=False)
     _coef: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def reset(self) -> None:
         self.v = Twist6.zero()
-
-
-def _step_channel(v: float, f: float, m: float, b: float, dt: float) -> float:
-    return v + (1.0 - math.exp(-b * dt / m)) * (f / b - v)
 
 
 def step_admittance(state: AdmittanceState, f_int: Wrench6, dt: float) -> Twist6:
@@ -160,12 +149,14 @@ def step_admittance(state: AdmittanceState, f_int: Wrench6, dt: float) -> Twist6
     params = state.params
     key_params, key_dt = state._coef_key
     if key_params is not params or key_dt != dt:
-        (mt, bt), (mr, br) = params
+        bt, br = params
         state._coef_key = (params, dt)
-        state._coef = (1.0 - math.exp(-bt * dt / mt), bt, 1.0 - math.exp(-br * dt / mr), br)
+        state._coef = (
+            1.0 - math.exp(-bt * dt / MASS_TRANS), bt, 1.0 - math.exp(-br * dt / MASS_ROT), br
+        )
     ct, bt, cr, br = state._coef
     (vx, vy, vz), (wx, wy, wz) = state.v
-    # each channel is _step_channel with its coefficient precomputed
+    # each channel is step_axial's update with its coefficient precomputed
     out = _new(Twist6, (
         _new(Vec3, (vx + ct * (fx / bt - vx), vy + ct * (fy / bt - vy), vz + ct * (fz / bt - vz))),
         _new(Vec3, (wx + cr * (tx / br - wx), wy + cr * (ty / br - wy), wz + cr * (tz / br - wz))),
@@ -174,12 +165,13 @@ def step_admittance(state: AdmittanceState, f_int: Wrench6, dt: float) -> Twist6
     return out
 
 
-def step_axial(v: float, f_axial: float, gains: DofGains, dt: float) -> float:
-    """Single-channel update used while motion is constrained to the
-    drilling axis; same discretization as the 6-DoF filters."""
+def step_axial(v: float, f_axial: float, b: float, dt: float) -> float:
+    """Translational channel update with damping ``b``, used while motion is
+    constrained to the drilling axis; same discretization as the 6-DoF
+    filters."""
     if not math.isfinite(f_axial):
         raise SimulationFault("non-finite axial force fed to admittance filter")
-    return _step_channel(v, f_axial, gains.m, gains.b, dt)
+    return v + (1.0 - math.exp(-b * dt / MASS_TRANS)) * (f_axial / b - v)
 
 
 def analytic_step_response(f: float, m: float, b: float, t: float) -> float:

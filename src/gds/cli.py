@@ -24,13 +24,7 @@ import statistics
 import sys
 from typing import List, Optional
 
-from .config import (
-    apply_override,
-    canonical_config,
-    load_scenario,
-    read_scenario_file,
-    scenario_from_config,
-)
+from .config import load_scenario
 from .engine import run as run_scenario
 from .errors import ConfigError, SimulationFault
 from .metrics import METRIC_FIELDS, compare, compute_metrics, mean_metrics
@@ -181,18 +175,17 @@ def cmd_sweep(args) -> int:
         )
     if not values:
         raise ConfigError("sweep needs at least one value", "values")
-    raw = read_scenario_file(args.scenario)
-    base_dir = os.path.dirname(os.path.abspath(args.scenario))
     surfaces = {}
     # resolve every (value, condition, seed) before the first session runs
-    sessions = []
-    for value in values:
-        overridden = apply_override(raw, args.param, value)
-        for condition in _conditions(args.condition):
-            for seed in seeds:
-                cfg = canonical_config(overridden, condition=condition, seed=seed)
-                scenario = scenario_from_config(cfg, base_dir, surfaces)
-                sessions.append((value, condition, seed, scenario))
+    sessions = [
+        (value, condition, seed, load_scenario(
+            args.scenario, condition=condition, seed=seed, surfaces=surfaces,
+            override=(args.param, value),
+        ))
+        for value in values
+        for condition in _conditions(args.condition)
+        for seed in seeds
+    ]
     rows = []
     for value, condition, seed, scenario in sessions:
         metrics = _run_session(scenario, None, False)

@@ -12,7 +12,7 @@ import dataclasses
 import json
 import math
 import os
-from typing import Optional
+from typing import Optional, Tuple
 
 from .engine import PlantModel, Scenario
 from .errors import ConfigError, GeometryError
@@ -355,10 +355,15 @@ def load_scenario(
     condition: Optional[str] = None,
     seed: Optional[int] = None,
     surfaces: Optional[dict] = None,
+    override: Optional[Tuple[str, float]] = None,
 ) -> Scenario:
-    """Read, validate, and resolve a scenario file; ``surfaces`` as in
-    ``scenario_from_config``."""
-    cfg = canonical_config(read_scenario_file(path), condition=condition, seed=seed)
+    """Read, validate, and resolve a scenario file; ``override`` is a
+    (dotted field, value) pair applied with ``apply_override`` first, and
+    ``surfaces`` is as in ``scenario_from_config``."""
+    raw = read_scenario_file(path)
+    if override is not None:
+        raw = apply_override(raw, *override)
+    cfg = canonical_config(raw, condition=condition, seed=seed)
     return scenario_from_config(cfg, os.path.dirname(os.path.abspath(path)), surfaces)
 
 

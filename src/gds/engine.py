@@ -174,13 +174,7 @@ _FLOAT_FIELDS = (
     + ["fint_x", "fint_y", "fint_z", "fint_tx", "fint_ty", "fint_tz"]
 )
 _B_FIELDS = ["b_vx", "b_vy", "b_vz", "b_wx", "b_wy", "b_wz"]
-CSV_HEADER = (
-    _FLOAT_FIELDS[:1]
-    + _FLOAT_FIELDS[1:]
-    + ["phase"]
-    + _B_FIELDS
-    + ["target_index", "hole_depth"]
-)
+CSV_HEADER = _FLOAT_FIELDS + ["phase"] + _B_FIELDS + ["target_index", "hole_depth"]
 # every float column, in checksum order
 _COLUMNS = tuple(_FLOAT_FIELDS + _B_FIELDS + ["hole_depth"])
 
@@ -396,7 +390,6 @@ class World:
         params = phase_params(self.phase, scenario.condition)
         self.adm = AdmittanceState(params)
         self.schedule = GainSchedule(params, params, ramp_start=0.0)
-        self._note_settling()
         self.trace = Trace(
             dt=self.dt,
             condition=scenario.condition,
@@ -411,7 +404,7 @@ class World:
             self.pose.position, scenario.targets[0], scenario.environment
         )
         self.operator.notify_grab(0.0)
-        self.operator.begin_target(0, scenario.targets[0], 0.0)
+        self.operator.begin_target(scenario.targets[0], 0.0)
 
     # -- helpers -------------------------------------------------------------
 
@@ -425,19 +418,6 @@ class World:
         current = gains_at(self.schedule, t)
         end = phase_params(new_phase, self.sc.condition)
         self.schedule = GainSchedule(current, end, ramp_start=t)
-        self.adm.params = current
-        self._note_settling()
-
-    def _note_settling(self) -> None:
-        """Keep the schedule's end gains and the time from which
-        ``gains_at`` returns them: the time it tests, or the start when
-        both endpoints are one object."""
-        s = self.schedule
-        self._gains_end = s.end_params
-        if s.end_params is s.start_params:
-            self._settles_at = s.ramp_start
-        else:
-            self._settles_at = s.ramp_start + s.ramp_duration
 
     # -- the control period ----------------------------------------------------
 
@@ -480,7 +460,8 @@ class World:
         ):
             raise SimulationFault(f"non-finite state at sample {k}")
 
-        params_now = gains_at(self.schedule, t) if t < self._settles_at else self._gains_end
+        schedule = self.schedule
+        params_now = gains_at(schedule, t) if t < schedule.settles_at else schedule.end_params
         ux, uy, uz = target.axis
 
         # (vx..wz) is the twist the step used, (rvx..rwz) the reference twist
@@ -581,7 +562,7 @@ class World:
         )
 
         # the trace record, packed straight from the floats
-        (_, bt), (_, br) = params_now
+        bt, br = params_now
         qw, qx, qy, qz = ori0
         self._append(_pack_record(
             t, px, py, pz, qw, qx, qy, qz,
@@ -638,9 +619,7 @@ class World:
                 )
                 self.phase = _FREE_MOTION
                 self._start_ramp(t, self.phase)
-                self.operator.begin_target(
-                    self.target_idx, self.sc.targets[self.target_idx], t
-                )
+                self.operator.begin_target(self.sc.targets[self.target_idx], t)
                 self.trace.events.append((t, f"new_target:{self.target_idx}"))
             else:
                 self.done = True

@@ -161,7 +161,6 @@ class VirtualOperator:
         self.model = model
         self.tool_axis_local = tool_axis_local
         self._rng = np.random.default_rng(model.seed) if model.variant == "manual" else None
-        self._target_idx: Optional[int] = None
         self._target_t0 = 0.0
         self._grab_t = 0.0
         self._mode = _MODE_AIM
@@ -171,10 +170,9 @@ class VirtualOperator:
 
     # -- session bookkeeping -------------------------------------------------
 
-    def begin_target(self, index: int, target: DrillTarget, t: float) -> None:
+    def begin_target(self, target: DrillTarget, t: float) -> None:
         """Draw this target's residual error and dwell; called by the engine
         whenever a new target becomes active."""
-        self._target_idx = index
         self._target_t0 = t
         self._mode = _MODE_AIM
         self._mode_t0 = t

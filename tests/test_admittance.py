@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from gds.admittance import (
     AdmittanceParams,
     AdmittanceState,
-    DofGains,
     GainSchedule,
     analytic_step_response,
     gains_at,
@@ -18,6 +18,8 @@ from gds.errors import SimulationFault
 from gds.geometry import Twist6, Vec3, Wrench6
 from gds.guidance import GuidancePhase
 
+# (name, mass, damping); a row named *_trans runs on a translational
+# channel (mass 50 kg), one named *_rot on a rotational channel (10 kg m^2)
 TABLE_GAIN_SETS = [
     ("free_trans", 50.0, 100.0),
     ("free_rot", 10.0, 5.0),
@@ -27,18 +29,23 @@ TABLE_GAIN_SETS = [
 ]
 
 
-def make_state(m=50.0, b=100.0):
-    return AdmittanceState(AdmittanceParams(DofGains(m, b), DofGains(m, b)))
+def make_state(b=100.0):
+    return AdmittanceState(AdmittanceParams(b, b))
 
 
 def force_x(f):
     return Wrench6(Vec3(f, 0.0, 0.0), Vec3.zero())
 
 
+def force_and_torque_x(f):
+    return Wrench6(Vec3(f, 0.0, 0.0), Vec3(f, 0.0, 0.0))
+
+
 def reference_step_admittance(state, f_int, dt):
     """The six-channel loop taking exp(-b dt / m) on every channel every
-    step, the translational pair on the first three, the rotational pair on
-    the last three: the oracle for step_admittance."""
+    step, the translational damping and 50 kg on the first three, the
+    rotational damping and 10 kg m^2 on the last three: the oracle for
+    step_admittance."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     forces = (*f_int.force, *f_int.torque)
@@ -47,7 +54,8 @@ def reference_step_admittance(state, f_int, dt):
             raise SimulationFault("non-finite interaction force fed to admittance filter")
     vel = [*state.v.linear, *state.v.angular]
     trans, rot = state.params
-    for i, ((m, b), f) in enumerate(zip((trans,) * 3 + (rot,) * 3, forces)):
+    gains = ((50.0, trans),) * 3 + ((10.0, rot),) * 3
+    for i, ((m, b), f) in enumerate(zip(gains, forces)):
         v = vel[i]
         vel[i] = v + (1.0 - math.exp(-b * dt / m)) * (f / b - v)
     out = Twist6(Vec3(*vel[:3]), Vec3(*vel[3:]))
@@ -56,25 +64,26 @@ def reference_step_admittance(state, f_int, dt):
 
 
 def reference_gains_at(schedule, t):
-    """Each gain pair interpolated in a loop: the oracle for gains_at."""
+    """Each damping interpolated in a loop over a 1 s ramp: the oracle for
+    gains_at."""
     if t <= schedule.ramp_start:
         return schedule.start_params
-    if t >= schedule.ramp_start + schedule.ramp_duration:
+    if t >= schedule.ramp_start + 1.0:
         return schedule.end_params
-    s = (t - schedule.ramp_start) / schedule.ramp_duration
+    s = (t - schedule.ramp_start) / 1.0
     out = []
-    for g0, g1 in zip(schedule.start_params, schedule.end_params):
-        out.append(DofGains(g0.m + s * (g1.m - g0.m), g0.b + s * (g1.b - g0.b)))
+    for b0, b1 in zip(schedule.start_params, schedule.end_params):
+        out.append(b0 + s * (b1 - b0))
     return AdmittanceParams(*out)
 
 
-dof_gains = st.builds(DofGains, st.floats(0.5, 200.0), st.floats(0.5, 5000.0))
+dampings = st.floats(0.5, 5000.0)
 forces = st.tuples(*[st.floats(-80.0, 80.0)] * 6).map(
     lambda f: Wrench6(Vec3(*f[:3]), Vec3(*f[3:]))
 )
 
 
-gain_sets = st.builds(AdmittanceParams, dof_gains, dof_gains)
+gain_sets = st.builds(AdmittanceParams, dampings, dampings)
 
 
 def assert_same_bits(got, want):
@@ -85,7 +94,7 @@ def assert_same_bits(got, want):
 class TestStepAdmittance:
     def test_first_step_matches_continuous_oracle(self):
         # oracle: v(dt) = (F/b)(1 - exp(-b dt / m)) for F constant over the step
-        state = make_state(m=50.0, b=100.0)
+        state = make_state(b=100.0)
         out = step_admittance(state, force_x(10.0), 1e-3)
         oracle = analytic_step_response(10.0, 50.0, 100.0, 1e-3)
         assert oracle == pytest.approx(1.998001332e-4, rel=1e-9)
@@ -98,7 +107,7 @@ class TestStepAdmittance:
         assert out == Twist6.zero()
 
     def test_steady_state_gain(self):
-        state = make_state(m=50.0, b=100.0)
+        state = make_state(b=100.0)
         out = None
         for _ in range(5000):  # 5 s >> m/b = 0.5 s
             out = step_admittance(state, force_x(10.0), 1e-3)
@@ -109,11 +118,14 @@ class TestStepAdmittance:
         dt = 1e-3
         f = 10.0
         n = int(round(5.0 * (m / b) / dt))
-        state = make_state(m=m, b=b)
+        state = make_state(b=b)
+        rot = name.endswith("_rot")
+        wrench = Wrench6(Vec3.zero(), Vec3(f, 0.0, 0.0)) if rot else force_x(f)
         worst = 0.0
         for k in range(1, n + 1):
-            out = step_admittance(state, force_x(f), dt)
-            worst = max(worst, abs(out.linear.x - analytic_step_response(f, m, b, k * dt)))
+            out = step_admittance(state, wrench, dt)
+            v = out.angular.x if rot else out.linear.x
+            worst = max(worst, abs(v - analytic_step_response(f, m, b, k * dt)))
         assert worst <= 1e-3 * (f / b)
 
     def test_decoupling(self):
@@ -132,21 +144,22 @@ class TestStepAdmittance:
             step_admittance(state, force_x(float("nan")), 1e-3)
 
     @given(
-        m=st.floats(0.5, 200.0),
         b=st.floats(0.5, 5000.0),
         dt=st.floats(1e-5, 0.5),
         f=st.floats(-80.0, 80.0),
     )
     @settings(max_examples=150, deadline=None)
-    def test_error_to_steady_state_monotone_for_any_dt(self, m, b, dt, f):
-        state = make_state(m=m, b=b)
+    def test_error_to_steady_state_monotone_for_any_dt(self, b, dt, f):
+        # the translational and the rotational channel, each at its mass
+        state = make_state(b=b)
         target = f / b
-        prev = abs(target)
+        prev = [abs(target)] * 2
         for _ in range(40):
-            out = step_admittance(state, force_x(f), dt)
-            err = abs(out.linear.x - target)
-            assert err <= prev + 1e-15
-            prev = err
+            out = step_admittance(state, force_and_torque_x(f), dt)
+            for i, v in enumerate((out.linear.x, out.angular.x)):
+                err = abs(v - target)
+                assert err <= prev[i] + 1e-15
+                prev[i] = err
 
 
 class TestKernelOracles:
@@ -158,14 +171,14 @@ class TestKernelOracles:
     def test_steps_and_ramps_match_loop_oracles(self, data):
         draw = data.draw
         a, b = draw(gain_sets), draw(gain_sets)
-        twin = AdmittanceParams(*(DofGains(g.m, g.b) for g in b))  # b's values, new objects
-        sched = GainSchedule(a, b, ramp_start=0.0, ramp_duration=draw(st.floats(0.01, 1.0)))
+        twin = AdmittanceParams(*b)  # b's values, a new object
+        sched = GainSchedule(a, b, ramp_start=0.0)
         new, old = AdmittanceState(a), AdmittanceState(a)
         dt = 1e-3
         for _ in range(draw(st.integers(1, 30))):
             action = draw(st.sampled_from(["ramp", "a", "b", "twin", "dt"]))
             if action == "ramp":
-                t = draw(st.floats(-0.1, 1.1)) * sched.ramp_duration
+                t = draw(st.floats(-0.1, 1.1))
                 got = gains_at(sched, t)
                 want = reference_gains_at(sched, t)
                 assert_same_bits(got, want)
@@ -179,7 +192,7 @@ class TestKernelOracles:
             assert_same_bits(new.v, old.v)
 
     def test_coefficient_rows_follow_gain_set_and_dt(self):
-        params = AdmittanceParams(DofGains(50.0, 100.0), DofGains(10.0, 5.0))
+        params = AdmittanceParams(100.0, 5.0)
         new, old = AdmittanceState(params), AdmittanceState(params)
         f = Wrench6(Vec3(3.0, -2.0, 1.0), Vec3(0.5, 0.25, -0.125))
         # a new dt with the same gain set
@@ -187,59 +200,61 @@ class TestKernelOracles:
             assert_same_bits(step_admittance(new, f, dt), reference_step_admittance(old, f, dt))
         # a new gain set of new values every step, as in a ramp
         for k in range(50):
-            new.params = old.params = AdmittanceParams(
-                DofGains(50.0, 100.0 + 10.0 * k), DofGains(10.0, 5.0 + k)
-            )
+            new.params = old.params = AdmittanceParams(100.0 + 10.0 * k, 5.0 + k)
             assert_same_bits(step_admittance(new, f, 1e-3), reference_step_admittance(old, f, 1e-3))
 
 
 class TestGainSchedule:
     def test_endpoints_and_midpoint(self):
         sched = GainSchedule(
-            AdmittanceParams(DofGains(50, 100), DofGains(10, 5)),
-            AdmittanceParams(DofGains(50, 600), DofGains(10, 20)),
+            AdmittanceParams(100, 5),
+            AdmittanceParams(600, 20),
             ramp_start=2.0,
         )
-        assert gains_at(sched, 2.0).translational.b == 100.0
-        assert gains_at(sched, 3.0).translational.b == 600.0
-        assert gains_at(sched, 10.0).translational.b == 600.0
+        assert gains_at(sched, 2.0).translational == 100.0
+        assert gains_at(sched, 3.0).translational == 600.0
+        assert gains_at(sched, 10.0).translational == 600.0
         mid = gains_at(sched, 2.5)
-        assert mid.translational.b == (100.0 + 600.0) / 2.0  # exact arithmetic mean
-        assert mid.rotational.b == (5.0 + 20.0) / 2.0
+        assert mid.translational == (100.0 + 600.0) / 2.0  # exact arithmetic mean
+        assert mid.rotational == (5.0 + 20.0) / 2.0
 
     def test_quarter_point_linear_oracle(self):
         sched = GainSchedule(
-            AdmittanceParams(DofGains(50, 600), DofGains(10, 20)),
-            AdmittanceParams(DofGains(50, 1000), DofGains(10, 20)),
+            AdmittanceParams(600, 20),
+            AdmittanceParams(1000, 20),
             ramp_start=0.0,
         )
-        assert gains_at(sched, 0.25).translational.b == pytest.approx(700.0, abs=1e-12)
+        assert gains_at(sched, 0.25).translational == pytest.approx(700.0, abs=1e-12)
 
     def test_continuous_and_monotone(self):
         sched = GainSchedule(
-            AdmittanceParams(DofGains(50, 100), DofGains(10, 5)),
-            AdmittanceParams(DofGains(50, 1000), DofGains(10, 20)),
+            AdmittanceParams(100, 5),
+            AdmittanceParams(1000, 20),
             ramp_start=0.0,
         )
-        prev_b = gains_at(sched, -1.0).translational.b
+        prev_b = gains_at(sched, -1.0).translational
         t = 0.0
         while t <= 1.2:
-            b = gains_at(sched, t).translational.b
+            b = gains_at(sched, t).translational
             assert b >= prev_b  # monotone up
             assert abs(b - prev_b) <= 900.0 * 0.002 + 1e-9  # no jumps
             prev_b = b
             t += 0.001
 
     def test_mass_held_constant(self):
+        # over a ramp each channel's first step from rest is the continuous
+        # response of its fixed mass at the ramped damping
         sched = GainSchedule(
-            AdmittanceParams(DofGains(50, 100), DofGains(10, 5)),
-            AdmittanceParams(DofGains(50, 1000), DofGains(10, 20)),
-            ramp_start=0.0,
+            AdmittanceParams(100, 5), AdmittanceParams(1000, 20), ramp_start=0.0
         )
+        dt = 1e-3
         for t in (0.0, 0.3, 0.77, 1.0):
             p = gains_at(sched, t)
-            assert p.translational.m == 50.0
-            assert p.rotational.m == 10.0
+            out = step_admittance(AdmittanceState(p), force_and_torque_x(10.0), dt)
+            trans = analytic_step_response(10.0, 50.0, p.translational, dt)
+            rot = analytic_step_response(10.0, 10.0, p.rotational, dt)
+            assert out.linear.x == pytest.approx(trans, rel=1e-12)
+            assert out.angular.x == pytest.approx(rot, rel=1e-12)
 
     def test_equal_endpoints_hold_one_gain_set(self):
         # equal by value, distinct objects: AutoAlign -> ConstrainedDrill
@@ -254,31 +269,49 @@ class TestGainSchedule:
         other = phase_params(GuidancePhase.FREE_MOTION, "with")
         assert gains_at(GainSchedule(other, end, ramp_start=2.0), 2.5) not in (other, end)
 
-    def test_bad_duration_rejected(self):
-        p = AdmittanceParams(DofGains(50, 100), DofGains(10, 5))
-        with pytest.raises(ValueError):
-            GainSchedule(p, p, 0.0, ramp_duration=0.0)
+    @pytest.mark.parametrize("condition", ["with", "without"])
+    def test_settle_boundary(self, condition):
+        # every ramp phase_params can produce: the end gains from settles_at
+        # on, interpolated gains one float before it
+        for p0, p1 in itertools.product(GuidancePhase, repeat=2):
+            for ramp_start in (0.0, 2.0, 33.953):
+                start, end = phase_params(p0, condition), phase_params(p1, condition)
+                sched = GainSchedule(start, end, ramp_start=ramp_start)
+                assert gains_at(sched, sched.settles_at) is sched.end_params
+                if start == end:
+                    # equal values in distinct objects settle at once
+                    assert start is not end
+                    assert sched.settles_at == ramp_start
+                    assert sched.end_params is start
+                    continue
+                assert sched.settles_at == ramp_start + 1.0
+                before = math.nextafter(sched.settles_at, -math.inf)
+                got = gains_at(sched, before)
+                # interpolated (its value may round to the end's)
+                assert got is not start and got is not end
+                assert_same_bits(got, reference_gains_at(sched, before))
+
 
 
 class TestPhaseParams:
     def test_free_motion_with_guidance(self):
         params = phase_params(GuidancePhase.FREE_MOTION, "with")
-        assert params.translational == DofGains(50.0, 100.0)
-        assert params.rotational == DofGains(10.0, 5.0)
+        assert params.translational == 100.0
+        assert params.rotational == 5.0
 
     def test_approach_with_guidance(self):
         params = phase_params(GuidancePhase.APPROACH, "with")
-        assert params.translational.b == 600.0
-        assert params.rotational.b == 20.0
+        assert params.translational == 600.0
+        assert params.rotational == 20.0
 
     def test_drilling_single_dof(self):
         params = phase_params(GuidancePhase.CONSTRAINED_DRILL, "with")
-        assert params.translational == DofGains(50.0, 1000.0)
+        assert params.translational == 1000.0
 
     def test_without_guidance_near_target(self):
         params = phase_params(GuidancePhase.APPROACH, "without")
-        assert params.translational == DofGains(50.0, 1000.0)
+        assert params.translational == 1000.0
 
     def test_without_guidance_far(self):
         params = phase_params(GuidancePhase.FREE_MOTION, "without")
-        assert params.translational.b == 100.0
+        assert params.translational == 100.0

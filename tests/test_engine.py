@@ -340,7 +340,7 @@ class ReferenceWorld(World):
         )
 
         trans, rot = params_now
-        b6 = tuple(g.b for g in (trans, trans, trans, rot, rot, rot))
+        b6 = (trans, trans, trans, rot, rot, rot)
         self._record(t, pose0, v_used, v_ref, f_h, f_env, f_int, b6, self.hole_depth)
         self.k += 1
 

@@ -106,7 +106,7 @@ class TestOperator:
         for variant in ("guided", "manual"):
             op = VirtualOperator(OperatorModel(variant=variant, seed=3))
             target = flat_target()
-            op.begin_target(0, target, 0.0)
+            op.begin_target(target, 0.0)
             w = op.wrench(
                 Pose(Vec3(0, 0, 0.04), UnitQuat.identity()),
                 Twist6.zero(),
@@ -120,7 +120,7 @@ class TestOperator:
         # 0.3 m from the pull goal, at rest: k_p * 0.3 = 60 N, capped at 40 N
         op = VirtualOperator(OperatorModel(variant="guided"))
         target = flat_target()
-        op.begin_target(0, target, 0.0)
+        op.begin_target(target, 0.0)
         pose = Pose(Vec3(-0.3, 0.0, 0.0), UnitQuat.identity())
         w = op.wrench(pose, Twist6.zero(), GuidancePhase.FREE_MOTION, target, 10.0)
         assert np.allclose(w.force, (40.0, 0.0, 0.0), atol=1e-12)
@@ -129,7 +129,7 @@ class TestOperator:
     def test_reaction_delay_ramps_force_in(self):
         op = VirtualOperator(OperatorModel(variant="guided", reaction_delay=0.25))
         target = flat_target()
-        op.begin_target(0, target, 0.0)
+        op.begin_target(target, 0.0)
         op.notify_grab(0.0)
         pose = Pose(Vec3(-0.3, 0.0, 0.0), UnitQuat.identity())
         w0 = op.wrench(pose, Twist6.zero(), GuidancePhase.FREE_MOTION, target, 0.0)
@@ -142,7 +142,7 @@ class TestOperator:
     def test_constrained_drill_pushes_along_axis(self):
         op = VirtualOperator(OperatorModel(variant="guided"))
         target = flat_target(5.0, 0.0)
-        op.begin_target(0, target, 0.0)
+        op.begin_target(target, 0.0)
         op.notify_grab(0.0)
         w = op.wrench(
             Pose(Vec3(0, 0, 0.05), UnitQuat.identity()),
@@ -159,7 +159,7 @@ class TestOperator:
         streams = []
         for _ in range(2):
             op = VirtualOperator(OperatorModel(variant="manual", seed=42))
-            op.begin_target(0, target, 0.0)
+            op.begin_target(target, 0.0)
             op.notify_grab(0.0)
             stream = []
             pose = Pose(Vec3(0.05, 0.02, 0.12), UnitQuat.from_axis_angle(Vec3(1, 0, 0), math.pi))
@@ -174,7 +174,7 @@ class TestOperator:
         outs = []
         for seed in (1, 2):
             op = VirtualOperator(OperatorModel(variant="manual", seed=seed))
-            op.begin_target(0, target, 0.0)
+            op.begin_target(target, 0.0)
             op.notify_grab(0.0)
             pose = Pose(Vec3(0.05, 0.02, 0.12), UnitQuat.from_axis_angle(Vec3(1, 0, 0), math.pi))
             outs.append(op.wrench(pose, Twist6.zero(), GuidancePhase.APPROACH, target, 3.0))
@@ -184,7 +184,7 @@ class TestOperator:
         m = OperatorModel(variant="manual", seed=9, force_cap=40.0, torque_cap=5.0)
         op = VirtualOperator(m)
         target = flat_target(45.0, 10.0)
-        op.begin_target(0, target, 0.0)
+        op.begin_target(target, 0.0)
         op.notify_grab(0.0)
         rng = np.random.default_rng(0)
         for k in range(500):
@@ -202,7 +202,7 @@ class TestOperator:
         m = OperatorModel(variant="manual", seed=5, angular_noise=0.0)
         op = VirtualOperator(m)
         target = flat_target(30.0, 10.0)
-        op.begin_target(0, target, 0.0)
+        op.begin_target(target, 0.0)
         assert angle_between(op._final_axis(target), target.axis) <= 1e-12
         assert angle_between(op._aim_axis(target, 2.7), target.axis) <= 1e-12
 
@@ -210,7 +210,7 @@ class TestOperator:
         m = OperatorModel(variant="manual", seed=11, angular_noise=6.0)
         op = VirtualOperator(m)
         target = flat_target(30.0, 10.0)
-        op.begin_target(0, target, 0.0)
+        op.begin_target(target, 0.0)
         ax = op._final_axis(target)
         err_deg = math.degrees(angle_between(ax, target.axis))
         assert 0.0 < err_deg < 30.0  # a few sigma of the 6-degree noise
@@ -240,7 +240,7 @@ class TestManualKernel:
     def _pair(model, tool_local, target):
         ops = VirtualOperator(model, tool_local), ReferenceOperator(model, tool_local)
         for op in ops:
-            op.begin_target(0, target, 0.0)
+            op.begin_target(target, 0.0)
             op.notify_grab(0.0)
         return ops
 
