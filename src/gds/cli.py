@@ -65,7 +65,8 @@ def _conditions(selector: str) -> List[str]:
 def _run_session(scenario, out_dir: Optional[str], emit_trace: bool):
     """Run one resolved scenario and compute its metrics: the only place a
     session runs. Given ``out_dir``, write its trace.csv (if ``emit_trace``),
-    metrics.json and events.json under ``<out_dir>/<condition>/seed_<n>/``."""
+    metrics.json and events.json under ``<out_dir>/<condition>/seed_<n>/``.
+    Return the metrics and the final (time, kind) event."""
     condition, seed = scenario.condition, scenario.operator.seed
     trace = run_scenario(scenario)
     log.info(
@@ -80,7 +81,7 @@ def _run_session(scenario, out_dir: Optional[str], emit_trace: bool):
             trace.to_csv(os.path.join(run_dir, "trace.csv"))
         _write_json(os.path.join(run_dir, "metrics.json"), metrics.to_dict())
         _write_json(os.path.join(run_dir, "events.json"), trace.summary())
-    return metrics
+    return metrics, trace.events[-1]
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -89,12 +90,15 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _summary_line(condition: str, seed: int, metrics) -> str:
+def _summary_line(condition: str, seed: int, metrics, final_event) -> str:
+    """One run's stdout line; an incomplete run names its final event."""
+    t, kind = final_event
+    status = "complete" if metrics.complete else f"INCOMPLETE ({kind} at {t:.3f} s)"
     return (
         f"run condition={condition} seed={seed}: "
         f"t_tot={metrics.t_tot:.3f}s e_total={metrics.e_total:.3f}J "
         f"eps_phi={metrics.eps_phi_avg:.4f}deg eps_theta={metrics.eps_theta_avg:.4f}deg "
-        f"{'complete' if metrics.complete else 'INCOMPLETE'}"
+        f"{status}"
     )
 
 
@@ -113,9 +117,9 @@ def _run_seeds(args, conditions, seeds) -> dict:
     ]
     per_condition = {condition: [] for condition in conditions}
     for condition, seed, scenario in sessions:
-        metrics = _run_session(scenario, args.out, not args.no_trace)
+        metrics, final_event = _run_session(scenario, args.out, not args.no_trace)
         per_condition[condition].append(metrics)
-        print(_summary_line(condition, seed, metrics))
+        print(_summary_line(condition, seed, metrics, final_event))
     return per_condition
 
 
@@ -188,9 +192,10 @@ def cmd_sweep(args) -> int:
     ]
     rows = []
     for value, condition, seed, scenario in sessions:
-        metrics = _run_session(scenario, None, False)
+        metrics, final_event = _run_session(scenario, None, False)
         rows.append((value, condition, seed, metrics))
-        print(f"sweep {args.param}={value:g} " + _summary_line(condition, seed, metrics))
+        line = _summary_line(condition, seed, metrics, final_event)
+        print(f"sweep {args.param}={value:g} {line}")
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "sweep.csv"), "w") as fh:

@@ -195,7 +195,9 @@ def canonical_config(
         _require(axis_dir.norm() > 0.0, "must be non-zero", "surface.axis_dir")
         scopy["axis_dir"] = list(axis_dir)
         scopy["radius"] = _number(surface.get("radius"), "surface.radius", minimum=1e-9)
-        scopy["half_length"] = _number(surface.get("half_length", 1.0), "surface.half_length")
+        scopy["half_length"] = _number(
+            surface.get("half_length", 1.0), "surface.half_length", minimum=1e-9
+        )
     elif stype == "sphere":
         scopy["center"] = list(_vec3(surface.get("center"), "surface.center"))
         scopy["radius"] = _number(surface.get("radius"), "surface.radius", minimum=1e-9)

@@ -2,8 +2,11 @@
 
 Metrics (one drilling session = all targets):
 
-- task completion time: session start to the last target completion
-- average linear / angular tool speed: (1/t_tot) integral of ||v|| resp. ||omega||
+- task completion time: session start to the last target completion (on an
+  incomplete run, to the last target it finished)
+- average linear / angular tool speed: (1/T) integral of ||v|| resp.
+  ||omega||, T = len(trace) * dt being the recorded span the integral runs
+  over; on a complete run T is t_tot, to the bit
 - human effort: integral of sum_i |F_h^i v^i| over the six wrench/twist
   component pairs; the force part (i = 1..3) and torque part (i = 4..6) are
   integrated separately and the total is their exact sum
@@ -122,8 +125,9 @@ def compute_metrics(
 ) -> Metrics:
     """Evaluate the session metrics from a trace.
 
-    Incomplete traces (timeout, missing targets) yield metrics flagged
-    ``complete=False`` computed over the recorded span.
+    Incomplete traces (timeout, runaway, missing targets) yield metrics
+    flagged ``complete=False``: effort and speeds over the recorded span,
+    ``t_tot`` the time of the last finished target (or the span, if none).
     """
     n = len(trace)
     if n == 0:
@@ -151,7 +155,7 @@ def compute_metrics(
 
     e_force = _trapezoid(p_force, dt)
     e_torque = _trapezoid(p_torque, dt)
-    span = t_tot if t_tot > 0.0 else 1.0
+    span = n * dt
     s_lin = _trapezoid(lin_speed, dt) / span
     s_ang = _trapezoid(ang_speed, dt) / span
 

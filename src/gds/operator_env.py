@@ -418,6 +418,9 @@ def environment_wrench(
         return _new(Wrench6, (force, _ZERO3)), False
 
     p = tip.position
+    # inside the surface's clearance ball the query would give sd > 0
+    if surface.certified_clear(p):
+        return _ZERO_WRENCH, False
     sd = surface.signed_distance(p)
     if sd >= 0.0:
         return _ZERO_WRENCH, False

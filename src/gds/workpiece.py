@@ -16,8 +16,10 @@ Conventions
   OFF).
 
 Surfaces are immutable after load and safe to share across parallel runs.
-The one exception is a mesh's closest-point hint, which is result-neutral:
-every query returns the same bits whatever the hint holds.
+The exceptions are a mesh's closest-point hint and its clearance ball, both
+result-neutral: every query returns the same bits whatever the hint holds,
+and the ball holds only points where the query's signed distance is
+positive.
 """
 
 from __future__ import annotations
@@ -63,11 +65,17 @@ class SpherePatch:
         """Positive outside the material, negative inside."""
         return (p - self.center).norm() - self.radius
 
+    def certified_clear(self, p: Vec3) -> bool:
+        """Never: the exact query costs no more than a stored-ball check."""
+        return False
+
 
 @dataclass(frozen=True)
 class CylinderPatch:
-    """Solid cylinder section; material is the interior. ``axis_dir`` is the
-    cylinder axis direction (unit), ``axis_point`` a point on the axis."""
+    """Solid cylinder section with flat end caps; material is the interior.
+    ``axis_dir`` is the cylinder axis direction (unit), ``axis_point`` the
+    middle of the axis, and the solid spans ``half_length`` either side of
+    it (unbounded by default)."""
 
     axis_point: Vec3
     axis_dir: Vec3
@@ -77,9 +85,13 @@ class CylinderPatch:
     def __post_init__(self):
         if not self.radius > 0.0:
             raise GeometryError("cylinder radius must be positive")
+        if not self.half_length > 0.0:
+            raise GeometryError("cylinder half_length must be positive")
         object.__setattr__(self, "axis_dir", self.axis_dir.normalized())
 
     def closest_point(self, p: Vec3) -> Tuple[Vec3, Vec3]:
+        """The nearest point of the solid's boundary, on the side, an end
+        cap or a rim, and the outward normal there."""
         rel = p - self.axis_point
         h = rel.dot(self.axis_dir)
         radial = rel - self.axis_dir.scale(h)
@@ -89,17 +101,34 @@ class CylinderPatch:
             n = _any_perpendicular(self.axis_dir)
         else:
             n = radial.scale(1.0 / d)
-        h = max(-self.half_length, min(self.half_length, h))
+        side, over = d - self.radius, abs(h) - self.half_length
+        if over > 0.0 or over > side:
+            # past an end cap, or inside and nearer to it than to the side
+            cap = self.axis_dir.scale(math.copysign(1.0, h))
+            end = self.axis_point + cap.scale(self.half_length)
+            if side <= 0.0:
+                return end + radial, cap
+            rim = end + n.scale(self.radius)
+            return rim, (p - rim).normalized()
         foot = self.axis_point + self.axis_dir.scale(h)
         return foot + n.scale(self.radius), n
 
     def signed_distance(self, p: Vec3) -> float:
-        # closest_point's radial offset, over plain floats
+        """Positive outside the material, negative inside."""
+        # closest_point's radial offset and axial excess, over plain floats
         a, d = self.axis_point, self.axis_dir
         rx, ry, rz = p.x - a.x, p.y - a.y, p.z - a.z
         h = rx * d.x + ry * d.y + rz * d.z
         qx, qy, qz = rx - h * d.x, ry - h * d.y, rz - h * d.z
-        return math.sqrt(qx * qx + qy * qy + qz * qz) - self.radius
+        side = math.sqrt(qx * qx + qy * qy + qz * qz) - self.radius
+        over = abs(h) - self.half_length
+        if over <= 0.0 or side <= 0.0:
+            return side if side >= over else over
+        return math.sqrt(side * side + over * over)
+
+    def certified_clear(self, p: Vec3) -> bool:
+        """Never: the exact query costs no more than a stored-ball check."""
+        return False
 
 
 # Triangles per leaf of the bounding-box tree.
@@ -205,6 +234,16 @@ class TriangleMesh:
     barycentric margin (``_face_margin``, stored at load) is provably
     farther than ``_FEATURE_TOL`` from every vertex and edge, and takes
     the face normal without the vertex and edge tests.
+
+    A query that finds p outside the material (``signed_distance(p) > 0``)
+    also stores a clearance ball around p (``_certify``): a ball in which
+    every query is proven to give a positive signed distance, so that
+    ``certified_clear`` can answer "outside" with no query. The ball lies
+    strictly on the outer side of the plane of every triangle near enough
+    to hold the closest point of one of its points. A distance bound alone
+    would not do on an open mesh: between two parallel sheets the sign
+    flips halfway without crossing the surface. Like the hint, the ball is
+    read once and replaced whole, and any ball is sound for every session.
     """
 
     vertices: tuple  # of Vec3
@@ -221,6 +260,8 @@ class TriangleMesh:
     _tree: tuple = field(init=False, compare=False, repr=False)
     # (p0 xyz, nearby triangle indices ascending, bound) or None
     _hint: Optional[tuple] = field(init=False, compare=False, repr=False)
+    # (p0 xyz, squared radius) of the clearance ball, or None
+    _ball: Optional[tuple] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         nv = len(self.vertices)
@@ -243,6 +284,7 @@ class TriangleMesh:
         object.__setattr__(self, "_normals", self._pseudo_normals())
         object.__setattr__(self, "_tree", _build_tree(corners))
         object.__setattr__(self, "_hint", None)
+        object.__setattr__(self, "_ball", None)
 
     def closest_point(self, p: Vec3) -> Tuple[Vec3, Vec3]:
         px, py, pz = p
@@ -338,9 +380,108 @@ class TriangleMesh:
         object.__setattr__(self, "_hint", ((px, py, pz), tuple(near), reach - 3.0 * tol))
 
     def signed_distance(self, p: Vec3) -> float:
+        """``(p - q).dot(n)`` of ``closest_point(p)``. A positive answer at
+        a point outside the clearance ball also replaces the ball with one
+        around p, if one can be certified."""
         (qx, qy, qz), (nx, ny, nz) = self.closest_point(p)
-        # (p - q).dot(n), over plain floats
-        return (p[0] - qx) * nx + (p[1] - qy) * ny + (p[2] - qz) * nz
+        px, py, pz = p
+        dx, dy, dz = px - qx, py - qy, pz - qz
+        sd = dx * nx + dy * ny + dz * nz
+        if sd > 0.0 and not self.certified_clear(p):
+            self._certify(px, py, pz, math.sqrt(dx * dx + dy * dy + dz * dz))
+        return sd
+
+    def certified_clear(self, p: Vec3) -> bool:
+        """Whether p lies in the clearance ball, where ``signed_distance``
+        is proven positive without running it."""
+        ball = self._ball
+        if ball is None:
+            return False
+        x, y, z, r2 = ball
+        dx, dy, dz = p[0] - x, p[1] - y, p[2] - z
+        return dx * dx + dy * dy + dz * dz < r2
+
+    def _certify(self, px: float, py: float, pz: float, d0: float) -> None:
+        """Replace the clearance ball with B(p0, r), p0 = p, for an r that
+        this walk proves, or keep the old ball if no r > 0 is proven. ``d0``
+        is |p0 - q0|, q0 the point ``closest_point(p0)`` returned.
+
+        The walk starts at r = d0 and lowers r until every triangle f
+        within ``d0 + 2 r + _FEATURE_TOL + 2 tol`` of p0 ("in reach") has
+        ``h_f - r >= _FEATURE_TOL + 3 tol``, h_f being p0's height over f's
+        plane along its stored normal. A triangle in reach that fails this
+        lowers r to whichever is larger: the r it passes at, or an r (2 tol
+        short) that puts f out of reach, f being at least as far from p0 as
+        its leaf's box and as -h_f. The walk culls by box as
+        ``closest_point`` does, and as r only falls, nothing culled or put
+        out of reach comes back into it. It computes no closest point, so
+        it costs at most one box walk over the leaves within 3 d0. ``tol``
+        is as in ``_remember``: every coordinate involved is below
+        3 (|p0|_1 + M), M the largest box coordinate, so each rounding
+        error below is under 1e-4 tol. For a point p that
+        ``certified_clear`` accepts:
+
+        - |p - p0| <= r, up to the few ulps the squared-distance test
+          rounds by.
+        - The winner q at p is no farther from p than q0's triangle is,
+          so |p - q| <= |p - q0| <= d0 + r: its triangle t is within
+          d0 + 2 r of p0 and was walked. (As for the tree's culling, a
+          triangle's computed closest point is taken to be its exact one
+          up to rounding.)
+        - If q takes t's face normal, the signed distance is p's height
+          over t's plane, which holds q: at least h_t - r >=
+          _FEATURE_TOL + 3 tol.
+        - If q takes the pseudonormal N of a vertex or an edge, q is within
+          _FEATURE_TOL of a point v of that feature. Every face incident to
+          it holds v, so lies within d0 + 2 r + _FEATURE_TOL of p0 and was
+          walked, and p is at least _FEATURE_TOL + 3 tol above its plane.
+          N is those faces' normals summed with non-negative weights and
+          normalized, and the sum is no longer than the weights' sum, so
+          (p - v).N >= _FEATURE_TOL + 3 tol: N is not zero (the query
+          cannot fault) and the signed distance (p - v).N + (v - q).N is
+          at least 3 tol.
+
+        Each bound holds up to rounding far below tol, so the computed
+        signed distance is positive.
+        """
+        tree = self._tree
+        tol = 1e-9 * (1.0 + abs(px) + abs(py) + abs(pz) + max(map(abs, tree[:6])))
+        corners = self._corners
+        normals = self._face_normals
+        slack = _FEATURE_TOL + 2.0 * tol
+        margin = _FEATURE_TOL + 3.0 * tol
+        r = d0
+        stack = [(0.0, tree)]
+        while stack:
+            box_d2, node = stack.pop()
+            box = math.sqrt(box_d2)
+            if box > d0 + 2.0 * r + slack:
+                continue
+            left, right = node[6], node[7]
+            if left is None:
+                for idx in right:
+                    c = corners[idx]
+                    nx, ny, nz = normals[idx]
+                    h = (px - c[0]) * nx + (py - c[1]) * ny + (pz - c[2]) * nz
+                    if h - margin >= r:
+                        continue
+                    # keep f out of reach if that leaves the larger ball;
+                    # f is at least as far as its leaf's box and its plane
+                    out = 0.5 * (max(box, -h) - d0 - slack) - tol
+                    r = min(r, max(h - margin, out))
+                    if r <= 0.0:
+                        return
+                continue
+            dl = _box_d2(left, px, py, pz)
+            dr = _box_d2(right, px, py, pz)
+            # pushed last, popped first: the nearer child
+            if dl <= dr:
+                stack.append((dr, right))
+                stack.append((dl, left))
+            else:
+                stack.append((dl, left))
+                stack.append((dr, right))
+        object.__setattr__(self, "_ball", (px, py, pz, r * r))
 
     def _pseudo_normal(self, q: tuple, face_idx: int) -> Vec3:
         """Angle-weighted normal at the closest point: face normal in the

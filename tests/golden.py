@@ -1,0 +1,175 @@
+"""Golden bits: the trace checksum, length and final event of named
+sessions, and the ``trace.csv`` SHA-256 of two of them, recorded in
+``golden_bits.json`` beside this file.
+
+The sessions are acceptance test C7's 40 (seeds 0-19 in both conditions on
+the preset), manual seed 131234100 on the preset, and seeds 0 and 1 in both
+conditions on the preset's targets over an STL crest of its cylinder. The
+bits depend on libm and numpy, so the record keeps the versions it was
+written with, and a mismatch report prints them beside the running ones.
+
+A change that alters trace bits on purpose regenerates the record:
+
+    PYTHONPATH=src python3 tests/golden.py --write
+"""
+
+import hashlib
+import json
+import math
+import os
+import platform
+import random
+import sys
+import tempfile
+
+import numpy as np
+
+from gds.config import canonical_config, scenario_from_config
+from gds.engine import run
+from gds.presets import CYLINDER_RADIUS, experiment_one_raw, experiment_one_scenario
+
+GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_bits.json")
+
+C7_SEEDS = range(20)
+CONDITIONS = ("with", "without")
+MANUAL_SEED = 131234100
+CREST_SEEDS = (0, 1)
+# crest sessions whose trace.csv bytes are pinned
+CSV_SESSIONS = ("crest/with/0", "crest/without/0")
+
+
+def platform_info() -> dict:
+    return {
+        "python": sys.version,
+        "numpy": np.__version__,
+        "libc": list(platform.libc_ver()),
+    }
+
+
+def session_name(surface: str, condition: str, seed: int) -> str:
+    return f"{surface}/{condition}/{seed}"
+
+
+def session_bits(trace) -> dict:
+    t, kind = trace.events[-1]
+    return {"checksum": trace.checksum(), "samples": len(trace), "final_event": [t, kind]}
+
+
+def csv_sha256(trace, path: str) -> str:
+    trace.to_csv(path)
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def write_crest_stl(path: str, seed: int = 5, cells=(4, 4), half_extent=(0.15, 0.25),
+                    jitter: float = 0.2) -> None:
+    """ASCII STL of the preset cylinder's crest: a grid of ``cells``, two
+    triangles per cell, whose interior grid lines move by up to ``jitter``
+    of a cell, drawn from ``random.Random(seed)``; vertices lie exactly on
+    the cylinder and normals point out. The benchmark's ``mesh_guided``
+    workload draws its crest the same way."""
+    rng = random.Random(seed)
+    xs, ys = (
+        [-half + i * (2.0 * half / n)
+         + (rng.uniform(-jitter, jitter) * (2.0 * half / n) if 0 < i < n else 0.0)
+         for i in range(n + 1)]
+        for n, half in zip(cells, half_extent)
+    )
+    r = CYLINDER_RADIUS
+
+    def vertex(x, y):
+        return (x, y, math.sqrt(r * r - x * x) - r)
+
+    with open(path, "w") as fh:
+        fh.write("solid crest\n")
+        for i in range(len(xs) - 1):
+            for j in range(len(ys) - 1):
+                a, b = vertex(xs[i], ys[j]), vertex(xs[i + 1], ys[j])
+                c, d = vertex(xs[i + 1], ys[j + 1]), vertex(xs[i], ys[j + 1])
+                for tri in ((a, b, c), (a, c, d)):
+                    fh.write(" facet normal 0 0 0\n  outer loop\n")
+                    for v in tri:
+                        fh.write("   vertex %r %r %r\n" % v)
+                    fh.write("  endloop\n endfacet\n")
+        fh.write("endsolid crest\n")
+
+
+def run_named(workdir: str) -> tuple:
+    """Run the sessions outside C7's fixture in ``workdir``; return their
+    bits and the CSV hashes of ``CSV_SESSIONS``, each by session name."""
+    bits, csv = {}, {}
+    trace = run(experiment_one_scenario("without", seed=MANUAL_SEED))
+    bits[session_name("preset", "without", MANUAL_SEED)] = session_bits(trace)
+    stl = os.path.join(workdir, "crest.stl")
+    write_crest_stl(stl)
+    surfaces = {}
+    for condition in CONDITIONS:
+        for seed in CREST_SEEDS:
+            raw = experiment_one_raw(condition, seed)
+            raw["surface"] = {"type": "stl", "path": stl}
+            trace = run(scenario_from_config(canonical_config(raw), workdir, surfaces))
+            name = session_name("crest", condition, seed)
+            bits[name] = session_bits(trace)
+            if name in CSV_SESSIONS:
+                csv[name] = csv_sha256(trace, os.path.join(workdir, "trace.csv"))
+    return bits, csv
+
+
+def run_c7() -> dict:
+    """C7's 40 sessions, run as its fixture runs them."""
+    return {
+        session_name("preset", condition, seed): session_bits(
+            run(experiment_one_scenario(condition, seed=seed))
+        )
+        for seed in C7_SEEDS
+        for condition in CONDITIONS
+    }
+
+
+def load() -> dict:
+    with open(GOLDEN_PATH) as fh:
+        return json.load(fh)
+
+
+def mismatches(recorded: dict, running: dict) -> list:
+    """One line per name whose running entry differs from its record."""
+    return [
+        f"{name}: recorded {recorded[name]}, running {running.get(name)}"
+        for name in sorted(recorded)
+        if running.get(name) != recorded[name]
+    ]
+
+
+def report(lines: list, record: dict) -> str:
+    """The mismatch lines, then the recorded and the running versions."""
+    versions = [
+        f"{key}: recorded {record['platform'][key]!r}, running {value!r}"
+        for key, value in platform_info().items()
+    ]
+    return "\n".join(
+        [f"{len(lines)} golden entries differ:"] + lines
+        + ["platform (trace bits depend on libm and numpy):"] + versions
+    )
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv != ["--write"]:
+        print(f"usage: PYTHONPATH=src python3 {__file__} --write", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as workdir:
+        named, csv = run_named(workdir)
+    record = {
+        "platform": platform_info(),
+        "sessions": dict(sorted({**run_c7(), **named}.items())),
+        "csv_sha256": csv,
+    }
+    with open(GOLDEN_PATH, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {len(record['sessions'])} sessions to {GOLDEN_PATH}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -69,21 +69,6 @@ def guided_run():
     return sc, trace, wall
 
 
-@pytest.fixture(scope="module")
-def seed_sweep():
-    """20 seeds x both conditions with default models."""
-    metrics = {"with": [], "without": []}
-    t0 = time.perf_counter()
-    for seed in range(20):
-        for condition in ("with", "without"):
-            sc = experiment_one_scenario(condition, seed=seed)
-            trace = run(sc)
-            assert trace.complete, f"{condition}/seed{seed} did not complete"
-            metrics[condition].append(compute_metrics(trace, sc.targets))
-    wall = time.perf_counter() - t0
-    return metrics, wall
-
-
 def test_c1_admittance_fidelity():
     t0 = time.perf_counter()
     f, dt = 10.0, 1e-3
@@ -323,7 +308,7 @@ def test_c6_end_to_end_guided(guided_run):
 
 
 def test_c7_directional_reproduction(seed_sweep):
-    metrics, wall = seed_sweep
+    metrics, wall, _ = seed_sweep
     assert wall < 120.0, f"20-seed sweep took {wall:.0f} s"
     avg_with = mean_metrics(metrics["with"])
     avg_without = mean_metrics(metrics["without"])
@@ -345,7 +330,7 @@ def test_c7_directional_reproduction(seed_sweep):
 
 
 def test_c8_energy_bookkeeping(seed_sweep):
-    metrics, _ = seed_sweep
+    metrics, _, _ = seed_sweep
     for runs in metrics.values():
         for m in runs:
             assert m.e_total == m.e_force + m.e_torque  # exact, every trace

@@ -210,8 +210,9 @@ class TestValidate:
             ("axis_dir", "surface", [0, 0, 0], "surface.axis_dir: must be non-zero"),
             ("tool_axis", None, [0, 0, 0], "tool_axis: tool axis must be unit length"),
             ("tool_axis", None, [0, 0, 2], "tool_axis: tool axis must be unit length"),
+            ("half_length", "surface", 0.0, "surface.half_length: must be >= 1e-09"),
         ],
-        ids=["zero_cylinder_axis", "zero_tool_axis", "long_tool_axis"],
+        ids=["zero_cylinder_axis", "zero_tool_axis", "long_tool_axis", "zero_cylinder_length"],
     )
     def test_degenerate_axis_exit_two(self, key, section, value, message, tmp_path, capsys):
         raw = experiment_one_raw("with", 0)
@@ -276,7 +277,7 @@ class TestRun:
         args = ["run", "--scenario", str(path), "--condition", "without",
                 "--seeds", "131234100", "--out", str(out), "--no-trace"]
         assert main(args) == 1
-        assert "INCOMPLETE" in capsys.readouterr().out
+        assert " INCOMPLETE (runaway:2 at 6" in capsys.readouterr().out
         run_dir = out / "without" / "seed_131234100"
         events = json.loads((run_dir / "events.json").read_text())
         assert events["complete"] is False

@@ -18,6 +18,7 @@ from gds.metrics import (
 )
 from gds.presets import experiment_one_scenario
 from gds.workpiece import DrillTarget, build_target_frame, drilling_axis, recover_angles
+from gds import cli
 from gds import engine as engine_mod
 from gds.engine import run
 
@@ -97,7 +98,7 @@ def reference_compute_metrics(trace, targets, tool_axis_local=Vec3(0.0, 0.0, 1.0
     lin_speed, ang_speed, p_force, p_torque = reference_series(trace)
     e_force = _trapezoid(p_force, dt)
     e_torque = _trapezoid(p_torque, dt)
-    span = t_tot if t_tot > 0.0 else 1.0
+    span = n * dt
 
     if trace.condition == "with":
         entries = reference_drill_entry_indices(trace)
@@ -154,7 +155,8 @@ class TestComputeMetrics:
         assert m.e_force == pytest.approx(10.0, rel=1e-9)
         assert m.e_torque == 0.0
         assert m.e_total == m.e_force + m.e_torque  # exact identity
-        assert m.s_lin_avg == pytest.approx(0.1, rel=1e-9)
+        # 1 m over the recorded span of n samples, n * dt = 10.01 s
+        assert m.s_lin_avg == pytest.approx(1.0 / (n * dt), rel=1e-9)
         assert m.s_ang_avg == 0.0
 
     def test_rest_trace_all_zero(self):
@@ -241,6 +243,8 @@ class TestComputeMetrics:
         want = reference_compute_metrics(trace, sc.targets, sc.tool_axis_local)
         assert got == want
         assert repr(got) == repr(want)  # same types, same -0.0
+        # the speeds' span is t_tot on a complete run, to the bit
+        assert got.t_tot == len(trace) * trace.dt
         d = trace.data
 
         def cols(*names):
@@ -253,6 +257,26 @@ class TestComputeMetrics:
             _power(cols("fh_tx", "fh_ty", "fh_tz"), cols("wx", "wy", "wz")),
         )
         assert series == reference_series(trace)
+
+    def test_incomplete_run_averages_over_its_record(self):
+        # manual seed 75 finishes target 0, collides, and runs away on
+        # target 1 at 47.042 s
+        sc = experiment_one_scenario("without", seed=75)
+        trace = run(sc)
+        assert trace.events[-1] == (pytest.approx(47.042), "runaway:1")
+        got = compute_metrics(trace, sc.targets, sc.tool_axis_local)
+        assert not got.complete
+        # repr: target 2's errors are NaN, which equals nothing
+        assert repr(got) == repr(reference_compute_metrics(trace, sc.targets, sc.tool_axis_local))
+        assert got.t_tot == trace.events_of_kind("target_done:")[-1][0]
+        assert got.t_tot < 20.0
+        lin_speed, ang_speed, _, _ = reference_series(trace)
+        span = len(trace) * trace.dt
+        assert span == pytest.approx(47.042)
+        assert got.s_lin_avg == _trapezoid(lin_speed, trace.dt) / span
+        assert got.s_ang_avg == _trapezoid(ang_speed, trace.dt) / span
+        line = cli._summary_line("without", 75, got, trace.events[-1])
+        assert line.endswith(" INCOMPLETE (runaway:1 at 47.042 s)")
 
     def test_guided_entry_scan_matches_loop_oracle(self):
         # every phase, with targets revisited out of order

@@ -24,7 +24,7 @@ from gds.operator_env import (
     target_coordinates,
     update_hole,
 )
-from gds.workpiece import CylinderPatch, build_target_frame, DrillTarget
+from gds.workpiece import CylinderPatch, TriangleMesh, build_target_frame, DrillTarget
 
 ENV = EnvironmentModel()
 
@@ -457,6 +457,36 @@ class TestEnvironment:
                 z += vz * dt
             net = dt * (math.fsum(powers) - 0.5 * (powers[0] + powers[-1]))
             assert net <= 1e-6
+
+    def test_clearance_ball_skips_the_mesh_query(self, monkeypatch):
+        # a flat square 5 cm below the target plane; the tip descends off
+        # target from 20 cm above it, toward contact
+        mesh = TriangleMesh(
+            (Vec3(-1, -1, -0.05), Vec3(1, -1, -0.05), Vec3(1, 1, -0.05), Vec3(-1, 1, -0.05)),
+            ((0, 1, 2), (0, 2, 3)),
+        )
+        queries = []
+        signed_distance = TriangleMesh.signed_distance
+
+        def counted(self, p):
+            queries.append(p)
+            return signed_distance(self, p)
+
+        monkeypatch.setattr(TriangleMesh, "signed_distance", counted)
+        target = flat_target()
+        answers = []
+        for k in range(202):
+            tip = Pose(Vec3(0.3, 0.0, 0.15 - 1e-3 * k), UnitQuat.identity())
+            answers.append(environment_wrench(
+                tip, Twist6(Vec3(0.0, 0.0, -0.1), Vec3.zero()), mesh, target, 0.0, ENV,
+                *target_coordinates(tip.position, target, ENV),
+            ))
+        # each ball covers the next half of the remaining gap, about
+        assert len(queries) <= 20
+        assert answers[:200] == [(Wrench6.zero(), False)] * 200
+        # the last step reaches 1 mm into the square, and queries
+        assert queries[-1].z == pytest.approx(-0.051)
+        assert answers[201][0].force.z > 0.0
 
 
 class TestUpdateHole:

@@ -127,6 +127,62 @@ class TestSurfaceNormal:
         assert errs[1] < errs[0] / 2  # refinement tightens the normal
 
 
+class TestFiniteCylinder:
+    # the preset's solid: radius 0.5 about the y axis through (0, 0, -0.5),
+    # capped 0.5 m either side of y = 0
+    CYL = CylinderPatch(Vec3(0.0, 0.0, -0.5), Vec3(0.0, 1.0, 0.0), 0.5, 0.5)
+
+    def test_point_past_an_end_cap_is_outside(self):
+        # radially inside, 0.1 m past the cap at y = 0.5
+        p = Vec3(0.1, 0.6, -0.4)
+        assert self.CYL.signed_distance(p) == pytest.approx(0.1, abs=1e-15)
+        q, n = self.CYL.closest_point(p)
+        assert np.allclose(q, (0.1, 0.5, -0.4), atol=1e-15)
+        assert n == Vec3(0.0, 1.0, 0.0)
+        q, n = self.CYL.closest_point(Vec3(0.1, -0.6, -0.4))
+        assert np.allclose(q, (0.1, -0.5, -0.4), atol=1e-15)
+        assert n == Vec3(0.0, -1.0, 0.0)
+
+    def test_inside_near_a_cap_reads_the_cap(self):
+        p = Vec3(0.0, 0.48, -0.5)  # on the axis, 2 cm inside the cap
+        assert self.CYL.signed_distance(p) == pytest.approx(-0.02, abs=1e-15)
+        q, n = self.CYL.closest_point(p)
+        assert np.allclose(q, (0.0, 0.5, -0.5), atol=1e-15)
+        assert n == Vec3(0.0, 1.0, 0.0)
+
+    def test_past_a_rim_measures_to_the_rim(self):
+        p = Vec3(0.0, 0.53, 0.04)  # 4 cm out radially, 3 cm past the cap
+        assert self.CYL.signed_distance(p) == pytest.approx(0.05, abs=1e-15)
+        q, n = self.CYL.closest_point(p)
+        assert np.allclose(q, (0.0, 0.5, 0.0), atol=1e-15)
+        assert np.allclose(n, (0.0, 0.6, 0.8), atol=1e-15)
+
+    def test_side_answers_keep_their_bits(self):
+        # between the caps and nearer the side than a cap, the answers are
+        # the uncapped cylinder's
+        uncapped = CylinderPatch(self.CYL.axis_point, self.CYL.axis_dir, 0.5)
+        for p in (Vec3(0.03, -0.12, 0.001), Vec3(-0.2, 0.3, -0.1), Vec3(0.0, 0.1, 0.25)):
+            assert self.CYL.signed_distance(p) == uncapped.signed_distance(p)
+            assert self.CYL.closest_point(p) == uncapped.closest_point(p)
+
+    @given(st.tuples(*[st.floats(-1.2, 1.2)] * 3))
+    @settings(max_examples=200, deadline=None)
+    def test_signed_distance_is_the_distance_to_the_closest_point(self, xyz):
+        p = Vec3(*xyz)
+        q, n = self.CYL.closest_point(p)
+        sd = self.CYL.signed_distance(p)
+        assert abs(sd) == pytest.approx((p - q).norm(), abs=1e-12)
+        assert sd == pytest.approx((p - q).dot(n), abs=1e-12)
+        rel = p - self.CYL.axis_point
+        inside = math.hypot(rel.x, rel.z) < 0.5 and abs(rel.y) < 0.5
+        assert (sd < 0.0) == inside or abs(sd) < 1e-12
+
+    def test_non_positive_half_length_rejected(self):
+        for half in (0.0, -1.0):
+            with pytest.raises(GeometryError, match="half_length"):
+                CylinderPatch(Vec3(0, 0, 0), Vec3(0, 1, 0), 0.5, half)
+
+
 # ---------------------------------------------------------------------------
 # exhaustive-scan oracle: the culled mesh query must return exactly its bits
 # ---------------------------------------------------------------------------
@@ -565,6 +621,187 @@ class TestMeshQuery:
             mesh.closest_point(Vec3(-0.5, -0.5, 0.2))
         with pytest.raises(GeometryError, match="vertex 0"):
             scan_closest_point(mesh, Vec3(-0.5, -0.5, 0.2))
+
+
+def wrench_answer(mesh, p):
+    """What ``environment_wrench``'s off-target branch takes from ``mesh``
+    at p: None where it returns the zero wrench, else the signed distance
+    and the closest point and normal."""
+    if mesh.certified_clear(p):
+        return None
+    sd = mesh.signed_distance(p)
+    return None if sd >= 0.0 else (sd, mesh.closest_point(p))
+
+
+def scan_answer(mesh, p):
+    """``wrench_answer`` from the exhaustive scan, with no ball or hint."""
+    q, n = scan_closest_point(mesh, p)
+    sd = (p - q).dot(n)
+    return None if sd >= 0.0 else (sd, (q, n))
+
+
+def assert_answers_match_scan(mesh, points):
+    for p in points:
+        if mesh.certified_clear(p):
+            q, n = scan_closest_point(mesh, p)
+            assert (p - q).dot(n) > 0.0
+        assert wrench_answer(mesh, p) == scan_answer(mesh, p)
+
+
+def sheet(z, flipped=False, half=1.0, cells=1):
+    """The square |x|, |y| <= ``half`` at height z as a grid of ``cells``
+    squares a side, two triangles each, facing +z (or -z if ``flipped``);
+    vertices and triangles to ``join`` into a mesh."""
+    ticks = [-half + 2.0 * half * i / cells for i in range(cells + 1)]
+    verts = [Vec3(x, y, z) for x in ticks for y in ticks]
+    tris = []
+    for i in range(cells):
+        for j in range(cells):
+            a, b = i * (cells + 1) + j, (i + 1) * (cells + 1) + j
+            quad = ((a, b, b + 1), (a, b + 1, a + 1))
+            tris += [(u, w, v) for u, v, w in quad] if flipped else quad
+    return verts, tris
+
+
+def join(*parts):
+    verts, tris = [], []
+    for v, t in parts:
+        tris += [tuple(i + len(verts) for i in tri) for tri in t]
+        verts += v
+    return TriangleMesh(tuple(verts), tuple(tris))
+
+
+@st.composite
+def clearance_walks(draw, mesh, legs=3, steps=10):
+    """Straight legs between points around ``mesh``, drawn as
+    ``mesh_probes`` draws them and some lifted up to 0.3 m, each leg cut at
+    drawn fractions: walks that take a ball far off and run on through it,
+    into the material and out."""
+    ends = [
+        p + Vec3(0.0, 0.0, draw(st.sampled_from((0.0, 0.0, 0.01, 0.3))))
+        for p in draw(mesh_probes(mesh, count=legs + 1))
+    ]
+    points = []
+    for a, b in zip(ends, ends[1:]):
+        for f in sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=steps))):
+            points.append(a + (b - a).scale(f))
+    return points
+
+
+class TestClearanceBall:
+    # no shrinking, as for the walks
+    @given(st.data())
+    @settings(
+        max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate)
+    )
+    def test_crest_walk_answers_match_the_scan(self, data):
+        mesh = data.draw(crest_grids())
+        assert_answers_match_scan(mesh, data.draw(clearance_walks(mesh)))
+
+    @given(st.integers(0, 2), st.data())
+    @settings(
+        max_examples=20, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate)
+    )
+    def test_sphere_walk_answers_match_the_scan(self, refinement, data):
+        # the shared spheres carry each walk's ball into the next
+        mesh = _SPHERES[refinement]
+        assert_answers_match_scan(mesh, data.draw(clearance_walks(mesh)))
+
+    @given(st.sampled_from(("crest", "sphere", "sheets")), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_every_point_of_a_ball_is_outside(self, kind, data):
+        if kind == "crest":
+            mesh = data.draw(crest_grids())
+        elif kind == "sphere":
+            mesh = _SPHERES[data.draw(st.integers(0, 2))]
+        else:
+            half, cells = data.draw(st.floats(0.05, 1.0)), data.draw(st.integers(1, 3))
+            mesh = join(sheet(0.0, half=half, cells=cells),
+                        sheet(data.draw(st.floats(0.01, 0.2)), half=half, cells=cells))
+        for p0 in data.draw(mesh_probes(mesh, count=4)):
+            object.__setattr__(mesh, "_ball", None)
+            if mesh.signed_distance(p0) <= 0.0 or mesh._ball is None:
+                continue
+            r = math.sqrt(mesh._ball[3])
+            # toward the nearest point, a drawn vertex, or anywhere, to
+            # just inside the rim
+            aims = [scan_closest_point(mesh, p0)[0] - p0]
+            aims.append(data.draw(st.sampled_from(mesh.vertices)) - p0)
+            aims.append(Vec3(*(data.draw(st.floats(-1.0, 1.0)) for _ in range(3))))
+            for aim in aims:
+                if aim.norm() == 0.0:
+                    continue
+                for reach in (0.5, 1.0 - 1e-9, 1.0):
+                    p = p0 + aim.scale(reach * r / aim.norm())
+                    if mesh.certified_clear(p):
+                        q, n = scan_closest_point(mesh, p)
+                        assert (p - q).dot(n) > 0.0
+
+    @pytest.mark.parametrize("half, cells", [(1.0, 1), (0.05, 2)], ids=["one_leaf", "apart"])
+    def test_parallel_sheets_ball_stops_where_the_sign_flips(self, half, cells):
+        # both sheets face +z: halfway between them, at z = 0.1, the
+        # nearer sheet changes, and the sign with it, with no surface
+        # crossed. Wide sheets share one leaf of the tree; narrow ones
+        # 0.2 apart sit in different subtrees.
+        mesh = join(sheet(0.0, half=half, cells=cells), sheet(0.2, half=half, cells=cells))
+        p0 = Vec3(0.01, 0.02, 0.06)
+        assert mesh.signed_distance(p0) == pytest.approx(0.06)
+        r = math.sqrt(mesh._ball[3])
+        assert 0.039 < r < 0.04  # a bare distance bound would give 0.06
+        walk = [Vec3(0.01, 0.02, 0.06 + 2e-3 * k) for k in range(41)]
+        walk += [Vec3(0.01, 0.02, 0.1 + d) for d in (-1e-9, 0.0, 1e-9)]
+        assert_answers_match_scan(mesh, walk)
+        assert scan_answer(mesh, Vec3(0.01, 0.02, 0.11)) is not None
+
+    def test_facing_sheets_give_the_ball_their_gap(self):
+        # a lid facing down over a sheet facing up: a closed gap
+        mesh = join(sheet(0.0, cells=2), sheet(0.1, flipped=True, cells=2))
+        p0 = Vec3(0.0, 0.0, 0.04)
+        mesh.signed_distance(p0)
+        assert math.sqrt(mesh._ball[3]) == pytest.approx(0.04, rel=1e-6)
+        assert_answers_match_scan(mesh, [Vec3(0.0, 0.0, 0.001 * k) for k in range(101)])
+
+    def test_beyond_the_crest_open_edge(self):
+        # the crest ends at x = 0.15, 23 mm below its top line; past that
+        # edge the sign follows the edge's pseudonormal, its one face's
+        # normal tilted out
+        mesh = crest_mesh([-0.15, -0.05, 0.05, 0.15], [-0.25, 0.0, 0.25])
+        walk = [Vec3(0.2, 0.02, 0.1 - 0.005 * k) for k in range(41)]
+        walk += [Vec3(0.15 + 0.005 * k, -0.03, -0.02) for k in range(21)]
+        assert_answers_match_scan(mesh, walk)
+        assert any(scan_answer(mesh, p) is not None for p in walk)
+        assert any(mesh.certified_clear(p) for p in walk)
+
+    def test_folded_sheet_still_faults(self):
+        # the folded sheet of test_zero_vertex_normal_raises_only_when_reached:
+        # above its middle the two faces disagree on the sign, so no ball is
+        # certified, and the query that reaches vertex 0 still raises
+        mesh = TriangleMesh(
+            (Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0)),
+            ((0, 1, 2), (0, 2, 1)),
+        )
+        walk = [Vec3(0.3 - 0.05 * k, 0.3 - 0.05 * k, 0.2) for k in range(17)]
+        for p in walk[:6]:
+            assert wrench_answer(mesh, p) == scan_answer(mesh, p)
+            assert mesh._ball is None
+        with pytest.raises(GeometryError, match="vertex 0"):
+            for p in walk[6:]:
+                wrench_answer(mesh, p)
+        with pytest.raises(GeometryError, match="vertex 0"):
+            scan_answer(mesh, walk[-1])
+
+    def test_a_foreign_ball_is_sound(self):
+        # a ball from one walk answers another walk's points
+        mesh = crest_mesh([-0.15, -0.05, 0.05, 0.15], [-0.25, 0.0, 0.25])
+        mesh.signed_distance(Vec3(0.0, 0.0, 0.3))
+        assert math.sqrt(mesh._ball[3]) > 0.1
+        assert_answers_match_scan(mesh, [Vec3(0.01 * k, -0.02 * k, 0.25 - 0.012 * k)
+                                         for k in range(25)])
+
+    def test_analytic_surfaces_certify_nothing(self):
+        for surface in (SpherePatch(Vec3(0, 0, 0), 0.2),
+                        CylinderPatch(Vec3(0, 0, 0), Vec3(0, 1, 0), 0.2)):
+            assert surface.certified_clear(Vec3(0.0, 0.0, 5.0)) is False
 
 
 class TestTargetFrame:
