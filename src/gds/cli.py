@@ -4,7 +4,8 @@ parameters, and persist traces/metrics/reports as plain CSV and JSON.
 Verbs:
     run       execute the scenario for each requested seed/condition
     compare   run both conditions over the seed list and report percent
-              differences of the averaged metrics
+              differences of the metrics averaged over the seeds whose two
+              runs both completed
     sweep     rerun while varying one numeric config field over a value list
     validate  check a scenario file and exit
 
@@ -102,11 +103,12 @@ def _summary_line(condition: str, seed: int, metrics, final_event) -> str:
     )
 
 
-def _run_seeds(args, conditions, seeds) -> dict:
+def _run_seeds(args, conditions, seeds) -> tuple:
     """Resolve ``args.scenario`` for every condition and seed before the
     first session runs, so a bad seed writes nothing; then run each session
     and print its summary line. Return the metrics per condition in seed
-    order."""
+    order, and one entry per incomplete run: its condition, seed, final
+    event and that event's time."""
     surfaces = {}
     sessions = [
         (condition, seed, load_scenario(
@@ -116,39 +118,48 @@ def _run_seeds(args, conditions, seeds) -> dict:
         for seed in seeds
     ]
     per_condition = {condition: [] for condition in conditions}
+    incomplete = []
     for condition, seed, scenario in sessions:
         metrics, final_event = _run_session(scenario, args.out, not args.no_trace)
         per_condition[condition].append(metrics)
         print(_summary_line(condition, seed, metrics, final_event))
-    return per_condition
-
-
-def _all_complete(per_condition: dict) -> bool:
-    return all(m.complete for runs in per_condition.values() for m in runs)
+        if not metrics.complete:
+            t, kind = final_event
+            incomplete.append({"condition": condition, "seed": seed, "final_event": kind, "t": t})
+    return per_condition, incomplete
 
 
 def cmd_run(args) -> int:
-    per_condition = _run_seeds(args, _conditions(args.condition), _parse_seeds(args.seeds))
-    return EXIT_OK if _all_complete(per_condition) else EXIT_SIM_FAULT
+    _, incomplete = _run_seeds(args, _conditions(args.condition), _parse_seeds(args.seeds))
+    return EXIT_SIM_FAULT if incomplete else EXIT_OK
 
 
 def cmd_compare(args) -> int:
+    """Report over the seeds whose two conditions both completed. If any
+    run is incomplete, the report is ``partial`` and names those
+    ``paired_seeds`` and the ``incomplete`` runs."""
     seeds = _parse_seeds(args.seeds)
-    per_condition = _run_seeds(args, ("with", "without"), seeds)
-    complete = _all_complete(per_condition)
-    payload = {"seeds": seeds, "partial": not complete}
-    if complete:
-        avg_with = mean_metrics(per_condition["with"])
-        avg_without = mean_metrics(per_condition["without"])
+    per_condition, incomplete = _run_seeds(args, ("with", "without"), seeds)
+    paired = [
+        i for i, (w, wo) in enumerate(zip(per_condition["with"], per_condition["without"]))
+        if w.complete and wo.complete
+    ]
+    payload = {"seeds": seeds, "partial": bool(incomplete)}
+    if incomplete:
+        payload.update(paired_seeds=[seeds[i] for i in paired], incomplete=incomplete)
+    if paired:
+        runs = {cond: [ms[i] for i in paired] for cond, ms in per_condition.items()}
+        avg_with = mean_metrics(runs["with"])
+        avg_without = mean_metrics(runs["without"])
         report = compare(avg_with, avg_without)
         payload.update(report.to_dict())
-        if len(seeds) > 1:
+        if len(paired) > 1:
             payload["std"] = {
                 cond: {
-                    name: statistics.stdev(getattr(m, name) for m in runs)
+                    name: statistics.stdev(getattr(m, name) for m in ms)
                     for name in METRIC_FIELDS
                 }
-                for cond, runs in per_condition.items()
+                for cond, ms in runs.items()
             }
         for name in METRIC_FIELDS:
             diff = report.percent_diff[name]
@@ -156,7 +167,7 @@ def cmd_compare(args) -> int:
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         _write_json(os.path.join(args.out, "comparison.json"), payload)
-        if complete:
+        if paired:
             with open(os.path.join(args.out, "comparison.csv"), "w") as fh:
                 fh.write("metric,with,without,percent_diff\n")
                 for name in METRIC_FIELDS:
@@ -166,7 +177,7 @@ def cmd_compare(args) -> int:
                     fh.write(
                         f"{name},{w:.9g},{wo:.9g},{'' if d is None else f'{d:.9g}'}\n"
                     )
-    return EXIT_OK if complete else EXIT_SIM_FAULT
+    return EXIT_SIM_FAULT if incomplete else EXIT_OK
 
 
 def cmd_sweep(args) -> int:

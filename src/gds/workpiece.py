@@ -16,10 +16,8 @@ Conventions
   OFF).
 
 Surfaces are immutable after load and safe to share across parallel runs.
-The exceptions are a mesh's closest-point hint and its clearance ball, both
-result-neutral: every query returns the same bits whatever the hint holds,
-and the ball holds only points where the query's signed distance is
-positive.
+The one exception is a mesh's clearance ball, which is result-neutral: it
+holds only points where the query's signed distance is positive.
 """
 
 from __future__ import annotations
@@ -144,8 +142,6 @@ _BOX_PAD = 1e-7
 # A closest point within this distance of a vertex or an edge takes that
 # feature's pseudonormal.
 _FEATURE_TOL = 1e-9
-# unit roundoff of a double
-_U = 2.0**-53
 
 
 def _largest_square_within(tol: float) -> float:
@@ -162,78 +158,16 @@ def _largest_square_within(tol: float) -> float:
 _FEATURE_TOL2 = _largest_square_within(_FEATURE_TOL)
 
 
-def _face_margin(c: tuple) -> float:
-    """Barycentric margin of a triangle, from its 18 corner floats ``c``: a
-    closest point in Ericson's face region whose v, w and ``1.0 - v - w``
-    all exceed it fails all six vertex and edge tests of ``_pseudo_normal``,
-    so its normal is the face normal.
-
-    The margin is ``2 _FEATURE_TOL / h`` plus a slack of ``64 u M / h``,
-    with u the unit roundoff, M the largest |float| in ``c``, L the longest
-    edge and h = |ab x ac| / L the least height. Bounds to first order in
-    u, each rounded up:
-
-    - ``1.0 - v - w`` is within 3u of exact, so the exact point
-      Q = a + v ab + w ac is at least (margin - 3u) h' from every edge line
-      of the triangle T' = (a, a + ab, a + ac), h' being its least height,
-      and so from every vertex of T'. 3u h' is below 11 u M.
-    - The computed q is within 13 u M of Q: three terms of at most M,
-      each rounded. Only the float v and w enter, so the error of the
-      barycentrics themselves (differences of products of dot products)
-      does not.
-    - The vertices b and c and every foot origin + t edge (0 <= t <= 1)
-      that the tests compute lie within 13 u M of the vertices and edge
-      lines of T': b and c are within 2 u M of a + ab and a + ac, the
-      stored bc within 6 u M of ac - ab, and a foot rounds by 6 u M.
-    - The computed |ab x ac| is within 7 u M**2 of exact, so when it is at
-      least 70 u M**2, h' >= 0.89 h.
-
-    So every tested distance is at least 0.89 (2 _FEATURE_TOL + 64 u M)
-    - 37 u M > 1.78 _FEATURE_TOL, whose computed square (relative error
-    6u) exceeds ``_FEATURE_TOL2``. Below 70 u M**2 the height itself is
-    uncertain, and the margin is infinite. A sliver, whose margin is 1/3 or
-    more, never clears it either: v, w and 1 - v - w sum to 1.
-    """
-    abx, aby, abz, acx, acy, acz, bcx, bcy, bcz = c[9:]
-    big = max(map(abs, c))
-    nx, ny, nz = aby * acz - abz * acy, abz * acx - abx * acz, abx * acy - aby * acx
-    area2 = math.sqrt(nx * nx + ny * ny + nz * nz)
-    if not area2 >= 70.0 * _U * big * big:
-        return math.inf
-    longest = math.sqrt(max(
-        abx * abx + aby * aby + abz * abz,
-        acx * acx + acy * acy + acz * acz,
-        bcx * bcx + bcy * bcy + bcz * bcz,
-    ))
-    return (2.0 * _FEATURE_TOL + 64.0 * _U * big) * longest / area2
-
-
-# The closest-point hint: after a tree walk, the triangles within the
-# winner's distance plus _HINT_REACH (m) of the query point are kept if they
-# are at most _HINT_SIZE, and answer the following queries that stay near.
-# Chosen by replaying recorded mesh_guided queries (the tip moves about
-# 2e-5 m between queries); six covers the triangles around a grid vertex.
-_HINT_REACH = 1e-3
-_HINT_SIZE = 6
-
-
 @dataclass(frozen=True)
 class TriangleMesh:
     """Indexed triangle mesh, consistently oriented with outward normals.
 
     Closest-point queries return exactly the point and normal of an
     exhaustive scan over all triangles, ties going to the lowest triangle
-    index. A query first tries the hint: the few triangles near the last
-    walked query, accepted only when their winner is provably nearer than
-    every other triangle. Otherwise it walks a bounding-box tree built at
-    load and stores a new hint. The hint is the mesh's only mutable state;
-    it is read once and replaced whole, and any hint, stale or written by
-    another session or thread, yields the scan's answer. Normals are the
-    angle-weighted pseudonormals (Baerentzen & Aanaes 2005), precomputed
-    at load. A winner inside its face by more than the triangle's
-    barycentric margin (``_face_margin``, stored at load) is provably
-    farther than ``_FEATURE_TOL`` from every vertex and edge, and takes
-    the face normal without the vertex and edge tests.
+    index. A query walks a bounding-box tree built at load, nearer child
+    first, culling every box farther than the best triangle so far.
+    Normals are the angle-weighted pseudonormals (Baerentzen & Aanaes
+    2005), precomputed at load.
 
     A query that finds p outside the material (``signed_distance(p) > 0``)
     also stores a clearance ball around p (``_certify``): a ball in which
@@ -242,15 +176,15 @@ class TriangleMesh:
     strictly on the outer side of the plane of every triangle near enough
     to hold the closest point of one of its points. A distance bound alone
     would not do on an open mesh: between two parallel sheets the sign
-    flips halfway without crossing the surface. Like the hint, the ball is
-    read once and replaced whole, and any ball is sound for every session.
+    flips halfway without crossing the surface. The ball is the mesh's only
+    mutable state: it is read once and replaced whole, and any ball, stale
+    or written by another session or thread, is sound for every session.
     """
 
     vertices: tuple  # of Vec3
     triangles: tuple  # of (i, j, k)
     _face_normals: tuple = field(default=(), compare=False)
-    # per triangle: a, b, c, b - a, c - a, c - b as 18 floats, then the
-    # triangle's _face_margin
+    # per triangle: a, b, c, b - a, c - a, c - b as 18 floats
     _corners: tuple = field(init=False, compare=False, repr=False)
     # per triangle: face, vertex a/b/c and edge ab/bc/ca normals; None
     # where the incident normals sum to zero
@@ -258,8 +192,6 @@ class TriangleMesh:
     # root node (lo xyz, hi xyz, left, right); a leaf has left None and
     # its triangle indices as right
     _tree: tuple = field(init=False, compare=False, repr=False)
-    # (p0 xyz, nearby triangle indices ascending, bound) or None
-    _hint: Optional[tuple] = field(init=False, compare=False, repr=False)
     # (p0 xyz, squared radius) of the clearance ball, or None
     _ball: Optional[tuple] = field(init=False, compare=False, repr=False)
 
@@ -277,37 +209,16 @@ class TriangleMesh:
             if n.norm() == 0.0:
                 raise GeometryError(f"degenerate triangle {tri}")
             normals.append(n.normalized())
-            c18 = tuple(map(float, (*a, *b, *c, *(b - a), *(c - a), *(c - b))))
-            corners.append(c18 + (_face_margin(c18),))
+            corners.append(tuple(map(float, (*a, *b, *c, *(b - a), *(c - a), *(c - b)))))
         object.__setattr__(self, "_face_normals", tuple(normals))
         object.__setattr__(self, "_corners", tuple(corners))
         object.__setattr__(self, "_normals", self._pseudo_normals())
         object.__setattr__(self, "_tree", _build_tree(corners))
-        object.__setattr__(self, "_hint", None)
         object.__setattr__(self, "_ball", None)
 
     def closest_point(self, p: Vec3) -> Tuple[Vec3, Vec3]:
         px, py, pz = p
         corners = self._corners
-        hint = self._hint
-        if hint is not None:
-            # Every triangle outside ``near`` is farther than ``bound``, with
-            # a rounding margin, from p0, so farther than ``bound - moved``
-            # from p. A winner in ``near`` nearer than that beats them all:
-            # it is the exhaustive scan's winner.
-            (hx, hy, hz), near, bound = hint
-            dx, dy, dz = px - hx, py - hy, pz - hz
-            moved = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if moved < bound:
-                best_d2 = math.inf
-                for idx in near:  # ascending: the first of equal d2 wins
-                    q = _closest_on_triangle(px, py, pz, corners[idx])
-                    dx, dy, dz = px - q[0], py - q[1], pz - q[2]
-                    d2 = dx * dx + dy * dy + dz * dz
-                    if d2 < best_d2:
-                        best_d2, best_idx, best_q = d2, idx, q
-                if math.sqrt(best_d2) + moved < bound:
-                    return self._answer(best_q, best_idx)
         best_d2 = math.inf
         best_idx = -1
         best_q = None
@@ -334,50 +245,8 @@ class TriangleMesh:
             else:
                 stack.append((dl, left))
                 stack.append((dr, right))
-        answer = self._answer(best_q, best_idx)
-        self._remember(px, py, pz, math.sqrt(best_d2))
-        return answer
-
-    def _answer(self, q: tuple, face_idx: int) -> Tuple[Vec3, Vec3]:
-        """The point and normal of the winner ``q``, as
-        ``_closest_on_triangle`` returned it for triangle ``face_idx``."""
-        qx, qy, qz, interior = q
-        point = tuple.__new__(Vec3, (qx, qy, qz))
-        if interior:
-            return point, self._face_normals[face_idx]
-        return point, self._pseudo_normal(point, face_idx)
-
-    def _remember(self, px: float, py: float, pz: float, d0: float) -> None:
-        """Replace the hint with the triangles within ``d0 + _HINT_REACH``
-        (plus a rounding margin) of p, or clear it if they are more than
-        ``_HINT_SIZE``."""
-        tree = self._tree
-        # dominates the rounding of any distance computed near the mesh
-        tol = 1e-9 * (1.0 + abs(px) + abs(py) + abs(pz) + max(map(abs, tree[:6])))
-        reach = d0 + _HINT_REACH
-        limit = reach + tol
-        corners = self._corners
-        near = []
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            if math.sqrt(_box_d2(node, px, py, pz)) > limit:
-                continue
-            left, right = node[6], node[7]
-            if left is not None:
-                stack.append(left)
-                stack.append(right)
-                continue
-            for idx in right:
-                q = _closest_on_triangle(px, py, pz, corners[idx])
-                dx, dy, dz = px - q[0], py - q[1], pz - q[2]
-                if math.sqrt(dx * dx + dy * dy + dz * dz) <= limit:
-                    near.append(idx)
-            if len(near) > _HINT_SIZE:
-                object.__setattr__(self, "_hint", None)
-                return
-        near.sort()
-        object.__setattr__(self, "_hint", ((px, py, pz), tuple(near), reach - 3.0 * tol))
+        point = tuple.__new__(Vec3, best_q)
+        return point, self._pseudo_normal(point, best_idx)
 
     def signed_distance(self, p: Vec3) -> float:
         """``(p - q).dot(n)`` of ``closest_point(p)``. A positive answer at
@@ -416,10 +285,10 @@ class TriangleMesh:
         ``closest_point`` does, and as r only falls, nothing culled or put
         out of reach comes back into it. It computes no closest point, so
         it costs at most one box walk over the leaves within 3 d0. ``tol``
-        is as in ``_remember``: every coordinate involved is below
-        3 (|p0|_1 + M), M the largest box coordinate, so each rounding
-        error below is under 1e-4 tol. For a point p that
-        ``certified_clear`` accepts:
+        dominates the rounding of any distance computed near the mesh:
+        every coordinate involved is below 3 (|p0|_1 + M), M the largest
+        box coordinate, so each rounding error below is under 1e-4 tol.
+        For a point p that ``certified_clear`` accepts:
 
         - |p - p0| <= r, up to the few ulps the squared-distance test
           rounds by.
@@ -490,7 +359,7 @@ class TriangleMesh:
         ``d2 <= _FEATURE_TOL2``; ``_no_area`` raises where the incident
         normals cancel."""
         qx, qy, qz = q
-        ax, ay, az, bx, by, bz, cx, cy, cz, abx, aby, abz, acx, acy, acz, bcx, bcy, bcz, _ = (
+        ax, ay, az, bx, by, bz, cx, cy, cz, abx, aby, abz, acx, acy, acz, bcx, bcy, bcz = (
             self._corners[face_idx]
         )
         face, na, nb, nc, n_ab, n_bc, n_ca = self._normals[face_idx]
@@ -583,46 +452,40 @@ def _any_perpendicular(v: Vec3) -> Vec3:
 
 
 def _closest_on_triangle(px: float, py: float, pz: float, corners: tuple) -> tuple:
-    """(x, y, z, interior): the closest point of a triangle to p, and
-    whether it lies in the face region with v, w and 1 - v - w all above
-    the triangle's ``_face_margin``. Ericson, Real-Time Collision
-    Detection, 5.1.5; ``corners`` holds a, b, c, ab = b - a, ac = c - a,
-    bc = c - b as 18 floats, then the margin."""
-    (ax, ay, az, bx, by, bz, cx, cy, cz, abx, aby, abz, acx, acy, acz, bcx, bcy, bcz,
-     margin) = corners
+    """(x, y, z): the closest point of a triangle to p. Ericson, Real-Time
+    Collision Detection, 5.1.5; ``corners`` holds a, b, c, ab = b - a,
+    ac = c - a, bc = c - b as 18 floats."""
+    ax, ay, az, bx, by, bz, cx, cy, cz, abx, aby, abz, acx, acy, acz, bcx, bcy, bcz = corners
     apx, apy, apz = px - ax, py - ay, pz - az
     d1 = abx * apx + aby * apy + abz * apz
     d2 = acx * apx + acy * apy + acz * apz
     if d1 <= 0.0 and d2 <= 0.0:
-        return ax, ay, az, False
+        return ax, ay, az
     bpx, bpy, bpz = px - bx, py - by, pz - bz
     d3 = abx * bpx + aby * bpy + abz * bpz
     d4 = acx * bpx + acy * bpy + acz * bpz
     if d3 >= 0.0 and d4 <= d3:
-        return bx, by, bz, False
+        return bx, by, bz
     vc = d1 * d4 - d3 * d2
     if vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0:
         v = d1 / (d1 - d3)
-        return ax + v * abx, ay + v * aby, az + v * abz, False
+        return ax + v * abx, ay + v * aby, az + v * abz
     cpx, cpy, cpz = px - cx, py - cy, pz - cz
     d5 = abx * cpx + aby * cpy + abz * cpz
     d6 = acx * cpx + acy * cpy + acz * cpz
     if d6 >= 0.0 and d5 <= d6:
-        return cx, cy, cz, False
+        return cx, cy, cz
     vb = d5 * d2 - d1 * d6
     if vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0:
         w = d2 / (d2 - d6)
-        return ax + w * acx, ay + w * acy, az + w * acz, False
+        return ax + w * acx, ay + w * acy, az + w * acz
     va = d3 * d6 - d5 * d4
     if va <= 0.0 and (d4 - d3) >= 0.0 and (d5 - d6) >= 0.0:
         w = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        return bx + w * bcx, by + w * bcy, bz + w * bcz, False
+        return bx + w * bcx, by + w * bcy, bz + w * bcz
     denom = 1.0 / (va + vb + vc)
     v, w = vb * denom, vc * denom
-    return (
-        ax + v * abx + w * acx, ay + v * aby + w * acy, az + v * abz + w * acz,
-        v > margin and w > margin and 1.0 - v - w > margin,
-    )
+    return ax + v * abx + w * acx, ay + v * aby + w * acy, az + v * abz + w * acz
 
 
 def _box_d2(node: tuple, px: float, py: float, pz: float) -> float:
@@ -641,7 +504,7 @@ def _build_tree(corners: tuple) -> tuple:
     boxes = []
     centroids = []  # three times each centroid
     for c in corners:
-        pad = _BOX_PAD * max(map(abs, c[:18]))
+        pad = _BOX_PAD * max(map(abs, c))
         boxes.append(tuple(min(c[k], c[k + 3], c[k + 6]) - pad for k in range(3))
                      + tuple(max(c[k], c[k + 3], c[k + 6]) + pad for k in range(3)))
         centroids.append(tuple(c[k] + c[k + 3] + c[k + 6] for k in range(3)))

@@ -3,12 +3,15 @@ sessions, and the ``trace.csv`` SHA-256 of two of them, recorded in
 ``golden_bits.json`` beside this file.
 
 The sessions are acceptance test C7's 40 (seeds 0-19 in both conditions on
-the preset), manual seed 131234100 on the preset, and seeds 0 and 1 in both
-conditions on the preset's targets over an STL crest of its cylinder. The
-bits depend on libm and numpy, so the record keeps the versions it was
-written with, and a mismatch report prints them beside the running ones.
+the preset); on the preset, manual seed 131234100, manual seed 5 at a 2 ms
+step and guided seed 3 with no plant lag; and on the preset's targets over
+an STL crest of its cylinder, seeds 0 and 1 in both conditions and manual
+seed 131234100, whose tip enters the material. The bits depend on libm and
+numpy, so the record keeps the versions it was written with, and a
+mismatch report prints them beside the running ones.
 
-A change that alters trace bits on purpose regenerates the record:
+A change that alters trace bits on purpose regenerates the record, and the
+script names the sessions whose entries it changes, adds or drops:
 
     PYTHONPATH=src python3 tests/golden.py --write
 """
@@ -34,6 +37,11 @@ C7_SEEDS = range(20)
 CONDITIONS = ("with", "without")
 MANUAL_SEED = 131234100
 CREST_SEEDS = (0, 1)
+# preset variants: (surface name, condition, seed, overrides of the raw config)
+VARIANTS = (
+    ("preset_dt2ms", "without", 5, {"dt": 0.002}),
+    ("preset_lag0", "with", 3, {"plant": {"lag_time_constant": 0.0}}),
+)
 # crest sessions whose trace.csv bytes are pinned
 CSV_SESSIONS = ("crest/with/0", "crest/without/0")
 
@@ -100,18 +108,21 @@ def run_named(workdir: str) -> tuple:
     bits, csv = {}, {}
     trace = run(experiment_one_scenario("without", seed=MANUAL_SEED))
     bits[session_name("preset", "without", MANUAL_SEED)] = session_bits(trace)
+    for surface, condition, seed, overrides in VARIANTS:
+        trace = run(experiment_one_scenario(condition, seed=seed, **overrides))
+        bits[session_name(surface, condition, seed)] = session_bits(trace)
     stl = os.path.join(workdir, "crest.stl")
     write_crest_stl(stl)
     surfaces = {}
-    for condition in CONDITIONS:
-        for seed in CREST_SEEDS:
-            raw = experiment_one_raw(condition, seed)
-            raw["surface"] = {"type": "stl", "path": stl}
-            trace = run(scenario_from_config(canonical_config(raw), workdir, surfaces))
-            name = session_name("crest", condition, seed)
-            bits[name] = session_bits(trace)
-            if name in CSV_SESSIONS:
-                csv[name] = csv_sha256(trace, os.path.join(workdir, "trace.csv"))
+    crest = [(condition, seed) for condition in CONDITIONS for seed in CREST_SEEDS]
+    for condition, seed in crest + [("without", MANUAL_SEED)]:
+        raw = experiment_one_raw(condition, seed)
+        raw["surface"] = {"type": "stl", "path": stl}
+        trace = run(scenario_from_config(canonical_config(raw), workdir, surfaces))
+        name = session_name("crest", condition, seed)
+        bits[name] = session_bits(trace)
+        if name in CSV_SESSIONS:
+            csv[name] = csv_sha256(trace, os.path.join(workdir, "trace.csv"))
     return bits, csv
 
 
@@ -152,6 +163,19 @@ def report(lines: list, record: dict) -> str:
     )
 
 
+def changes(old: dict, new: dict) -> list:
+    """One line per session whose entry the record ``new`` changes, adds or
+    drops against the record ``old``, its bits or its CSV hash."""
+    lines = []
+    for key in ("sessions", "csv_sha256"):
+        was, now = old.get(key, {}), new[key]
+        lines += [f"{key} changed: {name}" for name in sorted(was.keys() & now.keys())
+                  if was[name] != now[name]]
+        lines += [f"{key} added: {name}" for name in sorted(now.keys() - was.keys())]
+        lines += [f"{key} dropped: {name}" for name in sorted(was.keys() - now.keys())]
+    return lines
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv != ["--write"]:
@@ -164,6 +188,9 @@ def main(argv=None) -> int:
         "sessions": dict(sorted({**run_c7(), **named}.items())),
         "csv_sha256": csv,
     }
+    old = load() if os.path.exists(GOLDEN_PATH) else {}
+    for line in changes(old, record) or ["no session entry changes"]:
+        print(line)
     with open(GOLDEN_PATH, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")

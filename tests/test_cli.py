@@ -441,6 +441,41 @@ class TestCompare:
         report = json.loads((out / "comparison.json").read_text())
         assert "std" in report and "without" in report["std"]
 
+    def test_incomplete_run_reports_the_completed_pairs(self, tmp_path, capsys):
+        # manual seed 75 runs away on target 1; seed 74 completes in both
+        # conditions, so the report is seed 74's alone
+        out, alone = tmp_path / "cmp", tmp_path / "alone"
+        args = ["compare", "--scenario", EXPERIMENT1, "--no-trace", "--out"]
+        assert main(args + [str(out), "--seeds", "74,75"]) == 1
+        assert "compare t_tot:" in capsys.readouterr().out
+        assert main(args + [str(alone), "--seeds", "74"]) == 0
+        report = json.loads((out / "comparison.json").read_text())
+        assert report.pop("seeds") == [74, 75]
+        assert report.pop("partial") is True
+        assert report.pop("paired_seeds") == [74]
+        assert report.pop("incomplete") == [
+            {"condition": "without", "seed": 75, "final_event": "runaway:1", "t": 47.042}
+        ]
+        expected = json.loads((alone / "comparison.json").read_text())
+        assert expected.pop("seeds") == [74]
+        assert expected.pop("partial") is False
+        assert report == expected
+        assert (out / "comparison.csv").read_bytes() == (alone / "comparison.csv").read_bytes()
+
+    def test_no_completed_pair_writes_no_report(self, tmp_path):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--scenario", plate_config(tmp_path, 0.2),
+                     "--seeds", "0", "--no-trace", "--out", str(out)]) == 1
+        report = json.loads((out / "comparison.json").read_text())
+        assert report == {
+            "seeds": [0], "partial": True, "paired_seeds": [],
+            "incomplete": [
+                {"condition": cond, "seed": 0, "final_event": "timeout", "t": 0.2}
+                for cond in ("with", "without")
+            ],
+        }
+        assert not (out / "comparison.csv").exists()
+
 
 class TestSweep:
     def test_unknown_parameter_lists_fields(self, mini_config, capsys):

@@ -37,12 +37,31 @@ def test_record_names_exactly_the_golden_sessions():
         for condition in golden.CONDITIONS
     }
     names.add(golden.session_name("preset", "without", golden.MANUAL_SEED))
+    names.add(golden.session_name("preset_dt2ms", "without", 5))
+    names.add(golden.session_name("preset_lag0", "with", 3))
     names.update(
         golden.session_name("crest", condition, seed)
         for seed in golden.CREST_SEEDS
         for condition in golden.CONDITIONS
     )
+    names.add(golden.session_name("crest", "without", golden.MANUAL_SEED))
     record = golden.load()
     assert set(record["sessions"]) == names
     assert set(record["csv_sha256"]) == set(golden.CSV_SESSIONS)
     assert set(record["platform"]) == set(golden.platform_info())
+
+
+def test_write_names_the_sessions_it_changes_adds_or_drops():
+    bits = {"checksum": "0", "samples": 1, "final_event": [0.001, "timeout"]}
+    old = {"sessions": {"a": bits, "b": bits, "c": bits}, "csv_sha256": {"a": "0"}}
+    new = {"sessions": {"a": bits, "b": {**bits, "samples": 2}, "d": bits},
+           "csv_sha256": {"a": "1"}}
+    assert golden.changes(old, new) == [
+        "sessions changed: b", "sessions added: d", "sessions dropped: c",
+        "csv_sha256 changed: a",
+    ]
+    assert golden.changes(new, new) == []
+    assert golden.changes({}, new) == [
+        "sessions added: a", "sessions added: b", "sessions added: d",
+        "csv_sha256 added: a",
+    ]

@@ -365,9 +365,9 @@ def coherent_walks(draw, mesh, steps=40):
 @st.composite
 def feature_probes(draw, mesh, count=12):
     """Points 1e-10 to 1e-6 m from a vertex or an edge of ``mesh`` along
-    drawn directions, and points over face interiors at drawn heights:
-    around a triangle's face margin from its edges, where the face normal
-    is taken without the vertex and edge tests or not."""
+    drawn directions, and points over face interiors at drawn heights,
+    whose closest points fall near or far from the vertex and edge
+    tolerance of the pseudonormal."""
     points = []
     for _ in range(count):
         tri = mesh.triangles[draw(st.integers(0, len(mesh.triangles) - 1))]
@@ -394,24 +394,6 @@ def assert_walk_matches_scan(mesh, points):
         q_ref, n_ref = scan_closest_point(mesh, p)
         assert mesh.closest_point(p) == (q_ref, n_ref)
         assert mesh.signed_distance(p) == (p - q_ref).dot(n_ref)
-
-
-def count_pseudo_normals(monkeypatch):
-    """Record every (point, triangle) that ``_pseudo_normal`` is asked for."""
-    calls = []
-    pseudo_normal = TriangleMesh._pseudo_normal
-
-    def recorded(self, q, face_idx):
-        calls.append((q, face_idx))
-        return pseudo_normal(self, q, face_idx)
-
-    monkeypatch.setattr(TriangleMesh, "_pseudo_normal", recorded)
-    return calls
-
-
-def distance_to_line(p, a, b):
-    ab = b - a
-    return (p - a).cross(ab).norm() / ab.norm()
 
 
 class TestMeshQuery:
@@ -483,8 +465,8 @@ class TestMeshQuery:
         max_examples=15, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate)
     )
     def test_coherent_sphere_walk_matches_exhaustive_scan(self, refinement, data):
-        # the spheres are shared across examples: each walk starts from the
-        # hint the previous one left
+        # the spheres are shared across examples, and so is the clearance
+        # ball each walk leaves
         mesh = _SPHERES[refinement]
         assert_walk_matches_scan(mesh, data.draw(coherent_walks(mesh)))
 
@@ -506,68 +488,35 @@ class TestMeshQuery:
         mesh = _SPHERES[refinement]
         assert_walk_matches_scan(mesh, data.draw(feature_probes(mesh, count=8)))
 
-    def test_sliver_never_takes_the_face_normal_shortcut(self, monkeypatch):
+    def test_sliver_never_takes_the_face_normal_shortcut(self):
         # a wide triangle and, below its base edge, a sliver 5e-9 m high
         mesh = TriangleMesh(
             (Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), Vec3(0.5, 1.0, 0.0),
              Vec3(0.5, -5e-9, 0.0)),
             ((0, 1, 2), (0, 3, 1)),
         )
-        wide, sliver = (corners[18] for corners in mesh._corners)
-        assert wide < 1e-8 and sliver > 1.0 / 3.0
-        calls = count_pseudo_normals(monkeypatch)
         probes = [Vec3(x, y, h) for x in (0.2, 0.5, 0.7) for y in (-4e-9, -2.5e-9, -1e-9)
                   for h in (0.0, 1e-9, 1e-3)]
         assert_walk_matches_scan(mesh, probes)
-        # every query ran the vertex and edge tests (closest_point and
-        # signed_distance each), the sliver winning some of them
-        assert len(calls) == 2 * len(probes)
-        assert 1 in {idx for _, idx in calls}
-
-    def test_foreign_hint_gives_the_scan_answer(self):
-        mesh = crest_mesh([-0.15, -0.05, 0.05, 0.15], [-0.25, 0.0, 0.25])
-        far = Vec3(0.14, 0.24, 0.01)
-        near = [Vec3(-0.1 + 2e-5 * i, -0.2, 0.001) for i in range(20)]
-        for warm in ([far], near[::-1], [Vec3(-0.1, -0.2, 0.3)]):
-            for p in warm:
-                mesh.closest_point(p)
-            assert_walk_matches_scan(mesh, near)
-
-    @pytest.mark.parametrize("other, walk", [
-        # the facing plane x = 2: triangle 0 stops being the nearest past
-        # x = 1, while the query stays within the hint's reach of its start
-        ((Vec3(2.0, -5.0, -5.0), Vec3(2.0, 0.0, 5.0), Vec3(2.0, 5.0, -5.0)),
-         [(0.9, 0.0, 0.0), (0.9995, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0005, 0.0, 0.0)]),
-        # the plane y = 0.6: nearer than triangle 0 after a sideways move
-        # shorter than the hint's reach
-        ((Vec3(-5.0, 0.6, -5.0), Vec3(0.0, 0.6, 5.0), Vec3(5.0, 0.6, -5.0)),
-         [(0.5, 0.45, 0.0)]),
-    ], ids=["facing_plane", "side_plane"])
-    def test_hint_rejects_a_winner_it_cannot_certify(self, other, walk):
-        # each query follows a hint taken at (0.5, 0, 0), 0.5 from the plane
-        # x = 0 (triangle 0), which holds only triangle 0
-        plane = (Vec3(0.0, -5.0, -5.0), Vec3(0.0, 5.0, -5.0), Vec3(0.0, 0.0, 5.0))
-        mesh = TriangleMesh(plane + other, ((0, 1, 2), (3, 4, 5)))
-        for p in map(Vec3._make, walk):
-            object.__setattr__(mesh, "_hint", None)
-            mesh.closest_point(Vec3(0.5, 0.0, 0.0))
-            assert mesh._hint[1] == (0,)
-            assert mesh.closest_point(p) == scan_closest_point(mesh, p)
 
     def test_threads_sharing_a_mesh_get_the_scan_answer(self):
-        # each thread walks its own line, 1 mm from the next, across the
-        # same triangles, so the hint it reads is often another thread's
+        # each thread descends its own line, 1 mm from the next, from 3 cm
+        # above the crest into the material, so the clearance ball it reads
+        # is often one that another thread certified
         mesh = crest_mesh([-0.15, -0.05, 0.05, 0.15], [-0.25, -0.1, 0.1, 0.25])
         walks = [
-            [Vec3(-0.06 + 1e-3 * k + 2e-4 * i, -0.12 + 3e-4 * i, 0.002) for i in range(150)]
+            [Vec3(-0.06 + 1e-3 * k + 2e-4 * i, -0.12 + 3e-4 * i, 0.03 - 2.7e-4 * i)
+             for i in range(150)]
             for k in range(5)
         ]
-        expected = [[scan_closest_point(mesh, p) for p in walk] for walk in walks]
+        expected = [[scan_answer(mesh, p) for p in walk] for walk in walks]
+        # the walks run through clear space and into the material
+        assert {a is None for walk in expected for a in walk} == {True, False}
         answers = [[] for _ in walks]
 
         def walk_mesh(k):
             for p in walks[k]:
-                answers[k].append(mesh.closest_point(p))
+                answers[k].append(wrench_answer(mesh, p))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -581,30 +530,6 @@ class TestMeshQuery:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert answers == expected
-
-    def test_coherent_queries_take_the_hint(self, monkeypatch):
-        mesh = crest_mesh([-0.15, -0.075, 0.0, 0.075, 0.15], [-0.25, -0.125, 0.0, 0.125, 0.25])
-        calls = [0]
-        closest_on_triangle = workpiece._closest_on_triangle
-
-        def counted(*args):
-            calls[0] += 1
-            return closest_on_triangle(*args)
-
-        monkeypatch.setattr(workpiece, "_closest_on_triangle", counted)
-        normals = count_pseudo_normals(monkeypatch)
-        step = Vec3(2.0, 1.0, -0.1).scale(2e-5 / Vec3(2.0, 1.0, -0.1).norm())
-        p = Vec3(-0.01, -0.01, 0.002)
-        for _ in range(1000):
-            mesh.signed_distance(p)
-            p = p + step
-        assert calls[0] / 1000 <= 2.0
-        # only winners on or next to an edge run the vertex and edge tests:
-        # the walk crosses the ridge x = 0 and one cell diagonal
-        assert 0 < len(normals) <= 50
-        for q, idx in normals:
-            a, b, c = (mesh.vertices[i] for i in mesh.triangles[idx])
-            assert min(distance_to_line(q, o, e) for o, e in ((a, b), (b, c), (c, a))) < 1e-6
 
     def test_feature_tolerance_square_is_exact(self):
         tol2 = workpiece._FEATURE_TOL2
@@ -634,7 +559,7 @@ def wrench_answer(mesh, p):
 
 
 def scan_answer(mesh, p):
-    """``wrench_answer`` from the exhaustive scan, with no ball or hint."""
+    """``wrench_answer`` from the exhaustive scan, with no ball."""
     q, n = scan_closest_point(mesh, p)
     sd = (p - q).dot(n)
     return None if sd >= 0.0 else (sd, (q, n))
