@@ -23,12 +23,12 @@ import logging
 import os
 import statistics
 import sys
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 from .config import load_scenario
 from .engine import run as run_scenario
 from .errors import ConfigError, SimulationFault
-from .metrics import METRIC_FIELDS, compare, compute_metrics, mean_metrics
+from .metrics import METRIC_FIELDS, Metrics, compare, compute_metrics, mean_metrics
 
 log = logging.getLogger("gds")
 
@@ -103,35 +103,59 @@ def _summary_line(condition: str, seed: int, metrics, final_event) -> str:
     )
 
 
-def _run_seeds(args, conditions, seeds) -> tuple:
-    """Resolve ``args.scenario`` for every condition and seed before the
-    first session runs, so a bad seed writes nothing; then run each session
-    and print its summary line. Return the metrics per condition in seed
-    order, and one entry per incomplete run: its condition, seed, final
-    event and that event's time."""
+class Session(NamedTuple):
+    """One finished session, as ``_run_sessions`` returns it."""
+
+    override: Optional[Tuple[str, float]]
+    condition: str
+    seed: int
+    metrics: Metrics
+    final_event: Tuple[float, str]
+
+
+def _resolve(path: str, conditions=(None,), seeds=(None,), overrides=(None,)) -> list:
+    """Resolve ``path`` for every (override, condition, seed), in that
+    order, with one surface cache; ``None`` keeps the document's own."""
     surfaces = {}
-    sessions = [
-        (condition, seed, load_scenario(
-            args.scenario, condition=condition, seed=seed, surfaces=surfaces
+    return [
+        (override, condition, seed, load_scenario(
+            path, condition=condition, seed=seed, surfaces=surfaces, override=override
         ))
+        for override in overrides
         for condition in conditions
         for seed in seeds
     ]
-    per_condition = {condition: [] for condition in conditions}
-    incomplete = []
-    for condition, seed, scenario in sessions:
-        metrics, final_event = _run_session(scenario, args.out, not args.no_trace)
-        per_condition[condition].append(metrics)
-        print(_summary_line(condition, seed, metrics, final_event))
-        if not metrics.complete:
-            t, kind = final_event
-            incomplete.append({"condition": condition, "seed": seed, "final_event": kind, "t": t})
-    return per_condition, incomplete
+
+
+def _run_sessions(
+    path: str, conditions, seeds, overrides=(None,), out_dir=None, emit_trace=False
+) -> List[Session]:
+    """The one session loop of every verb. Resolve every session before the
+    first one runs, so a bad seed or sweep value writes nothing; then run
+    each and print its summary line, prefixed with ``sweep <param>=<value>``
+    under an override. Return the sessions in (override, condition, seed)
+    order: a list, so a value swept twice keeps both rows."""
+    sessions = []
+    for override, condition, seed, scenario in _resolve(path, conditions, seeds, overrides):
+        metrics, final_event = _run_session(scenario, out_dir, emit_trace)
+        line = _summary_line(condition, seed, metrics, final_event)
+        if override is not None:
+            param, value = override
+            line = f"sweep {param}={value:.9g} {line}"
+        print(line)
+        sessions.append(Session(override, condition, seed, metrics, final_event))
+    return sessions
+
+
+def _exit_code(sessions: List[Session]) -> int:
+    return EXIT_OK if all(s.metrics.complete for s in sessions) else EXIT_SIM_FAULT
 
 
 def cmd_run(args) -> int:
-    _, incomplete = _run_seeds(args, _conditions(args.condition), _parse_seeds(args.seeds))
-    return EXIT_SIM_FAULT if incomplete else EXIT_OK
+    return _exit_code(_run_sessions(
+        args.scenario, _conditions(args.condition), _parse_seeds(args.seeds),
+        out_dir=args.out, emit_trace=not args.no_trace,
+    ))
 
 
 def cmd_compare(args) -> int:
@@ -139,16 +163,25 @@ def cmd_compare(args) -> int:
     run is incomplete, the report is ``partial`` and names those
     ``paired_seeds`` and the ``incomplete`` runs."""
     seeds = _parse_seeds(args.seeds)
-    per_condition, incomplete = _run_seeds(args, ("with", "without"), seeds)
+    sessions = _run_sessions(
+        args.scenario, ("with", "without"), seeds,
+        out_dir=args.out, emit_trace=not args.no_trace,
+    )
+    incomplete = [
+        {"condition": s.condition, "seed": s.seed, "final_event": s.final_event[1],
+         "t": s.final_event[0]}
+        for s in sessions if not s.metrics.complete
+    ]
+    n = len(seeds)
     paired = [
-        i for i, (w, wo) in enumerate(zip(per_condition["with"], per_condition["without"]))
-        if w.complete and wo.complete
+        (w, wo) for w, wo in zip(sessions[:n], sessions[n:])
+        if w.metrics.complete and wo.metrics.complete
     ]
     payload = {"seeds": seeds, "partial": bool(incomplete)}
     if incomplete:
-        payload.update(paired_seeds=[seeds[i] for i in paired], incomplete=incomplete)
+        payload.update(paired_seeds=[w.seed for w, _ in paired], incomplete=incomplete)
     if paired:
-        runs = {cond: [ms[i] for i in paired] for cond, ms in per_condition.items()}
+        runs = {"with": [w.metrics for w, _ in paired], "without": [wo.metrics for _, wo in paired]}
         avg_with = mean_metrics(runs["with"])
         avg_without = mean_metrics(runs["without"])
         report = compare(avg_with, avg_without)
@@ -177,7 +210,7 @@ def cmd_compare(args) -> int:
                     fh.write(
                         f"{name},{w:.9g},{wo:.9g},{'' if d is None else f'{d:.9g}'}\n"
                     )
-    return EXIT_SIM_FAULT if incomplete else EXIT_OK
+    return _exit_code(sessions)
 
 
 def cmd_sweep(args) -> int:
@@ -190,37 +223,21 @@ def cmd_sweep(args) -> int:
         )
     if not values:
         raise ConfigError("sweep needs at least one value", "values")
-    surfaces = {}
-    # resolve every (value, condition, seed) before the first session runs
-    sessions = [
-        (value, condition, seed, load_scenario(
-            args.scenario, condition=condition, seed=seed, surfaces=surfaces,
-            override=(args.param, value),
-        ))
-        for value in values
-        for condition in _conditions(args.condition)
-        for seed in seeds
-    ]
-    rows = []
-    for value, condition, seed, scenario in sessions:
-        metrics, final_event = _run_session(scenario, None, False)
-        rows.append((value, condition, seed, metrics))
-        line = _summary_line(condition, seed, metrics, final_event)
-        print(f"sweep {args.param}={value:g} {line}")
+    sessions = _run_sessions(
+        args.scenario, _conditions(args.condition), seeds, [(args.param, v) for v in values]
+    )
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "sweep.csv"), "w") as fh:
             fh.write("param,value,condition,seed," + ",".join(METRIC_FIELDS) + ",complete\n")
-            for value, condition, seed, m in rows:
+            for (param, value), condition, seed, m, _ in sessions:
                 vals = ",".join(f"{getattr(m, name):.9g}" for name in METRIC_FIELDS)
-                fh.write(
-                    f"{args.param},{value:.9g},{condition},{seed},{vals},{int(m.complete)}\n"
-                )
-    return EXIT_OK if all(m.complete for *_, m in rows) else EXIT_SIM_FAULT
+                fh.write(f"{param},{value:.9g},{condition},{seed},{vals},{int(m.complete)}\n")
+    return _exit_code(sessions)
 
 
 def cmd_validate(args) -> int:
-    load_scenario(args.scenario)
+    _resolve(args.scenario)
     print(f"{args.scenario}: ok")
     return EXIT_OK
 

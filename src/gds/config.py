@@ -163,6 +163,8 @@ def canonical_config(
     }
     _require(out["dt"] > 0.0, "must be positive", "dt")
     _require(out["max_sim_time"] > 0.0, "must be positive", "max_sim_time")
+    # at least one step, so every run has a trace to measure
+    _require(out["max_sim_time"] >= out["dt"], "must be at least dt", "max_sim_time")
 
     start = raw.get("start")
     _require(isinstance(start, dict), "missing required section", "start")

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import pytest
 
 from gds import config
 from gds.cli import main
+from gds.metrics import METRIC_FIELDS
 from gds.presets import experiment_one_raw
 
 EXPERIMENT1 = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "experiment1.json")
@@ -355,6 +357,40 @@ class TestRun:
         assert captured.out == "" and captured.err.startswith("config error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "verb, extra, max_sim_time",
+        [
+            ("validate", [], 0.0005),
+            ("run", ["--condition", "both"], 0.0005),
+            ("compare", [], 0.0005),
+            ("sweep", ["--param", "max_sim_time", "--values", "0.01,0.0005"], 600.0),
+            ("sweep", ["--param", "dt", "--values", "0.001,0.02"], 0.01),
+        ],
+        ids=["validate", "run", "compare", "sweep_max_sim_time", "sweep_dt"],
+    )
+    def test_max_sim_time_below_dt_exit_two(self, verb, extra, max_sim_time, tmp_path, capsys):
+        # a run shorter than one step has no trace to measure
+        raw = experiment_one_raw("with", 0)
+        raw["max_sim_time"] = max_sim_time
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        argv = [verb, "--scenario", str(path), *extra]
+        assert main(argv if verb == "validate" else argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "config error: max_sim_time: must be at least dt\n")
+        assert not out.exists()
+
+    def test_max_sim_time_of_one_step_runs_one_step(self, tmp_path, capsys):
+        raw = experiment_one_raw("with", 0)
+        raw["max_sim_time"] = raw["dt"] = 0.0007
+        path = tmp_path / "one_step.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--no-trace", "--out", str(out)]) == 1
+        assert capsys.readouterr().out.endswith(" INCOMPLETE (timeout at 0.001 s)\n")
+        events = json.loads((out / "with" / "seed_0" / "events.json").read_text())
+        assert events["n_samples"] == 1
+
     def test_duplicate_seeds_rejected(self, mini_config, capsys):
         assert main(["run", "--scenario", mini_config, "--seeds", "1,1"]) == 2
         assert "distinct" in capsys.readouterr().err
@@ -571,3 +607,55 @@ class TestSweep:
         assert rows[0].startswith("param,value,condition,seed,")
         assert len(rows) == 3
         assert rows[1].startswith("operator.push_force,20,with,0,")
+
+    def test_each_row_is_the_run_of_a_document_holding_its_value(
+        self, mini_config, tmp_path, capsys
+    ):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--scenario", mini_config, "--param", "operator.push_force",
+                     "--values", "20,30", "--condition", "both", "--seeds", "0",
+                     "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
+        with open(mini_config) as fh:
+            raw = json.load(fh)
+        want_lines, want_rows = [], []
+        for value in (20.0, 30.0):  # (value, condition, seed) order
+            raw["operator"] = {"push_force": value}
+            doc, run_out = tmp_path / f"push_{value:g}.json", tmp_path / f"run_{value:g}"
+            doc.write_text(json.dumps(raw))
+            assert main(["run", "--scenario", str(doc), "--condition", "both", "--seeds", "0",
+                         "--no-trace", "--out", str(run_out)]) == 0
+            want_lines += [
+                f"sweep operator.push_force={value:g} {line}"
+                for line in capsys.readouterr().out.splitlines()
+            ]
+            for condition in ("with", "without"):
+                m = json.loads((run_out / condition / "seed_0" / "metrics.json").read_text())
+                metrics = {name: m.get(name, m.get(f"{name}_deg")) for name in METRIC_FIELDS}
+                want_rows.append({
+                    "param": "operator.push_force", "value": f"{value:g}",
+                    "condition": condition, "seed": "0",
+                    **{name: f"{v:.9g}" for name, v in metrics.items()},
+                    "complete": str(int(m["complete"])),
+                })
+        assert len(lines) == 4 and lines == want_lines
+        assert rows == want_rows
+
+    def test_a_repeated_value_keeps_both_rows(self, mini_config, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--scenario", mini_config, "--param", "operator.push_force",
+                     "--values", "20,20", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 2 and lines[0] == lines[1]
+        assert len(rows) == 3 and rows[1] == rows[2]
+
+    def test_prefix_keeps_the_table_s_nine_digits(self, mini_config, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--scenario", mini_config, "--param", "max_sim_time",
+                     "--values", "1.0000001,1.0000002", "--out", str(out)]) == 1  # both cut
+        prefixes = [line.split(" run ")[0] for line in capsys.readouterr().out.splitlines()]
+        assert prefixes == ["sweep max_sim_time=1.0000001", "sweep max_sim_time=1.0000002"]
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["1.0000001", "1.0000002"]
