@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 from .errors import SimulationFault
 from .geometry import Twist6, Vec3, Wrench6
+from .guidance import GuidancePhase
 
 _new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
@@ -49,7 +50,7 @@ class AdmittanceParams(NamedTuple):
     rotational: float
 
 
-def phase_params(phase, condition: str) -> AdmittanceParams:
+def phase_params(phase: GuidancePhase, condition: str) -> AdmittanceParams:
     """Gain set for a task phase under a guidance condition.
 
     ``condition`` is "with" (haptic guidance) or "without" (manual
@@ -58,8 +59,6 @@ def phase_params(phase, condition: str) -> AdmittanceParams:
     guidance, ``World.step`` runs AutoAlign locked and ConstrainedDrill and
     Retract on the single axial channel.
     """
-    from .guidance import GuidancePhase  # local import to avoid a cycle
-
     if condition == "without":
         row = FREE_MOTION if phase is GuidancePhase.FREE_MOTION else MANUAL_NEAR
     elif phase is GuidancePhase.FREE_MOTION or phase is GuidancePhase.TARGET_DONE:
@@ -80,10 +79,9 @@ class GainSchedule:
     """Linear componentwise ramp between two gain sets over ``_RAMP_LENGTH``.
 
     ``settles_at`` is the time from which ``gains_at`` returns
-    ``end_params``. Endpoints equal by value are held as one object, which
-    settles at ``ramp_start``: ``g0 + s * (g1 - g0)`` is ``g0`` bit for bit
-    when ``g1 == g0`` (gains are positive and finite), so the interpolation
-    is skipped, and with it the caches keyed on the gain-set object."""
+    ``end_params``. Endpoints equal by value settle at ``ramp_start``:
+    ``g0 + s * (g1 - g0)`` is ``g0`` bit for bit when ``g1 == g0`` (gains
+    are positive and finite), so the interpolation is skipped."""
 
     start_params: AdmittanceParams
     end_params: AdmittanceParams
@@ -92,7 +90,6 @@ class GainSchedule:
 
     def __post_init__(self):
         if self.end_params == self.start_params:
-            self.end_params = self.start_params
             self.settles_at = self.ramp_start
         else:
             self.settles_at = self.ramp_start + _RAMP_LENGTH
@@ -109,29 +106,9 @@ def gains_at(schedule: GainSchedule, t: float) -> AdmittanceParams:
     return _new(AdmittanceParams, (t0 + s * (t1 - t0), r0 + s * (r1 - r0)))
 
 
-@dataclass
-class AdmittanceState:
-    """Filter memory for the six decoupled channels.
-
-    ``v`` holds the last reference twist. Single-owner mutable state:
-    advanced by exactly one stepper.
-    """
-
-    params: AdmittanceParams
-    v: Twist6 = field(default_factory=Twist6.zero)
-    # (1 - exp(-b dt / m), b) of the translational then the rotational
-    # channels, and the gain-set object and dt they were computed for: gains
-    # change only during ramps between distinct gain sets, where gains_at
-    # builds a new gain set every step
-    _coef_key: tuple = field(default=(None, None), init=False, repr=False, compare=False)
-    _coef: tuple = field(default=(), init=False, repr=False, compare=False)
-
-    def reset(self) -> None:
-        self.v = Twist6.zero()
-
-
-def step_admittance(state: AdmittanceState, f_int: Wrench6, dt: float) -> Twist6:
-    """Advance the six filters one step and return the new reference twist.
+def step_admittance(v: Twist6, f_int: Wrench6, params: AdmittanceParams, dt: float) -> Twist6:
+    """The six filters' reference twist one step after ``v`` under
+    interaction wrench ``f_int`` and dampings ``params``.
 
     Non-finite force input is rejected (a real deployment would flag the
     force sensor).
@@ -146,23 +123,15 @@ def step_admittance(state: AdmittanceState, f_int: Wrench6, dt: float) -> Twist6
         and isfinite(tx) and isfinite(ty) and isfinite(tz)
     ):
         raise SimulationFault("non-finite interaction force fed to admittance filter")
-    params = state.params
-    key_params, key_dt = state._coef_key
-    if key_params is not params or key_dt != dt:
-        bt, br = params
-        state._coef_key = (params, dt)
-        state._coef = (
-            1.0 - math.exp(-bt * dt / MASS_TRANS), bt, 1.0 - math.exp(-br * dt / MASS_ROT), br
-        )
-    ct, bt, cr, br = state._coef
-    (vx, vy, vz), (wx, wy, wz) = state.v
-    # each channel is step_axial's update with its coefficient precomputed
-    out = _new(Twist6, (
+    bt, br = params
+    ct = 1.0 - math.exp(-bt * dt / MASS_TRANS)
+    cr = 1.0 - math.exp(-br * dt / MASS_ROT)
+    (vx, vy, vz), (wx, wy, wz) = v
+    # each channel is step_axial's update with its coefficient hoisted
+    return _new(Twist6, (
         _new(Vec3, (vx + ct * (fx / bt - vx), vy + ct * (fy / bt - vy), vz + ct * (fz / bt - vz))),
         _new(Vec3, (wx + cr * (tx / br - wx), wy + cr * (ty / br - wy), wz + cr * (tz / br - wz))),
     ))
-    state.v = out
-    return out
 
 
 def step_axial(v: float, f_axial: float, b: float, dt: float) -> float:

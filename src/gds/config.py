@@ -32,7 +32,7 @@ SCHEMA_VERSION = 1
 
 # the numeric sections and the model each one builds; a section's keys and
 # defaults are its model's fields (the operator's seed is the top-level
-# ``seed``, and its variant is filled per condition)
+# ``seed``, and its variant is derived from the condition)
 _SECTION_MODELS = {
     "thresholds": GuidanceThresholds,
     "operator": OperatorModel,
@@ -45,7 +45,7 @@ def _section_defaults(section: str) -> dict:
     return {
         f.name: f.default
         for f in dataclasses.fields(_SECTION_MODELS[section])
-        if f.name != "seed"
+        if f.name not in ("seed", "variant")
     }
 
 
@@ -125,8 +125,7 @@ def _fill_section(raw, defaults: dict, path: str) -> dict:
     _require(isinstance(raw, dict), "expected an object", path)
     _check_keys(raw, defaults, path)
     for key, value in raw.items():
-        if key != "variant":  # operator.variant, checked by the caller
-            _number(value, f"{path}.{key}")  # stored as given: the digest keeps ints
+        _number(value, f"{path}.{key}")  # stored as given: the digest keeps ints
     out = dict(defaults)
     out.update(raw)
     return out
@@ -236,15 +235,8 @@ def canonical_config(
     out["targets"] = tlist
 
     for section in _SECTION_MODELS:
-        defaults = _section_defaults(section)
-        if section == "operator":
-            defaults["variant"] = "guided" if cond == "with" else "manual"
-        out[section] = _fill_section(raw.get(section), defaults, section)
-    _require(
-        out["operator"]["variant"] in ("guided", "manual"),
-        "must be 'guided' or 'manual'",
-        "operator.variant",
-    )
+        out[section] = _fill_section(raw.get(section), _section_defaults(section), section)
+    out["operator"]["variant"] = "guided" if cond == "with" else "manual"
     return out
 
 
@@ -375,7 +367,7 @@ def sweepable_fields() -> list:
     """Dotted paths a parameter sweep may vary."""
     out = ["dt", "max_sim_time"]
     for section in _SECTION_MODELS:
-        out += [f"{section}.{k}" for k in _section_defaults(section) if k != "variant"]
+        out += [f"{section}.{k}" for k in _section_defaults(section)]
     return sorted(out)
 
 

@@ -46,7 +46,6 @@ import numpy as np
 
 from . import _csvtext
 from .admittance import (
-    AdmittanceState,
     GainSchedule,
     gains_at,
     phase_params,
@@ -383,12 +382,12 @@ class World:
         self.align_plan = None
         self.align_start_step = 0
         self.align_steps = max(1, round(scenario.thresholds.align_duration / self.dt))
+        self.v_ref = Twist6.zero()  # six-channel admittance memory
         self.s_ref = 0.0  # axial admittance memory while constrained
         self.s_act = 0.0  # axial plant state while constrained
         tau = scenario.plant.lag_time_constant
         self.plant_alpha = 1.0 if tau == 0.0 else 1.0 - math.exp(-self.dt / tau)
         params = phase_params(self.phase, scenario.condition)
-        self.adm = AdmittanceState(params)
         self.schedule = GainSchedule(params, params, ramp_start=0.0)
         self.trace = Trace(
             dt=self.dt,
@@ -495,10 +494,8 @@ class World:
             new_pose = _new(Pose, (_new(Vec3, (nx, ny, nz)), ori0))
         else:
             # six decoupled channels, then the plant lag
-            adm = self.adm
-            adm.params = params_now
             f_int = _new(Wrench6, (_new(Vec3, (ix, iy, iz)), _new(Vec3, (itx, ity, itz))))
-            new_twist = step_admittance(adm, f_int, dt)
+            new_twist = self.v_ref = step_admittance(self.v_ref, f_int, params_now, dt)
             (rvx, rvy, rvz), (rwx, rwy, rwz) = new_twist
             a = self.plant_alpha
             if a == 1.0:
@@ -600,7 +597,7 @@ class World:
                 duration=self.sc.thresholds.align_duration,
             )
             self.align_start_step = self.k
-            self.adm.reset()
+            self.v_ref = Twist6.zero()
             self.twist = Twist6.zero()
             self.trace.events.append((t, f"align_start:{self.target_idx}"))
         elif new is _CONSTRAINED_DRILL:

@@ -69,6 +69,21 @@ class Vec3(NamedTuple):
 
 
 _ZERO3 = Vec3(0.0, 0.0, 0.0)
+BASIS = (Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), Vec3(0.0, 0.0, 1.0))
+
+
+def least_aligned_axis(x: float, y: float, z: float) -> Vec3:
+    """The basis vector least aligned with (x, y, z): the first one along
+    which it has its smallest absolute component."""
+    comps = (abs(x), abs(y), abs(z))
+    return BASIS[comps.index(min(comps))]
+
+
+def any_perpendicular(v: Vec3) -> Vec3:
+    """A deterministic unit vector perpendicular to unit vector v: the
+    least-aligned basis vector with its component along v removed."""
+    pick = least_aligned_axis(*v)
+    return (pick - v.scale(pick.dot(v))).normalized()
 
 
 class UnitQuat(NamedTuple):
@@ -174,7 +189,7 @@ def slerp(q0: UnitQuat, q1: UnitQuat, t: float) -> UnitQuat:
         )
     if d < 1e-9:
         # antipodal: pick the deterministic halfway orientation and recurse
-        axis = _least_aligned_axis(q0)
+        axis = least_aligned_axis(q0.x, q0.y, q0.z)
         q_half = q0.multiply(UnitQuat.from_axis_angle(axis, math.pi / 2.0))
         if t <= 0.5:
             return slerp(q0, q_half, 2.0 * t)
@@ -189,12 +204,6 @@ def slerp(q0: UnitQuat, q1: UnitQuat, t: float) -> UnitQuat:
         c0 * q0.y + c1 * y1,
         c0 * q0.z + c1 * z1,
     )
-
-
-def _least_aligned_axis(q: UnitQuat) -> Vec3:
-    comps = (abs(q.x), abs(q.y), abs(q.z))
-    i = comps.index(min(comps))
-    return (Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), Vec3(0.0, 0.0, 1.0))[i]
 
 
 def project_onto_axis(v: Vec3, axis: Vec3) -> Vec3:
@@ -280,10 +289,6 @@ def rotation_between(a: Vec3, b: Vec3) -> UnitQuat:
     c = a.cross(b)
     d = a.dot(b)
     if d < -1.0 + 1e-12:
-        axis_candidates = (Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), Vec3(0.0, 0.0, 1.0))
-        comps = (abs(a.x), abs(a.y), abs(a.z))
-        pick = axis_candidates[comps.index(min(comps))]
-        perp = (pick - project_onto_axis(pick, a)).normalized()
-        return UnitQuat.from_axis_angle(perp, math.pi)
+        return UnitQuat.from_axis_angle(any_perpendicular(a), math.pi)
     # q = (1 + d, a x b) normalized is the half-angle construction
     return _canonical(1.0 + d, c.x, c.y, c.z)

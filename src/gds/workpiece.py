@@ -29,9 +29,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import GeometryError
-from .geometry import Frame3, Vec3, make_frame
-
-_GLOBAL_AXES = (Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), Vec3(0.0, 0.0, 1.0))
+from .geometry import BASIS, Frame3, Vec3, any_perpendicular, make_frame
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +94,7 @@ class CylinderPatch:
         d = radial.norm()
         if d == 0.0:
             # on the axis: any radial direction; pick deterministically
-            n = _any_perpendicular(self.axis_dir)
+            n = any_perpendicular(self.axis_dir)
         else:
             n = radial.scale(1.0 / d)
         side, over = d - self.radius, abs(h) - self.half_length
@@ -445,12 +443,6 @@ class TriangleMesh:
 Surface = Union[SpherePatch, CylinderPatch, TriangleMesh]
 
 
-def _any_perpendicular(v: Vec3) -> Vec3:
-    comps = (abs(v.x), abs(v.y), abs(v.z))
-    pick = _GLOBAL_AXES[comps.index(min(comps))]
-    return (pick - v.scale(pick.dot(v))).normalized()
-
-
 def _closest_on_triangle(px: float, py: float, pz: float, corners: tuple) -> tuple:
     """(x, y, z): the closest point of a triangle to p. Ericson, Real-Time
     Collision Detection, 5.1.5; ``corners`` holds a, b, c, ab = b - a,
@@ -604,7 +596,7 @@ def build_target_frame(point: Vec3, normal: Vec3, reference: Vec3) -> Frame3:
     or its component along n.
     """
     n = normal.normalized()
-    candidates = (reference,) + _GLOBAL_AXES
+    candidates = (reference,) + BASIS
     for ref in candidates:
         if ref.norm() == 0.0:
             continue

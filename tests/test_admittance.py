@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from gds.admittance import (
     AdmittanceParams,
-    AdmittanceState,
     GainSchedule,
     analytic_step_response,
     gains_at,
@@ -29,8 +28,14 @@ TABLE_GAIN_SETS = [
 ]
 
 
-def make_state(b=100.0):
-    return AdmittanceState(AdmittanceParams(b, b))
+def run_steps(wrench, b=100.0, n=1, dt=1e-3):
+    """The reference twist after n steps from rest under a constant wrench,
+    with damping b on every channel."""
+    params = AdmittanceParams(b, b)
+    v = Twist6.zero()
+    for _ in range(n):
+        v = step_admittance(v, wrench, params, dt)
+    return v
 
 
 def force_x(f):
@@ -41,7 +46,7 @@ def force_and_torque_x(f):
     return Wrench6(Vec3(f, 0.0, 0.0), Vec3(f, 0.0, 0.0))
 
 
-def reference_step_admittance(state, f_int, dt):
+def reference_step_admittance(twist, f_int, params, dt):
     """The six-channel loop taking exp(-b dt / m) on every channel every
     step, the translational damping and 50 kg on the first three, the
     rotational damping and 10 kg m^2 on the last three: the oracle for
@@ -52,15 +57,13 @@ def reference_step_admittance(state, f_int, dt):
     for f in forces:
         if not math.isfinite(f):
             raise SimulationFault("non-finite interaction force fed to admittance filter")
-    vel = [*state.v.linear, *state.v.angular]
-    trans, rot = state.params
+    vel = [*twist.linear, *twist.angular]
+    trans, rot = params
     gains = ((50.0, trans),) * 3 + ((10.0, rot),) * 3
     for i, ((m, b), f) in enumerate(zip(gains, forces)):
         v = vel[i]
         vel[i] = v + (1.0 - math.exp(-b * dt / m)) * (f / b - v)
-    out = Twist6(Vec3(*vel[:3]), Vec3(*vel[3:]))
-    state.v = out
-    return out
+    return Twist6(Vec3(*vel[:3]), Vec3(*vel[3:]))
 
 
 def reference_gains_at(schedule, t):
@@ -94,23 +97,16 @@ def assert_same_bits(got, want):
 class TestStepAdmittance:
     def test_first_step_matches_continuous_oracle(self):
         # oracle: v(dt) = (F/b)(1 - exp(-b dt / m)) for F constant over the step
-        state = make_state(b=100.0)
-        out = step_admittance(state, force_x(10.0), 1e-3)
+        out = run_steps(force_x(10.0), b=100.0)
         oracle = analytic_step_response(10.0, 50.0, 100.0, 1e-3)
         assert oracle == pytest.approx(1.998001332e-4, rel=1e-9)
         assert out.linear.x == pytest.approx(oracle, rel=1e-12)
 
     def test_zero_force_stays_exactly_zero(self):
-        state = make_state()
-        for _ in range(100):
-            out = step_admittance(state, Wrench6.zero(), 1e-3)
-        assert out == Twist6.zero()
+        assert run_steps(Wrench6.zero(), n=100) == Twist6.zero()
 
     def test_steady_state_gain(self):
-        state = make_state(b=100.0)
-        out = None
-        for _ in range(5000):  # 5 s >> m/b = 0.5 s
-            out = step_admittance(state, force_x(10.0), 1e-3)
+        out = run_steps(force_x(10.0), b=100.0, n=5000)  # 5 s >> m/b = 0.5 s
         assert out.linear.x == pytest.approx(0.1, rel=1e-3)
 
     @pytest.mark.parametrize("name,m,b", TABLE_GAIN_SETS)
@@ -118,12 +114,13 @@ class TestStepAdmittance:
         dt = 1e-3
         f = 10.0
         n = int(round(5.0 * (m / b) / dt))
-        state = make_state(b=b)
+        params = AdmittanceParams(b, b)
         rot = name.endswith("_rot")
         wrench = Wrench6(Vec3.zero(), Vec3(f, 0.0, 0.0)) if rot else force_x(f)
         worst = 0.0
+        out = Twist6.zero()
         for k in range(1, n + 1):
-            out = step_admittance(state, wrench, dt)
+            out = step_admittance(out, wrench, params, dt)
             v = out.angular.x if rot else out.linear.x
             worst = max(worst, abs(v - analytic_step_response(f, m, b, k * dt)))
         assert worst <= 1e-3 * (f / b)
@@ -131,17 +128,13 @@ class TestStepAdmittance:
     def test_decoupling(self):
         base = force_x(5.0)
         pert = Wrench6(Vec3(5.0, 0.0, 0.0), Vec3(0.0, 0.0, 2.0))
-        s1, s2 = make_state(), make_state()
-        for _ in range(50):
-            o1 = step_admittance(s1, base, 1e-3)
-            o2 = step_admittance(s2, pert, 1e-3)
+        o1, o2 = run_steps(base, n=50), run_steps(pert, n=50)
         assert o1.linear == o2.linear
         assert o1.angular.z == 0.0 and o2.angular.z != 0.0
 
     def test_non_finite_force_rejected(self):
-        state = make_state()
         with pytest.raises(SimulationFault):
-            step_admittance(state, force_x(float("nan")), 1e-3)
+            run_steps(force_x(float("nan")))
 
     @given(
         b=st.floats(0.5, 5000.0),
@@ -151,11 +144,12 @@ class TestStepAdmittance:
     @settings(max_examples=150, deadline=None)
     def test_error_to_steady_state_monotone_for_any_dt(self, b, dt, f):
         # the translational and the rotational channel, each at its mass
-        state = make_state(b=b)
+        params = AdmittanceParams(b, b)
         target = f / b
         prev = [abs(target)] * 2
+        out = Twist6.zero()
         for _ in range(40):
-            out = step_admittance(state, force_and_torque_x(f), dt)
+            out = step_admittance(out, force_and_torque_x(f), params, dt)
             for i, v in enumerate((out.linear.x, out.angular.x)):
                 err = abs(v - target)
                 assert err <= prev[i] + 1e-15
@@ -173,7 +167,8 @@ class TestKernelOracles:
         a, b = draw(gain_sets), draw(gain_sets)
         twin = AdmittanceParams(*b)  # b's values, a new object
         sched = GainSchedule(a, b, ramp_start=0.0)
-        new, old = AdmittanceState(a), AdmittanceState(a)
+        new = old = Twist6.zero()
+        new_params = old_params = a
         dt = 1e-3
         for _ in range(draw(st.integers(1, 30))):
             action = draw(st.sampled_from(["ramp", "a", "b", "twin", "dt"]))
@@ -182,26 +177,31 @@ class TestKernelOracles:
                 got = gains_at(sched, t)
                 want = reference_gains_at(sched, t)
                 assert_same_bits(got, want)
-                new.params, old.params = got, want
+                new_params, old_params = got, want
             elif action == "dt":
                 dt = draw(st.sampled_from([1e-3, 2e-3]) | st.floats(1e-5, 0.5))
             else:
-                new.params = old.params = {"a": a, "b": b, "twin": twin}[action]
+                new_params = old_params = {"a": a, "b": b, "twin": twin}[action]
             f = draw(forces)
-            assert_same_bits(step_admittance(new, f, dt), reference_step_admittance(old, f, dt))
-            assert_same_bits(new.v, old.v)
+            new = step_admittance(new, f, new_params, dt)
+            old = reference_step_admittance(old, f, old_params, dt)
+            assert_same_bits(new, old)
 
     def test_coefficient_rows_follow_gain_set_and_dt(self):
         params = AdmittanceParams(100.0, 5.0)
-        new, old = AdmittanceState(params), AdmittanceState(params)
+        new = old = Twist6.zero()
         f = Wrench6(Vec3(3.0, -2.0, 1.0), Vec3(0.5, 0.25, -0.125))
         # a new dt with the same gain set
         for dt in (1e-3, 1e-3, 0.02, 1e-3):
-            assert_same_bits(step_admittance(new, f, dt), reference_step_admittance(old, f, dt))
+            new = step_admittance(new, f, params, dt)
+            old = reference_step_admittance(old, f, params, dt)
+            assert_same_bits(new, old)
         # a new gain set of new values every step, as in a ramp
         for k in range(50):
-            new.params = old.params = AdmittanceParams(100.0 + 10.0 * k, 5.0 + k)
-            assert_same_bits(step_admittance(new, f, 1e-3), reference_step_admittance(old, f, 1e-3))
+            params = AdmittanceParams(100.0 + 10.0 * k, 5.0 + k)
+            new = step_admittance(new, f, params, 1e-3)
+            old = reference_step_admittance(old, f, params, 1e-3)
+            assert_same_bits(new, old)
 
 
 class TestGainSchedule:
@@ -250,7 +250,7 @@ class TestGainSchedule:
         dt = 1e-3
         for t in (0.0, 0.3, 0.77, 1.0):
             p = gains_at(sched, t)
-            out = step_admittance(AdmittanceState(p), force_and_torque_x(10.0), dt)
+            out = step_admittance(Twist6.zero(), force_and_torque_x(10.0), p, dt)
             trans = analytic_step_response(10.0, 50.0, p.translational, dt)
             rot = analytic_step_response(10.0, 10.0, p.rotational, dt)
             assert out.linear.x == pytest.approx(trans, rel=1e-12)
@@ -262,8 +262,9 @@ class TestGainSchedule:
         end = phase_params(GuidancePhase.CONSTRAINED_DRILL, "with")
         assert start == end and start is not end
         sched = GainSchedule(start, end, ramp_start=2.0)
+        assert sched.settles_at == 2.0
         for t in (1.0, 2.0, 2.001, 2.5, 2.999, 3.0, 10.0):
-            assert gains_at(sched, t) is start
+            assert_same_bits(gains_at(sched, t), start)
             assert_same_bits(gains_at(sched, t), reference_gains_at(sched, t))
         # distinct values still interpolate
         other = phase_params(GuidancePhase.FREE_MOTION, "with")
@@ -277,12 +278,11 @@ class TestGainSchedule:
             for ramp_start in (0.0, 2.0, 33.953):
                 start, end = phase_params(p0, condition), phase_params(p1, condition)
                 sched = GainSchedule(start, end, ramp_start=ramp_start)
-                assert gains_at(sched, sched.settles_at) is sched.end_params
+                assert_same_bits(gains_at(sched, sched.settles_at), end)
                 if start == end:
-                    # equal values in distinct objects settle at once
-                    assert start is not end
+                    # equal values settle at once
                     assert sched.settles_at == ramp_start
-                    assert sched.end_params is start
+                    assert_same_bits(gains_at(sched, ramp_start), start)
                     continue
                 assert sched.settles_at == ramp_start + 1.0
                 before = math.nextafter(sched.settles_at, -math.inf)

@@ -136,8 +136,14 @@ class TestValidate:
             ("thresholds", {"lock_radius": 0.2}, "thresholds: lock_radius"),
             ("environment", {"hole_radius": "x"}, "environment.hole_radius: "),
             ("plant", {"lag_time_constant": True}, "plant.lag_time_constant: "),
+            # derived from the condition, so never a key, even when it agrees
+            ("operator", {"variant": "guided"}, "operator: unknown key(s) ['variant']"),
+            ("operator", {"variant": "manual"}, "operator: unknown key(s) ['variant']"),
         ],
-        ids=["negative_noise", "lock_outside_adapt", "string", "bool"],
+        ids=[
+            "negative_noise", "lock_outside_adapt", "string", "bool",
+            "variant_guided", "variant_manual",
+        ],
     )
     def test_bad_model_value_exit_two(self, section, value, where, tmp_path, capsys):
         raw = experiment_one_raw("with", 0)

@@ -270,8 +270,7 @@ class ReferenceWorld(World):
             v_used = new_twist
             new_pose = self._integrate(pose0, new_twist)
         else:
-            self.adm.params = params_now
-            v_ref = step_admittance(self.adm, f_int, dt)
+            v_ref = self.v_ref = step_admittance(self.v_ref, f_int, params_now, dt)
             if self.plant_alpha == 1.0:
                 new_twist = v_ref
             else:

@@ -49,6 +49,25 @@ def random_unit(rng):
     return Vec3(*(v / np.linalg.norm(v)))
 
 
+# unit vectors with signed zeros and tied components among them
+_components = st.floats(-1, 1, allow_nan=False) | st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0])
+directions = (
+    st.tuples(_components, _components, _components)
+    .filter(lambda c: math.hypot(*c) > 1e-3)
+    .map(lambda c: Vec3(*c).normalized())
+)
+
+
+def inline_antipodal_rotation(a):
+    """rotation_between's antipodal branch as it was first written, inline:
+    the oracle for its bits."""
+    axis_candidates = (Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), Vec3(0.0, 0.0, 1.0))
+    comps = (abs(a.x), abs(a.y), abs(a.z))
+    pick = axis_candidates[comps.index(min(comps))]
+    perp = (pick - project_onto_axis(pick, a)).normalized()
+    return UnitQuat.from_axis_angle(perp, math.pi)
+
+
 class TestRotate:
     def test_identity(self):
         assert rotate(UnitQuat.identity(), Vec3(1, 2, 3)) == Vec3(1, 2, 3)
@@ -282,6 +301,14 @@ class TestRotationBetween:
         q2 = rotation_between(a, -a)
         assert q1 == q2
         assert angle_between(rotate(q1, a), -a) <= 1e-9
+
+    @given(a=directions)
+    @settings(max_examples=300, deadline=None)
+    def test_opposite_vectors_match_the_inline_oracle(self, a):
+        got, want = rotation_between(a, -a), inline_antipodal_rotation(a)
+        assert got == want
+        assert repr(got) == repr(want)
+        assert angle_between(rotate(got, a), -a) <= 1e-9
 
 
 class TestValueTypes:
