@@ -113,6 +113,16 @@ class Session(NamedTuple):
     final_event: Tuple[float, str]
 
 
+def _check_out(out: str) -> None:
+    """Refuse an output directory that cannot be made: the path, or its
+    nearest existing ancestor, is there but is not a directory."""
+    path = os.path.abspath(out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"not a directory: {path}", "out")
+
+
 def _resolve(path: str, conditions=(None,), seeds=(None,), overrides=(None,)) -> list:
     """Resolve ``path`` for every (override, condition, seed), in that
     order, with one surface cache; ``None`` keeps the document's own."""
@@ -128,15 +138,22 @@ def _resolve(path: str, conditions=(None,), seeds=(None,), overrides=(None,)) ->
 
 
 def _run_sessions(
-    path: str, conditions, seeds, overrides=(None,), out_dir=None, emit_trace=False
+    path: str, conditions, seeds, overrides=(None,), out=None, session_files=False,
+    emit_trace=False,
 ) -> List[Session]:
-    """The one session loop of every verb. Resolve every session before the
-    first one runs, so a bad seed or sweep value writes nothing; then run
-    each and print its summary line, prefixed with ``sweep <param>=<value>``
-    under an override. Return the sessions in (override, condition, seed)
-    order: a list, so a value swept twice keeps both rows."""
+    """The one session loop of every verb. Resolve every session and check
+    ``out``, the verb's output directory, before the first session runs, so
+    a bad seed, sweep value or output path writes nothing; then run each
+    (with ``session_files``, writing its files under ``out``) and print its
+    summary line, prefixed with ``sweep <param>=<value>`` under an
+    override. Return the sessions in (override, condition, seed) order: a
+    list, so a value swept twice keeps both rows."""
     sessions = []
-    for override, condition, seed, scenario in _resolve(path, conditions, seeds, overrides):
+    resolved = _resolve(path, conditions, seeds, overrides)
+    if out is not None:
+        _check_out(out)
+    out_dir = out if session_files else None
+    for override, condition, seed, scenario in resolved:
         metrics, final_event = _run_session(scenario, out_dir, emit_trace)
         line = _summary_line(condition, seed, metrics, final_event)
         if override is not None:
@@ -154,7 +171,7 @@ def _exit_code(sessions: List[Session]) -> int:
 def cmd_run(args) -> int:
     return _exit_code(_run_sessions(
         args.scenario, _conditions(args.condition), _parse_seeds(args.seeds),
-        out_dir=args.out, emit_trace=not args.no_trace,
+        out=args.out, session_files=True, emit_trace=not args.no_trace,
     ))
 
 
@@ -165,7 +182,7 @@ def cmd_compare(args) -> int:
     seeds = _parse_seeds(args.seeds)
     sessions = _run_sessions(
         args.scenario, ("with", "without"), seeds,
-        out_dir=args.out, emit_trace=not args.no_trace,
+        out=args.out, session_files=True, emit_trace=not args.no_trace,
     )
     incomplete = [
         {"condition": s.condition, "seed": s.seed, "final_event": s.final_event[1],
@@ -224,7 +241,8 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep needs at least one value", "values")
     sessions = _run_sessions(
-        args.scenario, _conditions(args.condition), seeds, [(args.param, v) for v in values]
+        args.scenario, _conditions(args.condition), seeds, [(args.param, v) for v in values],
+        out=args.out,
     )
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)

@@ -372,15 +372,21 @@ def sweepable_fields() -> list:
 
 
 def apply_override(cfg_raw: dict, dotted: str, value: float) -> dict:
-    """Return a copy of a raw config with one numeric field replaced."""
+    """Return a copy of a raw config with one numeric field replaced. A
+    section given as null (all defaults) takes the field as its one key; a
+    section that is not an object is the error ``validate`` reports."""
     if dotted not in sweepable_fields():
         raise ConfigError(
             f"not a sweepable field; choose one of {sweepable_fields()}", dotted
         )
     out = json.loads(json.dumps(cfg_raw))
+    _require(isinstance(out, dict), "scenario config must be a JSON object", "")
     node = out
     parts = dotted.split(".")
     for part in parts[:-1]:
-        node = node.setdefault(part, {})
+        if node.get(part) is None:
+            node[part] = {}
+        node = node[part]
+        _require(isinstance(node, dict), "expected an object", part)
     node[parts[-1]] = value
     return out

@@ -40,7 +40,7 @@ import math
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -240,7 +240,9 @@ class Trace:
     ``phase_codes`` and ``target_idx`` join one field of every block into
     one fresh numpy array, ``sample(i)`` and ``phase_of(i)`` decode record
     ``i % _CSV_BLOCK`` of block ``i // _CSV_BLOCK``, the checksum hashes the
-    blocks in order, and ``to_csv`` writes one CSV block per stored block.
+    blocks in order, and ``record_blocks`` yields each non-empty block as a
+    view of its records, which the metrics stream over and ``to_csv``
+    writes as one CSV block each.
     Blocks of a fixed size keep the storage from ever copying a whole
     trace to grow it.
     """
@@ -273,6 +275,14 @@ class Trace:
     @property
     def target_idx(self) -> np.ndarray:
         return _field(self.blocks, "target_index")
+
+    def record_blocks(self) -> Iterator[np.ndarray]:
+        """Each non-empty block as a ``_RECORD_DTYPE`` view, in sample
+        order. A view stops its block from growing, so drop each before the
+        next ``append``."""
+        for block in self.blocks:
+            if block:
+                yield np.frombuffer(block, _RECORD_DTYPE)
 
     def __len__(self) -> int:
         return (len(self.blocks) - 1) * _CSV_BLOCK + len(self.blocks[-1]) // _RECORD_SIZE
@@ -333,13 +343,11 @@ class Trace:
         start = 0
         with open(path, "wb") as fh:
             fh.write(_CSV_HEAD)
-            for records in self.blocks:
-                k = len(records) // _RECORD_SIZE
-                if not k:  # the one block of an empty trace
-                    continue
+            for records in self.record_blocks():
+                k = len(records)
                 # the 45 floats are the first 360 bytes of each 368-byte record
-                floats = np.frombuffer(records, np.float64).reshape(k, -1)[:, : len(_COLUMNS)]
-                phases = np.frombuffer(records, _RECORD_DTYPE)["phase"]
+                floats = records.view(np.float64).reshape(k, -1)[:, : len(_COLUMNS)]
+                phases = records["phase"]
                 codes = target_code[start : start + k]
                 start += k
                 for cells, text in (

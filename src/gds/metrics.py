@@ -15,7 +15,12 @@ Metrics (one drilling session = all targets):
   each target (entry into the constrained drilling phase under guidance,
   the first sample after the first cut without it), averaged over targets
 
-Integrals use the trapezoidal rule over the uniformly-sampled trace.
+Integrals use the trapezoidal rule over the uniformly-sampled trace. They
+stream over the trace's storage blocks: each block's series is computed
+from a view of its records and chained into one exactly rounded
+``math.fsum``, so the totals have the bits of one sum over the whole series,
+and no metric holds a whole-trace column or series. The drilling-entry
+scan streams over the same blocks.
 All functions are pure; traces are never mutated.
 """
 
@@ -23,7 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,23 +80,36 @@ class Metrics:
         }
 
 
-def _trapezoid(series, dt: float) -> float:
-    if len(series) < 2:
+# the rate and the operator wrench fields of the linear and the angular part
+_V = ("vx", "vy", "vz")
+_W = ("wx", "wy", "wz")
+_FH = ("fh_x", "fh_y", "fh_z")
+_TH = ("fh_tx", "fh_ty", "fh_tz")
+
+
+def _trapezoid(series: Callable[[np.ndarray], list], blocks: List[np.ndarray], dt: float) -> float:
+    """Trapezoid rule over ``series(records)`` of each block in turn. The
+    chunks stream into ``math.fsum``, which is exactly rounded, so the total
+    has the bits of one fsum over the whole series; the end values are the
+    series of the first and of the last record alone."""
+    if len(blocks) == 1 and len(blocks[0]) < 2:
         return 0.0
-    return dt * (math.fsum(series) - 0.5 * (series[0] + series[-1]))
+    total = math.fsum(chain.from_iterable(map(series, blocks)))
+    return dt * (total - 0.5 * (series(blocks[0][:1])[0] + series(blocks[-1][-1:])[0]))
 
 
-def _speed(columns: Sequence[np.ndarray]) -> list:
-    """Per-sample norm of three columns."""
-    x, y, z = map(memoryview, columns)
+def _speed(records: np.ndarray, rates: Sequence[str]) -> list:
+    """Per-record norm of three rate fields."""
+    x, y, z = (records[name].tolist() for name in rates)
     # Python's a ** 2 (libm pow) is not always a * a, so this stays scalar
-    # over Python floats, which a memoryview yields
+    # over Python floats
     return [math.sqrt(a ** 2 + b ** 2 + c ** 2) for a, b, c in zip(x, y, z)]
 
 
-def _power(forces: Sequence[np.ndarray], rates: Sequence[np.ndarray]) -> list:
-    """Per-sample sum_i |F_i v_i| over three column pairs, added left to right."""
-    (f1, f2, f3), (v1, v2, v3) = forces, rates
+def _power(records: np.ndarray, forces: Sequence[str], rates: Sequence[str]) -> list:
+    """Per-record sum_i |F_i v_i| over three field pairs, added left to right."""
+    f1, f2, f3 = (records[name] for name in forces)
+    v1, v2, v3 = (records[name] for name in rates)
     return (np.abs(f1 * v1) + np.abs(f2 * v2) + np.abs(f3 * v3)).tolist()
 
 
@@ -106,16 +125,21 @@ def _drill_entry_indices(trace: Trace) -> Dict[int, int]:
     one with ``hole_depth > 0`` (a sample holds the pose before its step and
     the depth after it, so the next sample holds the pose at the first
     cut), clipped to the last sample."""
-    if trace.condition == "with":
-        mask = trace.phase_codes == _PHASE_CODE[GuidancePhase.CONSTRAINED_DRILL]
-        after = 0
-    else:
-        mask = trace.data["hole_depth"] > 0.0
-        after = 1
-    hits = np.flatnonzero(mask)
-    firsts, at = np.unique(trace.target_idx[hits], return_index=True)
-    entries = np.minimum(hits[at] + after, len(trace) - 1)
-    return dict(zip(firsts.tolist(), entries.tolist()))
+    guided = trace.condition == "with"
+    code = _PHASE_CODE[GuidancePhase.CONSTRAINED_DRILL]
+    firsts: Dict[int, int] = {}
+    start = 0
+    for records in trace.record_blocks():
+        hits = np.flatnonzero(
+            records["phase"] == code if guided else records["hole_depth"] > 0.0
+        )
+        if hits.size:
+            targets, at = np.unique(records["target_index"][hits], return_index=True)
+            for target, i in zip(targets.tolist(), (hits[at] + start).tolist()):
+                firsts.setdefault(target, i)
+        start += len(records)
+    after = 0 if guided else 1
+    return {target: min(i + after, start - 1) for target, i in firsts.items()}
 
 
 def compute_metrics(
@@ -132,7 +156,6 @@ def compute_metrics(
     n = len(trace)
     if n == 0:
         raise ValueError("empty trace")
-    d = trace.data
     dt = trace.dt
 
     done_events = trace.events_of_kind("target_done:")
@@ -142,22 +165,12 @@ def compute_metrics(
     else:
         t_tot = trace.sample(n - 1).t + dt
 
-    # each read joins every block of the trace, so each rate column is read
-    # once for its speed and its power, and one triple is held at a time
-    series = []
-    for rates, forces in (
-        (("vx", "vy", "vz"), ("fh_x", "fh_y", "fh_z")),
-        (("wx", "wy", "wz"), ("fh_tx", "fh_ty", "fh_tz")),
-    ):
-        v = [d[name] for name in rates]
-        series.append((_speed(v), _power([d[name] for name in forces], v)))
-    (lin_speed, p_force), (ang_speed, p_torque) = series
-
-    e_force = _trapezoid(p_force, dt)
-    e_torque = _trapezoid(p_torque, dt)
+    blocks = list(trace.record_blocks())
+    e_force = _trapezoid(lambda records: _power(records, _FH, _V), blocks, dt)
+    e_torque = _trapezoid(lambda records: _power(records, _TH, _W), blocks, dt)
     span = n * dt
-    s_lin = _trapezoid(lin_speed, dt) / span
-    s_ang = _trapezoid(ang_speed, dt) / span
+    s_lin = _trapezoid(lambda records: _speed(records, _V), blocks, dt) / span
+    s_ang = _trapezoid(lambda records: _speed(records, _W), blocks, dt) / span
 
     entries = _drill_entry_indices(trace)
     per_target = []

@@ -258,6 +258,11 @@ class TestValidate:
         assert main(["validate", "--scenario", str(path)]) == 0
 
 
+    def test_shipped_scenario_is_the_preset(self):
+        with open(EXPERIMENT1) as fh:
+            assert json.load(fh) == experiment_one_raw("with", 0)
+
+
 class TestRun:
     def test_run_writes_outputs_and_summary(self, mini_config, tmp_path, capsys):
         out = tmp_path / "out"
@@ -396,6 +401,25 @@ class TestRun:
         assert capsys.readouterr().out.endswith(" INCOMPLETE (timeout at 0.001 s)\n")
         events = json.loads((out / "with" / "seed_0" / "events.json").read_text())
         assert events["n_samples"] == 1
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    @pytest.mark.parametrize(
+        "verb, extra",
+        [
+            ("run", []),
+            ("compare", []),
+            ("sweep", ["--param", "operator.push_force", "--values", "25"]),
+        ],
+        ids=["run", "compare", "sweep"],
+    )
+    def test_unusable_out_runs_nothing(self, verb, extra, under, mini_config, tmp_path, capsys):
+        # the output directory is checked with the scenario, before any session runs
+        blocker = tmp_path / "taken"
+        blocker.write_text("a file\n")
+        out = blocker / "out" if under else blocker
+        assert main([verb, "--scenario", mini_config, "--out", str(out), *extra]) == 2
+        assert capsys.readouterr() == ("", f"config error: out: not a directory: {blocker}\n")
+        assert blocker.read_text() == "a file\n"
 
     def test_duplicate_seeds_rejected(self, mini_config, capsys):
         assert main(["run", "--scenario", mini_config, "--seeds", "1,1"]) == 2
@@ -580,6 +604,36 @@ class TestSweep:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: operator.angular_noise: expected a finite number")
+
+    @pytest.mark.parametrize("section", [5, [1], "k_p"], ids=["number", "array", "string"])
+    def test_non_object_section_is_a_config_error(self, section, tmp_path, capsys):
+        raw = experiment_one_raw("with", 0)
+        raw["operator"] = section
+        path = tmp_path / "section.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        want = ("", "config error: operator: expected an object\n")
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert capsys.readouterr() == want
+        assert main(["sweep", "--scenario", str(path), "--param", "operator.k_p",
+                     "--values", "30", "--out", str(out)]) == 2
+        assert capsys.readouterr() == want
+        assert not out.exists()
+
+    def test_null_section_sweeps_as_an_absent_one(self, tmp_path, capsys):
+        # null means all defaults, so the swept value is the section's one key
+        raw = experiment_one_raw("with", 0)
+        raw["max_sim_time"] = 0.05
+        outputs = []
+        for name, section in (("absent", {}), ("null", {"operator": None})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**raw, **section}))
+            out = tmp_path / name
+            assert main(["sweep", "--scenario", str(path), "--param", "operator.k_p",
+                         "--values", "30,60", "--out", str(out)]) == 1  # cut at 0.05 s
+            outputs.append((capsys.readouterr(), (out / "sweep.csv").read_text()))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][1].splitlines()) == 3
 
     def test_sweep_parses_the_mesh_once(self, tmp_path, monkeypatch):
         scenario = plate_config(tmp_path, 0.02)

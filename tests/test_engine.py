@@ -948,6 +948,11 @@ class TestPackedRecorder:
         for record in records:
             trace.append(record)
         assert [len(block) // engine._RECORD_SIZE for block in trace.blocks] == layout
+        views = list(trace.record_blocks())
+        assert [len(records) for records in views] == [k for k in layout if k]
+        assert all(records.dtype == engine._RECORD_DTYPE for records in views)
+        assert b"".join(records.tobytes() for records in views) == oracle.records
+        del views  # a held view would stop the next append
         assert_matches_columns(trace, oracle)
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         trace.to_csv(str(got))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -8,9 +9,12 @@ from gds.guidance import GuidancePhase
 from gds.metrics import (
     Metrics,
     _drill_entry_indices,
+    _FH,
+    _TH,
+    _V,
+    _W,
     _power,
     _speed,
-    _trapezoid,
     compare,
     compute_metrics,
     mean_metrics,
@@ -87,6 +91,14 @@ def reference_series(trace):
     return lin_speed, ang_speed, p_force, p_torque
 
 
+def reference_trapezoid(series, dt):
+    """The trapezoid rule over one whole-trace list: the oracle for the
+    streamed integrals of compute_metrics."""
+    if len(series) < 2:
+        return 0.0
+    return dt * (math.fsum(series) - 0.5 * (series[0] + series[-1]))
+
+
 def reference_compute_metrics(trace, targets, tool_axis_local=Vec3(0.0, 0.0, 1.0)):
     """Per-index loops over the trace: the oracle for compute_metrics."""
     n = len(trace)
@@ -96,8 +108,8 @@ def reference_compute_metrics(trace, targets, tool_axis_local=Vec3(0.0, 0.0, 1.0
     t_tot = done_events[-1][0] if done_events else trace.data["t"].tolist()[n - 1] + dt
 
     lin_speed, ang_speed, p_force, p_torque = reference_series(trace)
-    e_force = _trapezoid(p_force, dt)
-    e_torque = _trapezoid(p_torque, dt)
+    e_force = reference_trapezoid(p_force, dt)
+    e_torque = reference_trapezoid(p_torque, dt)
     span = n * dt
 
     if trace.condition == "with":
@@ -125,8 +137,8 @@ def reference_compute_metrics(trace, targets, tool_axis_local=Vec3(0.0, 0.0, 1.0
     valid = [p for p in per_target if not math.isnan(p[0])]
     return Metrics(
         t_tot=t_tot,
-        s_lin_avg=_trapezoid(lin_speed, dt) / span,
-        s_ang_avg=_trapezoid(ang_speed, dt) / span,
+        s_lin_avg=reference_trapezoid(lin_speed, dt) / span,
+        s_ang_avg=reference_trapezoid(ang_speed, dt) / span,
         e_force=e_force,
         e_torque=e_torque,
         e_total=e_force + e_torque,
@@ -245,18 +257,51 @@ class TestComputeMetrics:
         assert repr(got) == repr(want)  # same types, same -0.0
         # the speeds' span is t_tot on a complete run, to the bit
         assert got.t_tot == len(trace) * trace.dt
-        d = trace.data
+        blocks = list(trace.record_blocks())
 
-        def cols(*names):
-            return [d[name] for name in names]
+        def joined(series):
+            return [x for records in blocks for x in series(records)]
 
         series = (
-            _speed(cols("vx", "vy", "vz")),
-            _speed(cols("wx", "wy", "wz")),
-            _power(cols("fh_x", "fh_y", "fh_z"), cols("vx", "vy", "vz")),
-            _power(cols("fh_tx", "fh_ty", "fh_tz"), cols("wx", "wy", "wz")),
+            joined(lambda records: _speed(records, _V)),
+            joined(lambda records: _speed(records, _W)),
+            joined(lambda records: _power(records, _FH, _V)),
+            joined(lambda records: _power(records, _TH, _W)),
         )
         assert series == reference_series(trace)
+
+    @pytest.mark.parametrize("condition", ["with", "without"])
+    @pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 1025])
+    def test_block_edge_lengths_match_loop_oracle(self, condition, n):
+        # a trace cut by max_sim_time after n steps: its last block holds
+        # 1, 2, 511, 512, 1 and 1 records
+        sc = experiment_one_scenario(condition, seed=3, max_sim_time=(n + 0.5) * 1e-3)
+        trace = run(sc)
+        assert len(trace) == n and trace.events[-1][1] == "timeout"
+        got = compute_metrics(trace, sc.targets, sc.tool_axis_local)
+        want = reference_compute_metrics(trace, sc.targets, sc.tool_axis_local)
+        # no target was reached, so the errors are NaN, which equals nothing
+        assert math.isnan(got.eps_phi_avg) and repr(got) == repr(want)
+        integrals = ("t_tot", "s_lin_avg", "s_ang_avg", "e_force", "e_torque", "e_total")
+        assert [getattr(got, name) for name in integrals] == [
+            getattr(want, name) for name in integrals
+        ]
+        if n > 1:
+            assert got.s_lin_avg > 0.0 and got.e_total > 0.0
+
+    def test_metrics_hold_no_whole_trace_series(self):
+        # the trace stores 368 bytes a sample; a whole-trace float column
+        # alone would take 8 of them, a list of Python floats 32
+        sc = experiment_one_scenario("without", seed=0)
+        trace = run(sc)
+        tracemalloc.start()
+        try:
+            got = compute_metrics(trace, sc.targets, sc.tool_axis_local)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.complete
+        assert peak < len(trace) * engine_mod._RECORD_SIZE / 16
 
     def test_incomplete_run_averages_over_its_record(self):
         # manual seed 75 finishes target 0, collides, and runs away on
@@ -273,8 +318,8 @@ class TestComputeMetrics:
         lin_speed, ang_speed, _, _ = reference_series(trace)
         span = len(trace) * trace.dt
         assert span == pytest.approx(47.042)
-        assert got.s_lin_avg == _trapezoid(lin_speed, trace.dt) / span
-        assert got.s_ang_avg == _trapezoid(ang_speed, trace.dt) / span
+        assert got.s_lin_avg == reference_trapezoid(lin_speed, trace.dt) / span
+        assert got.s_ang_avg == reference_trapezoid(ang_speed, trace.dt) / span
         line = cli._summary_line("without", 75, got, trace.events[-1])
         assert line.endswith(" INCOMPLETE (runaway:1 at 47.042 s)")
 
