@@ -201,8 +201,8 @@ def cmd_compare(args) -> int:
         runs = {"with": [w.metrics for w, _ in paired], "without": [wo.metrics for _, wo in paired]}
         avg_with = mean_metrics(runs["with"])
         avg_without = mean_metrics(runs["without"])
-        report = compare(avg_with, avg_without)
-        payload.update(report.to_dict())
+        payload["with"], payload["without"] = avg_with.to_dict(), avg_without.to_dict()
+        payload["percent_diff"] = percent_diff = compare(avg_with, avg_without)
         if len(paired) > 1:
             payload["std"] = {
                 cond: {
@@ -212,7 +212,7 @@ def cmd_compare(args) -> int:
                 for cond, ms in runs.items()
             }
         for name in METRIC_FIELDS:
-            diff = report.percent_diff[name]
+            diff = percent_diff[name]
             print(f"compare {name}: {'undefined' if diff is None else f'{diff:+.2f}%'}")
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
@@ -223,7 +223,7 @@ def cmd_compare(args) -> int:
                 for name in METRIC_FIELDS:
                     w = getattr(avg_with, name)
                     wo = getattr(avg_without, name)
-                    d = report.percent_diff[name]
+                    d = percent_diff[name]
                     fh.write(
                         f"{name},{w:.9g},{wo:.9g},{'' if d is None else f'{d:.9g}'}\n"
                     )

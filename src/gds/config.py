@@ -32,7 +32,7 @@ SCHEMA_VERSION = 1
 
 # the numeric sections and the model each one builds; a section's keys and
 # defaults are its model's fields (the operator's seed is the top-level
-# ``seed``, and its variant is derived from the condition)
+# ``seed``)
 _SECTION_MODELS = {
     "thresholds": GuidanceThresholds,
     "operator": OperatorModel,
@@ -45,7 +45,7 @@ def _section_defaults(section: str) -> dict:
     return {
         f.name: f.default
         for f in dataclasses.fields(_SECTION_MODELS[section])
-        if f.name not in ("seed", "variant")
+        if f.name != "seed"
     }
 
 
@@ -236,6 +236,8 @@ def canonical_config(
 
     for section in _SECTION_MODELS:
         out[section] = _fill_section(raw.get(section), _section_defaults(section), section)
+    # derived from the condition and read by nothing: written only so that
+    # every config digest keeps its bytes
     out["operator"]["variant"] = "guided" if cond == "with" else "manual"
     return out
 
@@ -277,10 +279,10 @@ def _build_surface(section: dict, base_dir: str, surfaces: Optional[dict] = None
     return mesh
 
 
-def _model(cls, cfg: dict, section: str, **extra):
+def _model(cls, section: str, values: dict):
     """Build one model section; its range checks become config errors."""
     try:
-        return cls(**extra, **cfg[section])
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError(str(exc), section) from exc
 
@@ -313,15 +315,18 @@ def scenario_from_config(
         except Exception as exc:
             raise ConfigError(str(exc), f"targets[{i}]")
         targets.append(target)
+    # the condition alone picks the operator's behaviour (see World)
+    operator = {k: v for k, v in cfg["operator"].items() if k != "variant"}
+    operator["seed"] = cfg["seed"]
 
     return Scenario(
         surface=surface,
         targets=tuple(targets),
         condition=cfg["condition"],
-        operator=_model(OperatorModel, cfg, "operator", seed=cfg["seed"]),
-        environment=_model(EnvironmentModel, cfg, "environment"),
-        plant=_model(PlantModel, cfg, "plant"),
-        thresholds=_model(GuidanceThresholds, cfg, "thresholds"),
+        operator=_model(OperatorModel, "operator", operator),
+        environment=_model(EnvironmentModel, "environment", cfg["environment"]),
+        plant=_model(PlantModel, "plant", cfg["plant"]),
+        thresholds=_model(GuidanceThresholds, "thresholds", cfg["thresholds"]),
         dt=cfg["dt"],
         start_pose=Pose(start_pos, start_quat),
         max_sim_time=cfg["max_sim_time"],

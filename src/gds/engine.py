@@ -84,6 +84,9 @@ _new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 # a run ends as a runaway once the tip is this much farther (m) from the
 # active target than when the target became active (the iiwa 7 reaches 0.8 m)
 _RUNAWAY_DISTANCE = 1.0
+# a run ends as a stall once the hole depth has not grown and the target
+# has not changed for this long (s)
+STALL_S = 60.0
 
 
 def _turned(q: UnitQuat, rx: float, ry: float, rz: float) -> UnitQuat:
@@ -334,13 +337,11 @@ class Trace:
         """One row per sample, SI units: every float as ``'%.9g' % v``, the
         phase name, the target index as ``'%d'``. Each stored block is
         encoded as one CSV block, straight from a 2-D view of its records'
-        floats, into the text slots of ``_csvtext``."""
-        targets, target_code = np.unique(self.target_idx, return_inverse=True)
-        target_text = _csvtext.pack_texts([b"%d" % i for i in targets.tolist()])
+        floats and of its own target indices, into the text slots of
+        ``_csvtext``."""
         block = min(len(self), _CSV_BLOCK)
         work = _csvtext.G9Work((block, len(_COLUMNS)))
         slots = _csvtext.row_slots(block, len(CSV_HEADER))
-        start = 0
         with open(path, "wb") as fh:
             fh.write(_CSV_HEAD)
             for records in self.record_blocks():
@@ -348,8 +349,8 @@ class Trace:
                 # the 45 floats are the first 360 bytes of each 368-byte record
                 floats = records.view(np.float64).reshape(k, -1)[:, : len(_COLUMNS)]
                 phases = records["phase"]
-                codes = target_code[start : start + k]
-                start += k
+                targets, codes = np.unique(records["target_index"], return_inverse=True)
+                target_text = _csvtext.pack_texts([b"%d" % i for i in targets.tolist()])
                 for cells, text in (
                     (_FLOAT_CELLS, _csvtext.format_g9(floats, work if k == block else None)),
                     (_PHASE_CELL, [t[phases] for t in _PHASE_TEXT]),
@@ -378,7 +379,7 @@ class World:
         self.dt = scenario.dt
         self.guided = scenario.condition == "with"
         self.operator = operator or VirtualOperator(
-            scenario.operator, scenario.tool_axis_local
+            scenario.operator, scenario.tool_axis_local, guided=self.guided
         )
         self.pose = scenario.start_pose
         self.twist = Twist6.zero()
@@ -406,6 +407,11 @@ class World:
         self._phase_code = _PHASE_CODE[self.phase]
         self._append = self.trace.append
         self._runaway_at = self._runaway_bound()
+        self._max_steps = int(scenario.max_sim_time / self.dt)
+        self._stall_steps = round(STALL_S / self.dt)
+        # the step the run ends at, as a timeout or a stall, unless the
+        # cut grows or the target changes first
+        self._deadline = self._deadline_after(0)
         # the tip's target coordinates at the start of the next step
         self._ax_pos, self._on_target = target_coordinates(
             self.pose.position, scenario.targets[0], scenario.environment
@@ -420,6 +426,11 @@ class World:
         distance to the active target plus ``_RUNAWAY_DISTANCE``."""
         p, tp = self.pose.position, self.sc.targets[self.target_idx].point
         return math.dist(p, tp) + _RUNAWAY_DISTANCE
+
+    def _deadline_after(self, k: int) -> int:
+        """``STALL_S`` after step index ``k``, or the ``max_sim_time`` cap if
+        that comes first."""
+        return min(self._max_steps, k + self._stall_steps)
 
     def _start_ramp(self, t: float, new_phase: GuidancePhase) -> None:
         current = gains_at(self.schedule, t)
@@ -535,7 +546,7 @@ class World:
         depth = self.hole_depth
         was_cut = depth > 0.0
         if on_target and ax_pos > 0.0:
-            depth = self.hole_depth = update_hole(
+            cut = update_hole(
                 depth,
                 vx * ux + vy * uy + vz * uz,
                 hx * ux + hy * uy + hz * uz,
@@ -543,6 +554,9 @@ class World:
                 sc.environment,
                 at_bottom=ax_pos >= depth - CUT_FACE_TOLERANCE,
             )
+            if cut > depth:  # the cut grew: the stall deadline moves on
+                self._deadline = self._deadline_after(k + 1)
+            depth = self.hole_depth = cut
         t_next = (k + 1) * dt
         events = self.trace.events
         if not was_cut and depth > 0.0:
@@ -619,6 +633,7 @@ class World:
                 self.target_idx += 1
                 self.hole_depth = 0.0
                 self._runaway_at = self._runaway_bound()
+                self._deadline = self._deadline_after(self.k)
                 self._ax_pos, self._on_target = target_coordinates(
                     self.pose.position, self.sc.targets[self.target_idx], self.sc.environment
                 )
@@ -632,11 +647,14 @@ class World:
         self._phase_code = _PHASE_CODE[self.phase]
 
     def run(self) -> Trace:
-        max_steps = int(self.sc.max_sim_time / self.dt)
+        """Step until all targets are done, a fault or a runaway, or the
+        deadline: at the ``max_sim_time`` cap the run ends with ``timeout``,
+        before it with ``stall:<target index>``."""
         try:
             while not self.done:
-                if self.k >= max_steps:
-                    self.trace.events.append((self.k * self.dt, "timeout"))
+                if self.k >= self._deadline:
+                    kind = "timeout" if self.k >= self._max_steps else f"stall:{self.target_idx}"
+                    self.trace.events.append((self.k * self.dt, kind))
                     self.trace.complete = False
                     break
                 self.step()
@@ -646,5 +664,6 @@ class World:
 
 
 def run(scenario: Scenario, operator: Optional[VirtualOperator] = None) -> Trace:
-    """Execute a scenario to completion (all targets done) or timeout."""
+    """Execute a scenario to completion (all targets done), or until it
+    ends early (see ``World.run``)."""
     return World(scenario, operator).run()

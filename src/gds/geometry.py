@@ -206,12 +206,6 @@ def slerp(q0: UnitQuat, q1: UnitQuat, t: float) -> UnitQuat:
     )
 
 
-def project_onto_axis(v: Vec3, axis: Vec3) -> Vec3:
-    """Component of v along a unit axis: (v . axis) axis."""
-    s = v.dot(axis)
-    return Vec3(s * axis.x, s * axis.y, s * axis.z)
-
-
 def angle_between(a: Vec3, b: Vec3) -> float:
     """Angle between two unit vectors, in [0, pi].
 

@@ -25,7 +25,6 @@ from .geometry import (
     Twist6,
     UnitQuat,
     Vec3,
-    angle_between,
     rotate,
     rotation_between,
     slerp,
@@ -162,7 +161,6 @@ class AlignmentPlan:
     start_pose: Pose
     goal_pose: Pose
     duration: float
-    rotation_angle: float  # rad, total orientation change
     # start-to-goal position delta and rotation vector, fixed at plan time
     delta_position: Vec3 = field(init=False, repr=False, compare=False)
     rotation_vector: Vec3 = field(init=False, repr=False, compare=False)
@@ -190,12 +188,8 @@ def plan_alignment(
     q_delta = rotation_between(tool_world, drilling_axis)
     goal_orientation = q_delta.multiply(current.orientation)
     goal_position = target_point - drilling_axis.scale(standoff)
-    angle = angle_between(tool_world, drilling_axis)
     return AlignmentPlan(
-        start_pose=current,
-        goal_pose=Pose(goal_position, goal_orientation),
-        duration=duration,
-        rotation_angle=angle,
+        start_pose=current, goal_pose=Pose(goal_position, goal_orientation), duration=duration
     )
 
 

@@ -48,6 +48,8 @@ METRIC_FIELDS = (
     "eps_phi_avg",
     "eps_theta_avg",
 )
+# the report keys of the metrics the report renames
+_REPORT_KEYS = {"eps_phi_avg": "eps_phi_avg_deg", "eps_theta_avg": "eps_theta_avg_deg"}
 
 
 @dataclass(frozen=True)
@@ -64,20 +66,10 @@ class Metrics:
     complete: bool
 
     def to_dict(self) -> dict:
-        return {
-            "t_tot": self.t_tot,
-            "s_lin_avg": self.s_lin_avg,
-            "s_ang_avg": self.s_ang_avg,
-            "e_force": self.e_force,
-            "e_torque": self.e_torque,
-            "e_total": self.e_total,
-            "eps_phi_avg_deg": self.eps_phi_avg,
-            "eps_theta_avg_deg": self.eps_theta_avg,
-            "per_target": [
-                {"eps_phi_deg": p, "eps_theta_deg": q} for p, q in self.per_target
-            ],
-            "complete": self.complete,
-        }
+        out = {_REPORT_KEYS.get(name, name): getattr(self, name) for name in METRIC_FIELDS}
+        out["per_target"] = [{"eps_phi_deg": p, "eps_theta_deg": q} for p, q in self.per_target]
+        out["complete"] = self.complete
+        return out
 
 
 # the rate and the operator wrench fields of the linear and the angular part
@@ -149,7 +141,7 @@ def compute_metrics(
 ) -> Metrics:
     """Evaluate the session metrics from a trace.
 
-    Incomplete traces (timeout, runaway, missing targets) yield metrics
+    Incomplete traces (timeout, runaway, stall, missing targets) yield metrics
     flagged ``complete=False``: effort and speeds over the recorded span,
     ``t_tot`` the time of the last finished target (or the span, if none).
     """
@@ -210,28 +202,13 @@ def compute_metrics(
     )
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Percent relative difference per metric, 100 (with - without) / without.
+def compare(metrics_with: Metrics, metrics_without: Metrics) -> Dict[str, Optional[float]]:
+    """Percent relative difference per metric, 100 (with - without) /
+    without; refuses partial inputs.
 
     Negative values mean guidance reduced the metric. Ratios with a
-    denominator below 1e-12 are reported as None rather than infinity.
+    denominator below 1e-12 are None rather than infinity.
     """
-
-    metrics_with: Metrics
-    metrics_without: Metrics
-    percent_diff: Dict[str, Optional[float]]
-
-    def to_dict(self) -> dict:
-        return {
-            "with": self.metrics_with.to_dict(),
-            "without": self.metrics_without.to_dict(),
-            "percent_diff": self.percent_diff,
-        }
-
-
-def compare(metrics_with: Metrics, metrics_without: Metrics) -> ComparisonReport:
-    """Build the condition-comparison report; refuses partial inputs."""
     if not (metrics_with.complete and metrics_without.complete):
         raise ValueError("comparison requires complete metrics for both conditions")
     diff: Dict[str, Optional[float]] = {}
@@ -242,7 +219,7 @@ def compare(metrics_with: Metrics, metrics_without: Metrics) -> ComparisonReport
             diff[name] = None
         else:
             diff[name] = 100.0 * (w - wo) / wo
-    return ComparisonReport(metrics_with, metrics_without, diff)
+    return diff
 
 
 def mean_metrics(runs: Sequence[Metrics]) -> Metrics:
@@ -260,17 +237,7 @@ def mean_metrics(runs: Sequence[Metrics]) -> Metrics:
         )
         for i in range(n_targets)
     )
-    e_force = sum(m.e_force for m in runs) / k
-    e_torque = sum(m.e_torque for m in runs) / k
-    return Metrics(
-        t_tot=sum(m.t_tot for m in runs) / k,
-        s_lin_avg=sum(m.s_lin_avg for m in runs) / k,
-        s_ang_avg=sum(m.s_ang_avg for m in runs) / k,
-        e_force=e_force,
-        e_torque=e_torque,
-        e_total=e_force + e_torque,
-        eps_phi_avg=sum(m.eps_phi_avg for m in runs) / k,
-        eps_theta_avg=sum(m.eps_theta_avg for m in runs) / k,
-        per_target=per_target,
-        complete=True,
-    )
+    mean = {name: sum(getattr(m, name) for m in runs) / k for name in METRIC_FIELDS}
+    # the total stays the exact sum of its parts
+    mean["e_total"] = mean["e_force"] + mean["e_torque"]
+    return Metrics(**mean, per_target=per_target, complete=True)

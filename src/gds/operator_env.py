@@ -2,12 +2,13 @@
 
 The operator replaces the human hand: a PD pull toward the current goal
 with force/torque caps, plus a constant axial push once drilling is
-allowed. Two variants exist:
+allowed. The session's condition picks one of two behaviours (``World``
+passes ``guided`` for the ``with`` condition); the model holds only gains:
 
-- ``guided``: relies on the robot for fine alignment. Pulls the tool to the
+- guided: relies on the robot for fine alignment. Pulls the tool to the
   target, stands clear during the locked alignment (zero wrench), then
   pushes along the drilling axis.
-- ``manual``: must align by hand. Aims for the standoff pose while steering
+- manual: must align by hand. Aims for the standoff pose while steering
   the tool axis toward its *perceived* drilling axis: the desired angles
   plus a per-target residual error drawn from ``angular_noise``, with a
   decaying sinusoidal wander while correcting. It then dwells (fine
@@ -48,7 +49,6 @@ _new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
 @dataclass(frozen=True)
 class OperatorModel:
-    variant: str = "guided"          # "guided" | "manual"
     k_p: float = 200.0               # N/m, pull gain toward the waypoint
     k_d: float = 40.0                # N s/m
     torque_k_p: float = 8.0          # N m/rad (manual only)
@@ -63,8 +63,6 @@ class OperatorModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.variant not in ("guided", "manual"):
-            raise ValueError(f"unknown operator variant {self.variant!r}")
         for name in ("k_p", "k_d", "torque_k_p", "torque_k_d", "angular_noise",
                      "reaction_delay", "align_dwell", "align_dwell_jitter"):
             if getattr(self, name) < 0.0:
@@ -152,15 +150,18 @@ class _TargetDraws:
 class VirtualOperator:
     """Stateful wrench source driving one simulated session.
 
-    The manual variant owns a seeded RNG; the guided variant draws nothing
-    and holds none. Identical (model, seed, input stream) produce
-    bit-identical wrench sequences.
+    ``guided`` picks the behaviour. The manual operator owns a seeded RNG;
+    the guided one draws nothing and holds none. Identical (model, seed,
+    ``guided``, input stream) produce bit-identical wrench sequences.
     """
 
-    def __init__(self, model: OperatorModel, tool_axis_local: Vec3 = Vec3(0.0, 0.0, 1.0)):
+    def __init__(
+        self, model: OperatorModel, tool_axis_local: Vec3 = Vec3(0.0, 0.0, 1.0), *, guided: bool
+    ):
         self.model = model
         self.tool_axis_local = tool_axis_local
-        self._rng = np.random.default_rng(model.seed) if model.variant == "manual" else None
+        self.guided = guided
+        self._rng = None if guided else np.random.default_rng(model.seed)
         self._target_t0 = 0.0
         self._grab_t = 0.0
         self._mode = _MODE_AIM
@@ -178,7 +179,7 @@ class VirtualOperator:
         self._mode_t0 = t
         self._push_axis = None
         m = self.model
-        if m.variant == "manual":
+        if not self.guided:
             dphi = float(self._rng.normal(0.0, m.angular_noise))
             # keep the aimed polar angle in a drillable range; a human would
             # not overshoot past the surface normal into the mirror azimuth
@@ -217,7 +218,7 @@ class VirtualOperator:
             return _ZERO_WRENCH  # "Please do not touch the robot"
         if phase is _TARGET_DONE:
             return _ZERO_WRENCH
-        if self.model.variant == "guided":
+        if self.guided:
             return self._guided_wrench(pose, twist, phase, target, t)
         return self._manual_wrench(pose, twist, phase, target, t)
 

@@ -181,7 +181,8 @@ class TriangleMesh:
 
     vertices: tuple  # of Vec3
     triangles: tuple  # of (i, j, k)
-    _face_normals: tuple = field(default=(), compare=False)
+    # per triangle: the unit face normal
+    _face_normals: tuple = field(init=False, compare=False, repr=False)
     # per triangle: a, b, c, b - a, c - a, c - b as 18 floats
     _corners: tuple = field(init=False, compare=False, repr=False)
     # per triangle: face, vertex a/b/c and edge ab/bc/ca normals; None

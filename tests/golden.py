@@ -1,14 +1,19 @@
 """Golden bits: the trace checksum, length and final event of named
-sessions, and the ``trace.csv`` SHA-256 of two of them, recorded in
-``golden_bits.json`` beside this file.
+sessions, the ``trace.csv`` SHA-256 of two of them and the SHA-256 of a
+compare report's files, recorded in ``golden_bits.json`` beside this file.
 
 The sessions are acceptance test C7's 40 (seeds 0-19 in both conditions on
 the preset); on the preset, manual seed 131234100, manual seed 5 at a 2 ms
-step and guided seed 3 with no plant lag; and on the preset's targets over
-an STL crest of its cylinder, seeds 0 and 1 in both conditions and manual
-seed 131234100, whose tip enters the material. The bits depend on libm and
+step, guided seed 3 with no plant lag and guided seed 0 with a thrust
+threshold no push reaches, which ends as a stall; and on the preset's
+targets over an STL crest of its cylinder, seeds 0 and 1 in both
+conditions and manual seed 131234100, whose tip enters the material. The bits depend on libm and
 numpy, so the record keeps the versions it was written with, and a
 mismatch report prints them beside the running ones.
+
+The record also pins the bytes of the compare report: the SHA-256 of
+``comparison.json`` and ``comparison.csv`` from ``gds compare --no-trace``
+over seeds 0 and 1 on the preset cut to its first target.
 
 A change that alters trace bits on purpose regenerates the record, and the
 script names the sessions whose entries it changes, adds or drops:
@@ -16,7 +21,9 @@ script names the sessions whose entries it changes, adds or drops:
     PYTHONPATH=src python3 tests/golden.py --write
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -27,6 +34,7 @@ import tempfile
 
 import numpy as np
 
+from gds.cli import main as gds_main
 from gds.config import canonical_config, scenario_from_config
 from gds.engine import run
 from gds.presets import CYLINDER_RADIUS, experiment_one_raw, experiment_one_scenario
@@ -41,9 +49,16 @@ CREST_SEEDS = (0, 1)
 VARIANTS = (
     ("preset_dt2ms", "without", 5, {"dt": 0.002}),
     ("preset_lag0", "with", 3, {"plant": {"lag_time_constant": 0.0}}),
+    # no push reaches the threshold: the run ends as a stall
+    ("preset_stall", "with", 0, {"environment": {"thrust_threshold": 1e6}}),
 )
 # crest sessions whose trace.csv bytes are pinned
 CSV_SESSIONS = ("crest/with/0", "crest/without/0")
+# the compare report's files whose bytes are pinned, and its seeds
+REPORT_FILES = ("comparison.csv", "comparison.json")
+REPORT_SEEDS = "0,1"
+# the record's per-name hash tables, beside "sessions"
+RECORD_KEYS = ("sessions", "csv_sha256", "report_sha256")
 
 
 def platform_info() -> dict:
@@ -65,8 +80,7 @@ def session_bits(trace) -> dict:
 
 def csv_sha256(trace, path: str) -> str:
     trace.to_csv(path)
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    return sha256_file(path)
 
 
 def write_crest_stl(path: str, seed: int = 5, cells=(4, 4), half_extent=(0.15, 0.25),
@@ -100,6 +114,29 @@ def write_crest_stl(path: str, seed: int = 5, cells=(4, 4), half_extent=(0.15, 0
                         fh.write("   vertex %r %r %r\n" % v)
                     fh.write("  endloop\n endfacet\n")
         fh.write("endsolid crest\n")
+
+
+def sha256_file(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def report_sha256(workdir: str) -> dict:
+    """SHA-256 of each of ``REPORT_FILES`` that ``gds compare --no-trace``
+    writes over ``REPORT_SEEDS`` on the preset cut to its first target,
+    by file name; the verb's stdout is dropped."""
+    raw = experiment_one_raw("with", 0)
+    raw["targets"] = raw["targets"][:1]
+    scenario = os.path.join(workdir, "one_target.json")
+    with open(scenario, "w") as fh:
+        json.dump(raw, fh)
+    out = os.path.join(workdir, "compare")
+    argv = ["compare", "--no-trace", "--seeds", REPORT_SEEDS, "--scenario", scenario, "--out", out]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = gds_main(argv)
+    if code != 0:
+        raise RuntimeError(f"gds compare exited with {code}")
+    return {name: sha256_file(os.path.join(out, name)) for name in REPORT_FILES}
 
 
 def run_named(workdir: str) -> tuple:
@@ -164,11 +201,12 @@ def report(lines: list, record: dict) -> str:
 
 
 def changes(old: dict, new: dict) -> list:
-    """One line per session whose entry the record ``new`` changes, adds or
-    drops against the record ``old``, its bits or its CSV hash."""
+    """One line per name whose entry the record ``new`` changes, adds or
+    drops against the record ``old``: a session's bits or CSV hash, or a
+    report file's hash."""
     lines = []
-    for key in ("sessions", "csv_sha256"):
-        was, now = old.get(key, {}), new[key]
+    for key in RECORD_KEYS:
+        was, now = old.get(key, {}), new.get(key, {})
         lines += [f"{key} changed: {name}" for name in sorted(was.keys() & now.keys())
                   if was[name] != now[name]]
         lines += [f"{key} added: {name}" for name in sorted(now.keys() - was.keys())]
@@ -183,10 +221,12 @@ def main(argv=None) -> int:
         return 2
     with tempfile.TemporaryDirectory() as workdir:
         named, csv = run_named(workdir)
+        report_hashes = report_sha256(workdir)
     record = {
         "platform": platform_info(),
         "sessions": dict(sorted({**run_c7(), **named}.items())),
         "csv_sha256": csv,
+        "report_sha256": report_hashes,
     }
     old = load() if os.path.exists(GOLDEN_PATH) else {}
     for line in changes(old, record) or ["no session entry changes"]:

@@ -202,7 +202,7 @@ def test_c4_constraint_exactness():
         ),
     )
     assert sc_flat.targets[0].axis == Vec3(0.0, 0.0, -1.0)  # exactly representable
-    op = _LateralDisturbanceOperator(sc_flat.operator, sc_flat.tool_axis_local)
+    op = _LateralDisturbanceOperator(sc_flat.operator, sc_flat.tool_axis_local, guided=True)
     trace = run(sc_flat, op)
     assert trace.complete
     checked = 0
@@ -222,7 +222,7 @@ def test_c4_constraint_exactness():
 
     # skew-axis preset under the same disturbance: angular still bitwise
     # zero, off-axis linear at the float-embedding floor
-    op2 = _LateralDisturbanceOperator(sc.operator, sc.tool_axis_local)
+    op2 = _LateralDisturbanceOperator(sc.operator, sc.tool_axis_local, guided=True)
     trace2 = run(sc, op2)
     assert trace2.complete
     for i in range(len(trace2)):

@@ -299,6 +299,22 @@ class TestRun:
         assert last["t"] < 70.0
         assert not any(e["kind"] == "timeout" for e in events["events"])
 
+    def test_stalled_session_ends_by_name_and_exits_one(self, tmp_path, capsys):
+        # no push reaches the thrust threshold, so the guided tool stands at
+        # the first target's face and the hole never deepens
+        raw = experiment_one_raw("with", 0)
+        raw["environment"] = {"thrust_threshold": 1e6}
+        path = tmp_path / "stall.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "--scenario", str(path)]) == 0
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--out", str(out), "--no-trace"]) == 1
+        assert capsys.readouterr().out.endswith(" INCOMPLETE (stall:0 at 60.000 s)\n")
+        events = json.loads((out / "with" / "seed_0" / "events.json").read_text())
+        assert events["complete"] is False
+        assert events["events"][-1] == {"t": 60.0, "kind": "stall:0"}
+        assert not any(e["kind"] == "timeout" for e in events["events"])
+
     def test_mesh_fault_is_a_simulation_fault(self, tmp_path, capsys):
         # a sheet folded back on itself: its edges' normals cancel, which
         # validation cannot see and the first query near an edge reaches

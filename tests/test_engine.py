@@ -18,7 +18,7 @@ from gds.admittance import gains_at, step_admittance, step_axial
 from gds.config import canonical_config, scenario_from_config
 from gds.engine import CSV_HEADER, PlantModel, Scenario, Trace, World, run
 from gds.errors import SimulationFault
-from gds.geometry import Pose, Twist6, UnitQuat, Vec3, Wrench6, _canonical, project_onto_axis
+from gds.geometry import Pose, Twist6, UnitQuat, Vec3, Wrench6, _canonical
 from gds.guidance import (
     _AUTO_ALIGN,
     _CONSTRAINED_DRILL,
@@ -261,10 +261,8 @@ class ReferenceWorld(World):
             self.s_act = self.s_act + self.plant_alpha * (self.s_ref - self.s_act)
             s = self.s_ref
             # only translation along the axis: its projection onto the axis
-            v_ref = Twist6(
-                project_onto_axis(_new(Vec3, (s * axis.x, s * axis.y, s * axis.z)), axis),
-                Vec3.zero(),
-            )
+            v = _new(Vec3, (s * axis.x, s * axis.y, s * axis.z))
+            v_ref = Twist6(axis.scale(v.dot(axis)), Vec3.zero())
             s = self.s_act
             new_twist = _new(Twist6, (_new(Vec3, (s * axis.x, s * axis.y, s * axis.z)), Vec3.zero()))
             v_used = new_twist
@@ -306,14 +304,17 @@ class ReferenceWorld(World):
         if on_target and ax_pos > 0.0:
             feed = v_used.linear.dot(axis)
             axial_push = f_h.force.dot(axis)
+            depth = self.hole_depth
             self.hole_depth = update_hole(
-                self.hole_depth,
+                depth,
                 feed,
                 axial_push,
                 dt,
                 sc.environment,
-                at_bottom=ax_pos >= self.hole_depth - CUT_FACE_TOLERANCE,
+                at_bottom=ax_pos >= depth - CUT_FACE_TOLERANCE,
             )
+            if self.hole_depth > depth:
+                self._deadline = self._deadline_after(k + 1)
         t_next = (k + 1) * dt
         if not was_cut and self.hole_depth > 0.0:
             self.trace.events.append((t_next, f"first_cut:{self.target_idx}"))
@@ -412,7 +413,7 @@ class ConstantForceOperator(VirtualOperator):
     """Test double: a fixed wrench in every non-aligned phase."""
 
     def __init__(self, wrench, model=None):
-        super().__init__(model or OperatorModel())
+        super().__init__(model or OperatorModel(), guided=True)
         self._wrench = wrench
 
     def wrench(self, pose, twist, phase, target, t):
@@ -690,6 +691,46 @@ class TestFullRun:
         trace = run(sc)
         assert not trace.complete
         assert trace.events_of_kind("timeout")
+
+    def test_no_progress_for_stall_s_ends_the_run_as_a_stall(self, monkeypatch):
+        # the far target is never reached, so the depth never grows
+        monkeypatch.setattr(engine, "STALL_S", 1.0)
+        trace = run(far_target_scenario())  # 3 s budget
+        assert not trace.complete
+        assert trace.events[-1] == (1.0, "stall:0")
+        assert len(trace) == 1000
+
+    def test_the_cap_wins_a_tie_with_the_stall(self, monkeypatch):
+        monkeypatch.setattr(engine, "STALL_S", 3.0)
+        trace = run(far_target_scenario())  # 3 s budget
+        assert trace.events[-1] == (3.0, "timeout")
+
+    def test_a_new_target_moves_the_stall_deadline(self, monkeypatch):
+        # guided seed 0 goes 10.8 and 11.1 s without a cut between targets,
+        # but targets 1 and 2 become active 8.3 and 8.6 s before their
+        # first cut (at 10.743 and 22.172 s)
+        sc = experiment_one_scenario("with", seed=0)
+        monkeypatch.setattr(engine, "STALL_S", 10.0)
+        assert run(sc).complete
+        monkeypatch.setattr(engine, "STALL_S", 8.5)
+        assert run(sc).events[-1] == ((22172 + 8500) * sc.dt, "stall:2")
+
+    def test_a_slow_cut_that_keeps_growing_does_not_stall(self):
+        # a huge cut resistance throws the tip back off the cutting face,
+        # so the depth grows in bursts 20 s apart: every span without
+        # growth is shorter than STALL_S, the one target takes longer
+        raw = experiment_one_raw("with", 0)
+        raw["targets"] = raw["targets"][:1]
+        raw["environment"] = {"cut_resistance": 2e7}
+        sc = scenario_from_config(canonical_config(raw))
+        trace = run(sc)
+        assert trace.complete
+        assert trace.events[-1][1] == "target_done:0"
+        assert trace.events[-1][0] > 1.4 * engine.STALL_S
+        depth = np.concatenate([records["hole_depth"] for records in trace.record_blocks()])
+        # the samples whose step deepened the hole, after the run's start
+        grew = np.concatenate([[-1], np.flatnonzero(np.diff(depth, prepend=0.0) > 0.0)])
+        assert 15.0 < np.diff(grew).max() * sc.dt < engine.STALL_S
 
 
 class TestTraceExport:
@@ -999,8 +1040,16 @@ def oracle_sample(oracle, k):
 
 class TestGuidedSeedIndependence:
     def test_guided_operator_holds_no_rng(self):
-        assert VirtualOperator(OperatorModel(variant="guided", seed=3))._rng is None
-        assert VirtualOperator(OperatorModel(variant="manual", seed=3))._rng is not None
+        # the condition alone picks the operator: only the manual one, the
+        # operator of the without condition, holds an RNG
+        for condition in ("with", "without"):
+            operator = World(experiment_one_scenario(condition, seed=3)).operator
+            assert operator.guided is (condition == "with")
+            assert (operator._rng is not None) is (condition == "without")
+
+    def test_an_operator_model_has_no_variant(self):
+        with pytest.raises(TypeError):
+            OperatorModel(variant="manual")
 
     @given(
         seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2, unique=True),

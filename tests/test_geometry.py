@@ -15,7 +15,6 @@ from gds.geometry import (
     Wrench6,
     angle_between,
     make_frame,
-    project_onto_axis,
     rotate,
     rotation_between,
     slerp,
@@ -64,7 +63,7 @@ def inline_antipodal_rotation(a):
     axis_candidates = (Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), Vec3(0.0, 0.0, 1.0))
     comps = (abs(a.x), abs(a.y), abs(a.z))
     pick = axis_candidates[comps.index(min(comps))]
-    perp = (pick - project_onto_axis(pick, a)).normalized()
+    perp = (pick - a.scale(pick.dot(a))).normalized()
     return UnitQuat.from_axis_angle(perp, math.pi)
 
 
@@ -185,46 +184,6 @@ class TestSlerp:
         # still reaches both endpoints
         assert q0.angle_to(slerp(q0, q1, 0.0)) <= 1e-9
         assert q1.angle_to(slerp(q0, q1, 1.0)) <= 1e-9
-
-
-class TestProjection:
-    def test_coordinate_axis(self):
-        out = project_onto_axis(Vec3(0.1, 0.2, 0.3), Vec3(0, 0, 1))
-        assert out == Vec3(0.0, 0.0, 0.3)
-
-    def test_parallel_vector_unchanged(self):
-        axis = Vec3(0.0, 1.0, 0.0)
-        v = Vec3(0.0, -2.5, 0.0)
-        assert project_onto_axis(v, axis) == v
-
-    def test_diagonal_axis_matches_dot_product_oracle(self):
-        axis = Vec3(1 / math.sqrt(2), 1 / math.sqrt(2), 0.0)
-        out = project_onto_axis(Vec3(3, 4, 0), axis)
-        # oracle: (v . a) a = (7/sqrt2) * (1/sqrt2, 1/sqrt2, 0) = (3.5, 3.5, 0)
-        assert out.x == pytest.approx(3.5, abs=1e-12)
-        assert out.y == pytest.approx(3.5, abs=1e-12)
-        assert out.z == 0.0
-
-    def test_residual_orthogonal(self):
-        rng = np.random.default_rng(17)
-        for _ in range(300):
-            axis = random_unit(rng)
-            v = Vec3(*rng.uniform(-10, 10, 3))
-            p = project_onto_axis(v, axis)
-            assert (v - p).dot(axis) == pytest.approx(0.0, abs=1e-12)
-
-    def test_idempotent_and_linear(self):
-        rng = np.random.default_rng(23)
-        for _ in range(200):
-            axis = random_unit(rng)
-            v = Vec3(*rng.uniform(-5, 5, 3))
-            u = Vec3(*rng.uniform(-5, 5, 3))
-            p = project_onto_axis(v, axis)
-            pp = project_onto_axis(p, axis)
-            assert np.allclose(pp, p, atol=1e-12)
-            lin = project_onto_axis(v + u, axis)
-            sep = project_onto_axis(v, axis) + project_onto_axis(u, axis)
-            assert np.allclose(lin, sep, atol=1e-12)
 
 
 class TestAngleBetween:

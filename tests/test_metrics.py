@@ -2,11 +2,14 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gds.engine import Trace, _COLUMNS, _PHASE_CODE, _pack_record
 from gds.geometry import UnitQuat, Vec3, rotate
 from gds.guidance import GuidancePhase
 from gds.metrics import (
+    METRIC_FIELDS,
     Metrics,
     _drill_entry_indices,
     _FH,
@@ -385,23 +388,64 @@ def _metrics(**kw):
     return Metrics(**base)
 
 
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+def complete_metrics(n_targets):
+    """Complete ``Metrics`` with ``n_targets`` targets and drawn values;
+    ``e_total`` is the exact sum of the efforts, as compute_metrics makes it."""
+    return st.builds(
+        lambda v, per_target: Metrics(
+            *v[:5], v[3] + v[4], *v[5:], per_target=tuple(per_target), complete=True
+        ),
+        st.lists(_finite, min_size=7, max_size=7),
+        st.lists(st.tuples(_finite, _finite), min_size=n_targets, max_size=n_targets),
+    )
+
+
+def reference_mean_metrics(runs):
+    """The mean field by field, each metric named: the oracle for
+    mean_metrics."""
+    k = float(len(runs))
+    per_target = tuple(
+        (
+            sum(m.per_target[i][0] for m in runs) / k,
+            sum(m.per_target[i][1] for m in runs) / k,
+        )
+        for i in range(len(runs[0].per_target))
+    )
+    e_force = sum(m.e_force for m in runs) / k
+    e_torque = sum(m.e_torque for m in runs) / k
+    return Metrics(
+        t_tot=sum(m.t_tot for m in runs) / k,
+        s_lin_avg=sum(m.s_lin_avg for m in runs) / k,
+        s_ang_avg=sum(m.s_ang_avg for m in runs) / k,
+        e_force=e_force,
+        e_torque=e_torque,
+        e_total=e_force + e_torque,
+        eps_phi_avg=sum(m.eps_phi_avg for m in runs) / k,
+        eps_theta_avg=sum(m.eps_theta_avg for m in runs) / k,
+        per_target=per_target,
+        complete=True,
+    )
+
+
 class TestCompare:
     def test_reported_percent_differences(self):
         w = _metrics(t_tot=74.0, e_force=64.0, e_torque=20.0, e_total=84.0)
         wo = _metrics()
-        rep = compare(w, wo)
-        assert rep.percent_diff["t_tot"] == pytest.approx(-26.0, abs=1e-12)
-        assert rep.percent_diff["e_total"] == pytest.approx(-16.0, abs=1e-12)
+        diff = compare(w, wo)
+        assert list(diff) == list(METRIC_FIELDS)
+        assert diff["t_tot"] == pytest.approx(-26.0, abs=1e-12)
+        assert diff["e_total"] == pytest.approx(-16.0, abs=1e-12)
 
     def test_equal_metrics_zero_percent(self):
-        rep = compare(_metrics(), _metrics())
-        assert all(v == 0.0 for v in rep.percent_diff.values())
+        assert all(v == 0.0 for v in compare(_metrics(), _metrics()).values())
 
     def test_zero_denominator_reported_none(self):
         w = _metrics(eps_phi_avg=0.5)
         wo = _metrics(eps_phi_avg=0.0)
-        rep = compare(w, wo)
-        assert rep.percent_diff["eps_phi_avg"] is None
+        assert compare(w, wo)["eps_phi_avg"] is None
 
     def test_partial_inputs_refused(self):
         with pytest.raises(ValueError):
@@ -415,3 +459,28 @@ class TestCompare:
         assert m.e_total == m.e_force + m.e_torque
         with pytest.raises(ValueError):
             mean_metrics([])
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mean_metrics_matches_field_by_field_oracle(self, data):
+        n_targets = data.draw(st.integers(1, 3))
+        runs = data.draw(st.lists(complete_metrics(n_targets), min_size=1, max_size=5))
+        assert repr(mean_metrics(runs)) == repr(reference_mean_metrics(runs))
+
+    def test_to_dict_names_every_metric(self):
+        m = _metrics(per_target=((1.0, 2.0), (3.0, 4.0)))
+        assert m.to_dict() == {
+            "t_tot": m.t_tot,
+            "s_lin_avg": m.s_lin_avg,
+            "s_ang_avg": m.s_ang_avg,
+            "e_force": m.e_force,
+            "e_torque": m.e_torque,
+            "e_total": m.e_total,
+            "eps_phi_avg_deg": m.eps_phi_avg,
+            "eps_theta_avg_deg": m.eps_theta_avg,
+            "per_target": [
+                {"eps_phi_deg": 1.0, "eps_theta_deg": 2.0},
+                {"eps_phi_deg": 3.0, "eps_theta_deg": 4.0},
+            ],
+            "complete": True,
+        }

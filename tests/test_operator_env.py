@@ -103,8 +103,8 @@ def crest_cylinder():
 
 class TestOperator:
     def test_auto_align_emits_zero_wrench(self):
-        for variant in ("guided", "manual"):
-            op = VirtualOperator(OperatorModel(variant=variant, seed=3))
+        for guided in (True, False):
+            op = VirtualOperator(OperatorModel(seed=3), guided=guided)
             target = flat_target()
             op.begin_target(target, 0.0)
             w = op.wrench(
@@ -118,7 +118,7 @@ class TestOperator:
 
     def test_guided_pd_pull_with_cap(self):
         # 0.3 m from the pull goal, at rest: k_p * 0.3 = 60 N, capped at 40 N
-        op = VirtualOperator(OperatorModel(variant="guided"))
+        op = VirtualOperator(OperatorModel(), guided=True)
         target = flat_target()
         op.begin_target(target, 0.0)
         pose = Pose(Vec3(-0.3, 0.0, 0.0), UnitQuat.identity())
@@ -127,7 +127,7 @@ class TestOperator:
         assert w.torque == Vec3.zero()
 
     def test_reaction_delay_ramps_force_in(self):
-        op = VirtualOperator(OperatorModel(variant="guided", reaction_delay=0.25))
+        op = VirtualOperator(OperatorModel(reaction_delay=0.25), guided=True)
         target = flat_target()
         op.begin_target(target, 0.0)
         op.notify_grab(0.0)
@@ -140,7 +140,7 @@ class TestOperator:
         assert w_full.force.norm() == pytest.approx(40.0, abs=1e-9)
 
     def test_constrained_drill_pushes_along_axis(self):
-        op = VirtualOperator(OperatorModel(variant="guided"))
+        op = VirtualOperator(OperatorModel(), guided=True)
         target = flat_target(5.0, 0.0)
         op.begin_target(target, 0.0)
         op.notify_grab(0.0)
@@ -158,7 +158,7 @@ class TestOperator:
         target = flat_target(30.0, 10.0)
         streams = []
         for _ in range(2):
-            op = VirtualOperator(OperatorModel(variant="manual", seed=42))
+            op = VirtualOperator(OperatorModel(seed=42), guided=False)
             op.begin_target(target, 0.0)
             op.notify_grab(0.0)
             stream = []
@@ -173,7 +173,7 @@ class TestOperator:
         target = flat_target(30.0, 10.0)
         outs = []
         for seed in (1, 2):
-            op = VirtualOperator(OperatorModel(variant="manual", seed=seed))
+            op = VirtualOperator(OperatorModel(seed=seed), guided=False)
             op.begin_target(target, 0.0)
             op.notify_grab(0.0)
             pose = Pose(Vec3(0.05, 0.02, 0.12), UnitQuat.from_axis_angle(Vec3(1, 0, 0), math.pi))
@@ -181,8 +181,8 @@ class TestOperator:
         assert outs[0] != outs[1]
 
     def test_caps_never_exceeded(self):
-        m = OperatorModel(variant="manual", seed=9, force_cap=40.0, torque_cap=5.0)
-        op = VirtualOperator(m)
+        m = OperatorModel(seed=9, force_cap=40.0, torque_cap=5.0)
+        op = VirtualOperator(m, guided=False)
         target = flat_target(45.0, 10.0)
         op.begin_target(target, 0.0)
         op.notify_grab(0.0)
@@ -199,16 +199,16 @@ class TestOperator:
                 assert w.torque.norm() <= 5.0 + 1e-9
 
     def test_noiseless_manual_aims_at_true_axis(self):
-        m = OperatorModel(variant="manual", seed=5, angular_noise=0.0)
-        op = VirtualOperator(m)
+        m = OperatorModel(seed=5, angular_noise=0.0)
+        op = VirtualOperator(m, guided=False)
         target = flat_target(30.0, 10.0)
         op.begin_target(target, 0.0)
         assert angle_between(op._final_axis(target), target.axis) <= 1e-12
         assert angle_between(op._aim_axis(target, 2.7), target.axis) <= 1e-12
 
     def test_manual_residual_axis_matches_drawn_error(self):
-        m = OperatorModel(variant="manual", seed=11, angular_noise=6.0)
-        op = VirtualOperator(m)
+        m = OperatorModel(seed=11, angular_noise=6.0)
+        op = VirtualOperator(m, guided=False)
         target = flat_target(30.0, 10.0)
         op.begin_target(target, 0.0)
         ax = op._final_axis(target)
@@ -216,8 +216,6 @@ class TestOperator:
         assert 0.0 < err_deg < 30.0  # a few sigma of the 6-degree noise
 
     def test_model_validation(self):
-        with pytest.raises(ValueError):
-            OperatorModel(variant="psychic")
         with pytest.raises(ValueError):
             OperatorModel(force_cap=0.0)
         with pytest.raises(ValueError):
@@ -238,7 +236,10 @@ class TestManualKernel:
 
     @staticmethod
     def _pair(model, tool_local, target):
-        ops = VirtualOperator(model, tool_local), ReferenceOperator(model, tool_local)
+        ops = (
+            VirtualOperator(model, tool_local, guided=False),
+            ReferenceOperator(model, tool_local, guided=False),
+        )
         for op in ops:
             op.begin_target(target, 0.0)
             op.notify_grab(0.0)
@@ -258,7 +259,6 @@ class TestManualKernel:
     def test_matches_vec3_oracle(self, data):
         draw = data.draw
         model = OperatorModel(
-            variant="manual",
             seed=draw(st.integers(0, 2**32 - 1)),
             angular_noise=draw(st.sampled_from([0.0, 6.0, 20.0])),
             reaction_delay=draw(st.sampled_from([0.0, 0.25])),
@@ -310,7 +310,7 @@ class TestManualKernel:
 
     def test_scripted_session_reaches_every_branch(self):
         tool = Vec3(0.0, 0.0, 1.0)
-        model = OperatorModel(variant="manual", seed=4, align_dwell=1.0, align_dwell_jitter=0.0)
+        model = OperatorModel(seed=4, align_dwell=1.0, align_dwell_jitter=0.0)
         target = flat_target(30.0, 10.0)
         new, old = self._pair(model, tool, target)
         approach, rest = GuidancePhase.APPROACH, Twist6.zero()

@@ -109,6 +109,12 @@ class TestSurfaceNormal:
         n = surface_normal(mesh, Vec3(0.4, 0.2, 0.0))
         assert np.allclose(n, (0, 0, 1), atol=1e-12)
 
+    def test_face_normals_are_derived_not_passed(self):
+        verts = (Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 1, 0))
+        with pytest.raises(TypeError):
+            TriangleMesh(verts, ((0, 1, 2),), (Vec3(1, 0, 0),))
+        assert TriangleMesh(verts, ((0, 1, 2),))._face_normals == (Vec3(0, 0, 1),)
+
     def test_far_point_faults(self):
         s = SpherePatch(Vec3(0, 0, 0), 0.2)
         with pytest.raises(GeometryError, match="from the surface"):
