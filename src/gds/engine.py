@@ -140,6 +140,8 @@ class Scenario:
             raise ValueError(f"condition must be 'with' or 'without', got {self.condition!r}")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
+        if not self.max_sim_time >= self.dt:
+            raise ValueError("max_sim_time must be at least dt")
         if not self.targets:
             raise ValueError("scenario needs at least one target")
 
@@ -385,7 +387,6 @@ class World:
         self.twist = Twist6.zero()
         self.phase = _FREE_MOTION
         self.target_idx = 0
-        self.hole_depth = 0.0
         self.k = 0
         self.done = False
         self.align_plan = None
@@ -398,34 +399,39 @@ class World:
         self.plant_alpha = 1.0 if tau == 0.0 else 1.0 - math.exp(-self.dt / tau)
         params = phase_params(self.phase, scenario.condition)
         self.schedule = GainSchedule(params, params, ramp_start=0.0)
-        self.trace = Trace(
-            dt=self.dt,
-            condition=scenario.condition,
-            config_digest=scenario.config_digest(),
-        )
+        self.trace = Trace(self.dt, scenario.condition, scenario.config_digest())
         self._in_collision = False
         self._phase_code = _PHASE_CODE[self.phase]
         self._append = self.trace.append
-        self._runaway_at = self._runaway_bound()
-        self._max_steps = int(scenario.max_sim_time / self.dt)
+        # the whole steps that fit in max_sim_time: a quotient within 1e-9
+        # of an integer is that integer, so 7.1 s holds 7,100 steps of 1 ms
+        q = scenario.max_sim_time / self.dt
+        self._max_steps = round(q) if abs(q - round(q)) <= 1e-9 * q else math.floor(q)
         self._stall_steps = round(STALL_S / self.dt)
-        # the step the run ends at, as a timeout or a stall, unless the
-        # cut grows or the target changes first
-        self._deadline = self._deadline_after(0)
-        # the tip's target coordinates at the start of the next step
-        self._ax_pos, self._on_target = target_coordinates(
-            self.pose.position, scenario.targets[0], scenario.environment
-        )
         self.operator.notify_grab(0.0)
-        self.operator.begin_target(scenario.targets[0], 0.0)
+        self._begin_target(0.0)
 
     # -- helpers -------------------------------------------------------------
 
-    def _runaway_bound(self) -> float:
-        """Tip-to-target distance past which the run ends: the current
-        distance to the active target plus ``_RUNAWAY_DISTANCE``."""
-        p, tp = self.pose.position, self.sc.targets[self.target_idx].point
-        return math.dist(p, tp) + _RUNAWAY_DISTANCE
+    def _begin_target(self, t: float) -> None:
+        """Make ``target_idx`` the active target at time ``t``: no hole, a
+        fresh runaway bound and stall deadline, and the operator told."""
+        target = self.sc.targets[self.target_idx]
+        self.hole_depth = 0.0
+        self._runaway_at = math.dist(self.pose.position, target.point) + _RUNAWAY_DISTANCE
+        # the step the run ends at, as a timeout or a stall, unless the
+        # cut grows or the target changes first
+        self._deadline = self._deadline_after(self.k)
+        # the tip's target coordinates at the start of the next step
+        self._ax_pos, self._on_target = target_coordinates(
+            self.pose.position, target, self.sc.environment
+        )
+        self.operator.begin_target(target, t)
+
+    def _end(self, t: float, kind: str) -> None:
+        """End the run early: ``runaway:<i>``, ``stall:<i>`` or ``timeout``."""
+        self.trace.events.append((t, kind))
+        self.done = True
 
     def _deadline_after(self, k: int) -> int:
         """``STALL_S`` after step index ``k``, or the ``max_sim_time`` cap if
@@ -596,9 +602,7 @@ class World:
         self.k = k + 1
 
         if distance > self._runaway_at:
-            events.append((t_next, f"runaway:{self.target_idx}"))
-            self.trace.complete = False
-            self.done = True
+            self._end(t_next, f"runaway:{self.target_idx}")
             return
         if new_phase is not phase:
             self._transition(phase, new_phase, t_next)
@@ -616,7 +620,8 @@ class World:
                 target.axis,
                 self.sc.tool_axis_local,
                 standoff=self.sc.thresholds.standoff,
-                duration=self.sc.thresholds.align_duration,
+                # the lock's step window, so its last step reaches the goal
+                duration=self.align_steps * self.dt,
             )
             self.align_start_step = self.k
             self.v_ref = Twist6.zero()
@@ -631,15 +636,9 @@ class World:
             self.trace.events.append((t, f"target_done:{self.target_idx}"))
             if self.target_idx + 1 < len(self.sc.targets):
                 self.target_idx += 1
-                self.hole_depth = 0.0
-                self._runaway_at = self._runaway_bound()
-                self._deadline = self._deadline_after(self.k)
-                self._ax_pos, self._on_target = target_coordinates(
-                    self.pose.position, self.sc.targets[self.target_idx], self.sc.environment
-                )
+                self._begin_target(t)
                 self.phase = _FREE_MOTION
                 self._start_ramp(t, self.phase)
-                self.operator.begin_target(self.sc.targets[self.target_idx], t)
                 self.trace.events.append((t, f"new_target:{self.target_idx}"))
             else:
                 self.done = True
@@ -652,12 +651,11 @@ class World:
         before it with ``stall:<target index>``."""
         try:
             while not self.done:
-                if self.k >= self._deadline:
+                if self.k < self._deadline:
+                    self.step()
+                else:
                     kind = "timeout" if self.k >= self._max_steps else f"stall:{self.target_idx}"
-                    self.trace.events.append((self.k * self.dt, kind))
-                    self.trace.complete = False
-                    break
-                self.step()
+                    self._end(self.k * self.dt, kind)
         except GeometryError as exc:  # e.g. a mesh feature with no normal
             raise SimulationFault(f"geometry fault at sample {self.k}: {exc}") from exc
         return self.trace

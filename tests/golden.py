@@ -4,8 +4,9 @@ compare report's files, recorded in ``golden_bits.json`` beside this file.
 
 The sessions are acceptance test C7's 40 (seeds 0-19 in both conditions on
 the preset); on the preset, manual seed 131234100, manual seed 5 at a 2 ms
-step, guided seed 3 with no plant lag and guided seed 0 with a thrust
-threshold no push reaches, which ends as a stall; and on the preset's
+step, guided seed 3 with no plant lag, guided seed 0 with a thrust
+threshold no push reaches, which ends as a stall, and guided seed 0 at a
+3 ms step, whose 4 s lock is no whole number of steps; and on the preset's
 targets over an STL crest of its cylinder, seeds 0 and 1 in both
 conditions and manual seed 131234100, whose tip enters the material. The bits depend on libm and
 numpy, so the record keeps the versions it was written with, and a
@@ -51,6 +52,8 @@ VARIANTS = (
     ("preset_lag0", "with", 3, {"plant": {"lag_time_constant": 0.0}}),
     # no push reaches the threshold: the run ends as a stall
     ("preset_stall", "with", 0, {"environment": {"thrust_threshold": 1e6}}),
+    # 4 s is no whole number of 3 ms steps: the lock lasts 1,333 steps
+    ("preset_dt3ms", "with", 0, {"dt": 0.003}),
 )
 # crest sessions whose trace.csv bytes are pinned
 CSV_SESSIONS = ("crest/with/0", "crest/without/0")

@@ -32,6 +32,12 @@ def plate_config(tmp_path, max_sim_time):
     return str(path)
 
 
+def test_the_preset_file_is_the_built_in_preset():
+    # two copies of the paper's preset: the file users run and the library's
+    with open(EXPERIMENT1) as fh:
+        assert json.load(fh) == json.loads(json.dumps(experiment_one_raw("with", 0)))
+
+
 @pytest.fixture()
 def mini_config(tmp_path):
     """One nearby target: fast enough for CLI round trips."""

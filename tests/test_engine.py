@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -28,6 +29,7 @@ from gds.guidance import (
     sample_alignment,
     update_phase,
 )
+from gds.metrics import compute_metrics
 from gds.operator_env import (
     CUT_FACE_TOLERANCE,
     EnvironmentModel,
@@ -345,9 +347,7 @@ class ReferenceWorld(World):
         self.k += 1
 
         if distance > self._runaway_at:
-            self.trace.events.append((t_next, f"runaway:{self.target_idx}"))
-            self.trace.complete = False
-            self.done = True
+            self._end(t_next, f"runaway:{self.target_idx}")
             return
         if new_phase is not phase:
             self._transition(phase, new_phase, t_next)
@@ -731,6 +731,48 @@ class TestFullRun:
         # the samples whose step deepened the hole, after the run's start
         grew = np.concatenate([[-1], np.flatnonzero(np.diff(depth, prepend=0.0) > 0.0)])
         assert 15.0 < np.diff(grew).max() * sc.dt < engine.STALL_S
+
+    @pytest.mark.parametrize("kind", ["stall:0", "timeout", "runaway:0"])
+    def test_an_ended_world_does_not_go_on(self, kind, monkeypatch):
+        # once a run ends early, a second run() adds no event and step()
+        # adds no sample
+        sc, operator = far_target_scenario(), None  # 3 s budget
+        if kind == "stall:0":
+            monkeypatch.setattr(engine, "STALL_S", 1.0)
+        elif kind == "runaway:0":
+            sc.max_sim_time = 4.0
+            operator = ConstantForceOperator(Wrench6(Vec3(0, 0, 50), Vec3.zero()))
+        world = World(sc, operator)
+        trace = world.run()
+        assert world.done and not trace.complete
+        assert trace.events[-1][1] == kind
+        events, n = list(trace.events), len(trace)
+        assert world.run() is trace
+        world.step()
+        assert trace.events == events and len(trace) == n
+
+    @pytest.mark.parametrize("cap, steps", [(7.1, 7100), (0.043, 43)])
+    def test_the_cap_runs_every_whole_step_that_fits(self, cap, steps):
+        # cap / dt is 7099.999999999999 and 42.99999999999999 here
+        sc = dataclasses.replace(far_target_scenario(), max_sim_time=cap)
+        trace = run(sc, ConstantForceOperator(Wrench6.zero()))
+        assert len(trace) == steps
+        assert trace.events == [(steps * sc.dt, "timeout")]
+
+    def test_a_cap_below_one_step_is_refused(self):
+        with pytest.raises(ValueError, match="max_sim_time must be at least dt"):
+            dataclasses.replace(experiment_one_scenario("with", seed=0), max_sim_time=0.0005)
+
+    @pytest.mark.parametrize("dt", [0.003, 0.0007])
+    def test_the_locked_alignment_reaches_its_goal_at_any_dt(self, dt):
+        # the lock lasts round(4 s / dt) steps, 3.999 s at 3 ms and 3.9998 s
+        # at 0.7 ms; its trajectory lasts as long, so its last step ends on
+        # the goal pose
+        sc = experiment_one_scenario("with", seed=0, dt=dt)
+        trace = run(sc)
+        assert trace.complete
+        for eps_phi, eps_theta in compute_metrics(trace, sc.targets).per_target:
+            assert abs(eps_phi) < 1e-9 and abs(eps_theta) < 1e-9
 
 
 class TestTraceExport:
