@@ -28,9 +28,14 @@ formats every value that the fast path cannot decide:
 
 Zero and -0.0 stay on the fast path.
 
-A CSV row is a run of cells of three words each: the 16 text bytes,
-NUL-padded, then the separator byte. No text holds a NUL, so dropping the
-NULs of a block of rows leaves its CSV lines.
+Trace columns repeat: gains, zeros and a locked pose hold for many rows.
+``format_runs`` compares each value's bit pattern with the one above it in
+its column, formats only the first value of each run and copies its slot
+down the run.
+
+A CSV row is a run of 17-byte cells: the 16 text bytes, NUL-padded, then
+the separator byte. No text holds a NUL, so dropping the NULs of a block
+of rows (``bytearray.translate``) leaves its CSV lines.
 """
 
 from __future__ import annotations
@@ -132,106 +137,102 @@ def pack_texts(texts: Sequence[bytes]) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class G9Work:
-    """Work arrays for ``format_g9`` over float64 arrays of one shape.
+    """Work arrays for ``format_g9`` over up to ``size`` values: ten rows
+    of 8-byte words and three of flags.
 
-    A writer that encodes block after block of one shape reuses their
-    pages. Fresh temporaries above malloc's mmap threshold (128 KiB) would
-    be mapped, faulted in and unmapped on every block; with the work
-    arrays a block allocates only its ``log10`` estimate and the rare
-    slow-path texts."""
+    A writer that encodes block after block reuses their pages. Fresh
+    temporaries above malloc's mmap threshold (128 KiB) would be mapped,
+    faulted in and unmapped on every block; with the work arrays a block
+    allocates only its ``log10`` estimate and the rare slow-path texts."""
 
-    def __init__(self, shape):
-        def empty(dtype):
-            return np.empty(shape, dtype)
-
-        self.mag, self.scaled, self.tmp = (empty(np.float64) for _ in range(3))
-        self.fast, self.slow, self.flag = (empty(np.bool_) for _ in range(3))
-        self.e, self.m, self.first, self.rest, self.mid4, self.low4, self.kept = (
-            empty(np.intp) for _ in range(7)
-        )
-        self.d_lo, self.d_hi, self.head_lo, self.head_hi, self.tail_lo, self.tail_hi = (
-            empty(_U64) for _ in range(6)
-        )
-        self.shift1, self.shift2, self.word, self.lo, self.hi = (empty(_U64) for _ in range(5))
+    def __init__(self, size: int):
+        self.rows = np.empty((10, size), _U64)
+        self.flags = np.empty((3, size), np.bool_)
 
 
 def format_g9(x: np.ndarray, work: G9Work = None) -> Tuple[np.ndarray, np.ndarray]:
-    """``'%.9g' % v`` of every value of the float64 array ``x``, as two
-    uint64 arrays of ``x``'s shape (lo, hi) that hold each text's 16-byte
-    slot, NUL-padded. With ``work`` (of ``x``'s shape) the result is two of
-    its arrays, overwritten by the next call that uses it."""
+    """``'%.9g' % v`` of every value of the 1-D float64 array ``x``, as two
+    uint64 arrays (lo, hi) that hold each text's 16-byte slot, NUL-padded.
+    With ``work`` (of at least ``len(x)`` values) the result is two of its
+    arrays, overwritten by the next call that uses it."""
     # np.take copies through a buffer when given out= in its default
     # "raise" mode, so the lookups clip. Every index is in range: only a
     # wrong log10 could put an exponent outside the tables, and its scaled
     # mantissa then falls outside [99999999.99, 1e9), so the value takes
     # the slow path and its slot is rewritten.
-    w = G9Work(x.shape) if work is None else work
-    mag = np.abs(x, out=w.mag)
-    fast = np.greater_equal(mag, _SMALLEST, out=w.fast)
-    fast &= np.less(mag, _LARGEST, out=w.flag)
-    scaled = w.scaled
+    n = len(x)
+    w = G9Work(n) if work is None else work
+    # each row is reused once the value it held is dead: the floats give
+    # way to the digit words, the integer stages to the layout words, and
+    # the digit words to the result
+    rows = list(w.rows[:, :n])
+    mag, scaled, tmp = (r.view(np.float64) for r in rows[:3])
+    e, m, first, rest, mid4, low4, kept = (r.view(np.intp) for r in rows[3:])
+    d_lo, d_hi, word = rows[:3]
+    head_lo, head_hi, _, tail_lo, tail_hi, shift1, shift2 = rows[3:]
+    lo, hi = rows[:2]
+    fast, slow, flag = w.flags[:, :n]
+    np.abs(x, out=mag)
+    np.greater_equal(mag, _SMALLEST, out=fast)
+    fast &= np.less(mag, _LARGEST, out=flag)
     scaled.fill(1.0)
     np.copyto(scaled, mag, where=fast)  # log10 sees no 0, NaN or inf
-    e = w.e
     log = np.log10(scaled)
     np.copyto(e, np.floor(log, out=log), casting="unsafe")
-    scaled *= np.take(_SCALE, np.subtract(e, _EMIN, out=w.m), out=w.tmp, mode="clip")
-    m_float = np.rint(scaled, out=w.tmp)
-    slow = np.equal(mag, 0.0, out=w.slow)
+    scaled *= np.take(_SCALE, np.subtract(e, _EMIN, out=m), out=tmp, mode="clip")
+    m_float = np.rint(scaled, out=tmp)
+    np.equal(mag, 0.0, out=slow)
     slow |= fast
     np.logical_not(slow, out=slow)
-    diff = np.abs(np.subtract(scaled, m_float, out=w.mag), out=w.mag)
-    slow |= np.greater(diff, 0.5 - _TIE_GAP, out=w.flag)
-    slow |= np.less(scaled, 99999999.99, out=w.flag)
-    slow |= np.greater_equal(scaled, 1e9, out=w.flag)
-    m = w.m
+    diff = np.abs(np.subtract(scaled, m_float, out=mag), out=mag)
+    slow |= np.greater(diff, 0.5 - _TIE_GAP, out=flag)
+    slow |= np.less(scaled, 99999999.99, out=flag)
+    slow |= np.greater_equal(scaled, 1e9, out=flag)
     np.copyto(m, m_float, casting="unsafe")
     m *= fast  # zero renders as the digits of m = 0 at e = 0
-    carry = np.equal(m, 1_000_000_000, out=w.flag)
+    carry = np.equal(m, 1_000_000_000, out=flag)
     e += carry
     np.copyto(m, 100_000_000, where=carry)
 
-    first = np.floor_divide(m, 100_000_000, out=w.first)
-    rest = np.subtract(m, np.multiply(first, 100_000_000, out=w.rest), out=w.rest)
-    mid4 = np.floor_divide(rest, 10000, out=w.mid4)
-    low4 = np.subtract(rest, np.multiply(mid4, 10000, out=w.low4), out=w.low4)
-    word = w.word
-    low_ascii = np.take(_ASCII4, low4, out=w.d_hi, mode="clip")
+    np.floor_divide(m, 100_000_000, out=first)
+    np.subtract(m, np.multiply(first, 100_000_000, out=rest), out=rest)
+    np.floor_divide(rest, 10000, out=mid4)
+    np.subtract(rest, np.multiply(mid4, 10000, out=low4), out=low4)
+    low_ascii = np.take(_ASCII4, low4, out=d_hi, mode="clip")
     # the nine digits as bytes 0-8 of (d_lo, d_hi)
-    d_lo = w.d_lo
     np.copyto(d_lo, first, casting="unsafe")
     d_lo += _U64(48)
     d_lo |= np.left_shift(np.take(_ASCII4, mid4, out=word, mode="clip"), _U64(8), out=word)
     d_lo |= np.left_shift(low_ascii, _U64(40), out=word)
-    d_hi = np.right_shift(low_ascii, _U64(24), out=w.d_hi)
+    np.right_shift(low_ascii, _U64(24), out=d_hi)
     # 9 - trailing zeros: of low4, and of mid4 too when low4 is 0000
-    kept = np.take(_TRAILING4, mid4, out=w.kept, mode="clip")
-    kept *= np.equal(low4, 0, out=w.flag)
-    kept += np.take(_TRAILING4, low4, out=w.rest, mode="clip")
+    np.take(_TRAILING4, mid4, out=kept, mode="clip")
+    kept *= np.equal(low4, 0, out=flag)
+    kept += np.take(_TRAILING4, low4, out=rest, mode="clip")
     np.subtract(9, kept, out=kept)
 
     # the digits before the point (head) move past the prefix, those after
     # it (tail) one byte further, past the '.'; bytes shifted out of lo
     # carry into hi
-    key = np.subtract(e, _EMIN, out=w.first)
+    key = np.subtract(e, _EMIN, out=first)
     key *= 20
     kept *= 2
     key += kept
-    key += np.signbit(x, out=w.flag)
-    head_lo = np.take(_HEAD_LO, key, out=w.head_lo, mode="clip")
+    key += np.signbit(x, out=flag)
+    np.take(_HEAD_LO, key, out=head_lo, mode="clip")
     head_lo &= d_lo
-    head_hi = np.take(_HEAD_HI, key, out=w.head_hi, mode="clip")
+    np.take(_HEAD_HI, key, out=head_hi, mode="clip")
     head_hi &= d_hi
-    tail_lo = np.take(_TAIL_LO, key, out=w.tail_lo, mode="clip")
+    np.take(_TAIL_LO, key, out=tail_lo, mode="clip")
     tail_lo &= d_lo
-    tail_hi = np.take(_TAIL_HI, key, out=w.tail_hi, mode="clip")
+    np.take(_TAIL_HI, key, out=tail_hi, mode="clip")
     tail_hi &= d_hi
-    s1 = np.take(_HEAD_SHIFT, key, out=w.shift1, mode="clip")
-    s2 = np.take(_TAIL_SHIFT, key, out=w.shift2, mode="clip")
-    lo = np.left_shift(head_lo, s1, out=w.lo)
+    s1 = np.take(_HEAD_SHIFT, key, out=shift1, mode="clip")
+    s2 = np.take(_TAIL_SHIFT, key, out=shift2, mode="clip")
+    np.left_shift(head_lo, s1, out=lo)
     lo |= np.left_shift(tail_lo, s2, out=word)
     lo |= np.take(_CONST_LO, key, out=word, mode="clip")
-    hi = np.left_shift(head_hi, s1, out=w.hi)
+    np.left_shift(head_hi, s1, out=hi)
     hi |= np.right_shift(head_lo, np.take(_HEAD_CARRY, key, out=word, mode="clip"), out=word)
     hi |= np.left_shift(tail_hi, s2, out=word)
     hi |= np.right_shift(tail_lo, np.take(_TAIL_CARRY, key, out=word, mode="clip"), out=word)
@@ -245,17 +246,61 @@ def format_g9(x: np.ndarray, work: G9Work = None) -> Tuple[np.ndarray, np.ndarra
     return lo, hi
 
 
-def row_slots(rows: int, cells: int) -> np.ndarray:
-    """Empty CSV rows as a (rows, cells, 3) uint64 array: words 0-1 of a
-    cell take its text slot, word 2 holds its separator, a comma after
-    every cell but the last, which ends its line."""
-    slots = np.zeros((rows, cells, 3), _U64)
-    slots[:, :-1, 2] = ord(",")
-    slots[:, -1, 2] = ord("\n")
-    return slots
+class RunWork:
+    """Work arrays for ``format_runs`` over up to ``size`` values, held
+    for a whole file: the columns, their run marks, run indices, first
+    values and spread texts, and ``format_g9``'s own."""
+
+    def __init__(self, size: int):
+        self.values = np.empty((2, size))
+        self.new = np.empty(size, np.bool_)
+        self.run = np.empty(size, np.intp)
+        self.text = np.empty((2, size), _U64)
+        self.g9 = G9Work(size)
 
 
-def join_rows(slots: np.ndarray) -> np.ndarray:
-    """The CSV lines of ``row_slots`` rows, as a uint8 array."""
-    raw = slots.view(np.uint8).ravel()
-    return raw[raw != 0]
+def format_runs(x: np.ndarray, work: RunWork = None) -> Tuple[np.ndarray, np.ndarray]:
+    """``format_g9`` of the 2-D float64 array ``x`` (at least one row),
+    which formats a value only where its bit pattern differs from the one
+    above it in its column, and copies each run's text down its rows. Bit
+    patterns keep ``0.0`` and ``-0.0`` and NaN payloads apart. With
+    ``work`` (of at least ``x.size`` values) the result is two of its
+    arrays, overwritten by the next call that uses it."""
+    rows, cols = x.shape
+    n = x.size
+    w = RunWork(n) if work is None else work
+    flat = w.values[0, :n]
+    values = flat.reshape(cols, rows)
+    np.copyto(values, x.T)  # column after column: runs lie along rows
+    bits = values.view(_U64)
+    new = w.new[:n]
+    marks = new.reshape(cols, rows)
+    marks[:, 0] = True
+    np.not_equal(bits[:, 1:], bits[:, :-1], out=marks[:, 1:])
+    run = np.cumsum(new, out=w.run[:n])
+    run -= 1  # each value's run, numbered in column order
+    firsts = np.compress(new, flat, out=w.values[1, : run[-1] + 1])
+    text = w.text[:, :n]
+    for spread, first_text in zip(text, format_g9(firsts, w.g9)):
+        np.take(first_text, run, out=spread, mode="clip")
+    return tuple(t.reshape(cols, rows).T for t in text)
+
+
+class RowSlots:
+    """Empty CSV rows of ``cells`` cells, 17 bytes each: the 16 text bytes,
+    NUL-padded, then the separator, a comma after every cell but the last,
+    which ends its line. ``text[row, cell]`` is a cell's slot as two
+    uint64 words (lo, hi); the views are unaligned, which numpy allows."""
+
+    def __init__(self, rows: int, cells: int):
+        self._row_bytes = 17 * cells
+        self._buf = bytearray(rows * self._row_bytes)
+        cell = np.frombuffer(self._buf, np.uint8).reshape(rows, cells, 17)
+        self.text = cell[:, :, :16].view(_U64)
+        cell[:, :-1, 16] = ord(",")
+        cell[:, -1, 16] = ord("\n")
+
+    def join(self, rows: int) -> bytearray:
+        """The CSV lines of the first ``rows`` rows."""
+        n = rows * self._row_bytes
+        return (self._buf if n == len(self._buf) else self._buf[:n]).translate(None, b"\0")

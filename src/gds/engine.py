@@ -138,8 +138,10 @@ class Scenario:
     def __post_init__(self):
         if self.condition not in ("with", "without"):
             raise ValueError(f"condition must be 'with' or 'without', got {self.condition!r}")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
+        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+            raise ValueError("dt must be positive and finite")
+        if not math.isfinite(self.max_sim_time):
+            raise ValueError("max_sim_time must be finite")
         if not self.max_sim_time >= self.dt:
             raise ValueError("max_sim_time must be at least dt")
         if not self.targets:
@@ -340,10 +342,12 @@ class Trace:
         phase name, the target index as ``'%d'``. Each stored block is
         encoded as one CSV block, straight from a 2-D view of its records'
         floats and of its own target indices, into the text slots of
-        ``_csvtext``."""
+        ``_csvtext``; a float is formatted only where it differs from the
+        one above it in its column. The work arrays are sized once per file
+        for a full block."""
         block = min(len(self), _CSV_BLOCK)
-        work = _csvtext.G9Work((block, len(_COLUMNS)))
-        slots = _csvtext.row_slots(block, len(CSV_HEADER))
+        work = _csvtext.RunWork(block * len(_COLUMNS))
+        slots = _csvtext.RowSlots(block, len(CSV_HEADER))
         with open(path, "wb") as fh:
             fh.write(_CSV_HEAD)
             for records in self.record_blocks():
@@ -354,12 +358,12 @@ class Trace:
                 targets, codes = np.unique(records["target_index"], return_inverse=True)
                 target_text = _csvtext.pack_texts([b"%d" % i for i in targets.tolist()])
                 for cells, text in (
-                    (_FLOAT_CELLS, _csvtext.format_g9(floats, work if k == block else None)),
+                    (_FLOAT_CELLS, _csvtext.format_runs(floats, work)),
                     (_PHASE_CELL, [t[phases] for t in _PHASE_TEXT]),
                     (_TARGET_CELL, [t[codes] for t in target_text]),
                 ):
-                    slots[:k, cells, 0], slots[:k, cells, 1] = text
-                fh.write(_csvtext.join_rows(slots[:k]))
+                    slots.text[:k, cells, 0], slots.text[:k, cells, 1] = text
+                fh.write(slots.join(k))
 
     def summary(self) -> dict:
         return {

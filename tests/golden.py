@@ -1,6 +1,8 @@
 """Golden bits: the trace checksum, length and final event of named
-sessions, the ``trace.csv`` SHA-256 of two of them and the SHA-256 of a
-compare report's files, recorded in ``golden_bits.json`` beside this file.
+sessions, the ``trace.csv`` SHA-256 of four of them (the seed-0 pairs on
+the preset, as ``gds compare`` writes them, and on the crest) and the
+SHA-256 of a compare report's files, recorded in ``golden_bits.json``
+beside this file.
 
 The sessions are acceptance test C7's 40 (seeds 0-19 in both conditions on
 the preset); on the preset, manual seed 131234100, manual seed 5 at a 2 ms
@@ -55,8 +57,8 @@ VARIANTS = (
     # 4 s is no whole number of 3 ms steps: the lock lasts 1,333 steps
     ("preset_dt3ms", "with", 0, {"dt": 0.003}),
 )
-# crest sessions whose trace.csv bytes are pinned
-CSV_SESSIONS = ("crest/with/0", "crest/without/0")
+# sessions whose trace.csv bytes are pinned
+CSV_SESSIONS = ("crest/with/0", "crest/without/0", "preset/with/0", "preset/without/0")
 # the compare report's files whose bytes are pinned, and its seeds
 REPORT_FILES = ("comparison.csv", "comparison.json")
 REPORT_SEEDS = "0,1"
@@ -146,6 +148,10 @@ def run_named(workdir: str) -> tuple:
     """Run the sessions outside C7's fixture in ``workdir``; return their
     bits and the CSV hashes of ``CSV_SESSIONS``, each by session name."""
     bits, csv = {}, {}
+    for condition in CONDITIONS:  # C7's fixture checks these sessions' bits
+        trace = run(experiment_one_scenario(condition, seed=0))
+        name = session_name("preset", condition, 0)
+        csv[name] = csv_sha256(trace, os.path.join(workdir, "trace.csv"))
     trace = run(experiment_one_scenario("without", seed=MANUAL_SEED))
     bits[session_name("preset", "without", MANUAL_SEED)] = session_bits(trace)
     for surface, condition, seed, overrides in VARIANTS:

@@ -6,14 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gds._csvtext import format_g9
+from gds._csvtext import RunWork, format_g9, format_runs
+
+
+def decode(lo, hi):
+    """Each slot's text, for uint64 arrays (lo, hi) of one shape."""
+    raw = np.stack([lo, hi], axis=-1).tobytes()
+    return [raw[16 * i : 16 * i + 16].rstrip(b"\0").decode() for i in range(lo.size)]
 
 
 def g9_texts(values):
     """format_g9's slots, decoded: the oracle-comparable text of each value."""
-    lo, hi = format_g9(np.array(values, dtype=np.float64))
-    raw = np.stack([lo, hi], axis=-1).tobytes()
-    return [raw[16 * i : 16 * i + 16].rstrip(b"\0").decode() for i in range(len(values))]
+    return decode(*format_g9(np.array(values, dtype=np.float64)))
+
+
+def assert_runs_match_percent(x, work=None):
+    x = np.asarray(x, dtype=np.float64)
+    assert decode(*format_runs(x, work)) == ["%.9g" % v for v in x.ravel().tolist()]
 
 
 def assert_matches_percent(values):
@@ -70,6 +79,20 @@ def test_a_wrong_exponent_estimate_is_caught(off_by, monkeypatch):
     assert_matches_percent(values)
 
 
+def test_runs_keep_signed_zeros_and_nan_payloads_apart():
+    nan2 = _bits(0x7FF8000000000123)
+    column = [0.0, 0.0, -0.0, 0.0, math.nan, nan2, nan2, -math.nan, math.inf, -math.inf, -math.inf]
+    assert_runs_match_percent(np.array([column, column[::-1]]).T)
+
+
+def test_runs_reuse_work_for_smaller_arrays():
+    # a file's work arrays hold a full block; the last block is smaller
+    work = RunWork(64 * 3)
+    rng = np.random.default_rng(1)
+    for rows in (64, 63, 1):
+        assert_runs_match_percent(rng.choice([0.5, -0.0, 1e-300, 2.0], (rows, 3)), work)
+
+
 class TestAgainstPercentFormat:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -101,3 +124,22 @@ class TestAgainstPercentFormat:
         assert_matches_percent(
             float(f"{'-' if neg else ''}{digits}5e{exp}") for digits, exp, neg in draws
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1,
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.lists(st.integers(0, 3), min_size=1, max_size=80),
+    )
+    def test_runs_of_few_values(self, pools, picks):
+        # column j takes pool j's values in the order picks give, so equal
+        # neighbours run in every column
+        x = [[pool[p % len(pool)] for pool in pools] for p in picks]
+        assert_runs_match_percent(x)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import struct
+import tracemalloc
 import weakref
 from array import array
 from collections import deque
@@ -128,6 +129,43 @@ def special_value_trace(n, seed=0):
     for record in special_value_records(n, seed):
         tr.append(record)
     return tr
+
+
+def column_trace(columns, phases, targets):
+    """A trace of records packed from per-column value lists (one list per
+    float column, in ``_COLUMNS`` order) and per-row phase codes and target
+    indices, appended one by one."""
+    tr = Trace(dt=1e-3, condition="with", config_digest="columns")
+    for i, (code, target) in enumerate(zip(phases, targets)):
+        tr.append(_pack_record(*(c[i] for c in columns), code, target))
+    return tr
+
+
+def run_trace(n):
+    """``n`` records whose columns hold runs of equal values: long runs, a
+    run of 0.0 broken by one -0.0, NaNs of two payloads beside +-inf,
+    slow-path values inside runs, a column that stays constant across
+    every block boundary and one that changes exactly at the first."""
+    nan2 = _bits(0x7FF8000000000123)
+    cycles = (
+        [0.0] * 40 + [-0.0] + [0.0] * 40,
+        [math.nan] * 5 + [nan2] * 5 + [math.inf] * 3 + [-math.inf] * 3,
+        [1e-300] * 7 + [-1.23456789e-100] * 7 + [1e30] * 7 + [1e-300],
+    )
+    columns = []
+    for j in range(len(engine._COLUMNS)):
+        kind = j % 6
+        if kind < 3:
+            column = [cycles[kind][i % len(cycles[kind])] for i in range(n)]
+        elif kind == 3:
+            column = [0.25] * n
+        elif kind == 4:
+            column = [1.5 if i < engine._CSV_BLOCK else 2.5 for i in range(n)]
+        else:  # runs of j rows through the special values
+            column = [SPECIAL_VALUES[(i // (j + 1)) % len(SPECIAL_VALUES)] for i in range(n)]
+        columns.append(column)
+    phases = [i // 200 % len(_PHASE_ORDER) for i in range(n)]
+    return column_trace(columns, phases, [i // 300 for i in range(n)])
 
 
 class ContiguousRecords:
@@ -763,6 +801,21 @@ class TestFullRun:
         with pytest.raises(ValueError, match="max_sim_time must be at least dt"):
             dataclasses.replace(experiment_one_scenario("with", seed=0), max_sim_time=0.0005)
 
+    @pytest.mark.parametrize(
+        "timing, field",
+        [
+            ({"max_sim_time": math.inf}, "max_sim_time"),
+            ({"max_sim_time": math.nan}, "max_sim_time"),
+            ({"dt": math.inf, "max_sim_time": math.inf}, "dt"),
+            ({"dt": math.nan}, "dt"),
+        ],
+    )
+    def test_non_finite_timing_is_refused_by_name(self, timing, field):
+        # World would size its step cap from these: inf steps overflow, and
+        # inf / inf is NaN
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            dataclasses.replace(experiment_one_scenario("with", seed=0), **timing)
+
     @pytest.mark.parametrize("dt", [0.003, 0.0007])
     def test_the_locked_alignment_reaches_its_goal_at_any_dt(self, dt):
         # the lock lasts round(4 s / dt) steps, 3.999 s at 3 ms and 3.9998 s
@@ -822,6 +875,47 @@ class TestTraceExport:
     def test_csv_block_boundaries_match_row_oracles(self, offset, tmp_path):
         n = engine._CSV_BLOCK + offset
         assert_matches_oracles(special_value_trace(n, seed=n), tmp_path)
+
+    def test_runs_match_row_oracles(self, tmp_path):
+        # 2 * 512 + 1 records: the last block holds one
+        trace = run_trace(2 * engine._CSV_BLOCK + 1)
+        assert [len(b) // engine._RECORD_SIZE for b in trace.blocks][-1] == 1
+        assert_matches_oracles(trace, tmp_path)
+        assert ",-0," in (tmp_path / "got.csv").read_text()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 1100),
+        pools=st.lists(
+            st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=4),
+            min_size=len(engine._COLUMNS),
+            max_size=len(engine._COLUMNS),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_columns_of_few_values_match_row_oracles(self, n, pools, seed, tmp_path_factory):
+        # each column runs through its pool in runs of 1-40 rows
+        rng = np.random.default_rng(seed)
+        columns = []
+        for pool in pools:
+            picks = rng.integers(0, len(pool), n)
+            lengths = rng.integers(1, 41, n)
+            columns.append([pool[p] for p in np.repeat(picks, lengths)[:n].tolist()])
+        phases = np.repeat(rng.integers(0, len(_PHASE_ORDER), n), 50)[:n].tolist()
+        trace = column_trace(columns, phases, np.repeat(np.arange(n), 300)[:n].tolist())
+        assert_matches_oracles(trace, tmp_path_factory.mktemp("runs"))
+
+    def test_the_writer_peaks_below_its_former_figure(self, tmp_path):
+        # the work arrays are sized once per file for a full block; the
+        # writer that formatted every value peaked at 5,394,583 bytes here
+        trace = run(experiment_one_scenario("without", seed=0))
+        tracemalloc.start()
+        try:
+            trace.to_csv(str(tmp_path / "trace.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5_394_583
 
     def test_summary_json_serializable(self):
         sc = far_target_scenario()
