@@ -312,8 +312,8 @@ def scenario_from_config(
                 reference=reference,
                 approach_side=approach,
             )
-        except Exception as exc:
-            raise ConfigError(str(exc), f"targets[{i}]")
+        except GeometryError as exc:
+            raise ConfigError(str(exc), f"targets[{i}]") from exc
         targets.append(target)
     # the condition alone picks the operator's behaviour (see World)
     operator = {k: v for k, v in cfg["operator"].items() if k != "variant"}

@@ -200,14 +200,14 @@ _RECORD_DTYPE = np.dtype(
     [(name, "<f8") for name in _COLUMNS] + [("phase", "<i4"), ("target_index", "<i4")]
 )
 _RECORD_SIZE = _RECORD_DTYPE.itemsize
+# a record's phase code and target index, as positions in its tuple
+_PHASE_FIELD = len(_COLUMNS)
+_TARGET_FIELD = _PHASE_FIELD + 1
 _BLOCK_BYTES = _CSV_BLOCK * _RECORD_SIZE
 _RECORD_FORMAT = struct.Struct(
     "<" + "".join(dtype.char for dtype, _ in _RECORD_DTYPE.fields.values())
 )
 _pack_record = _RECORD_FORMAT.pack
-_unpack_record = _RECORD_FORMAT.unpack_from
-_unpack_phase = struct.Struct("<i").unpack_from
-_PHASE_OFFSET = _RECORD_DTYPE.fields["phase"][1]
 
 
 def _field(blocks: List[bytearray], name: str) -> np.ndarray:
@@ -245,7 +245,7 @@ class Trace:
     ends, in ``bytearray`` blocks of ``_CSV_BLOCK`` records; only the last
     block grows. Every reader takes what it needs from them: ``data[name]``,
     ``phase_codes`` and ``target_idx`` join one field of every block into
-    one fresh numpy array, ``sample(i)`` and ``phase_of(i)`` decode record
+    one fresh numpy array, ``sample(i)`` and ``phase_of(i)`` read record
     ``i % _CSV_BLOCK`` of block ``i // _CSV_BLOCK``, the checksum hashes the
     blocks in order, and ``record_blocks`` yields each non-empty block as a
     view of its records, which the metrics stream over and ``to_csv``
@@ -294,18 +294,19 @@ class Trace:
     def __len__(self) -> int:
         return (len(self.blocks) - 1) * _CSV_BLOCK + len(self.blocks[-1]) // _RECORD_SIZE
 
-    def _locate(self, i: int) -> Tuple[bytearray, int]:
-        """The block holding record ``i`` and the record's offset in it."""
+    def _record(self, i: int) -> tuple:
+        """Record ``i`` as a tuple of Python floats and ints, in field
+        order; its view of the block is dropped before this returns."""
         n = len(self)
         if i < 0:
             i += n
         if not 0 <= i < n:
             raise IndexError("trace sample index out of range")
         q, r = divmod(i, _CSV_BLOCK)
-        return self.blocks[q], r * _RECORD_SIZE
+        return np.frombuffer(self.blocks[q], _RECORD_DTYPE, 1, r * _RECORD_SIZE).item(0)
 
     def sample(self, i: int) -> TraceSample:
-        v = _unpack_record(*self._locate(i))
+        v = self._record(i)
         return TraceSample(
             t=v[0],
             pose=Pose(Vec3(*v[1:4]), UnitQuat(*v[4:8])),
@@ -314,9 +315,9 @@ class Trace:
             f_h=Wrench6(Vec3(*v[20:23]), Vec3(*v[23:26])),
             f_env=Wrench6(Vec3(*v[26:29]), Vec3(*v[29:32])),
             f_int=Wrench6(Vec3(*v[32:35]), Vec3(*v[35:38])),
-            phase=_PHASE_ORDER[v[45]],
+            phase=_PHASE_ORDER[v[_PHASE_FIELD]],
             active_b=v[38:44],
-            target_index=v[46],
+            target_index=v[_TARGET_FIELD],
             hole_depth=v[44],
         )
 
@@ -331,8 +332,7 @@ class Trace:
         return h.hexdigest()
 
     def phase_of(self, i: int) -> GuidancePhase:
-        block, offset = self._locate(i)
-        return _PHASE_ORDER[_unpack_phase(block, offset + _PHASE_OFFSET)[0]]
+        return _PHASE_ORDER[self._record(i)[_PHASE_FIELD]]
 
     def events_of_kind(self, prefix: str) -> List[Tuple[float, str]]:
         return [(t, kind) for t, kind in self.events if kind.startswith(prefix)]
@@ -441,11 +441,6 @@ class World:
         """``STALL_S`` after step index ``k``, or the ``max_sim_time`` cap if
         that comes first."""
         return min(self._max_steps, k + self._stall_steps)
-
-    def _start_ramp(self, t: float, new_phase: GuidancePhase) -> None:
-        current = gains_at(self.schedule, t)
-        end = phase_params(new_phase, self.sc.condition)
-        self.schedule = GainSchedule(current, end, ramp_start=t)
 
     # -- the control period ----------------------------------------------------
 
@@ -615,7 +610,6 @@ class World:
         check_transition(old, new)
         self.trace.events.append((t, f"phase:{new.value}"))
         self.phase = new
-        self._start_ramp(t, new)
         if new is _AUTO_ALIGN:
             target = self.sc.targets[self.target_idx]
             self.align_plan = plan_alignment(
@@ -642,11 +636,15 @@ class World:
                 self.target_idx += 1
                 self._begin_target(t)
                 self.phase = _FREE_MOTION
-                self._start_ramp(t, self.phase)
                 self.trace.events.append((t, f"new_target:{self.target_idx}"))
             else:
                 self.done = True
                 self.trace.complete = True
+        # one gain ramp, toward the gains of the phase the transition ends
+        # in: a target switch passes through TargetDone in no time at all
+        self.schedule = GainSchedule(
+            gains_at(self.schedule, t), phase_params(self.phase, self.sc.condition), ramp_start=t
+        )
         self._phase_code = _PHASE_CODE[self.phase]
 
     def run(self) -> Trace:

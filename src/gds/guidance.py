@@ -80,6 +80,11 @@ class GuidanceThresholds:
     release_radius: float = 0.11  # m, hysteresis exit from Approach
 
     def __post_init__(self):
+        # a lock at or below zero radius never engages, and an alignment
+        # that ends at or past the target point drives into uncut material
+        for name in ("lock_radius", "standoff"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
         if not self.lock_radius < self.adapt_radius:
             raise ValueError("lock_radius must be smaller than adapt_radius")
         if not self.align_duration > 0.0:

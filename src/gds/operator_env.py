@@ -83,9 +83,12 @@ class EnvironmentModel:
 
     def __post_init__(self):
         for name in ("contact_stiffness", "contact_damping", "cut_resistance",
-                     "thrust_threshold", "hole_depth_goal", "hole_radius"):
+                     "thrust_threshold", "hole_radius"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")
+        # a goal of no depth completes a target with no cut
+        if not self.hole_depth_goal > 0.0:
+            raise ValueError("hole_depth_goal must be positive")
 
 
 # the tip is at the cutting face when it is at most this far (m) short of
@@ -261,32 +264,8 @@ class VirtualOperator:
         # rotation vector, _cap), so the wrench stream keeps its bits
         m = self.model
         g = self._ramp(t)
-        if self._mode != _MODE_PULL:
-            # tool axis in the world: rotate(pose.orientation, tool_axis_local)
-            ow, ox, oy, oz = pose.orientation
-            vx, vy, vz = self.tool_axis_local
-            sx = 2.0 * (oy * vz - oz * vy)
-            sy = 2.0 * (oz * vx - ox * vz)
-            sz = 2.0 * (ox * vy - oy * vx)
-            ux = vx + ow * sx + oy * sz - oz * sy
-            uy = vy + ow * sy + oz * sx - ox * sz
-            uz = vz + ow * sz + ox * sy - oy * sx
-        if self._mode == _MODE_AIM or self._mode == _MODE_DWELL:
-            ax, ay, az = self._aim_axis(target, t)
-            tp, p = target.point, pose.position
-            # standoff point minus the tip
-            ex = (tp.x - _PREDRILL_STANDOFF * ax) - p.x
-            ey = (tp.y - _PREDRILL_STANDOFF * ay) - p.y
-            ez = (tp.z - _PREDRILL_STANDOFF * az) - p.z
-            cx, cy, cz = uy * az - uz * ay, uz * ax - ux * az, ux * ay - uy * ax
-            d = ux * ax + uy * ay + uz * az
-            if (
-                self._mode == _MODE_AIM
-                and not math.sqrt(ex * ex + ey * ey + ez * ez) > _AIM_RADIUS
-                and math.atan2(math.sqrt(cx * cx + cy * cy + cz * cz), d) <= _AIM_ANGLE
-            ):
-                self._mode = _MODE_DWELL
-                self._mode_t0 = t
+        # the mode first: a dwell is at least 0.5 s long, so one that starts
+        # in this call (below) cannot also end in it
         if self._mode == _MODE_DWELL and (t - self._mode_t0) >= self._draws.dwell:
             self._mode = _MODE_PUSH
             self._mode_t0 = t
@@ -296,14 +275,35 @@ class VirtualOperator:
             self._mode_t0 = t
         mode = self._mode
         if mode == _MODE_PULL:
-            # pull back out along the same axis
-            axis = self._push_axis if self._push_axis is not None else self._aim_axis(target, t)
-            f = axis.scale(-min(m.push_force, m.force_cap))
+            # pull back out along the push axis
+            f = self._push_axis.scale(-min(m.push_force, m.force_cap))
             return Wrench6(f.scale(g), Vec3.zero())
-        if mode == _MODE_PUSH:
-            ax, ay, az = self._push_axis
-            cx, cy, cz = uy * az - uz * ay, uz * ax - ux * az, ux * ay - uy * ax
-            d = ux * ax + uy * ay + uz * az
+        # tool axis in the world: rotate(pose.orientation, tool_axis_local)
+        ow, ox, oy, oz = pose.orientation
+        vx, vy, vz = self.tool_axis_local
+        sx = 2.0 * (oy * vz - oz * vy)
+        sy = 2.0 * (oz * vx - ox * vz)
+        sz = 2.0 * (ox * vy - oy * vx)
+        ux = vx + ow * sx + oy * sz - oz * sy
+        uy = vy + ow * sy + oz * sx - ox * sz
+        uz = vz + ow * sz + ox * sy - oy * sx
+        # the desired axis: the locked push axis, or the aim axis
+        ax, ay, az = self._push_axis if mode == _MODE_PUSH else self._aim_axis(target, t)
+        cx, cy, cz = uy * az - uz * ay, uz * ax - ux * az, ux * ay - uy * ax
+        d = ux * ax + uy * ay + uz * az
+        if mode != _MODE_PUSH:
+            tp, p = target.point, pose.position
+            # standoff point minus the tip
+            ex = (tp.x - _PREDRILL_STANDOFF * ax) - p.x
+            ey = (tp.y - _PREDRILL_STANDOFF * ay) - p.y
+            ez = (tp.z - _PREDRILL_STANDOFF * az) - p.z
+            if (
+                mode == _MODE_AIM
+                and not math.sqrt(ex * ex + ey * ey + ez * ez) > _AIM_RADIUS
+                and math.atan2(math.sqrt(cx * cx + cy * cy + cz * cz), d) <= _AIM_ANGLE
+            ):
+                self._mode = _MODE_DWELL
+                self._mode_t0 = t
 
         # correcting rotation from the tool axis onto the desired axis
         if d < -1.0 + 1e-12:

@@ -9,7 +9,6 @@ the workpiece.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from .config import canonical_config, scenario_from_config
 from .engine import Scenario
@@ -51,20 +50,13 @@ def experiment_one_raw(condition: str = "with", seed: int = 0) -> dict:
     }
 
 
-def experiment_one_scenario(
-    condition: str = "with",
-    seed: int = 0,
-    dt: Optional[float] = None,
-    **raw_overrides,
-) -> Scenario:
+def experiment_one_scenario(condition: str = "with", seed: int = 0, **raw_overrides) -> Scenario:
     """Resolved Scenario for the three-hole comparison.
 
-    ``raw_overrides`` merge into the raw document (e.g.
+    ``raw_overrides`` merge into the raw document (e.g. ``dt=0.002`` or
     ``operator={"angular_noise": 3.0}``) before validation.
     """
     raw = experiment_one_raw(condition, seed)
-    if dt is not None:
-        raw["dt"] = dt
     for key, value in raw_overrides.items():
         if isinstance(value, dict) and isinstance(raw.get(key), dict):
             raw[key].update(value)

@@ -362,35 +362,22 @@ class TriangleMesh:
             self._corners[face_idx]
         )
         face, na, nb, nc, n_ab, n_bc, n_ca = self._normals[face_idx]
-        dx, dy, dz = qx - ax, qy - ay, qz - az
-        if dx * dx + dy * dy + dz * dz <= _FEATURE_TOL2:
-            return na or self._no_area(face_idx, 0)
-        dx, dy, dz = qx - bx, qy - by, qz - bz
-        if dx * dx + dy * dy + dz * dz <= _FEATURE_TOL2:
-            return nb or self._no_area(face_idx, 1)
-        dx, dy, dz = qx - cx, qy - cy, qz - cz
-        if dx * dx + dy * dy + dz * dz <= _FEATURE_TOL2:
-            return nc or self._no_area(face_idx, 2)
+        for vx, vy, vz, normal, k in (
+            (ax, ay, az, na, 0), (bx, by, bz, nb, 1), (cx, cy, cz, nc, 2)
+        ):
+            dx, dy, dz = qx - vx, qy - vy, qz - vz
+            if dx * dx + dy * dy + dz * dz <= _FEATURE_TOL2:
+                return normal or self._no_area(face_idx, k)
         # edges ab, bc, ca: foot of q at parameter t along origin + t * edge
-        t = ((qx - ax) * abx + (qy - ay) * aby + (qz - az) * abz) / (
-            abx * abx + aby * aby + abz * abz
-        )
-        dx, dy, dz = qx - (ax + t * abx), qy - (ay + t * aby), qz - (az + t * abz)
-        if 0.0 <= t <= 1.0 and dx * dx + dy * dy + dz * dz <= _FEATURE_TOL2:
-            return n_ab or self._no_area(face_idx, 0, 1)
-        t = ((qx - bx) * bcx + (qy - by) * bcy + (qz - bz) * bcz) / (
-            bcx * bcx + bcy * bcy + bcz * bcz
-        )
-        dx, dy, dz = qx - (bx + t * bcx), qy - (by + t * bcy), qz - (bz + t * bcz)
-        if 0.0 <= t <= 1.0 and dx * dx + dy * dy + dz * dz <= _FEATURE_TOL2:
-            return n_bc or self._no_area(face_idx, 1, 2)
-        cax, cay, caz = -acx, -acy, -acz
-        t = ((qx - cx) * cax + (qy - cy) * cay + (qz - cz) * caz) / (
-            cax * cax + cay * cay + caz * caz
-        )
-        dx, dy, dz = qx - (cx + t * cax), qy - (cy + t * cay), qz - (cz + t * caz)
-        if 0.0 <= t <= 1.0 and dx * dx + dy * dy + dz * dz <= _FEATURE_TOL2:
-            return n_ca or self._no_area(face_idx, 2, 0)
+        for ox, oy, oz, ex, ey, ez, normal, u, v in (
+            (ax, ay, az, abx, aby, abz, n_ab, 0, 1),
+            (bx, by, bz, bcx, bcy, bcz, n_bc, 1, 2),
+            (cx, cy, cz, -acx, -acy, -acz, n_ca, 2, 0),
+        ):
+            t = ((qx - ox) * ex + (qy - oy) * ey + (qz - oz) * ez) / (ex * ex + ey * ey + ez * ez)
+            dx, dy, dz = qx - (ox + t * ex), qy - (oy + t * ey), qz - (oz + t * ez)
+            if 0.0 <= t <= 1.0 and dx * dx + dy * dy + dz * dz <= _FEATURE_TOL2:
+                return normal or self._no_area(face_idx, u, v)
         return face
 
     def _no_area(self, face_idx: int, *local: int):

@@ -145,10 +145,17 @@ class TestValidate:
             # derived from the condition, so never a key, even when it agrees
             ("operator", {"variant": "guided"}, "operator: unknown key(s) ['variant']"),
             ("operator", {"variant": "manual"}, "operator: unknown key(s) ['variant']"),
+            # each ran to a wrong result: the lock driving the tip into uncut
+            # material, a complete session with no cut, a lock never reached
+            ("thresholds", {"standoff": -0.02}, "thresholds: standoff must be positive"),
+            ("environment", {"hole_depth_goal": 0},
+             "environment: hole_depth_goal must be positive"),
+            ("thresholds", {"lock_radius": -0.01}, "thresholds: lock_radius must be positive"),
         ],
         ids=[
             "negative_noise", "lock_outside_adapt", "string", "bool",
             "variant_guided", "variant_manual",
+            "negative_standoff", "zero_depth_goal", "negative_lock_radius",
         ],
     )
     def test_bad_model_value_exit_two(self, section, value, where, tmp_path, capsys):
@@ -235,6 +242,35 @@ class TestValidate:
         path.write_text(json.dumps(raw))
         assert main(["validate", "--scenario", str(path)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("start", "orientation_wxyz", [0, 2, 0, 0],
+             "start.orientation_wxyz: orientation quaternion must be unit length"),
+            ("surface", "rotate_wxyz", [2, 0, 0, 0],
+             "surface.rotate_wxyz: rotation quaternion must be unit length"),
+        ],
+        ids=["start", "surface"],
+    )
+    def test_non_unit_quaternion_exit_two(self, section, key, value, message, tmp_path, capsys):
+        path = plate_config(tmp_path, 1.0)
+        with open(path) as fh:
+            raw = json.load(fh)
+        raw[section][key] = value
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        assert main(["validate", "--scenario", path]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_only_a_geometry_error_in_a_target_is_a_config_error(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("not a geometry error")
+
+        monkeypatch.setattr(config, "make_drill_target", broken)
+        cfg = config.canonical_config(experiment_one_raw("with", 0))
+        with pytest.raises(RuntimeError, match="not a geometry error"):
+            config.scenario_from_config(cfg)
 
     def test_valid_seeds_keep_their_digest(self):
         # the canonical form is hashed into every trace; these digests are

@@ -983,10 +983,31 @@ class TestPhaseBodies:
     @example(condition="without", seed=0, angles=PRESET_ANGLES, lag=0.05, max_sim_time=14.0)
     def test_matches_reference_step(self, condition, seed, angles, lag, max_sim_time):
         sc = drawn_session(condition, seed, angles, lag, max_sim_time)
-        got, want = World(sc).run(), ReferenceWorld(sc).run()
+        world = World(sc)
+        got, want = world.run(), ReferenceWorld(sc).run()
         assert_same_recording(got, want)
         assert got.events == want.events
         assert got.complete == want.complete
+        # acceptance tests C1-C5's sample invariants, on every sample
+        d = got.data
+        for c in ("x", "y", "z", "tx", "ty", "tz"):
+            assert np.array_equal(d[f"fint_{c}"], d[f"fh_{c}"] + d[f"fenv_{c}"]), c
+        if condition != "with":
+            return
+        phases, targets = got.phase_codes, got.target_idx
+        drill = phases == engine._PHASE_CODE[_CONSTRAINED_DRILL]
+        for name in ("wx", "wy", "wz", "wref_x", "wref_y", "wref_z"):
+            assert not np.any(d[name][drill] != 0.0), name
+        # off-axis linear twist at C4's floor, as C4 computes it
+        for i in np.flatnonzero(drill).tolist():
+            v = Vec3(d["vx"][i], d["vy"][i], d["vz"][i])
+            axis = sc.targets[targets[i]].axis
+            perp = v - axis.scale(v.dot(axis))
+            assert perp.norm() <= 4e-16 * max(1.0, v.norm()), i
+        locked = phases == engine._PHASE_CODE[_AUTO_ALIGN]
+        for _, kind in got.events_of_kind("align_end:"):
+            i = int(kind.split(":")[1])
+            assert np.count_nonzero(locked & (targets == i)) == world.align_steps, kind
 
     def test_every_phase_body_runs(self):
         # seed-0 guided preset, ideal follower: the locked, the 1-DoF and the

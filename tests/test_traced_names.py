@@ -107,12 +107,13 @@ def test_cli_traced_names_are_own_and_reached(verb, extra, traced, tmp_path, mon
 
 def settling_steps(trace, phases, condition):
     """The steps that run while a gain ramp has not settled: a ramp starts
-    at each ``phase:`` or ``new_target:`` event, the last of equal times
-    governing, and settles 1 s later, or at once when its start gains (the
-    trace's at its first step) equal its end gains (the phase's)."""
+    at each ``phase:`` event, toward the gains of the phase its first step
+    runs in (FreeMotion after a target switch), and settles 1 s later, or
+    at once when its start gains (the trace's at its first step) equal its
+    end gains."""
     t = trace.data["t"]
     b_t, b_r = trace.data["b_vx"], trace.data["b_wx"]
-    starts = [t_r for t_r, kind in trace.events if kind.startswith(("phase:", "new_target:"))]
+    starts = [t_r for t_r, _ in trace.events_of_kind("phase:")]
     settles = [0.0]  # the first gain set holds from the start
     for t_r in starts:
         i = int(np.searchsorted(t, t_r))  # the ramp's first step, if any
@@ -142,7 +143,9 @@ def test_per_step_call_counts(condition, monkeypatch):
     if condition == "with":
         axial = sum(p in (GuidancePhase.CONSTRAINED_DRILL, GuidancePhase.RETRACT) for p in phases)
     locked = phases.count(GuidancePhase.AUTO_ALIGN)
-    ramps = len(trace.events_of_kind("phase:")) + len(trace.events_of_kind("new_target:"))
+    # one ramp per transition: a target switch's ``new_target:`` event
+    # shares its ``phase:target_done`` event's ramp
+    ramps = len(trace.events_of_kind("phase:"))
     assert locked == (world.align_steps * len(sc.targets) if condition == "with" else 0)
     for key in (
         (engine.World, "step"),
@@ -156,4 +159,4 @@ def test_per_step_call_counts(condition, monkeypatch):
     assert calls[(engine, "sample_alignment")] == calls[(engine, "alignment_twist")] == locked
     assert calls[(engine, "step_admittance")] == n - axial - locked
     if condition == "with":
-        assert (n, ramps, locked) == (33954, 17, 12000)
+        assert (n, ramps, locked) == (33954, 15, 12000)

@@ -552,6 +552,15 @@ class TestMeshQuery:
             mesh.closest_point(Vec3(-0.5, -0.5, 0.2))
         with pytest.raises(GeometryError, match="vertex 0"):
             scan_closest_point(mesh, Vec3(-0.5, -0.5, 0.2))
+        # every edge cancels too; each query reaches one edge of triangle 0,
+        # the last the edge from c back to a
+        for p, edge in (
+            (Vec3(0.5, -0.5, 0.2), "edge \\(0, 1\\)"),
+            (Vec3(0.8, 0.8, 0.2), "edge \\(1, 2\\)"),
+            (Vec3(-0.5, 0.5, 0.2), "edge \\(2, 0\\)"),
+        ):
+            with pytest.raises(GeometryError, match=f"^{edge} has no incident area$"):
+                mesh.closest_point(p)
 
 
 def wrench_answer(mesh, p):
