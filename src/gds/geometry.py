@@ -168,12 +168,22 @@ def rotate(q: UnitQuat, v: Vec3) -> Vec3:
     ))
 
 
-def slerp(q0: UnitQuat, q1: UnitQuat, t: float) -> UnitQuat:
-    """Shortest-arc spherical interpolation; t in [0, 1].
+# the three branches of slerp, the first item of a slerp_arc
+_NLERP, _HALVES, _ARC = range(3)
 
-    Antipodal endpoints (rotation angle pi, interpolation axis undefined)
-    are resolved deterministically by routing through a fixed intermediate
-    axis: the basis vector least aligned with q0's vector part.
+
+def slerp_arc(q0: UnitQuat, q1: UnitQuat) -> tuple:
+    """The part of ``slerp(q0, q1, t)`` that does not depend on t: the
+    branch it takes and that branch's constants, for ``slerp_at``.
+
+    - ``(_NLERP, q0, q1')`` when the endpoints coincide;
+    - ``(_HALVES, q0, q_half, q1')`` when they are antipodal: each half is
+      a ``slerp`` of its own, left to its call, because the second half
+      can be antipodal again;
+    - ``(_ARC, q0, q1', theta, sin theta)`` otherwise.
+
+    q1' is q1 with its sign flipped if needed, so that the arc is the
+    shortest one.
     """
     d = q0.w * q1.w + q0.x * q1.x + q0.y * q1.y + q0.z * q1.z
     w1, x1, y1, z1 = q1
@@ -181,29 +191,45 @@ def slerp(q0: UnitQuat, q1: UnitQuat, t: float) -> UnitQuat:
         d, w1, x1, y1, z1 = -d, -w1, -x1, -y1, -z1
     if d > 1.0 - 1e-12:
         # endpoints coincide: nlerp is exact enough and avoids 0/0
-        return _canonical(
-            q0.w + t * (w1 - q0.w),
-            q0.x + t * (x1 - q0.x),
-            q0.y + t * (y1 - q0.y),
-            q0.z + t * (z1 - q0.z),
-        )
+        return (_NLERP, q0, (w1, x1, y1, z1))
     if d < 1e-9:
-        # antipodal: pick the deterministic halfway orientation and recurse
+        # antipodal: route through a deterministic halfway orientation
         axis = least_aligned_axis(q0.x, q0.y, q0.z)
         q_half = q0.multiply(UnitQuat.from_axis_angle(axis, math.pi / 2.0))
-        if t <= 0.5:
-            return slerp(q0, q_half, 2.0 * t)
-        return slerp(q_half, UnitQuat(w1, x1, y1, z1), 2.0 * t - 1.0)
+        return (_HALVES, q0, q_half, UnitQuat(w1, x1, y1, z1))
     theta = math.acos(min(1.0, d))
-    s = math.sin(theta)
-    c0 = math.sin((1.0 - t) * theta) / s
-    c1 = math.sin(t * theta) / s
-    return _canonical(
-        c0 * q0.w + c1 * w1,
-        c0 * q0.x + c1 * x1,
-        c0 * q0.y + c1 * y1,
-        c0 * q0.z + c1 * z1,
-    )
+    return (_ARC, q0, (w1, x1, y1, z1), theta, math.sin(theta))
+
+
+def slerp_at(arc: tuple, t: float) -> UnitQuat:
+    """The orientation at t in [0, 1] on an arc from ``slerp_arc``."""
+    branch = arc[0]
+    if branch == _ARC:
+        _, (w0, x0, y0, z0), (w1, x1, y1, z1), theta, s = arc
+        c0 = math.sin((1.0 - t) * theta) / s
+        c1 = math.sin(t * theta) / s
+        return _canonical(
+            c0 * w0 + c1 * w1, c0 * x0 + c1 * x1, c0 * y0 + c1 * y1, c0 * z0 + c1 * z1
+        )
+    if branch == _NLERP:
+        _, (w0, x0, y0, z0), (w1, x1, y1, z1) = arc
+        return _canonical(
+            w0 + t * (w1 - w0), x0 + t * (x1 - x0), y0 + t * (y1 - y0), z0 + t * (z1 - z0)
+        )
+    _, q0, q_half, q1 = arc
+    if t <= 0.5:
+        return slerp(q0, q_half, 2.0 * t)
+    return slerp(q_half, q1, 2.0 * t - 1.0)
+
+
+def slerp(q0: UnitQuat, q1: UnitQuat, t: float) -> UnitQuat:
+    """Shortest-arc spherical interpolation; t in [0, 1].
+
+    Antipodal endpoints (rotation angle pi, interpolation axis undefined)
+    are resolved deterministically by routing through a fixed intermediate
+    axis: the basis vector least aligned with q0's vector part.
+    """
+    return slerp_at(slerp_arc(q0, q1), t)
 
 
 def angle_between(a: Vec3, b: Vec3) -> float:

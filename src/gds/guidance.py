@@ -27,10 +27,12 @@ from .geometry import (
     Vec3,
     rotate,
     rotation_between,
-    slerp,
+    slerp_arc,
+    slerp_at,
 )
 
 _new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
+_ZERO_TWIST = Twist6.zero()
 
 
 class GuidancePhase(enum.Enum):
@@ -166,15 +168,18 @@ class AlignmentPlan:
     start_pose: Pose
     goal_pose: Pose
     duration: float
-    # start-to-goal position delta and rotation vector, fixed at plan time
+    # start-to-goal position delta, rotation vector and orientation arc
+    # (geometry.slerp_arc), fixed at plan time
     delta_position: Vec3 = field(init=False, repr=False, compare=False)
     rotation_vector: Vec3 = field(init=False, repr=False, compare=False)
+    arc: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         start, goal = self.start_pose, self.goal_pose
         object.__setattr__(self, "delta_position", goal.position - start.position)
         q_delta = goal.orientation.multiply(start.orientation.conjugate())
         object.__setattr__(self, "rotation_vector", _quat_log(q_delta))
+        object.__setattr__(self, "arc", slerp_arc(start.orientation, goal.orientation))
 
 
 def plan_alignment(
@@ -213,23 +218,28 @@ def sample_alignment(plan: AlignmentPlan, t: float) -> Pose:
     Out-of-range times are clamped (t=0 gives the start pose exactly,
     t=duration the goal pose exactly).
     """
+    duration = plan.duration
     if t <= 0.0:
         return plan.start_pose
-    if t >= plan.duration:
+    if t >= duration:
         return plan.goal_pose
-    s = smoothstep(t / plan.duration)
-    p0, d = plan.start_pose.position, plan.delta_position
-    pos = _new(Vec3, (p0.x + s * d.x, p0.y + s * d.y, p0.z + s * d.z))
-    ori = slerp(plan.start_pose.orientation, plan.goal_pose.orientation, s)
-    return _new(Pose, (pos, ori))
+    s = smoothstep(t / duration)
+    (x0, y0, z0), (dx, dy, dz) = plan.start_pose.position, plan.delta_position
+    pos = _new(Vec3, (x0 + s * dx, y0 + s * dy, z0 + s * dz))
+    return _new(Pose, (pos, slerp_at(plan.arc, s)))
 
 
 def alignment_twist(plan: AlignmentPlan, t: float) -> Twist6:
     """Instantaneous twist of the locked trajectory (zero at both ends)."""
-    if t <= 0.0 or t >= plan.duration:
-        return Twist6.zero()
-    rate = _smoothstep_rate(t / plan.duration) / plan.duration
-    return _new(Twist6, (plan.delta_position.scale(rate), plan.rotation_vector.scale(rate)))
+    duration = plan.duration
+    if t <= 0.0 or t >= duration:
+        return _ZERO_TWIST
+    rate = _smoothstep_rate(t / duration) / duration
+    (dx, dy, dz), (rx, ry, rz) = plan.delta_position, plan.rotation_vector
+    return _new(Twist6, (
+        _new(Vec3, (rate * dx, rate * dy, rate * dz)),
+        _new(Vec3, (rate * rx, rate * ry, rate * rz)),
+    ))
 
 
 def _quat_log(q: UnitQuat) -> Vec3:

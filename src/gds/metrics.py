@@ -91,11 +91,11 @@ def _trapezoid(series: Callable[[np.ndarray], list], blocks: List[np.ndarray], d
 
 
 def _speed(records: np.ndarray, rates: Sequence[str]) -> list:
-    """Per-record norm of three rate fields."""
-    x, y, z = (records[name].tolist() for name in rates)
-    # Python's a ** 2 (libm pow) is not always a * a, so this stays scalar
-    # over Python floats
-    return [math.sqrt(a ** 2 + b ** 2 + c ** 2) for a, b, c in zip(x, y, z)]
+    """Per-record norm of three rate fields: IEEE squares, summed left to
+    right, and a correctly rounded square root, the bits of
+    ``math.sqrt(a * a + b * b + c * c)``."""
+    x, y, z = (records[name] for name in rates)
+    return np.sqrt(x * x + y * y + z * z).tolist()
 
 
 def _power(records: np.ndarray, forces: Sequence[str], rates: Sequence[str]) -> list:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gds.errors import SimulationFault
@@ -223,6 +223,17 @@ class TestAlignmentOracles:
         fractions=st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=20),
     )
     @settings(max_examples=100, deadline=None)
+    # the tool starts on the drilling axis, so the orientation stays put:
+    # slerp's nlerp branch
+    @example(
+        start=(Vec3(0.01, -0.02, 0.03), Vec3(1.0, 0.0, 0.0), 0.0),
+        target=Vec3(0.0, 0.0, 0.0),
+        axis=Vec3(0.6, 0.0, 0.8),
+        tool=Vec3(0.6, 0.0, 0.8),
+        against=False,
+        duration=4.0,
+        fractions=[0.25, 0.5, 0.9],
+    )
     def test_twist_and_pose_match_oracles(self, start, target, axis, tool, against, duration, fractions):
         position, rot_axis, angle = start
         orientation = UnitQuat.from_axis_angle(rot_axis, angle)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -83,8 +84,8 @@ def reference_series(trace):
         for name in ("vx", "vy", "vz", "wx", "wy", "wz",
                      "fh_x", "fh_y", "fh_z", "fh_tx", "fh_ty", "fh_tz")
     )
-    lin_speed = [math.sqrt(vx[i] ** 2 + vy[i] ** 2 + vz[i] ** 2) for i in range(n)]
-    ang_speed = [math.sqrt(wx[i] ** 2 + wy[i] ** 2 + wz[i] ** 2) for i in range(n)]
+    lin_speed = [math.sqrt(vx[i] * vx[i] + vy[i] * vy[i] + vz[i] * vz[i]) for i in range(n)]
+    ang_speed = [math.sqrt(wx[i] * wx[i] + wy[i] * wy[i] + wz[i] * wz[i]) for i in range(n)]
     p_force = [
         abs(fx[i] * vx[i]) + abs(fy[i] * vy[i]) + abs(fz[i] * vz[i]) for i in range(n)
     ]
@@ -325,6 +326,16 @@ class TestComputeMetrics:
         assert got.s_ang_avg == reference_trapezoid(ang_speed, trace.dt) / span
         line = cli._summary_line("without", 75, got, trace.events[-1])
         assert line.endswith(" INCOMPLETE (runaway:1 at 47.042 s)")
+
+    def test_speed_squares_are_correctly_rounded(self):
+        # glibc 2.36's vx ** 2 (libm pow) is one ulp off the exact square
+        # here; vy squares exactly, and the sum carries that ulp through the
+        # root (the root of a lone square is |vx| either way)
+        vx, vy = 7.2249061795510094, 0.25
+        tr = synthetic_trace(1, 1e-3, lambda i: {"vx": vx, "vy": vy})
+        (records,) = tr.record_blocks()
+        want = math.sqrt(float(Fraction(vx) ** 2) + float(Fraction(vy) ** 2))
+        assert _speed(records, _V) == [want]
 
     def test_guided_entry_scan_matches_loop_oracle(self):
         # every phase, with targets revisited out of order
