@@ -72,17 +72,12 @@ _ZERO3 = Vec3(0.0, 0.0, 0.0)
 BASIS = (Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), Vec3(0.0, 0.0, 1.0))
 
 
-def least_aligned_axis(x: float, y: float, z: float) -> Vec3:
-    """The basis vector least aligned with (x, y, z): the first one along
-    which it has its smallest absolute component."""
-    comps = (abs(x), abs(y), abs(z))
-    return BASIS[comps.index(min(comps))]
-
-
 def any_perpendicular(v: Vec3) -> Vec3:
     """A deterministic unit vector perpendicular to unit vector v: the
-    least-aligned basis vector with its component along v removed."""
-    pick = least_aligned_axis(*v)
+    basis vector along which v has its smallest absolute component (the
+    first such), with its component along v removed."""
+    comps = (abs(v.x), abs(v.y), abs(v.z))
+    pick = BASIS[comps.index(min(comps))]
     return (pick - v.scale(pick.dot(v))).normalized()
 
 
@@ -168,8 +163,8 @@ def rotate(q: UnitQuat, v: Vec3) -> Vec3:
     ))
 
 
-# the three branches of slerp, the first item of a slerp_arc
-_NLERP, _HALVES, _ARC = range(3)
+# the two branches of slerp, the first item of a slerp_arc
+_NLERP, _ARC = range(2)
 
 
 def slerp_arc(q0: UnitQuat, q1: UnitQuat) -> tuple:
@@ -177,9 +172,6 @@ def slerp_arc(q0: UnitQuat, q1: UnitQuat) -> tuple:
     branch it takes and that branch's constants, for ``slerp_at``.
 
     - ``(_NLERP, q0, q1')`` when the endpoints coincide;
-    - ``(_HALVES, q0, q_half, q1')`` when they are antipodal: each half is
-      a ``slerp`` of its own, left to its call, because the second half
-      can be antipodal again;
     - ``(_ARC, q0, q1', theta, sin theta)`` otherwise.
 
     q1' is q1 with its sign flipped if needed, so that the arc is the
@@ -192,42 +184,31 @@ def slerp_arc(q0: UnitQuat, q1: UnitQuat) -> tuple:
     if d > 1.0 - 1e-12:
         # endpoints coincide: nlerp is exact enough and avoids 0/0
         return (_NLERP, q0, (w1, x1, y1, z1))
-    if d < 1e-9:
-        # antipodal: route through a deterministic halfway orientation
-        axis = least_aligned_axis(q0.x, q0.y, q0.z)
-        q_half = q0.multiply(UnitQuat.from_axis_angle(axis, math.pi / 2.0))
-        return (_HALVES, q0, q_half, UnitQuat(w1, x1, y1, z1))
-    theta = math.acos(min(1.0, d))
+    theta = math.acos(d)
     return (_ARC, q0, (w1, x1, y1, z1), theta, math.sin(theta))
 
 
 def slerp_at(arc: tuple, t: float) -> UnitQuat:
     """The orientation at t in [0, 1] on an arc from ``slerp_arc``."""
-    branch = arc[0]
-    if branch == _ARC:
+    if arc[0] == _ARC:
         _, (w0, x0, y0, z0), (w1, x1, y1, z1), theta, s = arc
         c0 = math.sin((1.0 - t) * theta) / s
         c1 = math.sin(t * theta) / s
         return _canonical(
             c0 * w0 + c1 * w1, c0 * x0 + c1 * x1, c0 * y0 + c1 * y1, c0 * z0 + c1 * z1
         )
-    if branch == _NLERP:
-        _, (w0, x0, y0, z0), (w1, x1, y1, z1) = arc
-        return _canonical(
-            w0 + t * (w1 - w0), x0 + t * (x1 - x0), y0 + t * (y1 - y0), z0 + t * (z1 - z0)
-        )
-    _, q0, q_half, q1 = arc
-    if t <= 0.5:
-        return slerp(q0, q_half, 2.0 * t)
-    return slerp(q_half, q1, 2.0 * t - 1.0)
+    _, (w0, x0, y0, z0), (w1, x1, y1, z1) = arc
+    return _canonical(
+        w0 + t * (w1 - w0), x0 + t * (x1 - x0), y0 + t * (y1 - y0), z0 + t * (z1 - z0)
+    )
 
 
 def slerp(q0: UnitQuat, q1: UnitQuat, t: float) -> UnitQuat:
     """Shortest-arc spherical interpolation; t in [0, 1].
 
-    Antipodal endpoints (rotation angle pi, interpolation axis undefined)
-    are resolved deterministically by routing through a fixed intermediate
-    axis: the basis vector least aligned with q0's vector part.
+    Endpoints a half-turn apart (q0 . q1 = 0) need no branch of their own:
+    there theta = pi/2 and sin theta = 1, so the arc is well conditioned.
+    Of the two shortest arcs it takes the one the sign of q0 . q1 picks.
     """
     return slerp_at(slerp_arc(q0, q1), t)
 

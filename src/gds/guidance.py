@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import GeometryError, SimulationFault
 from .geometry import (
@@ -170,16 +170,9 @@ class AlignmentPlan:
     duration: float
     # start-to-goal position delta, rotation vector and orientation arc
     # (geometry.slerp_arc), fixed at plan time
-    delta_position: Vec3 = field(init=False, repr=False, compare=False)
-    rotation_vector: Vec3 = field(init=False, repr=False, compare=False)
-    arc: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        start, goal = self.start_pose, self.goal_pose
-        object.__setattr__(self, "delta_position", goal.position - start.position)
-        q_delta = goal.orientation.multiply(start.orientation.conjugate())
-        object.__setattr__(self, "rotation_vector", _quat_log(q_delta))
-        object.__setattr__(self, "arc", slerp_arc(start.orientation, goal.orientation))
+    delta_position: Vec3
+    rotation_vector: Vec3
+    arc: tuple
 
 
 def plan_alignment(
@@ -194,12 +187,17 @@ def plan_alignment(
     """Build the locked alignment trajectory for one target."""
     if abs(drilling_axis.norm() - 1.0) > 1e-6:
         raise GeometryError("drilling axis must be unit length")
-    tool_world = rotate(current.orientation, tool_axis_local)
-    q_delta = rotation_between(tool_world, drilling_axis)
-    goal_orientation = q_delta.multiply(current.orientation)
+    start = current.orientation
+    tool_world = rotate(start, tool_axis_local)
+    goal = rotation_between(tool_world, drilling_axis).multiply(start)
     goal_position = target_point - drilling_axis.scale(standoff)
     return AlignmentPlan(
-        start_pose=current, goal_pose=Pose(goal_position, goal_orientation), duration=duration
+        start_pose=current,
+        goal_pose=Pose(goal_position, goal),
+        duration=duration,
+        delta_position=goal_position - current.position,
+        rotation_vector=_quat_log(goal.multiply(start.conjugate())),
+        arc=slerp_arc(start, goal),
     )
 
 
@@ -243,13 +241,10 @@ def alignment_twist(plan: AlignmentPlan, t: float) -> Twist6:
 
 
 def _quat_log(q: UnitQuat) -> Vec3:
-    """Rotation vector of a unit quaternion (world frame)."""
+    """Rotation vector of a unit quaternion (world frame) with w >= 0, as
+    ``UnitQuat.multiply`` returns it."""
     vn = math.sqrt(q.x * q.x + q.y * q.y + q.z * q.z)
     if vn < 1e-12:
         return Vec3(2.0 * q.x, 2.0 * q.y, 2.0 * q.z)
-    angle = 2.0 * math.atan2(vn, abs(q.w))
-    s = angle / vn
-    if q.w < 0.0:
-        s = -s
+    s = 2.0 * math.atan2(vn, q.w) / vn
     return Vec3(s * q.x, s * q.y, s * q.z)
-

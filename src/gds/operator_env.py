@@ -249,12 +249,12 @@ class VirtualOperator:
                 m.force_cap,
             )
             return _new(Wrench6, (_new(Vec3, (g * fx, g * fy, g * fz)), _ZERO3))
+        # wrench() has answered AutoAlign and TargetDone: push while
+        # drilling, pull in Retract
         if phase is _CONSTRAINED_DRILL:
             s = g * min(m.push_force, m.force_cap)
-        elif phase is _RETRACT:
-            s = -g * min(m.push_force, m.force_cap)
         else:
-            return _ZERO_WRENCH
+            s = -g * min(m.push_force, m.force_cap)
         ux, uy, uz = target.axis
         return _new(Wrench6, (_new(Vec3, (s * ux, s * uy, s * uz)), _ZERO3))
 

@@ -10,9 +10,10 @@ step, guided seed 3 with no plant lag, guided seed 0 with a thrust
 threshold no push reaches, which ends as a stall, and guided seed 0 at a
 3 ms step, whose 4 s lock is no whole number of steps; and on the preset's
 targets over an STL crest of its cylinder, seeds 0 and 1 in both
-conditions and manual seed 131234100, whose tip enters the material. The bits depend on libm and
-numpy, so the record keeps the versions it was written with, and a
-mismatch report prints them beside the running ones.
+conditions and manual seed 131234100, whose tip enters the material; and a
+guided lock that starts on an exact half-turn, at a sphere's pole. The bits
+depend on libm and numpy, so the record keeps the versions it was written
+with, and a mismatch report prints them beside the running ones.
 
 The record also pins the bytes of the compare report: the SHA-256 of
 ``comparison.json`` and ``comparison.csv`` from ``gds compare --no-trace``
@@ -57,6 +58,17 @@ VARIANTS = (
     # 4 s is no whole number of 3 ms steps: the lock lasts 1,333 steps
     ("preset_dt3ms", "with", 0, {"dt": 0.003}),
 )
+# a guided session whose lock starts on an exact half-turn: one phi-0
+# target at the pole of a sphere, and the start orientation left at its
+# default (identity), so the tool's +z points away from the material
+HALF_TURN = ("sphere_half_turn", "with", 0)
+HALF_TURN_RAW = {
+    "version": 1,
+    "condition": "with",
+    "start": {"position": [0.0, 0.0, 0.25]},
+    "surface": {"type": "sphere", "center": [0.0, 0.0, -0.5], "radius": 0.5},
+    "targets": [{"point": [0.0, 0.0, 0.0], "phi_deg": 0.0}],
+}
 # sessions whose trace.csv bytes are pinned
 CSV_SESSIONS = ("crest/with/0", "crest/without/0", "preset/with/0", "preset/without/0")
 # the compare report's files whose bytes are pinned, and its seeds
@@ -157,6 +169,8 @@ def run_named(workdir: str) -> tuple:
     for surface, condition, seed, overrides in VARIANTS:
         trace = run(experiment_one_scenario(condition, seed=seed, **overrides))
         bits[session_name(surface, condition, seed)] = session_bits(trace)
+    trace = run(scenario_from_config(canonical_config(HALF_TURN_RAW)))
+    bits[session_name(*HALF_TURN)] = session_bits(trace)
     stl = os.path.join(workdir, "crest.stl")
     write_crest_stl(stl)
     surfaces = {}

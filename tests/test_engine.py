@@ -20,7 +20,7 @@ from gds.admittance import gains_at, step_admittance, step_axial
 from gds.config import canonical_config, scenario_from_config
 from gds.engine import CSV_HEADER, PlantModel, Scenario, Trace, World, run
 from gds.errors import SimulationFault
-from gds.geometry import Pose, Twist6, UnitQuat, Vec3, Wrench6, _canonical
+from gds.geometry import Pose, Twist6, UnitQuat, Vec3, Wrench6, _canonical, rotation_between
 from gds.guidance import (
     _AUTO_ALIGN,
     _CONSTRAINED_DRILL,
@@ -943,30 +943,45 @@ class FaultingOperator(ConstantForceOperator):
         return super().wrench(pose, twist, phase, target, t)
 
 
-def drawn_session(condition, seed, angles, lag, max_sim_time):
-    """The preset three-hole session with drawn target angles, operator
-    seed and plant lag, cut at ``max_sim_time``."""
+def drawn_session(condition, seed, angles, orientation, lag, max_sim_time):
+    """The preset three-hole session with drawn target angles, start
+    orientation (w, x, y, z), operator seed and plant lag, cut at
+    ``max_sim_time``."""
     raw = experiment_one_raw(condition, seed)
     for target, (phi, theta) in zip(raw["targets"], angles):
         target["phi_deg"], target["theta_deg"] = phi, theta
+    raw["start"]["orientation_wxyz"] = list(orientation)
     raw["plant"] = {"lag_time_constant": lag}
     raw["max_sim_time"] = max_sim_time
     return scenario_from_config(canonical_config(raw))
 
 
-# the preset's target angles
+# the preset's target angles and start orientation
 PRESET_ANGLES = [(5.0, 0.0), (30.0, 10.0), (45.0, 10.0)]
+PRESET_ORIENTATION = (0.0, 1.0, 0.0, 0.0)
+# the start orientation whose tool points exactly opposite the preset
+# target 0's drilling axis: the guided operator applies no torque before
+# the lock, so the lock starts on a half-turn
+AGAINST_TARGET_0 = tuple(rotation_between(
+    Vec3(0.0, 0.0, 1.0),
+    -drawn_session("with", 0, PRESET_ANGLES, PRESET_ORIENTATION, 0.0, 1.0).targets[0].axis,
+))
+drawn_angles = st.lists(
+    st.tuples(st.floats(0.0, 45.0), st.floats(0.0, 360.0, exclude_max=True)),
+    min_size=3,
+    max_size=3,
+)
+drawn_orientations = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+    lambda q: q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3] > 1e-2
+).map(lambda q: tuple(_canonical(*q)))
 
 
 class TestPhaseBodies:
     @given(
         condition=st.sampled_from(["with", "without"]),
         seed=st.integers(0, 2**32 - 1),
-        angles=st.lists(
-            st.tuples(st.floats(0.0, 45.0), st.floats(0.0, 360.0, exclude_max=True)),
-            min_size=3,
-            max_size=3,
-        ),
+        angles=drawn_angles,
+        orientation=st.just(PRESET_ORIENTATION) | drawn_orientations,
         lag=st.sampled_from([0.0, 0.05]),
         # past the first target's drilling and retract in either condition
         max_sim_time=st.floats(2.0, 14.0),
@@ -979,10 +994,15 @@ class TestPhaseBodies:
     # a target switch in either condition (at 10.7 s and 13.1 s), where World
     # recomputes the tip's target coordinates, and AutoAlign starts on both
     # guided targets
-    @example(condition="with", seed=0, angles=PRESET_ANGLES, lag=0.05, max_sim_time=14.0)
-    @example(condition="without", seed=0, angles=PRESET_ANGLES, lag=0.05, max_sim_time=14.0)
-    def test_matches_reference_step(self, condition, seed, angles, lag, max_sim_time):
-        sc = drawn_session(condition, seed, angles, lag, max_sim_time)
+    @example(condition="with", seed=0, angles=PRESET_ANGLES, orientation=PRESET_ORIENTATION,
+             lag=0.05, max_sim_time=14.0)
+    @example(condition="without", seed=0, angles=PRESET_ANGLES, orientation=PRESET_ORIENTATION,
+             lag=0.05, max_sim_time=14.0)
+    # target 0's lock starts on an exact half-turn
+    @example(condition="with", seed=0, angles=PRESET_ANGLES, orientation=AGAINST_TARGET_0,
+             lag=0.05, max_sim_time=14.0)
+    def test_matches_reference_step(self, condition, seed, angles, orientation, lag, max_sim_time):
+        sc = drawn_session(condition, seed, angles, orientation, lag, max_sim_time)
         world = World(sc)
         got, want = world.run(), ReferenceWorld(sc).run()
         assert_same_recording(got, want)
@@ -1012,7 +1032,7 @@ class TestPhaseBodies:
     def test_every_phase_body_runs(self):
         # seed-0 guided preset, ideal follower: the locked, the 1-DoF and the
         # six-channel bodies all run, and match the reference step
-        sc = drawn_session("with", 0, PRESET_ANGLES, 0.0, 13.0)
+        sc = drawn_session("with", 0, PRESET_ANGLES, PRESET_ORIENTATION, 0.0, 13.0)
         world, oracle = World(sc), ReferenceWorld(sc)
         phases = set()
         while not world.done and world.k < 13000:
@@ -1210,17 +1230,16 @@ class TestGuidedSeedIndependence:
 
     @given(
         seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2, unique=True),
-        angles=st.lists(
-            st.tuples(st.floats(0.0, 45.0), st.floats(0.0, 360.0, exclude_max=True)),
-            min_size=3,
-            max_size=3,
-        ),
+        angles=drawn_angles,
+        orientation=drawn_orientations,
     )
     # each example is two simulated sessions, so no shrinking
     @settings(
         max_examples=4, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate)
     )
-    def test_guided_sessions_do_not_depend_on_the_seed(self, seeds, angles):
-        a, b = (run(drawn_session("with", seed, angles, 0.05, 10.0)) for seed in seeds)
+    def test_guided_sessions_do_not_depend_on_the_seed(self, seeds, angles, orientation):
+        a, b = (
+            run(drawn_session("with", seed, angles, orientation, 0.05, 10.0)) for seed in seeds
+        )
         assert len(a) > 0 and a.checksum() == b.checksum()
         assert a.events == b.events

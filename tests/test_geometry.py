@@ -157,10 +157,14 @@ class TestSlerp:
         assert q1.angle_to(slerp(q0, q1, 1.0)) <= 1e-12
 
     def test_angle_grows_linearly(self):
+        # 50 drawn pairs, then 50 antipodal ones: a half-turn apart, d = 0
         rng = np.random.default_rng(5)
-        for _ in range(50):
+        for k in range(100):
             q0 = UnitQuat.from_axis_angle(random_unit(rng), rng.uniform(-3, 3))
-            q1 = UnitQuat.from_axis_angle(random_unit(rng), rng.uniform(-3, 3))
+            if k < 50:
+                q1 = UnitQuat.from_axis_angle(random_unit(rng), rng.uniform(-3, 3))
+            else:
+                q1 = q0.multiply(UnitQuat.from_axis_angle(random_unit(rng), math.pi))
             total = q0.angle_to(q1)
             for t in (0.1, 0.3, 0.5, 0.7, 0.9):
                 assert q0.angle_to(slerp(q0, q1, t)) == pytest.approx(

@@ -47,6 +47,7 @@ def test_record_names_exactly_the_golden_sessions():
     names.add(golden.session_name("preset_lag0", "with", 3))
     names.add(golden.session_name("preset_stall", "with", 0))
     names.add(golden.session_name("preset_dt3ms", "with", 0))
+    names.add(golden.session_name("sphere_half_turn", "with", 0))
     names.update(
         golden.session_name("crest", condition, seed)
         for seed in golden.CREST_SEEDS

@@ -60,6 +60,14 @@ def reference_alignment_twist(plan, t):
     return Twist6(lin, _quat_log(q_delta).scale(rate))
 
 
+def rotation_angle(q0, q1):
+    """Angle of the rotation from q0 to q1, in [0, pi], by atan2 of the
+    relative quaternion: well conditioned near 0 and pi, where acos of the
+    dot product loses half the digits."""
+    w, x, y, z = q1.multiply(q0.conjugate())
+    return 2.0 * math.atan2(math.sqrt(x * x + y * y + z * z), abs(w))
+
+
 unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
     lambda v: v[0] * v[0] + v[1] * v[1] + v[2] * v[2] > 1e-4
 ).map(lambda v: Vec3(*v).normalized())
@@ -234,6 +242,17 @@ class TestAlignmentOracles:
         duration=4.0,
         fractions=[0.25, 0.5, 0.9],
     )
+    # a half-turn plan sampled just short of its end, where smoothstep
+    # rounds to 1
+    @example(
+        start=(Vec3(0.01, -0.02, 0.03), Vec3(1.0, 0.0, 0.0), 0.0),
+        target=Vec3(0.0, 0.0, 0.0),
+        axis=Vec3(0.0, 0.0, 1.0),
+        tool=Vec3(0.0, 0.0, 1.0),
+        against=True,
+        duration=4.0,
+        fractions=[1.0 - 1e-9],
+    )
     def test_twist_and_pose_match_oracles(self, start, target, axis, tool, against, duration, fractions):
         position, rot_axis, angle = start
         orientation = UnitQuat.from_axis_angle(rot_axis, angle)
@@ -244,6 +263,8 @@ class TestAlignmentOracles:
         # 1 kHz grid points at both ends, as World.step asks for them
         times = [f * duration for f in fractions] + [k * 1e-3 for k in range(3)]
         times += [duration - k * 1e-3 for k in range(3)]
+        q0 = plan.start_pose.orientation
+        total = rotation_angle(q0, plan.goal_pose.orientation)
         for t in times:
             for got, want in (
                 (alignment_twist(plan, t), reference_alignment_twist(plan, t)),
@@ -251,4 +272,9 @@ class TestAlignmentOracles:
             ):
                 assert got == want
                 assert repr(got) == repr(want)
+            if against:
+                # a half-turn plan stays on a shortest arc
+                s = smoothstep(min(max(t / duration, 0.0), 1.0))
+                got = rotation_angle(q0, sample_alignment(plan, t).orientation)
+                assert got == pytest.approx(s * total, abs=1e-9)
 
