@@ -24,10 +24,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import SimulationFault
-from .geometry import Twist6, Vec3, Wrench6
+from .geometry import Twist6, Vec3, Wrench6, _new
 from .guidance import GuidancePhase
-
-_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
 # Virtual masses, constant across phases: only the damping adapts
 MASS_TRANS = 50.0  # kg, for vx, vy and vz

@@ -53,7 +53,17 @@ from .admittance import (
     step_axial,
 )
 from .errors import GeometryError, SimulationFault
-from .geometry import _ZERO3, _ZERO_WRENCH, Pose, Twist6, UnitQuat, Vec3, Wrench6, _canonical
+from .geometry import (
+    _ZERO3,
+    _ZERO_WRENCH,
+    Pose,
+    Twist6,
+    UnitQuat,
+    Vec3,
+    Wrench6,
+    _canonical,
+    _new,
+)
 from .guidance import (
     _AUTO_ALIGN,
     _CONSTRAINED_DRILL,
@@ -69,7 +79,6 @@ from .guidance import (
     update_phase,
 )
 from .operator_env import (
-    CUT_FACE_TOLERANCE,
     EnvironmentModel,
     OperatorModel,
     VirtualOperator,
@@ -78,8 +87,6 @@ from .operator_env import (
     update_hole,
 )
 from .workpiece import DrillTarget, Surface
-
-_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
 # a run ends as a runaway once the tip is this much farther (m) from the
 # active target than when the target became active (the iiwa 7 reaches 0.8 m)
@@ -553,11 +560,11 @@ class World:
         if on_target and ax_pos > 0.0:
             cut = update_hole(
                 depth,
+                ax_pos,
                 vx * ux + vy * uy + vz * uz,
                 hx * ux + hy * uy + hz * uz,
                 dt,
                 sc.environment,
-                at_bottom=ax_pos >= depth - CUT_FACE_TOLERANCE,
             )
             if cut > depth:  # the cut grew: the stall deadline moves on
                 self._deadline = self._deadline_after(k + 1)

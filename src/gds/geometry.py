@@ -23,7 +23,8 @@ _UNIT_TOL = 1e-9
 
 # A NamedTuple's generated __new__ is a Python-level function; calling
 # tuple.__new__ directly builds the same value without that frame. The
-# per-step arithmetic below constructs dozens of these per control period.
+# per-step arithmetic below and in the modules that import this alias
+# constructs dozens of these per control period.
 _new = tuple.__new__
 
 

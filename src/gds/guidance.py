@@ -21,18 +21,17 @@ from dataclasses import dataclass
 
 from .errors import GeometryError, SimulationFault
 from .geometry import (
+    _ZERO_TWIST,
     Pose,
     Twist6,
     UnitQuat,
     Vec3,
+    _new,
     rotate,
     rotation_between,
     slerp_arc,
     slerp_at,
 )
-
-_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
-_ZERO_TWIST = Twist6.zero()
 
 
 class GuidancePhase(enum.Enum):

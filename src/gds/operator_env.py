@@ -32,7 +32,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import GeometryError
-from .geometry import _ZERO3, _ZERO_WRENCH, Pose, Twist6, Vec3, Wrench6, rotation_between
+from .geometry import _ZERO3, _ZERO_WRENCH, Pose, Twist6, Vec3, Wrench6, _new, rotation_between
 from .guidance import (
     _APPROACH,
     _AUTO_ALIGN,
@@ -43,8 +43,6 @@ from .guidance import (
     GuidancePhase,
 )
 from .workpiece import DrillTarget, Surface, drilling_axis
-
-_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
 
 @dataclass(frozen=True)
@@ -98,18 +96,21 @@ CUT_FACE_TOLERANCE = 1e-4
 
 def update_hole(
     depth: float,
+    ax_pos: float,
     axial_feed: float,
     axial_force: float,
     dt: float,
     model: EnvironmentModel,
-    at_bottom: bool = True,
 ) -> float:
     """Advance the cut and return the new hole depth: it grows by feed*dt
     only while pushing hard enough (>= thrust threshold), feeding forward,
-    and bearing on uncut material. Depth never decreases."""
+    and bearing on uncut material: the tip's axial position ``ax_pos`` is
+    at the cutting face (within ``CUT_FACE_TOLERANCE`` of ``depth`` or
+    beyond it). Depth never decreases."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    if axial_force >= model.thrust_threshold and axial_feed > 0.0 and at_bottom:
+    at_face = ax_pos >= depth - CUT_FACE_TOLERANCE
+    if axial_force >= model.thrust_threshold and axial_feed > 0.0 and at_face:
         depth += axial_feed * dt
     return depth
 

@@ -29,7 +29,16 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import GeometryError
-from .geometry import BASIS, Frame3, Vec3, any_perpendicular, make_frame
+from .geometry import (
+    BASIS,
+    Frame3,
+    Vec3,
+    _new,
+    angle_between,
+    any_perpendicular,
+    make_frame,
+    rotate,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -142,20 +151,6 @@ _BOX_PAD = 1e-7
 _FEATURE_TOL = 1e-9
 
 
-def _largest_square_within(tol: float) -> float:
-    """The largest double x with sqrt(x) <= tol. A correctly rounded sqrt
-    is monotone, so ``d2 <= x`` holds exactly when ``sqrt(d2) <= tol``."""
-    x = tol * tol
-    while math.sqrt(x) > tol:
-        x = math.nextafter(x, 0.0)
-    while math.sqrt(math.nextafter(x, math.inf)) <= tol:
-        x = math.nextafter(x, math.inf)
-    return x
-
-
-_FEATURE_TOL2 = _largest_square_within(_FEATURE_TOL)
-
-
 @dataclass(frozen=True)
 class TriangleMesh:
     """Indexed triangle mesh, consistently oriented with outward normals.
@@ -181,8 +176,6 @@ class TriangleMesh:
 
     vertices: tuple  # of Vec3
     triangles: tuple  # of (i, j, k)
-    # per triangle: the unit face normal
-    _face_normals: tuple = field(init=False, compare=False, repr=False)
     # per triangle: a, b, c, b - a, c - a, c - b as 18 floats
     _corners: tuple = field(init=False, compare=False, repr=False)
     # per triangle: face, vertex a/b/c and edge ab/bc/ca normals; None
@@ -209,9 +202,8 @@ class TriangleMesh:
                 raise GeometryError(f"degenerate triangle {tri}")
             normals.append(n.normalized())
             corners.append(tuple(map(float, (*a, *b, *c, *(b - a), *(c - a), *(c - b)))))
-        object.__setattr__(self, "_face_normals", tuple(normals))
         object.__setattr__(self, "_corners", tuple(corners))
-        object.__setattr__(self, "_normals", self._pseudo_normals())
+        object.__setattr__(self, "_normals", self._pseudo_normals(normals))
         object.__setattr__(self, "_tree", _build_tree(corners))
         object.__setattr__(self, "_ball", None)
 
@@ -244,7 +236,7 @@ class TriangleMesh:
             else:
                 stack.append((dl, left))
                 stack.append((dr, right))
-        point = tuple.__new__(Vec3, best_q)
+        point = _new(Vec3, best_q)
         return point, self._pseudo_normal(point, best_idx)
 
     def signed_distance(self, p: Vec3) -> float:
@@ -315,7 +307,7 @@ class TriangleMesh:
         tree = self._tree
         tol = 1e-9 * (1.0 + abs(px) + abs(py) + abs(pz) + max(map(abs, tree[:6])))
         corners = self._corners
-        normals = self._face_normals
+        normals = self._normals
         slack = _FEATURE_TOL + 2.0 * tol
         margin = _FEATURE_TOL + 3.0 * tol
         r = d0
@@ -329,7 +321,7 @@ class TriangleMesh:
             if left is None:
                 for idx in right:
                     c = corners[idx]
-                    nx, ny, nz = normals[idx]
+                    nx, ny, nz = normals[idx][0]
                     h = (px - c[0]) * nx + (py - c[1]) * ny + (pz - c[2]) * nz
                     if h - margin >= r:
                         continue
@@ -354,9 +346,8 @@ class TriangleMesh:
     def _pseudo_normal(self, q: tuple, face_idx: int) -> Vec3:
         """Angle-weighted normal at the closest point: face normal in the
         interior, incident-face average at vertices/edges. A vertex or an
-        edge is reached when ``sqrt(d2) <= _FEATURE_TOL``, tested exactly as
-        ``d2 <= _FEATURE_TOL2``; ``_no_area`` raises where the incident
-        normals cancel."""
+        edge is reached when ``sqrt(d2) <= _FEATURE_TOL``; ``_no_area``
+        raises where the incident normals cancel."""
         qx, qy, qz = q
         ax, ay, az, bx, by, bz, cx, cy, cz, abx, aby, abz, acx, acy, acz, bcx, bcy, bcz = (
             self._corners[face_idx]
@@ -366,7 +357,7 @@ class TriangleMesh:
             (ax, ay, az, na, 0), (bx, by, bz, nb, 1), (cx, cy, cz, nc, 2)
         ):
             dx, dy, dz = qx - vx, qy - vy, qz - vz
-            if dx * dx + dy * dy + dz * dz <= _FEATURE_TOL2:
+            if math.sqrt(dx * dx + dy * dy + dz * dz) <= _FEATURE_TOL:
                 return normal or self._no_area(face_idx, k)
         # edges ab, bc, ca: foot of q at parameter t along origin + t * edge
         for ox, oy, oz, ex, ey, ez, normal, u, v in (
@@ -376,7 +367,7 @@ class TriangleMesh:
         ):
             t = ((qx - ox) * ex + (qy - oy) * ey + (qz - oz) * ez) / (ex * ex + ey * ey + ez * ez)
             dx, dy, dz = qx - (ox + t * ex), qy - (oy + t * ey), qz - (oz + t * ez)
-            if 0.0 <= t <= 1.0 and dx * dx + dy * dy + dz * dz <= _FEATURE_TOL2:
+            if 0.0 <= t <= 1.0 and math.sqrt(dx * dx + dy * dy + dz * dz) <= _FEATURE_TOL:
                 return normal or self._no_area(face_idx, u, v)
         return face
 
@@ -386,11 +377,11 @@ class TriangleMesh:
             raise GeometryError(f"vertex {tri[local[0]]} has no incident area")
         raise GeometryError(f"edge {(tri[local[0]], tri[local[1]])} has no incident area")
 
-    def _pseudo_normals(self) -> tuple:
-        """Per-triangle normal table, in one pass over incidence lists.
-        Sums run in ascending triangle index from zero, so each normal has
-        the bits a rescan of all triangles would give."""
-        faces = self._face_normals
+    def _pseudo_normals(self, faces: list) -> tuple:
+        """Per-triangle normal table from the unit face normals ``faces``,
+        in one pass over incidence lists. Sums run in ascending triangle
+        index from zero, so each normal has the bits a rescan of all
+        triangles would give."""
         incident: dict = {}
         for i, tri in enumerate(self.triangles):
             for v in tri:
@@ -615,7 +606,7 @@ def drilling_axis(frame: Frame3, phi_deg: float, theta_deg: float) -> Vec3:
     norm = math.sqrt(x * x + y * y + z * z)
     if norm == 0.0:
         raise GeometryError("cannot normalize a zero vector")
-    return tuple.__new__(Vec3, (x / norm, y / norm, z / norm))
+    return _new(Vec3, (x / norm, y / norm, z / norm))
 
 
 def recover_angles(axis: Vec3, frame: Frame3) -> Tuple[float, float]:
@@ -624,8 +615,6 @@ def recover_angles(axis: Vec3, frame: Frame3) -> Tuple[float, float]:
     theta is reported in [0, 360) and defined as 0 when the axis is within
     numerical parallel of the normal (sin(phi) < 1e-6).
     """
-    from .geometry import angle_between
-
     phi = math.degrees(angle_between(axis, frame.n))
     if math.sin(math.radians(phi)) < 1e-6:
         return phi, 0.0
@@ -680,8 +669,6 @@ def make_drill_target(
 def transform_mesh(mesh: TriangleMesh, rotation, translation: Vec3) -> TriangleMesh:
     """Rigidly transform a mesh into the robot base frame (offline
     registration for meshes scanned in another frame)."""
-    from .geometry import rotate
-
     verts = tuple(rotate(rotation, v) + translation for v in mesh.vertices)
     return TriangleMesh(verts, mesh.triangles)
 

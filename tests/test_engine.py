@@ -32,7 +32,6 @@ from gds.guidance import (
 )
 from gds.metrics import compute_metrics
 from gds.operator_env import (
-    CUT_FACE_TOLERANCE,
     EnvironmentModel,
     OperatorModel,
     VirtualOperator,
@@ -347,11 +346,11 @@ class ReferenceWorld(World):
             depth = self.hole_depth
             self.hole_depth = update_hole(
                 depth,
+                ax_pos,
                 feed,
                 axial_push,
                 dt,
                 sc.environment,
-                at_bottom=ax_pos >= depth - CUT_FACE_TOLERANCE,
             )
             if self.hole_depth > depth:
                 self._deadline = self._deadline_after(k + 1)

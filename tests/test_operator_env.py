@@ -17,6 +17,7 @@ from gds.geometry import (
 )
 from gds.guidance import GuidancePhase
 from gds.operator_env import (
+    CUT_FACE_TOLERANCE,
     EnvironmentModel,
     OperatorModel,
     VirtualOperator,
@@ -491,30 +492,42 @@ class TestEnvironment:
 
 class TestUpdateHole:
     def test_feed_integrates(self):
-        depth = update_hole(0.0, 0.001, 25.0, 1.0, ENV)
+        depth = update_hole(0.0, 0.0, 0.001, 25.0, 1.0, ENV)
         assert depth == pytest.approx(0.001, abs=1e-15)
 
     def test_below_thrust_threshold_no_advance(self):
-        assert update_hole(0.002, 0.001, 2.0, 1.0, ENV) == 0.002
+        assert update_hole(0.002, 0.002, 0.001, 2.0, 1.0, ENV) == 0.002
 
     def test_negative_feed_never_undrills(self):
-        assert update_hole(0.004, -0.01, 25.0, 1.0, ENV) == 0.004
+        assert update_hole(0.004, 0.004, -0.01, 25.0, 1.0, ENV) == 0.004
 
     def test_not_at_bottom_no_advance(self):
-        assert update_hole(0.005, 0.001, 25.0, 1.0, ENV, at_bottom=False) == 0.005
+        # 1 mm short of the bottom, ten times the cutting-face tolerance
+        assert update_hole(0.005, 0.004, 0.001, 25.0, 1.0, ENV) == 0.005
+
+    def test_cutting_face_boundary(self):
+        depth = 0.005
+        face = depth - CUT_FACE_TOLERANCE
+        assert update_hole(depth, face, 0.001, 25.0, 1.0, ENV) == depth + 0.001
+        short = math.nextafter(face, -math.inf)
+        assert update_hole(depth, short, 0.001, 25.0, 1.0, ENV) == depth
 
     def test_monotone_depth(self):
         rng = np.random.default_rng(2)
         depth = prev = 0.0
         for _ in range(200):
+            # the tip's axial position, drawn around the cutting face
+            ax_pos = depth + float(rng.uniform(-2.0, 1.0)) * CUT_FACE_TOLERANCE
             depth = update_hole(
                 depth,
+                ax_pos,
                 float(rng.uniform(-0.005, 0.005)),
                 float(rng.uniform(0.0, 30.0)),
                 1e-3,
                 ENV,
             )
             assert depth >= prev
+            assert depth == prev or ax_pos >= prev - CUT_FACE_TOLERANCE
             prev = depth
 
     def test_model_validation(self):

@@ -113,7 +113,7 @@ class TestSurfaceNormal:
         verts = (Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 1, 0))
         with pytest.raises(TypeError):
             TriangleMesh(verts, ((0, 1, 2),), (Vec3(1, 0, 0),))
-        assert TriangleMesh(verts, ((0, 1, 2),))._face_normals == (Vec3(0, 0, 1),)
+        assert TriangleMesh(verts, ((0, 1, 2),))._normals[0][0] == Vec3(0, 0, 1)
 
     def test_far_point_faults(self):
         s = SpherePatch(Vec3(0, 0, 0), 0.2)
@@ -232,7 +232,7 @@ def _scan_vertex_normal(mesh, vidx):
         c = mesh.vertices[tri[(j + 2) % 3]]
         e1, e2 = (b - a), (c - a)
         wedge = math.atan2(e1.cross(e2).norm(), e1.dot(e2))
-        total = total + mesh._face_normals[i].scale(wedge)
+        total = total + mesh._normals[i][0].scale(wedge)
     if total.norm() == 0.0:
         raise GeometryError(f"vertex {vidx} has no incident area")
     return total.normalized()
@@ -256,9 +256,9 @@ def _scan_pseudo_normal(mesh, q, face_idx):
             ]
             n = Vec3.zero()
             for i in shared:
-                n = n + mesh._face_normals[i]
+                n = n + mesh._normals[i][0]
             return n.normalized()
-    return mesh._face_normals[face_idx]
+    return mesh._normals[face_idx][0]
 
 
 def scan_closest_point(mesh, p):
@@ -454,7 +454,7 @@ class TestMeshQuery:
         q, n = mesh.closest_point(p)
         assert (q, n) == scan_closest_point(mesh, p)
         assert q == Vec3(first[0].x, 0.25, 0.25)
-        assert n == mesh._face_normals[0]
+        assert n == mesh._normals[0][0]
 
     # no shrinking: a failing 40-step walk shrinks against the Python scan
     # oracle for minutes; the failing example is still printed
@@ -537,10 +537,29 @@ class TestMeshQuery:
         assert not any(thread.is_alive() for thread in threads)
         assert answers == expected
 
-    def test_feature_tolerance_square_is_exact(self):
-        tol2 = workpiece._FEATURE_TOL2
-        assert math.sqrt(tol2) <= workpiece._FEATURE_TOL
-        assert math.sqrt(math.nextafter(tol2, math.inf)) > workpiece._FEATURE_TOL
+    @pytest.mark.parametrize("feature", ["vertex", "edge"])
+    def test_feature_tolerance_boundary_matches_scan(self, feature):
+        # triangle 0 lies in z = 0 with its edge ab on the x axis; triangle
+        # 1 folds down across ab, so a, ab and the face have distinct normals
+        mesh = TriangleMesh(
+            (Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0),
+             Vec3(0.5, -1.0, -0.5)),
+            ((0, 1, 2), (0, 3, 1)),
+        )
+        face, na, _, _, n_ab, _, _ = mesh._normals[0]
+        assert len({face, na, n_ab}) == 3
+        tol = workpiece._FEATURE_TOL
+        # axis-aligned offsets: sqrt(x * x) == x, so the first probe sits on
+        # the boundary; the second is one ulp beyond it
+        if feature == "vertex":  # along ab from a: within, then just the edge
+            probes = ((Vec3(tol, 0.0, 0.0), na),
+                      (Vec3(math.nextafter(tol, 1.0), 0.0, 0.0), n_ab))
+        else:  # off ab's midpoint into the face: within, then just the face
+            probes = ((Vec3(0.5, tol, 0.0), n_ab),
+                      (Vec3(0.5, math.nextafter(tol, 1.0), 0.0), face))
+        assert math.sqrt(tol * tol) == tol
+        for q, expected in probes:
+            assert mesh._pseudo_normal(q, 0) == _scan_pseudo_normal(mesh, q, 0) == expected
 
     def test_zero_vertex_normal_raises_only_when_reached(self):
         # a sheet folded back on itself: vertex 0 has opposite, equal wedges
@@ -980,7 +999,7 @@ class TestIngestion:
         )
         q = UnitQuat.from_axis_angle(Vec3(1, 0, 0), math.radians(90))
         shifted = transform_mesh(mesh, q, Vec3(0.1, 0.0, 0.2))
-        n = shifted._face_normals[0]
+        n = shifted._normals[0][0]
         expected = rotate(q, Vec3(0, 0, 1))
         assert np.allclose(n, expected, atol=1e-12)
         assert np.allclose(shifted.vertices[0], (0.1, 0.0, 0.2), atol=1e-15)
