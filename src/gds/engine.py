@@ -4,13 +4,13 @@ switches, gain ramps, and the locked alignment.
 
 Step order (one control period):
 
-1. operator wrench at the current state
+1. operator wrench at the current state (zero, and not asked, while locked)
 2. environment wrench at the current state
 3. interaction force F_int = F_h + F_env (exact bookkeeping identity)
 4. reference twist, plant and pose, in one body per phase kind (these
    bodies are the only switch of which DoFs move):
    - locked AutoAlign: no admittance; the pose and twist follow the
-     locked trajectory, and a nonzero operator wrench is a fault;
+     locked trajectory, which ends on the lock's step count;
    - ConstrainedDrill/Retract under guidance: the single axial admittance
      channel and its plant lag along the drilling axis; the angular twist
      is exactly zero, so the orientation carries over;
@@ -468,11 +468,11 @@ class World:
         pose0 = self.pose
         twist0 = self.twist
 
-        f_h = self.operator.wrench(pose0, twist0, phase, target, t)
-        if phase is _AUTO_ALIGN and f_h != _ZERO_WRENCH:
-            raise SimulationFault(
-                f"operator wrench must be zero during locked alignment (step {k})"
-            )
+        # the lock ignores the operator: it is not asked
+        if phase is _AUTO_ALIGN:
+            f_h = _ZERO_WRENCH
+        else:
+            f_h = self.operator.wrench(pose0, twist0, phase, target, t)
         f_env, collision = environment_wrench(
             pose0, twist0, sc.surface, target, self.hole_depth, sc.environment,
             self._ax_pos, self._on_target,
@@ -579,17 +579,14 @@ class World:
 
         # state machine on the post-step state
         distance = math.sqrt(rx * rx + ry * ry + rz * rz)
-        align_progress = 0.0
-        if phase is _AUTO_ALIGN:
-            align_progress = (k + 1 - self.align_start_step) / self.align_steps
         new_phase = update_phase(
             phase,
             distance,
             sc.thresholds,
             guided=self.guided,
-            align_progress=align_progress,
+            aligned=phase is _AUTO_ALIGN and k + 1 - self.align_start_step >= self.align_steps,
             depth_reached=depth >= sc.environment.hole_depth_goal,
-            retracted=ax_pos <= -(sc.thresholds.standoff - 1e-9),
+            ax_pos=ax_pos,
         )
 
         # the trace record, packed straight from the floats

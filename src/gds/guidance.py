@@ -100,14 +100,16 @@ def update_phase(
     thresholds: GuidanceThresholds,
     *,
     guided: bool = True,
-    align_progress: float = 0.0,
+    aligned: bool = False,
     depth_reached: bool = False,
-    retracted: bool = False,
+    ax_pos: float = 0.0,
 ) -> GuidancePhase:
     """One transition of the task state machine.
 
-    ``align_progress`` belongs to the AutoAlign phase value (0 at lock,
-    1 when the locked trajectory has finished). The manual condition skips
+    ``aligned`` says the locked trajectory has run its steps (the engine
+    counts them). ``ax_pos`` is the tip's position along the drilling axis
+    from the target point (positive into the material); Retract ends once
+    the tip is back out at the standoff. The manual condition skips
     AutoAlign/ConstrainedDrill: the hole is opened while still in Approach
     and Retract begins once the target depth is reached.
     """
@@ -128,9 +130,7 @@ def update_phase(
             return _FREE_MOTION
         return phase
     if phase is _AUTO_ALIGN:
-        if not guided:
-            raise SimulationFault("AutoAlign phase reached without guidance")
-        if align_progress >= 1.0:
+        if aligned:
             return _CONSTRAINED_DRILL
         return phase
     if phase is _CONSTRAINED_DRILL:
@@ -138,7 +138,7 @@ def update_phase(
             return _RETRACT
         return phase
     if phase is _RETRACT:
-        if retracted:
+        if ax_pos <= -(thresholds.standoff - 1e-9):
             return _TARGET_DONE
         return phase
     if phase is _TARGET_DONE:

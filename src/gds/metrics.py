@@ -83,9 +83,8 @@ def _trapezoid(series: Callable[[np.ndarray], list], blocks: List[np.ndarray], d
     """Trapezoid rule over ``series(records)`` of each block in turn. The
     chunks stream into ``math.fsum``, which is exactly rounded, so the total
     has the bits of one fsum over the whole series; the end values are the
-    series of the first and of the last record alone."""
-    if len(blocks) == 1 and len(blocks[0]) < 2:
-        return 0.0
+    series of the first and of the last record alone (one sample gives
+    ``dt * (v - 0.5 * (v + v))``, which is 0.0)."""
     total = math.fsum(chain.from_iterable(map(series, blocks)))
     return dt * (total - 0.5 * (series(blocks[0][:1])[0] + series(blocks[-1][-1:])[0]))
 

@@ -6,8 +6,8 @@ allowed. The session's condition picks one of two behaviours (``World``
 passes ``guided`` for the ``with`` condition); the model holds only gains:
 
 - guided: relies on the robot for fine alignment. Pulls the tool to the
-  target, stands clear during the locked alignment (zero wrench), then
-  pushes along the drilling axis.
+  target, then pushes along the drilling axis. It is not asked during the
+  locked alignment, when ``World`` takes the hand's wrench as zero.
 - manual: must align by hand. Aims for the standoff pose while steering
   the tool axis toward its *perceived* drilling axis: the desired angles
   plus a per-target residual error drawn from ``angular_noise``, with a
@@ -33,15 +33,7 @@ import numpy as np
 
 from .errors import GeometryError
 from .geometry import _ZERO3, _ZERO_WRENCH, Pose, Twist6, Vec3, Wrench6, _new, rotation_between
-from .guidance import (
-    _APPROACH,
-    _AUTO_ALIGN,
-    _CONSTRAINED_DRILL,
-    _FREE_MOTION,
-    _RETRACT,
-    _TARGET_DONE,
-    GuidancePhase,
-)
+from .guidance import _APPROACH, _CONSTRAINED_DRILL, _FREE_MOTION, _RETRACT, GuidancePhase
 from .workpiece import DrillTarget, Surface, drilling_axis
 
 
@@ -177,32 +169,32 @@ class VirtualOperator:
 
     def begin_target(self, target: DrillTarget, t: float) -> None:
         """Draw this target's residual error and dwell; called by the engine
-        whenever a new target becomes active."""
+        whenever a new target becomes active. The guided operator draws
+        nothing and keeps no per-target state."""
+        if self.guided:
+            return
         self._target_t0 = t
         self._mode = _MODE_AIM
         self._mode_t0 = t
         self._push_axis = None
         m = self.model
-        if not self.guided:
-            dphi = float(self._rng.normal(0.0, m.angular_noise))
-            # keep the aimed polar angle in a drillable range; a human would
-            # not overshoot past the surface normal into the mirror azimuth
-            dphi = max(1.0 - target.phi_deg, min(89.0 - target.phi_deg, dphi))
-            dtheta = float(self._rng.normal(0.0, m.angular_noise))
-            dwell = m.align_dwell + float(
-                self._rng.uniform(-m.align_dwell_jitter, m.align_dwell_jitter)
-            )
-            self._draws = _TargetDraws(
-                dphi=dphi,
-                dtheta=dtheta,
-                dwell=max(0.5, dwell),
-                freq_phi=float(self._rng.uniform(0.3, 0.7)),
-                freq_theta=float(self._rng.uniform(0.3, 0.7)),
-                phase_phi=float(self._rng.uniform(0.0, 2.0 * math.pi)),
-                phase_theta=float(self._rng.uniform(0.0, 2.0 * math.pi)),
-            )
-        else:
-            self._draws = _TargetDraws()
+        dphi = float(self._rng.normal(0.0, m.angular_noise))
+        # keep the aimed polar angle in a drillable range; a human would
+        # not overshoot past the surface normal into the mirror azimuth
+        dphi = max(1.0 - target.phi_deg, min(89.0 - target.phi_deg, dphi))
+        dtheta = float(self._rng.normal(0.0, m.angular_noise))
+        dwell = m.align_dwell + float(
+            self._rng.uniform(-m.align_dwell_jitter, m.align_dwell_jitter)
+        )
+        self._draws = _TargetDraws(
+            dphi=dphi,
+            dtheta=dtheta,
+            dwell=max(0.5, dwell),
+            freq_phi=float(self._rng.uniform(0.3, 0.7)),
+            freq_theta=float(self._rng.uniform(0.3, 0.7)),
+            phase_phi=float(self._rng.uniform(0.0, 2.0 * math.pi)),
+            phase_theta=float(self._rng.uniform(0.0, 2.0 * math.pi)),
+        )
 
     def notify_grab(self, t: float) -> None:
         """Re-grabbing the handle (session start, end of locked alignment)."""
@@ -218,10 +210,8 @@ class VirtualOperator:
         target: DrillTarget,
         t: float,
     ) -> Wrench6:
-        if phase is _AUTO_ALIGN:
-            return _ZERO_WRENCH  # "Please do not touch the robot"
-        if phase is _TARGET_DONE:
-            return _ZERO_WRENCH
+        """The hand's wrench in ``phase``. ``World`` does not ask during the
+        locked alignment, and no step runs in TargetDone."""
         if self.guided:
             return self._guided_wrench(pose, twist, phase, target, t)
         return self._manual_wrench(pose, twist, phase, target, t)
@@ -250,8 +240,7 @@ class VirtualOperator:
                 m.force_cap,
             )
             return _new(Wrench6, (_new(Vec3, (g * fx, g * fy, g * fz)), _ZERO3))
-        # wrench() has answered AutoAlign and TargetDone: push while
-        # drilling, pull in Retract
+        # push while drilling, pull in Retract
         if phase is _CONSTRAINED_DRILL:
             s = g * min(m.push_force, m.force_cap)
         else:

@@ -382,10 +382,15 @@ class TriangleMesh:
         in one pass over incidence lists. Sums run in ascending triangle
         index from zero, so each normal has the bits a rescan of all
         triangles would give."""
+        # vertex -> its triangles and (low, high) edge -> its triangles,
+        # both in ascending triangle index
         incident: dict = {}
-        for i, tri in enumerate(self.triangles):
-            for v in tri:
+        edge_incident: dict = {}
+        for i, (a, b, c) in enumerate(self.triangles):
+            for v in (a, b, c):
                 incident.setdefault(v, []).append(i)
+            for u, v in ((a, b), (b, c), (c, a)):
+                edge_incident.setdefault((u, v) if u < v else (v, u), []).append(i)
 
         vertex_normals = {}
         for v, around in incident.items():
@@ -400,21 +405,19 @@ class TriangleMesh:
                 total = total + faces[i].scale(wedge)
             vertex_normals[v] = None if total.norm() == 0.0 else total.normalized()
 
-        edge_normals: dict = {}
-
-        def edge_normal(u, v):
-            key = (min(u, v), max(u, v))
-            if key not in edge_normals:
-                shared = sorted(set(incident[u]).intersection(incident[v]))
-                total = Vec3.zero()
-                for i in shared:
-                    total = total + faces[i]
-                edge_normals[key] = None if total.norm() == 0.0 else total.normalized()
-            return edge_normals[key]
+        # each edge's normal under both of its vertex orders
+        edge_normals = {}
+        for (u, v), around in edge_incident.items():
+            total = Vec3.zero()
+            for i in around:
+                total = total + faces[i]
+            edge_normals[u, v] = edge_normals[v, u] = (
+                None if total.norm() == 0.0 else total.normalized()
+            )
 
         return tuple(
             (faces[i], vertex_normals[a], vertex_normals[b], vertex_normals[c],
-             edge_normal(a, b), edge_normal(b, c), edge_normal(c, a))
+             edge_normals[a, b], edge_normals[b, c], edge_normals[c, a])
             for i, (a, b, c) in enumerate(self.triangles)
         )
 

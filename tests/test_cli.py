@@ -300,11 +300,6 @@ class TestValidate:
         assert main(["validate", "--scenario", str(path)]) == 0
 
 
-    def test_shipped_scenario_is_the_preset(self):
-        with open(EXPERIMENT1) as fh:
-            assert json.load(fh) == experiment_one_raw("with", 0)
-
-
 class TestRun:
     def test_run_writes_outputs_and_summary(self, mini_config, tmp_path, capsys):
         out = tmp_path / "out"

@@ -256,11 +256,10 @@ class ReferenceWorld(World):
         pose0 = self.pose
         twist0 = self.twist
 
-        f_h = self.operator.wrench(pose0, twist0, phase, target, t)
-        if phase is _AUTO_ALIGN and f_h != Wrench6.zero():
-            raise SimulationFault(
-                f"operator wrench must be zero during locked alignment (step {k})"
-            )
+        if phase is _AUTO_ALIGN:
+            f_h = Wrench6.zero()
+        else:
+            f_h = self.operator.wrench(pose0, twist0, phase, target, t)
         # the start pose's target coordinates, computed here from the pose
         # rather than carried over from the previous step as World does
         p, tp, axis = pose0.position, target.point, target.axis
@@ -363,19 +362,16 @@ class ReferenceWorld(World):
 
         # state machine on the post-step state
         distance = math.sqrt(rx * rx + ry * ry + rz * rz)
-        align_progress = 0.0
-        if phase is _AUTO_ALIGN:
-            align_progress = (k + 1 - self.align_start_step) / self.align_steps
+        aligned = phase is _AUTO_ALIGN and k + 1 - self.align_start_step >= self.align_steps
         depth_reached = self.hole_depth >= sc.environment.hole_depth_goal
-        retracted = ax_pos <= -(sc.thresholds.standoff - 1e-9)
         new_phase = update_phase(
             phase,
             distance,
             sc.thresholds,
             guided=self.guided,
-            align_progress=align_progress,
+            aligned=aligned,
             depth_reached=depth_reached,
-            retracted=retracted,
+            ax_pos=ax_pos,
         )
 
         trans, rot = params_now
@@ -447,15 +443,14 @@ def assert_matches_columns(trace, oracle):
 
 
 class ConstantForceOperator(VirtualOperator):
-    """Test double: a fixed wrench in every non-aligned phase."""
+    """Test double: a fixed wrench whenever it is asked (World does not ask
+    during the locked alignment)."""
 
     def __init__(self, wrench, model=None):
         super().__init__(model or OperatorModel(), guided=True)
         self._wrench = wrench
 
     def wrench(self, pose, twist, phase, target, t):
-        if phase in (GuidancePhase.AUTO_ALIGN, GuidancePhase.TARGET_DONE):
-            return Wrench6.zero()
         return self._wrench
 
 
@@ -557,6 +552,33 @@ class TestStepDynamics:
                 firsts += 1
         assert firsts == 3
         assert locked == 3 * world.align_steps
+
+    def test_locked_alignment_does_not_ask_the_operator(self):
+        # an operator that would push 1 kN if asked while locked: it is not
+        # asked, so the run and its hand wrench columns are the plain run's
+        class PushingWhenLocked(VirtualOperator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.phases = []
+
+            def wrench(self, pose, twist, phase, target, t):
+                self.phases.append(phase)
+                if phase is GuidancePhase.AUTO_ALIGN:
+                    return Wrench6(Vec3(0.0, 0.0, 1000.0), Vec3.zero())
+                return super().wrench(pose, twist, phase, target, t)
+
+        sc = experiment_one_scenario("with", seed=0)
+        operator = PushingWhenLocked(sc.operator, sc.tool_axis_local, guided=True)
+        trace = run(sc, operator)
+        assert trace.complete
+        assert GuidancePhase.AUTO_ALIGN not in operator.phases
+        assert trace.checksum() == run(sc).checksum()
+        locked = trace.phase_codes == engine._PHASE_CODE[_AUTO_ALIGN]
+        n_locked = np.count_nonzero(locked)
+        assert n_locked == 3 * World(sc).align_steps
+        for name in ("fh_x", "fh_y", "fh_z", "fh_tx", "fh_ty", "fh_tz"):
+            # +0.0 bit for bit
+            assert trace.data[name][locked].astype(np.float64).tobytes() == bytes(8 * n_locked)
 
     def test_non_finite_force_aborts_with_fault(self):
         sc = far_target_scenario()

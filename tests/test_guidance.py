@@ -91,11 +91,11 @@ class TestUpdatePhase:
 
     def test_align_completes_to_constrained_drill(self):
         assert (
-            update_phase(GuidancePhase.AUTO_ALIGN, 0.05, TH, align_progress=1.0)
+            update_phase(GuidancePhase.AUTO_ALIGN, 0.05, TH, aligned=True)
             is GuidancePhase.CONSTRAINED_DRILL
         )
         assert (
-            update_phase(GuidancePhase.AUTO_ALIGN, 0.05, TH, align_progress=0.4)
+            update_phase(GuidancePhase.AUTO_ALIGN, 0.05, TH, aligned=False)
             is GuidancePhase.AUTO_ALIGN
         )
 
@@ -106,9 +106,12 @@ class TestUpdatePhase:
         )
 
     def test_retracted_completes_target(self):
+        # Retract ends back out at the standoff, within 1e-9 m
+        at = -(TH.standoff - 1e-9)
+        assert update_phase(GuidancePhase.RETRACT, 0.05, TH, ax_pos=at) is GuidancePhase.TARGET_DONE
         assert (
-            update_phase(GuidancePhase.RETRACT, 0.05, TH, retracted=True)
-            is GuidancePhase.TARGET_DONE
+            update_phase(GuidancePhase.RETRACT, 0.05, TH, ax_pos=math.nextafter(at, math.inf))
+            is GuidancePhase.RETRACT
         )
 
     def test_manual_condition_never_locks(self):

@@ -293,6 +293,15 @@ class TestComputeMetrics:
         if n > 1:
             assert got.s_lin_avg > 0.0 and got.e_total > 0.0
 
+    @pytest.mark.parametrize("condition", ["with", "without"])
+    def test_one_step_session_integrates_to_zero(self, condition):
+        # one sample: the trapezoid rule's end halves cancel its one term
+        sc = experiment_one_scenario(condition, seed=0, max_sim_time=1e-3)
+        trace = run(sc)
+        assert len(trace) == 1 and sc.dt == 1e-3
+        got = compute_metrics(trace, sc.targets, sc.tool_axis_local)
+        assert (got.e_force, got.e_torque, got.s_lin_avg, got.s_ang_avg) == (0.0, 0.0, 0.0, 0.0)
+
     def test_metrics_hold_no_whole_trace_series(self):
         # the trace stores 368 bytes a sample; a whole-trace float column
         # alone would take 8 of them, a list of Python floats 32

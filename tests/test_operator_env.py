@@ -103,20 +103,6 @@ def crest_cylinder():
 
 
 class TestOperator:
-    def test_auto_align_emits_zero_wrench(self):
-        for guided in (True, False):
-            op = VirtualOperator(OperatorModel(seed=3), guided=guided)
-            target = flat_target()
-            op.begin_target(target, 0.0)
-            w = op.wrench(
-                Pose(Vec3(0, 0, 0.04), UnitQuat.identity()),
-                Twist6.zero(),
-                GuidancePhase.AUTO_ALIGN,
-                target,
-                1.0,
-            )
-            assert w == Wrench6.zero()
-
     def test_guided_pd_pull_with_cap(self):
         # 0.3 m from the pull goal, at rest: k_p * 0.3 = 60 N, capped at 40 N
         op = VirtualOperator(OperatorModel(), guided=True)

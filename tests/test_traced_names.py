@@ -149,11 +149,12 @@ def test_per_step_call_counts(condition, monkeypatch):
     assert locked == (world.align_steps * len(sc.targets) if condition == "with" else 0)
     for key in (
         (engine.World, "step"),
-        (operator_env.VirtualOperator, "wrench"),
         (engine, "environment_wrench"),
         (engine, "update_phase"),
     ):
         assert calls[key] == n, key
+    # the locked alignment does not ask the operator
+    assert calls[(operator_env.VirtualOperator, "wrench")] == n - locked
     assert calls[(engine, "gains_at")] == settling_steps(trace, phases, condition) + ramps
     assert calls[(engine, "step_axial")] == axial
     assert calls[(engine, "sample_alignment")] == calls[(engine, "alignment_twist")] == locked
