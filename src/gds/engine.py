@@ -38,7 +38,6 @@ import hashlib
 import json
 import math
 import struct
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
@@ -123,7 +122,7 @@ class PlantModel:
     lag_time_constant: float = 0.05
 
     def __post_init__(self):
-        if self.lag_time_constant < 0.0:
+        if not self.lag_time_constant >= 0.0:
             raise ValueError("lag_time_constant must be >= 0")
 
 
@@ -223,9 +222,9 @@ def _field(blocks: List[bytearray], name: str) -> np.ndarray:
     return np.concatenate([np.frombuffer(block, _RECORD_DTYPE)[name] for block in blocks])
 
 
-class _Fields(Mapping):
+class _Fields:
     """The float columns of the records by name, each read through
-    ``_field``."""
+    ``_field``: a by-name reader, not a container."""
 
     __slots__ = ("_blocks",)
 
@@ -236,12 +235,6 @@ class _Fields(Mapping):
         if name not in _COLUMNS:
             raise KeyError(name)
         return _field(self._blocks, name)
-
-    def __iter__(self):
-        return iter(_COLUMNS)
-
-    def __len__(self) -> int:
-        return len(_COLUMNS)
 
 
 class Trace:

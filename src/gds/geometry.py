@@ -164,19 +164,23 @@ def rotate(q: UnitQuat, v: Vec3) -> Vec3:
     ))
 
 
-# the two branches of slerp, the first item of a slerp_arc
+# the two branches of a slerp, the first item of a slerp_arc
 _NLERP, _ARC = range(2)
 
 
 def slerp_arc(q0: UnitQuat, q1: UnitQuat) -> tuple:
-    """The part of ``slerp(q0, q1, t)`` that does not depend on t: the
-    branch it takes and that branch's constants, for ``slerp_at``.
+    """The shortest-arc spherical interpolation from q0 to q1, as the part
+    that does not depend on t: the branch it takes and that branch's
+    constants. ``slerp_at(slerp_arc(q0, q1), t)`` is the slerp at t.
 
     - ``(_NLERP, q0, q1')`` when the endpoints coincide;
     - ``(_ARC, q0, q1', theta, sin theta)`` otherwise.
 
     q1' is q1 with its sign flipped if needed, so that the arc is the
-    shortest one.
+    shortest one. Endpoints a half-turn apart (q0 . q1 = 0) need no branch
+    of their own: there theta = pi/2 and sin theta = 1, so the arc is well
+    conditioned. Of the two shortest arcs it takes the one the sign of
+    q0 . q1 picks.
     """
     d = q0.w * q1.w + q0.x * q1.x + q0.y * q1.y + q0.z * q1.z
     w1, x1, y1, z1 = q1
@@ -202,16 +206,6 @@ def slerp_at(arc: tuple, t: float) -> UnitQuat:
     return _canonical(
         w0 + t * (w1 - w0), x0 + t * (x1 - x0), y0 + t * (y1 - y0), z0 + t * (z1 - z0)
     )
-
-
-def slerp(q0: UnitQuat, q1: UnitQuat, t: float) -> UnitQuat:
-    """Shortest-arc spherical interpolation; t in [0, 1].
-
-    Endpoints a half-turn apart (q0 . q1 = 0) need no branch of their own:
-    there theta = pi/2 and sin theta = 1, so the arc is well conditioned.
-    Of the two shortest arcs it takes the one the sign of q0 . q1 picks.
-    """
-    return slerp_at(slerp_arc(q0, q1), t)
 
 
 def angle_between(a: Vec3, b: Vec3) -> float:

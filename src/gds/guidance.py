@@ -180,10 +180,12 @@ def plan_alignment(
     drilling_axis: Vec3,
     tool_axis_local: Vec3,
     *,
-    standoff: float = 0.05,
-    duration: float = 4.0,
+    standoff: float,
+    duration: float,
 ) -> AlignmentPlan:
-    """Build the locked alignment trajectory for one target."""
+    """Build the locked alignment trajectory for one target: it ends
+    ``standoff`` short of ``target_point`` on the drilling axis,
+    ``duration`` seconds after it starts at ``current``."""
     if abs(drilling_axis.norm() - 1.0) > 1e-6:
         raise GeometryError("drilling axis must be unit length")
     start = current.orientation

@@ -55,7 +55,7 @@ class OperatorModel:
     def __post_init__(self):
         for name in ("k_p", "k_d", "torque_k_p", "torque_k_d", "angular_noise",
                      "reaction_delay", "align_dwell", "align_dwell_jitter"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative")
         for name in ("force_cap", "torque_cap", "push_force"):
             if not getattr(self, name) > 0.0:
@@ -74,7 +74,7 @@ class EnvironmentModel:
     def __post_init__(self):
         for name in ("contact_stiffness", "contact_damping", "cut_resistance",
                      "thrust_threshold", "hole_radius"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative")
         # a goal of no depth completes a target with no cut
         if not self.hole_depth_goal > 0.0:
@@ -134,21 +134,26 @@ class _TargetDraws:
     """Per-target random draws for the manual operator (made once, so the
     wrench stream is independent of the integration step)."""
 
-    dphi: float = 0.0
-    dtheta: float = 0.0
-    dwell: float = 0.0
-    freq_phi: float = 0.5
-    freq_theta: float = 0.5
-    phase_phi: float = 0.0
-    phase_theta: float = 0.0
+    dphi: float
+    dtheta: float
+    dwell: float
+    freq_phi: float
+    freq_theta: float
+    phase_phi: float
+    phase_theta: float
 
 
 class VirtualOperator:
     """Stateful wrench source driving one simulated session.
 
-    ``guided`` picks the behaviour. The manual operator owns a seeded RNG;
-    the guided one draws nothing and holds none. Identical (model, seed,
-    ``guided``, input stream) produce bit-identical wrench sequences.
+    ``guided`` picks the behaviour. The guided operator holds its model,
+    tool axis and grab time only: it draws nothing and keeps no per-target
+    state. The manual one owns a seeded RNG, and its ``begin_target``
+    creates the per-target state: the target's start time, the draws, the
+    mode (aim, dwell, push, pull) and the push axis, locked when the push
+    starts. A dwell writes its start time ``_dwell_t0``, which only the
+    dwell's end test reads. Identical (model, seed, ``guided``, input
+    stream) produce bit-identical wrench sequences.
     """
 
     def __init__(
@@ -158,25 +163,20 @@ class VirtualOperator:
         self.tool_axis_local = tool_axis_local
         self.guided = guided
         self._rng = None if guided else np.random.default_rng(model.seed)
-        self._target_t0 = 0.0
         self._grab_t = 0.0
-        self._mode = _MODE_AIM
-        self._mode_t0 = 0.0
-        self._draws = _TargetDraws()
-        self._push_axis: Optional[Vec3] = None
 
     # -- session bookkeeping -------------------------------------------------
 
     def begin_target(self, target: DrillTarget, t: float) -> None:
-        """Draw this target's residual error and dwell; called by the engine
-        whenever a new target becomes active. The guided operator draws
-        nothing and keeps no per-target state."""
+        """Start the manual mode machine on ``target``: aim, with this
+        target's residual error and dwell drawn. Called by the engine
+        whenever a new target becomes active, and before any ``wrench``.
+        The guided operator draws nothing and keeps no per-target state."""
         if self.guided:
             return
         self._target_t0 = t
         self._mode = _MODE_AIM
-        self._mode_t0 = t
-        self._push_axis = None
+        self._push_axis: Optional[Vec3] = None
         m = self.model
         dphi = float(self._rng.normal(0.0, m.angular_noise))
         # keep the aimed polar angle in a drillable range; a human would
@@ -256,13 +256,11 @@ class VirtualOperator:
         g = self._ramp(t)
         # the mode first: a dwell is at least 0.5 s long, so one that starts
         # in this call (below) cannot also end in it
-        if self._mode == _MODE_DWELL and (t - self._mode_t0) >= self._draws.dwell:
+        if self._mode == _MODE_DWELL and (t - self._dwell_t0) >= self._draws.dwell:
             self._mode = _MODE_PUSH
-            self._mode_t0 = t
             self._push_axis = self._final_axis(target)  # wrist locked for the push
         if self._mode == _MODE_PUSH and phase is _RETRACT:
             self._mode = _MODE_PULL
-            self._mode_t0 = t
         mode = self._mode
         if mode == _MODE_PULL:
             # pull back out along the push axis
@@ -293,7 +291,7 @@ class VirtualOperator:
                 and math.atan2(math.sqrt(cx * cx + cy * cy + cz * cz), d) <= _AIM_ANGLE
             ):
                 self._mode = _MODE_DWELL
-                self._mode_t0 = t
+                self._dwell_t0 = t
 
         # correcting rotation from the tool axis onto the desired axis
         if d < -1.0 + 1e-12:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -158,7 +158,8 @@ class TriangleMesh:
     Closest-point queries return exactly the point and normal of an
     exhaustive scan over all triangles, ties going to the lowest triangle
     index. A query walks a bounding-box tree built at load, nearer child
-    first, culling every box farther than the best triangle so far.
+    first (``_leaves``, the one walk ``_certify`` takes too), culling every
+    box farther than the best triangle so far.
     Normals are the angle-weighted pseudonormals (Baerentzen & Aanaes
     2005), precomputed at load.
 
@@ -213,29 +214,13 @@ class TriangleMesh:
         best_d2 = math.inf
         best_idx = -1
         best_q = None
-        stack = [(0.0, self._tree)]
-        while stack:
-            box_d2, node = stack.pop()
-            if box_d2 > best_d2:
-                continue
-            left, right = node[6], node[7]
-            if left is None:
-                for idx in right:
-                    q = _closest_on_triangle(px, py, pz, corners[idx])
-                    dx, dy, dz = px - q[0], py - q[1], pz - q[2]
-                    d2 = dx * dx + dy * dy + dz * dz
-                    if d2 < best_d2 or (d2 == best_d2 and idx < best_idx):
-                        best_d2, best_idx, best_q = d2, idx, q
-                continue
-            dl = _box_d2(left, px, py, pz)
-            dr = _box_d2(right, px, py, pz)
-            # pushed last, popped first: the nearer child
-            if dl <= dr:
-                stack.append((dr, right))
-                stack.append((dl, left))
-            else:
-                stack.append((dl, left))
-                stack.append((dr, right))
+        for _, leaf in _leaves(self._tree, px, py, pz, lambda box_d2: box_d2 > best_d2):
+            for idx in leaf:
+                q = _closest_on_triangle(px, py, pz, corners[idx])
+                dx, dy, dz = px - q[0], py - q[1], pz - q[2]
+                d2 = dx * dx + dy * dy + dz * dz
+                if d2 < best_d2 or (d2 == best_d2 and idx < best_idx):
+                    best_d2, best_idx, best_q = d2, idx, q
         point = _new(Vec3, best_q)
         return point, self._pseudo_normal(point, best_idx)
 
@@ -311,36 +296,22 @@ class TriangleMesh:
         slack = _FEATURE_TOL + 2.0 * tol
         margin = _FEATURE_TOL + 3.0 * tol
         r = d0
-        stack = [(0.0, tree)]
-        while stack:
-            box_d2, node = stack.pop()
+        for box_d2, leaf in _leaves(
+            tree, px, py, pz, lambda d2: math.sqrt(d2) > d0 + 2.0 * r + slack
+        ):
             box = math.sqrt(box_d2)
-            if box > d0 + 2.0 * r + slack:
-                continue
-            left, right = node[6], node[7]
-            if left is None:
-                for idx in right:
-                    c = corners[idx]
-                    nx, ny, nz = normals[idx][0]
-                    h = (px - c[0]) * nx + (py - c[1]) * ny + (pz - c[2]) * nz
-                    if h - margin >= r:
-                        continue
-                    # keep f out of reach if that leaves the larger ball;
-                    # f is at least as far as its leaf's box and its plane
-                    out = 0.5 * (max(box, -h) - d0 - slack) - tol
-                    r = min(r, max(h - margin, out))
-                    if r <= 0.0:
-                        return
-                continue
-            dl = _box_d2(left, px, py, pz)
-            dr = _box_d2(right, px, py, pz)
-            # pushed last, popped first: the nearer child
-            if dl <= dr:
-                stack.append((dr, right))
-                stack.append((dl, left))
-            else:
-                stack.append((dl, left))
-                stack.append((dr, right))
+            for idx in leaf:
+                c = corners[idx]
+                nx, ny, nz = normals[idx][0]
+                h = (px - c[0]) * nx + (py - c[1]) * ny + (pz - c[2]) * nz
+                if h - margin >= r:
+                    continue
+                # keep f out of reach if that leaves the larger ball;
+                # f is at least as far as its leaf's box and its plane
+                out = 0.5 * (max(box, -h) - d0 - slack) - tol
+                r = min(r, max(h - margin, out))
+                if r <= 0.0:
+                    return
         object.__setattr__(self, "_ball", (px, py, pz, r * r))
 
     def _pseudo_normal(self, q: tuple, face_idx: int) -> Vec3:
@@ -470,6 +441,34 @@ def _box_d2(node: tuple, px: float, py: float, pz: float) -> float:
     gy = loy - py if py < loy else (py - hiy if py > hiy else 0.0)
     gz = loz - pz if pz < loz else (pz - hiz if pz > hiz else 0.0)
     return gx * gx + gy * gy + gz * gz
+
+
+def _leaves(
+    tree: tuple, px: float, py: float, pz: float, far: Callable[[float], bool]
+) -> Iterator[tuple]:
+    """The leaves of ``tree`` as (squared box distance from p, triangle
+    indices), nearer child first, skipping every node whose squared box
+    distance ``far`` accepts. ``far`` is asked as the node is popped, once
+    the caller has used every leaf yielded before it, so a cull that reads
+    the caller's best answer so far tightens as the walk goes."""
+    stack = [(0.0, tree)]
+    while stack:
+        box_d2, node = stack.pop()
+        if far(box_d2):
+            continue
+        left, right = node[6], node[7]
+        if left is None:
+            yield box_d2, right
+            continue
+        dl = _box_d2(left, px, py, pz)
+        dr = _box_d2(right, px, py, pz)
+        # pushed last, popped first: the nearer child
+        if dl <= dr:
+            stack.append((dr, right))
+            stack.append((dl, left))
+        else:
+            stack.append((dl, left))
+            stack.append((dr, right))
 
 
 def _build_tree(corners: tuple) -> tuple:

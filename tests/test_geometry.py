@@ -17,7 +17,8 @@ from gds.geometry import (
     make_frame,
     rotate,
     rotation_between,
-    slerp,
+    slerp_arc,
+    slerp_at,
 )
 
 
@@ -135,26 +136,26 @@ class TestSlerp:
     def test_midpoint_single_axis(self):
         q0 = UnitQuat.identity()
         q1 = quat_of((0, 0, 1), math.pi / 2)
-        mid = slerp(q0, q1, 0.5)
+        mid = slerp_at(slerp_arc(q0, q1), 0.5)
         expect = quat_of((0, 0, 1), math.pi / 4)
         assert np.allclose(mid, expect, atol=1e-12)
 
     def test_identical_endpoints(self):
         q = quat_of((1, 2, 2), 1.1)
-        assert np.allclose(slerp(q, q, 0.7), q, atol=1e-12)
+        assert np.allclose(slerp_at(slerp_arc(q, q), 0.7), q, atol=1e-12)
 
     def test_third_of_sixty_degrees_matches_axis_angle_lerp_oracle(self):
         q0 = UnitQuat.identity()
         q1 = quat_of((1, 0, 0), math.radians(60))
-        out = slerp(q0, q1, 1.0 / 3.0)
+        out = slerp_at(slerp_arc(q0, q1), 1.0 / 3.0)
         oracle = quat_of((1, 0, 0), math.radians(60) / 3.0)
         assert np.allclose(out, oracle, atol=1e-12)
 
     def test_endpoints_exact(self):
         q0 = quat_of((1, 1, 0), 0.4)
         q1 = quat_of((0, 1, 1), 1.9)
-        assert q0.angle_to(slerp(q0, q1, 0.0)) <= 1e-12
-        assert q1.angle_to(slerp(q0, q1, 1.0)) <= 1e-12
+        assert q0.angle_to(slerp_at(slerp_arc(q0, q1), 0.0)) <= 1e-12
+        assert q1.angle_to(slerp_at(slerp_arc(q0, q1), 1.0)) <= 1e-12
 
     def test_angle_grows_linearly(self):
         # 50 drawn pairs, then 50 antipodal ones: a half-turn apart, d = 0
@@ -167,7 +168,7 @@ class TestSlerp:
                 q1 = q0.multiply(UnitQuat.from_axis_angle(random_unit(rng), math.pi))
             total = q0.angle_to(q1)
             for t in (0.1, 0.3, 0.5, 0.7, 0.9):
-                assert q0.angle_to(slerp(q0, q1, t)) == pytest.approx(
+                assert q0.angle_to(slerp_at(slerp_arc(q0, q1), t)) == pytest.approx(
                     t * total, abs=1e-9
                 )
 
@@ -176,18 +177,18 @@ class TestSlerp:
         q1_far = quat_of((0, 0, 1), 0.1 + math.pi * 1.8)  # same as -0.2pi + 0.1
         total = q0.angle_to(q1_far)
         assert total < math.pi  # geodesic metric already short-arc
-        mid = slerp(q0, q1_far, 0.5)
+        mid = slerp_at(slerp_arc(q0, q1_far), 0.5)
         assert q0.angle_to(mid) == pytest.approx(total / 2, abs=1e-9)
 
     def test_antipodal_is_deterministic(self):
         q0 = UnitQuat.identity()
         q1 = quat_of((0, 0, 1), math.pi)
-        a = slerp(q0, q1, 0.25)
-        b = slerp(q0, q1, 0.25)
+        a = slerp_at(slerp_arc(q0, q1), 0.25)
+        b = slerp_at(slerp_arc(q0, q1), 0.25)
         assert a == b
         # still reaches both endpoints
-        assert q0.angle_to(slerp(q0, q1, 0.0)) <= 1e-9
-        assert q1.angle_to(slerp(q0, q1, 1.0)) <= 1e-9
+        assert q0.angle_to(slerp_at(slerp_arc(q0, q1), 0.0)) <= 1e-9
+        assert q1.angle_to(slerp_at(slerp_arc(q0, q1), 1.0)) <= 1e-9
 
 
 class TestAngleBetween:

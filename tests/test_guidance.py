@@ -14,7 +14,8 @@ from gds.geometry import (
     angle_between,
     rotate,
     rotation_between,
-    slerp,
+    slerp_arc,
+    slerp_at,
 )
 from gds.guidance import (
     AlignmentPlan,
@@ -32,6 +33,8 @@ from gds.guidance import (
 
 TH = GuidanceThresholds()
 TOOL = Vec3(0.0, 0.0, 1.0)
+# plan_alignment's lengths as World passes them, from the thresholds
+ALIGN = dict(standoff=TH.standoff, duration=TH.align_duration)
 
 
 def reference_sample_alignment(plan, t):
@@ -44,7 +47,8 @@ def reference_sample_alignment(plan, t):
     s = smoothstep(t / plan.duration)
     p0, p1 = plan.start_pose.position, plan.goal_pose.position
     pos = Vec3(p0.x + s * (p1.x - p0.x), p0.y + s * (p1.y - p0.y), p0.z + s * (p1.z - p0.z))
-    return Pose(pos, slerp(plan.start_pose.orientation, plan.goal_pose.orientation, s))
+    arc = slerp_arc(plan.start_pose.orientation, plan.goal_pose.orientation)
+    return Pose(pos, slerp_at(arc, s))
 
 
 def reference_alignment_twist(plan, t):
@@ -143,27 +147,28 @@ class TestPlanAlignment:
         axis = Vec3(0.0, 0.0, -1.0)
         q = UnitQuat.from_axis_angle(Vec3(1, 0, 0), math.pi)  # tool +z -> world -z
         start = Pose(Vec3(0.01, 0.0, 0.04), q)
-        plan = plan_alignment(start, Vec3(0, 0, 0), axis, TOOL)
+        plan = plan_alignment(start, Vec3(0, 0, 0), axis, TOOL, **ALIGN)
         assert plan.rotation_vector.norm() <= 1e-12
         assert plan.goal_pose.orientation.angle_to(q) <= 1e-12
 
     def test_goal_position_is_standoff_short_of_target(self):
         axis = Vec3(0.0, 0.0, 1.0)
         start = Pose(Vec3(0.2, 0.1, -0.3), UnitQuat.identity())
-        plan = plan_alignment(start, Vec3(0, 0, 0), axis, TOOL)
+        plan = plan_alignment(start, Vec3(0, 0, 0), axis, TOOL, **ALIGN)
         assert plan.goal_pose.position == Vec3(0.0, 0.0, -0.05)
 
     def test_thirty_degrees_off_plans_thirty_degree_rotation(self):
         axis = rotate(UnitQuat.from_axis_angle(Vec3(0, 1, 0), math.radians(30)), Vec3(0, 0, 1))
         start = Pose(Vec3(0, 0, -0.04), UnitQuat.identity())  # tool axis = +z
-        plan = plan_alignment(start, Vec3(0, 0, 0), axis, TOOL)
+        plan = plan_alignment(start, Vec3(0, 0, 0), axis, TOOL, **ALIGN)
         assert plan.rotation_vector.norm() == pytest.approx(math.radians(30), abs=1e-12)
         tool_after = rotate(plan.goal_pose.orientation, TOOL)
         assert angle_between(tool_after, axis) <= 1e-12
 
     def test_duration_fixed(self):
         plan = plan_alignment(
-            Pose(Vec3(0, 0, -0.04), UnitQuat.identity()), Vec3(0, 0, 0), Vec3(0, 0, 1), TOOL
+            Pose(Vec3(0, 0, -0.04), UnitQuat.identity()), Vec3(0, 0, 0), Vec3(0, 0, 1), TOOL,
+            **ALIGN,
         )
         assert plan.duration == 4.0
 
@@ -174,7 +179,7 @@ class TestSampleAlignment:
             UnitQuat.from_axis_angle(Vec3(0, 1, 0), math.radians(angle_deg)), Vec3(0, 0, 1)
         )
         start = Pose(Vec3(0.02, -0.01, -0.04), UnitQuat.identity())
-        return plan_alignment(start, Vec3(0, 0, 0), axis, TOOL)
+        return plan_alignment(start, Vec3(0, 0, 0), axis, TOOL, **ALIGN)
 
     def test_endpoints_exact(self):
         plan = self._plan()
@@ -235,7 +240,7 @@ class TestAlignmentOracles:
     )
     @settings(max_examples=100, deadline=None)
     # the tool starts on the drilling axis, so the orientation stays put:
-    # slerp's nlerp branch
+    # slerp_arc's nlerp branch
     @example(
         start=(Vec3(0.01, -0.02, 0.03), Vec3(1.0, 0.0, 0.0), 0.0),
         target=Vec3(0.0, 0.0, 0.0),
@@ -262,7 +267,10 @@ class TestAlignmentOracles:
         if against:
             # the tool starts opposite the drilling axis: a half-turn plan
             orientation = rotation_between(tool, axis.scale(-1.0))
-        plan = plan_alignment(Pose(position, orientation), target, axis, tool, duration=duration)
+        plan = plan_alignment(
+            Pose(position, orientation), target, axis, tool,
+            standoff=TH.standoff, duration=duration,
+        )
         # 1 kHz grid points at both ends, as World.step asks for them
         times = [f * duration for f in fractions] + [k * 1e-3 for k in range(3)]
         times += [duration - k * 1e-3 for k in range(3)]

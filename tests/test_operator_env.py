@@ -15,6 +15,7 @@ from gds.geometry import (
     rotate,
     rotation_between,
 )
+from gds.engine import PlantModel
 from gds.guidance import GuidancePhase
 from gds.operator_env import (
     CUT_FACE_TOLERANCE,
@@ -50,14 +51,12 @@ class ReferenceOperator(VirtualOperator):
         if self._mode == "aim":
             if self._aligned_enough(pose, standoff_point, aim_axis):
                 self._mode = "dwell"
-                self._mode_t0 = t
-        if self._mode == "dwell" and (t - self._mode_t0) >= self._draws.dwell:
+                self._dwell_t0 = t
+        if self._mode == "dwell" and (t - self._dwell_t0) >= self._draws.dwell:
             self._mode = "push"
-            self._mode_t0 = t
             self._push_axis = self._final_axis(target)
         if self._mode == "push" and phase is GuidancePhase.RETRACT:
             self._mode = "pull"
-            self._mode_t0 = t
         if self._mode in ("aim", "dwell"):
             f = (standoff_point - pose.position).scale(m.k_p) - twist.linear.scale(m.k_d)
             tau = self._orientation_torque(pose, twist, aim_axis)
@@ -208,12 +207,50 @@ class TestOperator:
         with pytest.raises(ValueError):
             OperatorModel(k_p=-1.0)
 
+    def test_guided_keeps_no_manual_state(self):
+        op = VirtualOperator(OperatorModel(), guided=True)
+        op.begin_target(flat_target(30.0, 10.0), 1.0)
+        assert op._rng is None
+        assert not hasattr(op, "_draws") and not hasattr(op, "_mode")
+
+
+# every non-negative field of the three models
+_NON_NEGATIVE = [
+    (OperatorModel, name) for name in (
+        "k_p", "k_d", "torque_k_p", "torque_k_d", "angular_noise",
+        "reaction_delay", "align_dwell", "align_dwell_jitter",
+    )
+] + [
+    (EnvironmentModel, name) for name in (
+        "contact_stiffness", "contact_damping", "cut_resistance", "thrust_threshold", "hole_radius",
+    )
+] + [(PlantModel, "lag_time_constant")]
+
+
+@pytest.mark.parametrize(
+    "model, name", _NON_NEGATIVE, ids=[f"{m.__name__}.{n}" for m, n in _NON_NEGATIVE]
+)
+def test_non_negative_fields_refuse_nan(model, name):
+    model(**{name: 0.0})
+    with pytest.raises(ValueError, match=name):
+        model(**{name: math.nan})
+    with pytest.raises(ValueError, match=name):
+        model(**{name: -1e-300})
+
 
 
 def unit_vectors():
     return st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
         lambda v: v[0] * v[0] + v[1] * v[1] + v[2] * v[2] > 1e-4
     ).map(lambda v: Vec3(*v).normalized())
+
+
+def _state(op):
+    """Every field of an operator, its RNG by the generator's state: a
+    dwell's start time is there only once a dwell has started."""
+    state = dict(vars(op))
+    state["_rng"] = op._rng.bit_generator.state
+    return state
 
 
 class TestManualKernel:
@@ -238,7 +275,7 @@ class TestManualKernel:
         got = new.wrench(pose, twist, phase, target, t)
         assert got == want
         assert repr(got) == repr(want)
-        assert (new._mode, new._mode_t0, new._push_axis) == (old._mode, old._mode_t0, old._push_axis)
+        assert _state(new) == _state(old)
         return got
 
     @given(st.data())
