@@ -20,7 +20,8 @@ Step order (one control period):
      ideal follower when the lag is 0), then the pose integration
      (semi-implicit; orientation via the quaternion exponential of
      omega*dt)
-5. hole update, events, state machine update, trace sample
+5. the end pose's coordinates in the active ``Hole``, the cut's update,
+   events, state machine update, trace sample
 
 The step runs over plain floats and packs the trace record straight from
 them; it builds a ``Pose``, ``Twist6`` or ``Wrench6`` only for a callee
@@ -79,10 +80,10 @@ from .guidance import (
 )
 from .operator_env import (
     EnvironmentModel,
+    Hole,
     OperatorModel,
     VirtualOperator,
     environment_wrench,
-    target_coordinates,
     update_hole,
 )
 from .workpiece import DrillTarget, Surface
@@ -418,18 +419,17 @@ class World:
     # -- helpers -------------------------------------------------------------
 
     def _begin_target(self, t: float) -> None:
-        """Make ``target_idx`` the active target at time ``t``: no hole, a
-        fresh runaway bound and stall deadline, and the operator told."""
+        """Make ``target_idx`` the active target at time ``t``: a new
+        ``Hole`` at its point along its axis, not yet cut, a fresh runaway
+        bound and stall deadline, and the operator told."""
         target = self.sc.targets[self.target_idx]
-        self.hole_depth = 0.0
+        hole = self.hole = Hole(target.point, target.axis, self.sc.environment.hole_radius)
         self._runaway_at = math.dist(self.pose.position, target.point) + _RUNAWAY_DISTANCE
         # the step the run ends at, as a timeout or a stall, unless the
         # cut grows or the target changes first
         self._deadline = self._deadline_after(self.k)
-        # the tip's target coordinates at the start of the next step
-        self._ax_pos, self._on_target = target_coordinates(
-            self.pose.position, target, self.sc.environment
-        )
+        # the tip's hole coordinates at the start of the next step
+        self._ax_pos, self._on_target, _ = hole.coordinates(*self.pose.position)
         self.operator.begin_target(target, t)
 
     def _end(self, t: float, kind: str) -> None:
@@ -467,8 +467,7 @@ class World:
         else:
             f_h = self.operator.wrench(pose0, twist0, phase, target, t)
         f_env, collision = environment_wrench(
-            pose0, twist0, sc.surface, target, self.hole_depth, sc.environment,
-            self._ax_pos, self._on_target,
+            pose0, twist0, sc.surface, self.hole, sc.environment, self._ax_pos, self._on_target
         )
         (hx, hy, hz), (htx, hty, htz) = f_h
         (ex, ey, ez), (etx, ety, etz) = f_env
@@ -485,7 +484,6 @@ class World:
 
         schedule = self.schedule
         params_now = gains_at(schedule, t) if t < schedule.settles_at else schedule.end_params
-        ux, uy, uz = target.axis
 
         # (vx..wz) is the twist the step used, (rvx..rwz) the reference twist
         if phase is _AUTO_ALIGN:
@@ -501,8 +499,9 @@ class World:
             rvx = rvy = rvz = rwx = rwy = rwz = 0.0
             nx, ny, nz = new_pose.position
         elif self.guided and (phase is _CONSTRAINED_DRILL or phase is _RETRACT):
-            # 1-DoF along the drilling axis; the angular twist is exactly
-            # zero, so the orientation carries over
+            # 1-DoF along the drilling axis, which is guidance's; the
+            # angular twist is exactly zero, so the orientation carries over
+            ux, uy, uz = target.axis
             s_ref = self.s_ref = step_axial(
                 self.s_ref, ix * ux + iy * uy + iz * uz, params_now.translational, dt
             )
@@ -540,38 +539,31 @@ class World:
         self.twist = new_twist
 
         # hole bookkeeping on the post-step state
-        tx, ty, tz = target.point
-        rx, ry, rz = nx - tx, ny - ty, nz - tz
-        ax_pos = rx * ux + ry * uy + rz * uz
-        lx, ly, lz = rx - ax_pos * ux, ry - ax_pos * uy, rz - ax_pos * uz
-        on_target = math.sqrt(lx * lx + ly * ly + lz * lz) <= sc.environment.hole_radius
-        # the end pose is the next step's start pose; _transition recomputes
-        # these if the target changes
+        t_next = (k + 1) * dt
+        events = self.trace.events
+        hole = self.hole
+        ax_pos, on_target, distance = hole.coordinates(nx, ny, nz)
+        # the end pose is the next step's start pose; _begin_target
+        # recomputes these in the next target's hole
         self._ax_pos, self._on_target = ax_pos, on_target
-        depth = self.hole_depth
-        was_cut = depth > 0.0
+        depth = hole.depth
         if on_target and ax_pos > 0.0:
+            # the feed and the hand's push along the hole
+            ux, uy, uz = hole.axis
             cut = update_hole(
-                depth,
-                ax_pos,
-                vx * ux + vy * uy + vz * uz,
-                hx * ux + hy * uy + hz * uz,
-                dt,
+                hole, ax_pos, vx * ux + vy * uy + vz * uz, hx * ux + hy * uy + hz * uz, dt,
                 sc.environment,
             )
             if cut > depth:  # the cut grew: the stall deadline moves on
                 self._deadline = self._deadline_after(k + 1)
-            depth = self.hole_depth = cut
-        t_next = (k + 1) * dt
-        events = self.trace.events
-        if not was_cut and depth > 0.0:
-            events.append((t_next, f"first_cut:{self.target_idx}"))
+                if depth == 0.0:
+                    events.append((t_next, f"first_cut:{self.target_idx}"))
+            depth = cut
         if collision and not self._in_collision:
             events.append((t, "collision"))
         self._in_collision = collision
 
         # state machine on the post-step state
-        distance = math.sqrt(rx * rx + ry * ry + rz * rz)
         new_phase = update_phase(
             phase,
             distance,

@@ -107,11 +107,11 @@ def update_phase(
     """One transition of the task state machine.
 
     ``aligned`` says the locked trajectory has run its steps (the engine
-    counts them). ``ax_pos`` is the tip's position along the drilling axis
-    from the target point (positive into the material); Retract ends once
-    the tip is back out at the standoff. The manual condition skips
-    AutoAlign/ConstrainedDrill: the hole is opened while still in Approach
-    and Retract begins once the target depth is reached.
+    counts them). ``ax_pos`` is the tip's position along the hole's axis
+    from its entry (``Hole.coordinates``; positive into the material);
+    Retract ends once the tip is back out at the standoff. The manual
+    condition skips AutoAlign/ConstrainedDrill: the hole is opened while
+    still in Approach and Retract begins once the target depth is reached.
     """
     d = tip_to_target_distance
     if not (math.isfinite(d) and d >= 0.0):

@@ -86,25 +86,50 @@ class EnvironmentModel:
 CUT_FACE_TOLERANCE = 1e-4
 
 
+class Hole:
+    """The hole at the active target: it enters the material at ``entry``
+    along the unit ``axis``, carves out ``radius`` around it and is cut to
+    ``depth`` (m), which only its construction and ``update_hole`` write."""
+
+    __slots__ = ("entry", "axis", "radius", "depth")
+
+    def __init__(self, entry: Vec3, axis: Vec3, radius: float):
+        self.entry = entry
+        self.axis = axis
+        self.radius = radius
+        self.depth = 0.0
+
+    def coordinates(self, x: float, y: float, z: float) -> Tuple[float, bool, float]:
+        """The point's coordinates in the hole's frame: ``ax_pos``, its
+        position along the axis from the entry (positive into the
+        material), ``on_target``, whether it is within ``radius`` of the
+        axis, and its distance from the entry."""
+        tx, ty, tz = self.entry
+        ux, uy, uz = self.axis
+        rx, ry, rz = x - tx, y - ty, z - tz
+        ax_pos = rx * ux + ry * uy + rz * uz
+        lx, ly, lz = rx - ax_pos * ux, ry - ax_pos * uy, rz - ax_pos * uz
+        on_target = math.sqrt(lx * lx + ly * ly + lz * lz) <= self.radius
+        return ax_pos, on_target, math.sqrt(rx * rx + ry * ry + rz * rz)
+
+    def at_face(self, ax_pos: float) -> bool:
+        """Whether a tip at ``ax_pos`` bears on uncut material: within
+        ``CUT_FACE_TOLERANCE`` of the bottom, or beyond it."""
+        return ax_pos >= self.depth - CUT_FACE_TOLERANCE
+
+
 def update_hole(
-    depth: float,
-    ax_pos: float,
-    axial_feed: float,
-    axial_force: float,
-    dt: float,
+    hole: Hole, ax_pos: float, axial_feed: float, axial_force: float, dt: float,
     model: EnvironmentModel,
 ) -> float:
-    """Advance the cut and return the new hole depth: it grows by feed*dt
-    only while pushing hard enough (>= thrust threshold), feeding forward,
-    and bearing on uncut material: the tip's axial position ``ax_pos`` is
-    at the cutting face (within ``CUT_FACE_TOLERANCE`` of ``depth`` or
-    beyond it). Depth never decreases."""
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    at_face = ax_pos >= depth - CUT_FACE_TOLERANCE
-    if axial_force >= model.thrust_threshold and axial_feed > 0.0 and at_face:
-        depth += axial_feed * dt
-    return depth
+    """Advance the cut and return the hole's new depth: it grows by
+    feed*dt only while pushing hard enough (>= thrust threshold), feeding
+    forward, and with the tip, at axial position ``ax_pos``, at the cutting
+    face (``Hole.at_face``). Depth never decreases: the feed must be
+    forward, and ``dt`` is the scenario's step, which ``Scenario`` checks."""
+    if axial_force >= model.thrust_threshold and axial_feed > 0.0 and hole.at_face(ax_pos):
+        hole.depth += axial_feed * dt
+    return hole.depth
 
 
 def _cap(x: float, y: float, z: float, cap: float) -> Tuple[float, float, float]:
@@ -350,57 +375,39 @@ class VirtualOperator:
 # ---------------------------------------------------------------------------
 
 
-def target_coordinates(
-    position: Vec3, target: DrillTarget, model: EnvironmentModel
-) -> Tuple[float, bool]:
-    """The tip's coordinates in the target frame: ``ax_pos``, its position
-    along the drilling axis from the target point (positive into the
-    material), and ``on_target``, whether it is within ``hole_radius`` of
-    the axis. ``World.step`` computes the same floats inline."""
-    tx, ty, tz = target.point
-    ux, uy, uz = target.axis
-    rx, ry, rz = position[0] - tx, position[1] - ty, position[2] - tz
-    ax_pos = rx * ux + ry * uy + rz * uz
-    lx, ly, lz = rx - ax_pos * ux, ry - ax_pos * uy, rz - ax_pos * uz
-    return ax_pos, math.sqrt(lx * lx + ly * ly + lz * lz) <= model.hole_radius
-
-
 def environment_wrench(
-    tip: Pose,
-    twist: Twist6,
-    surface: Surface,
-    target: DrillTarget,
-    hole_depth: float,
-    model: EnvironmentModel,
-    ax_pos: float,
-    on_target: bool,
+    tip: Pose, twist: Twist6, surface: Surface, hole: Hole, model: EnvironmentModel,
+    ax_pos: float, on_target: bool,
 ) -> Tuple[Wrench6, bool]:
     """Workpiece reaction at the drill tip.
 
-    ``ax_pos`` and ``on_target`` are the tip's target coordinates, as
-    ``target_coordinates(tip.position, target, model)`` gives them; the
-    caller passes them in because ``World`` already holds them from the
-    previous step. Returns (wrench, collision). ``collision`` flags
-    off-target penetration beyond 5 mm.
+    ``ax_pos`` and ``on_target`` are the tip's coordinates in ``hole``, as
+    ``hole.coordinates`` gives them; the caller passes them in because
+    ``World`` already holds them from the previous step. Returns (wrench,
+    collision). ``collision`` flags off-target penetration beyond 5 mm.
 
     On-target the reaction is a cutting resistance proportional to the feed
-    rate (only while advancing on uncut material) plus a spring at the
+    rate (only while advancing at the cutting face) plus a spring at the
     uncut bottom; off-target it is a rectified spring-damper along the
-    outward normal. Neither branch can inject net energy over a cycle.
+    outward normal. The off-target penalty never pulls and is passive over
+    a contact cycle (acceptance test C9). The cut term is explicit: it
+    uses the feed at the start of the step, so it acts one step late, and
+    at a large ``cut_resistance`` it throws the tip back off the face
+    instead of slowing the cut.
     """
     if on_target:
         if ax_pos <= 0.0:
             return _ZERO_WRENCH, False
-        axis = target.axis
+        axis = hole.axis
         ux, uy, uz = axis
         v = twist.linear
         feed = v.x * ux + v.y * uy + v.z * uz
         f_mag = 0.0
         # at the cutting face: the material resists the feed; strictly
         # beyond it: bearing spring
-        if feed > 0.0 and ax_pos >= hole_depth - CUT_FACE_TOLERANCE:
+        if feed > 0.0 and hole.at_face(ax_pos):
             f_mag += model.cut_resistance * feed
-        bottom_pen = ax_pos - hole_depth
+        bottom_pen = ax_pos - hole.depth
         if bottom_pen > 0.0:
             f_mag += model.contact_stiffness * bottom_pen
         force = axis.scale(-f_mag)

@@ -30,10 +30,10 @@ from gds.guidance import GuidancePhase
 from gds.metrics import compute_metrics, mean_metrics
 from gds.operator_env import (
     EnvironmentModel,
+    Hole,
     OperatorModel,
     VirtualOperator,
     environment_wrench,
-    target_coordinates,
 )
 from gds.presets import experiment_one_scenario
 from gds.workpiece import (
@@ -365,6 +365,7 @@ def test_c9_contact_passivity():
     speed = 0.005
     for damping in (200.0, 0.0):
         env = EnvironmentModel(contact_damping=damping)
+        hole = Hole(target.point, target.axis, env.hole_radius)
         # approach-contact-release cycle 5 cm off target, prescribed motion
         z = 0.002
         powers = []
@@ -373,10 +374,8 @@ def test_c9_contact_passivity():
             vz = -speed if k <= n_half else speed
             pose = Pose(Vec3(0.05, 0.0, z), UnitQuat.identity())
             tw = Twist6(Vec3(0.0, 0.0, vz), Vec3.zero())
-            w, _ = environment_wrench(
-                pose, tw, surface, target, 0.0, env,
-                *target_coordinates(pose.position, target, env),
-            )
+            ax_pos, on_target, _ = hole.coordinates(*pose.position)
+            w, _ = environment_wrench(pose, tw, surface, hole, env, ax_pos, on_target)
             powers.append(w.force.dot(tw.linear))
             z += vz * dt
         net = dt * (math.fsum(powers) - 0.5 * (powers[0] + powers[-1]))

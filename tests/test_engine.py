@@ -36,11 +36,11 @@ from gds.operator_env import (
     OperatorModel,
     VirtualOperator,
     environment_wrench,
-    target_coordinates,
     update_hole,
 )
 from gds.presets import experiment_one_raw, experiment_one_scenario
 from gds.workpiece import CylinderPatch, make_drill_target
+from test_operator_env import reference_target_coordinates
 
 _new = tuple.__new__
 _pack_record = engine._pack_record
@@ -267,9 +267,10 @@ class ReferenceWorld(World):
         ax_pos = r.dot(axis)
         lateral = _new(Vec3, (r.x - ax_pos * axis.x, r.y - ax_pos * axis.y, r.z - ax_pos * axis.z))
         on_target = lateral.norm() <= sc.environment.hole_radius
+        # the hole World made for this target, which update_hole cuts
+        hole = self.hole
         f_env, collision = environment_wrench(
-            pose0, twist0, sc.surface, target, self.hole_depth, sc.environment,
-            ax_pos, on_target,
+            pose0, twist0, sc.surface, hole, sc.environment, ax_pos, on_target
         )
         (hx, hy, hz), (htx, hty, htz) = f_h
         (ex, ey, ez), (etx, ety, etz) = f_env
@@ -338,23 +339,23 @@ class ReferenceWorld(World):
         ax_pos = rx * ux + ry * uy + rz * uz
         lx, ly, lz = rx - ax_pos * ux, ry - ax_pos * uy, rz - ax_pos * uz
         on_target = math.sqrt(lx * lx + ly * ly + lz * lz) <= sc.environment.hole_radius
-        was_cut = self.hole_depth > 0.0
+        was_cut = hole.depth > 0.0
         if on_target and ax_pos > 0.0:
             feed = v_used.linear.dot(axis)
             axial_push = f_h.force.dot(axis)
-            depth = self.hole_depth
-            self.hole_depth = update_hole(
-                depth,
+            depth = hole.depth
+            update_hole(
+                hole,
                 ax_pos,
                 feed,
                 axial_push,
                 dt,
                 sc.environment,
             )
-            if self.hole_depth > depth:
+            if hole.depth > depth:
                 self._deadline = self._deadline_after(k + 1)
         t_next = (k + 1) * dt
-        if not was_cut and self.hole_depth > 0.0:
+        if not was_cut and hole.depth > 0.0:
             self.trace.events.append((t_next, f"first_cut:{self.target_idx}"))
         if collision and not self._in_collision:
             self.trace.events.append((t, "collision"))
@@ -363,7 +364,7 @@ class ReferenceWorld(World):
         # state machine on the post-step state
         distance = math.sqrt(rx * rx + ry * ry + rz * rz)
         aligned = phase is _AUTO_ALIGN and k + 1 - self.align_start_step >= self.align_steps
-        depth_reached = self.hole_depth >= sc.environment.hole_depth_goal
+        depth_reached = hole.depth >= sc.environment.hole_depth_goal
         new_phase = update_phase(
             phase,
             distance,
@@ -376,7 +377,7 @@ class ReferenceWorld(World):
 
         trans, rot = params_now
         b6 = (trans, trans, trans, rot, rot, rot)
-        self._record(t, pose0, v_used, v_ref, f_h, f_env, f_int, b6, self.hole_depth)
+        self._record(t, pose0, v_used, v_ref, f_h, f_env, f_int, b6, hole.depth)
         self.k += 1
 
         if distance > self._runaway_at:
@@ -1064,9 +1065,9 @@ class TestPhaseBodies:
             # the carried target coordinates are those of the pose the next
             # step starts from, measured from the target it will serve
             target = sc.targets[world.target_idx]
-            assert (world._ax_pos, world._on_target) == target_coordinates(
-                world.pose.position, target, sc.environment
-            )
+            assert (world._ax_pos, world._on_target) == reference_target_coordinates(
+                world.pose.position, target.point, target.axis, sc.environment.hole_radius
+            )[:2]
         assert phases == set(GuidancePhase) - {GuidancePhase.TARGET_DONE}
         kinds = [kind for _, kind in world.trace.events]
         assert {"align_start:0", "new_target:1", "align_start:1"} <= set(kinds)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gds.geometry import (
@@ -20,10 +20,10 @@ from gds.guidance import GuidancePhase
 from gds.operator_env import (
     CUT_FACE_TOLERANCE,
     EnvironmentModel,
+    Hole,
     OperatorModel,
     VirtualOperator,
     environment_wrench,
-    target_coordinates,
     update_hole,
 )
 from gds.workpiece import CylinderPatch, TriangleMesh, build_target_frame, DrillTarget
@@ -99,6 +99,38 @@ def flat_target(phi=0.0, theta=0.0):
 
 def crest_cylinder():
     return CylinderPatch(Vec3(0, 0, -0.5), Vec3(0, 1, 0), 0.5)
+
+
+def reference_target_coordinates(position, entry, axis, radius):
+    """The tip's coordinates in a hole at ``entry`` along the unit ``axis``
+    with carve-out ``radius``, each float operation in the step's order:
+    ``ax_pos``, ``on_target`` and the distance from the entry. The oracle
+    for ``Hole.coordinates``."""
+    tx, ty, tz = entry
+    ux, uy, uz = axis
+    rx, ry, rz = position[0] - tx, position[1] - ty, position[2] - tz
+    ax_pos = rx * ux + ry * uy + rz * uz
+    lx, ly, lz = rx - ax_pos * ux, ry - ax_pos * uy, rz - ax_pos * uz
+    on_target = math.sqrt(lx * lx + ly * ly + lz * lz) <= radius
+    return ax_pos, on_target, math.sqrt(rx * rx + ry * ry + rz * rz)
+
+
+def target_hole(target, depth=0.0, env=ENV):
+    """The hole ``World`` makes for ``target``, cut to ``depth``."""
+    hole = Hole(target.point, target.axis, env.hole_radius)
+    hole.depth = depth
+    return hole
+
+
+def hole_wrench(tip, twist, surface, target, depth, env=ENV):
+    """``environment_wrench`` in ``target``'s hole cut to ``depth``, with
+    the tip's coordinates from the oracle."""
+    ax_pos, on_target, _ = reference_target_coordinates(
+        tip.position, target.point, target.axis, env.hole_radius
+    )
+    return environment_wrench(
+        tip, twist, surface, target_hole(target, depth, env), env, ax_pos, on_target
+    )
 
 
 class TestOperator:
@@ -387,15 +419,7 @@ class TestEnvironment:
     def test_no_contact_zero_wrench(self):
         target = flat_target()
         tip = Pose(Vec3(0.2, 0.0, 0.02), UnitQuat.identity())
-        w, collision = environment_wrench(
-            tip,
-            Twist6.zero(),
-            crest_cylinder(),
-            target,
-            0.0,
-            ENV,
-            *target_coordinates(tip.position, target, ENV),
-        )
+        w, collision = hole_wrench(tip, Twist6.zero(), crest_cylinder(), target, 0.0)
         assert w == Wrench6.zero()
         assert not collision
 
@@ -404,10 +428,7 @@ class TestEnvironment:
         target = flat_target()
         tip = Pose(Vec3(0, 0, -0.001), UnitQuat.identity())  # 1 mm into the cut
         feed = target.axis.scale(0.002)
-        w, _ = environment_wrench(
-            tip, Twist6(feed, Vec3.zero()), crest_cylinder(), target,
-            0.001, ENV, *target_coordinates(tip.position, target, ENV),
-        )
+        w, _ = hole_wrench(tip, Twist6(feed, Vec3.zero()), crest_cylinder(), target, 0.001)
         along = w.force.dot(target.axis)
         assert along == pytest.approx(-1.6, abs=1e-9)
 
@@ -415,20 +436,14 @@ class TestEnvironment:
         target = flat_target()
         tip = Pose(Vec3(0, 0, -0.001), UnitQuat.identity())
         pull = target.axis.scale(-0.01)
-        w, _ = environment_wrench(
-            tip, Twist6(pull, Vec3.zero()), crest_cylinder(), target,
-            0.002, ENV, *target_coordinates(tip.position, target, ENV),
-        )
+        w, _ = hole_wrench(tip, Twist6(pull, Vec3.zero()), crest_cylinder(), target, 0.002)
         assert w == Wrench6.zero()
 
     def test_off_target_contact_pushes_outward(self):
         target = flat_target()
         surf = crest_cylinder()
         tip = Pose(Vec3(0.05, 0.0, -0.0035), UnitQuat.identity())  # ~1 mm inside, 5 cm off target
-        w, collision = environment_wrench(
-            tip, Twist6.zero(), surf, target, 0.0, ENV,
-            *target_coordinates(tip.position, target, ENV),
-        )
+        w, collision = hole_wrench(tip, Twist6.zero(), surf, target, 0.0)
         assert w.force.norm() > 0.0
         _, n_out = surf.closest_point(tip.position)
         assert w.force.dot(n_out) > 0.0
@@ -437,10 +452,7 @@ class TestEnvironment:
     def test_deep_off_target_penetration_is_collision(self):
         target = flat_target()
         tip = Pose(Vec3(0.05, 0.0, -0.0085), UnitQuat.identity())  # ~6 mm inside
-        w, collision = environment_wrench(
-            tip, Twist6.zero(), crest_cylinder(), target, 0.0, ENV,
-            *target_coordinates(tip.position, target, ENV),
-        )
+        w, collision = hole_wrench(tip, Twist6.zero(), crest_cylinder(), target, 0.0)
         assert collision
 
     def test_contact_never_pulls(self):
@@ -450,9 +462,7 @@ class TestEnvironment:
         tip = Pose(Vec3(0.05, 0.0, -0.0030), UnitQuat.identity())
         _, n_out = surf.closest_point(tip.position)
         retreat = Twist6(n_out.scale(1.0), Vec3.zero())
-        w, _ = environment_wrench(
-            tip, retreat, surf, target, 0.0, ENV, *target_coordinates(tip.position, target, ENV)
-        )
+        w, _ = hole_wrench(tip, retreat, surf, target, 0.0)
         assert w.force.dot(n_out) >= 0.0
 
     def test_passive_over_contact_cycle(self):
@@ -473,10 +483,7 @@ class TestEnvironment:
                 vz = -speed if going_down else speed
                 pose = Pose(Vec3(0.05, 0.0, z), UnitQuat.identity())
                 tw = Twist6(Vec3(0.0, 0.0, vz), Vec3.zero())
-                w, _ = environment_wrench(
-                    pose, tw, surf, target, 0.0, env,
-                    *target_coordinates(pose.position, target, env),
-                )
+                w, _ = hole_wrench(pose, tw, surf, target, 0.0, env)
                 powers.append(w.force.dot(tw.linear))
                 z += vz * dt
             net = dt * (math.fsum(powers) - 0.5 * (powers[0] + powers[-1]))
@@ -501,10 +508,9 @@ class TestEnvironment:
         answers = []
         for k in range(202):
             tip = Pose(Vec3(0.3, 0.0, 0.15 - 1e-3 * k), UnitQuat.identity())
-            answers.append(environment_wrench(
-                tip, Twist6(Vec3(0.0, 0.0, -0.1), Vec3.zero()), mesh, target, 0.0, ENV,
-                *target_coordinates(tip.position, target, ENV),
-            ))
+            answers.append(
+                hole_wrench(tip, Twist6(Vec3(0.0, 0.0, -0.1), Vec3.zero()), mesh, target, 0.0)
+            )
         # each ball covers the next half of the remaining gap, about
         assert len(queries) <= 20
         assert answers[:200] == [(Wrench6.zero(), False)] * 200
@@ -513,36 +519,113 @@ class TestEnvironment:
         assert answers[201][0].force.z > 0.0
 
 
+# tips whose lateral offset from the axis is exactly 6 mm, or one ulp
+# beyond it: (tip, entry, axis, radius, on_target)
+_EDGE = math.nextafter(0.006, math.inf)
+_RADIUS_EXAMPLES = [
+    (Vec3(0.006, 0.0, 0.503), Vec3(0.0, 0.0, 0.5), Vec3(0.0, 0.0, 1.0), 0.006, True),
+    (Vec3(_EDGE, 0.0, 0.503), Vec3(0.0, 0.0, 0.5), Vec3(0.0, 0.0, 1.0), 0.006, False),
+    (Vec3(0.0, 0.006, -0.002), Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, -1.0), 0.006, True),
+    (Vec3(0.0, -_EDGE, -0.002), Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, -1.0), 0.006, False),
+    (
+        Vec3(0.006, 0.0, 0.003), Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 1.0),
+        math.nextafter(0.006, 0.0), False,
+    ),
+]
+
+
+def face_pairs():
+    """(depth, ax_pos) with the tip at most three tolerances short of the
+    bottom and not beyond it."""
+    return st.floats(1e-3, 0.02).flatmap(
+        lambda d: st.tuples(st.just(d), st.floats(d - 3.0 * CUT_FACE_TOLERANCE, d))
+    )
+
+
+class TestHole:
+    @pytest.mark.parametrize("tip, entry, axis, radius, on_target", _RADIUS_EXAMPLES)
+    def test_radius_examples_straddle_the_carve_out(self, tip, entry, axis, radius, on_target):
+        # every example's axis is along z and its offset in x or in y
+        assert abs(tip.x - entry.x) + abs(tip.y - entry.y) in (0.006, _EDGE)
+        assert reference_target_coordinates(tip, entry, axis, radius)[1] is on_target
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tip=st.tuples(*[st.floats(-0.2, 0.2)] * 3).map(lambda v: Vec3(*v)),
+        entry=st.tuples(*[st.floats(-0.5, 0.5)] * 3).map(lambda v: Vec3(*v)),
+        axis=unit_vectors(),
+        radius=st.floats(0.0, 0.05),
+    )
+    @example(*_RADIUS_EXAMPLES[0][:4])
+    @example(*_RADIUS_EXAMPLES[1][:4])
+    @example(*_RADIUS_EXAMPLES[2][:4])
+    @example(*_RADIUS_EXAMPLES[3][:4])
+    @example(*_RADIUS_EXAMPLES[4][:4])
+    def test_coordinates_match_oracle(self, tip, entry, axis, radius):
+        want = reference_target_coordinates(tip, entry, axis, radius)
+        got = Hole(entry, axis, radius).coordinates(*tip)
+        assert got == want and repr(got) == repr(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pair=face_pairs(),
+        feed=st.floats(1e-4, 0.05),
+        push=st.floats(ENV.thrust_threshold, 40.0),
+    )
+    @example(pair=(0.005, 0.005 - CUT_FACE_TOLERANCE), feed=0.001, push=25.0)
+    @example(
+        pair=(0.005, math.nextafter(0.005 - CUT_FACE_TOLERANCE, -math.inf)), feed=0.001, push=25.0
+    )
+    def test_one_cutting_face_rule(self, pair, feed, push):
+        # feeding forward, hard enough and not beyond the bottom: the cut
+        # grows exactly when the material resists the feed
+        depth, ax_pos = pair
+        target = flat_target()
+        hole = target_hole(target, depth)
+        tip = Pose(target.point + target.axis.scale(ax_pos), UnitQuat.identity())
+        twist = Twist6(target.axis.scale(feed), Vec3.zero())
+        w, collision = environment_wrench(tip, twist, crest_cylinder(), hole, ENV, ax_pos, True)
+        resisted = w.force.dot(target.axis)
+        grown = update_hole(hole, ax_pos, feed, push, 1e-3, ENV) > depth
+        assert resisted in (0.0, -ENV.cut_resistance * feed)
+        assert (resisted == -ENV.cut_resistance * feed) is grown
+        assert not collision and w.torque == Vec3.zero()
+
+
 class TestUpdateHole:
     def test_feed_integrates(self):
-        depth = update_hole(0.0, 0.0, 0.001, 25.0, 1.0, ENV)
-        assert depth == pytest.approx(0.001, abs=1e-15)
+        hole = target_hole(flat_target())
+        depth = update_hole(hole, 0.0, 0.001, 25.0, 1.0, ENV)
+        assert depth == hole.depth == pytest.approx(0.001, abs=1e-15)
 
     def test_below_thrust_threshold_no_advance(self):
-        assert update_hole(0.002, 0.002, 0.001, 2.0, 1.0, ENV) == 0.002
+        assert update_hole(target_hole(flat_target(), 0.002), 0.002, 0.001, 2.0, 1.0, ENV) == 0.002
 
     def test_negative_feed_never_undrills(self):
-        assert update_hole(0.004, 0.004, -0.01, 25.0, 1.0, ENV) == 0.004
+        assert update_hole(target_hole(flat_target(), 0.004), 0.004, -0.01, 25.0, 1.0, ENV) == 0.004
 
     def test_not_at_bottom_no_advance(self):
         # 1 mm short of the bottom, ten times the cutting-face tolerance
-        assert update_hole(0.005, 0.004, 0.001, 25.0, 1.0, ENV) == 0.005
+        assert update_hole(target_hole(flat_target(), 0.005), 0.004, 0.001, 25.0, 1.0, ENV) == 0.005
 
     def test_cutting_face_boundary(self):
         depth = 0.005
         face = depth - CUT_FACE_TOLERANCE
-        assert update_hole(depth, face, 0.001, 25.0, 1.0, ENV) == depth + 0.001
+        assert update_hole(target_hole(flat_target(), depth), face, 0.001, 25.0, 1.0, ENV) == (
+            depth + 0.001
+        )
         short = math.nextafter(face, -math.inf)
-        assert update_hole(depth, short, 0.001, 25.0, 1.0, ENV) == depth
+        assert update_hole(target_hole(flat_target(), depth), short, 0.001, 25.0, 1.0, ENV) == depth
 
     def test_monotone_depth(self):
         rng = np.random.default_rng(2)
+        hole = target_hole(flat_target())
         depth = prev = 0.0
         for _ in range(200):
             # the tip's axial position, drawn around the cutting face
             ax_pos = depth + float(rng.uniform(-2.0, 1.0)) * CUT_FACE_TOLERANCE
             depth = update_hole(
-                depth,
+                hole,
                 ax_pos,
                 float(rng.uniform(-0.005, 0.005)),
                 float(rng.uniform(0.0, 30.0)),

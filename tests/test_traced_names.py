@@ -18,6 +18,7 @@ from gds import cli, engine, operator_env
 from gds.admittance import phase_params
 from gds.guidance import GuidancePhase
 from gds.presets import experiment_one_raw, experiment_one_scenario
+from test_operator_env import reference_target_coordinates
 
 # (owner, attribute) -> the conditions whose first 12 s reach it
 TRACED = {
@@ -131,7 +132,8 @@ def settling_steps(trace, phases, condition):
 @pytest.mark.parametrize("condition", ["without", "with"])
 def test_per_step_call_counts(condition, monkeypatch):
     # the traced per-layer counts (engine.steps, operator_env.wrench_calls,
-    # admittance.*_calls, guidance.align_steps) follow from the samples
+    # operator_env.update_hole_calls, admittance.*_calls,
+    # guidance.align_steps) follow from the samples
     calls = count_calls(monkeypatch, TRACED)
     sc = experiment_one_scenario(condition, seed=0)
     world = engine.World(sc)
@@ -159,5 +161,19 @@ def test_per_step_call_counts(condition, monkeypatch):
     assert calls[(engine, "step_axial")] == axial
     assert calls[(engine, "sample_alignment")] == calls[(engine, "alignment_twist")] == locked
     assert calls[(engine, "step_admittance")] == n - axial - locked
+    # one cut update per step that ends in the hole, by the oracle: at the
+    # next sample's position (the run's end pose after the last step),
+    # measured from the step's own target
+    d = trace.data
+    ends = np.stack([d["px"], d["py"], d["pz"]], axis=1).tolist()[1:] + [world.pose.position]
+    in_hole = 0
+    for end, i in zip(ends, trace.target_idx.tolist()):
+        target = sc.targets[i]
+        ax_pos, on_target, _ = reference_target_coordinates(
+            end, target.point, target.axis, sc.environment.hole_radius
+        )
+        in_hole += on_target and ax_pos > 0.0
+    assert 0 < in_hole < n
+    assert calls[(engine, "update_hole")] == in_hole
     if condition == "with":
         assert (n, ramps, locked) == (33954, 15, 12000)
