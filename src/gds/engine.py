@@ -420,16 +420,18 @@ class World:
 
     def _begin_target(self, t: float) -> None:
         """Make ``target_idx`` the active target at time ``t``: a new
-        ``Hole`` at its point along its axis, not yet cut, a fresh runaway
-        bound and stall deadline, and the operator told."""
+        ``Hole`` at its point along its axis, not yet cut, the tip's
+        coordinates in it, a runaway bound ``_RUNAWAY_DISTANCE`` beyond the
+        entry distance the step tests, a fresh stall deadline, and the
+        operator told."""
         target = self.sc.targets[self.target_idx]
         hole = self.hole = Hole(target.point, target.axis, self.sc.environment.hole_radius)
-        self._runaway_at = math.dist(self.pose.position, target.point) + _RUNAWAY_DISTANCE
+        # the tip's hole coordinates at the start of the next step
+        self._ax_pos, self._on_target, distance = hole.coordinates(*self.pose.position)
+        self._runaway_at = distance + _RUNAWAY_DISTANCE
         # the step the run ends at, as a timeout or a stall, unless the
         # cut grows or the target changes first
         self._deadline = self._deadline_after(self.k)
-        # the tip's hole coordinates at the start of the next step
-        self._ax_pos, self._on_target, _ = hole.coordinates(*self.pose.position)
         self.operator.begin_target(target, t)
 
     def _end(self, t: float, kind: str) -> None:

@@ -12,16 +12,16 @@ Metrics (one drilling session = all targets):
   integrated separately and the total is their exact sum
 - alignment errors: polar and azimuth deviation of the tool axis from the
   commanded drilling direction, evaluated just before material is cut on
-  each target (entry into the constrained drilling phase under guidance,
-  the first sample after the first cut without it), averaged over targets
+  each target (the sample after the first cut, in both conditions),
+  averaged over the targets that were cut; NaN if none was
 
 Integrals use the trapezoidal rule over the uniformly-sampled trace. They
 stream over the trace's storage blocks: each block's series is computed
 from a view of its records and chained into one exactly rounded
 ``math.fsum``, so the totals have the bits of one sum over the whole series,
 and no metric holds a whole-trace column or series. The drilling-entry
-scan streams over the same blocks.
-All functions are pure; traces are never mutated.
+scan streams over the same blocks. Metrics read only the trace's columns
+and events. All functions are pure; traces are never mutated.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import _PHASE_CODE, Trace
+from .engine import Trace
 from .geometry import Vec3, rotate
-from .guidance import GuidancePhase
 from .workpiece import DrillTarget, recover_angles
 
 METRIC_FIELDS = (
@@ -111,26 +110,24 @@ def wrap180(angle_deg: float) -> float:
 
 
 def _drill_entry_indices(trace: Trace) -> Dict[int, int]:
-    """Sample index 'just before drilling starts' per target: under guidance
-    the first ConstrainedDrill sample; without it the sample after the first
-    one with ``hole_depth > 0`` (a sample holds the pose before its step and
-    the depth after it, so the next sample holds the pose at the first
-    cut), clipped to the last sample."""
-    guided = trace.condition == "with"
-    code = _PHASE_CODE[GuidancePhase.CONSTRAINED_DRILL]
+    """Sample index 'just before drilling starts' per target that was cut,
+    one rule for both conditions: the sample after the first one with
+    ``hole_depth > 0`` (a sample holds the pose before its step and the
+    depth after it, so the next sample holds the pose at the first cut),
+    clipped to the last sample. Under guidance that sample's orientation
+    is, to the bit, the first ConstrainedDrill sample's: a guided tip cuts
+    only in ConstrainedDrill, whose 1-DoF body carries the orientation
+    over."""
     firsts: Dict[int, int] = {}
     start = 0
     for records in trace.record_blocks():
-        hits = np.flatnonzero(
-            records["phase"] == code if guided else records["hole_depth"] > 0.0
-        )
+        hits = np.flatnonzero(records["hole_depth"] > 0.0)
         if hits.size:
             targets, at = np.unique(records["target_index"][hits], return_index=True)
             for target, i in zip(targets.tolist(), (hits[at] + start).tolist()):
                 firsts.setdefault(target, i)
         start += len(records)
-    after = 0 if guided else 1
-    return {target: min(i + after, start - 1) for target, i in firsts.items()}
+    return {target: min(i + 1, start - 1) for target, i in firsts.items()}
 
 
 def compute_metrics(

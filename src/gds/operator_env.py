@@ -31,7 +31,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import GeometryError
 from .geometry import _ZERO3, _ZERO_WRENCH, Pose, Twist6, Vec3, Wrench6, _new, rotation_between
 from .guidance import _APPROACH, _CONSTRAINED_DRILL, _FREE_MOTION, _RETRACT, GuidancePhase
 from .workpiece import DrillTarget, Surface, drilling_axis
@@ -323,11 +322,11 @@ class VirtualOperator:
             qw, qx, qy, qz = rotation_between(_new(Vec3, (ux, uy, uz)), _new(Vec3, (ax, ay, az)))
         else:
             # rotation_between's half-angle construction, normalised as in
-            # _canonical; 1 + d > 0 here, so its sign rule never flips it
+            # _canonical; 1 + d > 1e-12 here, so its sign rule never flips
+            # it, and the norm of these unit vectors' parts is finite and
+            # at least that
             c0 = 1.0 + d
             n = math.sqrt(c0 * c0 + cx * cx + cy * cy + cz * cz)
-            if n == 0.0 or not math.isfinite(n):
-                raise GeometryError("quaternion norm is zero or non-finite")
             qw, qx, qy, qz = c0 / n, cx / n, cy / n, cz / n
         # its rotation vector, then the PD torque
         vn = math.sqrt(qx**2 + qy**2 + qz**2)

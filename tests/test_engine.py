@@ -581,12 +581,18 @@ class TestStepDynamics:
             # +0.0 bit for bit
             assert trace.data[name][locked].astype(np.float64).tobytes() == bytes(8 * n_locked)
 
-    def test_non_finite_force_aborts_with_fault(self):
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("component", [0, 5], ids=["fh_x", "fh_tz"])
+    def test_non_finite_force_aborts_with_fault(self, value, component):
+        # World.step is the one check of the interaction force: it faults
+        # before any body runs, so the first step records nothing
+        wrench = [0.0] * 6
+        wrench[component] = value
         sc = far_target_scenario()
-        w = World(sc, ConstantForceOperator(Wrench6(Vec3(float("inf"), 0, 0), Vec3.zero())))
-        with pytest.raises(SimulationFault):
-            for _ in range(5):
-                w.step()
+        w = World(sc, ConstantForceOperator(Wrench6(Vec3(*wrench[:3]), Vec3(*wrench[3:]))))
+        with pytest.raises(SimulationFault, match="non-finite state at sample 0"):
+            w.step()
+        assert len(w.trace) == 0 and w.k == 0
 
 
 class TestIntegrate:
@@ -1050,6 +1056,20 @@ class TestPhaseBodies:
         for _, kind in got.events_of_kind("align_end:"):
             i = int(kind.split(":")[1])
             assert np.count_nonzero(locked & (targets == i)) == world.align_steps, kind
+        # the invariant behind metrics' one entry rule: a guided tip first
+        # cuts in ConstrainedDrill, which carries the orientation over, so
+        # the sample after the first cut (clipped to the last) holds the
+        # first ConstrainedDrill sample's orientation, to the bit
+        cut = d["hole_depth"] > 0.0
+        quat = ("qw", "qx", "qy", "qz")
+        for i in np.unique(targets[cut]).tolist():
+            first_cut = np.flatnonzero(cut & (targets == i))[0]
+            assert drill[first_cut], i
+            entry = min(first_cut + 1, len(got) - 1)
+            first_drill = np.flatnonzero(drill & (targets == i))[0]
+            assert np.array([d[c][entry] for c in quat]).tobytes() == np.array(
+                [d[c][first_drill] for c in quat]
+            ).tobytes(), i
 
     def test_every_phase_body_runs(self):
         # seed-0 guided preset, ideal follower: the locked, the 1-DoF and the

@@ -49,7 +49,10 @@ def synthetic_trace(n, dt, fill):
 
 
 def reference_drill_entry_indices(trace):
-    """Per-index scan: the oracle for the guided branch of _drill_entry_indices."""
+    """Per-index scan for each target's first ConstrainedDrill sample, the
+    guided condition's former entry rule: reference_compute_metrics reads
+    it under guidance, so a guided session checks that the one rule of
+    _drill_entry_indices reads the same orientation."""
     out = {}
     targets = trace.target_idx.tolist()
     for i in range(len(trace)):
@@ -61,7 +64,7 @@ def reference_drill_entry_indices(trace):
 
 def reference_manual_entry_indices(trace):
     """Scan of the ``first_cut:`` events for the last sample at or before
-    each: the oracle for the manual branch of _drill_entry_indices."""
+    each: the oracle for _drill_entry_indices, in both conditions."""
     out = {}
     t_col = trace.data["t"]
     for t_evt, kind in trace.events:
@@ -210,6 +213,7 @@ class TestComputeMetrics:
             row = {"qw": q.w, "qx": q.x, "qy": q.y, "qz": q.z}
             if i >= 50:
                 row["phase"] = GuidancePhase.CONSTRAINED_DRILL
+                row["hole_depth"] = 1e-4 * (i - 49)
             return row
 
         tr = synthetic_trace(100, 0.01, fill)
@@ -346,22 +350,11 @@ class TestComputeMetrics:
         want = math.sqrt(float(Fraction(vx) ** 2) + float(Fraction(vy) ** 2))
         assert _speed(records, _V) == [want]
 
-    def test_guided_entry_scan_matches_loop_oracle(self):
-        # every phase, with targets revisited out of order
-        phases = tuple(GuidancePhase)
-        tr = synthetic_trace(600, 0.01, lambda i: {
-            "phase": phases[(i * 7) % len(phases)],
-            "target_index": (i * 5) % 4 if i % 11 else 9,
-        })
-        want = reference_drill_entry_indices(tr)
-        assert len(want) > 1
-        assert _drill_entry_indices(tr) == want
-        empty = synthetic_trace(0, 0.01, lambda i: {})
-        assert _drill_entry_indices(empty) == {}
-
-    def test_manual_entry_rule_matches_event_scan(self):
-        # targets 0 to 3 in turn; target 2 is never cut, and target 3 is
-        # first cut on the last sample, which has no next sample
+    @pytest.mark.parametrize("condition", ["with", "without"])
+    def test_entry_rule_matches_event_scan(self, condition):
+        # one rule for both conditions: targets 0 to 3 in turn; target 2 is
+        # never cut, and target 3 is first cut on the last sample, which
+        # has no next sample
         dt, n = 0.01, 200
         starts, cuts = (0, 100, 140, 170), {0: 40, 1: 130, 3: n - 1}
 
@@ -371,15 +364,31 @@ class TestComputeMetrics:
             return {"target_index": tgt, "hole_depth": 1e-4 * (i - cut + 1) if i >= cut else 0.0}
 
         tr = synthetic_trace(n, dt, fill)
-        tr.condition = "without"
+        tr.condition = condition
         # as World.step stamps them: at the end of the step that cut
         tr.events += [((k + 1) * dt, f"first_cut:{tgt}") for tgt, k in cuts.items()]
         want = reference_manual_entry_indices(tr)
         assert want == {0: 41, 1: 131, 3: n - 1}
         assert _drill_entry_indices(tr) == want
         empty = synthetic_trace(0, 0.01, lambda i: {})
-        empty.condition = "without"
+        empty.condition = condition
         assert _drill_entry_indices(empty) == {}
+
+    @pytest.mark.parametrize("condition", ["with", "without"])
+    def test_target_never_cut_has_no_alignment_error(self, condition):
+        # cut at 7 s: the guided session has entered ConstrainedDrill (at
+        # 5.346 s) but first cuts at 7.570 s, the manual one is still on
+        # its approach; neither target 0 is cut, so its errors are NaN
+        sc = experiment_one_scenario(condition, seed=0, max_sim_time=7.0)
+        trace = run(sc)
+        assert trace.events[-1] == (pytest.approx(7.0), "timeout")
+        assert not trace.events_of_kind("first_cut:")
+        entered = [t for t, _ in trace.events_of_kind("phase:ConstrainedDrill")]
+        assert entered == ([pytest.approx(5.346)] if condition == "with" else [])
+        got = compute_metrics(trace, sc.targets, sc.tool_axis_local)
+        assert all(math.isnan(e) for e in got.per_target[0])
+        assert math.isnan(got.eps_phi_avg) and math.isnan(got.eps_theta_avg)
+        assert not got.complete
 
 
 class TestWrap180:
