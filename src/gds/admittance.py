@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import SimulationFault
-from .geometry import Twist6, Vec3, Wrench6, _new
+from .geometry import _new
 from .guidance import GuidancePhase
 
 # Virtual masses, constant across phases: only the damping adapts
@@ -104,23 +104,23 @@ def gains_at(schedule: GainSchedule, t: float) -> AdmittanceParams:
     return _new(AdmittanceParams, (t0 + s * (t1 - t0), r0 + s * (r1 - r0)))
 
 
-def step_admittance(v: Twist6, f_int: Wrench6, params: AdmittanceParams, dt: float) -> Twist6:
-    """The six filters' reference twist one step after ``v`` under
-    interaction wrench ``f_int`` and dampings ``params``. It checks
-    nothing: its caller, ``World.step``, has checked that the six force
-    components are finite, and ``Scenario`` that ``dt`` is positive.
+def step_admittance(v: tuple, f_int: tuple, params: AdmittanceParams, dt: float) -> tuple:
+    """The six filters' reference twist one step after twist ``v`` under
+    interaction wrench ``f_int`` and dampings ``params``, as a plain
+    ``((vx, vy, vz), (wx, wy, wz))``. It checks nothing: its caller,
+    ``World.step``, has checked that the six force components are finite,
+    and ``Scenario`` that ``dt`` is positive.
     """
-    fx, fy, fz = f_int.force
-    tx, ty, tz = f_int.torque
+    (fx, fy, fz), (tx, ty, tz) = f_int
     bt, br = params
     ct = 1.0 - math.exp(-bt * dt / MASS_TRANS)
     cr = 1.0 - math.exp(-br * dt / MASS_ROT)
     (vx, vy, vz), (wx, wy, wz) = v
     # each channel is step_axial's update with its coefficient hoisted
-    return _new(Twist6, (
-        _new(Vec3, (vx + ct * (fx / bt - vx), vy + ct * (fy / bt - vy), vz + ct * (fz / bt - vz))),
-        _new(Vec3, (wx + cr * (tx / br - wx), wy + cr * (ty / br - wy), wz + cr * (tz / br - wz))),
-    ))
+    return (
+        (vx + ct * (fx / bt - vx), vy + ct * (fy / bt - vy), vz + ct * (fz / bt - vz)),
+        (wx + cr * (tx / br - wx), wy + cr * (ty / br - wy), wz + cr * (tz / br - wz)),
+    )
 
 
 def step_axial(v: float, f_axial: float, b: float, dt: float) -> float:

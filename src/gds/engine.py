@@ -24,8 +24,10 @@ Step order (one control period):
    events, state machine update, trace sample
 
 The step runs over plain floats and packs the trace record straight from
-them; it builds a ``Pose``, ``Twist6`` or ``Wrench6`` only for a callee
-that takes one and for ``World.pose`` and ``World.twist``.
+them. A value that lives for one control period is a plain nested float
+tuple, never a NamedTuple: ``World.pose`` is ``((x, y, z), (w, x, y, z))``,
+``World.twist``, ``World.v_ref`` and every wrench ``((x, y, z), (x, y, z))``
+(see ``geometry`` for the measured reason).
 
 Time is accumulated as step_index * dt (integer multiplication), never by
 summation, so sample stamps carry no floating drift. Runs are deterministic:
@@ -53,17 +55,7 @@ from .admittance import (
     step_axial,
 )
 from .errors import GeometryError, SimulationFault
-from .geometry import (
-    _ZERO3,
-    _ZERO_WRENCH,
-    Pose,
-    Twist6,
-    UnitQuat,
-    Vec3,
-    Wrench6,
-    _canonical,
-    _new,
-)
+from .geometry import Pose, Twist6, UnitQuat, Vec3, Wrench6, canonical_wxyz
 from .guidance import (
     _AUTO_ALIGN,
     _CONSTRAINED_DRILL,
@@ -96,17 +88,18 @@ _RUNAWAY_DISTANCE = 1.0
 STALL_S = 60.0
 
 
-def _turned(q: UnitQuat, rx: float, ry: float, rz: float) -> UnitQuat:
-    """``UnitQuat.from_rotvec((rx, ry, rz)).multiply(q)`` over floats: the
-    orientation after one step of a nonzero angular twist, ``r = w dt``."""
+def _turned(q: tuple, rx: float, ry: float, rz: float) -> tuple:
+    """``UnitQuat.from_rotvec((rx, ry, rz)).multiply(q)`` over floats, as a
+    plain (w, x, y, z): the orientation after one step of a nonzero angular
+    twist, ``r = w dt``."""
     angle = math.sqrt(rx * rx + ry * ry + rz * rz)
     if angle < 1e-12:
-        w1, x1, y1, z1 = _canonical(1.0, 0.5 * rx, 0.5 * ry, 0.5 * rz)
+        w1, x1, y1, z1 = canonical_wxyz(1.0, 0.5 * rx, 0.5 * ry, 0.5 * rz)
     else:
         s = math.sin(0.5 * angle) / angle
-        w1, x1, y1, z1 = _canonical(math.cos(0.5 * angle), s * rx, s * ry, s * rz)
+        w1, x1, y1, z1 = canonical_wxyz(math.cos(0.5 * angle), s * rx, s * ry, s * rz)
     w2, x2, y2, z2 = q
-    return _canonical(
+    return canonical_wxyz(
         w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
         w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
         w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
@@ -388,8 +381,9 @@ class World:
         self.operator = operator or VirtualOperator(
             scenario.operator, scenario.tool_axis_local, guided=self.guided
         )
-        self.pose = scenario.start_pose
-        self.twist = Twist6.zero()
+        position, orientation = scenario.start_pose
+        self.pose = (tuple(position), tuple(orientation))
+        self.twist = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
         self.phase = _FREE_MOTION
         self.target_idx = 0
         self.k = 0
@@ -397,7 +391,7 @@ class World:
         self.align_plan = None
         self.align_start_step = 0
         self.align_steps = max(1, round(scenario.thresholds.align_duration / self.dt))
-        self.v_ref = Twist6.zero()  # six-channel admittance memory
+        self.v_ref = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))  # six-channel admittance memory
         self.s_ref = 0.0  # axial admittance memory while constrained
         self.s_act = 0.0  # axial plant state while constrained
         tau = scenario.plant.lag_time_constant
@@ -427,7 +421,7 @@ class World:
         target = self.sc.targets[self.target_idx]
         hole = self.hole = Hole(target.point, target.axis, self.sc.environment.hole_radius)
         # the tip's hole coordinates at the start of the next step
-        self._ax_pos, self._on_target, distance = hole.coordinates(*self.pose.position)
+        self._ax_pos, self._on_target, distance = hole.coordinates(*self.pose[0])
         self._runaway_at = distance + _RUNAWAY_DISTANCE
         # the step the run ends at, as a timeout or a stall, unless the
         # cut grows or the target changes first
@@ -465,7 +459,7 @@ class World:
 
         # the lock ignores the operator: it is not asked
         if phase is _AUTO_ALIGN:
-            f_h = _ZERO_WRENCH
+            f_h = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
         else:
             f_h = self.operator.wrench(pose0, twist0, phase, target, t)
         f_env, collision = environment_wrench(
@@ -499,7 +493,7 @@ class World:
             # or the zero twist _transition sets on the first locked step
             (vx, vy, vz), (wx, wy, wz) = twist0
             rvx = rvy = rvz = rwx = rwy = rwz = 0.0
-            nx, ny, nz = new_pose.position
+            nx, ny, nz = new_pose[0]
         elif self.guided and (phase is _CONSTRAINED_DRILL or phase is _RETRACT):
             # 1-DoF along the drilling axis, which is guidance's; the
             # angular twist is exactly zero, so the orientation carries over
@@ -515,12 +509,13 @@ class World:
             vx, vy, vz = s * ux, s * uy, s * uz
             wx = wy = wz = 0.0
             nx, ny, nz = px + vx * dt, py + vy * dt, pz + vz * dt
-            new_twist = _new(Twist6, (_new(Vec3, (vx, vy, vz)), _ZERO3))
-            new_pose = _new(Pose, (_new(Vec3, (nx, ny, nz)), ori0))
+            new_twist = (vx, vy, vz), (0.0, 0.0, 0.0)
+            new_pose = (nx, ny, nz), ori0
         else:
             # six decoupled channels, then the plant lag
-            f_int = _new(Wrench6, (_new(Vec3, (ix, iy, iz)), _new(Vec3, (itx, ity, itz))))
-            new_twist = self.v_ref = step_admittance(self.v_ref, f_int, params_now, dt)
+            new_twist = self.v_ref = step_admittance(
+                self.v_ref, ((ix, iy, iz), (itx, ity, itz)), params_now, dt
+            )
             (rvx, rvy, rvz), (rwx, rwy, rwz) = new_twist
             a = self.plant_alpha
             if a == 1.0:
@@ -529,13 +524,13 @@ class World:
                 (vx, vy, vz), (wx, wy, wz) = twist0
                 vx, vy, vz = vx + a * (rvx - vx), vy + a * (rvy - vy), vz + a * (rvz - vz)
                 wx, wy, wz = wx + a * (rwx - wx), wy + a * (rwy - wy), wz + a * (rwz - wz)
-                new_twist = _new(Twist6, (_new(Vec3, (vx, vy, vz)), _new(Vec3, (wx, wy, wz))))
+                new_twist = (vx, vy, vz), (wx, wy, wz)
             nx, ny, nz = px + vx * dt, py + vy * dt, pz + vz * dt
             if wx == 0.0 and wy == 0.0 and wz == 0.0:
                 ori = ori0
             else:
                 ori = _turned(ori0, wx * dt, wy * dt, wz * dt)
-            new_pose = _new(Pose, (_new(Vec3, (nx, ny, nz)), ori))
+            new_pose = (nx, ny, nz), ori
 
         self.pose = new_pose
         self.twist = new_twist
@@ -613,8 +608,7 @@ class World:
                 duration=self.align_steps * self.dt,
             )
             self.align_start_step = self.k
-            self.v_ref = Twist6.zero()
-            self.twist = Twist6.zero()
+            self.v_ref = self.twist = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
             self.trace.events.append((t, f"align_start:{self.target_idx}"))
         elif new is _CONSTRAINED_DRILL:
             self.trace.events.append((t, f"align_end:{self.target_idx}"))

@@ -21,12 +21,9 @@ from dataclasses import dataclass
 
 from .errors import GeometryError, SimulationFault
 from .geometry import (
-    _ZERO_TWIST,
     Pose,
-    Twist6,
     UnitQuat,
     Vec3,
-    _new,
     rotate,
     rotation_between,
     slerp_arc,
@@ -175,7 +172,7 @@ class AlignmentPlan:
 
 
 def plan_alignment(
-    current: Pose,
+    current: tuple,
     target_point: Vec3,
     drilling_axis: Vec3,
     tool_axis_local: Vec3,
@@ -185,18 +182,20 @@ def plan_alignment(
 ) -> AlignmentPlan:
     """Build the locked alignment trajectory for one target: it ends
     ``standoff`` short of ``target_point`` on the drilling axis,
-    ``duration`` seconds after it starts at ``current``."""
+    ``duration`` seconds after it starts at pose ``current``."""
     if abs(drilling_axis.norm() - 1.0) > 1e-6:
         raise GeometryError("drilling axis must be unit length")
-    start = current.orientation
+    position, orientation = current
+    start_pose = Pose(Vec3(*position), UnitQuat(*orientation))
+    start = start_pose.orientation
     tool_world = rotate(start, tool_axis_local)
     goal = rotation_between(tool_world, drilling_axis).multiply(start)
     goal_position = target_point - drilling_axis.scale(standoff)
     return AlignmentPlan(
-        start_pose=current,
+        start_pose=start_pose,
         goal_pose=Pose(goal_position, goal),
         duration=duration,
-        delta_position=goal_position - current.position,
+        delta_position=goal_position - start_pose.position,
         rotation_vector=_quat_log(goal.multiply(start.conjugate())),
         arc=slerp_arc(start, goal),
     )
@@ -211,34 +210,31 @@ def _smoothstep_rate(s: float) -> float:
     return 6.0 * s * (1.0 - s)
 
 
-def sample_alignment(plan: AlignmentPlan, t: float) -> Pose:
-    """Pose on the locked trajectory at time t in [0, duration].
+def sample_alignment(plan: AlignmentPlan, t: float) -> tuple:
+    """Pose on the locked trajectory at time t in [0, duration], as a plain
+    ``((x, y, z), (w, x, y, z))``.
 
     Out-of-range times are clamped (t=0 gives the start pose exactly,
     t=duration the goal pose exactly).
     """
     duration = plan.duration
-    if t <= 0.0:
-        return plan.start_pose
-    if t >= duration:
-        return plan.goal_pose
+    if t <= 0.0 or t >= duration:
+        position, orientation = plan.start_pose if t <= 0.0 else plan.goal_pose
+        return tuple(position), tuple(orientation)
     s = smoothstep(t / duration)
     (x0, y0, z0), (dx, dy, dz) = plan.start_pose.position, plan.delta_position
-    pos = _new(Vec3, (x0 + s * dx, y0 + s * dy, z0 + s * dz))
-    return _new(Pose, (pos, slerp_at(plan.arc, s)))
+    return (x0 + s * dx, y0 + s * dy, z0 + s * dz), slerp_at(plan.arc, s)
 
 
-def alignment_twist(plan: AlignmentPlan, t: float) -> Twist6:
-    """Instantaneous twist of the locked trajectory (zero at both ends)."""
+def alignment_twist(plan: AlignmentPlan, t: float) -> tuple:
+    """Instantaneous twist of the locked trajectory (zero at both ends), as
+    a plain ``((vx, vy, vz), (wx, wy, wz))``."""
     duration = plan.duration
     if t <= 0.0 or t >= duration:
-        return _ZERO_TWIST
+        return (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
     rate = _smoothstep_rate(t / duration) / duration
     (dx, dy, dz), (rx, ry, rz) = plan.delta_position, plan.rotation_vector
-    return _new(Twist6, (
-        _new(Vec3, (rate * dx, rate * dy, rate * dz)),
-        _new(Vec3, (rate * rx, rate * ry, rate * rz)),
-    ))
+    return (rate * dx, rate * dy, rate * dz), (rate * rx, rate * ry, rate * rz)
 
 
 def _quat_log(q: UnitQuat) -> Vec3:

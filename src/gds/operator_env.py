@@ -31,7 +31,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .geometry import _ZERO3, _ZERO_WRENCH, Pose, Twist6, Vec3, Wrench6, _new, rotation_between
+from .geometry import Vec3, rotation_between
 from .guidance import _APPROACH, _CONSTRAINED_DRILL, _FREE_MOTION, _RETRACT, GuidancePhase
 from .workpiece import DrillTarget, Surface, drilling_axis
 
@@ -228,14 +228,15 @@ class VirtualOperator:
 
     def wrench(
         self,
-        pose: Pose,
-        twist: Twist6,
+        pose: tuple,
+        twist: tuple,
         phase: GuidancePhase,
         target: DrillTarget,
         t: float,
-    ) -> Wrench6:
-        """The hand's wrench in ``phase``. ``World`` does not ask during the
-        locked alignment, and no step runs in TargetDone."""
+    ) -> tuple:
+        """The hand's wrench in ``phase``, as a plain ``((fx, fy, fz),
+        (tx, ty, tz))``. ``World`` does not ask during the locked
+        alignment, and no step runs in TargetDone."""
         if self.guided:
             return self._guided_wrench(pose, twist, phase, target, t)
         return self._manual_wrench(pose, twist, phase, target, t)
@@ -256,21 +257,21 @@ class VirtualOperator:
         m = self.model
         g = self._ramp(t)
         if phase is _FREE_MOTION or phase is _APPROACH:
-            (tx, ty, tz), (px, py, pz) = target.point, pose.position
-            vx, vy, vz = twist.linear
+            (tx, ty, tz), (px, py, pz) = target.point, pose[0]
+            vx, vy, vz = twist[0]
             kp, kd = m.k_p, m.k_d
             fx, fy, fz = _cap(
                 kp * (tx - px) - kd * vx, kp * (ty - py) - kd * vy, kp * (tz - pz) - kd * vz,
                 m.force_cap,
             )
-            return _new(Wrench6, (_new(Vec3, (g * fx, g * fy, g * fz)), _ZERO3))
+            return (g * fx, g * fy, g * fz), (0.0, 0.0, 0.0)
         # push while drilling, pull in Retract
         if phase is _CONSTRAINED_DRILL:
             s = g * min(m.push_force, m.force_cap)
         else:
             s = -g * min(m.push_force, m.force_cap)
         ux, uy, uz = target.axis
-        return _new(Wrench6, (_new(Vec3, (s * ux, s * uy, s * uz)), _ZERO3))
+        return (s * ux, s * uy, s * uz), (0.0, 0.0, 0.0)
 
     def _manual_wrench(self, pose, twist, phase, target, t):
         # over plain floats, each operation in the order of the Vec3 method
@@ -288,27 +289,28 @@ class VirtualOperator:
         mode = self._mode
         if mode == _MODE_PULL:
             # pull back out along the push axis
-            f = self._push_axis.scale(-min(m.push_force, m.force_cap))
-            return Wrench6(f.scale(g), Vec3.zero())
-        # tool axis in the world: rotate(pose.orientation, tool_axis_local)
-        ow, ox, oy, oz = pose.orientation
-        vx, vy, vz = self.tool_axis_local
-        sx = 2.0 * (oy * vz - oz * vy)
-        sy = 2.0 * (oz * vx - ox * vz)
-        sz = 2.0 * (ox * vy - oy * vx)
-        ux = vx + ow * sx + oy * sz - oz * sy
-        uy = vy + ow * sy + oz * sx - ox * sz
-        uz = vz + ow * sz + ox * sy - oy * sx
+            s = -min(m.push_force, m.force_cap)
+            ax, ay, az = self._push_axis
+            return (g * (s * ax), g * (s * ay), g * (s * az)), (0.0, 0.0, 0.0)
+        # tool axis in the world: rotate(pose orientation, tool_axis_local)
+        (px, py, pz), (ow, ox, oy, oz) = pose
+        lx, ly, lz = self.tool_axis_local
+        sx = 2.0 * (oy * lz - oz * ly)
+        sy = 2.0 * (oz * lx - ox * lz)
+        sz = 2.0 * (ox * ly - oy * lx)
+        ux = lx + ow * sx + oy * sz - oz * sy
+        uy = ly + ow * sy + oz * sx - ox * sz
+        uz = lz + ow * sz + ox * sy - oy * sx
         # the desired axis: the locked push axis, or the aim axis
         ax, ay, az = self._push_axis if mode == _MODE_PUSH else self._aim_axis(target, t)
         cx, cy, cz = uy * az - uz * ay, uz * ax - ux * az, ux * ay - uy * ax
         d = ux * ax + uy * ay + uz * az
         if mode != _MODE_PUSH:
-            tp, p = target.point, pose.position
+            tpx, tpy, tpz = target.point
             # standoff point minus the tip
-            ex = (tp.x - _PREDRILL_STANDOFF * ax) - p.x
-            ey = (tp.y - _PREDRILL_STANDOFF * ay) - p.y
-            ez = (tp.z - _PREDRILL_STANDOFF * az) - p.z
+            ex = (tpx - _PREDRILL_STANDOFF * ax) - px
+            ey = (tpy - _PREDRILL_STANDOFF * ay) - py
+            ez = (tpz - _PREDRILL_STANDOFF * az) - pz
             if (
                 mode == _MODE_AIM
                 and not math.sqrt(ex * ex + ey * ey + ez * ez) > _AIM_RADIUS
@@ -319,7 +321,7 @@ class VirtualOperator:
 
         # correcting rotation from the tool axis onto the desired axis
         if d < -1.0 + 1e-12:
-            qw, qx, qy, qz = rotation_between(_new(Vec3, (ux, uy, uz)), _new(Vec3, (ax, ay, az)))
+            qw, qx, qy, qz = rotation_between(Vec3(ux, uy, uz), Vec3(ax, ay, az))
         else:
             # rotation_between's half-angle construction, normalised as in
             # _canonical; 1 + d > 1e-12 here, so its sign rule never flips
@@ -335,22 +337,19 @@ class VirtualOperator:
         else:
             s = 2.0 * math.atan2(vn, qw) / vn
             rx, ry, rz = s * qx, s * qy, s * qz
-        w = twist.angular
+        (vx, vy, vz), (wx, wy, wz) = twist
         kp, kd = m.torque_k_p, m.torque_k_d
-        tx, ty, tz = _cap(kp * rx - kd * w.x, kp * ry - kd * w.y, kp * rz - kd * w.z, m.torque_cap)
-        torque = _new(Vec3, (g * tx, g * ty, g * tz))
+        tx, ty, tz = _cap(kp * rx - kd * wx, kp * ry - kd * wy, kp * rz - kd * wz, m.torque_cap)
+        torque = (g * tx, g * ty, g * tz)
 
         if mode == _MODE_PUSH:
             s = min(m.push_force, m.force_cap)
-            force = _new(Vec3, (g * (s * ax), g * (s * ay), g * (s * az)))
-        else:
-            v = twist.linear
-            fx, fy, fz = _cap(
-                m.k_p * ex - m.k_d * v.x, m.k_p * ey - m.k_d * v.y, m.k_p * ez - m.k_d * v.z,
-                m.force_cap,
-            )
-            force = _new(Vec3, (g * fx, g * fy, g * fz))
-        return _new(Wrench6, (force, torque))
+            return (g * (s * ax), g * (s * ay), g * (s * az)), torque
+        fx, fy, fz = _cap(
+            m.k_p * ex - m.k_d * vx, m.k_p * ey - m.k_d * vy, m.k_p * ez - m.k_d * vz,
+            m.force_cap,
+        )
+        return (g * fx, g * fy, g * fz), torque
 
     def _final_axis(self, target: DrillTarget) -> Vec3:
         d = self._draws
@@ -375,15 +374,16 @@ class VirtualOperator:
 
 
 def environment_wrench(
-    tip: Pose, twist: Twist6, surface: Surface, hole: Hole, model: EnvironmentModel,
+    tip: tuple, twist: tuple, surface: Surface, hole: Hole, model: EnvironmentModel,
     ax_pos: float, on_target: bool,
-) -> Tuple[Wrench6, bool]:
-    """Workpiece reaction at the drill tip.
+) -> Tuple[tuple, bool]:
+    """Workpiece reaction at the drill tip, whose pose is ``tip``.
 
     ``ax_pos`` and ``on_target`` are the tip's coordinates in ``hole``, as
     ``hole.coordinates`` gives them; the caller passes them in because
     ``World`` already holds them from the previous step. Returns (wrench,
-    collision). ``collision`` flags off-target penetration beyond 5 mm.
+    collision), the wrench a plain ``((fx, fy, fz), (tx, ty, tz))``.
+    ``collision`` flags off-target penetration beyond 5 mm.
 
     On-target the reaction is a cutting resistance proportional to the feed
     rate (only while advancing at the cutting face) plus a spring at the
@@ -396,11 +396,10 @@ def environment_wrench(
     """
     if on_target:
         if ax_pos <= 0.0:
-            return _ZERO_WRENCH, False
-        axis = hole.axis
-        ux, uy, uz = axis
-        v = twist.linear
-        feed = v.x * ux + v.y * uy + v.z * uz
+            return ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)), False
+        ux, uy, uz = hole.axis
+        vx, vy, vz = twist[0]
+        feed = vx * ux + vy * uy + vz * uz
         f_mag = 0.0
         # at the cutting face: the material resists the feed; strictly
         # beyond it: bearing spring
@@ -409,19 +408,20 @@ def environment_wrench(
         bottom_pen = ax_pos - hole.depth
         if bottom_pen > 0.0:
             f_mag += model.contact_stiffness * bottom_pen
-        force = axis.scale(-f_mag)
-        return _new(Wrench6, (force, _ZERO3)), False
+        s = -f_mag
+        return ((s * ux, s * uy, s * uz), (0.0, 0.0, 0.0)), False
 
-    p = tip.position
+    p = tip[0]
     # inside the surface's clearance ball the query would give sd > 0
     if surface.certified_clear(p):
-        return _ZERO_WRENCH, False
+        return ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)), False
     sd = surface.signed_distance(p)
     if sd >= 0.0:
-        return _ZERO_WRENCH, False
+        return ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)), False
     pen = -sd
-    _, n_out = surface.closest_point(p)
-    pen_rate = -twist.linear.dot(n_out)
+    _, (nx, ny, nz) = surface.closest_point(p)
+    vx, vy, vz = twist[0]
+    pen_rate = -(vx * nx + vy * ny + vz * nz)
     f_mag = model.contact_stiffness * pen + model.contact_damping * pen_rate
     f_mag = max(0.0, f_mag)  # the surface can only push
-    return _new(Wrench6, (n_out.scale(f_mag), _ZERO3)), pen > 0.005
+    return ((f_mag * nx, f_mag * ny, f_mag * nz), (0.0, 0.0, 0.0)), pen > 0.005

@@ -57,20 +57,23 @@ class SpherePatch:
         if not self.radius > 0.0:
             raise GeometryError("sphere radius must be positive")
 
-    def closest_point(self, p: Vec3) -> Tuple[Vec3, Vec3]:
-        r = p - self.center
+    def closest_point(self, p: tuple) -> Tuple[Vec3, Vec3]:
+        (px, py, pz), c = p, self.center
+        r = _new(Vec3, (px - c.x, py - c.y, pz - c.z))
         d = r.norm()
         if d == 0.0:
             n = Vec3(0.0, 0.0, 1.0)
         else:
             n = r.scale(1.0 / d)
-        return self.center + n.scale(self.radius), n
+        return c + n.scale(self.radius), n
 
-    def signed_distance(self, p: Vec3) -> float:
+    def signed_distance(self, p: tuple) -> float:
         """Positive outside the material, negative inside."""
-        return (p - self.center).norm() - self.radius
+        (px, py, pz), (cx, cy, cz) = p, self.center
+        rx, ry, rz = px - cx, py - cy, pz - cz
+        return math.sqrt(rx * rx + ry * ry + rz * rz) - self.radius
 
-    def certified_clear(self, p: Vec3) -> bool:
+    def certified_clear(self, p: tuple) -> bool:
         """Never: the exact query costs no more than a stored-ball check."""
         return False
 
@@ -94,10 +97,11 @@ class CylinderPatch:
             raise GeometryError("cylinder half_length must be positive")
         object.__setattr__(self, "axis_dir", self.axis_dir.normalized())
 
-    def closest_point(self, p: Vec3) -> Tuple[Vec3, Vec3]:
+    def closest_point(self, p: tuple) -> Tuple[Vec3, Vec3]:
         """The nearest point of the solid's boundary, on the side, an end
         cap or a rim, and the outward normal there."""
-        rel = p - self.axis_point
+        (px, py, pz), a = p, self.axis_point
+        rel = _new(Vec3, (px - a.x, py - a.y, pz - a.z))
         h = rel.dot(self.axis_dir)
         radial = rel - self.axis_dir.scale(h)
         d = radial.norm()
@@ -114,24 +118,24 @@ class CylinderPatch:
             if side <= 0.0:
                 return end + radial, cap
             rim = end + n.scale(self.radius)
-            return rim, (p - rim).normalized()
+            return rim, _new(Vec3, (px - rim.x, py - rim.y, pz - rim.z)).normalized()
         foot = self.axis_point + self.axis_dir.scale(h)
         return foot + n.scale(self.radius), n
 
-    def signed_distance(self, p: Vec3) -> float:
+    def signed_distance(self, p: tuple) -> float:
         """Positive outside the material, negative inside."""
         # closest_point's radial offset and axial excess, over plain floats
-        a, d = self.axis_point, self.axis_dir
-        rx, ry, rz = p.x - a.x, p.y - a.y, p.z - a.z
-        h = rx * d.x + ry * d.y + rz * d.z
-        qx, qy, qz = rx - h * d.x, ry - h * d.y, rz - h * d.z
+        (px, py, pz), (ax, ay, az), (dx, dy, dz) = p, self.axis_point, self.axis_dir
+        rx, ry, rz = px - ax, py - ay, pz - az
+        h = rx * dx + ry * dy + rz * dz
+        qx, qy, qz = rx - h * dx, ry - h * dy, rz - h * dz
         side = math.sqrt(qx * qx + qy * qy + qz * qz) - self.radius
         over = abs(h) - self.half_length
         if over <= 0.0 or side <= 0.0:
             return side if side >= over else over
         return math.sqrt(side * side + over * over)
 
-    def certified_clear(self, p: Vec3) -> bool:
+    def certified_clear(self, p: tuple) -> bool:
         """Never: the exact query costs no more than a stored-ball check."""
         return False
 
@@ -208,7 +212,7 @@ class TriangleMesh:
         object.__setattr__(self, "_tree", _build_tree(corners))
         object.__setattr__(self, "_ball", None)
 
-    def closest_point(self, p: Vec3) -> Tuple[Vec3, Vec3]:
+    def closest_point(self, p: tuple) -> Tuple[Vec3, Vec3]:
         px, py, pz = p
         corners = self._corners
         best_d2 = math.inf
@@ -224,7 +228,7 @@ class TriangleMesh:
         point = _new(Vec3, best_q)
         return point, self._pseudo_normal(point, best_idx)
 
-    def signed_distance(self, p: Vec3) -> float:
+    def signed_distance(self, p: tuple) -> float:
         """``(p - q).dot(n)`` of ``closest_point(p)``. A positive answer at
         a point outside the clearance ball also replaces the ball with one
         around p, if one can be certified."""
@@ -236,7 +240,7 @@ class TriangleMesh:
             self._certify(px, py, pz, math.sqrt(dx * dx + dy * dy + dz * dz))
         return sd
 
-    def certified_clear(self, p: Vec3) -> bool:
+    def certified_clear(self, p: tuple) -> bool:
         """Whether p lies in the clearance ball, where ``signed_distance``
         is proven positive without running it."""
         ball = self._ball

@@ -10,8 +10,10 @@ step, guided seed 3 with no plant lag, guided seed 0 with a thrust
 threshold no push reaches, which ends as a stall, and guided seed 0 at a
 3 ms step, whose 4 s lock is no whole number of steps; and on the preset's
 targets over an STL crest of its cylinder, seeds 0 and 1 in both
-conditions and manual seed 131234100, whose tip enters the material; and a
-guided lock that starts on an exact half-turn, at a sphere's pole. The bits
+conditions and manual seed 131234100, whose tip enters the material; a
+guided lock that starts on an exact half-turn, at a sphere's pole; and, on
+that sphere, seed 0 in both conditions with the target 30 degrees off the
+pole, where the tip leaves the hole's radius and queries the sphere. The bits
 depend on libm and numpy, so the record keeps the versions it was written
 with, and a mismatch report prints them beside the running ones.
 
@@ -68,6 +70,21 @@ HALF_TURN_RAW = {
     "start": {"position": [0.0, 0.0, 0.25]},
     "surface": {"type": "sphere", "center": [0.0, 0.0, -0.5], "radius": 0.5},
     "targets": [{"point": [0.0, 0.0, 0.0], "phi_deg": 0.0}],
+}
+# seed 0 in both conditions on the same sphere, its target 30 degrees off
+# the pole: the tip starts off the hole's axis, so every step until it
+# reaches the hole asks the sphere for its signed distance
+OFF_POLE = "sphere_off_pole"
+_OFF_POLE_ANGLE = math.radians(30.0)
+OFF_POLE_RAW = {
+    "version": 1,
+    "seed": 0,
+    "start": {"position": [0.0, 0.0, 0.25], "orientation_wxyz": [0.0, 1.0, 0.0, 0.0]},
+    "surface": HALF_TURN_RAW["surface"],
+    "targets": [{
+        "point": [0.5 * math.sin(_OFF_POLE_ANGLE), 0.0, 0.5 * math.cos(_OFF_POLE_ANGLE) - 0.5],
+        "phi_deg": 10.0,
+    }],
 }
 # sessions whose trace.csv bytes are pinned
 CSV_SESSIONS = ("crest/with/0", "crest/without/0", "preset/with/0", "preset/without/0")
@@ -171,6 +188,9 @@ def run_named(workdir: str) -> tuple:
         bits[session_name(surface, condition, seed)] = session_bits(trace)
     trace = run(scenario_from_config(canonical_config(HALF_TURN_RAW)))
     bits[session_name(*HALF_TURN)] = session_bits(trace)
+    for condition in CONDITIONS:
+        trace = run(scenario_from_config(canonical_config(OFF_POLE_RAW, condition=condition)))
+        bits[session_name(OFF_POLE, condition, 0)] = session_bits(trace)
     stl = os.path.join(workdir, "crest.stl")
     write_crest_stl(stl)
     surfaces = {}

@@ -80,13 +80,13 @@ def test_c1_admittance_fidelity():
         out = Twist6.zero()
         for k in range(1, n + 1):
             out = step_admittance(out, wrench, params, dt)
-            v = out.angular.x if rot else out.linear.x
+            v = out[1][0] if rot else out[0][0]
             worst = max(worst, abs(v - analytic_step_response(f, m, b, k * dt)))
         assert worst <= 1e-3 * (f / b), f"{name}: {worst:.2e}"
         # steady state: continue to ten time constants
         for k in range(n, 2 * n):
             out = step_admittance(out, wrench, params, dt)
-            v = out.angular.x if rot else out.linear.x
+            v = out[1][0] if rot else out[0][0]
         assert abs(v - f / b) <= 1e-3 * (f / b)
     wall = time.perf_counter() - t0
     assert wall < 1.0, f"criterion must finish in under 1 s, took {wall:.2f} s"
@@ -184,7 +184,7 @@ class _LateralDisturbanceOperator(VirtualOperator):
         w = super().wrench(pose, twist, phase, target, t)
         if phase in (GuidancePhase.CONSTRAINED_DRILL, GuidancePhase.RETRACT):
             return Wrench6(
-                w.force + Vec3(10.0, 3.0, 0.0), w.torque + Vec3(0.0, 1.0, 0.5)
+                Vec3(*w[0]) + Vec3(10.0, 3.0, 0.0), Vec3(*w[1]) + Vec3(0.0, 1.0, 0.5)
             )
         return w
 
@@ -376,7 +376,7 @@ def test_c9_contact_passivity():
             tw = Twist6(Vec3(0.0, 0.0, vz), Vec3.zero())
             ax_pos, on_target, _ = hole.coordinates(*pose.position)
             w, _ = environment_wrench(pose, tw, surface, hole, env, ax_pos, on_target)
-            powers.append(w.force.dot(tw.linear))
+            powers.append(Vec3(*w[0]).dot(tw.linear))
             z += vz * dt
         net = dt * (math.fsum(powers) - 0.5 * (powers[0] + powers[-1]))
         assert net <= 1e-6, f"contact injected {net:.2e} J (damping={damping})"

@@ -204,30 +204,31 @@ def reference_integrate(pose, twist, dt):
 
 class ReferenceWorld(World):
     """World advanced by the general step body that served every phase
-    before the per-phase bodies: NamedTuples between the layers, a
-    ``Wrench6`` interaction force and a recorder that star-unpacks them.
-    The oracle for World.step, bit for bit."""
+    before the per-phase bodies: its own NamedTuples between the layers
+    (read by position, as the layers return plain tuples), a ``Wrench6``
+    interaction force and a recorder that star-unpacks them. The oracle
+    for World.step, bit for bit."""
 
     def _record(self, t, pose, twist, v_ref, f_h, f_env, f_int, b6, hole_depth):
         self.trace.append(_pack_record(
-            t, *pose.position, *pose.orientation,
-            *twist.linear, *twist.angular,
-            *v_ref.linear, *v_ref.angular,
-            *f_h.force, *f_h.torque,
-            *f_env.force, *f_env.torque,
-            *f_int.force, *f_int.torque,
+            t, *pose[0], *pose[1],
+            *twist[0], *twist[1],
+            *v_ref[0], *v_ref[1],
+            *f_h[0], *f_h[1],
+            *f_env[0], *f_env[1],
+            *f_int[0], *f_int[1],
             *b6, hole_depth,
             self._phase_code, self.target_idx,
         ))
 
     def _integrate(self, pose: Pose, twist: Twist6) -> Pose:
         dt = self.dt
-        p = pose.position
-        v = twist.linear
-        pos = _new(Vec3, (p.x + v.x * dt, p.y + v.y * dt, p.z + v.z * dt))
-        wx, wy, wz = twist.angular
+        p = pose[0]
+        v = twist[0]
+        pos = _new(Vec3, (p[0] + v[0] * dt, p[1] + v[1] * dt, p[2] + v[2] * dt))
+        wx, wy, wz = twist[1]
         if wx == 0.0 and wy == 0.0 and wz == 0.0:
-            return _new(Pose, (pos, pose.orientation))
+            return _new(Pose, (pos, pose[1]))
         # UnitQuat.from_rotvec(w dt).multiply(pose.orientation) over floats
         rx, ry, rz = wx * dt, wy * dt, wz * dt
         angle = math.sqrt(rx * rx + ry * ry + rz * rz)
@@ -236,7 +237,7 @@ class ReferenceWorld(World):
         else:
             s = math.sin(0.5 * angle) / angle
             w1, x1, y1, z1 = _canonical(math.cos(0.5 * angle), s * rx, s * ry, s * rz)
-        w2, x2, y2, z2 = pose.orientation
+        w2, x2, y2, z2 = pose[1]
         return _new(Pose, (pos, _canonical(
             w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
             w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
@@ -262,8 +263,8 @@ class ReferenceWorld(World):
             f_h = self.operator.wrench(pose0, twist0, phase, target, t)
         # the start pose's target coordinates, computed here from the pose
         # rather than carried over from the previous step as World does
-        p, tp, axis = pose0.position, target.point, target.axis
-        r = _new(Vec3, (p.x - tp.x, p.y - tp.y, p.z - tp.z))
+        p, tp, axis = pose0[0], target.point, target.axis
+        r = _new(Vec3, (p[0] - tp[0], p[1] - tp[1], p[2] - tp[2]))
         ax_pos = r.dot(axis)
         lateral = _new(Vec3, (r.x - ax_pos * axis.x, r.y - ax_pos * axis.y, r.z - ax_pos * axis.z))
         on_target = lateral.norm() <= sc.environment.hole_radius
@@ -278,7 +279,7 @@ class ReferenceWorld(World):
             _new(Vec3, (hx + ex, hy + ey, hz + ez)),
             _new(Vec3, (htx + etx, hty + ety, htz + etz)),
         ))
-        if not all(map(math.isfinite, (*f_int.force, *f_int.torque, *pose0.position))):
+        if not all(map(math.isfinite, (*f_int.force, *f_int.torque, *pose0[0]))):
             raise SimulationFault(f"non-finite state at sample {k}")
 
         params_now = gains_at(self.schedule, t)
@@ -312,18 +313,18 @@ class ReferenceWorld(World):
                 new_twist = v_ref
             else:
                 a = self.plant_alpha
-                lin0, ang0 = twist0.linear, twist0.angular
-                lin1, ang1 = v_ref.linear, v_ref.angular
+                lin0, ang0 = twist0[0], twist0[1]
+                lin1, ang1 = v_ref[0], v_ref[1]
                 new_twist = _new(Twist6, (
                     _new(Vec3, (
-                        lin0.x + a * (lin1.x - lin0.x),
-                        lin0.y + a * (lin1.y - lin0.y),
-                        lin0.z + a * (lin1.z - lin0.z),
+                        lin0[0] + a * (lin1[0] - lin0[0]),
+                        lin0[1] + a * (lin1[1] - lin0[1]),
+                        lin0[2] + a * (lin1[2] - lin0[2]),
                     )),
                     _new(Vec3, (
-                        ang0.x + a * (ang1.x - ang0.x),
-                        ang0.y + a * (ang1.y - ang0.y),
-                        ang0.z + a * (ang1.z - ang0.z),
+                        ang0[0] + a * (ang1[0] - ang0[0]),
+                        ang0[1] + a * (ang1[1] - ang0[1]),
+                        ang0[2] + a * (ang1[2] - ang0[2]),
                     )),
                 ))
             v_used = new_twist
@@ -333,16 +334,16 @@ class ReferenceWorld(World):
         self.twist = new_twist
 
         # hole bookkeeping on the post-step state, over plain floats
-        p, tp, axis = new_pose.position, target.point, target.axis
+        p, tp, axis = new_pose[0], target.point, target.axis
         ux, uy, uz = axis
-        rx, ry, rz = p.x - tp.x, p.y - tp.y, p.z - tp.z
+        rx, ry, rz = p[0] - tp[0], p[1] - tp[1], p[2] - tp[2]
         ax_pos = rx * ux + ry * uy + rz * uz
         lx, ly, lz = rx - ax_pos * ux, ry - ax_pos * uy, rz - ax_pos * uz
         on_target = math.sqrt(lx * lx + ly * ly + lz * lz) <= sc.environment.hole_radius
         was_cut = hole.depth > 0.0
         if on_target and ax_pos > 0.0:
-            feed = v_used.linear.dot(axis)
-            axial_push = f_h.force.dot(axis)
+            feed = Vec3(*v_used[0]).dot(axis)
+            axial_push = Vec3(*f_h[0]).dot(axis)
             depth = hole.depth
             update_hole(
                 hole,
@@ -403,12 +404,12 @@ class ColumnAppendWorld(ReferenceWorld):
 
     def _record(self, t, pose, twist, v_ref, f_h, f_env, f_int, b6, hole_depth):
         vals = (
-            t, *pose.position, *pose.orientation,
-            *twist.linear, *twist.angular,
-            *v_ref.linear, *v_ref.angular,
-            *f_h.force, *f_h.torque,
-            *f_env.force, *f_env.torque,
-            *f_int.force, *f_int.torque,
+            t, *pose[0], *pose[1],
+            *twist[0], *twist[1],
+            *v_ref[0], *v_ref[1],
+            *f_h[0], *f_h[1],
+            *f_env[0], *f_env[1],
+            *f_int[0], *f_int[1],
             *b6, hole_depth,
         )
         # append each value to its column; deque(..., 0) drains the map
@@ -493,7 +494,7 @@ class TestStepDynamics:
         w = World(sc, ConstantForceOperator(Wrench6(Vec3(10, 0, 0), Vec3.zero())))
         for _ in range(5000):  # 5 s = 10 time constants
             w.step()
-        assert w.twist.linear.x == pytest.approx(0.1, rel=1e-3)
+        assert w.twist[0][0] == pytest.approx(0.1, rel=1e-3)
 
     def test_ideal_plant_follows_reference_bitwise(self):
         sc = far_target_scenario(tau_g=0.0)
@@ -546,7 +547,7 @@ class TestStepDynamics:
                 continue
             want = alignment_twist(world.align_plan, (k - world.align_start_step) * world.dt)
             got = world.trace.sample(k).twist
-            assert repr((*got.linear, *got.angular)) == repr((*want.linear, *want.angular))
+            assert repr((*got.linear, *got.angular)) == repr((*want[0], *want[1]))
             locked += 1
             if k == world.align_start_step:
                 assert want == Twist6.zero()
@@ -620,7 +621,7 @@ class TestIntegrate:
         w = twist.angular
         if not (w.x == 0.0 and w.y == 0.0 and w.z == 0.0):
             turned = engine._turned(pose.orientation, w.x * dt, w.y * dt, w.z * dt)
-            assert repr(turned) == repr(want.orientation)
+            assert repr(turned) == repr(tuple(want.orientation))
 
 
 @pytest.fixture(scope="module")
@@ -1071,22 +1072,40 @@ class TestPhaseBodies:
                 [d[c][first_drill] for c in quat]
             ).tobytes(), i
 
-    def test_every_phase_body_runs(self):
+    def test_every_phase_body_runs(self, monkeypatch):
         # seed-0 guided preset, ideal follower: the locked, the 1-DoF and the
         # six-channel bodies all run, and match the reference step
         sc = drawn_session("with", 0, PRESET_ANGLES, PRESET_ORIENTATION, 0.0, 13.0)
         world, oracle = World(sc), ReferenceWorld(sc)
+        # the operator and environment wrenches each step gets back
+        wrenches = []
+
+        def kept(fn, part):
+            def call(*args):
+                out = fn(*args)
+                wrenches.append(out[part] if part is not None else out)
+                return out
+
+            return call
+
+        monkeypatch.setattr(world.operator, "wrench", kept(world.operator.wrench, None))
+        monkeypatch.setattr(engine, "environment_wrench", kept(engine.environment_wrench, 0))
         phases = set()
         while not world.done and world.k < 13000:
             phases.add(world.phase)
             world.step()
             oracle.step()
             assert world.pose == oracle.pose and world.twist == oracle.twist
+            # a value that lives for one period is a plain tuple of plain
+            # tuples, never a NamedTuple
+            for value in (world.pose, world.twist, world.v_ref, *wrenches):
+                assert type(value) is tuple and all(type(part) is tuple for part in value)
+            wrenches.clear()
             # the carried target coordinates are those of the pose the next
             # step starts from, measured from the target it will serve
             target = sc.targets[world.target_idx]
             assert (world._ax_pos, world._on_target) == reference_target_coordinates(
-                world.pose.position, target.point, target.axis, sc.environment.hole_radius
+                world.pose[0], target.point, target.axis, sc.environment.hole_radius
             )[:2]
         assert phases == set(GuidancePhase) - {GuidancePhase.TARGET_DONE}
         kinds = [kind for _, kind in world.trace.events]

@@ -49,6 +49,9 @@ def test_record_names_exactly_the_golden_sessions():
     names.add(golden.session_name("preset_dt3ms", "with", 0))
     names.add(golden.session_name("sphere_half_turn", "with", 0))
     names.update(
+        golden.session_name(golden.OFF_POLE, condition, 0) for condition in golden.CONDITIONS
+    )
+    names.update(
         golden.session_name("crest", condition, seed)
         for seed in golden.CREST_SEEDS
         for condition in golden.CONDITIONS

@@ -41,27 +41,27 @@ def reference_sample_alignment(plan, t):
     """Position from the start and goal poses at every call: the oracle for
     sample_alignment."""
     if t <= 0.0:
-        return plan.start_pose
+        return tuple(plan.start_pose.position), tuple(plan.start_pose.orientation)
     if t >= plan.duration:
-        return plan.goal_pose
+        return tuple(plan.goal_pose.position), tuple(plan.goal_pose.orientation)
     s = smoothstep(t / plan.duration)
     p0, p1 = plan.start_pose.position, plan.goal_pose.position
     pos = Vec3(p0.x + s * (p1.x - p0.x), p0.y + s * (p1.y - p0.y), p0.z + s * (p1.z - p0.z))
     arc = slerp_arc(plan.start_pose.orientation, plan.goal_pose.orientation)
-    return Pose(pos, slerp_at(arc, s))
+    return tuple(pos), slerp_at(arc, s)
 
 
 def reference_alignment_twist(plan, t):
     """Position delta and rotation vector recomputed at every call: the
     oracle for alignment_twist."""
     if t <= 0.0 or t >= plan.duration:
-        return Twist6.zero()
+        return tuple(Vec3.zero()), tuple(Vec3.zero())
     tau = t / plan.duration
     rate = _smoothstep_rate(tau) / plan.duration
     p0, p1 = plan.start_pose.position, plan.goal_pose.position
     lin = (p1 - p0).scale(rate)
     q_delta = plan.goal_pose.orientation.multiply(plan.start_pose.orientation.conjugate())
-    return Twist6(lin, _quat_log(q_delta).scale(rate))
+    return tuple(lin), tuple(_quat_log(q_delta).scale(rate))
 
 
 def rotation_angle(q0, q1):
@@ -196,8 +196,8 @@ class TestSampleAlignment:
         plan = self._plan(30.0)
         mid = sample_alignment(plan, 2.0)
         p0, p1 = plan.start_pose.position, plan.goal_pose.position
-        assert np.allclose(mid.position, (np.array(p0) + np.array(p1)) / 2, atol=1e-12)
-        assert plan.start_pose.orientation.angle_to(mid.orientation) == pytest.approx(
+        assert np.allclose(mid[0], (np.array(p0) + np.array(p1)) / 2, atol=1e-12)
+        assert plan.start_pose.orientation.angle_to(mid[1]) == pytest.approx(
             math.radians(15), abs=1e-9
         )
 
@@ -206,7 +206,7 @@ class TestSampleAlignment:
         assert alignment_twist(plan, 0.0) == Twist6.zero()
         assert alignment_twist(plan, 4.0) == Twist6.zero()
         v_mid = alignment_twist(plan, 2.0)
-        assert v_mid.linear.norm() > 0.0
+        assert Vec3(*v_mid[0]).norm() > 0.0
 
     def test_twist_matches_finite_difference_oracle(self):
         plan = self._plan(45.0)
@@ -214,13 +214,13 @@ class TestSampleAlignment:
         for t in (0.5, 1.7, 2.9, 3.6):
             a = sample_alignment(plan, t - h)
             b = sample_alignment(plan, t + h)
-            fd = (np.array(b.position) - np.array(a.position)) / (2 * h)
+            fd = (np.array(b[0]) - np.array(a[0])) / (2 * h)
             tw = alignment_twist(plan, t)
-            assert np.allclose(tw.linear, fd, atol=1e-6)
+            assert np.allclose(tw[0], fd, atol=1e-6)
             # angular magnitude: rotation angle derivative
-            dang = plan.start_pose.orientation.angle_to(b.orientation) - \
-                plan.start_pose.orientation.angle_to(a.orientation)
-            assert tw.angular.norm() == pytest.approx(abs(dang) / (2 * h), abs=1e-5)
+            dang = plan.start_pose.orientation.angle_to(b[1]) - \
+                plan.start_pose.orientation.angle_to(a[1])
+            assert Vec3(*tw[1]).norm() == pytest.approx(abs(dang) / (2 * h), abs=1e-5)
 
     def test_smoothstep_shape(self):
         assert smoothstep(0.0) == 0.0
@@ -286,6 +286,6 @@ class TestAlignmentOracles:
             if against:
                 # a half-turn plan stays on a shortest arc
                 s = smoothstep(min(max(t / duration, 0.0), 1.0))
-                got = rotation_angle(q0, sample_alignment(plan, t).orientation)
+                got = rotation_angle(q0, UnitQuat(*sample_alignment(plan, t)[1]))
                 assert got == pytest.approx(s * total, abs=1e-9)
 

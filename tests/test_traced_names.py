@@ -165,7 +165,7 @@ def test_per_step_call_counts(condition, monkeypatch):
     # next sample's position (the run's end pose after the last step),
     # measured from the step's own target
     d = trace.data
-    ends = np.stack([d["px"], d["py"], d["pz"]], axis=1).tolist()[1:] + [world.pose.position]
+    ends = np.stack([d["px"], d["py"], d["pz"]], axis=1).tolist()[1:] + [world.pose[0]]
     in_hole = 0
     for end, i in zip(ends, trace.target_idx.tolist()):
         target = sc.targets[i]
