@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import SimulationFault
-from .geometry import _new
 from .guidance import GuidancePhase
 
 # Virtual masses, constant across phases: only the damping adapts
@@ -79,9 +78,11 @@ class GainSchedule:
     ``settles_at`` is the time from which ``gains_at`` returns
     ``end_params``. Endpoints equal by value settle at ``ramp_start``:
     ``g0 + s * (g1 - g0)`` is ``g0`` bit for bit when ``g1 == g0`` (gains
-    are positive and finite), so the interpolation is skipped."""
+    are positive and finite), so the interpolation is skipped.
+    ``start_params`` is the gains at ``ramp_start``: a plain pair if a
+    transition cut the previous ramp short."""
 
-    start_params: AdmittanceParams
+    start_params: tuple
     end_params: AdmittanceParams
     ramp_start: float
     settles_at: float = field(init=False)
@@ -93,15 +94,17 @@ class GainSchedule:
             self.settles_at = self.ramp_start + _RAMP_LENGTH
 
 
-def gains_at(schedule: GainSchedule, t: float) -> AdmittanceParams:
-    """Gains at time t: clamped linear interpolation between the endpoints."""
+def gains_at(schedule: GainSchedule, t: float) -> tuple:
+    """Gains at time t: clamped linear interpolation between the endpoints,
+    an endpoint itself outside the ramp and a plain ``(translational,
+    rotational)`` pair inside it."""
     if t >= schedule.settles_at:
         return schedule.end_params
     if t <= schedule.ramp_start:
         return schedule.start_params
     s = (t - schedule.ramp_start) / _RAMP_LENGTH
     (t0, r0), (t1, r1) = schedule.start_params, schedule.end_params
-    return _new(AdmittanceParams, (t0 + s * (t1 - t0), r0 + s * (r1 - r0)))
+    return t0 + s * (t1 - t0), r0 + s * (r1 - r0)
 
 
 def step_admittance(v: tuple, f_int: tuple, params: AdmittanceParams, dt: float) -> tuple:

@@ -26,8 +26,10 @@ Step order (one control period):
 The step runs over plain floats and packs the trace record straight from
 them. A value that lives for one control period is a plain nested float
 tuple, never a NamedTuple: ``World.pose`` is ``((x, y, z), (w, x, y, z))``,
-``World.twist``, ``World.v_ref`` and every wrench ``((x, y, z), (x, y, z))``
-(see ``geometry`` for the measured reason).
+``World.twist``, ``World.v_ref`` and every wrench ``((x, y, z), (x, y, z))``,
+the manual hand's aim and push axes ``(x, y, z)``, and the gains of a step
+inside a ramp ``(translational, rotational)`` (see ``geometry`` for the
+measured reason).
 
 Time is accumulated as step_index * dt (integer multiplication), never by
 summation, so sample stamps carry no floating drift. Runs are deterministic:
@@ -480,6 +482,7 @@ class World:
 
         schedule = self.schedule
         params_now = gains_at(schedule, t) if t < schedule.settles_at else schedule.end_params
+        bt, br = params_now
 
         # (vx..wz) is the twist the step used, (rvx..rwz) the reference twist
         if phase is _AUTO_ALIGN:
@@ -498,9 +501,7 @@ class World:
             # 1-DoF along the drilling axis, which is guidance's; the
             # angular twist is exactly zero, so the orientation carries over
             ux, uy, uz = target.axis
-            s_ref = self.s_ref = step_axial(
-                self.s_ref, ix * ux + iy * uy + iz * uz, params_now.translational, dt
-            )
+            s_ref = self.s_ref = step_axial(self.s_ref, ix * ux + iy * uy + iz * uz, bt, dt)
             s = self.s_act = self.s_act + self.plant_alpha * (s_ref - self.s_act)
             # s_ref * axis, projected onto the axis
             r = s_ref * ux * ux + s_ref * uy * uy + s_ref * uz * uz
@@ -572,7 +573,6 @@ class World:
         )
 
         # the trace record, packed straight from the floats
-        bt, br = params_now
         qw, qx, qy, qz = ori0
         self._append(_pack_record(
             t, px, py, pz, qw, qx, qy, qz,

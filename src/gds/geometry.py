@@ -10,11 +10,15 @@ Conventions
 
 Everything here is immutable plain data; values can be moved between
 threads freely. Set-up values are the NamedTuples below. A value that lives
-for one control period is a plain nested float tuple instead (see ``_new``
-for why): a pose is ``((x, y, z), (w, x, y, z))``, a twist or a wrench
-``((x, y, z), (x, y, z))``. Every function the step calls reads its pose,
-twist, wrench and point arguments by position, so a NamedTuple argument
-gives the same bits through the same path.
+for one control period is a plain nested float tuple instead: a pose is
+``((x, y, z), (w, x, y, z))``, a twist or a wrench
+``((x, y, z), (x, y, z))``, a direction such as the hand's aim or push
+axis ``(x, y, z)``. CPython's fast paths build and unpack exact tuples
+only: on Python 3.11.7 building a ``Vec3``, even through
+``tuple.__new__``, took 228 ns against 35 ns for a tuple literal, and
+unpacking a nested ``Pose`` 168 ns against 35 ns. Every function the step
+calls reads its pose, twist, wrench and point arguments by position, so a
+NamedTuple argument gives the same bits through the same path.
 """
 
 from __future__ import annotations
@@ -26,14 +30,6 @@ from .errors import GeometryError
 
 _UNIT_TOL = 1e-9
 
-# A NamedTuple's generated __new__ is a Python-level function; calling
-# tuple.__new__ directly builds the same value without that frame. It does
-# not make construction cheap: CPython's fast paths take exact tuples only,
-# so on Python 3.11.7 _new(Vec3, (a, b, c)) takes 228 ns against 35 ns for
-# a tuple literal, and unpacking a nested Pose 168 ns against 35 ns. So the
-# step builds no NamedTuple.
-_new = tuple.__new__
-
 
 class Vec3(NamedTuple):
     x: float
@@ -41,26 +37,26 @@ class Vec3(NamedTuple):
     z: float
 
     def __add__(self, o: "Vec3") -> "Vec3":
-        return _new(Vec3, (self.x + o.x, self.y + o.y, self.z + o.z))
+        return Vec3(self.x + o.x, self.y + o.y, self.z + o.z)
 
     def __sub__(self, o: "Vec3") -> "Vec3":
-        return _new(Vec3, (self.x - o.x, self.y - o.y, self.z - o.z))
+        return Vec3(self.x - o.x, self.y - o.y, self.z - o.z)
 
     def __neg__(self) -> "Vec3":
-        return _new(Vec3, (-self.x, -self.y, -self.z))
+        return Vec3(-self.x, -self.y, -self.z)
 
     def scale(self, s: float) -> "Vec3":
-        return _new(Vec3, (s * self.x, s * self.y, s * self.z))
+        return Vec3(s * self.x, s * self.y, s * self.z)
 
     def dot(self, o: "Vec3") -> float:
         return self.x * o.x + self.y * o.y + self.z * o.z
 
     def cross(self, o: "Vec3") -> "Vec3":
-        return _new(Vec3, (
+        return Vec3(
             self.y * o.z - self.z * o.y,
             self.z * o.x - self.x * o.z,
             self.x * o.y - self.y * o.x,
-        ))
+        )
 
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
@@ -69,7 +65,7 @@ class Vec3(NamedTuple):
         n = self.norm()
         if n == 0.0:
             raise GeometryError("cannot normalize a zero vector")
-        return _new(Vec3, (self.x / n, self.y / n, self.z / n))
+        return Vec3(self.x / n, self.y / n, self.z / n)
 
     @staticmethod
     def zero() -> "Vec3":
@@ -158,7 +154,7 @@ def canonical_wxyz(w: float, x: float, y: float, z: float) -> tuple:
 
 
 def _canonical(w: float, x: float, y: float, z: float) -> UnitQuat:
-    return _new(UnitQuat, canonical_wxyz(w, x, y, z))
+    return UnitQuat(*canonical_wxyz(w, x, y, z))
 
 
 _IDENTITY_QUAT = UnitQuat(1.0, 0.0, 0.0, 0.0)
@@ -171,11 +167,11 @@ def rotate(q: UnitQuat, v: Vec3) -> Vec3:
     tx = 2.0 * (qy * v.z - qz * v.y)
     ty = 2.0 * (qz * v.x - qx * v.z)
     tz = 2.0 * (qx * v.y - qy * v.x)
-    return _new(Vec3, (
+    return Vec3(
         v.x + w * tx + qy * tz - qz * ty,
         v.y + w * ty + qz * tx - qx * tz,
         v.z + w * tz + qx * ty - qy * tx,
-    ))
+    )
 
 
 # the two branches of a slerp, the first item of a slerp_arc
@@ -256,7 +252,7 @@ class Wrench6(NamedTuple):
         return Wrench6(Vec3.zero(), Vec3.zero())
 
     def __add__(self, o: "Wrench6") -> "Wrench6":
-        return _new(Wrench6, (self.force + o.force, self.torque + o.torque))
+        return Wrench6(self.force + o.force, self.torque + o.torque)
 
 
 class Frame3(NamedTuple):

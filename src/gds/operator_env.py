@@ -131,13 +131,16 @@ def update_hole(
     return hole.depth
 
 
-def _cap(x: float, y: float, z: float, cap: float) -> Tuple[float, float, float]:
-    """(x, y, z) scaled down to norm ``cap`` if it is longer."""
+def _pd(kp: float, e: tuple, kd: float, v: tuple, cap: float, g: float) -> tuple:
+    """The hand's capped, ramped PD action: ``kp e - kd v``, scaled down to
+    norm ``cap`` if it is longer, then scaled by the grab ramp ``g``."""
+    (ex, ey, ez), (vx, vy, vz) = e, v
+    x, y, z = kp * ex - kd * vx, kp * ey - kd * vy, kp * ez - kd * vz
     n = math.sqrt(x * x + y * y + z * z)
     if n <= cap:
-        return x, y, z
+        return g * x, g * y, g * z
     s = cap / n
-    return s * x, s * y, s * z
+    return g * (s * x), g * (s * y), g * (s * z)
 
 
 _MODE_AIM = "aim"
@@ -177,15 +180,19 @@ class VirtualOperator:
     mode (aim, dwell, push, pull) and the push axis, locked when the push
     starts. A dwell writes its start time ``_dwell_t0``, which only the
     dwell's end test reads. Identical (model, seed, ``guided``, input
-    stream) produce bit-identical wrench sequences.
+    stream) produce bit-identical wrench sequences. ``_push`` is the push's
+    force: ``push_force``, capped at ``force_cap``. The wrench and the aim
+    and push axes are read every control period, so each is a plain tuple,
+    never a NamedTuple (see ``geometry``).
     """
 
     def __init__(
         self, model: OperatorModel, tool_axis_local: Vec3 = Vec3(0.0, 0.0, 1.0), *, guided: bool
     ):
-        self.model = model
+        m = self.model = model
         self.tool_axis_local = tool_axis_local
         self.guided = guided
+        self._push = min(m.push_force, m.force_cap)
         self._rng = None if guided else np.random.default_rng(model.seed)
         self._grab_t = 0.0
 
@@ -200,7 +207,7 @@ class VirtualOperator:
             return
         self._target_t0 = t
         self._mode = _MODE_AIM
-        self._push_axis: Optional[Vec3] = None
+        self._push_axis: Optional[tuple] = None
         m = self.model
         dphi = float(self._rng.normal(0.0, m.angular_noise))
         # keep the aimed polar angle in a drillable range; a human would
@@ -253,30 +260,22 @@ class VirtualOperator:
 
     def _guided_wrench(self, pose, twist, phase, target, t):
         # over plain floats, each operation in the order of the Vec3 method
-        # chain it replaces (scale, subtract, _cap, scale)
+        # chain it replaces (scale, subtract, cap, scale)
         m = self.model
         g = self._ramp(t)
         if phase is _FREE_MOTION or phase is _APPROACH:
             (tx, ty, tz), (px, py, pz) = target.point, pose[0]
-            vx, vy, vz = twist[0]
-            kp, kd = m.k_p, m.k_d
-            fx, fy, fz = _cap(
-                kp * (tx - px) - kd * vx, kp * (ty - py) - kd * vy, kp * (tz - pz) - kd * vz,
-                m.force_cap,
-            )
-            return (g * fx, g * fy, g * fz), (0.0, 0.0, 0.0)
+            pull = _pd(m.k_p, (tx - px, ty - py, tz - pz), m.k_d, twist[0], m.force_cap, g)
+            return pull, (0.0, 0.0, 0.0)
         # push while drilling, pull in Retract
-        if phase is _CONSTRAINED_DRILL:
-            s = g * min(m.push_force, m.force_cap)
-        else:
-            s = -g * min(m.push_force, m.force_cap)
+        s = g * self._push if phase is _CONSTRAINED_DRILL else -g * self._push
         ux, uy, uz = target.axis
         return (s * ux, s * uy, s * uz), (0.0, 0.0, 0.0)
 
     def _manual_wrench(self, pose, twist, phase, target, t):
         # over plain floats, each operation in the order of the Vec3 method
         # chain it replaces (rotate, rotation_between, _canonical, the
-        # rotation vector, _cap), so the wrench stream keeps its bits
+        # rotation vector, the cap), so the wrench stream keeps its bits
         m = self.model
         g = self._ramp(t)
         # the mode first: a dwell is at least 0.5 s long, so one that starts
@@ -289,7 +288,7 @@ class VirtualOperator:
         mode = self._mode
         if mode == _MODE_PULL:
             # pull back out along the push axis
-            s = -min(m.push_force, m.force_cap)
+            s = -self._push
             ax, ay, az = self._push_axis
             return (g * (s * ax), g * (s * ay), g * (s * az)), (0.0, 0.0, 0.0)
         # tool axis in the world: rotate(pose orientation, tool_axis_local)
@@ -337,35 +336,31 @@ class VirtualOperator:
         else:
             s = 2.0 * math.atan2(vn, qw) / vn
             rx, ry, rz = s * qx, s * qy, s * qz
-        (vx, vy, vz), (wx, wy, wz) = twist
-        kp, kd = m.torque_k_p, m.torque_k_d
-        tx, ty, tz = _cap(kp * rx - kd * wx, kp * ry - kd * wy, kp * rz - kd * wz, m.torque_cap)
-        torque = (g * tx, g * ty, g * tz)
-
+        torque = _pd(m.torque_k_p, (rx, ry, rz), m.torque_k_d, twist[1], m.torque_cap, g)
         if mode == _MODE_PUSH:
-            s = min(m.push_force, m.force_cap)
+            s = self._push
             return (g * (s * ax), g * (s * ay), g * (s * az)), torque
-        fx, fy, fz = _cap(
-            m.k_p * ex - m.k_d * vx, m.k_p * ey - m.k_d * vy, m.k_p * ez - m.k_d * vz,
-            m.force_cap,
-        )
-        return (g * fx, g * fy, g * fz), torque
+        return _pd(m.k_p, (ex, ey, ez), m.k_d, twist[0], m.force_cap, g), torque
 
-    def _final_axis(self, target: DrillTarget) -> Vec3:
+    def _final_axis(self, target: DrillTarget, wob_phi=0.0, wob_theta=0.0) -> tuple:
+        """Perceived drilling axis: the desired angles plus this target's
+        residual error and a wander ``wob_phi``, ``wob_theta`` (deg), the
+        polar angle kept in [1, 89] deg. With no wander it is the final
+        axis, to the bit: ``x + 0.0`` is ``x`` unless ``x`` is -0.0, and
+        neither angle sum here is."""
         d = self._draws
-        phi = min(89.0, max(1.0, target.phi_deg + d.dphi))
-        return drilling_axis(target.frame, phi, target.theta_deg + d.dtheta)
+        phi = min(89.0, max(1.0, target.phi_deg + d.dphi + wob_phi))
+        return drilling_axis(target.frame, phi, target.theta_deg + d.dtheta + wob_theta)
 
-    def _aim_axis(self, target: DrillTarget, t: float) -> Vec3:
-        """Perceived drilling axis: final residual plus a decaying wander
-        (the operator iteratively correcting against the displayed error)."""
+    def _aim_axis(self, target: DrillTarget, t: float) -> tuple:
+        """The final axis with a decaying wander (the operator iteratively
+        correcting against the displayed error)."""
         d = self._draws
         tau = t - self._target_t0
         amp = self.model.angular_noise * math.exp(-tau / 4.0)
         wob_phi = amp * math.sin(2.0 * math.pi * d.freq_phi * tau + d.phase_phi)
         wob_theta = amp * math.sin(2.0 * math.pi * d.freq_theta * tau + d.phase_theta)
-        phi = min(89.0, max(1.0, target.phi_deg + d.dphi + wob_phi))
-        return drilling_axis(target.frame, phi, target.theta_deg + d.dtheta + wob_theta)
+        return self._final_axis(target, wob_phi, wob_theta)
 
 
 # ---------------------------------------------------------------------------

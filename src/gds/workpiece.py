@@ -33,7 +33,6 @@ from .geometry import (
     BASIS,
     Frame3,
     Vec3,
-    _new,
     angle_between,
     any_perpendicular,
     make_frame,
@@ -59,7 +58,7 @@ class SpherePatch:
 
     def closest_point(self, p: tuple) -> Tuple[Vec3, Vec3]:
         (px, py, pz), c = p, self.center
-        r = _new(Vec3, (px - c.x, py - c.y, pz - c.z))
+        r = Vec3(px - c.x, py - c.y, pz - c.z)
         d = r.norm()
         if d == 0.0:
             n = Vec3(0.0, 0.0, 1.0)
@@ -101,7 +100,7 @@ class CylinderPatch:
         """The nearest point of the solid's boundary, on the side, an end
         cap or a rim, and the outward normal there."""
         (px, py, pz), a = p, self.axis_point
-        rel = _new(Vec3, (px - a.x, py - a.y, pz - a.z))
+        rel = Vec3(px - a.x, py - a.y, pz - a.z)
         h = rel.dot(self.axis_dir)
         radial = rel - self.axis_dir.scale(h)
         d = radial.norm()
@@ -118,7 +117,7 @@ class CylinderPatch:
             if side <= 0.0:
                 return end + radial, cap
             rim = end + n.scale(self.radius)
-            return rim, _new(Vec3, (px - rim.x, py - rim.y, pz - rim.z)).normalized()
+            return rim, Vec3(px - rim.x, py - rim.y, pz - rim.z).normalized()
         foot = self.axis_point + self.axis_dir.scale(h)
         return foot + n.scale(self.radius), n
 
@@ -225,7 +224,7 @@ class TriangleMesh:
                 d2 = dx * dx + dy * dy + dz * dz
                 if d2 < best_d2 or (d2 == best_d2 and idx < best_idx):
                     best_d2, best_idx, best_q = d2, idx, q
-        point = _new(Vec3, best_q)
+        point = Vec3(*best_q)
         return point, self._pseudo_normal(point, best_idx)
 
     def signed_distance(self, p: tuple) -> float:
@@ -594,9 +593,10 @@ def build_target_frame(point: Vec3, normal: Vec3, reference: Vec3) -> Frame3:
     raise GeometryError("no usable reference direction for the target frame")
 
 
-def drilling_axis(frame: Frame3, phi_deg: float, theta_deg: float) -> Vec3:
+def drilling_axis(frame: Frame3, phi_deg: float, theta_deg: float) -> tuple:
     """Unit drilling axis from polar angle phi (off the frame normal) and
-    azimuth theta (from u toward w)."""
+    azimuth theta (from u toward w), as a plain ``(x, y, z)``: the manual
+    hand asks for its perceived axis every step."""
     if not (0.0 <= phi_deg <= 90.0):
         raise GeometryError(f"polar angle must be in [0, 90] deg, got {phi_deg}")
     phi = math.radians(phi_deg)
@@ -604,15 +604,15 @@ def drilling_axis(frame: Frame3, phi_deg: float, theta_deg: float) -> Vec3:
     sp, cp = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)
     su, sw = sp * ct, sp * st
-    n, u, w = frame.n, frame.u, frame.w
+    _, (ux, uy, uz), (wx, wy, wz), (nx, ny, nz) = frame
     # n cp + u sp ct + w sp st, summed left to right, then normalized
-    x = cp * n.x + su * u.x + sw * w.x
-    y = cp * n.y + su * u.y + sw * w.y
-    z = cp * n.z + su * u.z + sw * w.z
+    x = cp * nx + su * ux + sw * wx
+    y = cp * ny + su * uy + sw * wy
+    z = cp * nz + su * uz + sw * wz
     norm = math.sqrt(x * x + y * y + z * z)
     if norm == 0.0:
         raise GeometryError("cannot normalize a zero vector")
-    return _new(Vec3, (x / norm, y / norm, z / norm))
+    return x / norm, y / norm, z / norm
 
 
 def recover_angles(axis: Vec3, frame: Frame3) -> Tuple[float, float]:
@@ -642,7 +642,7 @@ class DrillTarget:
     axis: Vec3 = field(init=False)
 
     def __post_init__(self):
-        ax = drilling_axis(self.frame, self.phi_deg, self.theta_deg)
+        ax = Vec3(*drilling_axis(self.frame, self.phi_deg, self.theta_deg))
         object.__setattr__(self, "axis", ax)
         if abs(ax.dot(self.frame.n) - math.cos(math.radians(self.phi_deg))) > 1e-9:
             raise GeometryError("drilling axis does not satisfy axis . n = cos(phi)")

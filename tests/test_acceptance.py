@@ -106,23 +106,23 @@ def test_c2_gain_ramp():
             AdmittanceParams(b0, 5.0), AdmittanceParams(b1, 20.0), ramp_start=t_start
         )
         # completes in exactly 1.000 s, not before
-        assert gains_at(sched, t_start + 1.0).translational == b1
-        assert gains_at(sched, t_start + 0.999).translational != b1
+        assert gains_at(sched, t_start + 1.0)[0] == b1
+        assert gains_at(sched, t_start + 0.999)[0] != b1
         # midpoint equals the arithmetic mean exactly
-        assert gains_at(sched, t_start + 0.5).translational == (b0 + b1) / 2.0
+        assert gains_at(sched, t_start + 0.5)[0] == (b0 + b1) / 2.0
         # continuity and monotonicity on a fine grid
-        prev = gains_at(sched, t_start - 0.1).translational
+        prev = gains_at(sched, t_start - 0.1)[0]
         sign = 1.0 if b1 >= b0 else -1.0
         max_step = abs(b1 - b0) * 1e-3 + 1e-9
         for i in range(1300):
             t = t_start - 0.1 + i * 1e-3
-            cur = gains_at(sched, t).translational
+            cur = gains_at(sched, t)[0]
             assert sign * (cur - prev) >= -1e-12
             assert abs(cur - prev) <= max_step
             prev = cur
     # rotational midpoint from the Table-I rows
     sched = GainSchedule(AdmittanceParams(100, 5), AdmittanceParams(600, 20), ramp_start=0.0)
-    assert gains_at(sched, 0.5).rotational == (5.0 + 20.0) / 2.0
+    assert gains_at(sched, 0.5)[1] == (5.0 + 20.0) / 2.0
     _ok("C2 damping ramp: continuous, monotone, 1.000 s, exact midpoint")
 
 
@@ -249,7 +249,7 @@ def test_c5_geometry_round_trip():
         frame = build_target_frame(Vec3(0, 0, 0), n, ref)
         phi = float(rng.uniform(1.0, 89.0))
         theta = float(rng.uniform(0.0, 360.0))
-        axis = drilling_axis(frame, phi, theta)
+        axis = Vec3(*drilling_axis(frame, phi, theta))
         phi2, theta2 = recover_angles(axis, frame)
         worst_phi = max(worst_phi, abs(phi2 - phi))
         dt = abs(theta2 - theta)

@@ -1077,30 +1077,44 @@ class TestPhaseBodies:
         # six-channel bodies all run, and match the reference step
         sc = drawn_session("with", 0, PRESET_ANGLES, PRESET_ORIENTATION, 0.0, 13.0)
         world, oracle = World(sc), ReferenceWorld(sc)
-        # the operator and environment wrenches each step gets back
-        wrenches = []
+        # the operator and environment wrenches each step gets back, and the
+        # gains a step inside a ramp reads
+        wrenches, ramp_gains = [], []
 
-        def kept(fn, part):
+        def kept(fn, part, into=wrenches):
             def call(*args):
                 out = fn(*args)
-                wrenches.append(out[part] if part is not None else out)
+                into.append(out[part] if part is not None else out)
                 return out
 
             return call
 
+        def ramp_gains_at(schedule, t):
+            out = gains_at(schedule, t)
+            if schedule.ramp_start < t < schedule.settles_at:
+                ramp_gains.append(out)
+            return out
+
+        def plain(value, part=tuple):
+            # a value that lives for one period is a plain tuple (of plain
+            # tuples or of floats), never a NamedTuple
+            return type(value) is tuple and all(type(p) is part for p in value)
+
+        def assert_step_plain(world):
+            for value in (world.pose, world.twist, world.v_ref, *wrenches):
+                assert plain(value)
+            wrenches.clear()
+
         monkeypatch.setattr(world.operator, "wrench", kept(world.operator.wrench, None))
         monkeypatch.setattr(engine, "environment_wrench", kept(engine.environment_wrench, 0))
+        monkeypatch.setattr(engine, "gains_at", ramp_gains_at)
         phases = set()
         while not world.done and world.k < 13000:
             phases.add(world.phase)
             world.step()
             oracle.step()
             assert world.pose == oracle.pose and world.twist == oracle.twist
-            # a value that lives for one period is a plain tuple of plain
-            # tuples, never a NamedTuple
-            for value in (world.pose, world.twist, world.v_ref, *wrenches):
-                assert type(value) is tuple and all(type(part) is tuple for part in value)
-            wrenches.clear()
+            assert_step_plain(world)
             # the carried target coordinates are those of the pose the next
             # step starts from, measured from the target it will serve
             target = sc.targets[world.target_idx]
@@ -1111,6 +1125,24 @@ class TestPhaseBodies:
         kinds = [kind for _, kind in world.trace.events]
         assert {"align_start:0", "new_target:1", "align_start:1"} <= set(kinds)
         assert_same_recording(world.trace, oracle.trace)
+        assert ramp_gains and all(plain(gains, float) for gains in ramp_gains)
+        ramp_gains.clear()
+
+        # the manual hand's aim axis, its locked push axis and its ramp gains
+        # are plain tuples too, through every mode of its first target
+        world = World(drawn_session("without", 0, PRESET_ANGLES, PRESET_ORIENTATION, 0.0, 13.0))
+        op, aims = world.operator, []
+        monkeypatch.setattr(op, "wrench", kept(op.wrench, None))
+        monkeypatch.setattr(op, "_aim_axis", kept(op._aim_axis, None, into=aims))
+        modes = set()
+        while not world.done:
+            world.step()
+            modes.add(op._mode)
+            assert_step_plain(world)
+            assert op._push_axis is None or plain(op._push_axis, float)
+        assert modes == {"aim", "dwell", "push", "pull"}
+        assert aims and all(plain(axis, float) for axis in aims)
+        assert ramp_gains and all(plain(gains, float) for gains in ramp_gains)
 
 
 class TestPackedRecorder:

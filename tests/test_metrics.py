@@ -204,7 +204,7 @@ class TestComputeMetrics:
     def test_alignment_error_at_drill_entry(self):
         # tool axis synthesized 3 degrees off in polar angle
         target = flat_target(phi=20.0, theta=40.0)
-        actual_axis = drilling_axis(target.frame, 23.0, 40.0)
+        actual_axis = Vec3(*drilling_axis(target.frame, 23.0, 40.0))
         from gds.geometry import rotation_between
 
         q = rotation_between(Vec3(0, 0, 1), actual_axis)

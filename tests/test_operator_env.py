@@ -45,7 +45,7 @@ class ReferenceOperator(VirtualOperator):
     def _manual_wrench(self, pose, twist, phase, target, t):
         m = self.model
         g = self._ramp(t)
-        aim_axis = self._aim_axis(target, t)
+        aim_axis = Vec3(*self._aim_axis(target, t))
         standoff_point = target.point - aim_axis.scale(0.05)
 
         if self._mode == "aim":
@@ -54,7 +54,7 @@ class ReferenceOperator(VirtualOperator):
                 self._dwell_t0 = t
         if self._mode == "dwell" and (t - self._dwell_t0) >= self._draws.dwell:
             self._mode = "push"
-            self._push_axis = self._final_axis(target)
+            self._push_axis = Vec3(*self._final_axis(target))
         if self._mode == "push" and phase is GuidancePhase.RETRACT:
             self._mode = "pull"
         if self._mode in ("aim", "dwell"):
@@ -222,15 +222,15 @@ class TestOperator:
         op = VirtualOperator(m, guided=False)
         target = flat_target(30.0, 10.0)
         op.begin_target(target, 0.0)
-        assert angle_between(op._final_axis(target), target.axis) <= 1e-12
-        assert angle_between(op._aim_axis(target, 2.7), target.axis) <= 1e-12
+        assert angle_between(Vec3(*op._final_axis(target)), target.axis) <= 1e-12
+        assert angle_between(Vec3(*op._aim_axis(target, 2.7)), target.axis) <= 1e-12
 
     def test_manual_residual_axis_matches_drawn_error(self):
         m = OperatorModel(seed=11, angular_noise=6.0)
         op = VirtualOperator(m, guided=False)
         target = flat_target(30.0, 10.0)
         op.begin_target(target, 0.0)
-        ax = op._final_axis(target)
+        ax = Vec3(*op._final_axis(target))
         err_deg = math.degrees(angle_between(ax, target.axis))
         assert 0.0 < err_deg < 30.0  # a few sigma of the 6-degree noise
 
@@ -337,7 +337,7 @@ class TestManualKernel:
             if old._push_axis is not None:
                 desired = old._push_axis
             else:
-                desired = old._aim_axis(target, t)
+                desired = Vec3(*old._aim_axis(target, t))
             kind = draw(st.sampled_from(["random", "standoff", "along", "against"]))
             offset = Vec3(*[draw(st.floats(-0.4, 0.4)) for _ in range(3)])
             if kind == "random":
@@ -380,7 +380,7 @@ class TestManualKernel:
 
         # aim, far off, the tool opposite the aim axis: the antipodal branch,
         # both caps active
-        aim = old._aim_axis(target, 1.0)
+        aim = Vec3(*old._aim_axis(target, 1.0))
         pose = Pose(target.point + Vec3(0.3, 0.0, 0.3), rotation_between(tool, aim.scale(-1.0)))
         assert rotate(pose.orientation, tool).dot(aim) < -1.0 + 1e-12
         w = self._step(new, old, pose, rest, approach, target, 1.0)
@@ -390,7 +390,7 @@ class TestManualKernel:
 
         # at the standoff point, the tool on the aim axis: vn < 1e-12, both
         # caps inactive, and the dwell begins
-        aim = old._aim_axis(target, 2.0)
+        aim = Vec3(*old._aim_axis(target, 2.0))
         pose = Pose(target.point - aim.scale(0.05), rotation_between(tool, aim))
         assert error_vector_norm(pose, aim) < 1e-12
         spin = Twist6(Vec3(0.01, 0.0, 0.0), Vec3(0.0, 0.0, 0.5))
@@ -399,7 +399,7 @@ class TestManualKernel:
         assert 0.0 < Vec3(*w[0]).norm() < 40.0 and 0.0 < Vec3(*w[1]).norm() < 5.0
 
         # the dwell has run out: push along the final axis, the tool opposite it
-        final = old._final_axis(target)
+        final = Vec3(*old._final_axis(target))
         pose = Pose(pose.position, rotation_between(tool, final.scale(-1.0)))
         w = self._step(new, old, pose, rest, approach, target, 3.5)
         assert new._mode == "push"

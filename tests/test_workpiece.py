@@ -824,7 +824,7 @@ class TestDrillingAxis:
             f = build_target_frame(Vec3(0, 0, 0), n, ref)
             phi = rng.uniform(0.0, 90.0)
             theta = rng.uniform(0.0, 360.0)
-            ax = drilling_axis(f, phi, theta)
+            ax = Vec3(*drilling_axis(f, phi, theta))
             assert ax.dot(f.n) == pytest.approx(math.cos(math.radians(phi)), abs=1e-9)
             tangential = ax - f.n.scale(ax.dot(f.n))
             assert tangential.norm() == pytest.approx(
@@ -842,7 +842,7 @@ class TestDrillingAxis:
         for _ in range(500):
             phi = rng.uniform(1.0, 89.0)
             theta = rng.uniform(0.0, 360.0)
-            ax = drilling_axis(f, phi, theta)
+            ax = Vec3(*drilling_axis(f, phi, theta))
             phi2, theta2 = recover_angles(ax, f)
             assert phi2 == pytest.approx(phi, abs=1e-9)
             assert min(abs(theta2 - theta), 360.0 - abs(theta2 - theta)) <= 1e-9
