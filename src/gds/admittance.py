@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .errors import SimulationFault
 from .guidance import GuidancePhase
@@ -31,24 +30,18 @@ MASS_TRANS = 50.0  # kg, for vx, vy and vz
 MASS_ROT = 10.0    # kg m^2, for wx, wy and wz
 _RAMP_LENGTH = 1.0  # s, the length of every damping ramp
 
-# Damping values used in the drilling study, indexed by task phase:
-# (translational [N s/m], rotational [N m s])
+# Damping values used in the drilling study, indexed by task phase: one
+# plain (translational [N s/m], rotational [N m s]) pair per row, the first
+# for vx, vy and vz, the second for wx, wy and wz
 FREE_MOTION = (100.0, 5.0)
 CLOSE = (600.0, 20.0)
 DRILL = (1000.0, 20.0)
 MANUAL_NEAR = (1000.0, 20.0)  # no-guidance rule: high damping near target
 
 
-class AdmittanceParams(NamedTuple):
-    """One damping pair per task phase: ``translational`` for vx, vy and
-    vz, ``rotational`` for wx, wy and wz."""
-
-    translational: float
-    rotational: float
-
-
-def phase_params(phase: GuidancePhase, condition: str) -> AdmittanceParams:
-    """Gain set for a task phase under a guidance condition.
+def phase_params(phase: GuidancePhase, condition: str) -> tuple:
+    """Gain set for a task phase under a guidance condition: its row of the
+    table above, a plain ``(translational, rotational)`` pair.
 
     ``condition`` is "with" (haptic guidance) or "without" (manual
     alignment). Without guidance damping jumps to its high value once the
@@ -68,7 +61,7 @@ def phase_params(phase: GuidancePhase, condition: str) -> AdmittanceParams:
         # drilling row; its rotational entry is a placeholder, as no
         # rotational channel runs in these phases
         row = DRILL
-    return AdmittanceParams(*row)
+    return row
 
 
 @dataclass
@@ -79,11 +72,12 @@ class GainSchedule:
     ``end_params``. Endpoints equal by value settle at ``ramp_start``:
     ``g0 + s * (g1 - g0)`` is ``g0`` bit for bit when ``g1 == g0`` (gains
     are positive and finite), so the interpolation is skipped.
-    ``start_params`` is the gains at ``ramp_start``: a plain pair if a
-    transition cut the previous ramp short."""
+    Both endpoints are plain ``(translational, rotational)`` pairs:
+    ``start_params`` is the gains at ``ramp_start``, ``end_params`` a row
+    from ``phase_params``."""
 
     start_params: tuple
-    end_params: AdmittanceParams
+    end_params: tuple
     ramp_start: float
     settles_at: float = field(init=False)
 
@@ -95,9 +89,9 @@ class GainSchedule:
 
 
 def gains_at(schedule: GainSchedule, t: float) -> tuple:
-    """Gains at time t: clamped linear interpolation between the endpoints,
-    an endpoint itself outside the ramp and a plain ``(translational,
-    rotational)`` pair inside it."""
+    """Gains at time t, a plain ``(translational, rotational)`` pair:
+    clamped linear interpolation between the endpoints, an endpoint itself
+    outside the ramp."""
     if t >= schedule.settles_at:
         return schedule.end_params
     if t <= schedule.ramp_start:
@@ -107,9 +101,10 @@ def gains_at(schedule: GainSchedule, t: float) -> tuple:
     return t0 + s * (t1 - t0), r0 + s * (r1 - r0)
 
 
-def step_admittance(v: tuple, f_int: tuple, params: AdmittanceParams, dt: float) -> tuple:
+def step_admittance(v: tuple, f_int: tuple, params: tuple, dt: float) -> tuple:
     """The six filters' reference twist one step after twist ``v`` under
-    interaction wrench ``f_int`` and dampings ``params``, as a plain
+    interaction wrench ``f_int`` and dampings ``params``, a plain
+    ``(translational, rotational)`` pair, as a plain
     ``((vx, vy, vz), (wx, wy, wz))``. It checks nothing: its caller,
     ``World.step``, has checked that the six force components are finite,
     and ``Scenario`` that ``dt`` is positive.

@@ -23,13 +23,15 @@ Step order (one control period):
 5. the end pose's coordinates in the active ``Hole``, the cut's update,
    events, state machine update, trace sample
 
-The step runs over plain floats and packs the trace record straight from
-them. A value that lives for one control period is a plain nested float
-tuple, never a NamedTuple: ``World.pose`` is ``((x, y, z), (w, x, y, z))``,
-``World.twist``, ``World.v_ref`` and every wrench ``((x, y, z), (x, y, z))``,
-the manual hand's aim and push axes ``(x, y, z)``, and the gains of a step
-inside a ramp ``(translational, rotational)`` (see ``geometry`` for the
-measured reason).
+The step runs over plain floats and packs the trace record from them
+straight into the trace's last storage block. A value that lives for one
+control period is a plain nested float tuple, never a NamedTuple:
+``World.pose`` is ``((x, y, z), (w, x, y, z))``, ``World.twist``,
+``World.v_ref`` and every wrench ``((x, y, z), (x, y, z))``, the manual
+hand's aim and push axes ``(x, y, z)``, and the gains of every step
+``(translational, rotational)``. Every set-up value a step unpacks is an
+exact tuple too, made once per scenario, target, plan or ramp (see
+``geometry`` for the measured reason).
 
 Time is accumulated as step_index * dt (integer multiplication), never by
 summation, so sample stamps carry no floating drift. Runs are deterministic:
@@ -197,7 +199,8 @@ _TARGET_CELL = CSV_HEADER.index("target_index")
 _PHASE_TEXT = _csvtext.pack_texts([p.value.encode() for p in _PHASE_ORDER])
 
 # one record per sample: 45 <f8 then 2 <i4, 368 bytes, no padding; World
-# appends one per step, and these records are the trace's only storage
+# packs one per step into its storage block, and these records are the
+# trace's only storage
 _RECORD_DTYPE = np.dtype(
     [(name, "<f8") for name in _COLUMNS] + [("phase", "<i4"), ("target_index", "<i4")]
 )
@@ -210,44 +213,42 @@ _RECORD_FORMAT = struct.Struct(
     "<" + "".join(dtype.char for dtype, _ in _RECORD_DTYPE.fields.values())
 )
 _pack_record = _RECORD_FORMAT.pack
-
-
-def _field(blocks: List[bytearray], name: str) -> np.ndarray:
-    """One field of every record, in sample order, as a fresh C-contiguous
-    array: it holds no view of a block, which would stop the next append."""
-    return np.concatenate([np.frombuffer(block, _RECORD_DTYPE)[name] for block in blocks])
+_pack_record_into = _RECORD_FORMAT.pack_into
 
 
 class _Fields:
     """The float columns of the records by name, each read through
-    ``_field``: a by-name reader, not a container."""
+    ``Trace._field``: a by-name reader, not a container."""
 
-    __slots__ = ("_blocks",)
+    __slots__ = ("_trace",)
 
-    def __init__(self, blocks: List[bytearray]):
-        self._blocks = blocks
+    def __init__(self, trace: "Trace"):
+        self._trace = trace
 
     def __getitem__(self, name: str) -> np.ndarray:
         if name not in _COLUMNS:
             raise KeyError(name)
-        return _field(self._blocks, name)
+        return self._trace._field(name)
 
 
 class Trace:
     """Sample log plus the event stream.
 
     ``blocks`` is the only storage: one 368-byte ``_RECORD_DTYPE`` record
-    per sample, which ``World`` appends through ``append`` as each step
-    ends, in ``bytearray`` blocks of ``_CSV_BLOCK`` records; only the last
-    block grows. Every reader takes what it needs from them: ``data[name]``,
-    ``phase_codes`` and ``target_idx`` join one field of every block into
-    one fresh numpy array, ``sample(i)`` and ``phase_of(i)`` read record
-    ``i % _CSV_BLOCK`` of block ``i // _CSV_BLOCK``, the checksum hashes the
-    blocks in order, and ``record_blocks`` yields each non-empty block as a
-    view of its records, which the metrics stream over and ``to_csv``
-    writes as one CSV block each.
-    Blocks of a fixed size keep the storage from ever copying a whole
-    trace to grow it.
+    per sample, in ``bytearray`` blocks of ``_CSV_BLOCK`` records, each
+    allocated whole, once. ``filled`` counts the records in the last
+    block; the blocks before it are full. As each step ends, ``World``
+    packs its record straight into the last block at ``filled`` and counts
+    it; ``append`` does the same for one packed record. Every reader takes
+    only the filled records: ``data[name]``, ``phase_codes`` and
+    ``target_idx`` join one field of every block into one fresh numpy
+    array, ``sample(i)`` and ``phase_of(i)`` read record ``i % _CSV_BLOCK``
+    of block ``i // _CSV_BLOCK``, the checksum hashes the records in
+    order, and ``record_blocks`` yields each non-empty block's records as a
+    view, which the metrics stream over and ``to_csv`` writes as one CSV
+    block each. Blocks of a fixed size keep the storage from ever copying
+    a whole trace to grow it, and as no block is ever resized, a view held
+    across a step is harmless.
     """
 
     def __init__(self, dt: float, condition: str, config_digest: str):
@@ -256,39 +257,59 @@ class Trace:
         self.config_digest = config_digest
         self.events: List[Tuple[float, str]] = []
         self.complete = False
-        self.blocks: List[bytearray] = [bytearray()]
+        self.blocks: List[bytearray] = [bytearray(_BLOCK_BYTES)]
+        self.filled = 0
+
+    def next_block(self) -> None:
+        """Start a new, empty last block: the one place a block is made
+        after the first, once the last holds ``_CSV_BLOCK`` records."""
+        self.blocks.append(bytearray(_BLOCK_BYTES))
+        self.filled = 0
 
     def append(self, record: bytes) -> None:
-        """Append one packed record to the last block, or to a new block
-        once the last holds ``_CSV_BLOCK`` records."""
-        last = self.blocks[-1]
-        if len(last) == _BLOCK_BYTES:
-            last = bytearray()
-            self.blocks.append(last)
-        last += record
+        """Write one packed record after the last one, in a new block once
+        the last holds ``_CSV_BLOCK`` records."""
+        if self.filled == _CSV_BLOCK:
+            self.next_block()
+        start = self.filled * _RECORD_SIZE
+        # a memoryview slice takes exactly one record's bytes, or raises
+        memoryview(self.blocks[-1])[start : start + _RECORD_SIZE] = record
+        self.filled += 1
+
+    def _filled_blocks(self) -> Iterator[np.ndarray]:
+        """Each block's filled records as a ``_RECORD_DTYPE`` view, in
+        sample order; the last one may be empty."""
+        blocks = self.blocks
+        for block in blocks[:-1]:
+            yield np.frombuffer(block, _RECORD_DTYPE)
+        yield np.frombuffer(blocks[-1], _RECORD_DTYPE, self.filled)
+
+    def _field(self, name: str) -> np.ndarray:
+        """One field of every record, in sample order, as a fresh
+        C-contiguous array that holds no view of a block."""
+        return np.concatenate([records[name] for records in self._filled_blocks()])
 
     @property
     def data(self) -> _Fields:
-        return _Fields(self.blocks)
+        return _Fields(self)
 
     @property
     def phase_codes(self) -> np.ndarray:
-        return _field(self.blocks, "phase")
+        return self._field("phase")
 
     @property
     def target_idx(self) -> np.ndarray:
-        return _field(self.blocks, "target_index")
+        return self._field("target_index")
 
     def record_blocks(self) -> Iterator[np.ndarray]:
-        """Each non-empty block as a ``_RECORD_DTYPE`` view, in sample
-        order. A view stops its block from growing, so drop each before the
-        next ``append``."""
-        for block in self.blocks:
-            if block:
-                yield np.frombuffer(block, _RECORD_DTYPE)
+        """Each non-empty block's records as a ``_RECORD_DTYPE`` view, in
+        sample order."""
+        for records in self._filled_blocks():
+            if len(records):
+                yield records
 
     def __len__(self) -> int:
-        return (len(self.blocks) - 1) * _CSV_BLOCK + len(self.blocks[-1]) // _RECORD_SIZE
+        return (len(self.blocks) - 1) * _CSV_BLOCK + self.filled
 
     def _record(self, i: int) -> tuple:
         """Record ``i`` as a tuple of Python floats and ints, in field
@@ -323,8 +344,8 @@ class Trace:
         damping gains ``b_*``, then ``hole_depth``), then the phase code and
         the target index as ``<i4``. An empty trace hashes no bytes."""
         h = hashlib.sha256()
-        for block in self.blocks:
-            h.update(block)
+        for records in self._filled_blocks():
+            h.update(records)
         return h.hexdigest()
 
     def phase_of(self, i: int) -> GuidancePhase:
@@ -403,7 +424,6 @@ class World:
         self.trace = Trace(self.dt, scenario.condition, scenario.config_digest())
         self._in_collision = False
         self._phase_code = _PHASE_CODE[self.phase]
-        self._append = self.trace.append
         # the whole steps that fit in max_sim_time: a quotient within 1e-9
         # of an integer is that integer, so 7.1 s holds 7,100 steps of 1 ms
         q = scenario.max_sim_time / self.dt
@@ -458,6 +478,7 @@ class World:
         target = sc.targets[self.target_idx]
         pose0 = self.pose
         twist0 = self.twist
+        hole = self.hole
 
         # the lock ignores the operator: it is not asked
         if phase is _AUTO_ALIGN:
@@ -465,7 +486,7 @@ class World:
         else:
             f_h = self.operator.wrench(pose0, twist0, phase, target, t)
         f_env, collision = environment_wrench(
-            pose0, twist0, sc.surface, self.hole, sc.environment, self._ax_pos, self._on_target
+            pose0, twist0, sc.surface, hole, sc.environment, self._ax_pos, self._on_target
         )
         (hx, hy, hz), (htx, hty, htz) = f_h
         (ex, ey, ez), (etx, ety, etz) = f_env
@@ -498,9 +519,10 @@ class World:
             rvx = rvy = rvz = rwx = rwy = rwz = 0.0
             nx, ny, nz = new_pose[0]
         elif self.guided and (phase is _CONSTRAINED_DRILL or phase is _RETRACT):
-            # 1-DoF along the drilling axis, which is guidance's; the
-            # angular twist is exactly zero, so the orientation carries over
-            ux, uy, uz = target.axis
+            # 1-DoF along the drilling axis, which is guidance's (the hole's
+            # axis is the target's); the angular twist is exactly zero, so
+            # the orientation carries over
+            ux, uy, uz = hole.axis
             s_ref = self.s_ref = step_axial(self.s_ref, ix * ux + iy * uy + iz * uz, bt, dt)
             s = self.s_act = self.s_act + self.plant_alpha * (s_ref - self.s_act)
             # s_ref * axis, projected onto the axis
@@ -538,8 +560,8 @@ class World:
 
         # hole bookkeeping on the post-step state
         t_next = (k + 1) * dt
-        events = self.trace.events
-        hole = self.hole
+        trace = self.trace
+        events = trace.events
         ax_pos, on_target, distance = hole.coordinates(nx, ny, nz)
         # the end pose is the next step's start pose; _begin_target
         # recomputes these in the next target's hole
@@ -572,9 +594,15 @@ class World:
             ax_pos=ax_pos,
         )
 
-        # the trace record, packed straight from the floats
+        # the trace record, packed from the floats straight into the last
+        # storage block
+        n = trace.filled
+        if n == _CSV_BLOCK:
+            trace.next_block()
+            n = 0
         qw, qx, qy, qz = ori0
-        self._append(_pack_record(
+        _pack_record_into(
+            trace.blocks[-1], n * _RECORD_SIZE,
             t, px, py, pz, qw, qx, qy, qz,
             vx, vy, vz, wx, wy, wz,
             rvx, rvy, rvz, rwx, rwy, rwz,
@@ -583,7 +611,8 @@ class World:
             ix, iy, iz, itx, ity, itz,
             bt, bt, bt, br, br, br, depth,
             self._phase_code, self.target_idx,
-        ))
+        )
+        trace.filled = n + 1
         self.k = k + 1
 
         if distance > self._runaway_at:

@@ -13,12 +13,16 @@ threads freely. Set-up values are the NamedTuples below. A value that lives
 for one control period is a plain nested float tuple instead: a pose is
 ``((x, y, z), (w, x, y, z))``, a twist or a wrench
 ``((x, y, z), (x, y, z))``, a direction such as the hand's aim or push
-axis ``(x, y, z)``. CPython's fast paths build and unpack exact tuples
-only: on Python 3.11.7 building a ``Vec3``, even through
-``tuple.__new__``, took 228 ns against 35 ns for a tuple literal, and
-unpacking a nested ``Pose`` 168 ns against 35 ns. Every function the step
-calls reads its pose, twist, wrench and point arguments by position, so a
-NamedTuple argument gives the same bits through the same path.
+axis ``(x, y, z)``. So is every set-up value a step unpacks: each is copied
+into an exact tuple once, where it is set up (the hole's entry and axis,
+the hand's copies of its target, a surface's center or axis, an alignment
+plan's start, delta, rotation vector and arc, the gain table's rows).
+CPython's fast paths build and unpack exact tuples only: on Python 3.11.7
+building a ``Vec3``, even through ``tuple.__new__``, took 228 ns against
+35 ns for a tuple literal, and unpacking a ``Vec3`` into three names 53 ns
+against 18 ns for a plain 3-tuple (a timing loop of 11 ns a pass
+included). Every function the step calls reads its arguments by position,
+so a NamedTuple argument gives the same bits, only on the slower path.
 """
 
 from __future__ import annotations
@@ -187,10 +191,11 @@ def slerp_arc(q0: UnitQuat, q1: UnitQuat) -> tuple:
     - ``(_ARC, q0, q1', theta, sin theta)`` otherwise.
 
     q1' is q1 with its sign flipped if needed, so that the arc is the
-    shortest one. Endpoints a half-turn apart (q0 . q1 = 0) need no branch
-    of their own: there theta = pi/2 and sin theta = 1, so the arc is well
-    conditioned. Of the two shortest arcs it takes the one the sign of
-    q0 . q1 picks.
+    shortest one. Both endpoints are stored as plain (w, x, y, z) tuples,
+    which ``slerp_at`` unpacks on every locked step. Endpoints a half-turn
+    apart (q0 . q1 = 0) need no branch of their own: there theta = pi/2 and
+    sin theta = 1, so the arc is well conditioned. Of the two shortest arcs
+    it takes the one the sign of q0 . q1 picks.
     """
     d = q0.w * q1.w + q0.x * q1.x + q0.y * q1.y + q0.z * q1.z
     w1, x1, y1, z1 = q1
@@ -198,9 +203,9 @@ def slerp_arc(q0: UnitQuat, q1: UnitQuat) -> tuple:
         d, w1, x1, y1, z1 = -d, -w1, -x1, -y1, -z1
     if d > 1.0 - 1e-12:
         # endpoints coincide: nlerp is exact enough and avoids 0/0
-        return (_NLERP, q0, (w1, x1, y1, z1))
+        return (_NLERP, tuple(q0), (w1, x1, y1, z1))
     theta = math.acos(d)
-    return (_ARC, q0, (w1, x1, y1, z1), theta, math.sin(theta))
+    return (_ARC, tuple(q0), (w1, x1, y1, z1), theta, math.sin(theta))
 
 
 def slerp_at(arc: tuple, t: float) -> tuple:

@@ -164,10 +164,12 @@ class AlignmentPlan:
     start_pose: Pose
     goal_pose: Pose
     duration: float
-    # start-to-goal position delta, rotation vector and orientation arc
-    # (geometry.slerp_arc), fixed at plan time
-    delta_position: Vec3
-    rotation_vector: Vec3
+    # the start position, start-to-goal position delta and rotation vector
+    # as plain (x, y, z), and the orientation arc (geometry.slerp_arc),
+    # fixed at plan time: every locked step unpacks them
+    start_position: tuple
+    delta_position: tuple
+    rotation_vector: tuple
     arc: tuple
 
 
@@ -195,8 +197,9 @@ def plan_alignment(
         start_pose=start_pose,
         goal_pose=Pose(goal_position, goal),
         duration=duration,
-        delta_position=goal_position - start_pose.position,
-        rotation_vector=_quat_log(goal.multiply(start.conjugate())),
+        start_position=tuple(start_pose.position),
+        delta_position=tuple(goal_position - start_pose.position),
+        rotation_vector=tuple(_quat_log(goal.multiply(start.conjugate()))),
         arc=slerp_arc(start, goal),
     )
 
@@ -222,7 +225,7 @@ def sample_alignment(plan: AlignmentPlan, t: float) -> tuple:
         position, orientation = plan.start_pose if t <= 0.0 else plan.goal_pose
         return tuple(position), tuple(orientation)
     s = smoothstep(t / duration)
-    (x0, y0, z0), (dx, dy, dz) = plan.start_pose.position, plan.delta_position
+    (x0, y0, z0), (dx, dy, dz) = plan.start_position, plan.delta_position
     return (x0 + s * dx, y0 + s * dy, z0 + s * dz), slerp_at(plan.arc, s)
 
 

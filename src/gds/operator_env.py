@@ -88,13 +88,15 @@ CUT_FACE_TOLERANCE = 1e-4
 class Hole:
     """The hole at the active target: it enters the material at ``entry``
     along the unit ``axis``, carves out ``radius`` around it and is cut to
-    ``depth`` (m), which only its construction and ``update_hole`` write."""
+    ``depth`` (m), which only its construction and ``update_hole`` write.
+    ``entry`` and ``axis`` are kept as plain (x, y, z) tuples, which every
+    step unpacks."""
 
     __slots__ = ("entry", "axis", "radius", "depth")
 
     def __init__(self, entry: Vec3, axis: Vec3, radius: float):
-        self.entry = entry
-        self.axis = axis
+        self.entry = tuple(entry)
+        self.axis = tuple(axis)
         self.radius = radius
         self.depth = 0.0
 
@@ -173,24 +175,26 @@ class _TargetDraws:
 class VirtualOperator:
     """Stateful wrench source driving one simulated session.
 
-    ``guided`` picks the behaviour. The guided operator holds its model,
-    tool axis and grab time only: it draws nothing and keeps no per-target
-    state. The manual one owns a seeded RNG, and its ``begin_target``
-    creates the per-target state: the target's start time, the draws, the
-    mode (aim, dwell, push, pull) and the push axis, locked when the push
-    starts. A dwell writes its start time ``_dwell_t0``, which only the
-    dwell's end test reads. Identical (model, seed, ``guided``, input
-    stream) produce bit-identical wrench sequences. ``_push`` is the push's
-    force: ``push_force``, capped at ``force_cap``. The wrench and the aim
-    and push axes are read every control period, so each is a plain tuple,
-    never a NamedTuple (see ``geometry``).
+    ``guided`` picks the behaviour. ``begin_target`` keeps plain copies of
+    the target's point, axis and frame, which the hand reads every control
+    period in place of the target's ``Vec3`` and ``Frame3`` fields; the
+    guided operator draws nothing and keeps no other per-target state. The
+    manual one owns a seeded RNG, and its ``begin_target`` also creates the
+    target's start time, the draws, the mode (aim, dwell, push, pull) and
+    the push axis, locked when the push starts. A dwell writes its start
+    time ``_dwell_t0``, which only the dwell's end test reads. Identical
+    (model, seed, ``guided``, input stream) produce bit-identical wrench
+    sequences. ``_push`` is the push's force: ``push_force``, capped at
+    ``force_cap``. The wrench, the tool axis and the aim and push axes are
+    read every control period, so each is a plain tuple, never a NamedTuple
+    (see ``geometry``).
     """
 
     def __init__(
         self, model: OperatorModel, tool_axis_local: Vec3 = Vec3(0.0, 0.0, 1.0), *, guided: bool
     ):
         m = self.model = model
-        self.tool_axis_local = tool_axis_local
+        self.tool_axis_local = tuple(tool_axis_local)
         self.guided = guided
         self._push = min(m.push_force, m.force_cap)
         self._rng = None if guided else np.random.default_rng(model.seed)
@@ -199,10 +203,14 @@ class VirtualOperator:
     # -- session bookkeeping -------------------------------------------------
 
     def begin_target(self, target: DrillTarget, t: float) -> None:
-        """Start the manual mode machine on ``target``: aim, with this
-        target's residual error and dwell drawn. Called by the engine
-        whenever a new target becomes active, and before any ``wrench``.
-        The guided operator draws nothing and keeps no per-target state."""
+        """Keep plain copies of ``target``'s point, axis and frame, and start
+        the manual mode machine on it: aim, with this target's residual
+        error and dwell drawn. Called by the engine whenever a new target
+        becomes active, and before any ``wrench``. The guided operator draws
+        nothing."""
+        self._point = tuple(target.point)
+        self._axis = tuple(target.axis)
+        self._frame = tuple(map(tuple, target.frame))
         if self.guided:
             return
         self._target_t0 = t
@@ -264,12 +272,12 @@ class VirtualOperator:
         m = self.model
         g = self._ramp(t)
         if phase is _FREE_MOTION or phase is _APPROACH:
-            (tx, ty, tz), (px, py, pz) = target.point, pose[0]
+            (tx, ty, tz), (px, py, pz) = self._point, pose[0]
             pull = _pd(m.k_p, (tx - px, ty - py, tz - pz), m.k_d, twist[0], m.force_cap, g)
             return pull, (0.0, 0.0, 0.0)
         # push while drilling, pull in Retract
         s = g * self._push if phase is _CONSTRAINED_DRILL else -g * self._push
-        ux, uy, uz = target.axis
+        ux, uy, uz = self._axis
         return (s * ux, s * uy, s * uz), (0.0, 0.0, 0.0)
 
     def _manual_wrench(self, pose, twist, phase, target, t):
@@ -305,7 +313,7 @@ class VirtualOperator:
         cx, cy, cz = uy * az - uz * ay, uz * ax - ux * az, ux * ay - uy * ax
         d = ux * ax + uy * ay + uz * az
         if mode != _MODE_PUSH:
-            tpx, tpy, tpz = target.point
+            tpx, tpy, tpz = self._point
             # standoff point minus the tip
             ex = (tpx - _PREDRILL_STANDOFF * ax) - px
             ey = (tpy - _PREDRILL_STANDOFF * ay) - py
@@ -350,7 +358,7 @@ class VirtualOperator:
         neither angle sum here is."""
         d = self._draws
         phi = min(89.0, max(1.0, target.phi_deg + d.dphi + wob_phi))
-        return drilling_axis(target.frame, phi, target.theta_deg + d.dtheta + wob_theta)
+        return drilling_axis(self._frame, phi, target.theta_deg + d.dtheta + wob_theta)
 
     def _aim_axis(self, target: DrillTarget, t: float) -> tuple:
         """The final axis with a decaying wander (the operator iteratively

@@ -51,10 +51,13 @@ class SpherePatch:
 
     center: Vec3
     radius: float
+    # the center as a plain (x, y, z), which every off-target step unpacks
+    _center: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.radius > 0.0:
             raise GeometryError("sphere radius must be positive")
+        object.__setattr__(self, "_center", tuple(self.center))
 
     def closest_point(self, p: tuple) -> Tuple[Vec3, Vec3]:
         (px, py, pz), c = p, self.center
@@ -68,7 +71,7 @@ class SpherePatch:
 
     def signed_distance(self, p: tuple) -> float:
         """Positive outside the material, negative inside."""
-        (px, py, pz), (cx, cy, cz) = p, self.center
+        (px, py, pz), (cx, cy, cz) = p, self._center
         rx, ry, rz = px - cx, py - cy, pz - cz
         return math.sqrt(rx * rx + ry * ry + rz * rz) - self.radius
 
@@ -88,6 +91,9 @@ class CylinderPatch:
     axis_dir: Vec3
     radius: float
     half_length: float = math.inf
+    # the axis point and direction as plain (x, y, z), which every
+    # off-target step unpacks
+    _axis: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.radius > 0.0:
@@ -95,6 +101,7 @@ class CylinderPatch:
         if not self.half_length > 0.0:
             raise GeometryError("cylinder half_length must be positive")
         object.__setattr__(self, "axis_dir", self.axis_dir.normalized())
+        object.__setattr__(self, "_axis", (tuple(self.axis_point), tuple(self.axis_dir)))
 
     def closest_point(self, p: tuple) -> Tuple[Vec3, Vec3]:
         """The nearest point of the solid's boundary, on the side, an end
@@ -124,7 +131,7 @@ class CylinderPatch:
     def signed_distance(self, p: tuple) -> float:
         """Positive outside the material, negative inside."""
         # closest_point's radial offset and axial excess, over plain floats
-        (px, py, pz), (ax, ay, az), (dx, dy, dz) = p, self.axis_point, self.axis_dir
+        (px, py, pz), ((ax, ay, az), (dx, dy, dz)) = p, self._axis
         rx, ry, rz = px - ax, py - ay, pz - az
         h = rx * dx + ry * dy + rz * dz
         qx, qy, qz = rx - h * dx, ry - h * dy, rz - h * dz
@@ -596,7 +603,8 @@ def build_target_frame(point: Vec3, normal: Vec3, reference: Vec3) -> Frame3:
 def drilling_axis(frame: Frame3, phi_deg: float, theta_deg: float) -> tuple:
     """Unit drilling axis from polar angle phi (off the frame normal) and
     azimuth theta (from u toward w), as a plain ``(x, y, z)``: the manual
-    hand asks for its perceived axis every step."""
+    hand asks for its perceived axis every step, with a plain copy of the
+    target's frame (origin, u, w, n)."""
     if not (0.0 <= phi_deg <= 90.0):
         raise GeometryError(f"polar angle must be in [0, 90] deg, got {phi_deg}")
     phi = math.radians(phi_deg)
@@ -704,6 +712,8 @@ def load_stl(path: str) -> TriangleMesh:
                 v = (float(tok[1]), float(tok[2]), float(tok[3]))
             except ValueError:
                 raise GeometryError(f"{path}:{lineno}: malformed vertex line") from None
+            if not all(map(math.isfinite, v)):
+                raise GeometryError(f"{path}:{lineno}: non-finite vertex coordinate")
             idx = vmap.get(v)
             if idx is None:
                 idx = len(vertices)
@@ -753,10 +763,12 @@ def load_off(path: str) -> TriangleMesh:
             f"{path}: header declares {nv} vertices and {nf} faces, "
             f"file has {len(lines) - 2} lines after it"
         )
-    verts = [
-        Vec3(*fields(line, float, 3, "3 vertex coordinates"))
-        for line in lines[2 : 2 + nv]
-    ]
+    verts = []
+    for line in lines[2 : 2 + nv]:
+        v = fields(line, float, 3, "3 vertex coordinates")
+        if not all(map(math.isfinite, v)):
+            raise GeometryError(f"{path}:{line[0]}: non-finite vertex coordinate")
+        verts.append(Vec3(*v))
     tris = []
     for line in lines[2 + nv : 2 + nv + nf]:
         n, i, j, k = fields(line, int, 4, "a face '3 i j k'")

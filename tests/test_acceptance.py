@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from gds.admittance import (
-    AdmittanceParams,
     GainSchedule,
     analytic_step_response,
     gains_at,
@@ -72,7 +71,7 @@ def test_c1_admittance_fidelity():
     t0 = time.perf_counter()
     f, dt = 10.0, 1e-3
     for name, m, b in TABLE_GAIN_SETS:
-        params = AdmittanceParams(b, b)
+        params = (b, b)
         rot = name.endswith("/rot")
         wrench = Wrench6(Vec3.zero(), Vec3(f, 0, 0)) if rot else Wrench6(Vec3(f, 0, 0), Vec3.zero())
         n = int(round(5.0 * (m / b) / dt))
@@ -102,9 +101,7 @@ def test_c2_gain_ramp():
     ]
     t_start = 2.0
     for b0, b1 in pairs:
-        sched = GainSchedule(
-            AdmittanceParams(b0, 5.0), AdmittanceParams(b1, 20.0), ramp_start=t_start
-        )
+        sched = GainSchedule((b0, 5.0), (b1, 20.0), ramp_start=t_start)
         # completes in exactly 1.000 s, not before
         assert gains_at(sched, t_start + 1.0)[0] == b1
         assert gains_at(sched, t_start + 0.999)[0] != b1
@@ -121,7 +118,7 @@ def test_c2_gain_ramp():
             assert abs(cur - prev) <= max_step
             prev = cur
     # rotational midpoint from the Table-I rows
-    sched = GainSchedule(AdmittanceParams(100, 5), AdmittanceParams(600, 20), ramp_start=0.0)
+    sched = GainSchedule((100, 5), (600, 20), ramp_start=0.0)
     assert gains_at(sched, 0.5)[1] == (5.0 + 20.0) / 2.0
     _ok("C2 damping ramp: continuous, monotone, 1.000 s, exact midpoint")
 

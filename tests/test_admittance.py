@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gds.admittance import (
-    AdmittanceParams,
     GainSchedule,
     analytic_step_response,
     gains_at,
@@ -32,7 +31,7 @@ TABLE_GAIN_SETS = [
 def run_steps(wrench, b=100.0, n=1, dt=1e-3):
     """The reference twist after n steps from rest under a constant wrench,
     with damping b on every channel."""
-    params = AdmittanceParams(b, b)
+    params = (b, b)
     v = Twist6.zero()
     for _ in range(n):
         v = step_admittance(v, wrench, params, dt)
@@ -82,14 +81,13 @@ forces = st.tuples(*[st.floats(-80.0, 80.0)] * 6).map(
 )
 
 
-gain_sets = st.builds(AdmittanceParams, dampings, dampings)
+gain_sets = st.tuples(dampings, dampings)
 
 
 def assert_same_bits(got, want):
-    # position by position (repr tells -0.0 from 0.0): a gain set and the
-    # plain pair of its floats hold the same bits
+    # repr tells -0.0 from 0.0, and a plain tuple from a NamedTuple
     assert got == want
-    assert repr(tuple(got)) == repr(tuple(want))
+    assert repr(got) == repr(want)
 
 
 class TestStepAdmittance:
@@ -112,7 +110,7 @@ class TestStepAdmittance:
         dt = 1e-3
         f = 10.0
         n = int(round(5.0 * (m / b) / dt))
-        params = AdmittanceParams(b, b)
+        params = (b, b)
         rot = name.endswith("_rot")
         wrench = Wrench6(Vec3.zero(), Vec3(f, 0.0, 0.0)) if rot else force_x(f)
         worst = 0.0
@@ -145,7 +143,7 @@ class TestStepAdmittance:
     @settings(max_examples=150, deadline=None)
     def test_error_to_steady_state_monotone_for_any_dt(self, b, dt, f):
         # the translational and the rotational channel, each at its mass
-        params = AdmittanceParams(b, b)
+        params = (b, b)
         target = f / b
         prev = [abs(target)] * 2
         out = Twist6.zero()
@@ -166,7 +164,7 @@ class TestKernelOracles:
     def test_steps_and_ramps_match_loop_oracles(self, data):
         draw = data.draw
         a, b = draw(gain_sets), draw(gain_sets)
-        twin = AdmittanceParams(*b)  # b's values, a new object
+        twin = tuple(list(b))  # b's values, a new object
         sched = GainSchedule(a, b, ramp_start=0.0)
         new = old = Twist6.zero()
         new_params = old_params = a
@@ -189,7 +187,7 @@ class TestKernelOracles:
             assert_same_bits(new, old)
 
     def test_coefficient_rows_follow_gain_set_and_dt(self):
-        params = AdmittanceParams(100.0, 5.0)
+        params = (100.0, 5.0)
         new = old = Twist6.zero()
         f = Wrench6(Vec3(3.0, -2.0, 1.0), Vec3(0.5, 0.25, -0.125))
         # a new dt with the same gain set
@@ -199,7 +197,7 @@ class TestKernelOracles:
             assert_same_bits(new, old)
         # a new gain set of new values every step, as in a ramp
         for k in range(50):
-            params = AdmittanceParams(100.0 + 10.0 * k, 5.0 + k)
+            params = (100.0 + 10.0 * k, 5.0 + k)
             new = step_admittance(new, f, params, 1e-3)
             old = reference_step_admittance(old, f, params, 1e-3)
             assert_same_bits(new, old)
@@ -207,32 +205,20 @@ class TestKernelOracles:
 
 class TestGainSchedule:
     def test_endpoints_and_midpoint(self):
-        sched = GainSchedule(
-            AdmittanceParams(100, 5),
-            AdmittanceParams(600, 20),
-            ramp_start=2.0,
-        )
-        assert gains_at(sched, 2.0).translational == 100.0
-        assert gains_at(sched, 3.0).translational == 600.0
-        assert gains_at(sched, 10.0).translational == 600.0
+        sched = GainSchedule((100, 5), (600, 20), ramp_start=2.0)
+        assert gains_at(sched, 2.0)[0] == 100.0
+        assert gains_at(sched, 3.0)[0] == 600.0
+        assert gains_at(sched, 10.0)[0] == 600.0
         mid = gains_at(sched, 2.5)
         assert mid[0] == (100.0 + 600.0) / 2.0  # exact arithmetic mean
         assert mid[1] == (5.0 + 20.0) / 2.0
 
     def test_quarter_point_linear_oracle(self):
-        sched = GainSchedule(
-            AdmittanceParams(600, 20),
-            AdmittanceParams(1000, 20),
-            ramp_start=0.0,
-        )
+        sched = GainSchedule((600, 20), (1000, 20), ramp_start=0.0)
         assert gains_at(sched, 0.25)[0] == pytest.approx(700.0, abs=1e-12)
 
     def test_continuous_and_monotone(self):
-        sched = GainSchedule(
-            AdmittanceParams(100, 5),
-            AdmittanceParams(1000, 20),
-            ramp_start=0.0,
-        )
+        sched = GainSchedule((100, 5), (1000, 20), ramp_start=0.0)
         prev_b = gains_at(sched, -1.0)[0]
         t = 0.0
         while t <= 1.2:
@@ -245,9 +231,7 @@ class TestGainSchedule:
     def test_mass_held_constant(self):
         # over a ramp each channel's first step from rest is the continuous
         # response of its fixed mass at the ramped damping
-        sched = GainSchedule(
-            AdmittanceParams(100, 5), AdmittanceParams(1000, 20), ramp_start=0.0
-        )
+        sched = GainSchedule((100, 5), (1000, 20), ramp_start=0.0)
         dt = 1e-3
         for t in (0.0, 0.3, 0.77, 1.0):
             p = gains_at(sched, t)
@@ -259,8 +243,9 @@ class TestGainSchedule:
 
     def test_equal_endpoints_hold_one_gain_set(self):
         # equal by value, distinct objects: AutoAlign -> ConstrainedDrill
+        # (both phases take the one DRILL row, so the end is a copy of it)
         start = phase_params(GuidancePhase.AUTO_ALIGN, "with")
-        end = phase_params(GuidancePhase.CONSTRAINED_DRILL, "with")
+        end = tuple(list(phase_params(GuidancePhase.CONSTRAINED_DRILL, "with")))
         assert start == end and start is not end
         sched = GainSchedule(start, end, ramp_start=2.0)
         assert sched.settles_at == 2.0
@@ -296,23 +281,23 @@ class TestGainSchedule:
 
 class TestPhaseParams:
     def test_free_motion_with_guidance(self):
-        params = phase_params(GuidancePhase.FREE_MOTION, "with")
-        assert params.translational == 100.0
-        assert params.rotational == 5.0
+        trans, rot = phase_params(GuidancePhase.FREE_MOTION, "with")
+        assert trans == 100.0
+        assert rot == 5.0
 
     def test_approach_with_guidance(self):
-        params = phase_params(GuidancePhase.APPROACH, "with")
-        assert params.translational == 600.0
-        assert params.rotational == 20.0
+        trans, rot = phase_params(GuidancePhase.APPROACH, "with")
+        assert trans == 600.0
+        assert rot == 20.0
 
     def test_drilling_single_dof(self):
         params = phase_params(GuidancePhase.CONSTRAINED_DRILL, "with")
-        assert params.translational == 1000.0
+        assert params[0] == 1000.0
 
     def test_without_guidance_near_target(self):
         params = phase_params(GuidancePhase.APPROACH, "without")
-        assert params.translational == 1000.0
+        assert params[0] == 1000.0
 
     def test_without_guidance_far(self):
         params = phase_params(GuidancePhase.FREE_MOTION, "without")
-        assert params.translational == 100.0
+        assert params[0] == 100.0

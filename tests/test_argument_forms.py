@@ -13,7 +13,7 @@ import struct
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gds.admittance import AdmittanceParams, step_admittance
+from gds.admittance import step_admittance
 from gds.geometry import Pose, Twist6, Vec3, Wrench6, _canonical
 from gds.guidance import GuidancePhase, plan_alignment
 from gds.operator_env import (
@@ -155,9 +155,8 @@ def test_named_and_plain_arguments_give_the_same_bits(
     assert _bits(named) == _bits(plain)
 
     # the six admittance channels
-    params = AdmittanceParams(*dampings)
-    named = step_admittance(twist, wrench, params, dt)
-    plain = step_admittance(_plain(twist), _plain(wrench), params, dt)
+    named = step_admittance(twist, wrench, dampings, dt)
+    plain = step_admittance(_plain(twist), _plain(wrench), dampings, dt)
     assert _bits(named) == _bits(plain)
 
     # the surface's queries at the tip

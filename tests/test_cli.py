@@ -2,9 +2,11 @@ import csv
 import json
 import math
 import os
+import tempfile
 
 import pytest
 
+import golden
 from gds import config
 from gds.cli import main
 from gds.metrics import METRIC_FIELDS
@@ -17,6 +19,20 @@ BINARY_STL = (
     b"solid exported".ljust(80, b"\0") + (1).to_bytes(4, "little")
     + bytes(12) + b"\x00\x00\x80\x3f" * 9 + bytes(2)
 )
+
+
+def crest_stl_with_last_vertex(coordinates):
+    """The golden crest STL of the preset cylinder, a complete and valid
+    mesh, with its last vertex line holding ``coordinates`` instead."""
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "crest.stl")
+        golden.write_crest_stl(path)
+        with open(path) as fh:
+            lines = fh.readlines()
+    last = max(i for i, line in enumerate(lines) if line.split()[:1] == ["vertex"])
+    lines[last] = f"   vertex {coordinates}\n"
+    return "".join(lines).encode()
+
 
 def plate_config(tmp_path, max_sim_time):
     """One target on a flat OFF plate; ``max_sim_time`` cuts the runs short."""
@@ -121,8 +137,13 @@ class TestValidate:
 
     @pytest.mark.parametrize(
         "content",
-        [b"solid bad\n facet normal 0 0 1\n  outer loop\n   vertex 0 x 0\n", BINARY_STL],
-        ids=["non_number_vertex", "binary"],
+        [
+            b"solid bad\n facet normal 0 0 1\n  outer loop\n   vertex 0 x 0\n",
+            BINARY_STL,
+            crest_stl_with_last_vertex("nan 0.25 -0.05"),
+            crest_stl_with_last_vertex("0.15 inf -0.05"),
+        ],
+        ids=["non_number_vertex", "binary", "nan_vertex", "inf_vertex"],
     )
     def test_malformed_stl_exit_two(self, content, tmp_path, capsys):
         (tmp_path / "bad.stl").write_bytes(content)

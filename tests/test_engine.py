@@ -15,12 +15,21 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from gds import engine
+from gds import engine, geometry
 from gds.admittance import gains_at, step_admittance, step_axial
 from gds.config import canonical_config, scenario_from_config
 from gds.engine import CSV_HEADER, PlantModel, Scenario, Trace, World, run
 from gds.errors import SimulationFault
-from gds.geometry import Pose, Twist6, UnitQuat, Vec3, Wrench6, _canonical, rotation_between
+from gds.geometry import (
+    Frame3,
+    Pose,
+    Twist6,
+    UnitQuat,
+    Vec3,
+    Wrench6,
+    _canonical,
+    rotation_between,
+)
 from gds.guidance import (
     _AUTO_ALIGN,
     _CONSTRAINED_DRILL,
@@ -297,7 +306,7 @@ class ReferenceWorld(World):
         elif constrained:
             axis = target.axis
             f_ax = f_int.force.dot(axis)
-            self.s_ref = step_axial(self.s_ref, f_ax, params_now.translational, dt)
+            self.s_ref = step_axial(self.s_ref, f_ax, params_now[0], dt)
             self.s_act = self.s_act + self.plant_alpha * (self.s_ref - self.s_act)
             s = self.s_ref
             # only translation along the axis: its projection onto the axis
@@ -417,13 +426,24 @@ class ColumnAppendWorld(ReferenceWorld):
         self._phase_append(engine._PHASE_CODE[self.phase])
         self._tgt_append(self.target_idx)
 
-    def checksum(self) -> str:
-        """SHA-256 of the columns staged into one record array by numpy."""
+    def records(self) -> bytes:
+        """The columns staged into one record array by numpy, as bytes."""
         rows = np.empty(len(self.phase_column), engine._RECORD_DTYPE)
         for name, col in self.columns.items():
             rows[name] = col
         rows["phase"], rows["target_index"] = self.phase_column, self.target_column
-        return hashlib.sha256(rows).hexdigest()
+        return rows.tobytes()
+
+    def checksum(self) -> str:
+        """SHA-256 of ``records``."""
+        return hashlib.sha256(self.records()).hexdigest()
+
+
+def block_layout(trace):
+    """The records in each storage block, read through the trace's fill
+    count: every block is allocated whole, and all but the last are full."""
+    assert all(len(block) == engine._BLOCK_BYTES for block in trace.blocks)
+    return [engine._CSV_BLOCK] * (len(trace.blocks) - 1) + [trace.filled]
 
 
 def assert_same_recording(got, want):
@@ -908,7 +928,7 @@ class TestTraceExport:
     def test_runs_match_row_oracles(self, tmp_path):
         # 2 * 512 + 1 records: the last block holds one
         trace = run_trace(2 * engine._CSV_BLOCK + 1)
-        assert [len(b) // engine._RECORD_SIZE for b in trace.blocks][-1] == 1
+        assert block_layout(trace)[-1] == 1
         assert_matches_oracles(trace, tmp_path)
         assert ",-0," in (tmp_path / "got.csv").read_text()
 
@@ -1145,21 +1165,72 @@ class TestPhaseBodies:
         assert ramp_gains and all(plain(gains, float) for gains in ramp_gains)
 
 
+class TestPerStepUnpacks:
+    # CPython unpacks only an exact tuple on its specialized path (PEP 659);
+    # a NamedTuple takes the generic iterator path, about three times as
+    # slow for a Vec3 on Python 3.11.7. Every value a step unpacks is made an
+    # exact tuple once, when its scenario, target, plan or ramp is set up.
+    PER_TARGET = 40  # unpacks of set-up values allowed per target begun
+
+    def test_steps_unpack_no_named_tuple(self, monkeypatch):
+        unpacks = [0]
+
+        def counting_iter(self):
+            unpacks[0] += 1
+            return tuple.__iter__(self)
+
+        named = [
+            cls for cls in vars(geometry).values()
+            if isinstance(cls, type) and issubclass(cls, tuple)
+        ]
+        assert {Vec3, UnitQuat, Pose, Frame3} <= set(named)
+        for cls in named:
+            monkeypatch.setattr(cls, "__iter__", counting_iter, raising=False)
+        for condition in ("with", "without"):
+            counts, begun = [], []
+            for cap in (10.0, 20.0):
+                sc = drawn_session(condition, 0, PRESET_ANGLES, PRESET_ORIENTATION, 0.05, cap)
+                unpacks[0] = 0
+                trace = World(sc).run()
+                # both runs step up to their caps: neither ends early
+                assert len(trace) == round(cap / sc.dt) and not trace.complete
+                counts.append(unpacks[0])
+                begun.append(1 + len(trace.events_of_kind("new_target:")))
+            # 10,000 more steps, and only the set-up of the targets begun
+            assert counts[1] - counts[0] <= self.PER_TARGET * begun[1], condition
+
+
 class TestPackedRecorder:
-    # runs cut at several lengths mid-session; None runs the session to the end
-    @pytest.mark.parametrize("steps", [4095, 4096, 4097, 8193, None])
+    # runs cut at several lengths mid-session: none, one and either side of
+    # the first block boundary among them; None runs the session to the end
+    @pytest.mark.parametrize("steps", [0, 1, 511, 512, 513, 4095, 4096, 4097, 8193, None])
     @pytest.mark.parametrize("condition", ["with", "without"])
     def test_matches_column_append_oracle(self, condition, steps):
-        kwargs = {} if steps is None else {"max_sim_time": (steps + 0.5) * 1e-3}
+        kwargs = {} if not steps else {"max_sim_time": (steps + 0.5) * 1e-3}
         sc = experiment_one_scenario(condition, seed=0, **kwargs)
-        got = World(sc).run()
-        oracle = ColumnAppendWorld(sc)
-        oracle.run()
+        world, oracle = World(sc), ColumnAppendWorld(sc)
+        if steps != 0:  # a cap holds at least one step: 0 is a World never run
+            world.run()
+            oracle.run()
+        got = world.trace
         assert got.complete == oracle.trace.complete == (steps is None)
         if steps is not None:
             assert len(got) == steps
         assert len(oracle.trace) == 0  # the oracle keeps only its columns
         assert_matches_columns(got, oracle)
+        # full blocks, then the rest; one empty block when nothing was written
+        n = len(got)
+        full = max(0, n - 1) // engine._CSV_BLOCK
+        layout = [engine._CSV_BLOCK] * full + [n - full * engine._CSV_BLOCK]
+        assert block_layout(got) == layout
+        views = list(got.record_blocks())
+        assert [len(records) for records in views] == [k for k in layout if k]
+        assert b"".join(records.tobytes() for records in views) == oracle.records()
+        if n:
+            assert repr(got.sample(-1)) == repr(oracle_sample(oracle, n - 1))
+        else:
+            with pytest.raises(IndexError):
+                got.sample(-1)
 
     def test_rows_before_a_fault_are_readable(self):
         sc = far_target_scenario()
@@ -1207,9 +1278,8 @@ class TestPackedRecorder:
         assert_matches_columns(trace, oracle)
 
     def test_reads_between_steps_hold_no_view_of_the_records(self):
-        # a live numpy view of the last block would make the next append
-        # raise BufferError; every read is a copy, so stepping goes on, also
-        # across the first two block boundaries
+        # every read is a copy: what it read stays as it was while stepping
+        # goes on, also across the first two block boundaries
         sc = experiment_one_scenario("with", seed=0, max_sim_time=1.5)
         world = World(sc)
         trace = world.trace
@@ -1258,7 +1328,7 @@ class TestPackedRecorder:
         trace = Trace(dt=1e-3, condition="with", config_digest="blocks")
         for record in records:
             trace.append(record)
-        assert [len(block) // engine._RECORD_SIZE for block in trace.blocks] == layout
+        assert block_layout(trace) == layout
         views = list(trace.record_blocks())
         assert [len(records) for records in views] == [k for k in layout if k]
         assert all(records.dtype == engine._RECORD_DTYPE for records in views)

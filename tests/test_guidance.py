@@ -148,7 +148,7 @@ class TestPlanAlignment:
         q = UnitQuat.from_axis_angle(Vec3(1, 0, 0), math.pi)  # tool +z -> world -z
         start = Pose(Vec3(0.01, 0.0, 0.04), q)
         plan = plan_alignment(start, Vec3(0, 0, 0), axis, TOOL, **ALIGN)
-        assert plan.rotation_vector.norm() <= 1e-12
+        assert Vec3(*plan.rotation_vector).norm() <= 1e-12
         assert plan.goal_pose.orientation.angle_to(q) <= 1e-12
 
     def test_goal_position_is_standoff_short_of_target(self):
@@ -161,7 +161,7 @@ class TestPlanAlignment:
         axis = rotate(UnitQuat.from_axis_angle(Vec3(0, 1, 0), math.radians(30)), Vec3(0, 0, 1))
         start = Pose(Vec3(0, 0, -0.04), UnitQuat.identity())  # tool axis = +z
         plan = plan_alignment(start, Vec3(0, 0, 0), axis, TOOL, **ALIGN)
-        assert plan.rotation_vector.norm() == pytest.approx(math.radians(30), abs=1e-12)
+        assert Vec3(*plan.rotation_vector).norm() == pytest.approx(math.radians(30), abs=1e-12)
         tool_after = rotate(plan.goal_pose.orientation, TOOL)
         assert angle_between(tool_after, axis) <= 1e-12
 

@@ -76,12 +76,12 @@ class ReferenceOperator(VirtualOperator):
     def _aligned_enough(self, pose, standoff_point, aim_axis):
         if (standoff_point - pose.position).norm() > 0.008:
             return False
-        tool = rotate(pose.orientation, self.tool_axis_local)
+        tool = rotate(pose.orientation, Vec3(*self.tool_axis_local))
         return angle_between(tool, aim_axis) <= math.radians(1.0)
 
     def _orientation_torque(self, pose, twist, desired_axis):
         m = self.model
-        tool = rotate(pose.orientation, self.tool_axis_local)
+        tool = rotate(pose.orientation, Vec3(*self.tool_axis_local))
         q_err = rotation_between(tool, desired_axis)
         vn = math.sqrt(q_err.x**2 + q_err.y**2 + q_err.z**2)
         if vn < 1e-12:

@@ -940,6 +940,14 @@ class TestIngestion:
         with pytest.raises(GeometryError, match=r"bad\.off:4: expected 3 vertex coordinates"):
             load_off(str(off))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_off_rejects_non_finite_vertex(self, value, tmp_path):
+        # a complete triangle but for one coordinate
+        off = tmp_path / "bad.off"
+        off.write_text(f"OFF\n3 1 0\n0 0 0\n1 {value} 0\n1 1 0\n3 0 1 2\n")
+        with pytest.raises(GeometryError, match=r"bad\.off:4: non-finite vertex coordinate"):
+            load_off(str(off))
+
     def test_off_rejects_short_face_line(self, tmp_path):
         off = tmp_path / "bad.off"
         off.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n1 1 0\n3 0 1\n")
@@ -972,6 +980,21 @@ class TestIngestion:
         stl = tmp_path / "bad.stl"
         stl.write_text("solid bad\n facet normal 0 0 1\n  outer loop\n   vertex 0 x 0\n")
         with pytest.raises(GeometryError, match=r"bad\.stl:4: malformed vertex line"):
+            load_stl(str(stl))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_stl_rejects_non_finite_vertex(self, value, tmp_path):
+        stl = tmp_path / "bad.stl"
+        stl.write_text(
+            "solid bad\n"
+            " facet normal 0 0 1\n"
+            "  outer loop\n"
+            f"   vertex 0 0 0\n   vertex 1 0 0\n   vertex 1 1 {value}\n"
+            "  endloop\n"
+            " endfacet\n"
+            "endsolid bad\n"
+        )
+        with pytest.raises(GeometryError, match=r"bad\.stl:6: non-finite vertex coordinate"):
             load_stl(str(stl))
 
     def test_binary_file_is_not_a_text_mesh(self, tmp_path):
