@@ -25,6 +25,7 @@ import statistics
 import sys
 from typing import List, NamedTuple, Optional, Tuple
 
+from . import tracewriter
 from .config import load_scenario
 from .engine import run as run_scenario
 from .errors import ConfigError, SimulationFault
@@ -63,13 +64,15 @@ def _conditions(selector: str) -> List[str]:
     return [selector]
 
 
-def _run_session(scenario, out_dir: Optional[str], emit_trace: bool):
+def _run_session(scenario, out_dir: Optional[str], emit_trace: bool, writer):
     """Run one resolved scenario and compute its metrics: the only place a
     session runs. Given ``out_dir``, write its trace.csv (if ``emit_trace``),
-    metrics.json and events.json under ``<out_dir>/<condition>/seed_<n>/``.
-    Return the metrics and the final (time, kind) event."""
+    metrics.json and events.json under ``<out_dir>/<condition>/seed_<n>/``;
+    ``writer``, the verb's ``tracewriter.TraceWriter`` if it has one, takes
+    the trace's blocks as they fill and encodes trace.csv. Return the
+    metrics and the final (time, kind) event."""
     condition, seed = scenario.condition, scenario.operator.seed
-    trace = run_scenario(scenario)
+    trace = run_scenario(scenario, stream=writer)
     log.info(
         "%s/seed %d: %d samples, %d events, complete=%s, config digest %s",
         condition, seed, len(trace), len(trace.events), trace.complete, trace.config_digest,
@@ -147,20 +150,32 @@ def _run_sessions(
     (with ``session_files``, writing its files under ``out``) and print its
     summary line, prefixed with ``sweep <param>=<value>`` under an
     override. Return the sessions in (override, condition, seed) order: a
-    list, so a value swept twice keeps both rows."""
+    list, so a value swept twice keeps both rows.
+
+    A verb that writes traces (``session_files`` and ``emit_trace``) owns
+    one ``tracewriter.TraceWriter`` on a host with more than one usable
+    CPU: one helper process, started before the first session and stopped
+    after the last or on any exception, that encodes each trace.csv while
+    the sessions run, with bytes unchanged. ``--no-trace``, ``sweep`` and a
+    one-CPU host start none."""
     sessions = []
     resolved = _resolve(path, conditions, seeds, overrides)
     if out is not None:
         _check_out(out)
     out_dir = out if session_files else None
-    for override, condition, seed, scenario in resolved:
-        metrics, final_event = _run_session(scenario, out_dir, emit_trace)
-        line = _summary_line(condition, seed, metrics, final_event)
-        if override is not None:
-            param, value = override
-            line = f"sweep {param}={value:.9g} {line}"
-        print(line)
-        sessions.append(Session(override, condition, seed, metrics, final_event))
+    writer = tracewriter.start() if out_dir is not None and emit_trace else None
+    try:
+        for override, condition, seed, scenario in resolved:
+            metrics, final_event = _run_session(scenario, out_dir, emit_trace, writer)
+            line = _summary_line(condition, seed, metrics, final_event)
+            if override is not None:
+                param, value = override
+                line = f"sweep {param}={value:.9g} {line}"
+            print(line)
+            sessions.append(Session(override, condition, seed, metrics, final_event))
+    finally:
+        if writer is not None:
+            writer.close()
     return sessions
 
 

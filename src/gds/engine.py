@@ -191,7 +191,7 @@ _COLUMNS = tuple(_FLOAT_FIELDS + _B_FIELDS + ["hole_depth"])
 # records per storage block, each written as one CSV block; bounds the
 # encoder's temporaries at about 3 MB and each block at 188,416 bytes
 _CSV_BLOCK = 512
-_CSV_HEAD = (",".join(CSV_HEADER) + "\n").encode()
+CSV_HEAD = (",".join(CSV_HEADER) + "\n").encode()
 # the CSV cells of the _COLUMNS floats, of the phase name and of the index
 _FLOAT_CELLS = [i for i, name in enumerate(CSV_HEADER) if name in _COLUMNS]
 _PHASE_CELL = CSV_HEADER.index("phase")
@@ -214,6 +214,34 @@ _RECORD_FORMAT = struct.Struct(
 )
 _pack_record = _RECORD_FORMAT.pack
 _pack_record_into = _RECORD_FORMAT.pack_into
+
+
+def csv_work(rows: int) -> tuple:
+    """``csv_block``'s work arrays, for blocks of up to ``rows`` records."""
+    return _csvtext.RunWork(rows * len(_COLUMNS)), _csvtext.RowSlots(rows, len(CSV_HEADER))
+
+
+def csv_block(records: np.ndarray, work: tuple) -> bytearray:
+    """The CSV lines of one non-empty block of ``_RECORD_DTYPE`` records,
+    encoded straight from a 2-D view of their floats and of their own
+    target indices into the text slots of ``_csvtext``; a float is
+    formatted only where it differs from the one above it in its column.
+    ``work`` is a ``csv_work`` of at least ``len(records)`` rows. The one
+    encoder of ``trace.csv``, in process and in the trace writer's helper."""
+    run_work, slots = work
+    k = len(records)
+    # the 45 floats are the first 360 bytes of each 368-byte record
+    floats = records.view(np.float64).reshape(k, -1)[:, : len(_COLUMNS)]
+    phases = records["phase"]
+    targets, codes = np.unique(records["target_index"], return_inverse=True)
+    target_text = _csvtext.pack_texts([b"%d" % i for i in targets.tolist()])
+    for cells, text in (
+        (_FLOAT_CELLS, _csvtext.format_runs(floats, run_work)),
+        (_PHASE_CELL, [t[phases] for t in _PHASE_TEXT]),
+        (_TARGET_CELL, [t[codes] for t in target_text]),
+    ):
+        slots.text[:k, cells, 0], slots.text[:k, cells, 1] = text
+    return slots.join(k)
 
 
 class _Fields:
@@ -249,9 +277,17 @@ class Trace:
     block each. Blocks of a fixed size keep the storage from ever copying
     a whole trace to grow it, and as no block is ever resized, a view held
     across a step is harmless.
+
+    ``stream``, when given, is handed each block as it fills
+    (``stream.put(block)``, from ``next_block``), and ``to_csv`` hands it
+    the last one and asks it to write the file (``stream.finish``). The
+    command line's stream is a ``tracewriter.TraceWriter``: on a host with
+    more than one usable CPU, a helper process that encodes ``trace.csv``
+    with ``csv_block`` while the session runs, so the file's bytes are the
+    ones the in-process writer makes.
     """
 
-    def __init__(self, dt: float, condition: str, config_digest: str):
+    def __init__(self, dt: float, condition: str, config_digest: str, stream=None):
         self.dt = dt
         self.condition = condition
         self.config_digest = config_digest
@@ -259,10 +295,15 @@ class Trace:
         self.complete = False
         self.blocks: List[bytearray] = [bytearray(_BLOCK_BYTES)]
         self.filled = 0
+        self.stream = stream
 
     def next_block(self) -> None:
         """Start a new, empty last block: the one place a block is made
-        after the first, once the last holds ``_CSV_BLOCK`` records."""
+        after the first, once the last holds ``_CSV_BLOCK`` records. The
+        full block is handed to the stream, if any; it is never written
+        again."""
+        if self.stream is not None:
+            self.stream.put(self.blocks[-1])
         self.blocks.append(bytearray(_BLOCK_BYTES))
         self.filled = 0
 
@@ -356,31 +397,24 @@ class Trace:
 
     def to_csv(self, path: str) -> None:
         """One row per sample, SI units: every float as ``'%.9g' % v``, the
-        phase name, the target index as ``'%d'``. Each stored block is
-        encoded as one CSV block, straight from a 2-D view of its records'
-        floats and of its own target indices, into the text slots of
-        ``_csvtext``; a float is formatted only where it differs from the
-        one above it in its column. The work arrays are sized once per file
-        for a full block."""
-        block = min(len(self), _CSV_BLOCK)
-        work = _csvtext.RunWork(block * len(_COLUMNS))
-        slots = _csvtext.RowSlots(block, len(CSV_HEADER))
+        phase name, the target index as ``'%d'`` (see ``csv_block``).
+
+        A trace with a stream hands it the last block and returns once the
+        stream has written the file; the stream raises the writer's
+        ``OSError`` if writing failed. A trace without one, or whose stream
+        cannot write (its helper never started or was lost), encodes every
+        block here, with work arrays sized once for the file. Either way the
+        stream is spent: a second call writes here."""
+        stream, self.stream = self.stream, None
+        if stream is not None and stream.finish(
+            path, memoryview(self.blocks[-1])[: self.filled * _RECORD_SIZE]
+        ):
+            return
+        work = csv_work(min(len(self), _CSV_BLOCK))
         with open(path, "wb") as fh:
-            fh.write(_CSV_HEAD)
+            fh.write(CSV_HEAD)
             for records in self.record_blocks():
-                k = len(records)
-                # the 45 floats are the first 360 bytes of each 368-byte record
-                floats = records.view(np.float64).reshape(k, -1)[:, : len(_COLUMNS)]
-                phases = records["phase"]
-                targets, codes = np.unique(records["target_index"], return_inverse=True)
-                target_text = _csvtext.pack_texts([b"%d" % i for i in targets.tolist()])
-                for cells, text in (
-                    (_FLOAT_CELLS, _csvtext.format_runs(floats, work)),
-                    (_PHASE_CELL, [t[phases] for t in _PHASE_TEXT]),
-                    (_TARGET_CELL, [t[codes] for t in target_text]),
-                ):
-                    slots.text[:k, cells, 0], slots.text[:k, cells, 1] = text
-                fh.write(slots.join(k))
+                fh.write(csv_block(records, work))
 
     def summary(self) -> dict:
         return {
@@ -397,7 +431,9 @@ class Trace:
 class World:
     """Owns all mutable run state; advanced by exactly one caller."""
 
-    def __init__(self, scenario: Scenario, operator: Optional[VirtualOperator] = None):
+    def __init__(
+        self, scenario: Scenario, operator: Optional[VirtualOperator] = None, stream=None
+    ):
         self.sc = scenario
         self.dt = scenario.dt
         self.guided = scenario.condition == "with"
@@ -421,7 +457,7 @@ class World:
         self.plant_alpha = 1.0 if tau == 0.0 else 1.0 - math.exp(-self.dt / tau)
         params = phase_params(self.phase, scenario.condition)
         self.schedule = GainSchedule(params, params, ramp_start=0.0)
-        self.trace = Trace(self.dt, scenario.condition, scenario.config_digest())
+        self.trace = Trace(self.dt, scenario.condition, scenario.config_digest(), stream)
         self._in_collision = False
         self._phase_code = _PHASE_CODE[self.phase]
         # the whole steps that fit in max_sim_time: a quotient within 1e-9
@@ -677,7 +713,8 @@ class World:
         return self.trace
 
 
-def run(scenario: Scenario, operator: Optional[VirtualOperator] = None) -> Trace:
+def run(scenario: Scenario, operator: Optional[VirtualOperator] = None, stream=None) -> Trace:
     """Execute a scenario to completion (all targets done), or until it
-    ends early (see ``World.run``)."""
-    return World(scenario, operator).run()
+    ends early (see ``World.run``); ``stream`` is handed the trace's blocks
+    as they fill (see ``Trace``)."""
+    return World(scenario, operator, stream).run()

@@ -15,7 +15,7 @@ from gds.admittance import (
     gains_at,
     step_admittance,
 )
-from gds.engine import World, run
+from gds.engine import run
 from gds.geometry import (
     Pose,
     Twist6,
@@ -30,7 +30,6 @@ from gds.metrics import compute_metrics, mean_metrics
 from gds.operator_env import (
     EnvironmentModel,
     Hole,
-    OperatorModel,
     VirtualOperator,
     environment_wrench,
 )

@@ -18,7 +18,6 @@ from gds.geometry import (
     slerp_at,
 )
 from gds.guidance import (
-    AlignmentPlan,
     GuidancePhase,
     GuidanceThresholds,
     alignment_twist,

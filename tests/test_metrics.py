@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gds.engine import Trace, _COLUMNS, _PHASE_CODE, _pack_record
-from gds.geometry import UnitQuat, Vec3, rotate
+from gds.geometry import Vec3, rotate
 from gds.guidance import GuidancePhase
 from gds.metrics import (
     METRIC_FIELDS,
